@@ -17,7 +17,7 @@
 //! * **tcp** — in-process server on localhost, 2 protocol clients × 20
 //!   mixed requests; asserts zero protocol errors and nonzero cache
 //!   hits, then a clean shutdown.
-//! * **many_conns** (Unix) — 64 concurrent connections against the
+//! * **many_conns** — 64 concurrent connections against the
 //!   evented front end with a 2-thread fixed worker pool; asserts
 //!   every request on every connection is served and reports
 //!   per-request latency percentiles over the multiplexed loop.
@@ -367,7 +367,6 @@ fn phase_tcp() -> String {
 /// Phase E: 64 concurrent connections multiplexed over a 2-thread
 /// evented worker pool — the thread-per-connection design this replaced
 /// would have needed 64 handler threads.
-#[cfg(unix)]
 fn phase_many_conns() -> String {
     use rlchol_service::{ClientOptions, NetStats, ServeOptions};
     use std::time::Duration;
@@ -445,12 +444,6 @@ fn phase_many_conns() -> String {
          \"latency\": {}}}",
         pcts_json("all", lat)
     )
-}
-
-#[cfg(not(unix))]
-fn phase_many_conns() -> String {
-    println!("many_conns: skipped (evented front end is Unix-only)");
-    "{\"skipped\": true}".to_string()
 }
 
 fn main() {

@@ -1,6 +1,5 @@
 //! Evented TCP front end: one readiness-polled event loop multiplexing
-//! every connection over a **fixed worker pool**, replacing the seed's
-//! thread-per-connection accept loop.
+//! every connection over a **fixed worker pool**.
 //!
 //! # Architecture
 //!
@@ -28,7 +27,10 @@
 //! * **Per-connection buffers** assemble frames incrementally: a client
 //!   may deliver a request in arbitrarily small pieces (or several
 //!   pipelined requests in one burst) and the worker consumes exactly
-//!   the complete frames, leaving the tail buffered.
+//!   the complete frames, leaving the tail buffered. The socket is read
+//!   straight into the buffer's tail, which grows by what has arrived
+//!   (at most `READ_STEP` ahead), never by what a header announces;
+//!   responses are framed straight into the write buffer.
 //! * **Deadlines**: a connection that produces no bytes (and accepts no
 //!   pending response bytes) for `conn_timeout` is closed by the
 //!   poller and counted in [`NetStats::timed_out`]. A slow-loris client
@@ -52,7 +54,7 @@
 //! coalescing window to see them together.
 
 use crate::protocol::{
-    decode_request, encode_response, error_json, handle_request, MAX_FRAME_BYTES,
+    decode_request, encode_response, error_json, frame_body_len, handle_request, put_frame,
 };
 use crate::service::Service;
 use crate::ServiceError;
@@ -75,6 +77,12 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 /// Upper bound on one poll wait — the loop re-checks shutdown and
 /// deadlines at least this often.
 const POLL_CAP: Duration = Duration::from_millis(100);
+/// Read window while the next frame's header has not arrived yet: a
+/// small request comes in whole with it.
+const FIRST_READ: usize = 16 * 1024;
+/// Most that one read extends a connection's buffer by, however much
+/// the frame header says is still to come.
+const READ_STEP: usize = 256 * 1024;
 
 fn env_positive(name: &str) -> Option<u64> {
     std::env::var(name)
@@ -255,101 +263,89 @@ fn flush(conn: &mut Conn) -> io::Result<()> {
 }
 
 fn queue_response(conn: &mut Conn, json: &str, payload: &[f64]) {
-    let body = encode_response(json, payload);
-    conn.wrbuf
-        .extend_from_slice(&(body.len() as u32).to_le_bytes());
-    conn.wrbuf.extend_from_slice(&body);
-}
-
-enum FrameScan {
-    /// Not enough buffered bytes yet.
-    Need,
-    /// Header announces a body over [`MAX_FRAME_BYTES`].
-    TooBig(u32),
-    /// A complete frame: total length including the 4-byte header.
-    Complete(usize),
-}
-
-fn scan_frame(buf: &[u8]) -> FrameScan {
-    if buf.len() < 4 {
-        return FrameScan::Need;
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes checked"));
-    if len > MAX_FRAME_BYTES {
-        return FrameScan::TooBig(len);
-    }
-    let total = 4 + len as usize;
-    if buf.len() < total {
-        FrameScan::Need
-    } else {
-        FrameScan::Complete(total)
+    if let Err(e) = put_frame(&mut conn.wrbuf, |b| encode_response(b, json, payload)) {
+        put_frame(&mut conn.wrbuf, |b| {
+            encode_response(b, &error_json(&e), &[])
+        })
+        .expect("an error report fits a frame");
     }
 }
 
-/// One worker pass over a ready connection: flush, drain the socket,
-/// serve every complete frame, flush again. Returns `false` when the
-/// connection is finished (dead, EOF served out, or poisoned by a
-/// framing violation with its answer drained).
+/// Answers a framing violation once; the connection closes when the
+/// answer has drained.
+fn poison(conn: &mut Conn, e: &ServiceError) {
+    queue_response(conn, &error_json(e), &[]);
+    conn.close_after_flush = true;
+}
+
+/// Total length, header included, of the frame at the head of `buf`:
+/// `None` until its header is in, `Err` when the header announces a
+/// body over the cap.
+fn frame_total(buf: &[u8]) -> Result<Option<usize>, ServiceError> {
+    let header = buf.first_chunk::<4>();
+    header.map(|h| Ok(4 + frame_body_len(*h)?)).transpose()
+}
+
+/// Reads what the socket holds into the tail of `conn.rdbuf`, stopping
+/// at the end of the frame in progress: a complete frame is served
+/// before more is read, so the buffer never holds more than one frame
+/// and a read window. `Err` means the connection is dead.
+fn fill(conn: &mut Conn) -> io::Result<()> {
+    loop {
+        let len = conn.rdbuf.len();
+        let want = match frame_total(&conn.rdbuf) {
+            Ok(None) => FIRST_READ,
+            Ok(Some(total)) if total > len => (total - len).min(READ_STEP),
+            // Serve (or refuse) what is buffered first.
+            _ => return Ok(()),
+        };
+        conn.rdbuf.resize(len + want, 0);
+        let read = conn.stream.read(&mut conn.rdbuf[len..]);
+        conn.rdbuf.truncate(len + read.as_ref().map_or(0, |&n| n));
+        match read {
+            Ok(0) => {
+                conn.eof = true;
+                return Ok(());
+            }
+            Ok(_) => conn.last_activity = Instant::now(),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// One worker pass over a ready connection: flush, read, serve every
+/// complete frame, flush again. Returns `false` when the connection is
+/// finished (dead, EOF served out, or poisoned by a framing violation
+/// with its answer drained).
 fn drive_conn(conn: &mut Conn, service: &Service, stats: &NetStats) -> bool {
     if flush(conn).is_err() {
         return false;
     }
-    if !conn.eof && !conn.close_after_flush {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.rdbuf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
+    if !conn.eof && !conn.close_after_flush && fill(conn).is_err() {
+        return false;
     }
-    // Serve every complete frame currently buffered. The buffer is
-    // taken out of the connection so responses can be queued while the
-    // frame bytes are borrowed; the unconsumed tail goes back after.
-    let rdbuf = std::mem::take(&mut conn.rdbuf);
     let mut consumed = 0;
     while !conn.close_after_flush {
-        match scan_frame(&rdbuf[consumed..]) {
-            FrameScan::Need => break,
-            FrameScan::TooBig(len) => {
-                let e = ServiceError::Protocol(format!(
-                    "frame of {len} bytes exceeds cap {MAX_FRAME_BYTES}"
-                ));
-                queue_response(conn, &error_json(&e), &[]);
-                conn.close_after_flush = true;
-            }
-            FrameScan::Complete(total) => {
+        let rest = &conn.rdbuf[consumed..];
+        match frame_total(rest) {
+            Err(e) => poison(conn, &e),
+            Ok(Some(total)) if total <= rest.len() => {
                 NetStats::bump(&stats.frames);
-                let body = &rdbuf[consumed + 4..consumed + total];
-                match decode_request(body) {
+                match decode_request(&rest[4..total]) {
                     Ok(wire) => {
                         let (json, payload) = handle_request(service, wire);
                         queue_response(conn, &json, &payload);
                     }
-                    Err(e) => {
-                        // Framing is broken — answer once, then close
-                        // (same contract as the legacy loop).
-                        queue_response(conn, &error_json(&e), &[]);
-                        conn.close_after_flush = true;
-                    }
+                    Err(e) => poison(conn, &e),
                 }
                 consumed += total;
             }
+            Ok(_) => break,
         }
     }
-    conn.rdbuf = rdbuf;
-    if consumed > 0 {
-        conn.rdbuf.drain(..consumed);
-    }
+    conn.rdbuf.drain(..consumed);
     if flush(conn).is_err() {
         return false;
     }

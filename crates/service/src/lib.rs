@@ -18,11 +18,11 @@
 //! * [`protocol`] — a framed length-prefixed protocol over
 //!   `std::net::TcpListener` plus a blocking [`Client`];
 //!   `rlchol-serve` is the binary, `rlchol serve` the CLI alias.
-//! * [`evented`] (Unix) — the readiness-polled server front end behind
-//!   [`serve`]: non-blocking accept with transient-error backoff, a
-//!   fixed worker pool (`RLCHOL_NET_WORKERS`), incremental frame
-//!   assembly, and per-connection idle deadlines
-//!   (`RLCHOL_CONN_TIMEOUT_MS`).
+//! * [`evented`] — the readiness-polled server front end behind
+//!   [`serve`] (`poll(2)`, so Unix only): non-blocking accept with
+//!   transient-error backoff, a fixed worker pool
+//!   (`RLCHOL_NET_WORKERS`), incremental frame assembly, and
+//!   per-connection idle deadlines (`RLCHOL_CONN_TIMEOUT_MS`).
 //!
 //! Requests whose pattern fingerprints collide within
 //! `RLCHOL_BATCH_WINDOW_US` can additionally coalesce into one batched
@@ -60,9 +60,14 @@
 //! # let _ = server;
 //! ```
 
+#[cfg(not(unix))]
+compile_error!(
+    "rlchol-service serves through poll(2) (crates/service/src/evented.rs is its only \
+     server loop) and so builds on Unix targets only"
+);
+
 pub mod cache;
 pub mod error;
-#[cfg(unix)]
 pub mod evented;
 pub mod fingerprint;
 pub mod protocol;
@@ -70,12 +75,9 @@ pub mod service;
 
 pub use cache::{CacheOutcome, CacheStats, HandleCache};
 pub use error::ServiceError;
-#[cfg(unix)]
 pub use evented::{serve_evented, NetStats, ServeOptions};
 pub use fingerprint::PatternFingerprint;
-#[cfg(unix)]
-pub use protocol::spawn_server_with;
-pub use protocol::{serve, serve_blocking, spawn_server, Client, ClientOptions, WireResponse};
+pub use protocol::{serve, spawn_server, spawn_server_with, Client, ClientOptions, WireResponse};
 pub use service::{
     stats_json, Request, RequestMetrics, RequestOp, Response, ResponsePayload, Service,
     ServiceConfig, ServiceStats, DEFAULT_CACHE_BYTES,

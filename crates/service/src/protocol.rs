@@ -1,10 +1,7 @@
 //! Framed wire protocol over `std::net::TcpStream` — no external
 //! crates. [`serve`] runs the evented front end ([`crate::evented`]):
 //! a readiness-polled accept loop and a fixed worker pool multiplexing
-//! every connection, with per-connection deadlines. The seed's
-//! thread-per-connection loop survives as [`serve_blocking`] (the
-//! non-Unix fallback, or `RLCHOL_NET_LEGACY=1`), hardened against
-//! transient accept errors and handler leaks.
+//! every connection, with per-connection deadlines.
 //!
 //! # Framing
 //!
@@ -32,9 +29,22 @@
 //! Framing violations (oversized frames, truncated bodies, inconsistent
 //! counts) poison the stream and close the connection; *semantic*
 //! errors (bad matrix, overload, deadline) are answered in-band and the
-//! connection keeps serving.
+//! connection keeps serving. Every count a frame announces (`n + 1`,
+//! `nnz`, `k`) is checked against the bytes left in that frame before
+//! anything is allocated for it.
+//!
+//! # Latency
+//!
+//! A frame goes out in **one write**, header and body from one buffer
+//! (`put_frame`), and both ends set `TCP_NODELAY`. A request/response
+//! protocol has nothing to gain from Nagle's algorithm — the sender has
+//! nothing more to say until the peer answers — and much to lose: a
+//! header written ahead of its body leaves the body waiting for the
+//! header's ACK, which the peer delays by 40 ms because it in turn is
+//! waiting for a whole request before it has anything to send back.
 
 use crate::error::ServiceError;
+use crate::evented::{serve_evented, ServeOptions};
 use crate::service::{stats_json, Request, RequestOp, Response, ResponsePayload, Service};
 use rlchol_core::json::{array, escape, JsonObj};
 use rlchol_core::Method;
@@ -86,6 +96,23 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// A count the peer announced, accepted only if that many items of
+    /// `item_bytes` each are still in the frame — so nothing sized by
+    /// the count is ever allocated on the peer's word alone.
+    fn count(&self, announced: u64, item_bytes: usize, what: &str) -> Result<usize, ServiceError> {
+        let left = self.buf.len() - self.pos;
+        usize::try_from(announced)
+            .ok()
+            .filter(|c| c.checked_mul(item_bytes).is_some_and(|b| b <= left))
+            .ok_or_else(|| {
+                ServiceError::Protocol(format!(
+                    "truncated frame: {announced} {what} of {item_bytes} bytes each \
+                     announced at offset {}, {left} bytes left",
+                    self.pos
+                ))
+            })
+    }
+
     fn u8(&mut self) -> Result<u8, ServiceError> {
         Ok(self.take(1)?[0])
     }
@@ -98,25 +125,27 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn usize_vec(&mut self, count: usize) -> Result<Vec<usize>, ServiceError> {
-        let bytes = self.take(count.checked_mul(8).ok_or_else(overflow)?)?;
+    /// `announced` little-endian 8-byte words, each through `from_le`.
+    fn words<T>(
+        &mut self,
+        announced: u64,
+        what: &str,
+        from_le: impl Fn([u8; 8]) -> T,
+    ) -> Result<Vec<T>, ServiceError> {
+        let bytes = self.take(8 * self.count(announced, 8, what)?)?;
         Ok(bytes
             .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
+            .map(|c| from_le(c.try_into().unwrap()))
             .collect())
     }
 
-    fn f64_vec(&mut self, count: usize) -> Result<Vec<f64>, ServiceError> {
-        let bytes = self.take(count.checked_mul(8).ok_or_else(overflow)?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    fn usize_vec(&mut self, announced: u64, what: &str) -> Result<Vec<usize>, ServiceError> {
+        self.words(announced, what, |w| u64::from_le_bytes(w) as usize)
     }
-}
 
-fn overflow() -> ServiceError {
-    ServiceError::Protocol("frame length overflow".into())
+    fn f64_vec(&mut self, announced: u64, what: &str) -> Result<Vec<f64>, ServiceError> {
+        self.words(announced, what, f64::from_le_bytes)
+    }
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -127,35 +156,64 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends `vs` as little-endian 8-byte words. Sized once and filled
+/// through fixed-width chunks, which compiles to a straight copy.
+fn put_words<T: Copy>(buf: &mut Vec<u8>, vs: &[T], to_le: impl Fn(T) -> [u8; 8]) {
+    let start = buf.len();
+    buf.resize(start + vs.len() * 8, 0);
+    for (dst, &v) in buf[start..].chunks_exact_mut(8).zip(vs) {
+        dst.copy_from_slice(&to_le(v));
+    }
+}
+
+fn put_usizes(buf: &mut Vec<u8>, vs: &[usize]) {
+    put_words(buf, vs, |v| (v as u64).to_le_bytes());
+}
+
 fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
+    put_words(buf, vs, f64::to_le_bytes);
+}
+
+fn frame_too_big(len: usize) -> ServiceError {
+    ServiceError::Protocol(format!(
+        "frame of {len} bytes exceeds cap {MAX_FRAME_BYTES}"
+    ))
+}
+
+/// Appends one frame to `out` — the framing of both directions. The four
+/// header bytes are reserved in `out` itself, `body` encodes in place
+/// behind them and the length is patched in afterwards: no intermediate
+/// buffer, and the caller hands header and body to the socket together.
+/// A body over [`MAX_FRAME_BYTES`] is taken back out of `out` and
+/// reported.
+pub(crate) fn put_frame(
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), ServiceError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = out.len() - start - 4;
+    match u32::try_from(len) {
+        Ok(len32) if len32 <= MAX_FRAME_BYTES => {
+            out[start..start + 4].copy_from_slice(&len32.to_le_bytes());
+            Ok(())
+        }
+        _ => {
+            out.truncate(start);
+            Err(frame_too_big(len))
+        }
     }
 }
 
-fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match stream.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len);
+/// Body length a 4-byte frame header announces, or the typed error for
+/// one over [`MAX_FRAME_BYTES`].
+pub(crate) fn frame_body_len(header: [u8; 4]) -> Result<usize, ServiceError> {
+    let len = u32::from_le_bytes(header);
     if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap {MAX_FRAME_BYTES}"),
-        ));
+        return Err(frame_too_big(len as usize));
     }
-    let mut body = vec![0u8; len as usize];
-    stream.read_exact(&mut body)?;
-    Ok(Some(body))
-}
-
-fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    Ok(len as usize)
 }
 
 // ---------------------------------------------------------------------
@@ -191,24 +249,28 @@ pub(crate) fn decode_request(body: &[u8]) -> Result<WireRequest, ServiceError> {
         }
     };
     let deadline_ms = c.u32()?;
-    let n = c.u64()? as usize;
-    let nnz = c.u64()? as usize;
-    let colptr = c.usize_vec(n + 1)?;
-    let rowind = c.usize_vec(nnz)?;
-    let values = c.f64_vec(nnz)?;
-    let matrix = SymCsc::from_parts(n, colptr, rowind, values)
+    let (n, nnz) = (c.u64()?, c.u64()?);
+    // Saturated, `n + 1` is still more than any frame holds.
+    let colptr = c.usize_vec(n.saturating_add(1), "column pointers")?;
+    let rowind = c.usize_vec(nnz, "row indices")?;
+    let values = c.f64_vec(nnz, "values")?;
+    let matrix = SymCsc::from_parts(colptr.len() - 1, colptr, rowind, values)
         .map_err(|e| ServiceError::Protocol(format!("invalid matrix: {e}")))?;
     let op = match op {
         OP_ANALYZE => RequestOp::Analyze,
         OP_FACTOR => RequestOp::Factor,
-        OP_SOLVE => RequestOp::Solve(c.f64_vec(n)?),
+        OP_SOLVE => RequestOp::Solve(c.f64_vec(n, "right-hand side values")?),
         OP_BATCH => {
-            let k = c.u32()? as usize;
-            let mut sets = Vec::with_capacity(k);
-            for _ in 0..k {
-                sets.push(c.f64_vec(nnz)?);
-            }
-            RequestOp::Batch(sets)
+            // Sets of an empty pattern take no bytes, so their count is
+            // held to the frame as if each took one.
+            let set_bytes = (8 * matrix.nnz_lower()).max(1);
+            let k = c.u32()? as u64;
+            let k = c.count(k, set_bytes, "value sets")?;
+            RequestOp::Batch(
+                (0..k)
+                    .map(|_| c.f64_vec(nnz, "values"))
+                    .collect::<Result<_, _>>()?,
+            )
         }
         _ => unreachable!(),
     };
@@ -222,51 +284,46 @@ pub(crate) fn decode_request(body: &[u8]) -> Result<WireRequest, ServiceError> {
         matrix,
         op,
         method,
-        deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms as u64)),
+        deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms as u64)),
     }))
 }
 
 fn encode_request(
+    body: &mut Vec<u8>,
     op: u8,
     matrix: &SymCsc,
     method: Option<Method>,
     deadline_ms: u32,
     rhs: &[f64],
     sets: &[Vec<f64>],
-) -> Vec<u8> {
-    let mut body = Vec::new();
+) {
     body.push(op);
     let method_idx = method
         .map(|m| Method::ALL.iter().position(|x| *x == m).unwrap() as u8)
         .unwrap_or(0xFF);
     body.push(method_idx);
-    put_u32(&mut body, deadline_ms);
-    put_u64(&mut body, matrix.n() as u64);
-    put_u64(&mut body, matrix.nnz_lower() as u64);
-    for &p in matrix.colptr() {
-        put_u64(&mut body, p as u64);
-    }
-    for &r in matrix.rowind() {
-        put_u64(&mut body, r as u64);
-    }
-    put_f64s(&mut body, matrix.values());
+    put_u32(body, deadline_ms);
+    put_u64(body, matrix.n() as u64);
+    put_u64(body, matrix.nnz_lower() as u64);
+    put_usizes(body, matrix.colptr());
+    put_usizes(body, matrix.rowind());
+    put_f64s(body, matrix.values());
     if op == OP_SOLVE {
-        put_f64s(&mut body, rhs);
+        put_f64s(body, rhs);
     }
     if op == OP_BATCH {
-        put_u32(&mut body, sets.len() as u32);
+        put_u32(body, sets.len() as u32);
         for set in sets {
-            put_f64s(&mut body, set);
+            put_f64s(body, set);
         }
     }
-    body
 }
 
 // ---------------------------------------------------------------------
 // Response encode (server) / decode (client)
 // ---------------------------------------------------------------------
 
-fn response_json(op_name: &str, resp: &Response) -> (String, Vec<f64>) {
+fn response_json(op_name: &str, resp: Response) -> (String, Vec<f64>) {
     let m = &resp.metrics;
     let cache = match m.cache {
         crate::cache::CacheOutcome::Hit => "hit",
@@ -284,17 +341,17 @@ fn response_json(op_name: &str, resp: &Response) -> (String, Vec<f64>) {
         .u64("recovery_events", m.recovery_events as u64)
         .u64("batch_size", m.batch_size as u64)
         .f64("coalesce_wait_ms", m.coalesce_wait.as_secs_f64() * 1e3);
-    match &resp.payload {
+    match resp.payload {
         ResponsePayload::Analyzed {
             n,
             factor_nnz,
             supernodes,
             memory_bytes,
         } => (
-            obj.u64("n", *n as u64)
-                .u64("factor_nnz", *factor_nnz)
-                .u64("supernodes", *supernodes as u64)
-                .u64("memory_bytes", *memory_bytes)
+            obj.u64("n", n as u64)
+                .u64("factor_nnz", factor_nnz)
+                .u64("supernodes", supernodes as u64)
+                .u64("memory_bytes", memory_bytes)
                 .finish(),
             Vec::new(),
         ),
@@ -302,16 +359,16 @@ fn response_json(op_name: &str, resp: &Response) -> (String, Vec<f64>) {
             factor_nnz,
             info_json,
         } => (
-            obj.u64("factor_nnz", *factor_nnz)
-                .raw("info", info_json)
+            obj.u64("factor_nnz", factor_nnz)
+                .raw("info", &info_json)
                 .finish(),
             Vec::new(),
         ),
         ResponsePayload::Solved { x, info_json } => (
             obj.u64("solution_len", x.len() as u64)
-                .raw("info", info_json)
+                .raw("info", &info_json)
                 .finish(),
-            x.clone(),
+            x,
         ),
         ResponsePayload::Batched { outcomes } => {
             let oks = array(
@@ -340,13 +397,11 @@ pub(crate) fn error_json(e: &ServiceError) -> String {
         .finish()
 }
 
-pub(crate) fn encode_response(json: &str, payload: &[f64]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4 + json.len() + 8 + payload.len() * 8);
-    put_u32(&mut body, json.len() as u32);
+pub(crate) fn encode_response(body: &mut Vec<u8>, json: &str, payload: &[f64]) {
+    put_u32(body, json.len() as u32);
     body.extend_from_slice(json.as_bytes());
-    put_u64(&mut body, payload.len() as u64);
-    put_f64s(&mut body, payload);
-    body
+    put_u64(body, payload.len() as u64);
+    put_f64s(body, payload);
 }
 
 /// One decoded response frame.
@@ -364,8 +419,8 @@ impl WireResponse {
         let json_len = c.u32()? as usize;
         let json = String::from_utf8(c.take(json_len)?.to_vec())
             .map_err(|_| ServiceError::Protocol("response JSON is not UTF-8".into()))?;
-        let payload_len = c.u64()? as usize;
-        let payload = c.f64_vec(payload_len)?;
+        let payload_len = c.u64()?;
+        let payload = c.f64_vec(payload_len, "payload values")?;
         Ok(WireResponse { json, payload })
     }
 
@@ -430,27 +485,15 @@ impl WireResponse {
 // ---------------------------------------------------------------------
 
 pub(crate) fn handle_request(service: &Service, wire: WireRequest) -> (String, Vec<f64>) {
+    let ack = |op: &str| JsonObj::new().bool("ok", true).str("op", op);
     match wire {
-        WireRequest::Stats => (
-            {
-                let stats = stats_json(&service.stats());
-                JsonObj::new()
-                    .bool("ok", true)
-                    .str("op", "stats")
-                    .raw("stats", &stats)
-                    .finish()
-            },
-            Vec::new(),
-        ),
+        WireRequest::Stats => {
+            let stats = stats_json(&service.stats());
+            (ack("stats").raw("stats", &stats).finish(), Vec::new())
+        }
         WireRequest::Shutdown => {
             service.shutdown();
-            (
-                JsonObj::new()
-                    .bool("ok", true)
-                    .str("op", "shutdown")
-                    .finish(),
-                Vec::new(),
-            )
+            (ack("shutdown").finish(), Vec::new())
         }
         WireRequest::Op(req) => {
             let op_name = match req.op {
@@ -460,123 +503,19 @@ pub(crate) fn handle_request(service: &Service, wire: WireRequest) -> (String, V
                 RequestOp::Batch(_) => "batch",
             };
             match service.submit(req) {
-                Ok(resp) => response_json(op_name, &resp),
+                Ok(resp) => response_json(op_name, resp),
                 Err(e) => (error_json(&e), Vec::new()),
             }
         }
     }
 }
 
-fn handle_conn(mut stream: TcpStream, service: &Service) -> io::Result<()> {
-    while let Some(body) = read_frame(&mut stream)? {
-        let (json, payload) = match decode_request(&body) {
-            Ok(wire) => handle_request(service, wire),
-            Err(e) => {
-                // Framing is broken — answer once, then close.
-                let frame = encode_response(&error_json(&e), &[]);
-                write_frame(&mut stream, &frame)?;
-                return Ok(());
-            }
-        };
-        write_frame(&mut stream, &encode_response(&json, &payload))?;
-        if service.is_shutdown() {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Whether an accept error is transient — the listener itself is fine
-/// and a retry will make progress once in-flight connections settle.
-pub(crate) fn accept_error_is_transient(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::Interrupted
-            | io::ErrorKind::WouldBlock
-            | io::ErrorKind::TimedOut
-    ) || {
-        // EMFILE/ENFILE/ENOBUFS/ENOMEM have no stable ErrorKind mapping;
-        // match the raw errno values (resource exhaustion clears up when
-        // connections close).
-        matches!(e.raw_os_error(), Some(23 | 24 | 105 | 12))
-    }
-}
-
-/// Serves `listener` until [`Service::shutdown`].
-///
-/// On Unix this runs the evented front end ([`crate::evented::serve_evented`]
-/// with default [`crate::evented::ServeOptions`]): non-blocking accept, a
-/// fixed worker pool (`RLCHOL_NET_WORKERS`), per-connection idle deadlines
-/// (`RLCHOL_CONN_TIMEOUT_MS`). Set `RLCHOL_NET_LEGACY=1` to fall back to
-/// the thread-per-connection loop ([`serve_blocking`]), which is also the
-/// non-Unix default.
+/// Serves `listener` until [`Service::shutdown`]: the evented front end
+/// ([`serve_evented`]) with default [`ServeOptions`] — non-blocking
+/// accept, a fixed worker pool (`RLCHOL_NET_WORKERS`), per-connection
+/// idle deadlines (`RLCHOL_CONN_TIMEOUT_MS`).
 pub fn serve(listener: TcpListener, service: Arc<Service>) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        let legacy = std::env::var("RLCHOL_NET_LEGACY")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        if !legacy {
-            return crate::evented::serve_evented(
-                listener,
-                service,
-                crate::evented::ServeOptions::default(),
-            );
-        }
-    }
-    serve_blocking(listener, service)
-}
-
-/// Thread-per-connection accept loop, until [`Service::shutdown`] (a
-/// `shutdown` op wakes the accept call by self-connecting). Transient
-/// accept errors (aborted handshakes, fd exhaustion) are retried with
-/// exponential backoff instead of killing the server; finished handler
-/// threads are reaped each iteration so a long-lived server does not
-/// accumulate one [`JoinHandle`] per connection it ever served.
-pub fn serve_blocking(listener: TcpListener, service: Arc<Service>) -> io::Result<()> {
-    let addr = listener.local_addr()?;
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let mut backoff = Duration::from_millis(1);
-    let mut accept_errors: u64 = 0;
-    loop {
-        if service.is_shutdown() {
-            break;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => {
-                backoff = Duration::from_millis(1);
-                stream
-            }
-            Err(e) if accept_error_is_transient(&e) => {
-                accept_errors += 1;
-                if accept_errors.is_power_of_two() {
-                    eprintln!("rlchol-serve: transient accept error (#{accept_errors}): {e}");
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(100));
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        if service.is_shutdown() {
-            break;
-        }
-        let svc = Arc::clone(&service);
-        handlers.push(std::thread::spawn(move || {
-            let _ = handle_conn(stream, &svc);
-            // Wake the accept loop so it observes shutdown promptly.
-            if svc.is_shutdown() {
-                let _ = TcpStream::connect(addr);
-            }
-        }));
-        handlers.retain(|h| !h.is_finished());
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-    Ok(())
+    serve_evented(listener, service, ServeOptions::default())
 }
 
 /// Binds `addr` (e.g. `127.0.0.1:0`) and runs [`serve`] on a new
@@ -585,24 +524,20 @@ pub fn spawn_server(
     addr: &str,
     service: Arc<Service>,
 ) -> io::Result<(SocketAddr, JoinHandle<io::Result<()>>)> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let handle = std::thread::spawn(move || serve(listener, service));
-    Ok((local, handle))
+    spawn_server_with(addr, service, ServeOptions::default())
 }
 
-/// Like [`spawn_server`], but always evented and with explicit
-/// [`crate::evented::ServeOptions`] (worker count, connection timeout,
-/// fault injection, shared [`crate::evented::NetStats`]).
-#[cfg(unix)]
+/// Like [`spawn_server`], with explicit [`ServeOptions`] (worker count,
+/// connection timeout, fault injection, shared
+/// [`crate::evented::NetStats`]).
 pub fn spawn_server_with(
     addr: &str,
     service: Arc<Service>,
-    opts: crate::evented::ServeOptions,
+    opts: ServeOptions,
 ) -> io::Result<(SocketAddr, JoinHandle<io::Result<()>>)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let handle = std::thread::spawn(move || crate::evented::serve_evented(listener, service, opts));
+    let handle = std::thread::spawn(move || serve_evented(listener, service, opts));
     Ok((local, handle))
 }
 
@@ -626,6 +561,9 @@ pub struct ClientOptions {
 /// client; clone connections for concurrency.
 pub struct Client {
     stream: TcpStream,
+    /// The outgoing frame and the incoming one, kept between requests.
+    wrbuf: Vec<u8>,
+    rdbuf: Vec<u8>,
 }
 
 impl Client {
@@ -640,8 +578,13 @@ impl Client {
             Some(t) => TcpStream::connect_timeout(&addr, t)?,
             None => TcpStream::connect(addr)?,
         };
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(opts.read_timeout)?;
-        Ok(Client { stream })
+        Ok(Client {
+            stream,
+            wrbuf: Vec::new(),
+            rdbuf: Vec::new(),
+        })
     }
 
     /// Changes the read timeout on the live connection.
@@ -649,18 +592,43 @@ impl Client {
         self.stream.set_read_timeout(timeout)
     }
 
-    fn roundtrip(&mut self, body: &[u8]) -> io::Result<WireResponse> {
-        write_frame(&mut self.stream, body)?;
-        let frame = read_frame(&mut self.stream)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+    /// Sends the frame `body` encodes with one write, then reads the
+    /// reply frame.
+    fn roundtrip(&mut self, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<WireResponse> {
+        let invalid = |e: ServiceError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        self.wrbuf.clear();
+        put_frame(&mut self.wrbuf, body).map_err(invalid)?;
+        self.stream.write_all(&self.wrbuf)?;
+
+        let mut header = [0u8; 4];
+        self.stream.read_exact(&mut header).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+            } else {
+                e
+            }
         })?;
-        WireResponse::decode(&frame)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        let len = frame_body_len(header).map_err(invalid)?;
+        self.rdbuf.resize(len, 0);
+        self.stream.read_exact(&mut self.rdbuf)?;
+        WireResponse::decode(&self.rdbuf).map_err(invalid)
+    }
+
+    fn request(
+        &mut self,
+        op: u8,
+        matrix: &SymCsc,
+        method: Option<Method>,
+        deadline_ms: u32,
+        rhs: &[f64],
+        sets: &[Vec<f64>],
+    ) -> io::Result<WireResponse> {
+        self.roundtrip(|body| encode_request(body, op, matrix, method, deadline_ms, rhs, sets))
     }
 
     /// Symbolic analysis of `matrix` (warms the server cache).
     pub fn analyze(&mut self, matrix: &SymCsc) -> io::Result<WireResponse> {
-        self.roundtrip(&encode_request(OP_ANALYZE, matrix, None, 0, &[], &[]))
+        self.request(OP_ANALYZE, matrix, None, 0, &[], &[])
     }
 
     /// Numeric factorization.
@@ -670,14 +638,7 @@ impl Client {
         method: Option<Method>,
         deadline_ms: u32,
     ) -> io::Result<WireResponse> {
-        self.roundtrip(&encode_request(
-            OP_FACTOR,
-            matrix,
-            method,
-            deadline_ms,
-            &[],
-            &[],
-        ))
+        self.request(OP_FACTOR, matrix, method, deadline_ms, &[], &[])
     }
 
     /// Factor + solve; the solution arrives in
@@ -689,14 +650,7 @@ impl Client {
         method: Option<Method>,
         deadline_ms: u32,
     ) -> io::Result<WireResponse> {
-        self.roundtrip(&encode_request(
-            OP_SOLVE,
-            matrix,
-            method,
-            deadline_ms,
-            rhs,
-            &[],
-        ))
+        self.request(OP_SOLVE, matrix, method, deadline_ms, rhs, &[])
     }
 
     /// Batched refactorization of `value_sets` over one pattern.
@@ -707,23 +661,16 @@ impl Client {
         method: Option<Method>,
         deadline_ms: u32,
     ) -> io::Result<WireResponse> {
-        self.roundtrip(&encode_request(
-            OP_BATCH,
-            matrix,
-            method,
-            deadline_ms,
-            &[],
-            value_sets,
-        ))
+        self.request(OP_BATCH, matrix, method, deadline_ms, &[], value_sets)
     }
 
     /// Server counters as JSON.
     pub fn stats(&mut self) -> io::Result<WireResponse> {
-        self.roundtrip(&[OP_STATS])
+        self.roundtrip(|body| body.push(OP_STATS))
     }
 
     /// Asks the server to stop accepting work.
     pub fn shutdown(&mut self) -> io::Result<WireResponse> {
-        self.roundtrip(&[OP_SHUTDOWN])
+        self.roundtrip(|body| body.push(OP_SHUTDOWN))
     }
 }

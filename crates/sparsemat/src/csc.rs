@@ -62,51 +62,13 @@ impl CscMatrix {
 
     /// Checks structural invariants, returning the first violation found.
     pub fn validate(&self) -> Result<(), SparseError> {
-        if self.colptr.len() != self.ncols + 1 {
-            return Err(SparseError::InvalidStructure(format!(
-                "colptr has length {}, expected {}",
-                self.colptr.len(),
-                self.ncols + 1
-            )));
-        }
-        if self.colptr[0] != 0 {
-            return Err(SparseError::InvalidStructure(
-                "colptr[0] must be 0".to_string(),
-            ));
-        }
-        if *self.colptr.last().unwrap() != self.rowind.len()
-            || self.rowind.len() != self.values.len()
-        {
-            return Err(SparseError::InvalidStructure(
-                "colptr/rowind/values lengths inconsistent".to_string(),
-            ));
-        }
-        for j in 0..self.ncols {
-            if self.colptr[j] > self.colptr[j + 1] {
-                return Err(SparseError::InvalidStructure(format!(
-                    "colptr not monotone at column {j}"
-                )));
-            }
-            let col = &self.rowind[self.colptr[j]..self.colptr[j + 1]];
-            for w in col.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(SparseError::InvalidStructure(format!(
-                        "rows not strictly increasing in column {j}"
-                    )));
-                }
-            }
-            if let Some(&last) = col.last() {
-                if last >= self.nrows {
-                    return Err(SparseError::IndexOutOfBounds {
-                        row: last,
-                        col: j,
-                        nrows: self.nrows,
-                        ncols: self.ncols,
-                    });
-                }
-            }
-        }
-        Ok(())
+        validate_parts(
+            self.nrows,
+            self.ncols,
+            &self.colptr,
+            &self.rowind,
+            self.values.len(),
+        )
     }
 
     /// Number of rows.
@@ -228,6 +190,62 @@ impl CscMatrix {
     }
 }
 
+/// The CSC invariants over borrowed arrays — the arrays may come from
+/// outside the program, so nothing here indexes or adds before checking.
+pub(crate) fn validate_parts(
+    nrows: usize,
+    ncols: usize,
+    colptr: &[usize],
+    rowind: &[usize],
+    nvalues: usize,
+) -> Result<(), SparseError> {
+    if ncols.checked_add(1) != Some(colptr.len()) {
+        return Err(SparseError::InvalidStructure(format!(
+            "colptr has length {}, expected one more than {ncols} columns",
+            colptr.len()
+        )));
+    }
+    if colptr[0] != 0 {
+        return Err(SparseError::InvalidStructure(
+            "colptr[0] must be 0".to_string(),
+        ));
+    }
+    if colptr[ncols] != rowind.len() || rowind.len() != nvalues {
+        return Err(SparseError::InvalidStructure(
+            "colptr/rowind/values lengths inconsistent".to_string(),
+        ));
+    }
+    for j in 0..ncols {
+        // `colptr[ncols] == rowind.len()` bounds every entry only if the
+        // rest of the walk finds them monotone too; this column's range
+        // is used before that is known.
+        if colptr[j] > colptr[j + 1] || colptr[j + 1] > rowind.len() {
+            return Err(SparseError::InvalidStructure(format!(
+                "colptr not monotone at column {j}"
+            )));
+        }
+        let col = &rowind[colptr[j]..colptr[j + 1]];
+        for w in col.windows(2) {
+            if w[0] >= w[1] {
+                return Err(SparseError::InvalidStructure(format!(
+                    "rows not strictly increasing in column {j}"
+                )));
+            }
+        }
+        if let Some(&last) = col.last() {
+            if last >= nrows {
+                return Err(SparseError::IndexOutOfBounds {
+                    row: last,
+                    col: j,
+                    nrows,
+                    ncols,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +288,15 @@ mod tests {
         let att = a.transpose().transpose();
         assert_eq!(a, att);
         assert_eq!(a.transpose().get(0, 2), 4.0);
+    }
+
+    #[test]
+    fn hostile_parts_are_errors_not_panics() {
+        // `ncols + 1` would wrap to the empty colptr's length.
+        assert!(CscMatrix::from_parts(3, usize::MAX, vec![], vec![], vec![]).is_err());
+        // Monotone as far as the walk has come, but past `rowind`.
+        let e = CscMatrix::from_parts(2, 2, vec![0, 100, 2], vec![0, 1], vec![1.0; 2]);
+        assert!(matches!(e, Err(SparseError::InvalidStructure(_))), "{e:?}");
     }
 
     #[test]

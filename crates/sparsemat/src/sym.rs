@@ -5,7 +5,7 @@
 //! every column carrying its diagonal entry first.
 
 use crate::coo::TripletMatrix;
-use crate::csc::CscMatrix;
+use crate::csc::{validate_parts, CscMatrix};
 use crate::error::SparseError;
 use crate::graph::Graph;
 use crate::perm::Permutation;
@@ -93,16 +93,15 @@ impl SymCsc {
     }
 
     fn validate(&self) -> Result<(), SparseError> {
-        let as_csc = CscMatrix::from_parts(
+        validate_parts(
             self.n,
             self.n,
-            self.colptr.clone(),
-            self.rowind.clone(),
-            self.values.clone(),
+            &self.colptr,
+            &self.rowind,
+            self.values.len(),
         )?;
         for j in 0..self.n {
-            let rows = as_csc.col_rows(j);
-            match rows.first() {
+            match self.col_rows(j).first() {
                 Some(&first) if first == j => {}
                 Some(&first) if first > j => return Err(SparseError::MissingDiagonal { col: j }),
                 Some(&first) => {

@@ -201,12 +201,13 @@
 //! Out of process, the same service speaks a framed length-prefixed
 //! protocol over localhost TCP (`rlchol-serve` daemon or `rlchol serve
 //! 127.0.0.1:7211`; [`service::Client`] is the blocking client, with
-//! optional connect/read timeouts via `service::ClientOptions`). On
-//! Unix the server is **evented**: one readiness-polled event loop
-//! multiplexes every connection over a fixed worker pool, assembling
-//! frames incrementally and shedding stalled clients on a
-//! per-connection deadline (`RLCHOL_NET_LEGACY=1` restores the
-//! thread-per-connection loop). Knobs follow the usual precedence,
+//! optional connect/read timeouts via `service::ClientOptions`). The
+//! server is **evented** (`poll(2)`, so Unix only): one
+//! readiness-polled event loop multiplexes every connection over a
+//! fixed worker pool, assembling frames incrementally and shedding
+//! stalled clients on a per-connection deadline; each frame is one
+//! write and both ends set `TCP_NODELAY`, so a round trip costs the
+//! work plus a few hundred microseconds. Knobs follow the usual precedence,
 //! resolved once at service/server construction: explicit
 //! [`service::ServiceConfig`] (or `service::ServeOptions`) field, else
 //! env, else default —
