@@ -35,13 +35,7 @@ fn bench_factorization(c: &mut Criterion) {
 
     let opts = GpuOptions {
         machine: MachineModel::perlmutter(64).scale_compute(24.0),
-        threshold: 20_000,
-        overlap: true,
-        streams: 0,
-        assign: None,
-        faults: None,
-        retire: None,
-        lookahead: None,
+        ..GpuOptions::with_threshold(20_000)
     };
     g.bench_function("rl_gpu_sim", |b| {
         b.iter(|| factor_rl_gpu(&sym, &a, &opts).unwrap())

@@ -1,6 +1,6 @@
 //! Criterion benches of the task-parallel factorization engines against
-//! their serial counterparts (real wall time; see the `cpu_scaling` bin
-//! for the full thread-sweep trajectory with JSON output).
+//! their serial counterparts (real wall time; the repository benchmark's
+//! `core.par_refactor_s` is the recorded number).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlchol_core::rl::factor_rl_cpu;

@@ -5,7 +5,7 @@
 //! 750 000 for RLB (§IV-B). This sweep regenerates that choice at suite
 //! scale: times as a function of the threshold for three representative
 //! matrices (small / medium / large), plus the no-overlap ablation at the
-//! chosen threshold (DESIGN.md §4).
+//! chosen threshold.
 
 use rlchol_bench::{cpu_baseline, gpu_options, prepare, run_gpu};
 use rlchol_core::engine::Method;

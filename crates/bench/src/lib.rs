@@ -1,7 +1,7 @@
 //! # rlchol-bench — experiment harnesses
 //!
 //! Shared machinery for the binaries that regenerate every table and
-//! figure of the paper (see DESIGN.md §3 for the experiment index):
+//! figure of the paper:
 //!
 //! * `table1` — Table I (GPU-accelerated RL);
 //! * `table2` — Table II (GPU-accelerated RLB v2);
@@ -93,13 +93,7 @@ pub fn gpu_options(cfg: &SuiteConfig, threshold: usize) -> GpuOptions {
         machine: MachineModel::perlmutter(cfg.gpu_host_threads)
             .scale_compute(cfg.machine_scale)
             .with_gpu_capacity(cfg.gpu_capacity_bytes),
-        threshold,
-        overlap: true,
-        streams: 0,
-        assign: None,
-        retire: None,
-        lookahead: None,
-        faults: None,
+        ..GpuOptions::with_threshold(threshold)
     }
 }
 

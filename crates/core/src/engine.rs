@@ -164,47 +164,6 @@ pub fn best_cpu_time(rl: &CpuRun, rlb: &CpuRun) -> (f64, Method, usize) {
     }
 }
 
-/// Parses an environment variable as a positive integer — the shared
-/// shape of every `RLCHOL_*` sizing knob (`None` when unset, empty,
-/// non-numeric, or zero).
-pub(crate) fn env_positive(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// How the pipelined engines assign ready supernodes to compute/copy
-/// stream pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamAssign {
-    /// Cycle through the pairs in issue order (the default). Simple and
-    /// fair when supernodes are similar, but a pair stuck behind a large
-    /// supernode keeps receiving work it cannot start.
-    RoundRobin,
-    /// Issue to the pair with the fewest supernodes in flight (ties to
-    /// the lowest pair index). Evens out uneven queues; identical to
-    /// round-robin while queues stay balanced. Retirement order — and
-    /// therefore the factor — is unaffected by the choice.
-    LeastLoaded,
-}
-
-impl StreamAssign {
-    /// Parses the `RLCHOL_STREAM_ASSIGN` environment variable: `rr` for
-    /// round-robin, `ll` for least-loaded; anything else (or unset) is
-    /// `None`.
-    pub fn from_env() -> Option<StreamAssign> {
-        match std::env::var("RLCHOL_STREAM_ASSIGN") {
-            Ok(v) => match v.trim() {
-                "rr" => Some(StreamAssign::RoundRobin),
-                "ll" => Some(StreamAssign::LeastLoaded),
-                _ => None,
-            },
-            Err(_) => None,
-        }
-    }
-}
-
 /// How the pipelined engines retire host-side effects (staged-update
 /// assembly, CPU-path supernodes, frontier releases).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,7 +214,7 @@ pub struct GpuOptions {
     /// full scale). `0` reproduces the "GPU only" runs of §IV-B.
     pub threshold: usize,
     /// Allow the asynchronous copy-back to overlap host work (on by
-    /// default; off is the ablation in E-THRESH/DESIGN §4).
+    /// default; off is the ablation the `threshold_sweep` bin runs).
     pub overlap: bool,
     /// Compute/copy stream pairs for the pipelined engines
     /// ([`Method::RlGpuPipe`], [`Method::RlbGpuPipe`]); `0` resolves to
@@ -263,11 +222,6 @@ pub struct GpuOptions {
     /// [`rlchol_gpu::default_streams`]). The single-stream engines
     /// ignore it.
     pub streams: usize,
-    /// Stream-pair assignment policy for the pipelined engines; `None`
-    /// resolves to `RLCHOL_STREAM_ASSIGN`, defaulting to
-    /// [`StreamAssign::RoundRobin`]. Any policy yields the same factor
-    /// (retirement stays in order); only stream utilization differs.
-    pub assign: Option<StreamAssign>,
     /// Deterministic fault-injection plan installed on every device the
     /// engines build ([`rlchol_gpu::FaultPlan`]); `None` resolves to
     /// `RLCHOL_FAULTS` (see [`resolved_faults`](Self::resolved_faults)),
@@ -279,10 +233,10 @@ pub struct GpuOptions {
     /// reorders host waits across *different* targets.
     pub retire: Option<RetireMode>,
     /// Lookahead window for out-of-order retirement: how many supernodes
-    /// may be in flight on the device at once. `None` resolves to
-    /// `RLCHOL_LOOKAHEAD`, defaulting to `0` = adaptive (grow on stream
-    /// starvation, shrink when the host is the bottleneck). In-order
-    /// retirement keeps its fixed `2 × pairs` bound and ignores this.
+    /// may be in flight on the device at once. `None` and `0` mean
+    /// adaptive (grow on stream starvation, shrink when the host is the
+    /// bottleneck). In-order retirement keeps its fixed `2 × pairs`
+    /// bound and ignores this.
     pub lookahead: Option<usize>,
 }
 
@@ -294,7 +248,6 @@ impl GpuOptions {
             threshold,
             overlap: true,
             streams: 0,
-            assign: None,
             faults: None,
             retire: None,
             lookahead: None,
@@ -304,12 +257,6 @@ impl GpuOptions {
     /// The same options with an explicit stream-pair count.
     pub fn with_streams(mut self, streams: usize) -> Self {
         self.streams = streams;
-        self
-    }
-
-    /// The same options with an explicit stream-pair assignment policy.
-    pub fn with_assign(mut self, assign: StreamAssign) -> Self {
-        self.assign = Some(assign);
         self
     }
 
@@ -340,16 +287,6 @@ impl GpuOptions {
         }
     }
 
-    /// The assignment policy with the fallback chain applied:
-    /// [`assign`](Self::assign), else `RLCHOL_STREAM_ASSIGN`, else
-    /// round-robin. Resolved per lane like
-    /// [`resolved_streams`](Self::resolved_streams).
-    pub fn resolved_assign(&self) -> StreamAssign {
-        self.assign
-            .or_else(StreamAssign::from_env)
-            .unwrap_or(StreamAssign::RoundRobin)
-    }
-
     /// The retirement mode with the fallback chain applied:
     /// [`retire`](Self::retire), else `RLCHOL_RETIRE`, else in-order.
     /// Resolved per lane like
@@ -360,14 +297,10 @@ impl GpuOptions {
             .unwrap_or(RetireMode::InOrder)
     }
 
-    /// The lookahead window with the fallback chain applied:
-    /// [`lookahead`](Self::lookahead), else `RLCHOL_LOOKAHEAD`, else
-    /// `0` (adaptive). Resolved per lane like
-    /// [`resolved_streams`](Self::resolved_streams).
+    /// The lookahead window: [`lookahead`](Self::lookahead), else `0`
+    /// (adaptive).
     pub fn resolved_lookahead(&self) -> usize {
-        self.lookahead
-            .or_else(|| env_positive("RLCHOL_LOOKAHEAD"))
-            .unwrap_or(0)
+        self.lookahead.unwrap_or(0)
     }
 
     /// The fault plan with the fallback chain applied: an explicit
@@ -423,7 +356,7 @@ pub struct GpuRun {
     /// single-stream engines).
     pub retire: RetireMode,
     /// Final lookahead window of an out-of-order run (the adaptive
-    /// policy's last value, or the pinned `RLCHOL_LOOKAHEAD`); `0` for
+    /// policy's last value, or the pinned window); `0` for
     /// in-order runs.
     pub lookahead: usize,
     /// H2D transfers skipped because device-resident data from a
@@ -528,8 +461,8 @@ mod tests {
         assert_eq!(RetireMode::Ooo.name(), "ooo");
         // An explicit option always wins over the environment/default
         // chain; unset falls back to in-order with an adaptive window.
-        // (from_env itself is exercised end-to-end by the CI matrix —
-        // mutating RLCHOL_RETIRE here would race parallel tests.)
+        // (from_env itself is exercised end-to-end by CI's `faults` job
+        // — mutating RLCHOL_RETIRE here would race parallel tests.)
         let opts = GpuOptions::with_threshold(0);
         assert_eq!(opts.resolved_lookahead(), 0);
         assert_eq!(

@@ -39,8 +39,9 @@
 //! * **Pipelined multi-stream GPU engines** ([`sched::gpu`]) — the same
 //!   elimination-tree dependency machinery ([`sched::driver`]) drives
 //!   out-of-order dispatch of ready supernodes onto `RLCHOL_STREAMS`
-//!   simulated compute/copy stream pairs, with in-order host retirement
-//!   keeping the factor bit-identical to the single-stream engines.
+//!   simulated compute/copy stream pairs, with per-target ascending-source
+//!   update order keeping the factor bit-identical to the single-stream
+//!   engines under either retirement discipline.
 //! * **Planned triangular solves** ([`solve`]) — a [`solve::SolvePlan`]
 //!   of elimination-tree level sets, computed once per analysis, drives
 //!   tree-parallel forward/backward sweeps (`RLCHOL_SOLVE_THREADS`

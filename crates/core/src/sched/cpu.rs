@@ -20,8 +20,9 @@
 //! Floating-point note: updates into a target may apply in any order, so
 //! parallel factors differ from serial ones by roundoff (≈1e-15
 //! relative); tests compare at 1e-11. (The pipelined GPU executor makes
-//! the opposite trade — in-order retirement for bit-exactness; see
-//! [`super::gpu`].)
+//! the opposite trade — every target's updates apply in ascending
+//! source order, under either retirement discipline, for bit-exactness;
+//! see [`super::gpu`].)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};

@@ -10,10 +10,9 @@
 //!   ready — all its updaters have been applied to host storage — its
 //!   device phase (H2D, DPOTRF, DTRSM, async panel copy-back, update
 //!   kernels, update D2H into a per-supernode host staging area) is
-//!   enqueued on one of `RLCHOL_STREAMS` compute/copy stream pairs,
-//!   chosen by the [`StreamAssign`] policy (round-robin by default;
-//!   least-loaded — fewest supernodes in flight — via
-//!   `GpuOptions::assign` or `RLCHOL_STREAM_ASSIGN=ll`).
+//!   enqueued on the least-loaded of `RLCHOL_STREAMS` compute/copy
+//!   stream pairs (fewest supernodes in flight, ties to the lowest
+//!   pair).
 //!   Each pair owns one panel buffer and one update/staging buffer;
 //!   an [`Event`](rlchol_gpu::Event) recorded after the pair's previous
 //!   occupant drains its copy stream gates buffer reuse, so arbitrarily
@@ -44,10 +43,10 @@
 //!     clock) changes. Frontier releases happen per applied update unit,
 //!     so a target becomes ready the moment its last incoming update
 //!     lands rather than when the global retire front passes. The
-//!     lookahead window is **adaptive** by default (`RLCHOL_LOOKAHEAD=0`):
-//!     it grows when issue is window-blocked while some stream pair
-//!     idles, and shrinks toward the pair count while the device runs
-//!     ahead of the host; a positive `RLCHOL_LOOKAHEAD` pins it.
+//!     lookahead window is **adaptive** by default: it grows when issue
+//!     is window-blocked while some stream pair idles, and shrinks
+//!     toward the pair count while the device runs ahead of the host; a
+//!     positive `GpuOptions::lookahead` pins it.
 //!
 //! Deadline/cancel checkpoints ([`RunCtl`]) run inside the retire loop —
 //! once per landed supernode in either mode — so a stalled stream or a
@@ -93,7 +92,7 @@ use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::{assemble_update_pool, scatter_segment, segments, Segment};
-use crate::engine::{factor_panel, GpuOptions, GpuRun, RetireMode, StreamAssign};
+use crate::engine::{factor_panel, GpuOptions, GpuRun, RetireMode};
 use crate::error::FactorError;
 use crate::gpu_rl::{map_device_pivot, offload_set};
 use crate::gpu_rlb::{
@@ -224,7 +223,6 @@ struct PipeCtx<'a> {
     on_gpu: &'a [bool],
     cpu: CpuModel,
     ctl: RunCtl,
-    assign: StreamAssign,
     variant: PipeVariant,
 }
 
@@ -329,7 +327,6 @@ fn run_pipeline(
         on_gpu: &on_gpu,
         cpu,
         ctl,
-        assign: opts.resolved_assign(),
         variant,
     };
     let final_lookahead = match retire {
@@ -379,7 +376,6 @@ fn run_inorder(
         on_gpu,
         cpu,
         ctl,
-        assign,
         variant,
     } = ctx;
     let (gpu, sym) = (*gpu, *sym);
@@ -397,8 +393,7 @@ fn run_inorder(
     // against the whole backlog; ~1 executing + 1 queued per pair keeps
     // every stream fed while D2H results stay close to the retire front.
     let window = 2 * nstreams;
-    let mut rr = 0usize; // round-robin stream cursor
-                         // Issued-but-unretired supernodes per pair (least-loaded policy).
+    // Issued-but-unretired supernodes per pair.
     let mut pair_load = vec![0usize; nstreams];
     // Which pair each in-flight supernode was issued on.
     let mut pair_of = vec![usize::MAX; nsup];
@@ -413,8 +408,8 @@ fn run_inorder(
         // a sim budget aborts the sweep instead of riding it out.
         ctl.check_sim(gpu.elapsed())?;
         // Issue phase: ready supernodes go to the device, lowest index
-        // first (which both ties the round-robin to a deterministic
-        // order and guarantees `s` itself — the minimum of the heap
+        // first (which both makes the pair assignment deterministic
+        // and guarantees `s` itself — the minimum of the heap
         // whenever it is present — is never starved by the window).
         // CPU-path supernodes need no device work; they run at
         // retirement, so popping them here just consumes their readiness.
@@ -424,7 +419,7 @@ fn run_inorder(
             }
             heap.pop();
             if on_gpu[t] {
-                let pick = pick_pair(*assign, &pair_load, &mut rr);
+                let pick = pick_pair(&pair_load);
                 issue(gpu, sym, data, &mut ctxs[pick], t, *variant, &mut inflight)?;
                 pair_load[pick] += 1;
                 pair_of[t] = pick;
@@ -522,7 +517,6 @@ fn run_ooo(
         on_gpu,
         cpu,
         ctl,
-        assign,
         variant,
     } = ctx;
     let (gpu, sym) = (*gpu, *sym);
@@ -566,7 +560,6 @@ fn run_ooo(
 
     let adaptive = lookahead == 0;
     let mut window = if adaptive { 2 * nstreams } else { lookahead };
-    let mut rr = 0usize;
     let mut pair_load = vec![0usize; nstreams];
     let mut pair_of = vec![usize::MAX; nsup];
     let mut l11: Vec<f64> = Vec::new();
@@ -587,7 +580,7 @@ fn run_ooo(
             }
             heap.pop();
             if on_gpu[t] {
-                let pick = pick_pair(*assign, &pair_load, &mut rr);
+                let pick = pick_pair(&pair_load);
                 issue(gpu, sym, data, &mut ctxs[pick], t, *variant, &mut inflight)?;
                 pair_load[pick] += 1;
                 pair_of[t] = pick;
@@ -849,25 +842,14 @@ fn apply_unit(
     }
 }
 
-/// Picks the stream pair for the next issued supernode. Either policy
-/// leaves the factor unchanged (retirement order does not depend on it);
-/// only queue shapes — and thus utilization — differ.
-fn pick_pair(assign: StreamAssign, pair_load: &[usize], rr: &mut usize) -> usize {
-    match assign {
-        StreamAssign::RoundRobin => {
-            let p = *rr % pair_load.len();
-            *rr += 1;
-            p
-        }
-        // Fewest in flight, ties to the lowest pair index
-        // (the first minimum `min_by_key` finds).
-        StreamAssign::LeastLoaded => pair_load
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &l)| l)
-            .map(|(i, _)| i)
-            .expect("at least one stream pair"),
-    }
+/// The stream pair for the next issued supernode: fewest in flight,
+/// ties to the lowest pair index (the first minimum `min_by_key` finds).
+/// The factor does not depend on it (retirement sequencing is per
+/// target regardless of which pair ran what); only queue shapes do.
+fn pick_pair(pair_load: &[usize]) -> usize {
+    (0..pair_load.len())
+        .min_by_key(|&i| pair_load[i])
+        .expect("at least one stream pair")
 }
 
 /// Key describing the symbolic configuration a resident device was built
@@ -1167,27 +1149,11 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_assignment_is_bit_identical_and_never_slower_to_issue() {
-        // Any assignment policy must produce the single-stream factor
-        // (retirement sequencing is per target regardless of which pair
-        // ran what).
-        let a = laplace3d(6, 43);
-        let (sym, ap) = setup(&a);
-        let base = factor_rl_gpu(&sym, &ap, &GpuOptions::with_threshold(0)).unwrap();
-        for streams in [1usize, 2, 4] {
-            for retire in [RetireMode::InOrder, RetireMode::Ooo] {
-                let opts = GpuOptions::with_threshold(0)
-                    .with_streams(streams)
-                    .with_assign(StreamAssign::LeastLoaded)
-                    .with_retire(retire);
-                let run = factor_rl_gpu_pipe(&sym, &ap, &opts).unwrap();
-                assert_eq!(run.streams_used, streams);
-                assert_eq!(
-                    base.factor.sn, run.factor.sn,
-                    "least-loaded streams {streams} {retire:?}: must be bit-identical"
-                );
-            }
-        }
+    fn pick_pair_takes_the_minimum_load_and_ties_to_the_lowest_pair() {
+        assert_eq!(pick_pair(&[0]), 0);
+        assert_eq!(pick_pair(&[2, 1, 3]), 1);
+        assert_eq!(pick_pair(&[1, 0, 0]), 1);
+        assert_eq!(pick_pair(&[2, 2, 2, 2]), 0);
     }
 
     // The 1 -> 2 stream strict-speedup property and the ooo-beats-inorder

@@ -20,7 +20,7 @@
 //! * [`gpu`] — the **pipelined multi-stream GPU executor**: independent
 //!   ready supernodes are dispatched onto `RLCHOL_STREAMS` simulated
 //!   compute/copy stream pairs (per-pair device buffers, `Event`-gated
-//!   buffer reuse, round-robin or least-loaded assignment), while
+//!   buffer reuse, least-loaded assignment), while
 //!   supernodes retire — host assembly, CPU-path work, frontier
 //!   release — under one of two disciplines selected by
 //!   `RLCHOL_RETIRE`: **in-order** (ascending supernode order, the

@@ -1,5 +1,4 @@
-//! Level-set (tree-parallel) and asynchronous (counter-dispatched)
-//! triangular sweeps.
+//! Level-set (tree-parallel) triangular sweeps.
 //!
 //! Each level of the [`SolvePlan`] is dispatched onto the persistent
 //! [`rlchol_dense::pool`] through its allocation-free
@@ -10,21 +9,6 @@
 //! completion is the barrier before the next level. The sweeps are
 //! therefore **zero-allocation** after pool warm-up, like the serial
 //! path they replace.
-//!
-//! The **asynchronous sweeps** ([`solve_forward_async`] /
-//! [`solve_backward_async`]) drop the per-level barrier entirely — the
-//! solve-side analogue of the factorization's out-of-order retirement
-//! ([`crate::sched::gpu`]). Each supernode carries an atomic dependency
-//! counter seeded from the plan ([`SolvePlan::in_degree`] forward,
-//! [`SolvePlan::out_degree`] backward); finishing a supernode
-//! decrements its dependents' counters and pushes any that reach zero
-//! onto a shared ready stack, so a worker never waits at a level
-//! boundary for an unrelated subtree — a deep chain and a wide bushel
-//! of leaves proceed concurrently. Writes stay confined to each
-//! supernode's own columns and each gather still applies in ascending
-//! source order, so the result is **bit-identical** to the serial
-//! sweeps at any thread count, like the barriered path. The counters
-//! and the stack cost one `O(nsup)` allocation per sweep.
 //!
 //! **Bit-identity.** A task writes only the solution entries of its own
 //! supernodes' columns — the forward sweep *gathers* descendant
@@ -182,145 +166,6 @@ pub fn solve_backward_level_set(
     }
 }
 
-/// Asynchronous forward substitution `L Y = B` in place: supernodes
-/// dispatch as their dependency counters drain, with no level barrier.
-/// Bit-identical to [`super::serial::solve_forward`] /
-/// [`solve_forward_level_set`] at any `threads`.
-pub fn solve_forward_async(
-    sym: &SymbolicFactor,
-    plan: &SolvePlan,
-    f: &FactorData,
-    b: &mut [f64],
-    nrhs: usize,
-    threads: usize,
-) {
-    let n = sym.n;
-    assert_eq!(b.len(), n * nrhs);
-    let nsup = sym.nsup();
-    let cols = SharedCols {
-        p: b.as_mut_ptr(),
-        len: b.len(),
-    };
-    if threads <= 1 || nsup == 0 {
-        // Level order is a topological order — the serial walk needs no
-        // counters.
-        for &s in plan.order() {
-            // SAFETY: single caller — trivially exclusive.
-            unsafe { forward_supernode(sym, plan, f, &cols, n, nrhs, s) };
-        }
-        return;
-    }
-    run_async(
-        sym,
-        plan,
-        threads,
-        |s| plan.in_degree(s),
-        |s, release| {
-            for &p in plan.dependents(s) {
-                release(p);
-            }
-        },
-        // SAFETY: the dispatcher hands each supernode to exactly one
-        // worker, only after every incoming counter drained — all
-        // descendant entries are finalized (release/acquire on the
-        // counters plus the ready-stack mutex) and `s`'s own columns
-        // belong to this worker alone.
-        |s| unsafe { forward_supernode(sym, plan, f, &cols, n, nrhs, s) },
-    );
-}
-
-/// Asynchronous backward substitution `Lᵀ X = Y` in place: the edge set
-/// reverses (a supernode waits on its forward-sweep dependents), again
-/// with no level barrier. Bit-identical to
-/// [`super::serial::solve_backward`] / [`solve_backward_level_set`] at
-/// any `threads`.
-pub fn solve_backward_async(
-    sym: &SymbolicFactor,
-    plan: &SolvePlan,
-    f: &FactorData,
-    b: &mut [f64],
-    nrhs: usize,
-    threads: usize,
-) {
-    let n = sym.n;
-    assert_eq!(b.len(), n * nrhs);
-    let nsup = sym.nsup();
-    let cols = SharedCols {
-        p: b.as_mut_ptr(),
-        len: b.len(),
-    };
-    if threads <= 1 || nsup == 0 {
-        for &s in plan.order().iter().rev() {
-            // SAFETY: single caller — trivially exclusive.
-            unsafe { backward_supernode(sym, f, &cols, n, nrhs, s) };
-        }
-        return;
-    }
-    run_async(
-        sym,
-        plan,
-        threads,
-        |s| plan.out_degree(s),
-        |s, release| {
-            for seg in plan.incoming(s) {
-                release(seg.src);
-            }
-        },
-        // SAFETY: as in the forward sweep, with ancestors in place of
-        // descendants — every target `s` updates finished before `s`'s
-        // counter drained.
-        |s| unsafe { backward_supernode(sym, f, &cols, n, nrhs, s) },
-    );
-}
-
-/// The shared counter-dispatch loop behind both asynchronous sweeps:
-/// seed the ready stack with zero-degree supernodes, then have up to
-/// `threads` pool workers pop, process, and release until every
-/// supernode retired. Workers spin-yield when the stack is momentarily
-/// empty; the `done` count is the only exit.
-fn run_async(
-    sym: &SymbolicFactor,
-    plan: &SolvePlan,
-    threads: usize,
-    degree: impl Fn(usize) -> usize,
-    for_each_dependent: impl Fn(usize, &mut dyn FnMut(usize)) + Sync,
-    process: impl Fn(usize) + Sync,
-) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let nsup = sym.nsup();
-    let deps: Vec<AtomicUsize> = (0..nsup).map(|s| AtomicUsize::new(degree(s))).collect();
-    let ready: Mutex<Vec<usize>> = Mutex::new(
-        (0..nsup)
-            .filter(|&s| deps[s].load(Ordering::Relaxed) == 0)
-            .collect(),
-    );
-    let done = AtomicUsize::new(0);
-    let k = threads.min(plan.max_width()).max(1).min(nsup);
-    rlchol_dense::pool::global().run_for(k, &|_| loop {
-        let next = ready.lock().unwrap().pop();
-        let Some(s) = next else {
-            if done.load(Ordering::Acquire) >= nsup {
-                break;
-            }
-            std::thread::yield_now();
-            continue;
-        };
-        process(s);
-        // Releases chain through the counters: the final decrement of a
-        // dependent acquires every earlier worker's writes (RMW release
-        // sequence), so the popper sees all of its inputs.
-        for_each_dependent(s, &mut |p| {
-            if deps[p].fetch_sub(1, Ordering::AcqRel) == 1 {
-                ready.lock().unwrap().push(p);
-            }
-        });
-        done.fetch_add(1, Ordering::Release);
-    });
-    debug_assert_eq!(done.load(Ordering::Relaxed), nsup);
-}
-
 /// Forward step of one supernode: gather descendant contributions
 /// (ascending source, replicating the serial scatter order entry for
 /// entry), then the dense triangular solve on the diagonal block.
@@ -441,10 +286,6 @@ mod tests {
                 solve_forward_level_set(&sym, &plan, &run.factor, &mut x, nrhs, threads);
                 solve_backward_level_set(&sym, &plan, &run.factor, &mut x, nrhs, threads);
                 assert_eq!(x, reference, "threads {threads} nrhs {nrhs}");
-                let mut x = b.clone();
-                solve_forward_async(&sym, &plan, &run.factor, &mut x, nrhs, threads);
-                solve_backward_async(&sym, &plan, &run.factor, &mut x, nrhs, threads);
-                assert_eq!(x, reference, "async threads {threads} nrhs {nrhs}");
             }
         }
     }

@@ -24,13 +24,7 @@
 //!   levels. **Bit-identical to the serial sweeps at any thread count**
 //!   (disjoint-target writes within a level; no reassociation), and
 //!   zero-allocation after warm-up, like the rest of the staged solve
-//!   path. The same module also hosts the **asynchronous** sweeps
-//!   ([`solve_forward_async`] / [`solve_backward_async`]): per-supernode
-//!   dependency counters instead of level barriers, the solve-side
-//!   analogue of the factorization's out-of-order retirement, selected
-//!   by the staged layer whenever the handle resolved
-//!   [`RetireMode::Ooo`](crate::engine::RetireMode) — still bit-identical
-//!   at any thread count.
+//!   path.
 //!
 //! Path selection lives in the staged layer
 //! ([`SymbolicCholesky`](crate::SymbolicCholesky)): an explicit
@@ -44,9 +38,7 @@ pub mod levelset;
 pub mod plan;
 pub mod serial;
 
-pub use levelset::{
-    solve_backward_async, solve_backward_level_set, solve_forward_async, solve_forward_level_set,
-};
+pub use levelset::{solve_backward_level_set, solve_forward_level_set};
 pub use plan::SolvePlan;
 pub use serial::{
     solve, solve_backward, solve_backward_multi, solve_forward, solve_forward_multi, solve_multi,
@@ -72,14 +64,13 @@ pub struct SolveInfo {
     /// Whether solves take the level-set (tree-parallel) path; `false`
     /// means the serial sweeps.
     pub level_set: bool,
-    /// Whether the parallel path dispatches asynchronously by dependency
-    /// counters (no level barrier) instead of barriered level sets.
-    /// Follows the handle's resolved retirement mode; only meaningful
-    /// when [`level_set`](Self::level_set) is set.
+    /// Always `false`: the barriered level sets are the only parallel
+    /// dispatcher. The field stays because the repository benchmark
+    /// matches on it.
     pub async_dispatch: bool,
 }
 
 /// `RLCHOL_SOLVE_THREADS` if set to a positive integer.
 pub(crate) fn env_solve_threads() -> Option<usize> {
-    crate::engine::env_positive("RLCHOL_SOLVE_THREADS")
+    rlchol_dense::pool::env_positive("RLCHOL_SOLVE_THREADS")
 }

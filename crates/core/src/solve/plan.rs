@@ -69,14 +69,6 @@ pub struct SolvePlan {
     /// by ascending source.
     in_ptr: Vec<usize>,
     in_segs: Vec<GatherSeg>,
-    /// CSR over supernodes into `out_list`: the targets supernode `s`
-    /// updates (its forward-sweep dependents) are
-    /// `out_list[out_ptr[s]..out_ptr[s + 1]]`, ascending. The transpose
-    /// of the `in_ptr`/`in_segs` edge set, used by the asynchronous
-    /// (counter-dispatched) sweeps to release work without a level
-    /// barrier.
-    out_ptr: Vec<usize>,
-    out_list: Vec<usize>,
     /// Widest level (1 on path-shaped trees — nothing to parallelize).
     max_width: usize,
 }
@@ -166,8 +158,6 @@ impl SolvePlan {
         ];
         let mut fill = in_ptr.clone();
         let mut gather_cost = vec![0u64; nsup];
-        let mut out_ptr = vec![0usize; nsup + 1];
-        let mut out_list = Vec::with_capacity(in_ptr[nsup]);
         for s in 0..nsup {
             let c = sym.sn_ncols(s) as u64;
             for seg in &segs[s] {
@@ -178,12 +168,7 @@ impl SolvePlan {
                 };
                 fill[seg.target] += 1;
                 gather_cost[seg.target] += (seg.hi - seg.lo) as u64 * c;
-                // Targets come out of `segments` ascending, and the
-                // outer loop ascends in `s`, so `out_list` is CSR with
-                // ascending targets per source.
-                out_list.push(seg.target);
             }
-            out_ptr[s + 1] = out_list.len();
         }
 
         // Work estimate per supernode: its own panel entries (the
@@ -201,8 +186,6 @@ impl SolvePlan {
             cost_prefix,
             in_ptr,
             in_segs,
-            out_ptr,
-            out_list,
             max_width,
         }
     }
@@ -219,15 +202,10 @@ impl SolvePlan {
     }
 
     /// Heap bytes of the cached plan (level pointers, order, cost
-    /// prefix, the gather-segment CSR and its transpose).
+    /// prefix and the gather-segment CSR).
     pub fn memory_bytes(&self) -> u64 {
         let usz = std::mem::size_of::<usize>() as u64;
-        (self.level_ptr.len()
-            + self.order.len()
-            + self.in_ptr.len()
-            + self.out_ptr.len()
-            + self.out_list.len()) as u64
-            * usz
+        (self.level_ptr.len() + self.order.len() + self.in_ptr.len()) as u64 * usz
             + self.cost_prefix.len() as u64 * std::mem::size_of::<u64>() as u64
             + self.in_segs.len() as u64 * std::mem::size_of::<GatherSeg>() as u64
     }
@@ -245,25 +223,6 @@ impl SolvePlan {
     /// Incoming gather segments of supernode `s`, ascending by source.
     pub(crate) fn incoming(&self, s: usize) -> &[GatherSeg] {
         &self.in_segs[self.in_ptr[s]..self.in_ptr[s + 1]]
-    }
-
-    /// The supernodes `s` updates (its forward-sweep dependents),
-    /// ascending. In the backward sweep the edges reverse: these are the
-    /// supernodes `s` waits on.
-    pub(crate) fn dependents(&self, s: usize) -> &[usize] {
-        &self.out_list[self.out_ptr[s]..self.out_ptr[s + 1]]
-    }
-
-    /// Forward-sweep dependency count of supernode `s` (incoming edges);
-    /// zero for leaves, which the asynchronous sweep seeds with.
-    pub(crate) fn in_degree(&self, s: usize) -> usize {
-        self.in_ptr[s + 1] - self.in_ptr[s]
-    }
-
-    /// Backward-sweep dependency count of supernode `s` (its dependents
-    /// in the forward orientation); zero for roots.
-    pub(crate) fn out_degree(&self, s: usize) -> usize {
-        self.out_ptr[s + 1] - self.out_ptr[s]
     }
 
     /// Position range (into [`order`](Self::order)) of chunk `j` of `k`
@@ -377,29 +336,6 @@ mod tests {
                 let first = plan.chunk_bounds(l, 0, k).0;
                 assert_eq!(expect - first, whole, "level {l} k {k} must cover");
             }
-        }
-    }
-
-    #[test]
-    fn dependents_transpose_the_incoming_edges() {
-        let a = grid3d(5, 5, 4, Stencil::Star7, 1, 7);
-        let (sym, plan) = plan_for(&a);
-        // Every incoming edge (src → s) appears exactly once in
-        // src's dependents, and degrees agree with the CSR extents.
-        let mut expect: Vec<Vec<usize>> = vec![Vec::new(); sym.nsup()];
-        for s in 0..sym.nsup() {
-            assert_eq!(plan.in_degree(s), plan.incoming(s).len());
-            for seg in plan.incoming(s) {
-                expect[seg.src].push(s);
-            }
-        }
-        for s in 0..sym.nsup() {
-            assert_eq!(plan.dependents(s), expect[s].as_slice(), "supernode {s}");
-            assert_eq!(plan.out_degree(s), expect[s].len());
-            assert!(
-                plan.dependents(s).windows(2).all(|w| w[0] < w[1]),
-                "dependents of {s} must ascend"
-            );
         }
     }
 

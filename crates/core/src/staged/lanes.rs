@@ -29,16 +29,12 @@
 //!   on error and panic paths (the guard's `Drop` does it), so an
 //!   indefinite value set in one lane never wedges the others.
 //! * **Per-lane GPU stream options.** Each lane's workspace owns its own
-//!   [`GpuOptions`] with the stream-pair count, assignment policy,
-//!   retirement mode and lookahead pre-resolved
-//!   ([`GpuOptions::resolved_streams`] /
-//!   [`resolved_assign`](GpuOptions::resolved_assign) /
-//!   [`resolved_retire`](GpuOptions::resolved_retire) /
-//!   [`resolved_lookahead`](GpuOptions::resolved_lookahead)), so
-//!   concurrent pipelined-engine factorizations each drive their own
-//!   full set of simulated compute/copy pairs and never re-read
-//!   `RLCHOL_STREAMS` / `RLCHOL_STREAM_ASSIGN` / `RLCHOL_RETIRE` /
-//!   `RLCHOL_LOOKAHEAD` mid-flight. Staged lanes also enable **device
+//!   [`GpuOptions`] with the stream-pair count and retirement mode
+//!   pre-resolved ([`GpuOptions::resolved_streams`] /
+//!   [`resolved_retire`](GpuOptions::resolved_retire)), so concurrent
+//!   pipelined-engine factorizations each drive their own full set of
+//!   simulated compute/copy pairs and never re-read `RLCHOL_STREAMS` /
+//!   `RLCHOL_RETIRE` mid-flight. Staged lanes also enable **device
 //!   residency**: the pipelined engines keep their simulated device
 //!   session (streams, per-lane buffers, uploaded pattern metadata)
 //!   alive inside the lane between same-pattern refactorizations.
@@ -53,6 +49,7 @@ use std::cell::Cell;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use rlchol_dense::pool::env_positive;
 use rlchol_perfmodel::TraceOp;
 use rlchol_sparse::SymCsc;
 
@@ -142,7 +139,7 @@ pub(crate) struct WorkspaceLanes {
     cap: usize,
     /// Lanes for the task-parallel CPU engines inside one factorization.
     threads: usize,
-    /// The per-lane GPU options (streams, assignment and fault plan
+    /// The per-lane GPU options (streams, retirement mode and fault plan
     /// pre-resolved).
     gpu: GpuOptions,
     /// Pristine factor-ordered structure new lanes are cloned from.
@@ -156,16 +153,23 @@ pub(crate) struct WorkspaceLanes {
     returned: Condvar,
 }
 
-/// Lane cap from the environment: `RLCHOL_FACTOR_LANES` when set to a
-/// positive integer.
-fn env_factor_lanes() -> Option<usize> {
-    crate::engine::env_positive("RLCHOL_FACTOR_LANES")
+/// The lane cap of a handle whose
+/// [`SolverOptions::factor_lanes`](crate::SolverOptions) is `cap_option`:
+/// the option when positive, else `RLCHOL_FACTOR_LANES`, else the pool
+/// default. Public so a caller that sizes something by the lane count
+/// (the service's admission gate) reads the same ladder.
+pub fn resolved_cap(cap_option: usize) -> usize {
+    if cap_option > 0 {
+        cap_option
+    } else {
+        env_positive("RLCHOL_FACTOR_LANES").unwrap_or_else(rlchol_dense::pool::default_threads)
+    }
 }
 
 /// Checkout wait budget from the environment: `RLCHOL_LANE_WAIT_MS`
 /// when set to a positive integer (milliseconds).
 fn env_lane_wait() -> Option<Duration> {
-    crate::engine::env_positive("RLCHOL_LANE_WAIT_MS").map(|ms| Duration::from_millis(ms as u64))
+    env_positive("RLCHOL_LANE_WAIT_MS").map(|ms| Duration::from_millis(ms as u64))
 }
 
 /// Default checkout wait budget: long enough that a healthy pool under
@@ -185,12 +189,7 @@ impl WorkspaceLanes {
         template: SymCsc,
         wait_option: Option<Duration>,
     ) -> Self {
-        let cap = if cap_option > 0 {
-            cap_option
-        } else {
-            env_factor_lanes().unwrap_or_else(rlchol_dense::pool::default_threads)
-        }
-        .max(1);
+        let cap = resolved_cap(cap_option);
         let wait = wait_option
             .or_else(env_lane_wait)
             .unwrap_or(DEFAULT_LANE_WAIT);
@@ -198,15 +197,9 @@ impl WorkspaceLanes {
         // lane's engine runs with explicit, stable settings (no env
         // reads per call, and `RLCHOL_FAULTS` cannot change mid-handle).
         let streams = gpu.resolved_streams();
-        let assign = gpu.resolved_assign();
         let retire = gpu.resolved_retire();
-        let lookahead = gpu.resolved_lookahead();
         let faults = gpu.resolved_faults();
-        let mut gpu = gpu
-            .with_streams(streams)
-            .with_assign(assign)
-            .with_retire(retire)
-            .with_lookahead(lookahead);
+        let mut gpu = gpu.with_streams(streams).with_retire(retire);
         gpu.faults = faults;
         WorkspaceLanes {
             cap,

@@ -157,7 +157,7 @@ fn resolve_analyze_threads(option: usize) -> (usize, bool) {
     if option > 0 {
         return (option, true);
     }
-    match crate::engine::env_positive("RLCHOL_ANALYZE_THREADS") {
+    match rlchol_dense::pool::env_positive("RLCHOL_ANALYZE_THREADS") {
         Some(t) => (t, true),
         None => (rlchol_dense::pool::default_threads(), false),
     }
@@ -306,12 +306,6 @@ pub struct SymbolicCholesky {
     /// an environment read allocates, and the solve hot path must not.
     solve_lanes: usize,
     solve_forced: bool,
-    /// Whether the parallel sweeps dispatch asynchronously (dependency
-    /// counters, no level barrier) rather than as barriered level sets.
-    /// Follows the handle's resolved retirement mode
-    /// ([`GpuOptions::resolved_retire`](crate::engine::GpuOptions::resolved_retire)),
-    /// resolved once at construction like the lane counts.
-    solve_async: bool,
     /// The analyzed pattern (lower triangle of the *input* matrix), kept
     /// to reject same-handle calls with a different pattern.
     pattern_colptr: Vec<usize>,
@@ -389,7 +383,6 @@ impl SymbolicCholesky {
         if gpu.faults.is_none() {
             gpu.faults = opts.faults.clone();
         }
-        let solve_async = gpu.resolved_retire() == crate::engine::RetireMode::Ooo;
         let lanes =
             WorkspaceLanes::new(opts.factor_lanes, opts.threads, gpu, a_fact, opts.lane_wait);
         let chain = opts
@@ -410,7 +403,6 @@ impl SymbolicCholesky {
             plan,
             solve_lanes,
             solve_forced,
-            solve_async,
             pattern_colptr: a.colptr().to_vec(),
             pattern_rowind: a.rowind().to_vec(),
             value_map,
@@ -800,7 +792,7 @@ impl SymbolicCholesky {
             max_width: self.plan.max_width(),
             threads,
             level_set,
-            async_dispatch: level_set && self.solve_async,
+            async_dispatch: false,
         }
     }
 
@@ -826,10 +818,7 @@ impl SymbolicCholesky {
     /// block `bp` (`n × k`, column-major).
     fn run_sweeps(&self, fact: &Factorization, bp: &mut [f64], k: usize) {
         let (threads, level_set) = self.solve_path();
-        if level_set && self.solve_async {
-            solve::solve_forward_async(&self.sym, &self.plan, &fact.data, bp, k, threads);
-            solve::solve_backward_async(&self.sym, &self.plan, &fact.data, bp, k, threads);
-        } else if level_set {
+        if level_set {
             solve::solve_forward_level_set(&self.sym, &self.plan, &fact.data, bp, k, threads);
             solve::solve_backward_level_set(&self.sym, &self.plan, &fact.data, bp, k, threads);
         } else if k == 1 {

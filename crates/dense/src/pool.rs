@@ -439,17 +439,18 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
 /// Thread count for the global pool: `RLCHOL_THREADS` if set to a
 /// positive integer, otherwise the machine's available parallelism.
 pub fn default_threads() -> usize {
-    match std::env::var("RLCHOL_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => available(),
-        },
-        Err(_) => available(),
-    }
+    env_positive("RLCHOL_THREADS")
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-fn available() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// Parses an environment variable as a positive integer — the shared
+/// shape of every `RLCHOL_*` sizing knob (`None` when unset, empty,
+/// non-numeric, or zero).
+pub fn env_positive(name: &str) -> Option<usize> {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
 }
 
 /// The process-wide pool, started on first use with

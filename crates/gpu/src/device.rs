@@ -12,13 +12,7 @@ use crate::stats::{GpuStats, StreamStats};
 /// the smallest configuration that pipelines at all). Engines treat an
 /// explicit stream count in their options as overriding this.
 pub fn default_streams() -> usize {
-    match std::env::var("RLCHOL_STREAMS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => 2,
-        },
-        Err(_) => 2,
-    }
+    rlchol_dense::pool::env_positive("RLCHOL_STREAMS").unwrap_or(2)
 }
 
 /// Handle to a device memory buffer (`f64` elements).

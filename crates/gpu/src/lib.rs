@@ -1,7 +1,7 @@
 //! # rlchol-gpu — a simulated GPU runtime
 //!
 //! The paper offloads BLAS calls to an NVIDIA A100 through MAGMA/CUDA.
-//! This crate is the substitution (DESIGN.md §1): a CUDA-like runtime that
+//! This crate is the substitution: a CUDA-like runtime that
 //! **executes kernels on the host** (bit-exact, fully testable) while
 //! advancing a **simulated clock** according to the calibrated
 //! [`GpuModel`](rlchol_perfmodel::GpuModel):

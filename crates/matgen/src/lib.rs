@@ -2,8 +2,9 @@
 //!
 //! The paper evaluates on 21 SuiteSparse matrices with `n ≥ 600 000`
 //! (§IV-A). Those inputs are not redistributable here, so this crate
-//! generates **structural analogues at ~1/40 linear scale** (DESIGN.md
-//! §1): parameterized FE-style grids whose supernode-size distributions
+//! generates **structural analogues at ~1/40 linear scale** (the scaled
+//! experiment constants are [`suite::SuiteConfig`]'s): parameterized
+//! FE-style grids whose supernode-size distributions
 //! drive the same experimental phenomena — how much factorization work
 //! sits above/below the GPU-offload threshold, how large the biggest
 //! update matrix is (device-memory pressure), and how many small

@@ -2,10 +2,9 @@
 //!
 //! The paper's experiments ran on a Perlmutter node (2× AMD EPYC 7763 with
 //! multithreaded MKL, one NVIDIA A100-40GB with MAGMA over CUDA). Neither
-//! that GPU nor 128 CPU cores exist in this reproduction environment, so —
-//! per the substitution policy in DESIGN.md — timing is produced by
-//! *calibrated cost models* evaluated over the exact BLAS-call/transfer
-//! sequence the factorization engines execute:
+//! that GPU nor 128 CPU cores exist in this reproduction environment, so
+//! timing is produced by *calibrated cost models* evaluated over the
+//! exact BLAS-call/transfer sequence the factorization engines execute:
 //!
 //! * [`CpuModel`] — roofline-style: a call costs
 //!   `overhead + flops / min(compute_rate, bandwidth · intensity)`, where

@@ -59,6 +59,7 @@ use crate::protocol::{
 use crate::service::Service;
 use crate::ServiceError;
 use polling::{PollFd, Waker, POLLIN, POLLOUT};
+use rlchol_dense::pool::env_positive;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -84,13 +85,6 @@ const FIRST_READ: usize = 16 * 1024;
 /// the frame header says is still to come.
 const READ_STEP: usize = 256 * 1024;
 
-fn env_positive(name: &str) -> Option<u64> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-}
-
 /// Evented-server construction knobs. `0` means "resolve from the
 /// environment, then the default" (see the module docs).
 #[derive(Debug, Clone, Default)]
@@ -114,9 +108,7 @@ impl ServeOptions {
         if self.workers > 0 {
             self.workers
         } else {
-            env_positive("RLCHOL_NET_WORKERS")
-                .map(|v| v as usize)
-                .unwrap_or(DEFAULT_NET_WORKERS)
+            env_positive("RLCHOL_NET_WORKERS").unwrap_or(DEFAULT_NET_WORKERS)
         }
     }
 
@@ -124,7 +116,7 @@ impl ServeOptions {
         let ms = if self.conn_timeout_ms > 0 {
             self.conn_timeout_ms
         } else {
-            env_positive("RLCHOL_CONN_TIMEOUT_MS").unwrap_or(DEFAULT_CONN_TIMEOUT_MS)
+            env_positive("RLCHOL_CONN_TIMEOUT_MS").map_or(DEFAULT_CONN_TIMEOUT_MS, |v| v as u64)
         };
         Duration::from_millis(ms)
     }

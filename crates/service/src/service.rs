@@ -46,9 +46,11 @@ use crate::error::ServiceError;
 use crate::fingerprint::PatternFingerprint;
 use rlchol_core::json::{factor_info_json, JsonObj};
 use rlchol_core::solver::SolverOptions;
+use rlchol_core::staged::lanes;
 use rlchol_core::{
     CancelToken, Deadline, FactorError, Factorization, Method, SolveWorkspace, SymbolicCholesky,
 };
+use rlchol_dense::pool::env_positive;
 use rlchol_sparse::SymCsc;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -58,26 +60,6 @@ use std::time::{Duration, Instant};
 
 /// Default cache budget when neither config nor env specify one.
 pub const DEFAULT_CACHE_BYTES: u64 = 256 << 20;
-
-fn env_positive(name: &str) -> Option<u64> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-}
-
-/// Resolved factor-lane count for sizing the admission gate — the same
-/// precedence the staged handle applies (explicit > `RLCHOL_FACTOR_LANES`
-/// > pool width).
-fn resolved_lanes(opts: &SolverOptions) -> usize {
-    if opts.factor_lanes > 0 {
-        opts.factor_lanes
-    } else {
-        env_positive("RLCHOL_FACTOR_LANES")
-            .map(|v| v as usize)
-            .unwrap_or_else(rlchol_dense::pool::default_threads)
-    }
-}
 
 /// Service construction knobs. `0` / `None` means "resolve from the
 /// environment, then the default" (see the module docs).
@@ -371,19 +353,20 @@ impl Service {
         let cache_bytes = if cfg.cache_bytes > 0 {
             cfg.cache_bytes
         } else {
-            env_positive("RLCHOL_CACHE_BYTES").unwrap_or(DEFAULT_CACHE_BYTES)
+            env_positive("RLCHOL_CACHE_BYTES").map_or(DEFAULT_CACHE_BYTES, |v| v as u64)
         };
         let queue_depth = if cfg.queue_depth > 0 {
             cfg.queue_depth
         } else {
+            // The admission gate is sized by the lane cap the cached
+            // handles will get — the staged layer's own ladder.
             env_positive("RLCHOL_QUEUE_DEPTH")
-                .map(|v| v as usize)
-                .unwrap_or_else(|| 2 * resolved_lanes(&cfg.options))
+                .unwrap_or_else(|| 2 * lanes::resolved_cap(cfg.options.factor_lanes))
         };
         let batch_window_us = if cfg.batch_window_us > 0 {
             cfg.batch_window_us
         } else {
-            env_positive("RLCHOL_BATCH_WINDOW_US").unwrap_or(0)
+            env_positive("RLCHOL_BATCH_WINDOW_US").map_or(0, |v| v as u64)
         };
         Service {
             options: cfg.options,

@@ -78,8 +78,7 @@ pub struct SymbolicStats {
 ///
 /// `PartialEq` compares every field (including the composed permutation
 /// and the per-supernode block lists), which is how the parallel-analyze
-/// tests and the `analyze_scaling` bench assert bit-identity against the
-/// serial pipeline.
+/// tests assert bit-identity against the serial pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymbolicFactor {
     /// Matrix dimension.

@@ -35,7 +35,7 @@ fn main() {
     );
 
     // CPU baselines: trace replay over the paper's thread sweep under
-    // the scaled machine model (see DESIGN.md on machine scaling).
+    // the scaled machine model (see `SuiteConfig::machine_scale`).
     let scale = 24.0;
     let rl_cpu = factor_rl_cpu(&sym, &a_fact).unwrap();
     let rlb_cpu = factor_rlb_cpu(&sym, &a_fact).unwrap();
@@ -70,13 +70,7 @@ fn main() {
     let threshold = 20_000;
     let opts = GpuOptions {
         machine: MachineModel::perlmutter(64).scale_compute(scale),
-        threshold,
-        overlap: true,
-        streams: 0,
-        assign: None,
-        faults: None,
-        retire: None,
-        lookahead: None,
+        ..GpuOptions::with_threshold(threshold)
     };
     println!("\nGPU-accelerated engines (threshold = {threshold}, overlap on):");
     let runs = [

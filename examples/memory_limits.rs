@@ -43,13 +43,7 @@ fn main() {
             machine: MachineModel::perlmutter(64)
                 .scale_compute(24.0)
                 .with_gpu_capacity(cap),
-            threshold: 0,
-            overlap: true,
-            streams: 0,
-            assign: None,
-            faults: None,
-            retire: None,
-            lookahead: None,
+            ..GpuOptions::with_threshold(0)
         };
         let rl = match factor_rl_gpu(&sym, &a_fact, &opts) {
             Ok(r) => format!("{:.1} KiB peak", r.stats.peak_bytes as f64 / 1024.0),

@@ -193,13 +193,9 @@ fn solver_options(args: &Args) -> SolverOptions {
         method: args.method,
         gpu: GpuOptions {
             machine: MachineModel::perlmutter(64).scale_compute(24.0),
-            threshold: args.gpu_threshold.unwrap_or(12_000),
-            overlap: true,
-            streams: 0,
-            assign: None,
             retire: args.retire,
             lookahead: args.lookahead,
-            faults: None,
+            ..GpuOptions::with_threshold(args.gpu_threshold.unwrap_or(12_000))
         },
         solve_threads: args.solve_threads,
         factor_lanes: args.factor_lanes,
@@ -405,9 +401,7 @@ fn main() {
                 "solve plan: {} levels, max width {}; path: {}",
                 info.levels,
                 info.max_width,
-                if info.level_set && info.async_dispatch {
-                    format!("async counters ({} threads)", info.threads)
-                } else if info.level_set {
+                if info.level_set {
                     format!("level-set ({} threads)", info.threads)
                 } else {
                     "serial".to_string()

@@ -8,8 +8,8 @@
 //! fully self-contained stack — sparse matrix types, fill-reducing
 //! orderings, symbolic analysis with supernode amalgamation and partition
 //! refinement, dense BLAS kernels, and a simulated GPU runtime with a
-//! calibrated performance model (see `DESIGN.md` for the substitution
-//! policy that replaces the paper's A100).
+//! calibrated performance model (the [`gpu`] and [`perfmodel`] crate docs
+//! describe the substitution that replaces the paper's A100).
 //!
 //! ## Quick start — the staged API
 //!
@@ -259,13 +259,11 @@
 //! The task-parallel engines ([`Method::RlCpuPar`], [`Method::RlbCpuPar`])
 //! and the striped dense kernels share one persistent work-stealing pool;
 //! the pipelined GPU engines ([`Method::RlGpuPipe`], [`Method::RlbGpuPipe`])
-//! dispatch ready supernodes onto simulated compute/copy stream pairs
-//! (assignment policy via `RLCHOL_STREAM_ASSIGN={rr,ll}`; retirement
-//! discipline via `RLCHOL_RETIRE={inorder,ooo}` with the out-of-order
-//! issue window via `RLCHOL_LOOKAHEAD`); the level-set triangular solves
-//! dispatch each level of the solve plan onto the same pool (switching
-//! to barrier-free counter dispatch when the handle resolved the `ooo`
-//! retirement mode). Sizing follows one precedence rule, resolved when
+//! dispatch ready supernodes onto the least-loaded of their simulated
+//! compute/copy stream pairs (retirement discipline via
+//! `RLCHOL_RETIRE={inorder,ooo}`); the level-set triangular solves
+//! dispatch each level of the solve plan onto the same pool. Sizing
+//! follows one precedence rule, resolved when
 //! [`CholeskySolver::analyze`] builds the handle:
 //!
 //! 1. An explicit nonzero [`SolverOptions::threads`] /
@@ -275,12 +273,12 @@
 //!    explicit [`GpuOptions::retire`](core::engine::GpuOptions::retire) /
 //!    [`GpuOptions::lookahead`](core::engine::GpuOptions::lookahead),
 //!    wins.
-//! 2. A zero (`None` for retire/lookahead) defers to the
+//! 2. A zero (`None` for retire) defers to the
 //!    **`RLCHOL_THREADS`** / **`RLCHOL_SOLVE_THREADS`** /
 //!    **`RLCHOL_FACTOR_LANES`** / **`RLCHOL_ANALYZE_THREADS`** /
-//!    **`RLCHOL_STREAMS`** /
-//!    **`RLCHOL_RETIRE`** / **`RLCHOL_LOOKAHEAD`** environment variable
-//!    (positive integer; `inorder`/`ooo` for retire).
+//!    **`RLCHOL_STREAMS`** / **`RLCHOL_RETIRE`** environment variable
+//!    (positive integer; `inorder`/`ooo` for retire). The lookahead
+//!    window has no variable: `None` is adaptive.
 //! 3. Unset environment falls back to
 //!    [`std::thread::available_parallelism`] (threads, solve lanes,
 //!    factor lanes, analyze lanes — solves and analyses additionally

@@ -22,13 +22,7 @@ fn solve_error(a: &SymCsc, opts: &SolverOptions) -> f64 {
 fn gpu_opts(threshold: usize) -> GpuOptions {
     GpuOptions {
         machine: MachineModel::perlmutter(64).scale_compute(24.0),
-        threshold,
-        overlap: true,
-        streams: 0,
-        assign: None,
-        faults: None,
-        retire: None,
-        lookahead: None,
+        ..GpuOptions::with_threshold(threshold)
     }
 }
 

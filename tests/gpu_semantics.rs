@@ -23,13 +23,7 @@ fn setup() -> (SymbolicFactor, rlchol::SymCsc) {
 fn opts(threshold: usize) -> GpuOptions {
     GpuOptions {
         machine: MachineModel::perlmutter(64).scale_compute(24.0),
-        threshold,
-        overlap: true,
-        streams: 0,
-        assign: None,
-        faults: None,
-        retire: None,
-        lookahead: None,
+        ..GpuOptions::with_threshold(threshold)
     }
 }
 

@@ -4,7 +4,7 @@
 //! must shed stream pairs before failing, and numeric failures must
 //! propagate cleanly out of the pipeline.
 
-use rlchol::core::engine::{GpuOptions, RetireMode, StreamAssign};
+use rlchol::core::engine::{GpuOptions, RetireMode};
 use rlchol::core::gpu_rl::factor_rl_gpu;
 use rlchol::core::gpu_rlb::{factor_rlb_gpu, RlbGpuVersion};
 use rlchol::core::sched::{factor_rl_gpu_pipe, factor_rlb_gpu_pipe};
@@ -28,11 +28,10 @@ fn prepared(a: &SymCsc) -> (SymbolicFactor, SymCsc) {
 }
 
 /// Pipelined RL/RLB against their single-stream engines, bitwise, over
-/// the stream sweep, a CPU/GPU-mixing threshold, both stream-pair
-/// assignment policies, and both retirement disciplines (in-order
-/// retirement makes the factor trivially independent of where each
-/// supernode's device work ran; out-of-order retirement preserves the
-/// same bits through per-target sequencing).
+/// the stream sweep, a CPU/GPU-mixing threshold and both retirement
+/// disciplines (in-order retirement makes the factor trivially
+/// independent of where each supernode's device work ran; out-of-order
+/// retirement preserves the same bits through per-target sequencing).
 fn check_bit_identical(a: &SymCsc, label: &str) {
     let (sym, ap) = prepared(a);
     for threshold in [0usize, 300] {
@@ -40,28 +39,22 @@ fn check_bit_identical(a: &SymCsc, label: &str) {
         let rl = factor_rl_gpu(&sym, &ap, &opts).unwrap();
         let rlb = factor_rlb_gpu(&sym, &ap, &opts, RlbGpuVersion::V1).unwrap();
         for streams in STREAM_SWEEP {
-            for assign in [StreamAssign::RoundRobin, StreamAssign::LeastLoaded] {
-                for retire in RETIRES {
-                    let o = opts
-                        .clone()
-                        .with_streams(streams)
-                        .with_assign(assign)
-                        .with_retire(retire);
-                    let rl_pipe = factor_rl_gpu_pipe(&sym, &ap, &o).unwrap();
-                    assert_eq!(rl_pipe.streams_used, streams, "{label} thr {threshold}");
-                    assert_eq!(rl_pipe.retire, retire);
-                    assert_eq!(
-                        rl.factor.sn, rl_pipe.factor.sn,
-                        "{label}: RL thr {threshold} streams {streams} {assign:?} \
-                         {retire:?} not bit-identical"
-                    );
-                    let rlb_pipe = factor_rlb_gpu_pipe(&sym, &ap, &o).unwrap();
-                    assert_eq!(
-                        rlb.factor.sn, rlb_pipe.factor.sn,
-                        "{label}: RLB thr {threshold} streams {streams} {assign:?} \
-                         {retire:?} not bit-identical"
-                    );
-                }
+            for retire in RETIRES {
+                let o = opts.clone().with_streams(streams).with_retire(retire);
+                let rl_pipe = factor_rl_gpu_pipe(&sym, &ap, &o).unwrap();
+                assert_eq!(rl_pipe.streams_used, streams, "{label} thr {threshold}");
+                assert_eq!(rl_pipe.retire, retire);
+                assert_eq!(
+                    rl.factor.sn, rl_pipe.factor.sn,
+                    "{label}: RL thr {threshold} streams {streams} {retire:?} \
+                     not bit-identical"
+                );
+                let rlb_pipe = factor_rlb_gpu_pipe(&sym, &ap, &o).unwrap();
+                assert_eq!(
+                    rlb.factor.sn, rlb_pipe.factor.sn,
+                    "{label}: RLB thr {threshold} streams {streams} {retire:?} \
+                     not bit-identical"
+                );
             }
         }
     }

@@ -9,6 +9,7 @@
 //! staged handle must make the same guarantee across its serial/parallel
 //! selection, and its plan must describe both shapes truthfully.
 
+use rlchol::core::engine::{GpuOptions, RetireMode};
 use rlchol::core::rl::factor_rl_cpu;
 use rlchol::core::solve::{
     solve_backward_level_set, solve_backward_multi, solve_forward_level_set, solve_forward_multi,
@@ -96,7 +97,9 @@ fn nd_ordered_grid3d_matches_serial_bitwise() {
 fn staged_handle_paths_agree_bitwise_across_thread_settings() {
     // The user-facing guarantee: a handle forced parallel and a handle
     // forced serial return identical solutions through every entry
-    // point, including the permutation plumbing.
+    // point, including the permutation plumbing. The parallel handles
+    // also ask for out-of-order retirement — a setting of the pipelined
+    // GPU executor that must not select anything on the solve side.
     let a = grid3d(6, 6, 5, Stencil::Star7, 1, 72);
     let n = a.n();
     let serial = CholeskySolver::analyze(
@@ -115,16 +118,22 @@ fn staged_handle_paths_agree_bitwise_across_thread_settings() {
     serial
         .solve_many(&fact_s, &b, &mut x_serial, k, &mut ws)
         .unwrap();
-    for threads in [2usize, 4, 8] {
+    for threads in THREAD_SWEEP {
         let par = CholeskySolver::analyze(
             &a,
             &SolverOptions {
                 solve_threads: threads,
+                gpu: GpuOptions::with_threshold(usize::MAX).with_retire(RetireMode::Ooo),
                 ..SolverOptions::default()
             },
         );
         let info = par.solve_info();
-        assert!(info.level_set, "threads {threads} must select level-set");
+        assert_eq!(
+            info.level_set,
+            threads > 1,
+            "threads {threads}: level-set exactly when there are lanes"
+        );
+        assert!(!info.async_dispatch, "one parallel dispatcher: barriered");
         assert_eq!(info.threads, threads);
         let fact_p = par.factor_with(&a).unwrap();
         let mut x_par = vec![0.0; n * k];

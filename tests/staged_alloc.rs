@@ -13,6 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use rlchol::core::engine::{GpuOptions, RetireMode};
 use rlchol::matgen::{grid3d, Stencil};
 use rlchol::{CholeskySolver, SolveWorkspace, SolverOptions};
 
@@ -139,12 +140,15 @@ fn solves_are_allocation_free_after_warm_up() {
     // The level-set (tree-parallel) solve path must be equally
     // allocation-free: chunks come from the plan's precomputed prefix
     // sums and the pool's `run_for` parallel-for never boxes a task.
+    // The handle asks for out-of-order retirement: that is a setting of
+    // the pipelined GPU executor and must not reach the solves.
     let a_par = grid3d(8, 8, 6, Stencil::Star7, 1, 12);
     let n_par = a_par.n();
     let handle_par = CholeskySolver::analyze(
         &a_par,
         &SolverOptions {
             solve_threads: 4,
+            gpu: GpuOptions::with_threshold(usize::MAX).with_retire(RetireMode::Ooo),
             ..SolverOptions::default()
         },
     );
