@@ -1,14 +1,11 @@
 //! Criterion benches of the numeric factorization engines (real wall
-//! time of the actual Rust execution, complementing the simulated-clock
-//! experiment binaries).
+//! time of the actual Rust execution, complementing the simulated clock
+//! of the `paper` bin).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rlchol_core::engine::GpuOptions;
-use rlchol_core::gpu_rl::factor_rl_gpu;
-use rlchol_core::gpu_rlb::{factor_rlb_gpu, RlbGpuVersion};
-use rlchol_core::rl::factor_rl_cpu;
-use rlchol_core::rlb::factor_rlb_cpu;
+use rlchol_core::engine::{GpuOptions, Method};
 use rlchol_core::simplicial::simplicial_cholesky;
+use rlchol_core::{engine_for, EngineWorkspace};
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_ordering::{order, OrderingMethod};
 use rlchol_perfmodel::MachineModel;
@@ -27,8 +24,6 @@ fn bench_factorization(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
 
-    g.bench_function("rl_cpu", |b| b.iter(|| factor_rl_cpu(&sym, &a).unwrap()));
-    g.bench_function("rlb_cpu", |b| b.iter(|| factor_rlb_cpu(&sym, &a).unwrap()));
     g.bench_function("simplicial", |b| {
         b.iter(|| simplicial_cholesky(&a).unwrap())
     });
@@ -37,12 +32,19 @@ fn bench_factorization(c: &mut Criterion) {
         machine: MachineModel::perlmutter(64).scale_compute(24.0),
         ..GpuOptions::with_threshold(20_000)
     };
-    g.bench_function("rl_gpu_sim", |b| {
-        b.iter(|| factor_rl_gpu(&sym, &a, &opts).unwrap())
-    });
-    g.bench_function("rlb_gpu_v2_sim", |b| {
-        b.iter(|| factor_rlb_gpu(&sym, &a, &opts, RlbGpuVersion::V2).unwrap())
-    });
+    for (name, method) in [
+        ("rl_cpu", Method::RlCpu),
+        ("rlb_cpu", Method::RlbCpu),
+        ("rl_gpu_sim", Method::RlGpu),
+        ("rlb_gpu_v2_sim", Method::RlbGpuV2),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut ws = EngineWorkspace::new(0, opts.clone());
+                engine_for(method).factor(&sym, &a, &mut ws).unwrap()
+            })
+        });
+    }
     g.finish();
 }
 

@@ -3,9 +3,8 @@
 //! `core.par_refactor_s` is the recorded number).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rlchol_core::rl::factor_rl_cpu;
-use rlchol_core::rlb::factor_rlb_cpu;
-use rlchol_core::sched::{factor_rl_cpu_par, factor_rlb_cpu_par};
+use rlchol_core::engine::{GpuOptions, Method};
+use rlchol_core::{engine_for, EngineWorkspace};
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_ordering::{order, OrderingMethod};
 use rlchol_symbolic::{analyze, SymbolicOptions};
@@ -23,16 +22,19 @@ fn bench_factorization_par(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
 
-    g.bench_function("rl_serial", |b| b.iter(|| factor_rl_cpu(&sym, &a).unwrap()));
-    g.bench_function("rlb_serial", |b| {
-        b.iter(|| factor_rlb_cpu(&sym, &a).unwrap())
-    });
+    // One engine through the registry at an explicit lane count.
+    let factor = |method: Method, lanes: usize| {
+        let mut ws = EngineWorkspace::new(lanes, GpuOptions::with_threshold(usize::MAX));
+        engine_for(method).factor(&sym, &a, &mut ws).unwrap()
+    };
+    g.bench_function("rl_serial", |b| b.iter(|| factor(Method::RlCpu, 1)));
+    g.bench_function("rlb_serial", |b| b.iter(|| factor(Method::RlbCpu, 1)));
     for threads in [2usize, 4, 8] {
         g.bench_with_input(BenchmarkId::new("rl_par", threads), &threads, |b, &t| {
-            b.iter(|| factor_rl_cpu_par(&sym, &a, t).unwrap())
+            b.iter(|| factor(Method::RlCpuPar, t))
         });
         g.bench_with_input(BenchmarkId::new("rlb_par", threads), &threads, |b, &t| {
-            b.iter(|| factor_rlb_cpu_par(&sym, &a, t).unwrap())
+            b.iter(|| factor(Method::RlbCpuPar, t))
         });
     }
     g.finish();

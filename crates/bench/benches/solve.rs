@@ -1,8 +1,8 @@
 //! Criterion benches of the supernodal triangular solves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rlchol_core::rl::factor_rl_cpu;
 use rlchol_core::solve::{solve, solve_backward, solve_forward};
+use rlchol_core::{engine_for, EngineWorkspace, Method};
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_ordering::{order, OrderingMethod};
 use rlchol_symbolic::{analyze, SymbolicOptions};
@@ -14,7 +14,9 @@ fn bench_solve(c: &mut Criterion) {
     let af = a0.permute(&fill);
     let sym = analyze(&af, &SymbolicOptions::default());
     let a = af.permute(&sym.perm);
-    let run = factor_rl_cpu(&sym, &a).unwrap();
+    let run = engine_for(Method::RlCpu)
+        .factor(&sym, &a, &mut EngineWorkspace::default())
+        .unwrap();
     let n = a.n();
     let b: Vec<f64> = (0..n).map(|i| (i % 11) as f64 - 5.0).collect();
 

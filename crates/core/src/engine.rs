@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use rlchol_dense::{potrf, trsm_rlt};
 use rlchol_gpu::GpuStats;
-use rlchol_perfmodel::{replay_cpu, MachineModel, Trace, PAPER_THREAD_SWEEP};
+use rlchol_perfmodel::{MachineModel, Trace};
 
 use crate::storage::FactorData;
 
@@ -19,10 +19,6 @@ pub enum Method {
     RlCpuPar,
     /// Task-parallel RLB over the elimination tree (real threads).
     RlbCpuPar,
-    /// Left-looking supernodal, CPU only (classic baseline).
-    LlCpu,
-    /// Multifrontal, CPU only (classic baseline).
-    MfCpu,
     /// GPU-accelerated RL (`RL_G`).
     RlGpu,
     /// GPU-accelerated RLB, batched update transfer (first version, §III).
@@ -39,13 +35,11 @@ impl Method {
     /// Every engine, in registry order. The CLI help text, the engine
     /// registry and the cross-engine tests all iterate this — adding a
     /// variant here is the single registration step.
-    pub const ALL: [Method; 11] = [
+    pub const ALL: [Method; 9] = [
         Method::RlCpu,
         Method::RlbCpu,
         Method::RlCpuPar,
         Method::RlbCpuPar,
-        Method::LlCpu,
-        Method::MfCpu,
         Method::RlGpu,
         Method::RlbGpuV1,
         Method::RlbGpuV2,
@@ -60,8 +54,6 @@ impl Method {
             Method::RlbCpu => "RLB_C",
             Method::RlCpuPar => "RL_C(par)",
             Method::RlbCpuPar => "RLB_C(par)",
-            Method::LlCpu => "LL_C",
-            Method::MfCpu => "MF_C",
             Method::RlGpu => "RL_G",
             Method::RlbGpuV1 => "RLB_G(v1)",
             Method::RlbGpuV2 => "RLB_G",
@@ -91,8 +83,6 @@ impl Method {
             Method::RlbCpu => "rlb",
             Method::RlCpuPar => "rl-par",
             Method::RlbCpuPar => "rlb-par",
-            Method::LlCpu => "ll",
-            Method::MfCpu => "mf",
             Method::RlGpu => "rl-gpu",
             Method::RlbGpuV1 => "rlb-gpu-v1",
             Method::RlbGpuV2 => "rlb-gpu",
@@ -126,42 +116,13 @@ impl std::str::FromStr for Method {
 
 /// Result of a CPU-only factorization.
 #[derive(Debug)]
-pub struct CpuRun {
+pub(crate) struct CpuRun {
     /// The numeric factor.
     pub factor: FactorData,
     /// Operation trace (replayable under any thread count).
     pub trace: Trace,
     /// Real wall-clock duration of this process's execution.
     pub wall: Duration,
-}
-
-impl CpuRun {
-    /// Simulated time under the paper's platform at `threads` MKL threads.
-    pub fn sim_seconds(&self, threads: usize) -> f64 {
-        replay_cpu(&self.trace, &rlchol_perfmodel::perlmutter_cpu(threads))
-    }
-
-    /// Best simulated time over the paper's thread sweep; returns
-    /// `(seconds, threads)`.
-    pub fn best_sim_seconds(&self) -> (f64, usize) {
-        PAPER_THREAD_SWEEP
-            .iter()
-            .map(|&t| (self.sim_seconds(t), t))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("sweep nonempty")
-    }
-}
-
-/// The paper's baseline: best CPU time over both CPU methods and the
-/// thread sweep {8, 16, 32, 64, 128}. Returns `(seconds, method, threads)`.
-pub fn best_cpu_time(rl: &CpuRun, rlb: &CpuRun) -> (f64, Method, usize) {
-    let (t_rl, th_rl) = rl.best_sim_seconds();
-    let (t_rlb, th_rlb) = rlb.best_sim_seconds();
-    if t_rl <= t_rlb {
-        (t_rl, Method::RlCpu, th_rl)
-    } else {
-        (t_rlb, Method::RlbCpu, th_rlb)
-    }
 }
 
 /// How the pipelined engines retire host-side effects (staged-update
@@ -214,7 +175,7 @@ pub struct GpuOptions {
     /// full scale). `0` reproduces the "GPU only" runs of §IV-B.
     pub threshold: usize,
     /// Allow the asynchronous copy-back to overlap host work (on by
-    /// default; off is the ablation the `threshold_sweep` bin runs).
+    /// default; off is the ablation `paper threshold_sweep` runs).
     pub overlap: bool,
     /// Compute/copy stream pairs for the pipelined engines
     /// ([`Method::RlGpuPipe`], [`Method::RlbGpuPipe`]); `0` resolves to
@@ -339,7 +300,7 @@ impl GpuOptions {
 
 /// Result of a GPU-accelerated factorization.
 #[derive(Debug)]
-pub struct GpuRun {
+pub(crate) struct GpuRun {
     /// The numeric factor (identical structure to the CPU engines').
     pub factor: FactorData,
     /// Simulated end-to-end seconds (host + device timelines).
@@ -430,7 +391,6 @@ pub fn factor_panel_par(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlchol_perfmodel::TraceOp;
 
     #[test]
     fn method_labels() {
@@ -512,28 +472,5 @@ mod tests {
     fn factor_panel_reports_pivot() {
         let mut bad = vec![0.0; 6]; // 3x2 panel, zero diagonal
         assert_eq!(factor_panel(&mut bad, 3, 2, 1, &mut Vec::new()), Err(0));
-    }
-
-    #[test]
-    fn best_cpu_picks_minimum() {
-        let mk = |flops_scale: usize| {
-            let mut trace = Trace::new();
-            trace.push(TraceOp::Gemm {
-                m: 100 * flops_scale,
-                n: 100,
-                k: 100,
-            });
-            CpuRun {
-                factor: FactorData { sn: vec![] },
-                trace,
-                wall: Duration::ZERO,
-            }
-        };
-        let cheap = mk(1);
-        let pricey = mk(50);
-        let (t, m, th) = best_cpu_time(&cheap, &pricey);
-        assert_eq!(m, Method::RlCpu);
-        assert!(t > 0.0);
-        assert!(PAPER_THREAD_SWEEP.contains(&th));
     }
 }

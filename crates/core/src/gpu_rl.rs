@@ -40,18 +40,10 @@ pub fn offload_set(sym: &SymbolicFactor, threshold: usize) -> Vec<bool> {
         .collect()
 }
 
-/// Factors `a` (permuted into factor order) with GPU-accelerated RL.
-pub fn factor_rl_gpu(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    opts: &GpuOptions,
-) -> Result<GpuRun, FactorError> {
-    factor_rl_gpu_ws(sym, a, opts, &mut EngineWorkspace::default())
-}
-
-/// [`factor_rl_gpu`] drawing factor storage from `ws` — the
-/// refactorization path (reuses recycled storage, no reallocation).
-pub fn factor_rl_gpu_ws(
+/// Factors `a` (permuted into factor order) with GPU-accelerated RL,
+/// drawing factor storage from `ws` (recycled storage is reused, no
+/// reallocation).
+pub(crate) fn factor_rl_gpu_ws(
     sym: &SymbolicFactor,
     a: &SymCsc,
     opts: &GpuOptions,
@@ -188,7 +180,7 @@ pub(crate) fn map_device_pivot(first_col: usize) -> impl Fn(rlchol_gpu::GpuError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rl::factor_rl_cpu;
+    use crate::fresh::{factor_rl_cpu, factor_rl_gpu};
     use rlchol_matgen::{laplace2d, laplace3d};
     use rlchol_perfmodel::MachineModel;
     use rlchol_symbolic::{analyze, SymbolicOptions};

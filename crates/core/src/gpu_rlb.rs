@@ -38,7 +38,7 @@ use crate::rlb::{rlb_run_updates, rlb_target_runs};
 
 /// Which RLB GPU variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RlbGpuVersion {
+pub(crate) enum RlbGpuVersion {
     /// Batched: one staging buffer, one transfer per supernode.
     V1,
     /// Streaming: per-block transfers, minimal device memory.
@@ -234,19 +234,10 @@ fn panel_on_device(
     Ok(())
 }
 
-/// Factors `a` with GPU-accelerated RLB (version selected by `version`).
-pub fn factor_rlb_gpu(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    opts: &GpuOptions,
-    version: RlbGpuVersion,
-) -> Result<GpuRun, FactorError> {
-    factor_rlb_gpu_ws(sym, a, opts, version, &mut EngineWorkspace::default())
-}
-
-/// [`factor_rlb_gpu`] drawing factor storage from `ws` — the
-/// refactorization path (reuses recycled storage, no reallocation).
-pub fn factor_rlb_gpu_ws(
+/// Factors `a` with GPU-accelerated RLB (version selected by `version`),
+/// drawing factor storage from `ws` (recycled storage is reused, no
+/// reallocation).
+pub(crate) fn factor_rlb_gpu_ws(
     sym: &SymbolicFactor,
     a: &SymCsc,
     opts: &GpuOptions,
@@ -645,8 +636,7 @@ pub(crate) fn cpu_direct_update_target(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rl::factor_rl_cpu;
-    use crate::rlb::factor_rlb_cpu;
+    use crate::fresh::{factor_rl_cpu, factor_rl_gpu, factor_rlb_cpu, factor_rlb_gpu};
     use rlchol_matgen::{laplace2d, laplace3d};
     use rlchol_perfmodel::MachineModel;
     use rlchol_symbolic::{analyze, SymbolicOptions};
@@ -766,7 +756,6 @@ mod tests {
         // The Table I/II nlpkkt120 mechanism: capacity above the panel but
         // below panel + full update matrix. RL must OOM; v2 splits blocks
         // to the remaining budget and still produces the right factor.
-        use crate::gpu_rl::factor_rl_gpu;
         let a = laplace3d(6, 36);
         let (sym, ap) = setup(&a);
         let max_panel = (0..sym.nsup()).map(|s| sym.sn_storage(s)).max().unwrap();

@@ -24,11 +24,11 @@
 //!   length) falls below a threshold stay on the CPU, because the
 //!   transfer cost dwarfs their compute.
 //!
-//! Two classic CPU baselines are included for context (they are the
-//! "other methods" the companion reference compares RL/RLB against):
-//! [`ll`] — left-looking supernodal — and [`multifrontal`] — the
-//! stack-based multifrontal method with its distinctive working-storage
-//! profile.
+//! Every engine is reached through [`engine_for`]`(`[`Method`]`)` — the
+//! registry is the only public entry to a numeric factorization; the
+//! per-engine functions are crate-private. [`simplicial`] is the
+//! kernel-independent column-by-column oracle the engines are tested
+//! against.
 //!
 //! * **Task-parallel CPU engines** ([`sched::cpu`]) — RL and RLB
 //!   scheduled over the supernodal elimination tree on the persistent
@@ -63,11 +63,11 @@
 pub mod assemble;
 pub mod engine;
 pub mod error;
+#[cfg(test)]
+mod fresh;
 pub mod gpu_rl;
 pub mod gpu_rlb;
 pub mod json;
-pub mod ll;
-pub mod multifrontal;
 pub mod registry;
 pub mod resilience;
 pub mod rl;
@@ -79,13 +79,12 @@ pub mod solver;
 pub mod staged;
 pub mod storage;
 
-pub use engine::{best_cpu_time, CpuRun, GpuOptions, GpuRun, Method};
+pub use engine::{GpuOptions, Method};
 pub use error::{FactorError, SolveError};
 pub use registry::{engine_for, EngineRun, EngineWorkspace, FactorInfo, NumericEngine};
 pub use resilience::{
     CancelToken, Deadline, FallbackChain, RecoveryAction, RecoveryEvent, RetryPolicy, RunCtl,
 };
-pub use sched::{factor_rl_cpu_par, factor_rl_gpu_pipe, factor_rlb_cpu_par, factor_rlb_gpu_pipe};
 pub use solve::{SolveInfo, SolvePlan};
 pub use solver::{CholeskySolver, SolverOptions};
 pub use staged::lanes::LaneStats;

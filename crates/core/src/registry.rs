@@ -1,10 +1,12 @@
-//! The numeric-engine registry: one trait, eleven engines.
+//! The numeric-engine registry: one trait, nine engines, and the only
+//! public way to run one.
 //!
-//! Historically the solver dispatched on `opts.method` with an 11-arm
-//! `match`, and each engine family reported results through its own
-//! shape (`CpuRun` with a trace, `GpuRun` with simulated seconds and
-//! device counters, `MultifrontalRun` with stack statistics). This
-//! module funnels all of them through one interface:
+//! Inside the crate each engine family reports through its own shape
+//! (`CpuRun` with a trace, `GpuRun` with simulated seconds and device
+//! counters); neither those nor the per-engine `factor_*_ws` functions
+//! are visible outside it. Every caller — the staged handle, the CLI,
+//! the `paper` bin, benches, examples and tests — goes through one
+//! interface:
 //!
 //! * [`NumericEngine`] — `factor(sym, a, ws)` produces an [`EngineRun`]:
 //!   the factor plus a uniform [`FactorInfo`] (wall time, simulated
@@ -290,13 +292,12 @@ macro_rules! gpu_engine {
 
 cpu_engine!(RlCpuEngine, Method::RlCpu, crate::rl::factor_rl_cpu_ws);
 cpu_engine!(RlbCpuEngine, Method::RlbCpu, crate::rlb::factor_rlb_cpu_ws);
-cpu_engine!(LlCpuEngine, Method::LlCpu, crate::ll::factor_ll_cpu_ws);
 cpu_engine!(
     RlCpuParEngine,
     Method::RlCpuPar,
     |sym: &SymbolicFactor, a: &SymCsc, ws: &mut EngineWorkspace| {
         let lanes = ws.resolved_lanes();
-        crate::sched::factor_rl_cpu_par_ws(sym, a, lanes, ws)
+        crate::sched::cpu::factor_rl_cpu_par_ws(sym, a, lanes, ws)
     }
 );
 cpu_engine!(
@@ -304,14 +305,7 @@ cpu_engine!(
     Method::RlbCpuPar,
     |sym: &SymbolicFactor, a: &SymCsc, ws: &mut EngineWorkspace| {
         let lanes = ws.resolved_lanes();
-        crate::sched::factor_rlb_cpu_par_ws(sym, a, lanes, ws)
-    }
-);
-cpu_engine!(
-    MfCpuEngine,
-    Method::MfCpu,
-    |sym: &SymbolicFactor, a: &SymCsc, ws: &mut EngineWorkspace| {
-        crate::multifrontal::factor_multifrontal_cpu_ws(sym, a, ws).map(|r| r.run)
+        crate::sched::cpu::factor_rlb_cpu_par_ws(sym, a, lanes, ws)
     }
 );
 gpu_engine!(RlGpuEngine, Method::RlGpu, crate::gpu_rl::factor_rl_gpu_ws);
@@ -332,22 +326,20 @@ gpu_engine!(
 gpu_engine!(
     RlGpuPipeEngine,
     Method::RlGpuPipe,
-    crate::sched::factor_rl_gpu_pipe_ws
+    crate::sched::gpu::factor_rl_gpu_pipe_ws
 );
 gpu_engine!(
     RlbGpuPipeEngine,
     Method::RlbGpuPipe,
-    crate::sched::factor_rlb_gpu_pipe_ws
+    crate::sched::gpu::factor_rlb_gpu_pipe_ws
 );
 
 /// The registry, in [`Method::ALL`] order.
-static ENGINES: [&dyn NumericEngine; 11] = [
+static ENGINES: [&dyn NumericEngine; 9] = [
     &RlCpuEngine,
     &RlbCpuEngine,
     &RlCpuParEngine,
     &RlbCpuParEngine,
-    &LlCpuEngine,
-    &MfCpuEngine,
     &RlGpuEngine,
     &RlbGpuV1Engine,
     &RlbGpuV2Engine,

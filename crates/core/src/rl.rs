@@ -18,14 +18,10 @@ use crate::engine::{factor_panel, CpuRun};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
 
-/// Factors `a` (permuted into factor order) with CPU-only RL.
-pub fn factor_rl_cpu(sym: &SymbolicFactor, a: &SymCsc) -> Result<CpuRun, FactorError> {
-    factor_rl_cpu_ws(sym, a, &mut EngineWorkspace::default())
-}
-
-/// [`factor_rl_cpu`] drawing factor storage and scratch from `ws` — the
-/// refactorization path (reuses recycled storage, no reallocation).
-pub fn factor_rl_cpu_ws(
+/// Factors `a` (permuted into factor order) with CPU-only RL, drawing
+/// factor storage and scratch from `ws` (recycled storage is reused, no
+/// reallocation).
+pub(crate) fn factor_rl_cpu_ws(
     sym: &SymbolicFactor,
     a: &SymCsc,
     ws: &mut EngineWorkspace,
@@ -74,6 +70,7 @@ pub fn factor_rl_cpu_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fresh::factor_rl_cpu;
     use rlchol_matgen::laplace2d;
     use rlchol_sparse::TripletMatrix;
     use rlchol_symbolic::{analyze, SymbolicOptions};

@@ -141,14 +141,10 @@ pub(crate) fn rlb_run_updates(
     }
 }
 
-/// Factors `a` (permuted into factor order) with CPU-only RLB.
-pub fn factor_rlb_cpu(sym: &SymbolicFactor, a: &SymCsc) -> Result<CpuRun, FactorError> {
-    factor_rlb_cpu_ws(sym, a, &mut EngineWorkspace::default())
-}
-
-/// [`factor_rlb_cpu`] drawing factor storage and scratch from `ws` — the
-/// refactorization path (reuses recycled storage, no reallocation).
-pub fn factor_rlb_cpu_ws(
+/// Factors `a` (permuted into factor order) with CPU-only RLB, drawing
+/// factor storage and scratch from `ws` (recycled storage is reused, no
+/// reallocation).
+pub(crate) fn factor_rlb_cpu_ws(
     sym: &SymbolicFactor,
     a: &SymCsc,
     ws: &mut EngineWorkspace,
@@ -230,7 +226,7 @@ pub fn factor_rlb_cpu_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rl::factor_rl_cpu;
+    use crate::fresh::{factor_rl_cpu, factor_rlb_cpu};
     use rlchol_matgen::{grid3d, laplace2d, Stencil};
     use rlchol_symbolic::{analyze, SymbolicOptions};
 

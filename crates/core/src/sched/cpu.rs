@@ -56,19 +56,9 @@ enum Variant {
     Rlb,
 }
 
-/// Task-parallel RL factorization with `threads` lanes. `threads <= 1`
-/// runs the serial engine.
-pub fn factor_rl_cpu_par(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    threads: usize,
-) -> Result<CpuRun, FactorError> {
-    factor_rl_cpu_par_ws(sym, a, threads, &mut EngineWorkspace::default())
-}
-
-/// [`factor_rl_cpu_par`] drawing factor storage from `ws` — the
-/// refactorization path (reuses recycled storage, no reallocation).
-pub fn factor_rl_cpu_par_ws(
+/// Task-parallel RL factorization with `threads` lanes, drawing factor
+/// storage from `ws`. `threads <= 1` runs the serial engine.
+pub(crate) fn factor_rl_cpu_par_ws(
     sym: &SymbolicFactor,
     a: &SymCsc,
     threads: usize,
@@ -80,19 +70,9 @@ pub fn factor_rl_cpu_par_ws(
     run_scheduler(sym, a, threads, Variant::Rl, ws)
 }
 
-/// Task-parallel RLB factorization with `threads` lanes. `threads <= 1`
-/// runs the serial engine.
-pub fn factor_rlb_cpu_par(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    threads: usize,
-) -> Result<CpuRun, FactorError> {
-    factor_rlb_cpu_par_ws(sym, a, threads, &mut EngineWorkspace::default())
-}
-
-/// [`factor_rlb_cpu_par`] drawing factor storage from `ws` — the
-/// refactorization path (reuses recycled storage, no reallocation).
-pub fn factor_rlb_cpu_par_ws(
+/// Task-parallel RLB factorization with `threads` lanes, drawing factor
+/// storage from `ws`. `threads <= 1` runs the serial engine.
+pub(crate) fn factor_rlb_cpu_par_ws(
     sym: &SymbolicFactor,
     a: &SymCsc,
     threads: usize,
@@ -504,8 +484,7 @@ fn apply_updates_rlb(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rl::factor_rl_cpu;
-    use crate::rlb::factor_rlb_cpu;
+    use crate::fresh::{factor_rl_cpu, factor_rl_cpu_par, factor_rlb_cpu, factor_rlb_cpu_par};
     use rlchol_matgen::{grid3d, laplace2d, Stencil};
     use rlchol_symbolic::{analyze, SymbolicOptions};
 

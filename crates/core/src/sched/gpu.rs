@@ -109,7 +109,7 @@ use super::driver::{distinct_targets, Frontier};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PipeVariant {
     /// One coarse SYRK per supernode; host scatters the update matrix
-    /// (bit-identical to [`crate::gpu_rl::factor_rl_gpu`]).
+    /// (bit-identical to [`crate::engine::Method::RlGpu`]).
     Rl,
     /// Per-block SYRK/GEMM strips into compacted staging, one transfer
     /// per supernode (the batched formulation — bit-identical to both
@@ -117,24 +117,9 @@ enum PipeVariant {
     Rlb,
 }
 
-/// Pipelined multi-stream GPU-RL ([`crate::engine::Method::RlGpuPipe`]).
-pub fn factor_rl_gpu_pipe(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    opts: &GpuOptions,
-) -> Result<GpuRun, FactorError> {
-    run_pipeline(
-        sym,
-        a,
-        opts,
-        PipeVariant::Rl,
-        &mut EngineWorkspace::default(),
-    )
-}
-
-/// [`factor_rl_gpu_pipe`] drawing factor storage from `ws` — the
-/// refactorization path (reuses recycled storage, no reallocation).
-pub fn factor_rl_gpu_pipe_ws(
+/// Pipelined multi-stream GPU-RL ([`crate::engine::Method::RlGpuPipe`]),
+/// drawing factor storage from `ws`.
+pub(crate) fn factor_rl_gpu_pipe_ws(
     sym: &SymbolicFactor,
     a: &SymCsc,
     opts: &GpuOptions,
@@ -144,24 +129,9 @@ pub fn factor_rl_gpu_pipe_ws(
 }
 
 /// Pipelined multi-stream GPU-RLB
-/// ([`crate::engine::Method::RlbGpuPipe`]).
-pub fn factor_rlb_gpu_pipe(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    opts: &GpuOptions,
-) -> Result<GpuRun, FactorError> {
-    run_pipeline(
-        sym,
-        a,
-        opts,
-        PipeVariant::Rlb,
-        &mut EngineWorkspace::default(),
-    )
-}
-
-/// [`factor_rlb_gpu_pipe`] drawing factor storage from `ws` — the
-/// refactorization path (reuses recycled storage, no reallocation).
-pub fn factor_rlb_gpu_pipe_ws(
+/// ([`crate::engine::Method::RlbGpuPipe`]), drawing factor storage from
+/// `ws`.
+pub(crate) fn factor_rlb_gpu_pipe_ws(
     sym: &SymbolicFactor,
     a: &SymCsc,
     opts: &GpuOptions,
@@ -1067,8 +1037,8 @@ fn issue(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu_rl::factor_rl_gpu;
-    use crate::gpu_rlb::{factor_rlb_gpu, RlbGpuVersion};
+    use crate::fresh::{factor_rl_gpu, factor_rl_gpu_pipe, factor_rlb_gpu, factor_rlb_gpu_pipe};
+    use crate::gpu_rlb::RlbGpuVersion;
     use rlchol_matgen::{laplace2d, laplace3d};
     use rlchol_symbolic::{analyze, SymbolicOptions};
 

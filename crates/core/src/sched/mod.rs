@@ -40,8 +40,4 @@ pub mod cpu;
 pub mod driver;
 pub mod gpu;
 
-pub use cpu::{factor_rl_cpu_par, factor_rl_cpu_par_ws, factor_rlb_cpu_par, factor_rlb_cpu_par_ws};
 pub use driver::Frontier;
-pub use gpu::{
-    factor_rl_gpu_pipe, factor_rl_gpu_pipe_ws, factor_rlb_gpu_pipe, factor_rlb_gpu_pipe_ws,
-};

@@ -258,7 +258,7 @@ unsafe fn backward_supernode(
 mod tests {
     use super::super::serial;
     use super::*;
-    use crate::rl::factor_rl_cpu;
+    use crate::fresh::factor_rl_cpu;
     use rlchol_matgen::{grid3d, Stencil};
     use rlchol_ordering::{order, OrderingMethod};
     use rlchol_symbolic::{analyze, SymbolicOptions};

@@ -148,7 +148,7 @@ pub fn solve_multi(sym: &SymbolicFactor, f: &FactorData, b: &[f64], nrhs: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rl::factor_rl_cpu;
+    use crate::fresh::factor_rl_cpu;
     use rlchol_matgen::{grid3d, laplace2d, Stencil};
     use rlchol_symbolic::{analyze, SymbolicOptions};
 

@@ -132,14 +132,16 @@ pub struct SuiteConfig {
     /// problem scale: the suite is ~1/24 of the paper's linear size, so
     /// per-supernode arithmetic intensity is ~24x lower; dividing CPU and
     /// GPU compute rates by the same factor (PCIe terms fixed) restores
-    /// the paper's compute-to-transfer balance. See EXPERIMENTS.md.
+    /// the paper's compute-to-transfer balance. The `paper` bin's
+    /// `calibrate` section prints the structural numbers all five
+    /// constants were picked from.
     pub machine_scale: f64,
 }
 
 impl Default for SuiteConfig {
     fn default() -> Self {
         SuiteConfig {
-            // Determined empirically with the threshold_sweep harness,
+            // Determined empirically with `paper threshold_sweep`,
             // exactly as the paper determined its 600,000 / 750,000
             // (§IV-B). The qualitative finding transfers: RLB wants a
             // noticeably *higher* threshold than RL, because its many
@@ -147,7 +149,7 @@ impl Default for SuiteConfig {
             // floor on supernodes RL can still profitably offload.
             rl_threshold: 12_000,
             rlb_threshold: 45_000,
-            // Calibrated against the suite (see EXPERIMENTS.md): above
+            // Calibrated against the suite (`paper calibrate`): above
             // every matrix's RL device footprint except the nlpkkt120
             // analogue.
             gpu_capacity_bytes: 30 << 20,

@@ -72,7 +72,7 @@ impl CpuModel {
     /// — while keeping every bandwidth untouched — makes *all* modeled
     /// times exactly `1/s²` of their full-scale values: every ratio the
     /// paper reports (speedups, thresholds, latency-vs-bandwidth) is
-    /// preserved. See EXPERIMENTS.md.
+    /// preserved (see `rlchol_matgen::suite::SuiteConfig::machine_scale`).
     pub fn scale_compute(mut self, s: f64) -> Self {
         self.per_core_peak /= s;
         self.call_overhead_base /= s * s;

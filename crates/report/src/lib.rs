@@ -1,6 +1,6 @@
 //! # rlchol-report — performance profiles, tables and plots
 //!
-//! Reporting utilities for the experiment harnesses:
+//! Terminal rendering for the `paper` bin and the CLI:
 //!
 //! * [`profile`] — Dolan–Moré performance profiles (the paper's Figure 3):
 //!   for each solver, the fraction of problems solved within a factor
@@ -8,9 +8,8 @@
 //! * [`table`] — fixed-width text tables matching the layout of the
 //!   paper's Tables I and II;
 //! * [`plot`] — ASCII line plots for terminal-friendly figure output;
-//! * [`csv`] — minimal CSV writing for downstream plotting.
+//! * [`spy`] — ASCII sparsity plots (the CLI's `spy`).
 
-pub mod csv;
 pub mod plot;
 pub mod profile;
 pub mod spy;

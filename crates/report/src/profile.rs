@@ -43,11 +43,6 @@ impl PerformanceProfile {
         self.times.len()
     }
 
-    /// Solver names.
-    pub fn solvers(&self) -> &[String] {
-        &self.solver_names
-    }
-
     /// Performance ratios `t / best` per problem for solver `s`
     /// (`None` = failure).
     pub fn ratios(&self, s: usize) -> Vec<Option<f64>> {

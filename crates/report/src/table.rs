@@ -23,16 +23,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders to a string with a separator under the header.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -69,16 +59,6 @@ impl Table {
     }
 }
 
-/// Formats seconds with three decimals (the paper's runtime format).
-pub fn fmt_secs(t: f64) -> String {
-    format!("{t:.3}")
-}
-
-/// Formats a speedup with two decimals (the paper's format).
-pub fn fmt_speedup(s: f64) -> String {
-    format!("{s:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,11 +82,5 @@ mod tests {
     fn rejects_wrong_width() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["only one"]);
-    }
-
-    #[test]
-    fn formats() {
-        assert_eq!(fmt_secs(3.8004), "3.800");
-        assert_eq!(fmt_speedup(1.589), "1.59");
     }
 }

@@ -11,7 +11,7 @@
 //! ```text
 //! u8  op          1=analyze 2=factor 3=solve 4=batch 5=stats 6=shutdown
 //! --- stats/shutdown bodies end here ---
-//! u8  method      index into Method::ALL, 0xFF = service default
+//! u8  method      index into Method::ALL, 0xFF = service default (*)
 //! u32 deadline_ms 0 = none (service default applies)
 //! u64 n, u64 nnz
 //! (n+1) × u64     column pointers
@@ -20,6 +20,13 @@
 //! solve: n × f64  right-hand side
 //! batch: u32 k, then k × (nnz × f64) value sets
 //! ```
+//!
+//! (*) The method byte is positional: it renumbers whenever
+//! `Method::ALL` changes (deleting `LL_C` / `MF_C` moved `RL_G` from 6
+//! to 4). Both ends build from this tree and nothing persists the byte,
+//! so no numbering is kept stable; the reply's `"method"` names the
+//! engine that ran, and an index past the end is answered with a typed
+//! `Protocol("method index … out of range")`.
 //!
 //! Response bodies: `u32 json_len`, the JSON report (UTF-8), `u64
 //! payload_len`, then `payload_len × f64` (the solution vector for
@@ -333,6 +340,7 @@ fn response_json(op_name: &str, resp: Response) -> (String, Vec<f64>) {
     let obj = JsonObj::new()
         .bool("ok", true)
         .str("op", op_name)
+        .str("method", m.method.label())
         .str("cache", cache)
         .f64("queue_wait_ms", m.queue_wait.as_secs_f64() * 1e3)
         .f64("analyze_ms", m.analyze_wall.as_secs_f64() * 1e3)

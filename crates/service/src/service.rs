@@ -146,6 +146,9 @@ impl Request {
 /// Timings and provenance for one completed request.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestMetrics {
+    /// The engine that served the request (the request's explicit
+    /// method, else the service default).
+    pub method: rlchol_core::Method,
     /// Time from submit to the start of numeric work, excluding any
     /// analysis this request ran itself (admission + coalesce wait).
     pub queue_wait: Duration,
@@ -496,6 +499,7 @@ impl Service {
         };
 
         let mut metrics = RequestMetrics {
+            method: handle.method(),
             queue_wait,
             cache: outcome,
             analyze_wall,

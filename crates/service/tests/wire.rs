@@ -3,7 +3,7 @@
 //! handling, deadline errors in-band, and clean shutdown.
 
 use rlchol_core::solver::SolverOptions;
-use rlchol_core::{CholeskySolver, SolveWorkspace};
+use rlchol_core::{CholeskySolver, Method, SolveWorkspace};
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_service::{protocol, Request, Service, ServiceConfig};
 use rlchol_sparse::SymCsc;
@@ -168,6 +168,52 @@ fn malformed_frames_get_a_protocol_error_then_close() {
     // A fresh, well-formed connection still works.
     let mut client = protocol::Client::connect(addr).unwrap();
     assert!(client.analyze(&a).unwrap().ok());
+    client.shutdown().unwrap();
+    drop(client);
+    drop(raw);
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn every_method_byte_round_trips_and_one_past_the_end_is_typed() {
+    let (addr, _service, server) = spawn();
+    let mut client = protocol::Client::connect(addr).unwrap();
+    let a = matrix(7);
+
+    // The method travels as its index into `Method::ALL`; the reply
+    // names the engine that ran.
+    for method in Method::ALL {
+        let resp = client.factor(&a, Some(method), 0).unwrap();
+        assert!(resp.ok(), "{}: {}", method.label(), resp.json);
+        assert_eq!(resp.str_field("method").as_deref(), Some(method.label()));
+    }
+
+    // One past the end, in an otherwise well-formed factor frame.
+    let mut body = vec![2u8, Method::ALL.len() as u8];
+    body.extend_from_slice(&0u32.to_le_bytes());
+    body.extend_from_slice(&(a.n() as u64).to_le_bytes());
+    body.extend_from_slice(&(a.nnz_lower() as u64).to_le_bytes());
+    for &v in a.colptr().iter().chain(a.rowind()) {
+        body.extend_from_slice(&(v as u64).to_le_bytes());
+    }
+    for &v in a.values() {
+        body.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+    raw.write_all(&body).unwrap();
+    let mut len = [0u8; 4];
+    raw.read_exact(&mut len).unwrap();
+    let mut resp = vec![0u8; u32::from_le_bytes(len) as usize];
+    raw.read_exact(&mut resp).unwrap();
+    let json_len = u32::from_le_bytes(resp[..4].try_into().unwrap()) as usize;
+    let json = std::str::from_utf8(&resp[4..4 + json_len]).unwrap();
+    assert!(json.contains("\"kind\":\"protocol\""), "{json}");
+    let want = format!("method index {} out of range", Method::ALL.len());
+    assert!(json.contains(&want), "{json}");
+
+    // The pool is alive: the first connection keeps serving.
+    assert!(client.factor(&a, None, 0).unwrap().ok());
     client.shutdown().unwrap();
     drop(client);
     drop(raw);

@@ -9,11 +9,8 @@
 //! calls, the transfer traffic each incurs, the hybrid threshold keeping
 //! small supernodes on the CPU, and the device memory footprints.
 
-use rlchol::core::engine::GpuOptions;
-use rlchol::core::gpu_rl::factor_rl_gpu;
-use rlchol::core::gpu_rlb::{factor_rlb_gpu, RlbGpuVersion};
-use rlchol::core::rl::factor_rl_cpu;
-use rlchol::core::rlb::factor_rlb_cpu;
+use rlchol::core::engine::{GpuOptions, Method};
+use rlchol::core::{engine_for, EngineWorkspace};
 use rlchol::matgen::{grid3d, Stencil};
 use rlchol::ordering::{order, OrderingMethod};
 use rlchol::perfmodel::MachineModel;
@@ -37,20 +34,28 @@ fn main() {
     // CPU baselines: trace replay over the paper's thread sweep under
     // the scaled machine model (see `SuiteConfig::machine_scale`).
     let scale = 24.0;
-    let rl_cpu = factor_rl_cpu(&sym, &a_fact).unwrap();
-    let rlb_cpu = factor_rlb_cpu(&sym, &a_fact).unwrap();
-    let replay = |run: &rlchol::core::engine::CpuRun| {
+    // Every engine is reached through the registry: `engine_for(method)`
+    // factors into an `EngineRun` (the factor plus a uniform report).
+    let run = |method: Method, ws: &mut EngineWorkspace| {
+        engine_for(method).factor(&sym, &a_fact, ws).unwrap()
+    };
+    let rl_cpu = run(Method::RlCpu, &mut EngineWorkspace::default());
+    let rlb_cpu = run(Method::RlbCpu, &mut EngineWorkspace::default());
+    // CPU engines record an operation trace the model can replay.
+    let rl_trace = rl_cpu.info.trace.as_ref().unwrap();
+    let rlb_trace = rlb_cpu.info.trace.as_ref().unwrap();
+    let replay = |trace: &rlchol::perfmodel::Trace| {
         rlchol::perfmodel::PAPER_THREAD_SWEEP
             .iter()
             .map(|&t| {
                 let m = rlchol::perfmodel::perlmutter_cpu(t).scale_compute(scale);
-                (rlchol::perfmodel::replay_cpu(&run.trace, &m), t)
+                (rlchol::perfmodel::replay_cpu(trace, &m), t)
             })
             .min_by(|a, b| a.0.total_cmp(&b.0))
             .unwrap()
     };
-    let (t_rl, th_rl) = replay(&rl_cpu);
-    let (t_rlb, th_rlb) = replay(&rlb_cpu);
+    let (t_rl, th_rl) = replay(rl_trace);
+    let (t_rlb, th_rlb) = replay(rlb_trace);
     let (best, label, threads) = if t_rl <= t_rlb {
         (t_rl, "RL_C", th_rl)
     } else {
@@ -62,8 +67,8 @@ fn main() {
     );
     println!(
         "  RL  issues {} BLAS calls; RLB issues {} (the per-block decomposition)",
-        rl_cpu.trace.blas_calls(),
-        rlb_cpu.trace.blas_calls()
+        rl_trace.blas_calls(),
+        rlb_trace.blas_calls()
     );
 
     // GPU engines under a mid-size threshold.
@@ -74,28 +79,37 @@ fn main() {
     };
     println!("\nGPU-accelerated engines (threshold = {threshold}, overlap on):");
     let runs = [
-        ("RL_G  ", factor_rl_gpu(&sym, &a_fact, &opts).unwrap()),
+        ("RL_G  ", Method::RlGpu),
+        ("RLB_G1", Method::RlbGpuV1),
+        ("RLB_G2", Method::RlbGpuV2),
+    ]
+    .map(|(name, method)| {
         (
-            "RLB_G1",
-            factor_rlb_gpu(&sym, &a_fact, &opts, RlbGpuVersion::V1).unwrap(),
-        ),
-        (
-            "RLB_G2",
-            factor_rlb_gpu(&sym, &a_fact, &opts, RlbGpuVersion::V2).unwrap(),
-        ),
-    ];
+            name,
+            run(method, &mut EngineWorkspace::new(0, opts.clone())),
+        )
+    });
     for (name, run) in &runs {
+        let sim_seconds = run
+            .info
+            .sim_seconds
+            .expect("GPU engines report simulated time");
+        let stats = run
+            .info
+            .gpu
+            .as_ref()
+            .expect("GPU engines report device counters");
         println!(
             "  {name}: {:.4} s  (speedup {:.2}x) | {} supernodes on GPU | \
              kernels {:.4}s transfers {:.4}s host {:.4}s | peak dev mem {:.1} MiB | {} D2H ops",
-            run.sim_seconds,
-            best / run.sim_seconds,
-            run.sn_on_gpu,
-            run.stats.kernel_seconds,
-            run.stats.transfer_seconds,
-            run.stats.host_seconds,
-            run.stats.peak_bytes as f64 / (1 << 20) as f64,
-            run.stats.d2h_count,
+            sim_seconds,
+            best / sim_seconds,
+            run.info.sn_on_gpu,
+            stats.kernel_seconds,
+            stats.transfer_seconds,
+            stats.host_seconds,
+            stats.peak_bytes as f64 / (1 << 20) as f64,
+            stats.d2h_count,
         );
     }
     // All engines agree numerically.

@@ -6,14 +6,12 @@
 //! cargo run --release --example memory_limits
 //! ```
 
-use rlchol::core::gpu_rl::factor_rl_gpu;
-use rlchol::core::gpu_rlb::{factor_rlb_gpu, RlbGpuVersion};
-use rlchol::core::FactorError;
+use rlchol::core::{engine_for, EngineWorkspace, FactorError};
 use rlchol::matgen::laplace3d;
 use rlchol::ordering::{order, OrderingMethod};
 use rlchol::perfmodel::MachineModel;
 use rlchol::symbolic::{analyze, SymbolicOptions};
-use rlchol::GpuOptions;
+use rlchol::{GpuOptions, Method};
 
 fn main() {
     let a = laplace3d(12, 5);
@@ -45,16 +43,23 @@ fn main() {
                 .with_gpu_capacity(cap),
             ..GpuOptions::with_threshold(0)
         };
-        let rl = match factor_rl_gpu(&sym, &a_fact, &opts) {
-            Ok(r) => format!("{:.1} KiB peak", r.stats.peak_bytes as f64 / 1024.0),
+        // Every engine is reached through the registry; the run's
+        // `info.gpu` carries the device counters.
+        let run = |method: Method| {
+            engine_for(method)
+                .factor(&sym, &a_fact, &mut EngineWorkspace::new(0, opts.clone()))
+                .map(|r| r.info.gpu.expect("GPU engines report device counters"))
+        };
+        let rl = match run(Method::RlGpu) {
+            Ok(stats) => format!("{:.1} KiB peak", stats.peak_bytes as f64 / 1024.0),
             Err(FactorError::GpuOutOfMemory { .. }) => "OUT OF MEMORY".to_string(),
             Err(e) => panic!("unexpected: {e}"),
         };
-        let rlb = match factor_rlb_gpu(&sym, &a_fact, &opts, RlbGpuVersion::V2) {
-            Ok(r) => format!(
+        let rlb = match run(Method::RlbGpuV2) {
+            Ok(stats) => format!(
                 "ok, {} D2H ops, {:.1} KiB peak",
-                r.stats.d2h_count,
-                r.stats.peak_bytes as f64 / 1024.0
+                stats.d2h_count,
+                stats.peak_bytes as f64 / 1024.0
             ),
             Err(e) => format!("failed: {e}"),
         };

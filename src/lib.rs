@@ -229,9 +229,10 @@
 //!
 //! Numeric factorization dispatches through the
 //! [`NumericEngine`](core::registry::NumericEngine) registry, keyed by
-//! [`Method`] — serial CPU (RL, RLB, left-looking, multifrontal),
-//! task-parallel CPU, and (simulated) GPU engines including the
-//! pipelined multi-stream variants. [`Method::ALL`] enumerates every
+//! [`Method`] — serial CPU (RL, RLB), task-parallel CPU, and
+//! (simulated) GPU engines including the pipelined multi-stream
+//! variants; `engine_for(method).factor(sym, a, &mut ws)` is the only
+//! public way to run one. [`Method::ALL`] enumerates every
 //! registered engine; `Method` round-trips through `FromStr` via its
 //! CLI name (`"rlb-gpu".parse()`) or paper label (`"RLB_G".parse()`).
 //! Every engine reports a uniform

@@ -2,6 +2,7 @@
 //! numeric → solve) across matrix families, engines and options.
 
 use rlchol::core::engine::{GpuOptions, Method};
+use rlchol::core::{engine_for, EngineWorkspace};
 use rlchol::matgen::{grid2d, grid3d, kkt3d, perturbed_grid3d, Stencil};
 use rlchol::perfmodel::MachineModel;
 use rlchol::sparse::SymCsc;
@@ -114,31 +115,22 @@ fn engines_agree_on_the_factor_bitwise_tolerance() {
     let af = a.permute(&fill);
     let sym = analyze(&af, &SymbolicOptions::default());
     let afact = af.permute(&sym.perm);
-    let rl = rlchol::core::rl::factor_rl_cpu(&sym, &afact).unwrap();
-    let rlb = rlchol::core::rlb::factor_rlb_cpu(&sym, &afact).unwrap();
-    let rlg = rlchol::core::gpu_rl::factor_rl_gpu(&sym, &afact, &gpu_opts(500)).unwrap();
-    let rlbg1 = rlchol::core::gpu_rlb::factor_rlb_gpu(
-        &sym,
-        &afact,
-        &gpu_opts(500),
-        rlchol::core::gpu_rlb::RlbGpuVersion::V1,
-    )
-    .unwrap();
-    let rlbg2 = rlchol::core::gpu_rlb::factor_rlb_gpu(
-        &sym,
-        &afact,
-        &gpu_opts(500),
-        rlchol::core::gpu_rlb::RlbGpuVersion::V2,
-    )
-    .unwrap();
-    for (name, f) in [
-        ("rlb", &rlb.factor),
-        ("rl_gpu", &rlg.factor),
-        ("rlb_gpu_v1", &rlbg1.factor),
-        ("rlb_gpu_v2", &rlbg2.factor),
+    let run = |method: Method| {
+        let mut ws = EngineWorkspace::new(0, gpu_opts(500));
+        engine_for(method)
+            .factor(&sym, &afact, &mut ws)
+            .unwrap()
+            .factor
+    };
+    let rl = run(Method::RlCpu);
+    for method in [
+        Method::RlbCpu,
+        Method::RlGpu,
+        Method::RlbGpuV1,
+        Method::RlbGpuV2,
     ] {
-        let d = rl.factor.max_rel_diff(f);
-        assert!(d < 1e-11, "{name} differs from RL by {d}");
+        let d = rl.max_rel_diff(&run(method));
+        assert!(d < 1e-11, "{} differs from RL by {d}", method.label());
     }
 }
 
@@ -152,7 +144,9 @@ fn factorization_residual_is_small_on_suite_scale_matrix() {
     let af = a.permute(&fill);
     let sym = analyze(&af, &SymbolicOptions::default());
     let afact = af.permute(&sym.perm);
-    let run = rlchol::core::rl::factor_rl_cpu(&sym, &afact).unwrap();
+    let run = engine_for(Method::RlCpu)
+        .factor(&sym, &afact, &mut EngineWorkspace::default())
+        .unwrap();
     let resid = run.factor.residual(&sym, &afact, 3);
     assert!(resid < 1e-12, "residual {resid}");
 }

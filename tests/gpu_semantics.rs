@@ -2,10 +2,9 @@
 //! engines use them: overlap accounting, memory pressure, hybrid
 //! dispatch, and the timeline invariants the tables rely on.
 
-use rlchol::core::engine::GpuOptions;
-use rlchol::core::gpu_rl::factor_rl_gpu;
-use rlchol::core::gpu_rlb::{factor_rlb_gpu, RlbGpuVersion};
-use rlchol::gpu::Gpu;
+use rlchol::core::engine::{GpuOptions, Method};
+use rlchol::core::{engine_for, EngineWorkspace};
+use rlchol::gpu::{Gpu, GpuStats};
 use rlchol::matgen::{grid3d, Stencil};
 use rlchol::ordering::{order, OrderingMethod};
 use rlchol::perfmodel::{perlmutter_gpu, MachineModel, TraceOp};
@@ -27,10 +26,27 @@ fn opts(threshold: usize) -> GpuOptions {
     }
 }
 
+/// What these tests read off one GPU engine run.
+struct Run {
+    sim_seconds: f64,
+    stats: GpuStats,
+}
+
+fn run_gpu(method: Method, sym: &SymbolicFactor, a: &rlchol::SymCsc, opts: &GpuOptions) -> Run {
+    let info = engine_for(method)
+        .factor(sym, a, &mut EngineWorkspace::new(0, opts.clone()))
+        .unwrap()
+        .info;
+    Run {
+        sim_seconds: info.sim_seconds.expect("GPU engines report simulated time"),
+        stats: info.gpu.expect("GPU engines report device counters"),
+    }
+}
+
 #[test]
 fn sim_time_dominates_component_sums_under_overlap() {
     let (sym, afact) = setup();
-    let run = factor_rl_gpu(&sym, &afact, &opts(0)).unwrap();
+    let run = run_gpu(Method::RlGpu, &sym, &afact, &opts(0));
     // With overlap, total <= kernels + transfers + host (strictly less
     // when any copy-back overlaps host work), and total >= each part.
     let parts = run.stats.kernel_seconds + run.stats.transfer_seconds + run.stats.host_seconds;
@@ -44,7 +60,7 @@ fn blocking_mode_serializes_to_the_component_sum() {
     let (sym, afact) = setup();
     let mut o = opts(0);
     o.overlap = false;
-    let run = factor_rl_gpu(&sym, &afact, &o).unwrap();
+    let run = run_gpu(Method::RlGpu, &sym, &afact, &o);
     let parts = run.stats.kernel_seconds + run.stats.transfer_seconds + run.stats.host_seconds;
     assert!(
         (run.sim_seconds - parts).abs() < parts * 1e-9,
@@ -56,13 +72,13 @@ fn blocking_mode_serializes_to_the_component_sum() {
 #[test]
 fn offloading_moves_bytes_proportionally() {
     let (sym, afact) = setup();
-    let all = factor_rl_gpu(&sym, &afact, &opts(0)).unwrap();
-    let none = factor_rl_gpu(&sym, &afact, &opts(usize::MAX)).unwrap();
+    let all = run_gpu(Method::RlGpu, &sym, &afact, &opts(0));
+    let none = run_gpu(Method::RlGpu, &sym, &afact, &opts(usize::MAX));
     assert!(all.stats.total_transfer_bytes() > 0);
     assert_eq!(none.stats.total_transfer_bytes(), 0);
     assert_eq!(none.stats.kernel_launches, 0);
     // Hybrid sits between.
-    let some = factor_rl_gpu(&sym, &afact, &opts(2_000)).unwrap();
+    let some = run_gpu(Method::RlGpu, &sym, &afact, &opts(2_000));
     assert!(some.stats.total_transfer_bytes() < all.stats.total_transfer_bytes());
     assert!(some.stats.total_transfer_bytes() > 0);
 }
@@ -70,8 +86,8 @@ fn offloading_moves_bytes_proportionally() {
 #[test]
 fn rl_transfers_more_update_bytes_than_rlb_v2_transfers_in_pieces() {
     let (sym, afact) = setup();
-    let rl = factor_rl_gpu(&sym, &afact, &opts(0)).unwrap();
-    let v2 = factor_rlb_gpu(&sym, &afact, &opts(0), RlbGpuVersion::V2).unwrap();
+    let rl = run_gpu(Method::RlGpu, &sym, &afact, &opts(0));
+    let v2 = run_gpu(Method::RlbGpuV2, &sym, &afact, &opts(0));
     // RL moves whole r x r update matrices; v2 moves only the block
     // strips (lower-triangle coverage) but in many more operations.
     assert!(v2.stats.d2h_count > rl.stats.d2h_count);
@@ -126,12 +142,12 @@ fn kernel_cost_model_reflects_shapes() {
 fn capacity_is_a_hard_invariant_across_engines() {
     let (sym, afact) = setup();
     // Capacity just above what v2 needs: run must stay under it.
-    let probe = factor_rlb_gpu(&sym, &afact, &opts(0), RlbGpuVersion::V2).unwrap();
+    let probe = run_gpu(Method::RlbGpuV2, &sym, &afact, &opts(0));
     let cap = probe.stats.peak_bytes + 1024;
     let mut o = opts(0);
     o.machine = MachineModel::perlmutter(64)
         .scale_compute(24.0)
         .with_gpu_capacity(cap);
-    let run = factor_rlb_gpu(&sym, &afact, &o, RlbGpuVersion::V2).unwrap();
+    let run = run_gpu(Method::RlbGpuV2, &sym, &afact, &o);
     assert!(run.stats.peak_bytes <= cap);
 }

@@ -3,10 +3,7 @@
 //! thread counts and tree shapes, and propagate numeric failures cleanly
 //! out of the pool.
 
-use rlchol::core::rl::factor_rl_cpu;
-use rlchol::core::rlb::factor_rlb_cpu;
-use rlchol::core::sched::{factor_rl_cpu_par, factor_rlb_cpu_par};
-use rlchol::core::FactorError;
+use rlchol::core::{engine_for, EngineWorkspace, FactorData, FactorError, GpuOptions};
 use rlchol::matgen::{grid3d, laplace2d, Stencil};
 use rlchol::sparse::{SymCsc, TripletMatrix};
 use rlchol::symbolic::{analyze, SymbolicOptions};
@@ -20,17 +17,30 @@ fn prepared(a: &SymCsc) -> (rlchol::SymbolicFactor, SymCsc) {
     (sym, ap)
 }
 
+/// One CPU engine through the registry at an explicit lane count.
+fn factor(
+    method: Method,
+    sym: &rlchol::SymbolicFactor,
+    ap: &SymCsc,
+    threads: usize,
+) -> Result<FactorData, FactorError> {
+    let mut ws = EngineWorkspace::new(threads, GpuOptions::with_threshold(usize::MAX));
+    engine_for(method)
+        .factor(sym, ap, &mut ws)
+        .map(|run| run.factor)
+}
+
 /// Both parallel engines against their serial counterparts at 1e-11.
 fn check_matches_serial(a: &SymCsc, label: &str) {
     let (sym, ap) = prepared(a);
-    let rl = factor_rl_cpu(&sym, &ap).unwrap();
-    let rlb = factor_rlb_cpu(&sym, &ap).unwrap();
+    let rl = factor(Method::RlCpu, &sym, &ap, 1).unwrap();
+    let rlb = factor(Method::RlbCpu, &sym, &ap, 1).unwrap();
     for threads in THREAD_SWEEP {
-        let rl_par = factor_rl_cpu_par(&sym, &ap, threads).unwrap();
-        let d = rl.factor.max_rel_diff(&rl_par.factor);
+        let rl_par = factor(Method::RlCpuPar, &sym, &ap, threads).unwrap();
+        let d = rl.max_rel_diff(&rl_par);
         assert!(d < 1e-11, "{label}: RL threads={threads} diff {d}");
-        let rlb_par = factor_rlb_cpu_par(&sym, &ap, threads).unwrap();
-        let d = rlb.factor.max_rel_diff(&rlb_par.factor);
+        let rlb_par = factor(Method::RlbCpuPar, &sym, &ap, threads).unwrap();
+        let d = rlb.max_rel_diff(&rlb_par);
         assert!(d < 1e-11, "{label}: RLB threads={threads} diff {d}");
     }
 }
@@ -133,20 +143,20 @@ fn indefinite_matrix_errors_cleanly_in_parallel() {
     let a = SymCsc::from_lower_triplets(&t).unwrap();
     let (sym, ap) = prepared(&a);
     assert!(matches!(
-        factor_rl_cpu(&sym, &ap),
+        factor(Method::RlCpu, &sym, &ap, 1),
         Err(FactorError::NotPositiveDefinite { .. })
     ));
     for threads in THREAD_SWEEP {
         assert!(
             matches!(
-                factor_rlb_cpu_par(&sym, &ap, threads),
+                factor(Method::RlbCpuPar, &sym, &ap, threads),
                 Err(FactorError::NotPositiveDefinite { .. })
             ),
             "RLB threads={threads}"
         );
         assert!(
             matches!(
-                factor_rl_cpu_par(&sym, &ap, threads),
+                factor(Method::RlCpuPar, &sym, &ap, threads),
                 Err(FactorError::NotPositiveDefinite { .. })
             ),
             "RL threads={threads}"
@@ -156,7 +166,7 @@ fn indefinite_matrix_errors_cleanly_in_parallel() {
     // still succeeds afterwards.
     let good = laplace2d(10, 3);
     let (gs, gap) = prepared(&good);
-    assert!(factor_rlb_cpu_par(&gs, &gap, 4).is_ok());
+    assert!(factor(Method::RlbCpuPar, &gs, &gap, 4).is_ok());
 }
 
 /// The solver pipeline accepts the parallel methods end to end.

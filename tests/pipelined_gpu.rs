@@ -4,11 +4,8 @@
 //! must shed stream pairs before failing, and numeric failures must
 //! propagate cleanly out of the pipeline.
 
-use rlchol::core::engine::{GpuOptions, RetireMode};
-use rlchol::core::gpu_rl::factor_rl_gpu;
-use rlchol::core::gpu_rlb::{factor_rlb_gpu, RlbGpuVersion};
-use rlchol::core::sched::{factor_rl_gpu_pipe, factor_rlb_gpu_pipe};
-use rlchol::core::FactorError;
+use rlchol::core::engine::{GpuOptions, Method, RetireMode};
+use rlchol::core::{engine_for, EngineRun, EngineWorkspace, FactorError};
 use rlchol::matgen::{grid2d, grid3d, Stencil};
 use rlchol::ordering::{order, OrderingMethod};
 use rlchol::perfmodel::MachineModel;
@@ -27,6 +24,16 @@ fn prepared(a: &SymCsc) -> (SymbolicFactor, SymCsc) {
     (sym, ap)
 }
 
+/// One GPU engine through the registry on a fresh workspace.
+fn run(
+    method: Method,
+    sym: &SymbolicFactor,
+    ap: &SymCsc,
+    opts: &GpuOptions,
+) -> Result<EngineRun, FactorError> {
+    engine_for(method).factor(sym, ap, &mut EngineWorkspace::new(0, opts.clone()))
+}
+
 /// Pipelined RL/RLB against their single-stream engines, bitwise, over
 /// the stream sweep, a CPU/GPU-mixing threshold and both retirement
 /// disciplines (in-order retirement makes the factor trivially
@@ -36,20 +43,23 @@ fn check_bit_identical(a: &SymCsc, label: &str) {
     let (sym, ap) = prepared(a);
     for threshold in [0usize, 300] {
         let opts = GpuOptions::with_threshold(threshold);
-        let rl = factor_rl_gpu(&sym, &ap, &opts).unwrap();
-        let rlb = factor_rlb_gpu(&sym, &ap, &opts, RlbGpuVersion::V1).unwrap();
+        let rl = run(Method::RlGpu, &sym, &ap, &opts).unwrap();
+        let rlb = run(Method::RlbGpuV1, &sym, &ap, &opts).unwrap();
         for streams in STREAM_SWEEP {
             for retire in RETIRES {
                 let o = opts.clone().with_streams(streams).with_retire(retire);
-                let rl_pipe = factor_rl_gpu_pipe(&sym, &ap, &o).unwrap();
-                assert_eq!(rl_pipe.streams_used, streams, "{label} thr {threshold}");
-                assert_eq!(rl_pipe.retire, retire);
+                let rl_pipe = run(Method::RlGpuPipe, &sym, &ap, &o).unwrap();
+                assert_eq!(
+                    rl_pipe.info.streams_used, streams,
+                    "{label} thr {threshold}"
+                );
+                assert_eq!(rl_pipe.info.retire, Some(retire));
                 assert_eq!(
                     rl.factor.sn, rl_pipe.factor.sn,
                     "{label}: RL thr {threshold} streams {streams} {retire:?} \
                      not bit-identical"
                 );
-                let rlb_pipe = factor_rlb_gpu_pipe(&sym, &ap, &o).unwrap();
+                let rlb_pipe = run(Method::RlbGpuPipe, &sym, &ap, &o).unwrap();
                 assert_eq!(
                     rlb.factor.sn, rlb_pipe.factor.sn,
                     "{label}: RLB thr {threshold} streams {streams} {retire:?} \
@@ -80,9 +90,16 @@ fn multi_stream_pipelining_speeds_up_the_simulated_clock() {
     let opts = GpuOptions::with_threshold(0);
     let mut prev = f64::INFINITY;
     for (i, streams) in STREAM_SWEEP.into_iter().enumerate() {
-        let t = factor_rl_gpu_pipe(&sym, &ap, &opts.clone().with_streams(streams))
-            .unwrap()
-            .sim_seconds;
+        let t = run(
+            Method::RlGpuPipe,
+            &sym,
+            &ap,
+            &opts.clone().with_streams(streams),
+        )
+        .unwrap()
+        .info
+        .sim_seconds
+        .unwrap();
         if i == 1 {
             assert!(t < prev, "2 streams must strictly beat 1: {t} vs {prev}");
         } else {
@@ -104,18 +121,31 @@ fn out_of_order_retirement_beats_in_order_at_wide_stream_counts() {
     let a = grid3d(10, 10, 10, Stencil::Star7, 1, 63);
     let (sym, ap) = prepared(&a);
     let opts = GpuOptions::with_threshold(0).with_streams(8);
-    let inorder =
-        factor_rl_gpu_pipe(&sym, &ap, &opts.clone().with_retire(RetireMode::InOrder)).unwrap();
-    let ooo = factor_rl_gpu_pipe(&sym, &ap, &opts.with_retire(RetireMode::Ooo)).unwrap();
+    let inorder = run(
+        Method::RlGpuPipe,
+        &sym,
+        &ap,
+        &opts.clone().with_retire(RetireMode::InOrder),
+    )
+    .unwrap();
+    let ooo = run(
+        Method::RlGpuPipe,
+        &sym,
+        &ap,
+        &opts.with_retire(RetireMode::Ooo),
+    )
+    .unwrap();
     assert_eq!(inorder.factor.sn, ooo.factor.sn, "modes must agree bitwise");
-    assert!(
-        ooo.sim_seconds < inorder.sim_seconds,
-        "ooo {} must beat inorder {}",
-        ooo.sim_seconds,
-        inorder.sim_seconds
+    let (t_ooo, t_inorder) = (
+        ooo.info.sim_seconds.unwrap(),
+        inorder.info.sim_seconds.unwrap(),
     );
-    assert!(ooo.lookahead >= 1, "ooo must report its final window");
-    assert_eq!(inorder.lookahead, 0, "inorder reports no lookahead");
+    assert!(
+        t_ooo < t_inorder,
+        "ooo {t_ooo} must beat inorder {t_inorder}"
+    );
+    assert!(ooo.info.lookahead >= 1, "ooo must report its final window");
+    assert_eq!(inorder.info.lookahead, 0, "inorder reports no lookahead");
 }
 
 #[test]
@@ -145,7 +175,8 @@ fn staged_refactor_keeps_device_residency_and_skips_metadata_uploads() {
     // Residency is a pure transfer optimization: the factors agree
     // bitwise and the one-shot (non-resident) engine agrees too.
     let (sym, ap) = prepared(&a);
-    let one_shot = factor_rl_gpu_pipe(
+    let one_shot = run(
+        Method::RlGpuPipe,
         &sym,
         &ap,
         &GpuOptions::with_threshold(0)
@@ -168,11 +199,14 @@ fn oom_sheds_stream_pairs_before_failing() {
     // single-stream factor.
     let mut opts = GpuOptions::with_threshold(0).with_streams(4);
     opts.machine = MachineModel::perlmutter(16).with_gpu_capacity(pair * 2 + pair / 2);
-    let run = factor_rl_gpu_pipe(&sym, &ap, &opts).unwrap();
-    assert_eq!(run.streams_used, 2, "expected fallback to 2 stream pairs");
-    assert!(run.stats.peak_bytes <= pair * 2 + pair / 2);
-    let base = factor_rl_gpu(&sym, &ap, &GpuOptions::with_threshold(0)).unwrap();
-    assert_eq!(base.factor.sn, run.factor.sn);
+    let shed = run(Method::RlGpuPipe, &sym, &ap, &opts).unwrap();
+    assert_eq!(
+        shed.info.streams_used, 2,
+        "expected fallback to 2 stream pairs"
+    );
+    assert!(shed.info.gpu.as_ref().unwrap().peak_bytes <= pair * 2 + pair / 2);
+    let base = run(Method::RlGpu, &sym, &ap, &GpuOptions::with_threshold(0)).unwrap();
+    assert_eq!(base.factor.sn, shed.factor.sn);
 }
 
 #[test]
@@ -186,7 +220,7 @@ fn oom_propagates_when_no_pair_fits() {
         opts.machine = MachineModel::perlmutter(16).with_gpu_capacity(pair / 2);
         assert!(
             matches!(
-                factor_rl_gpu_pipe(&sym, &ap, &opts),
+                run(Method::RlGpuPipe, &sym, &ap, &opts),
                 Err(FactorError::GpuOutOfMemory { .. })
             ),
             "streams {streams}"
@@ -217,14 +251,14 @@ fn indefinite_matrix_errors_cleanly_under_pipelining() {
                     .with_retire(retire);
                 assert!(
                     matches!(
-                        factor_rl_gpu_pipe(&sym, &ap, &opts),
+                        run(Method::RlGpuPipe, &sym, &ap, &opts),
                         Err(FactorError::NotPositiveDefinite { .. })
                     ),
                     "RL streams {streams} thr {threshold} {retire:?}"
                 );
                 assert!(
                     matches!(
-                        factor_rlb_gpu_pipe(&sym, &ap, &opts),
+                        run(Method::RlbGpuPipe, &sym, &ap, &opts),
                         Err(FactorError::NotPositiveDefinite { .. })
                     ),
                     "RLB streams {streams} thr {threshold} {retire:?}"
@@ -236,5 +270,11 @@ fn indefinite_matrix_errors_cleanly_under_pipelining() {
     // host pool survives).
     let good = grid2d(8, 8, Stencil::Star5, 1, 9);
     let (gs, gap) = prepared(&good);
-    assert!(factor_rlb_gpu_pipe(&gs, &gap, &GpuOptions::with_threshold(0).with_streams(2)).is_ok());
+    assert!(run(
+        Method::RlbGpuPipe,
+        &gs,
+        &gap,
+        &GpuOptions::with_threshold(0).with_streams(2)
+    )
+    .is_ok());
 }

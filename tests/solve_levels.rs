@@ -10,11 +10,11 @@
 //! selection, and its plan must describe both shapes truthfully.
 
 use rlchol::core::engine::{GpuOptions, RetireMode};
-use rlchol::core::rl::factor_rl_cpu;
 use rlchol::core::solve::{
     solve_backward_level_set, solve_backward_multi, solve_forward_level_set, solve_forward_multi,
     SolvePlan,
 };
+use rlchol::core::{engine_for, EngineWorkspace, Method};
 use rlchol::matgen::{grid3d, Stencil};
 use rlchol::ordering::{order, OrderingMethod};
 use rlchol::symbolic::{analyze, SymbolicFactor, SymbolicOptions};
@@ -49,7 +49,9 @@ fn prepared(
     let af = a.permute(&fill);
     let sym = analyze(&af, &SymbolicOptions::default());
     let ap = af.permute(&sym.perm);
-    let run = factor_rl_cpu(&sym, &ap).unwrap();
+    let run = engine_for(Method::RlCpu)
+        .factor(&sym, &ap, &mut EngineWorkspace::default())
+        .unwrap();
     let plan = SolvePlan::build(&sym);
     (sym, ap, run.factor, plan)
 }
