@@ -177,6 +177,7 @@ pub fn factor_info_json(info: &FactorInfo) -> String {
 pub fn analyze_breakdown_json(b: &crate::AnalyzeBreakdown) -> String {
     JsonObj::new()
         .u64("threads", b.threads as u64)
+        .f64("ordering_ms", b.ordering.as_secs_f64() * 1e3)
         .f64("etree_ms", b.etree.as_secs_f64() * 1e3)
         .f64("colcount_ms", b.colcount.as_secs_f64() * 1e3)
         .f64("merge_ms", b.merge.as_secs_f64() * 1e3)

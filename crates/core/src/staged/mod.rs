@@ -172,12 +172,17 @@ const ANALYZE_PAR_MIN_NNZ: usize = 16_384;
 
 /// Wall-clock breakdown of one symbolic analysis, stage by stage — the
 /// instrumentation behind `rlchol analyze` and the service's cache-miss
-/// metrics. All stages sum to (just under) the analyze wall: `etree`
-/// through `relind` come from [`rlchol_symbolic::analyze_instrumented`];
-/// `solve_plan` and `value_map` are the handle-construction stages added
-/// on top of the symbolic factor.
+/// metrics. All stages sum to (just under) the analyze wall: `ordering`
+/// is the fill-reducing ordering and the permute that applies it;
+/// `etree` through `relind` come from
+/// [`rlchol_symbolic::analyze_instrumented`]; `solve_plan` and
+/// `value_map` are the handle-construction stages added on top of the
+/// symbolic factor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalyzeBreakdown {
+    /// Fill-reducing ordering ([`SolverOptions::ordering`]) plus the
+    /// symmetric permute that applies it (serial).
+    pub ordering: std::time::Duration,
     /// Elimination tree + postorder + permutation (serial, fused).
     pub etree: std::time::Duration,
     /// Column counts via row-subtree traversal.
@@ -198,7 +203,13 @@ pub struct AnalyzeBreakdown {
 impl AnalyzeBreakdown {
     /// Sum of all instrumented stages.
     pub fn total(&self) -> std::time::Duration {
-        self.etree + self.colcount + self.merge + self.relind + self.solve_plan + self.value_map
+        self.ordering
+            + self.etree
+            + self.colcount
+            + self.merge
+            + self.relind
+            + self.solve_plan
+            + self.value_map
     }
 }
 
@@ -356,13 +367,16 @@ impl SymbolicCholesky {
                 1
             };
 
+        let t = Instant::now();
         let fill = order(a, opts.ordering);
         let a_fill = a.permute(&fill);
+        let ordering = t.elapsed();
         let (sym, sym_stages) = analyze_instrumented(&a_fill, &opts.symbolic, analyze_lanes);
         let total_perm = sym.perm.compose(&fill);
         let a_fact = a_fill.permute(&sym.perm);
 
         let mut analyze_stages = AnalyzeBreakdown {
+            ordering,
             etree: sym_stages.etree,
             colcount: sym_stages.colcount,
             merge: sym_stages.merge,

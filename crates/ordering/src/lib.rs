@@ -20,7 +20,7 @@ pub mod nd;
 pub mod rcm;
 
 pub use mindeg::min_degree;
-pub use nd::{nested_dissection, NdOptions};
+pub use nd::nested_dissection;
 pub use rcm::{pseudo_peripheral, rcm};
 
 use rlchol_sparse::{Graph, Permutation, SymCsc};
@@ -34,7 +34,7 @@ pub enum OrderingMethod {
     MinDegree,
     /// Reverse Cuthill–McKee.
     Rcm,
-    /// Nested dissection with default options (the paper's choice).
+    /// Nested dissection (the paper's choice).
     NestedDissection,
 }
 
@@ -50,6 +50,6 @@ pub fn order_graph(g: &Graph, method: OrderingMethod) -> Permutation {
         OrderingMethod::Natural => Permutation::identity(g.n()),
         OrderingMethod::MinDegree => min_degree(g),
         OrderingMethod::Rcm => rcm(g),
-        OrderingMethod::NestedDissection => nested_dissection(g, &NdOptions::default()),
+        OrderingMethod::NestedDissection => nested_dissection(g),
     }
 }

@@ -7,10 +7,17 @@
 //! elements, and prunes variable lists — keeping memory linear in the
 //! original edge count.
 //!
-//! Degrees are exact (recomputed by a marked scan of each affected
-//! variable's reachable set), which is affordable here because nested
-//! dissection only calls minimum degree on small leaf subgraphs; it is
-//! also available as a stand-alone ordering for modest problems.
+//! Degrees are exact: after each pivot, every variable of the new
+//! element `Lp` has its reachable set (live variable neighbors plus the
+//! live variables of its elements) *counted* by one marked scan — the
+//! set is never materialised. Pruning a variable's lists needs no
+//! per-variable work either: `Lp` is tagged once per pivot, and absorbed
+//! elements are flagged dead (a live variable can only list an element
+//! that has not been absorbed yet, since absorption reaches every live
+//! variable of the element). This is affordable because nested
+//! dissection only calls minimum degree on small leaf subgraphs and
+//! separators; it is also available as a stand-alone ordering for
+//! modest problems.
 
 use rlchol_sparse::{Graph, Permutation};
 use std::cmp::Reverse;
@@ -28,20 +35,23 @@ pub fn min_degree(g: &Graph) -> Permutation {
     let mut elem_vars: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut var_elems: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut eliminated = vec![false; n];
+    let mut absorbed = vec![false; n];
     let mut stamp = vec![0u64; n];
     let mut heap: BinaryHeap<Reverse<(usize, usize, u64)>> = BinaryHeap::new();
     for v in 0..n {
         heap.push(Reverse((adj[v].len(), v, 0)));
     }
 
-    // Shared marker with a monotone tag so each scan gets a fresh epoch.
+    // Scan marker with a monotone tag so each scan gets a fresh epoch,
+    // and a second one holding the current pivot's element.
     let mut mark = vec![0u64; n];
     let mut tag = 0u64;
+    let mut in_lp = vec![usize::MAX; n];
     let mut order = Vec::with_capacity(n);
 
-    // Reachable set of `v`: live variable neighbors plus the live
-    // variables of adjacent elements, excluding `v`.
-    fn reach(
+    // Visits the reachable set of `v` — live variable neighbors plus the
+    // live variables of adjacent elements, excluding `v` — once each.
+    fn for_each_reach(
         v: usize,
         adj: &[Vec<usize>],
         elem_vars: &[Vec<usize>],
@@ -49,38 +59,37 @@ pub fn min_degree(g: &Graph) -> Permutation {
         eliminated: &[bool],
         mark: &mut [u64],
         tag: &mut u64,
-    ) -> Vec<usize> {
+        mut visit: impl FnMut(usize),
+    ) {
         *tag += 1;
         let t = *tag;
-        let mut out = Vec::new();
         mark[v] = t;
         for &u in &adj[v] {
             if !eliminated[u] && mark[u] != t {
                 mark[u] = t;
-                out.push(u);
+                visit(u);
             }
         }
         for &e in &var_elems[v] {
             for &u in &elem_vars[e] {
-                if !eliminated[u] && u != v && mark[u] != t {
+                if !eliminated[u] && mark[u] != t {
                     mark[u] = t;
-                    out.push(u);
+                    visit(u);
                 }
             }
         }
-        out
     }
 
-    while let Some(Reverse((deg, p, s))) = heap.pop() {
+    while let Some(Reverse((_, p, s))) = heap.pop() {
         if eliminated[p] || stamp[p] != s {
             continue;
         }
-        let _ = deg;
         eliminated[p] = true;
         order.push(p);
 
         // Form the new element: the pivot's reachable set.
-        let lp = reach(
+        let mut lp = Vec::new();
+        for_each_reach(
             p,
             &adj,
             &elem_vars,
@@ -88,30 +97,29 @@ pub fn min_degree(g: &Graph) -> Permutation {
             &eliminated,
             &mut mark,
             &mut tag,
+            |u| lp.push(u),
         );
-        let absorbed: Vec<usize> = var_elems[p].clone();
-        elem_vars[p] = lp.clone();
-        // Free absorbed element lists.
-        for &e in &absorbed {
-            if e != p {
-                elem_vars[e] = Vec::new();
-            }
+        // The pivot's old elements are absorbed into the new one.
+        for e in std::mem::take(&mut var_elems[p]) {
+            absorbed[e] = true;
+            elem_vars[e] = Vec::new();
         }
+        for &u in &lp {
+            in_lp[u] = p;
+        }
+        elem_vars[p] = lp;
 
-        for &v in &lp {
+        for k in 0..elem_vars[p].len() {
+            let v = elem_vars[p][k];
             // Prune v's variable list: drop the pivot, eliminated vars and
             // anything now covered by the new element.
-            tag += 1;
-            let t = tag;
-            for &u in &lp {
-                mark[u] = t; // tag members of the new element
-            }
-            adj[v].retain(|&u| !eliminated[u] && mark[u] != t);
+            adj[v].retain(|&u| !eliminated[u] && in_lp[u] != p);
             // Replace absorbed elements with the new one.
-            var_elems[v].retain(|e| !absorbed.contains(e));
+            var_elems[v].retain(|&e| !absorbed[e]);
             var_elems[v].push(p);
             // Exact new degree.
-            let d = reach(
+            let mut d = 0;
+            for_each_reach(
                 v,
                 &adj,
                 &elem_vars,
@@ -119,8 +127,8 @@ pub fn min_degree(g: &Graph) -> Permutation {
                 &eliminated,
                 &mut mark,
                 &mut tag,
-            )
-            .len();
+                |_| d += 1,
+            );
             stamp[v] += 1;
             heap.push(Reverse((d, v, stamp[v])));
         }

@@ -11,90 +11,94 @@
 //! 4. recurse on both halves, then emit the separator last;
 //! 5. order leaf components with exact minimum degree.
 //!
+//! The recursion works on *local* graphs: each half (and each component)
+//! is induced from the piece it was cut from, never from the original
+//! graph, together with the piece's local → global vertex map. Induced
+//! subgraphs number their vertices in increasing parent order, so every
+//! map is monotone and a piece's local numbering is exactly the
+//! numbering inducing it from the original graph would give: the
+//! ordering does not depend on where the recursion induces from, and the
+//! work per piece is proportional to the piece. A piece that is one
+//! connected component is dissected as it is, without a second copy.
+//!
 //! On the regular 2-D/3-D meshes that dominate the paper's test set this
 //! produces the familiar `O(n log n)` fill / `O(n^{3/2})`–`O(n²)` flop
 //! profiles that METIS achieves, which is all the downstream experiments
 //! need (the ordering only shapes the supernode size distribution).
 
 use crate::mindeg::min_degree;
-use crate::rcm::pseudo_peripheral;
+use crate::rcm::peripheral_levels;
 use rlchol_sparse::{Graph, Permutation};
 
-/// Options for [`nested_dissection`].
-#[derive(Debug, Clone, Copy)]
-pub struct NdOptions {
-    /// Subgraphs at or below this size are ordered with minimum degree.
-    pub leaf_size: usize,
-    /// Separator-shrinking passes after the level-set cut.
-    pub shrink_passes: usize,
-}
-
-impl Default for NdOptions {
-    fn default() -> Self {
-        NdOptions {
-            leaf_size: 96,
-            shrink_passes: 4,
-        }
-    }
-}
+/// Components at or below this size are ordered with minimum degree.
+const LEAF_SIZE: usize = 96;
+/// Separator-shrinking passes after the level-set cut.
+const SHRINK_PASSES: usize = 4;
 
 /// Computes a nested-dissection ordering of `g`.
-pub fn nested_dissection(g: &Graph, opts: &NdOptions) -> Permutation {
+pub fn nested_dissection(g: &Graph) -> Permutation {
     let n = g.n();
     let mut order = Vec::with_capacity(n);
-    let all: Vec<usize> = (0..n).collect();
-    dissect(g, &all, opts, &mut order);
+    let globals: Vec<usize> = (0..n).collect();
+    dissect(g, &globals, &mut order);
     debug_assert_eq!(order.len(), n);
     Permutation::from_old_of(order).expect("nested dissection visits each vertex once")
 }
 
-/// Recursively orders the induced subgraph on `vertices` (global ids),
-/// appending eliminated vertices to `out`.
-fn dissect(g: &Graph, vertices: &[usize], opts: &NdOptions, out: &mut Vec<usize>) {
-    if vertices.is_empty() {
-        return;
+/// Orders the piece `g`, whose local vertex `l` is global vertex
+/// `globals[l]`, appending eliminated global vertices to `out`.
+fn dissect(g: &Graph, globals: &[usize], out: &mut Vec<usize>) {
+    let comps = g.connected_components();
+    if comps.len() == 1 {
+        return dissect_connected(g, globals, out);
     }
-    let (sub, globals) = g.induced_subgraph(vertices);
-    for comp in sub.connected_components() {
-        if comp.len() <= opts.leaf_size {
-            // Leaf: minimum degree on the component.
-            let (leaf, leaf_globals) = sub.induced_subgraph(&comp);
-            let p = min_degree(&leaf);
-            out.extend(p.old_of_slice().iter().map(|&l| globals[leaf_globals[l]]));
-            continue;
-        }
-        let (comp_graph, comp_globals) = sub.induced_subgraph(&comp);
-        match bisect(&comp_graph, opts) {
-            Some((a, b, sep)) => {
-                let to_global = |locals: &[usize]| -> Vec<usize> {
-                    locals.iter().map(|&l| globals[comp_globals[l]]).collect()
-                };
-                dissect(g, &to_global(&a), opts, out);
-                dissect(g, &to_global(&b), opts, out);
-                // Separator vertices are eliminated last; order them by
-                // minimum degree of their induced subgraph for a better
-                // dense tail.
-                let sep_global = to_global(&sep);
-                let (sg, sg_globals) = g.induced_subgraph(&sep_global);
-                let p = min_degree(&sg);
-                out.extend(p.old_of_slice().iter().map(|&l| sg_globals[l]));
-            }
-            None => {
-                // Bisection failed (e.g. a clique): fall back to MD.
-                let p = min_degree(&comp_graph);
-                out.extend(p.old_of_slice().iter().map(|&l| globals[comp_globals[l]]));
-            }
-        }
+    for comp in comps {
+        let (c, c_globals) = piece(g, globals, &comp);
+        dissect_connected(&c, &c_globals, out);
     }
+}
+
+/// [`dissect`] for a connected piece.
+fn dissect_connected(g: &Graph, globals: &[usize], out: &mut Vec<usize>) {
+    if g.n() <= LEAF_SIZE {
+        return emit_min_degree(g, globals, out);
+    }
+    match bisect(g) {
+        Some((a, b, sep)) => {
+            for half in [a, b] {
+                let (h, h_globals) = piece(g, globals, &half);
+                dissect(&h, &h_globals, out);
+            }
+            // Separator vertices are eliminated last; order them by
+            // minimum degree of their induced subgraph for a better
+            // dense tail.
+            let (s, s_globals) = piece(g, globals, &sep);
+            emit_min_degree(&s, &s_globals, out);
+        }
+        // Bisection failed (e.g. a clique): fall back to MD.
+        None => emit_min_degree(g, globals, out),
+    }
+}
+
+/// The subgraph of the piece `g` induced by its ascending local vertices
+/// `locals`, with that subgraph's own local → global map.
+fn piece(g: &Graph, globals: &[usize], locals: &[usize]) -> (Graph, Vec<usize>) {
+    let (sub, _) = g.induced_subgraph(locals);
+    (sub, locals.iter().map(|&l| globals[l]).collect())
+}
+
+/// Appends the minimum-degree ordering of the piece `g`, as global ids.
+fn emit_min_degree(g: &Graph, globals: &[usize], out: &mut Vec<usize>) {
+    let p = min_degree(g);
+    out.extend(p.old_of_slice().iter().map(|&l| globals[l]));
 }
 
 /// Splits a connected graph into `(A, B, S)` with `S` a vertex separator.
 /// Returns `None` when no useful split exists.
-fn bisect(g: &Graph, opts: &NdOptions) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
+fn bisect(g: &Graph) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
     let n = g.n();
     let mask = vec![true; n];
-    let root = pseudo_peripheral(g, 0, &mask);
-    let (levels, level_of) = g.bfs_levels(root, &mask);
+    let (_, levels, level_of) = peripheral_levels(g, 0, &mask);
     if levels.len() < 3 {
         return None; // graph of diameter < 2: no interior level to cut
     }
@@ -121,7 +125,7 @@ fn bisect(g: &Graph, opts: &NdOptions) -> Option<(Vec<usize>, Vec<usize>, Vec<us
 
     // Shrink: a separator vertex with all non-separator neighbors on one
     // side joins that side. Multiple passes let the separator thin out.
-    for _ in 0..opts.shrink_passes {
+    for _ in 0..SHRINK_PASSES {
         let mut changed = false;
         for v in 0..n {
             if side[v] != 2 {
@@ -140,7 +144,8 @@ fn bisect(g: &Graph, opts: &NdOptions) -> Option<(Vec<usize>, Vec<usize>, Vec<us
                 side[v] = if has_a { 0 } else { 1 };
                 changed = true;
             } else if !has_a && !has_b {
-                // Separator-only neighborhood: join the smaller side.
+                // Separator-only neighborhood: join A, whichever side is
+                // smaller (no B neighbor, so no A-B edge appears).
                 side[v] = 0;
                 changed = true;
             }
@@ -197,14 +202,14 @@ mod tests {
     #[test]
     fn orders_every_vertex_once() {
         let g = grid2d(12);
-        let p = nested_dissection(&g, &NdOptions::default());
+        let p = nested_dissection(&g);
         assert_eq!(p.len(), 144);
     }
 
     #[test]
     fn bisect_produces_valid_separator() {
         let g = grid2d(10);
-        let (a, b, s) = bisect(&g, &NdOptions::default()).expect("grid splits");
+        let (a, b, s) = bisect(&g).expect("grid splits");
         assert_eq!(a.len() + b.len() + s.len(), 100);
         assert!(!a.is_empty() && !b.is_empty());
         // No direct A-B edge.
@@ -227,7 +232,7 @@ mod tests {
     #[test]
     fn small_graphs_fall_back_to_min_degree() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let p = nested_dissection(&g, &NdOptions::default());
+        let p = nested_dissection(&g);
         assert_eq!(p.len(), 5);
     }
 
@@ -241,15 +246,15 @@ mod tests {
             }
         }
         let g = Graph::from_edges(k, &edges);
-        let p = nested_dissection(&g, &NdOptions::default());
+        let p = nested_dissection(&g);
         assert_eq!(p.len(), k);
     }
 
     #[test]
     fn deterministic() {
         let g = grid2d(9);
-        let p1 = nested_dissection(&g, &NdOptions::default());
-        let p2 = nested_dissection(&g, &NdOptions::default());
+        let p1 = nested_dissection(&g);
+        let p2 = nested_dissection(&g);
         assert_eq!(p1, p2);
     }
 
@@ -270,7 +275,7 @@ mod tests {
             }
         }
         let g = Graph::from_edges(72, &edges);
-        let p = nested_dissection(&g, &NdOptions::default());
+        let p = nested_dissection(&g);
         assert_eq!(p.len(), 72);
     }
 }

@@ -7,23 +7,29 @@ use rlchol_sparse::{Graph, Permutation};
 /// repeat BFS from the lowest-degree vertex of the deepest level until the
 /// eccentricity stops increasing).
 pub fn pseudo_peripheral(g: &Graph, start: usize, mask: &[bool]) -> usize {
-    let mut root = start;
-    let (mut levels, _) = g.bfs_levels(root, mask);
-    let mut depth = levels.len();
+    peripheral_levels(g, start, mask).0
+}
+
+/// [`pseudo_peripheral`] plus the BFS level structure rooted at the
+/// returned vertex (`levels`, `level_of` as from [`Graph::bfs_levels`]),
+/// which the search has already computed.
+pub(crate) fn peripheral_levels(
+    g: &Graph,
+    start: usize,
+    mask: &[bool],
+) -> (usize, Vec<Vec<usize>>, Vec<usize>) {
+    let (mut levels, _) = g.bfs_levels(start, mask);
     loop {
         let last = levels.last().expect("component is nonempty");
         let candidate = *last
             .iter()
             .min_by_key(|&&v| (g.degree(v), v))
             .expect("last level nonempty");
-        let (lv, _) = g.bfs_levels(candidate, mask);
-        if lv.len() > depth {
-            depth = lv.len();
-            root = candidate;
+        let (lv, level_of) = g.bfs_levels(candidate, mask);
+        if lv.len() > levels.len() {
             levels = lv;
         } else {
-            let _ = root;
-            return candidate;
+            return (candidate, lv, level_of);
         }
     }
 }

@@ -131,6 +131,14 @@ impl Graph {
 
     /// The subgraph induced by `vertices`, plus the mapping
     /// `local -> global` (which equals the sorted, deduplicated input).
+    ///
+    /// Because that mapping is monotone, each local neighbor list comes
+    /// out of the parent's sorted list already sorted, so the CSR is
+    /// written directly: the cost is O(`self.n()` + the selected
+    /// vertices' degrees), i.e. proportional to the piece being split,
+    /// not to whatever larger graph `self` was itself cut from. Recursive
+    /// callers (nested dissection) therefore induce each child from its
+    /// parent piece rather than from the original graph.
     pub fn induced_subgraph(&self, vertices: &[usize]) -> (Graph, Vec<usize>) {
         let mut globals: Vec<usize> = vertices.to_vec();
         globals.sort_unstable();
@@ -139,34 +147,38 @@ impl Graph {
         for (local, &g) in globals.iter().enumerate() {
             local_of[g] = local;
         }
-        let mut edges = Vec::new();
-        for (lu, &gu) in globals.iter().enumerate() {
-            for &gv in self.neighbors(gu) {
-                let lv = local_of[gv];
-                if lv != usize::MAX && lu < lv {
-                    edges.push((lu, lv));
-                }
-            }
+        let mut xadj = Vec::with_capacity(globals.len() + 1);
+        xadj.push(0);
+        let mut adjncy = Vec::new();
+        for &gu in &globals {
+            adjncy.extend(
+                self.neighbors(gu)
+                    .iter()
+                    .map(|&gv| local_of[gv])
+                    .filter(|&lv| lv != usize::MAX),
+            );
+            xadj.push(adjncy.len());
         }
-        (Graph::from_edges(globals.len(), &edges), globals)
+        (Graph { xadj, adjncy }, globals)
     }
 
-    /// Connected components, as a vector of vertex lists.
+    /// Connected components, as a vector of vertex lists: components in
+    /// order of their smallest vertex, each list ascending.
     pub fn connected_components(&self) -> Vec<Vec<usize>> {
         let n = self.n();
         let mut comp = vec![usize::MAX; n];
-        let mut comps: Vec<Vec<usize>> = Vec::new();
+        let mut sizes: Vec<usize> = Vec::new();
         let mut stack = Vec::new();
         for s in 0..n {
             if comp[s] != usize::MAX {
                 continue;
             }
-            let id = comps.len();
-            let mut members = Vec::new();
+            let id = sizes.len();
+            let mut size = 0;
             comp[s] = id;
             stack.push(s);
             while let Some(v) = stack.pop() {
-                members.push(v);
+                size += 1;
                 for &u in self.neighbors(v) {
                     if comp[u] == usize::MAX {
                         comp[u] = id;
@@ -174,8 +186,12 @@ impl Graph {
                     }
                 }
             }
-            members.sort_unstable();
-            comps.push(members);
+            sizes.push(size);
+        }
+        // One ascending pass buckets the members already sorted.
+        let mut comps: Vec<Vec<usize>> = sizes.iter().map(|&k| Vec::with_capacity(k)).collect();
+        for v in 0..n {
+            comps[comp[v]].push(v);
         }
         comps
     }
@@ -248,6 +264,17 @@ mod tests {
         assert_eq!(s.num_edges(), 2);
         assert!(s.has_edge(0, 1)); // 1-2
         assert!(s.has_edge(1, 2)); // 2-3
+    }
+
+    #[test]
+    fn induced_subgraph_matches_the_edge_list_construction() {
+        // Unsorted, duplicated selection from a graph with a chord: the
+        // direct CSR must equal rebuilding from the induced edge list.
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 4), (1, 5)]);
+        let (s, globals) = g.induced_subgraph(&[5, 1, 4, 0, 1]);
+        assert_eq!(globals, vec![0, 1, 4, 5]);
+        let edges = [(0, 1), (0, 2), (1, 3), (2, 3)]; // 0-1, 0-4, 1-5, 4-5
+        assert_eq!(s, Graph::from_edges(4, &edges));
     }
 
     #[test]

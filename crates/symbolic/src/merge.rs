@@ -6,14 +6,22 @@
 //! zeros. Following §IV-A of the paper:
 //!
 //! * candidate merges are child/parent pairs `(J, p(J))`;
-//! * at each step the pair introducing the **least new fill** is merged
-//!   (a binary heap with lazy invalidation);
+//! * at each step the pair introducing the **least new fill** is merged,
+//!   ties going to the smallest child index;
 //! * merging stops once the cumulative increase in factor storage exceeds
 //!   a cap (25 % in the paper).
 //!
+//! Every live non-root node has exactly one candidate — the merge into
+//! its current parent — so the candidates live in an *indexed* min-heap
+//! keyed by `(cost, child)`: a merge re-keys the surviving parent and its
+//! children in place, so the heap never holds a stale entry.
+//!
 //! Because `rows(J) ⊆ cols(P) ∪ rows(P)` for a supernodal child, the
 //! merged node's row set is exactly `rows(P)`, and the extra fill has the
-//! closed form `cJ·cP + cJ·(|rows(P)| − |rows(J)|)`.
+//! closed form `cJ·cP + cJ·(|rows(P)| − |rows(J)|)`. A merged node's rows
+//! are therefore always the input rows of the supernode it kept, and only
+//! column *counts* are tracked while merging; each node's column list is
+//! collected once, at the end.
 //!
 //! Merged supernodes need not be contiguous in the current ordering
 //! (siblings may sit between a child and its parent), so the merge phase
@@ -22,7 +30,6 @@
 //! simplicial fill exactly (they are equivalent orderings of the etree).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::supernodes::SupernodePartition;
 use crate::NONE;
@@ -61,33 +68,115 @@ fn merge_cost(cj: usize, rj: usize, cp: usize, rp: usize) -> u64 {
     (cj * cp) as u64 + (cj as u64) * (rp as u64) - (cj as u64) * (rj as u64)
 }
 
+/// A (possibly merged) supernode, indexed by the input supernode whose
+/// row set it keeps.
 struct Node {
-    /// Global (pre-merge) column indices, ascending.
-    cols: Vec<usize>,
-    /// Current row set; only the parent's set survives a merge.
-    rows: Vec<usize>,
+    /// Number of (pre-merge) columns.
+    ncols: usize,
     parent: usize,
     children: Vec<usize>,
-    alive: bool,
-    version: u64,
+    /// The node this one was merged into, or [`NONE`] while alive.
+    merged_into: usize,
 }
 
-fn push_candidate(
-    heap: &mut BinaryHeap<Reverse<(u64, usize, u64, usize, u64)>>,
-    nodes: &[Node],
-    j: usize,
-) {
-    let p = nodes[j].parent;
-    if p == NONE {
-        return;
+/// Binary min-heap over node ids keyed by `(cost[j], j)`, with a position
+/// index so a node's key can change in place.
+struct CandidateHeap {
+    heap: Vec<usize>,
+    /// Slot of each node in `heap`, or [`NONE`].
+    pos: Vec<usize>,
+    cost: Vec<u64>,
+}
+
+impl CandidateHeap {
+    fn new(n: usize) -> Self {
+        CandidateHeap {
+            heap: Vec::with_capacity(n),
+            pos: vec![NONE; n],
+            cost: vec![0; n],
+        }
     }
-    let cost = merge_cost(
-        nodes[j].cols.len(),
-        nodes[j].rows.len(),
-        nodes[p].cols.len(),
-        nodes[p].rows.len(),
-    );
-    heap.push(Reverse((cost, j, nodes[j].version, p, nodes[p].version)));
+
+    fn less(&self, a: usize, b: usize) -> bool {
+        (self.cost[a], a) < (self.cost[b], b)
+    }
+
+    fn place(&mut self, slot: usize, j: usize) {
+        self.heap[slot] = j;
+        self.pos[j] = slot;
+    }
+
+    fn sift_up(&mut self, mut slot: usize) {
+        let j = self.heap[slot];
+        while slot > 0 {
+            let up = (slot - 1) / 2;
+            if !self.less(j, self.heap[up]) {
+                break;
+            }
+            self.place(slot, self.heap[up]);
+            slot = up;
+        }
+        self.place(slot, j);
+    }
+
+    fn sift_down(&mut self, mut slot: usize) {
+        let j = self.heap[slot];
+        let len = self.heap.len();
+        loop {
+            let mut child = 2 * slot + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.less(self.heap[child + 1], self.heap[child]) {
+                child += 1;
+            }
+            if !self.less(self.heap[child], j) {
+                break;
+            }
+            self.place(slot, self.heap[child]);
+            slot = child;
+        }
+        self.place(slot, j);
+    }
+
+    /// Inserts `j` with key `cost`, or moves it to that key.
+    fn set(&mut self, j: usize, cost: u64) {
+        let old = self.cost[j];
+        self.cost[j] = cost;
+        match self.pos[j] {
+            NONE => {
+                self.heap.push(j);
+                self.sift_up(self.heap.len() - 1);
+            }
+            slot if cost < old => self.sift_up(slot),
+            slot => self.sift_down(slot),
+        }
+    }
+
+    /// The node with the smallest key, and its cost.
+    fn peek(&self) -> Option<(usize, u64)> {
+        self.heap.first().map(|&j| (j, self.cost[j]))
+    }
+
+    fn pop(&mut self) {
+        let last = self.heap.pop().expect("pop on a non-empty heap");
+        self.pos[last] = NONE;
+        if !self.heap.is_empty() {
+            self.pos[self.heap[0]] = NONE;
+            self.place(0, last);
+            self.sift_down(0);
+        }
+    }
+}
+
+/// Keys `j`'s candidate — its merge into its current parent — if it has
+/// a parent.
+fn key_candidate(heap: &mut CandidateHeap, nodes: &[Node], rows: &[Vec<usize>], j: usize) {
+    let p = nodes[j].parent;
+    if p != NONE {
+        let cost = merge_cost(nodes[j].ncols, rows[j].len(), nodes[p].ncols, rows[p].len());
+        heap.set(j, cost);
+    }
 }
 
 /// Runs relaxed amalgamation.
@@ -104,101 +193,96 @@ pub fn merge_supernodes(
     let n = sn.n();
     let mut nodes: Vec<Node> = (0..nsup)
         .map(|s| Node {
-            cols: (sn.first_col(s)..sn.end_col(s)).collect(),
-            rows: rows[s].clone(),
+            ncols: sn.ncols(s),
             parent: NONE,
             children: Vec::new(),
-            alive: true,
-            version: 0,
+            merged_into: NONE,
         })
         .collect();
     // Parent pointers from the supernodal etree.
     for s in 0..nsup {
-        if let Some(&r) = nodes[s].rows.first() {
+        if let Some(&r) = rows[s].first() {
             let p = sn.col_to_sn[r];
             nodes[s].parent = p;
             nodes[p].children.push(s);
         }
     }
 
-    let base_storage: u64 = (0..nsup)
-        .map(|s| storage(nodes[s].cols.len(), nodes[s].rows.len()))
-        .sum();
+    let base_storage: u64 = (0..nsup).map(|s| storage(sn.ncols(s), rows[s].len())).sum();
     let budget = (base_storage as f64 * growth_cap) as u64;
 
-    // Min-heap of (cost, child, child_version, parent, parent_version).
-    let mut heap: BinaryHeap<Reverse<(u64, usize, u64, usize, u64)>> = BinaryHeap::new();
+    let mut heap = CandidateHeap::new(nsup);
     for s in 0..nsup {
-        push_candidate(&mut heap, &nodes, s);
+        key_candidate(&mut heap, &nodes, rows, s);
     }
 
     let mut extra_fill = 0u64;
     let mut merges = 0usize;
-    while let Some(Reverse((cost, j, jv, p, pv))) = heap.pop() {
-        if !nodes[j].alive || !nodes[p].alive {
-            continue;
-        }
-        if nodes[j].version != jv || nodes[p].version != pv || nodes[j].parent != p {
-            // Stale entry: refresh (the child may have a new parent or the
-            // parent a new shape).
-            push_candidate(&mut heap, &nodes, j);
-            continue;
-        }
+    while let Some((j, cost)) = heap.peek() {
         if extra_fill + cost > budget && cost > 0 {
             // The heap is cost-ordered, so every remaining candidate costs
             // at least this much: no further merge can fit the budget.
             break;
         }
+        heap.pop();
         // Merge j into p.
+        let p = nodes[j].parent;
         extra_fill += cost;
         merges += 1;
-        let child = std::mem::replace(
-            &mut nodes[j],
-            Node {
-                cols: Vec::new(),
-                rows: Vec::new(),
-                parent: NONE,
-                children: Vec::new(),
-                alive: false,
-                version: u64::MAX,
-            },
-        );
-        let mut cols = child.cols;
-        cols.extend_from_slice(&nodes[p].cols);
-        cols.sort_unstable();
-        nodes[p].cols = cols;
+        nodes[j].merged_into = p;
+        let grandchildren = std::mem::take(&mut nodes[j].children);
+        nodes[p].ncols += nodes[j].ncols;
         nodes[p].children.retain(|&c| c != j);
-        for &c in &child.children {
+        for &c in &grandchildren {
             nodes[c].parent = p;
-            nodes[c].version += 1;
         }
-        let grandchildren = child.children;
         nodes[p].children.extend_from_slice(&grandchildren);
-        nodes[p].version += 1;
-        // Refresh candidates involving p (its children and itself).
-        push_candidate(&mut heap, &nodes, p);
-        let kids = nodes[p].children.clone();
-        for c in kids {
-            push_candidate(&mut heap, &nodes, c);
+        // Re-key candidates involving p (itself and its children).
+        key_candidate(&mut heap, &nodes, rows, p);
+        for k in 0..nodes[p].children.len() {
+            key_candidate(&mut heap, &nodes, rows, nodes[p].children[k]);
         }
     }
 
-    build_result(nodes, n, merges, extra_fill, base_storage)
+    build_result(sn, rows, nodes, n, merges, extra_fill, base_storage)
 }
 
 /// Postorders the merged forest and renumbers columns so each merged
 /// supernode is contiguous.
 fn build_result(
-    nodes: Vec<Node>,
+    sn: &SupernodePartition,
+    rows: &[Vec<usize>],
+    mut nodes: Vec<Node>,
     n: usize,
     merges: usize,
     extra_fill: u64,
     base_storage: u64,
 ) -> MergeResult {
-    let live: Vec<usize> = (0..nodes.len()).filter(|&s| nodes[s].alive).collect();
+    // Each input supernode's columns go to the live node it ended up in.
+    // Visiting supernodes in column order keeps every node's list sorted.
+    let nsup = nodes.len();
+    let mut cols: Vec<Vec<usize>> = vec![Vec::new(); nsup];
+    for s in 0..nsup {
+        let mut live = s;
+        while nodes[live].merged_into != NONE {
+            live = nodes[live].merged_into;
+        }
+        // Path compression: later members of the same chain stop here.
+        let mut v = s;
+        while nodes[v].merged_into != NONE {
+            let next = nodes[v].merged_into;
+            nodes[v].merged_into = live;
+            v = next;
+        }
+        cols[live].extend(sn.first_col(s)..sn.end_col(s));
+    }
+
+    let live: Vec<usize> = (0..nsup)
+        .filter(|&s| nodes[s].merged_into == NONE)
+        .collect();
     // DFS postorder over live nodes; roots and children ordered by their
     // smallest original column for determinism.
-    let key = |s: usize| nodes[s].cols[0];
+    let key = |s: usize| cols[s][0];
     let mut roots: Vec<usize> = live
         .iter()
         .copied()
@@ -207,6 +291,7 @@ fn build_result(
     roots.sort_by_key(|&s| key(s));
     let mut order: Vec<usize> = Vec::with_capacity(live.len());
     let mut stack: Vec<(usize, bool)> = Vec::new();
+    let mut kids: Vec<usize> = Vec::new();
     for &r in roots.iter() {
         stack.push((r, false));
         while let Some((v, expanded)) = stack.pop() {
@@ -214,11 +299,9 @@ fn build_result(
                 order.push(v);
             } else {
                 stack.push((v, true));
-                let mut kids = nodes[v].children.clone();
+                kids.clone_from(&nodes[v].children);
                 kids.sort_by_key(|&s| Reverse(key(s)));
-                for k in kids {
-                    stack.push((k, false));
-                }
+                stack.extend(kids.iter().map(|&k| (k, false)));
             }
         }
     }
@@ -228,24 +311,24 @@ fn build_result(
     let mut old_of = Vec::with_capacity(n);
     let mut sn_start = vec![0usize];
     for &s in &order {
-        old_of.extend_from_slice(&nodes[s].cols);
+        old_of.extend_from_slice(&cols[s]);
         sn_start.push(old_of.len());
     }
     let perm = Permutation::from_old_of(old_of).expect("merge reordering is a bijection");
-    let sn = SupernodePartition::from_starts(sn_start);
+    let merged = SupernodePartition::from_starts(sn_start);
     // Map row sets to the new numbering.
-    let rows: Vec<Vec<usize>> = order
+    let new_rows: Vec<Vec<usize>> = order
         .iter()
         .map(|&s| {
-            let mut r: Vec<usize> = nodes[s].rows.iter().map(|&i| perm.new_of(i)).collect();
+            let mut r: Vec<usize> = rows[s].iter().map(|&i| perm.new_of(i)).collect();
             r.sort_unstable();
             r
         })
         .collect();
     MergeResult {
         perm,
-        sn,
-        rows,
+        sn: merged,
+        rows: new_rows,
         merges,
         extra_fill,
         base_storage,

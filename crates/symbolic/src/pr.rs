@@ -32,59 +32,99 @@ pub struct PrResult {
     pub blocks_after: usize,
 }
 
+/// Visits every `(P, S(J, P))` in updater order `J`, and within one
+/// updater in target order.
+fn for_each_segment<'a>(
+    sn: &SupernodePartition,
+    rows: &'a [Vec<usize>],
+    mut visit: impl FnMut(usize, &'a [usize]),
+) {
+    for rj in rows {
+        let mut k = 0usize;
+        while k < rj.len() {
+            let target = sn.col_to_sn[rj[k]];
+            let len = rj[k..].partition_point(|&r| r < sn.end_col(target));
+            visit(target, &rj[k..k + len]);
+            k += len;
+        }
+    }
+}
+
 /// Runs partition refinement on every supernode's column range.
 pub fn refine_partition(sn: &SupernodePartition, rows: &[Vec<usize>]) -> PrResult {
     let n = sn.n();
     let nsup = sn.nsup();
     let blocks_before = total_blocks(rows, sn);
 
-    // Gather subsets per target supernode: S(J, P) = rows(J) ∩ cols(P).
-    let mut subsets: Vec<Vec<Vec<usize>>> = vec![Vec::new(); nsup];
-    for rj in rows.iter() {
-        let mut k = 0usize;
-        while k < rj.len() {
-            let target = sn.col_to_sn[rj[k]];
-            let end = sn.end_col(target);
-            let mut seg = Vec::new();
-            while k < rj.len() && rj[k] < end {
-                seg.push(rj[k]);
-                k += 1;
-            }
-            subsets[target].push(seg);
-        }
+    // Gather subsets per target supernode, S(J, P) = rows(J) ∩ cols(P),
+    // as slices of `rows` grouped by target (CSR: `subsets[start[p]..
+    // start[p + 1]]`), each target's in updater order.
+    let mut start = vec![0usize; nsup + 1];
+    for_each_segment(sn, rows, |target, _| start[target + 1] += 1);
+    for p in 0..nsup {
+        start[p + 1] += start[p];
     }
+    let mut subsets: Vec<&[usize]> = vec![&[]; start[nsup]];
+    let mut next = start.clone();
+    for_each_segment(sn, rows, |target, seg| {
+        subsets[next[target]] = seg;
+        next[target] += 1;
+    });
 
     // Refine each supernode independently; build the global permutation.
+    // `order[bounds[c]..bounds[c + 1]]` is class `c` of the current
+    // supernode; every buffer is reused across supernodes.
     let mut old_of: Vec<usize> = (0..n).collect();
     let mut in_set = vec![false; n];
+    let mut order: Vec<usize> = Vec::new();
+    let mut outside: Vec<usize> = Vec::new();
+    let mut bounds: Vec<usize> = Vec::new();
+    let mut next_bounds: Vec<usize> = Vec::new();
+    let mut new_pos: Vec<usize> = Vec::new();
+    let mut positions: Vec<usize> = Vec::new();
     for p in 0..nsup {
         let (f, e) = (sn.first_col(p), sn.end_col(p));
-        if e - f <= 1 || subsets[p].is_empty() {
+        if e - f <= 1 || start[p] == start[p + 1] {
             continue;
         }
-        let mut sets = std::mem::take(&mut subsets[p]);
-        // Largest updaters first.
+        // Largest updaters first (stable: ties stay in updater order).
+        let sets = &mut subsets[start[p]..start[p + 1]];
         sets.sort_by_key(|s| std::cmp::Reverse(s.len()));
-        let mut classes: Vec<Vec<usize>> = vec![(f..e).collect()];
-        for s in &sets {
+        order.clear();
+        order.extend(f..e);
+        bounds.clear();
+        bounds.extend([0, e - f]);
+        for &s in sets.iter() {
             if s.len() == e - f {
                 continue; // touches everything: refines nothing
             }
             for &c in s {
                 in_set[c] = true;
             }
-            let mut next = Vec::with_capacity(classes.len() + 1);
-            for class in classes.drain(..) {
-                let (inside, outside): (Vec<usize>, Vec<usize>) =
-                    class.iter().partition(|&&c| in_set[c]);
-                if inside.is_empty() || outside.is_empty() {
-                    next.push(if inside.is_empty() { outside } else { inside });
-                } else {
-                    next.push(inside);
-                    next.push(outside);
+            // Stable split of every class into its members in `s`, then
+            // the rest; a class entirely on one side stays whole.
+            next_bounds.clear();
+            next_bounds.push(0);
+            for w in bounds.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                outside.clear();
+                let mut inside = lo;
+                for k in lo..hi {
+                    let c = order[k];
+                    if in_set[c] {
+                        order[inside] = c;
+                        inside += 1;
+                    } else {
+                        outside.push(c);
+                    }
                 }
+                order[inside..hi].copy_from_slice(&outside);
+                if inside != lo && inside != hi {
+                    next_bounds.push(inside);
+                }
+                next_bounds.push(hi);
             }
-            classes = next;
+            std::mem::swap(&mut bounds, &mut next_bounds);
             for &c in s {
                 in_set[c] = false;
             }
@@ -92,25 +132,25 @@ pub fn refine_partition(sn: &SupernodePartition, rows: &[Vec<usize>]) -> PrResul
         // Monotonicity guard: only adopt the refined order if it does
         // not increase the number of runs the updaters see (the largest-
         // first heuristic can fragment small interleaved subsets).
-        let proposed: Vec<usize> = classes.into_iter().flatten().collect();
-        let runs_of = |order: &dyn Fn(usize) -> usize| -> usize {
-            // Position of each column under the candidate order.
-            sets.iter()
-                .map(|s| {
-                    let mut ps: Vec<usize> = s.iter().map(|&c| order(c)).collect();
-                    ps.sort_unstable();
-                    1 + ps.windows(2).filter(|w| w[1] != w[0] + 1).count()
-                })
-                .sum()
-        };
-        let mut new_pos = vec![0usize; e - f];
-        for (k, &c) in proposed.iter().enumerate() {
+        // Subsets are ascending, so under the identity order a run ends
+        // wherever consecutive members are not adjacent columns.
+        let runs = |ps: &[usize]| 1 + ps.windows(2).filter(|w| w[1] != w[0] + 1).count();
+        new_pos.clear();
+        new_pos.resize(e - f, 0);
+        for (k, &c) in order.iter().enumerate() {
             new_pos[c - f] = k;
         }
-        let before = runs_of(&|c: usize| c);
-        let after = runs_of(&|c: usize| new_pos[c - f]);
+        let mut before = 0;
+        let mut after = 0;
+        for &s in sets.iter() {
+            before += runs(s);
+            positions.clear();
+            positions.extend(s.iter().map(|&c| new_pos[c - f]));
+            positions.sort_unstable();
+            after += runs(&positions);
+        }
         if after <= before {
-            old_of[f..e].copy_from_slice(&proposed);
+            old_of[f..e].copy_from_slice(&order);
         }
     }
 

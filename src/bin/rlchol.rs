@@ -288,10 +288,11 @@ fn main() {
             );
             let ms = |d: Duration| d.as_secs_f64() * 1e3;
             println!(
-                "stage breakdown ({} analyze thread(s)): etree {:.1} ms, \
-                 colcount {:.1} ms, merge {:.1} ms, relind {:.1} ms, \
-                 solve plan {:.1} ms, value map {:.1} ms",
+                "stage breakdown ({} analyze thread(s)): ordering {:.1} ms, \
+                 etree {:.1} ms, colcount {:.1} ms, merge {:.1} ms, \
+                 relind {:.1} ms, solve plan {:.1} ms, value map {:.1} ms",
                 stages.threads,
+                ms(stages.ordering),
                 ms(stages.etree),
                 ms(stages.colcount),
                 ms(stages.merge),

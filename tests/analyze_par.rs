@@ -200,3 +200,16 @@ fn oneshot_analyze_honours_the_option() {
     assert_eq!(serial.analyze_breakdown().threads, 1);
     assert!(h.analysis_eq(&serial));
 }
+
+#[test]
+fn breakdown_charges_the_ordering_stage() {
+    // Nested dissection on a grid is most of an analysis; the breakdown
+    // must carry it as its own stage, inside the total.
+    let a = rlchol::matgen::grid2d(40, 40, rlchol::matgen::Stencil::Star5, 1, 5);
+    let h = CholeskySolver::analyze(&a, &opts(OrderingMethod::NestedDissection, 1));
+    let b = h.analyze_breakdown();
+    assert!(b.ordering > std::time::Duration::ZERO);
+    assert!(b.total() >= b.ordering + b.etree + b.merge);
+    let json = rlchol::core::json::analyze_breakdown_json(&b);
+    assert!(json.contains("\"ordering_ms\":"), "{json}");
+}
