@@ -99,13 +99,14 @@ impl FactorData {
     }
 
     /// Maximum relative elementwise difference against another factor
-    /// with the same structure (used to compare engines).
+    /// with the same structure (used to compare engines); NaN when any
+    /// entry of either is NaN.
     pub fn max_rel_diff(&self, other: &FactorData) -> f64 {
         let mut worst = 0.0f64;
         for (a, b) in self.sn.iter().zip(&other.sn) {
             for (&x, &y) in a.iter().zip(b) {
                 let scale = x.abs().max(y.abs()).max(1.0);
-                worst = worst.max((x - y).abs() / scale);
+                worst = max_nan(worst, (x - y).abs() / scale);
             }
         }
         worst
@@ -170,6 +171,7 @@ impl FactorData {
     /// Probabilistic reconstruction residual:
     /// `max_trials ‖A x − L(Lᵀ x)‖∞ / (‖A‖_max · ‖x‖₁)` over seeded random
     /// vectors — an O(nnz)-per-trial check suitable for large matrices.
+    /// NaN when the factor (or `a`) holds a NaN that reaches the product.
     pub fn residual(&self, sym: &SymbolicFactor, a: &SymCsc, trials: usize) -> f64 {
         let n = sym.n;
         let mut amax = 0.0f64;
@@ -195,10 +197,20 @@ impl FactorData {
             let err = ax
                 .iter()
                 .zip(&llx)
-                .fold(0.0f64, |m, (&p, &q)| m.max((p - q).abs()));
-            worst = worst.max(err / (amax.max(1e-300) * x1.max(1e-300)));
+                .fold(0.0f64, |m, (&p, &q)| max_nan(m, (p - q).abs()));
+            worst = max_nan(worst, err / (amax.max(1e-300) * x1.max(1e-300)));
         }
         worst
+    }
+}
+
+/// `a.max(b)`, except that a NaN on either side wins: `f64::max` returns
+/// the other operand, which would let a NaN factor compare as exact.
+fn max_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
     }
 }
 
@@ -282,11 +294,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn residual_reacts_to_wrong_factors() {
-        // For a diagonal matrix, the true factor has diag 2.0 (since
-        // A = 4 I). Loaded (unfactored) values give a large residual; the
-        // correct factor gives ~0.
+    /// `A = 4 I` (3 x 3), permuted, with its loaded (unfactored) values.
+    fn diagonal_4i() -> (SymbolicFactor, SymCsc, FactorData) {
         let mut t = TripletMatrix::new(3, 3);
         for j in 0..3 {
             t.push(j, j, 4.0);
@@ -294,15 +303,56 @@ mod tests {
         let a = SymCsc::from_lower_triplets(&t).unwrap();
         let sym = analyze(&a, &SymbolicOptions::default());
         let ap = a.permute(&sym.perm);
-        let mut f = FactorData::load(&sym, &ap);
-        assert!(f.residual(&sym, &ap, 2) > 1e-3);
-        for s in 0..sym.nsup() {
-            for v in f.sn[s].iter_mut() {
-                if *v != 0.0 {
-                    *v = 2.0;
-                }
+        let f = FactorData::load(&sym, &ap);
+        (sym, ap, f)
+    }
+
+    /// Overwrites every stored nonzero with 2.0: the exact factor of 4 I.
+    fn set_nonzeros_to_two(f: &mut FactorData) {
+        for v in f.sn.iter_mut().flatten() {
+            if *v != 0.0 {
+                *v = 2.0;
             }
         }
+    }
+
+    #[test]
+    fn residual_reacts_to_wrong_factors() {
+        // Loaded (unfactored) values give a large residual; the correct
+        // factor gives ~0.
+        let (sym, ap, mut f) = diagonal_4i();
+        assert!(f.residual(&sym, &ap, 2) > 1e-3);
+        set_nonzeros_to_two(&mut f);
         assert!(f.residual(&sym, &ap, 2) < 1e-14);
+    }
+
+    #[test]
+    fn residual_propagates_nan() {
+        // One NaN entry in an otherwise exact factor must not certify.
+        let (sym, ap, mut f) = diagonal_4i();
+        set_nonzeros_to_two(&mut f);
+        f.sn[0][0] = f64::NAN;
+        assert!(f.residual(&sym, &ap, 2).is_nan());
+    }
+
+    #[test]
+    fn max_rel_diff_propagates_nan() {
+        let a = small_spd();
+        let sym = analyze(&a, &SymbolicOptions::default());
+        let f = FactorData::load(&sym, &a.permute(&sym.perm));
+        let last = f.sn.len() - 1;
+        for (s, i) in [(0, 0), (last, f.sn[last].len() - 1)] {
+            let mut g = f.clone();
+            g.sn[s][i] = f64::NAN;
+            assert!(
+                f.max_rel_diff(&g).is_nan(),
+                "NaN at sn {s} entry {i} dropped"
+            );
+            assert!(
+                g.max_rel_diff(&f).is_nan(),
+                "NaN at sn {s} entry {i} dropped"
+            );
+        }
+        assert_eq!(f.max_rel_diff(&f), 0.0);
     }
 }

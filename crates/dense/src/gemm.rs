@@ -6,6 +6,23 @@
 //! buffers, and an `MR x NR` micro-kernel accumulates into registers. Edge
 //! tiles are handled by zero-padding the packed panels and masking the
 //! write-back, so the hot loop is branch-free.
+//!
+//! Each entry of `C` gets `alpha * acc` added once per `KC` block, where
+//! `acc` sums `a[i,p] * b[p,j]` over the block's `p` in order. The blocked
+//! loop (packing, macro- and micro-kernel) is compiled once per vector
+//! unit and chosen at run time (see the crate docs); the copies keep
+//! that arithmetic, so they agree to the last bit:
+//!
+//! * Rust never contracts `a * b + c` into an FMA, so every copy rounds
+//!   the product and the sum separately;
+//! * `KC` fixes where the sum over `k` is split, so it is not tuned per
+//!   vector unit — a different `KC` is a different result;
+//! * the dispatch sits inside the `PACK` thread-local closure, around the
+//!   loops themselves: a closure is a function of its own, so a
+//!   `#[target_feature]` copy wrapped around it would still call
+//!   baseline loops.
+
+use crate::isa::{isa_dispatch, Isa};
 
 /// Micro-tile rows (register blocking in the `m` dimension).
 pub const MR: usize = 8;
@@ -20,7 +37,7 @@ pub const NC: usize = 1024;
 
 /// Whether the second operand of [`gemm`] is transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransB {
+pub(crate) enum TransB {
     No,
     Yes,
 }
@@ -40,7 +57,21 @@ pub fn gemm_nn(
     c: &mut [f64],
     ldc: usize,
 ) {
-    gemm(m, n, k, alpha, a, lda, b, ldb, TransB::No, beta, c, ldc)
+    gemm(
+        Isa::host(),
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        TransB::No,
+        beta,
+        c,
+        ldc,
+    )
 }
 
 /// `C := alpha * A * Bᵀ + beta * C` where `A` is `m x k`, `B` is `n x k`
@@ -60,7 +91,21 @@ pub fn gemm_nt(
     c: &mut [f64],
     ldc: usize,
 ) {
-    gemm(m, n, k, alpha, a, lda, b, ldb, TransB::Yes, beta, c, ldc)
+    gemm(
+        Isa::host(),
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        TransB::Yes,
+        beta,
+        c,
+        ldc,
+    )
 }
 
 /// Scales the `m x n` block of `c` by `beta` (treating `beta == 0` as an
@@ -81,7 +126,10 @@ fn scale_c(m: usize, n: usize, beta: f64, c: &mut [f64], ldc: usize) {
     }
 }
 
-fn gemm(
+/// `C := alpha * A * op(B) + beta * C` on the `isa` copy of the blocked
+/// loop.
+pub(crate) fn gemm(
+    isa: Isa,
     m: usize,
     n: usize,
     k: usize,
@@ -109,6 +157,30 @@ fn gemm(
         let (apack, bpack) = &mut *cell.borrow_mut();
         apack.resize(MC.div_ceil(MR) * MR * KC, 0.0);
         bpack.resize(NC.div_ceil(NR) * NR * KC, 0.0);
+        blocked(
+            isa, m, n, k, alpha, a, lda, b, ldb, tb, c, ldc, apack, bpack,
+        );
+    });
+}
+
+isa_dispatch! {
+    /// The `NC` / `KC` / `MC` loop nest: pack a panel of `op(B)`, then
+    /// panels of `A`, and run the macro-kernel on each pair.
+    fn blocked(
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        tb: TransB,
+        c: &mut [f64],
+        ldc: usize,
+        apack: &mut [f64],
+        bpack: &mut [f64],
+    ) {
         let mut jc = 0;
         while jc < n {
             let nc = NC.min(n - jc);
@@ -127,7 +199,7 @@ fn gemm(
             }
             jc += NC;
         }
-    });
+    }
 }
 
 std::thread_local! {
@@ -141,6 +213,7 @@ std::thread_local! {
 
 /// Packs the `mc x kc` block of `A` starting at `(ic, pc)` into MR-row
 /// strips: strip `s` holds rows `ic + s*MR ..`, stored column-by-column.
+#[inline(always)]
 fn pack_a(apack: &mut [f64], a: &[f64], lda: usize, ic: usize, pc: usize, mc: usize, kc: usize) {
     let strips = mc.div_ceil(MR);
     for s in 0..strips {
@@ -159,6 +232,7 @@ fn pack_a(apack: &mut [f64], a: &[f64], lda: usize, ic: usize, pc: usize, mc: us
 
 /// Packs the `kc x nc` block of `op(B)` starting at `(pc, jc)` into NR-col
 /// strips: strip `s` holds columns `jc + s*NR ..`, stored row-by-row.
+#[inline(always)]
 fn pack_b(
     bpack: &mut [f64],
     b: &[f64],
@@ -194,6 +268,7 @@ fn pack_b(
     }
 }
 
+#[inline(always)]
 fn macro_kernel(
     mc: usize,
     nc: usize,
@@ -309,10 +384,7 @@ mod tests {
         gemm_naive(
             m, n, k, alpha, &a, lda, &b, ldb, transb, beta, &mut c_ref, ldc,
         );
-        let max_err = c_fast
-            .iter()
-            .zip(&c_ref)
-            .fold(0.0f64, |mx, (&x, &y)| mx.max((x - y).abs()));
+        let max_err = crate::mat::max_abs_diff(&c_fast, &c_ref);
         assert!(
             max_err < 1e-11 * (k as f64 + 1.0),
             "m={m} n={n} k={k} transb={transb} alpha={alpha} beta={beta}: err={max_err}"

@@ -25,6 +25,36 @@
 //! register-blocked micro-kernel; POTRF/TRSM/SYRK are blocked on top of it
 //! (right-looking, as in LAPACK).
 //!
+//! ## Vector units
+//!
+//! The crate is built for the target's baseline, but on x86-64 the
+//! factorization kernels run on the widest vector unit the host has:
+//! the blocked GEMM loop (packing plus macro/micro-kernel), the SYRK
+//! diagonal block, the unblocked TRSM and the unblocked POTRF are each
+//! compiled three times — for AVX-512F, AVX2 and the baseline — and one
+//! copy is picked per call with `is_x86_feature_detected!`. Other
+//! targets compile the baseline only. The triangular solves (`trsv_*`,
+//! `trsm_lln`/`trsm_llt`) are not dispatched.
+//!
+//! **Every copy gives the same bits**, so a factor does not depend on the
+//! host it was computed on:
+//!
+//! * the copies are one Rust body compiled for different units, and Rust
+//!   never contracts `a * b + c` into an FMA — the product and the sum
+//!   round separately in each;
+//! * the blocking constants are shared, and `KC` in particular fixes
+//!   where the GEMM's sum over `k` is split (each `KC` block is summed in
+//!   order, then `alpha * acc` is added to `C`), so it is not tuned per
+//!   unit;
+//! * the GEMM dispatch sits inside the thread-local packing-buffer
+//!   closure, around the loops themselves. A closure is a function of its
+//!   own, so a `#[target_feature]` copy wrapped around it would still run
+//!   baseline loops.
+//!
+//! A unit test compares every copy the host supports with the baseline
+//! bit for bit, and the root package's `tests/factor_pins.rs` pins the
+//! factor bits of every deterministic engine.
+//!
 //! ## Parallelism
 //!
 //! The [`par`] wrappers (`par_gemm_nn`, `par_gemm_nt`, `par_syrk_ln`,
@@ -40,6 +70,7 @@
 
 pub mod flops;
 pub mod gemm;
+mod isa;
 pub mod mat;
 pub mod par;
 pub mod pool;

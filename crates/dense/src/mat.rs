@@ -128,14 +128,12 @@ impl DMat {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute entry difference against `other`.
+    /// Maximum absolute entry difference against `other`; NaN when any
+    /// entry of either is NaN.
     pub fn max_abs_diff(&self, other: &DMat) -> f64 {
         assert_eq!(self.nrows, other.nrows);
         assert_eq!(self.ncols, other.ncols);
-        self.data
-            .iter()
-            .zip(&other.data)
-            .fold(0.0f64, |m, (&a, &b)| m.max((a - b).abs()))
+        max_abs_diff(&self.data, &other.data)
     }
 
     /// Zeroes the strict upper triangle (useful after in-place POTRF,
@@ -147,6 +145,19 @@ impl DMat {
             }
         }
     }
+}
+
+/// Largest `|a[i] - b[i]|`, NaN when any difference is NaN (a fold with
+/// `f64::max` would drop it and report the other entries' maximum).
+pub(crate) fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0, |m, (&x, &y)| {
+        let d = (x - y).abs();
+        if m.is_nan() || d.is_nan() {
+            f64::NAN
+        } else {
+            m.max(d)
+        }
+    })
 }
 
 impl std::ops::Index<(usize, usize)> for DMat {
@@ -218,6 +229,19 @@ mod tests {
         assert_eq!(t.nrows(), 3);
         assert_eq!(t[(2, 1)], 6.0);
         assert_eq!(t.transpose(), a);
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan() {
+        let a = DMat::from_col_major(3, 1, vec![1.0, 2.0, 3.0]);
+        for at in 0..3 {
+            let mut b = a.clone();
+            b[(at, 0)] = f64::NAN;
+            assert!(a.max_abs_diff(&b).is_nan(), "NaN at {at} dropped");
+            assert!(b.max_abs_diff(&a).is_nan(), "NaN at {at} dropped");
+        }
+        let c = DMat::from_col_major(3, 1, vec![1.0, 2.5, 3.0]);
+        assert_eq!(a.max_abs_diff(&c), 0.5);
     }
 
     #[test]

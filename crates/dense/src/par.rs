@@ -9,6 +9,7 @@
 //! too, so `threads = t` means `t` runnable lanes.
 
 use crate::gemm::{gemm_nn, gemm_nt};
+use crate::isa::Isa;
 use crate::pool;
 use crate::syrk::syrk_ln;
 use crate::trsm::{trsm_rlt, trsm_rlt_with};
@@ -220,7 +221,7 @@ pub fn par_trsm_rlt(
         trsm_rlt(m, n, l, ldl, b, ldb);
         return;
     }
-    trsm_rlt_with(threads, m, n, l, ldl, b, ldb)
+    trsm_rlt_with(Isa::host(), threads, m, n, l, ldl, b, ldb)
 }
 
 #[cfg(test)]
@@ -355,10 +356,7 @@ mod tests {
             let mut b2 = b0.clone();
             trsm_rlt(m, n, &l, ldl, &mut b1, ldb);
             par_trsm_rlt(threads, m, n, &l, ldl, &mut b2, ldb);
-            let worst = b1
-                .iter()
-                .zip(&b2)
-                .fold(0.0f64, |w, (&x, &y)| w.max((x - y).abs()));
+            let worst = crate::mat::max_abs_diff(&b1, &b2);
             assert!(worst < 1e-11, "threads={threads}: diff {worst}");
         }
     }

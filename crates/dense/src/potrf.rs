@@ -5,10 +5,11 @@
 //! rank-k update to the trailing matrix — the same structure the sparse
 //! supernodal algorithms replay at the supernode level.
 
-use crate::gemm::gemm_nt;
+use crate::gemm::{gemm, TransB};
+use crate::isa::{isa_dispatch, Isa};
 use crate::pool;
-use crate::syrk::syrk_ln;
-use crate::trsm::trsm_rlt;
+use crate::syrk::syrk_ln_with;
+use crate::trsm::trsm_rlt_with;
 use crate::NB;
 
 /// Failure of a Cholesky factorization.
@@ -34,7 +35,7 @@ impl std::error::Error for PotrfError {}
 /// dimension `lda`) in place as `A = L Lᵀ`, leaving `L` in the lower
 /// triangle. The strict upper triangle is neither read nor written.
 pub fn potrf(n: usize, a: &mut [f64], lda: usize) -> Result<(), PotrfError> {
-    with_l11_scratch(|l11| potrf_with(n, a, lda, l11, 1))
+    with_l11_scratch(|l11| potrf_with(Isa::host(), n, a, lda, l11, 1))
 }
 
 /// Pool-parallel [`potrf`]: the same fixed-`NB` right-looking loop, with
@@ -51,7 +52,7 @@ pub fn par_potrf(threads: usize, n: usize, a: &mut [f64], lda: usize) -> Result<
     if threads <= 1 || n <= NB {
         return potrf(n, a, lda);
     }
-    with_l11_scratch(|l11| potrf_with(n, a, lda, l11, threads))
+    with_l11_scratch(|l11| potrf_with(Isa::host(), n, a, lda, l11, threads))
 }
 
 /// Trailing update `C -= A Aᵀ` (lower triangle) striped at the serial
@@ -62,6 +63,7 @@ pub fn par_potrf(threads: usize, n: usize, a: &mut [f64], lda: usize) -> Result<
 /// the serial one regardless of execution order (the blocks write
 /// disjoint column ranges).
 fn par_syrk_update(
+    isa: Isa,
     threads: usize,
     n: usize,
     k: usize,
@@ -72,7 +74,7 @@ fn par_syrk_update(
 ) {
     let nblocks = n.div_ceil(NB.max(1));
     if threads <= 1 || nblocks < 2 {
-        syrk_ln(n, k, -1.0, a, lda, 1.0, c, ldc);
+        syrk_ln_with(isa, n, k, -1.0, a, lda, 1.0, c, ldc);
         return;
     }
     let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nblocks);
@@ -90,11 +92,12 @@ fn par_syrk_update(
             // `my_c` starts at column j0 of C; rows keep global indices.
             // Diagonal jb x jb triangle at (j0, j0) — a single-block
             // syrk_ln call over the same shifted operands.
-            syrk_ln(jb, k, -1.0, &a[j0..], lda, 1.0, &mut my_c[j0..], ldc);
+            syrk_ln_with(isa, jb, k, -1.0, &a[j0..], lda, 1.0, &mut my_c[j0..], ldc);
             // Rectangle below: rows j0+jb..n of columns [j0, j0+jb).
             let below = n - j0 - jb;
             if below > 0 {
-                gemm_nt(
+                gemm(
+                    isa,
                     below,
                     jb,
                     k,
@@ -103,6 +106,7 @@ fn par_syrk_update(
                     lda,
                     &a[j0..],
                     lda,
+                    TransB::Yes,
                     1.0,
                     &mut my_c[j0 + jb..],
                     ldc,
@@ -122,7 +126,7 @@ fn par_syrk_update(
 /// factorization never re-enters itself (the panel TRSM is a plain
 /// kernel and pool stripes run in their own threads), so the `RefCell`
 /// borrow is never contended.
-fn with_l11_scratch<R>(f: impl FnOnce(&mut [f64]) -> R) -> R {
+pub(crate) fn with_l11_scratch<R>(f: impl FnOnce(&mut [f64]) -> R) -> R {
     std::thread_local! {
         static L11: std::cell::RefCell<Vec<f64>> =
             const { std::cell::RefCell::new(Vec::new()) };
@@ -134,10 +138,12 @@ fn with_l11_scratch<R>(f: impl FnOnce(&mut [f64]) -> R) -> R {
     })
 }
 
-/// [`potrf`] against caller-provided diagonal-block scratch (grown to
-/// `NB * NB` by the wrapper above), with the panel/trailing kernels
-/// striped over `threads` pool lanes when `threads > 1`.
-fn potrf_with(
+/// [`potrf`] on the `isa` copy of the kernels, against caller-provided
+/// diagonal-block scratch (grown to `NB * NB` by the wrapper above),
+/// with the trailing update striped over `threads` pool lanes when
+/// `threads > 1`.
+pub(crate) fn potrf_with(
+    isa: Isa,
     n: usize,
     a: &mut [f64],
     lda: usize,
@@ -152,7 +158,7 @@ fn potrf_with(
         {
             // Factor the diagonal block in place.
             let blk = &mut a[k * lda + k..];
-            potf2(kb, blk, lda).map_err(|e| PotrfError { pivot: k + e.pivot })?;
+            potf2(isa, kb, blk, lda).map_err(|e| PotrfError { pivot: k + e.pivot })?;
         }
         if below > 0 {
             // Copy L11 out, then A21 := A21 * L11^{-T}.
@@ -165,54 +171,56 @@ fn potrf_with(
                 // The panel is at most NB columns wide, so the TRSM is
                 // the same serial kernel on every lane count.
                 let a21 = &mut a[k * lda + k + kb..];
-                trsm_rlt(below, kb, &l11[..kb * kb], kb, a21, lda);
+                trsm_rlt_with(isa, 1, below, kb, &l11[..kb * kb], kb, a21, lda);
             }
             // Trailing update A22 -= A21 * A21ᵀ. The two operands live in
             // disjoint column spans, so a split borrow works.
             let (panel_cols, trailing_cols) = a.split_at_mut((k + kb) * lda);
             let a21 = &panel_cols[k * lda + k + kb..];
             let a22 = &mut trailing_cols[k + kb..];
-            par_syrk_update(threads, below, kb, a21, lda, a22, lda);
+            par_syrk_update(isa, threads, below, kb, a21, lda, a22, lda);
         }
         k += kb;
     }
     Ok(())
 }
 
-/// Unblocked Cholesky on a `n x n` block (`n <= NB` in practice).
-fn potf2(n: usize, a: &mut [f64], lda: usize) -> Result<(), PotrfError> {
-    for j in 0..n {
-        // d = A[j,j] - sum_{p<j} L[j,p]^2
-        let mut d = a[j * lda + j];
-        for p in 0..j {
-            let l = a[p * lda + j];
-            d -= l * l;
-        }
-        if d <= 0.0 || !d.is_finite() {
-            return Err(PotrfError { pivot: j });
-        }
-        let d = d.sqrt();
-        a[j * lda + j] = d;
-        if j + 1 < n {
-            // Column update: A[j+1.., j] = (A[j+1.., j] - L[j+1.., <j] L[j, <j]ᵀ) / d
-            let (head, tail) = a.split_at_mut(j * lda);
-            let col = &mut tail[j + 1..n];
+isa_dispatch! {
+    /// Unblocked Cholesky on a `n x n` block (`n <= NB` in practice).
+    fn potf2(n: usize, a: &mut [f64], lda: usize) -> Result<(), PotrfError> {
+        for j in 0..n {
+            // d = A[j,j] - sum_{p<j} L[j,p]^2
+            let mut d = a[j * lda + j];
             for p in 0..j {
-                let ljp = head[p * lda + j];
-                if ljp != 0.0 {
-                    let lp = &head[p * lda + j + 1..p * lda + n];
-                    for (c, &v) in col.iter_mut().zip(lp) {
-                        *c -= ljp * v;
+                let l = a[p * lda + j];
+                d -= l * l;
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(PotrfError { pivot: j });
+            }
+            let d = d.sqrt();
+            a[j * lda + j] = d;
+            if j + 1 < n {
+                // Column update: A[j+1.., j] = (A[j+1.., j] - L[j+1.., <j] L[j, <j]ᵀ) / d
+                let (head, tail) = a.split_at_mut(j * lda);
+                let col = &mut tail[j + 1..n];
+                for p in 0..j {
+                    let ljp = head[p * lda + j];
+                    if ljp != 0.0 {
+                        let lp = &head[p * lda + j + 1..p * lda + n];
+                        for (c, &v) in col.iter_mut().zip(lp) {
+                            *c -= ljp * v;
+                        }
                     }
                 }
-            }
-            let inv = 1.0 / d;
-            for c in col.iter_mut() {
-                *c *= inv;
+                let inv = 1.0 / d;
+                for c in col.iter_mut() {
+                    *c *= inv;
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

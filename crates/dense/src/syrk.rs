@@ -4,7 +4,8 @@
 //! This is the single call RL uses to form a supernode's entire update
 //! matrix, and the per-block call RLB uses on ancestor diagonal blocks.
 
-use crate::gemm::gemm_nt;
+use crate::gemm::{gemm, TransB};
+use crate::isa::{isa_dispatch, Isa};
 use crate::NB;
 
 /// `C := alpha * A Aᵀ + beta * C` on the lower triangle.
@@ -12,6 +13,21 @@ use crate::NB;
 /// `A` is `n x k`, `C` is `n x n`; only entries with `i >= j` are read or
 /// written.
 pub fn syrk_ln(
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    beta: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    syrk_ln_with(Isa::host(), n, k, alpha, a, lda, beta, c, ldc)
+}
+
+/// [`syrk_ln`] on the `isa` copy of the kernels.
+pub(crate) fn syrk_ln_with(
+    isa: Isa,
     n: usize,
     k: usize,
     alpha: f64,
@@ -30,13 +46,14 @@ pub fn syrk_ln(
     while j0 < n {
         let jb = NB.min(n - j0);
         // Diagonal block: small triangular kernel.
-        syrk_diag_block(j0, jb, k, alpha, a, lda, beta, c, ldc);
+        syrk_diag_block(isa, j0, jb, k, alpha, a, lda, beta, c, ldc);
         // Sub-diagonal rectangle: plain GEMM with Bᵀ = A[J, :]ᵀ.
         let below = n - j0 - jb;
         if below > 0 {
             // C[j0+jb.., J] = alpha * A[j0+jb.., :] * A[J, :]ᵀ + beta * C
             let cj = j0 * ldc + j0 + jb;
-            gemm_nt(
+            gemm(
+                isa,
                 below,
                 jb,
                 k,
@@ -45,6 +62,7 @@ pub fn syrk_ln(
                 lda,
                 &a[j0..],
                 lda,
+                TransB::Yes,
                 beta,
                 &mut c[cj..],
                 ldc,
@@ -54,46 +72,48 @@ pub fn syrk_ln(
     }
 }
 
-/// Updates the `jb x jb` lower-triangular block of `C` at `(j0, j0)`.
-fn syrk_diag_block(
-    j0: usize,
-    jb: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    // Scale the triangle by beta first.
-    for j in 0..jb {
-        let base = (j0 + j) * ldc + j0 + j;
-        let col = &mut c[base..base + jb - j];
-        if beta == 0.0 {
-            col.fill(0.0);
-        } else if beta != 1.0 {
-            for v in col {
-                *v *= beta;
-            }
-        }
-    }
-    if alpha == 0.0 || k == 0 {
-        return;
-    }
-    // Rank-1 accumulation over the k dimension; columns of A are
-    // contiguous so the inner loop vectorizes.
-    for p in 0..k {
-        let ap = &a[p * lda + j0..p * lda + j0 + jb];
+isa_dispatch! {
+    /// Updates the `jb x jb` lower-triangular block of `C` at `(j0, j0)`.
+    fn syrk_diag_block(
+        j0: usize,
+        jb: usize,
+        k: usize,
+        alpha: f64,
+        a: &[f64],
+        lda: usize,
+        beta: f64,
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        // Scale the triangle by beta first.
         for j in 0..jb {
-            let s = alpha * ap[j];
-            if s == 0.0 {
-                continue;
-            }
             let base = (j0 + j) * ldc + j0 + j;
             let col = &mut c[base..base + jb - j];
-            for (ci, &av) in col.iter_mut().zip(&ap[j..]) {
-                *ci += s * av;
+            if beta == 0.0 {
+                col.fill(0.0);
+            } else if beta != 1.0 {
+                for v in col {
+                    *v *= beta;
+                }
+            }
+        }
+        if alpha == 0.0 || k == 0 {
+            return;
+        }
+        // Rank-1 accumulation over the k dimension; columns of A are
+        // contiguous so the inner loop vectorizes.
+        for p in 0..k {
+            let ap = &a[p * lda + j0..p * lda + j0 + jb];
+            for j in 0..jb {
+                let s = alpha * ap[j];
+                if s == 0.0 {
+                    continue;
+                }
+                let base = (j0 + j) * ldc + j0 + j;
+                let col = &mut c[base..base + jb - j];
+                for (ci, &av) in col.iter_mut().zip(&ap[j..]) {
+                    *ci += s * av;
+                }
             }
         }
     }

@@ -8,7 +8,8 @@
 //! * [`trsm_lln`] — `L X = B` (left, lower, no transpose): forward solve;
 //! * [`trsm_llt`] — `Lᵀ X = B` (left, lower, transposed): backward solve.
 
-use crate::gemm::gemm_nt;
+use crate::gemm::{gemm, TransB};
+use crate::isa::{isa_dispatch, Isa};
 use crate::par::par_gemm_nt;
 use crate::NB;
 
@@ -19,13 +20,15 @@ use crate::NB;
 /// trailing GEMM update from already-solved columns, then a small
 /// unblocked solve against the diagonal block.
 pub fn trsm_rlt(m: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
-    trsm_rlt_with(1, m, n, l, ldl, b, ldb)
+    trsm_rlt_with(Isa::host(), 1, m, n, l, ldl, b, ldb)
 }
 
 /// The blocked right-looking sweep shared by [`trsm_rlt`] and
-/// [`crate::par::par_trsm_rlt`]: `threads > 1` runs each block's trailing
-/// GEMM striped on the pool, everything else is identical.
+/// [`crate::par::par_trsm_rlt`], on the `isa` copy of the kernels:
+/// `threads > 1` runs each block's trailing GEMM striped on the pool
+/// (whose stripes take the host's copy), everything else is identical.
 pub(crate) fn trsm_rlt_with(
+    isa: Isa,
     threads: usize,
     m: usize,
     n: usize,
@@ -53,7 +56,21 @@ pub(crate) fn trsm_rlt_with(
             // split the jb (≤ NB) columns of this block, so per-block
             // parallelism is capped at jb regardless of the height m.
             if threads <= 1 {
-                gemm_nt(m, jb, j0, -1.0, solved, ldb, &l[j0..], ldl, 1.0, bj, ldb);
+                gemm(
+                    isa,
+                    m,
+                    jb,
+                    j0,
+                    -1.0,
+                    solved,
+                    ldb,
+                    &l[j0..],
+                    ldl,
+                    TransB::Yes,
+                    1.0,
+                    bj,
+                    ldb,
+                );
             } else {
                 par_gemm_nt(
                     threads,
@@ -71,36 +88,31 @@ pub(crate) fn trsm_rlt_with(
                 );
             }
         }
-        trsm_rlt_unblocked(m, jb, &l[j0 * ldl + j0..], ldl, bj, ldb);
+        trsm_rlt_unblocked(isa, m, jb, &l[j0 * ldl + j0..], ldl, bj, ldb);
         j0 += jb;
     }
 }
 
-/// Unblocked `X Lᵀ = B`; `l` points at the diagonal block.
-pub(crate) fn trsm_rlt_unblocked(
-    m: usize,
-    n: usize,
-    l: &[f64],
-    ldl: usize,
-    b: &mut [f64],
-    ldb: usize,
-) {
-    for j in 0..n {
-        // x_j = (b_j - sum_{i<j} x_i * L[j, i]) / L[j, j]
-        let (done, cur) = b.split_at_mut(j * ldb);
-        let xj = &mut cur[..m];
-        for i in 0..j {
-            let lji = l[i * ldl + j];
-            if lji != 0.0 {
-                let xi = &done[i * ldb..i * ldb + m];
-                for (x, &y) in xj.iter_mut().zip(xi) {
-                    *x -= lji * y;
+isa_dispatch! {
+    /// Unblocked `X Lᵀ = B`; `l` points at the diagonal block.
+    fn trsm_rlt_unblocked(m: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
+        for j in 0..n {
+            // x_j = (b_j - sum_{i<j} x_i * L[j, i]) / L[j, j]
+            let (done, cur) = b.split_at_mut(j * ldb);
+            let xj = &mut cur[..m];
+            for i in 0..j {
+                let lji = l[i * ldl + j];
+                if lji != 0.0 {
+                    let xi = &done[i * ldb..i * ldb + m];
+                    for (x, &y) in xj.iter_mut().zip(xi) {
+                        *x -= lji * y;
+                    }
                 }
             }
-        }
-        let d = 1.0 / l[j * ldl + j];
-        for x in xj.iter_mut() {
-            *x *= d;
+            let d = 1.0 / l[j * ldl + j];
+            for x in xj.iter_mut() {
+                *x *= d;
+            }
         }
     }
 }
