@@ -338,6 +338,10 @@ pub(crate) struct GpuRun {
 /// that copy: engines allocate it once per factorization (it grows to
 /// the largest diagonal block) so the per-supernode loop stays
 /// allocation-free.
+///
+/// A wide panel — the root separator, often the only ready work — needs
+/// no special path: `rlchol_dense` splits any large POTRF or TRSM across
+/// the pool itself, with the same bits at any lane count.
 pub fn factor_panel(
     arr: &mut [f64],
     len: usize,
@@ -345,31 +349,7 @@ pub fn factor_panel(
     r: usize,
     l11: &mut Vec<f64>,
 ) -> Result<(), usize> {
-    factor_panel_par(arr, len, c, r, l11, 1)
-}
-
-/// Parallel variant of [`factor_panel`] (and the shared implementation —
-/// `threads == 1` is the serial engines' path): same numerics, but the
-/// panel TRSM runs its trailing updates striped over the persistent pool
-/// ([`rlchol_dense::par_trsm_rlt`]), and diagonal blocks spanning at
-/// least two cache blocks take the pool-parallel POTRF
-/// ([`rlchol_dense::par_potrf`]) — the last serial stretch when a wide
-/// root supernode is the only ready work. Both parallel kernels are
-/// bit-identical to their serial forms, so engine output never depends
-/// on the lane count.
-pub fn factor_panel_par(
-    arr: &mut [f64],
-    len: usize,
-    c: usize,
-    r: usize,
-    l11: &mut Vec<f64>,
-    threads: usize,
-) -> Result<(), usize> {
-    if threads > 1 && c >= 2 * rlchol_dense::NB {
-        rlchol_dense::par_potrf(threads, c, arr, len).map_err(|e| e.pivot)?;
-    } else {
-        potrf(c, arr, len).map_err(|e| e.pivot)?;
-    }
+    potrf(c, arr, len).map_err(|e| e.pivot)?;
     if r > 0 {
         if l11.len() < c * c {
             l11.resize(c * c, 0.0);
@@ -379,11 +359,7 @@ pub fn factor_panel_par(
                 l11[j * c + i] = arr[j * len + i];
             }
         }
-        if threads <= 1 {
-            trsm_rlt(r, c, &l11[..c * c], c, &mut arr[c..], len);
-        } else {
-            rlchol_dense::par_trsm_rlt(threads, r, c, &l11[..c * c], c, &mut arr[c..], len);
-        }
+        trsm_rlt(r, c, &l11[..c * c], c, &mut arr[c..], len);
     }
     Ok(())
 }

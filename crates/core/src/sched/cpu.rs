@@ -6,12 +6,12 @@
 //!   panel, applies the fan-out updates guarded by a per-supernode lock
 //!   on the target's storage, and releases the targets through the
 //!   frontier — pushing any that become ready.
-//! * **Two-level parallelism.** Inside a task, sufficiently large BLAS
-//!   calls use the striped `par_*` kernels, whose stripes land on the
-//!   same pool; idle scheduler workers execute pending stripes instead of
-//!   sleeping, so tree-level and node-level parallelism compose without
-//!   oversubscription (near the root, few large tasks fan their stripes
-//!   out across the whole team).
+//! * **Two-level parallelism.** Inside a task, BLAS calls are the plain
+//!   `rlchol_dense` kernels, which split any large call across the same
+//!   pool themselves (one split at a time; a concurrent one runs on its
+//!   caller). Idle scheduler workers help with the running split instead
+//!   of sleeping, so near the root, where one wide supernode is the only
+//!   ready task, its kernels still use every lane.
 //! * **Error propagation.** A non-positive-definite pivot stops the
 //!   scheduler: the failing worker records the error and raises the stop
 //!   flag; everyone drains and the first error is returned. No task is
@@ -24,28 +24,22 @@
 //! source order, under either retirement discipline, for bit-exactness;
 //! see [`super::gpu`].)
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use rlchol_dense::{gemm_nt, par_gemm_nt, par_syrk_ln, pool, syrk_ln};
+use rlchol_dense::{gemm_nt, pool, syrk_ln};
 use rlchol_perfmodel::{Trace, TraceOp};
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::{scatter_segment, segments};
-use crate::engine::{factor_panel, factor_panel_par, CpuRun};
+use crate::engine::{factor_panel, CpuRun};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
 use crate::rlb::{rlb_run_updates, rlb_target_runs};
 use crate::storage::FactorData;
 
 use super::driver::Frontier;
-
-/// Flop threshold below which a task keeps a BLAS call serial instead of
-/// striping it across the pool (stripe setup costs ~µs; a call this
-/// small finishes faster than the fan-out).
-pub(crate) const PAR_FLOPS: f64 = 2.0e6;
 
 /// Which update formulation the scheduler applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,10 +98,6 @@ struct Shared<'a> {
     frontier: Frontier,
     ctrl: Mutex<Ctrl>,
     wake: Condvar,
-    /// Tree-level tasks currently factoring (for the lane-split
-    /// heuristic).
-    active: AtomicUsize,
-    threads: usize,
     variant: Variant,
     /// Deadline/cancel control, checked once per popped supernode (the
     /// workers' natural checkpoint granularity).
@@ -163,13 +153,6 @@ impl Shared<'_> {
             self.wake.notify_one();
         }
     }
-
-    /// Inner BLAS lanes for the current task: split the team across the
-    /// tasks currently running so stripes never oversubscribe.
-    fn inner_threads(&self) -> usize {
-        let active = self.active.load(Ordering::Relaxed).max(1);
-        (self.threads / active).max(1)
-    }
 }
 
 fn run_scheduler(
@@ -204,8 +187,6 @@ fn run_scheduler(
             stop: false,
         }),
         wake: Condvar::new(),
-        active: AtomicUsize::new(0),
-        threads,
         variant,
         ctl: ws.ctl.clone(),
         error: Mutex::new(None),
@@ -215,11 +196,11 @@ fn run_scheduler(
 
     // One scheduler worker per lane, on dedicated scoped threads (one
     // spawn per *factorization*, not per BLAS call — the pool still
-    // carries all the stripe work). Scheduler workers must NOT run as
-    // pool jobs: a task that waits for its own stripes while holding a
+    // carries the kernels' lane splits). Scheduler workers must NOT run as
+    // pool jobs: a task that waits for pool work while holding a
     // target lock would then execute a queued scheduler worker nested on
     // its stack, which can try to take the same lock — a same-thread
-    // deadlock. Keeping the pool's job set down to non-blocking stripes
+    // deadlock. Keeping the pool's work down to non-blocking kernel parts
     // makes every nested "help while waiting" execution safe.
     let team = threads.min(nsup).max(1);
     std::thread::scope(|scope| {
@@ -253,7 +234,7 @@ fn run_scheduler(
 }
 
 /// Scheduler worker loop: pop ready supernodes and process them; while
-/// idle, execute pending pool jobs (BLAS stripes of busy teammates).
+/// idle, help with pending pool work (a busy teammate's kernel split).
 fn worker(shared: &Shared<'_>) {
     loop {
         let s = {
@@ -292,14 +273,12 @@ fn worker(shared: &Shared<'_>) {
             shared.fail(err);
             return;
         }
-        shared.active.fetch_add(1, Ordering::Relaxed);
         // A panicking task must still stop the scheduler: letting it
         // unwind freely would leave `stop` unset and every other worker
         // (and the scope join) waiting forever.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             process_supernode(shared, s)
         }));
-        shared.active.fetch_sub(1, Ordering::Relaxed);
         match result {
             Ok(Ok(())) => shared.complete_one(),
             Ok(Err(err)) => {
@@ -337,16 +316,10 @@ fn process_supernode(shared: &Shared<'_>, s: usize) -> Result<(), FactorError> {
     let mut src = shared.sn[s].lock().unwrap();
     SCRATCH.with(|cell| -> Result<(), FactorError> {
         let (l11, upd) = &mut *cell.borrow_mut();
-        let inner = shared.inner_threads();
-        // Panel: POTRF + TRSM (striped when the panel is large and lanes
-        // are available).
-        let panel_result = if inner > 1 && (r * c * c) as f64 >= PAR_FLOPS {
-            factor_panel_par(&mut src, len, c, r, l11, inner)
-        } else {
-            factor_panel(&mut src, len, c, r, l11)
-        };
-        panel_result.map_err(|pivot| FactorError::NotPositiveDefinite {
-            column: first + pivot,
+        factor_panel(&mut src, len, c, r, l11).map_err(|pivot| {
+            FactorError::NotPositiveDefinite {
+                column: first + pivot,
+            }
         })?;
         ops.push(TraceOp::Potrf { n: c });
         if r == 0 {
@@ -381,12 +354,7 @@ fn apply_updates_rl(
     if upd.len() < r * r {
         upd.resize(r * r, 0.0);
     }
-    let inner = shared.inner_threads();
-    if inner > 1 && (r * r * c) as f64 >= PAR_FLOPS {
-        par_syrk_ln(inner, r, c, 1.0, &src[c..], len, 0.0, &mut upd[..r * r], r);
-    } else {
-        syrk_ln(r, c, 1.0, &src[c..], len, 0.0, &mut upd[..r * r], r);
-    }
+    syrk_ln(r, c, 1.0, &src[c..], len, 0.0, &mut upd[..r * r], r);
     ops.push(TraceOp::Syrk { n: r, k: c });
     let rows = &sym.rows[s];
     let mut entries = 0usize;
@@ -416,59 +384,26 @@ fn apply_updates_rlb(
     for run in rlb_target_runs(sym, s) {
         let mut parr = shared.sn[run.target].lock().unwrap();
         rlb_run_updates(sym, s, c, &run, |u| {
-            let inner = shared.inner_threads();
+            let cblock = &mut parr[u.dst_off..];
             if u.diagonal {
                 // Diagonal part L[B, B] via DSYRK.
-                let cblock = &mut parr[u.dst_off..];
-                if inner > 1 && (u.n * u.n * c) as f64 >= PAR_FLOPS {
-                    par_syrk_ln(
-                        inner,
-                        u.n,
-                        c,
-                        -1.0,
-                        &src[u.a_off..],
-                        len,
-                        1.0,
-                        cblock,
-                        run.p_len,
-                    );
-                } else {
-                    syrk_ln(u.n, c, -1.0, &src[u.a_off..], len, 1.0, cblock, run.p_len);
-                }
+                syrk_ln(u.n, c, -1.0, &src[u.a_off..], len, 1.0, cblock, run.p_len);
                 ops.push(TraceOp::Syrk { n: u.n, k: c });
             } else {
                 // Lower part L[B′, B] via DGEMM.
-                let cblock = &mut parr[u.dst_off..];
-                if inner > 1 && (2 * u.m * u.n * c) as f64 >= PAR_FLOPS {
-                    par_gemm_nt(
-                        inner,
-                        u.m,
-                        u.n,
-                        c,
-                        -1.0,
-                        &src[u.a_off..],
-                        len,
-                        &src[u.b_off..],
-                        len,
-                        1.0,
-                        cblock,
-                        run.p_len,
-                    );
-                } else {
-                    gemm_nt(
-                        u.m,
-                        u.n,
-                        c,
-                        -1.0,
-                        &src[u.a_off..],
-                        len,
-                        &src[u.b_off..],
-                        len,
-                        1.0,
-                        cblock,
-                        run.p_len,
-                    );
-                }
+                gemm_nt(
+                    u.m,
+                    u.n,
+                    c,
+                    -1.0,
+                    &src[u.a_off..],
+                    len,
+                    &src[u.b_off..],
+                    len,
+                    1.0,
+                    cblock,
+                    run.p_len,
+                );
                 ops.push(TraceOp::Gemm {
                     m: u.m,
                     n: u.n,
@@ -485,6 +420,7 @@ fn apply_updates_rlb(
 mod tests {
     use super::*;
     use crate::fresh::{factor_rl_cpu, factor_rl_cpu_par, factor_rlb_cpu, factor_rlb_cpu_par};
+    use rlchol_dense::{flops_potrf, flops_trsm};
     use rlchol_matgen::{grid3d, laplace2d, Stencil};
     use rlchol_symbolic::{analyze, SymbolicOptions};
 
@@ -521,22 +457,22 @@ mod tests {
     #[test]
     fn more_lanes_than_pool_threads_never_deadlocks() {
         // Regression: with a scheduler team larger than the pool's lane
-        // count AND supernodes big enough to engage the striped kernels,
-        // scheduler workers used to be pool jobs — a task waiting on its
-        // stripes while holding a target lock could execute a queued
-        // scheduler worker nested on its own stack and self-deadlock.
-        // The grid is sized so the root separator's panel exceeds
-        // PAR_FLOPS; the test machine's pool typically has far fewer
-        // lanes than the 8 requested here.
+        // count AND supernodes big enough that their kernels split across
+        // the pool, scheduler workers used to be pool jobs — a task
+        // waiting on its kernel's parts while holding a target lock could
+        // execute a queued scheduler worker nested on its own stack and
+        // self-deadlock. The grid is sized so a panel kernel is above
+        // rlchol-dense's split cutoff (2²² flops); the test machine's
+        // pool typically has far fewer lanes than the 8 requested here.
         let a = grid3d(14, 14, 14, Stencil::Star7, 1, 7);
         let (sym, ap) = prepared(&a);
         assert!(
             (0..sym.nsup()).any(|s| {
                 let c = sym.sn_ncols(s);
                 let r = sym.sn_nrows_below(s);
-                (r * c * c) as f64 >= PAR_FLOPS
+                flops_potrf(c).max(flops_trsm(r, c)) >= (1u64 << 22) as f64
             }),
-            "test matrix must engage the striped kernels"
+            "test matrix must split a panel kernel across lanes"
         );
         let serial = factor_rlb_cpu(&sym, &ap).unwrap();
         let par = factor_rlb_cpu_par(&sym, &ap, 8).unwrap();

@@ -21,8 +21,15 @@
 //!   loops themselves: a closure is a function of its own, so a
 //!   `#[target_feature]` copy wrapped around it would still call
 //!   baseline loops.
+//!
+//! A call above the lane cutoff is cut into column blocks of `C` when
+//! `n >= m` and into row blocks otherwise ([`crate::lanes`]); nothing
+//! above depends on which block or lane computes an entry, so the split
+//! does not change a bit either.
 
-use crate::isa::{isa_dispatch, Isa};
+use crate::flops::flops_gemm;
+use crate::isa::Isa;
+use crate::lanes::{self, split, Axis, MatMut, MatRef};
 
 /// Micro-tile rows (register blocking in the `m` dimension).
 pub const MR: usize = 8;
@@ -34,6 +41,11 @@ pub const MC: usize = 256;
 pub const KC: usize = 256;
 /// Cache block in the `n` dimension.
 pub const NC: usize = 1024;
+
+/// Row and column multiples the lane split cuts `C` at, so that only the
+/// last block of a split has a partial micro-tile.
+const ROW_ALIGN: usize = MR;
+const COL_ALIGN: usize = NR;
 
 /// Whether the second operand of [`gemm`] is transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +69,10 @@ pub fn gemm_nn(
     c: &mut [f64],
     ldc: usize,
 ) {
+    let lanes = lanes::for_flops(flops_gemm(m, n, k));
     gemm(
         Isa::host(),
+        lanes,
         m,
         n,
         k,
@@ -91,8 +105,10 @@ pub fn gemm_nt(
     c: &mut [f64],
     ldc: usize,
 ) {
+    let lanes = lanes::for_flops(flops_gemm(m, n, k));
     gemm(
         Isa::host(),
+        lanes,
         m,
         n,
         k,
@@ -108,28 +124,11 @@ pub fn gemm_nt(
     )
 }
 
-/// Scales the `m x n` block of `c` by `beta` (treating `beta == 0` as an
-/// overwrite so uninitialized storage never propagates NaNs).
-fn scale_c(m: usize, n: usize, beta: f64, c: &mut [f64], ldc: usize) {
-    if beta == 1.0 {
-        return;
-    }
-    for j in 0..n {
-        let col = &mut c[j * ldc..j * ldc + m];
-        if beta == 0.0 {
-            col.fill(0.0);
-        } else {
-            for v in col {
-                *v *= beta;
-            }
-        }
-    }
-}
-
 /// `C := alpha * A * op(B) + beta * C` on the `isa` copy of the blocked
-/// loop.
+/// loop, cut into `lanes` blocks of `C`.
 pub(crate) fn gemm(
     isa: Isa,
+    lanes: usize,
     m: usize,
     n: usize,
     k: usize,
@@ -143,9 +142,52 @@ pub(crate) fn gemm(
     c: &mut [f64],
     ldc: usize,
 ) {
-    debug_assert!(lda >= m.max(1));
-    debug_assert!(ldc >= m.max(1));
-    scale_c(m, n, beta, c, ldc);
+    let a = MatRef::new(a, m, k, lda);
+    let b = match tb {
+        TransB::No => MatRef::new(b, k, n, ldb),
+        TransB::Yes => MatRef::new(b, n, k, ldb),
+    };
+    let c = MatMut::new(c, m, n, ldc);
+    if lanes <= 1 {
+        return gemm_view(isa, alpha, a, b, tb, beta, c);
+    }
+    if n >= m {
+        split(c, Axis::Cols, lanes, COL_ALIGN, &|j0, c| {
+            let b = match tb {
+                TransB::No => b.sub(0, k, j0, c.cols()),
+                TransB::Yes => b.sub(j0, c.cols(), 0, k),
+            };
+            gemm_view(isa, alpha, a, b, tb, beta, c)
+        });
+    } else {
+        split(c, Axis::Rows, lanes, ROW_ALIGN, &|i0, c| {
+            gemm_view(isa, alpha, a.sub(i0, c.rows(), 0, k), b, tb, beta, c)
+        });
+    }
+}
+
+/// One lane's `C := alpha * A * op(B) + beta * C` on views: `A` is
+/// `m x k`, `op(B)` is `k x n` (`B` is stored `n x k` under
+/// [`TransB::Yes`]) and `C` is `m x n`.
+pub(crate) fn gemm_view(
+    isa: Isa,
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    tb: TransB,
+    beta: f64,
+    mut c: MatMut<'_>,
+) {
+    let (m, n, k) = (c.rows(), c.cols(), a.cols());
+    debug_assert_eq!(a.rows(), m);
+    debug_assert_eq!(
+        (b.rows(), b.cols()),
+        match tb {
+            TransB::No => (k, n),
+            TransB::Yes => (n, k),
+        }
+    );
+    scale_c(beta, c.rb());
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return;
     }
@@ -157,48 +199,115 @@ pub(crate) fn gemm(
         let (apack, bpack) = &mut *cell.borrow_mut();
         apack.resize(MC.div_ceil(MR) * MR * KC, 0.0);
         bpack.resize(NC.div_ceil(NR) * NR * KC, 0.0);
-        blocked(
-            isa, m, n, k, alpha, a, lda, b, ldb, tb, c, ldc, apack, bpack,
-        );
+        blocked(isa, alpha, a, b, tb, c, apack, bpack);
     });
 }
 
-isa_dispatch! {
-    /// The `NC` / `KC` / `MC` loop nest: pack a panel of `op(B)`, then
-    /// panels of `A`, and run the macro-kernel on each pair.
-    fn blocked(
-        m: usize,
-        n: usize,
-        k: usize,
+/// Scales `c` by `beta` (treating `beta == 0` as an overwrite so
+/// uninitialized storage never propagates NaNs).
+fn scale_c(beta: f64, mut c: MatMut<'_>) {
+    if beta == 1.0 {
+        return;
+    }
+    for j in 0..c.cols() {
+        let col = c.col_mut(j);
+        if beta == 0.0 {
+            col.fill(0.0);
+        } else {
+            for v in col {
+                *v *= beta;
+            }
+        }
+    }
+}
+
+/// The `NC` / `KC` / `MC` loop nest on the `isa` copy, with that copy's
+/// micro-tile.
+fn blocked(
+    isa: Isa,
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    tb: TransB,
+    c: MatMut<'_>,
+    apack: &mut [f64],
+    bpack: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn avx512(
         alpha: f64,
-        a: &[f64],
-        lda: usize,
-        b: &[f64],
-        ldb: usize,
+        a: MatRef<'_>,
+        b: MatRef<'_>,
         tb: TransB,
-        c: &mut [f64],
-        ldc: usize,
+        c: MatMut<'_>,
         apack: &mut [f64],
         bpack: &mut [f64],
     ) {
-        let mut jc = 0;
-        while jc < n {
-            let nc = NC.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
-                let kc = KC.min(k - pc);
-                pack_b(bpack, b, ldb, tb, pc, jc, kc, nc);
-                let mut ic = 0;
-                while ic < m {
-                    let mc = MC.min(m - ic);
-                    pack_a(apack, a, lda, ic, pc, mc, kc);
-                    macro_kernel(mc, nc, kc, alpha, apack, bpack, c, ldc, ic, jc);
-                    ic += MC;
-                }
-                pc += KC;
-            }
-            jc += NC;
+        blocked_tile::<MR, NR>(alpha, a, b, tb, c, apack, bpack)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn avx2(
+        alpha: f64,
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        tb: TransB,
+        c: MatMut<'_>,
+        apack: &mut [f64],
+        bpack: &mut [f64],
+    ) {
+        blocked_tile::<MR, NR>(alpha, a, b, tb, c, apack, bpack)
+    }
+
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 if isa.supported() => {
+            // SAFETY: the guard's `is_x86_feature_detected!("avx512f")`
+            // just confirmed this CPU has AVX-512F.
+            unsafe { avx512(alpha, a, b, tb, c, apack, bpack) }
         }
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 if isa.supported() => {
+            // SAFETY: the guard's `is_x86_feature_detected!("avx2")`
+            // just confirmed this CPU has AVX2.
+            unsafe { avx2(alpha, a, b, tb, c, apack, bpack) }
+        }
+        _ => blocked_tile::<MR, NR>(alpha, a, b, tb, c, apack, bpack),
+    }
+}
+
+/// The blocked loop with an `MR_ x NR_` micro-tile: pack a panel of
+/// `op(B)`, then panels of `A`, and run the macro-kernel on each pair.
+#[inline(always)]
+fn blocked_tile<const MR_: usize, const NR_: usize>(
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    tb: TransB,
+    mut c: MatMut<'_>,
+    apack: &mut [f64],
+    bpack: &mut [f64],
+) {
+    let (m, n, k) = (c.rows(), c.cols(), a.cols());
+    let mut jc = 0;
+    while jc < n {
+        let nc = NC.min(n - jc);
+        let mut pc = 0;
+        while pc < k {
+            let kc = KC.min(k - pc);
+            pack_b::<NR_>(bpack, b, tb, pc, jc, kc, nc);
+            let mut ic = 0;
+            while ic < m {
+                let mc = MC.min(m - ic);
+                pack_a::<MR_>(apack, a, ic, pc, mc, kc);
+                macro_kernel::<MR_, NR_>(mc, nc, kc, alpha, apack, bpack, c.rb(), ic, jc);
+                ic += MC;
+            }
+            pc += KC;
+        }
+        jc += NC;
     }
 }
 
@@ -214,18 +323,24 @@ std::thread_local! {
 /// Packs the `mc x kc` block of `A` starting at `(ic, pc)` into MR-row
 /// strips: strip `s` holds rows `ic + s*MR ..`, stored column-by-column.
 #[inline(always)]
-fn pack_a(apack: &mut [f64], a: &[f64], lda: usize, ic: usize, pc: usize, mc: usize, kc: usize) {
-    let strips = mc.div_ceil(MR);
+fn pack_a<const MR_: usize>(
+    apack: &mut [f64],
+    a: MatRef<'_>,
+    ic: usize,
+    pc: usize,
+    mc: usize,
+    kc: usize,
+) {
+    let strips = mc.div_ceil(MR_);
     for s in 0..strips {
-        let i0 = s * MR;
-        let rows = MR.min(mc - i0);
-        let dst_base = s * MR * kc;
+        let i0 = ic + s * MR_;
+        let rows = MR_.min(mc - s * MR_);
+        let dst_base = s * MR_ * kc;
         for p in 0..kc {
-            let src = (pc + p) * lda + ic + i0;
-            let dst = dst_base + p * MR;
-            apack[dst..dst + rows].copy_from_slice(&a[src..src + rows]);
+            let dst = dst_base + p * MR_;
+            apack[dst..dst + rows].copy_from_slice(&a.col(pc + p)[i0..i0 + rows]);
             // Zero-pad the strip's tail rows.
-            apack[dst + rows..dst + MR].fill(0.0);
+            apack[dst + rows..dst + MR_].fill(0.0);
         }
     }
 }
@@ -233,69 +348,71 @@ fn pack_a(apack: &mut [f64], a: &[f64], lda: usize, ic: usize, pc: usize, mc: us
 /// Packs the `kc x nc` block of `op(B)` starting at `(pc, jc)` into NR-col
 /// strips: strip `s` holds columns `jc + s*NR ..`, stored row-by-row.
 #[inline(always)]
-fn pack_b(
+fn pack_b<const NR_: usize>(
     bpack: &mut [f64],
-    b: &[f64],
-    ldb: usize,
+    b: MatRef<'_>,
     tb: TransB,
     pc: usize,
     jc: usize,
     kc: usize,
     nc: usize,
 ) {
-    let strips = nc.div_ceil(NR);
+    let strips = nc.div_ceil(NR_);
     for s in 0..strips {
-        let j0 = s * NR;
-        let cols = NR.min(nc - j0);
-        let dst_base = s * NR * kc;
-        for p in 0..kc {
-            let dst = dst_base + p * NR;
-            match tb {
-                TransB::No => {
-                    // op(B)[p, j] = B[pc + p, jc + j]
-                    for j in 0..cols {
-                        bpack[dst + j] = b[(jc + j0 + j) * ldb + pc + p];
+        let j0 = jc + s * NR_;
+        let cols = NR_.min(nc - s * NR_);
+        let dst_base = s * NR_ * kc;
+        match tb {
+            TransB::No => {
+                // op(B)[p, j] = B[pc + p, j]: walk each stored column.
+                for j in 0..cols {
+                    let src = &b.col(j0 + j)[pc..pc + kc];
+                    for (p, &v) in src.iter().enumerate() {
+                        bpack[dst_base + p * NR_ + j] = v;
                     }
                 }
-                TransB::Yes => {
-                    // op(B)[p, j] = B[jc + j, pc + p] — contiguous in rows.
-                    let src = (pc + p) * ldb + jc + j0;
-                    bpack[dst..dst + cols].copy_from_slice(&b[src..src + cols]);
+            }
+            TransB::Yes => {
+                // op(B)[p, j] = B[j, pc + p] — contiguous in rows.
+                for p in 0..kc {
+                    let dst = dst_base + p * NR_;
+                    bpack[dst..dst + cols].copy_from_slice(&b.col(pc + p)[j0..j0 + cols]);
                 }
             }
-            bpack[dst + cols..dst + NR].fill(0.0);
+        }
+        for p in 0..kc {
+            let dst = dst_base + p * NR_;
+            bpack[dst + cols..dst + NR_].fill(0.0);
         }
     }
 }
 
 #[inline(always)]
-fn macro_kernel(
+fn macro_kernel<const MR_: usize, const NR_: usize>(
     mc: usize,
     nc: usize,
     kc: usize,
     alpha: f64,
     apack: &[f64],
     bpack: &[f64],
-    c: &mut [f64],
-    ldc: usize,
+    mut c: MatMut<'_>,
     ic: usize,
     jc: usize,
 ) {
-    let mstrips = mc.div_ceil(MR);
-    let nstrips = nc.div_ceil(NR);
+    let mstrips = mc.div_ceil(MR_);
+    let nstrips = nc.div_ceil(NR_);
     for js in 0..nstrips {
-        let j0 = js * NR;
-        let nr = NR.min(nc - j0);
-        let bp = &bpack[js * NR * kc..(js * NR * kc) + NR * kc];
+        let j0 = js * NR_;
+        let nr = NR_.min(nc - j0);
+        let bp = &bpack[js * NR_ * kc..(js * NR_ * kc) + NR_ * kc];
         for is in 0..mstrips {
-            let i0 = is * MR;
-            let mr = MR.min(mc - i0);
-            let ap = &apack[is * MR * kc..(is * MR * kc) + MR * kc];
-            let acc = micro_kernel(kc, ap, bp);
+            let i0 = is * MR_;
+            let mr = MR_.min(mc - i0);
+            let ap = &apack[is * MR_ * kc..(is * MR_ * kc) + MR_ * kc];
+            let acc = micro_kernel::<MR_, NR_>(kc, ap, bp);
             // Masked write-back for edge tiles.
             for j in 0..nr {
-                let cj = (jc + j0 + j) * ldc + ic + i0;
-                let col = &mut c[cj..cj + mr];
+                let col = &mut c.col_mut(jc + j0 + j)[ic + i0..ic + i0 + mr];
                 for i in 0..mr {
                     col[i] += alpha * acc[j][i];
                 }
@@ -304,16 +421,20 @@ fn macro_kernel(
     }
 }
 
-/// The `MR x NR` register tile: a rank-1 update per `k` step.
+/// The `MR_ x NR_` register tile: a rank-1 update per `k` step.
 #[inline(always)]
-fn micro_kernel(kc: usize, ap: &[f64], bp: &[f64]) -> [[f64; MR]; NR] {
-    let mut acc = [[0.0f64; MR]; NR];
+fn micro_kernel<const MR_: usize, const NR_: usize>(
+    kc: usize,
+    ap: &[f64],
+    bp: &[f64],
+) -> [[f64; MR_]; NR_] {
+    let mut acc = [[0.0f64; MR_]; NR_];
     for p in 0..kc {
-        let a: &[f64; MR] = ap[p * MR..p * MR + MR].try_into().unwrap();
-        let b: &[f64; NR] = bp[p * NR..p * NR + NR].try_into().unwrap();
-        for j in 0..NR {
+        let a: &[f64; MR_] = ap[p * MR_..p * MR_ + MR_].try_into().unwrap();
+        let b: &[f64; NR_] = bp[p * NR_..p * NR_ + NR_].try_into().unwrap();
+        for j in 0..NR_ {
             let bj = b[j];
-            for i in 0..MR {
+            for i in 0..MR_ {
                 acc[j][i] += a[i] * bj;
             }
         }
@@ -336,7 +457,7 @@ pub fn gemm_naive(
     c: &mut [f64],
     ldc: usize,
 ) {
-    scale_c(m, n, beta, c, ldc);
+    scale_c(beta, MatMut::new(c, m, n, ldc));
     for j in 0..n {
         for p in 0..k {
             let bv = if transb {

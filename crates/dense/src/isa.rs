@@ -94,7 +94,7 @@ macro_rules! isa_dispatch {
 pub(crate) use isa_dispatch;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::Isa;
     use crate::gemm::{gemm, TransB, KC, MC, MR, NC, NR};
     use crate::potrf::{potrf_with, with_l11_scratch};
@@ -107,11 +107,11 @@ mod tests {
 
     const BETAS: [f64; 3] = [0.0, 1.0, 2.5];
 
-    fn rand_vec(rng: &mut StdRng, len: usize) -> Vec<f64> {
+    pub(crate) fn rand_vec(rng: &mut StdRng, len: usize) -> Vec<f64> {
         (0..len).map(|_| rng.random_range(-1.0..1.0)).collect()
     }
 
-    fn bits(v: &[f64]) -> Vec<u64> {
+    pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
@@ -131,7 +131,7 @@ mod tests {
     }
 
     /// Well-conditioned lower-triangular `n x n` matrix.
-    fn rand_lower(rng: &mut StdRng, n: usize) -> Vec<f64> {
+    pub(crate) fn rand_lower(rng: &mut StdRng, n: usize) -> Vec<f64> {
         let mut l = vec![0.0; n * n];
         for j in 0..n {
             for i in j..n {
@@ -146,7 +146,7 @@ mod tests {
     }
 
     /// SPD `n x n` matrix: `M Mᵀ + n I`.
-    fn rand_spd(rng: &mut StdRng, n: usize) -> Vec<f64> {
+    pub(crate) fn rand_spd(rng: &mut StdRng, n: usize) -> Vec<f64> {
         let m = rand_vec(rng, n * n);
         let mut a = vec![0.0; n * n];
         crate::gemm::gemm_naive(n, n, n, 1.0, &m, n, &m, n, true, 0.0, &mut a, n);
@@ -189,7 +189,7 @@ mod tests {
                 for beta in BETAS {
                     let what = format!("gemm {tb:?} m={m} n={n} k={k} beta={beta}");
                     same_bits(&isas, &what, &c, |isa, c| {
-                        gemm(isa, m, n, k, -0.75, &a, lda, &b, ldb, tb, beta, c, ldc)
+                        gemm(isa, 1, m, n, k, -0.75, &a, lda, &b, ldb, tb, beta, c, ldc)
                     });
                 }
             }
@@ -209,7 +209,7 @@ mod tests {
             for beta in BETAS {
                 let what = format!("syrk_ln n={n} k={k} beta={beta}");
                 same_bits(&isas, &what, &c, |isa, c| {
-                    syrk_ln_with(isa, n, k, -1.0, &a, lda, beta, c, ldc)
+                    syrk_ln_with(isa, 1, n, k, -1.0, &a, lda, beta, c, ldc)
                 });
             }
         }
@@ -232,8 +232,47 @@ mod tests {
         for n in [1, 7, NB - 1, NB + 1, 2 * NB + 3, MC + NB + 5] {
             let a = rand_spd(&mut rng, n);
             same_bits(&isas, &format!("potrf n={n}"), &a, |isa, a| {
-                with_l11_scratch(|l11| potrf_with(isa, n, a, n, l11, 1)).unwrap()
+                with_l11_scratch(|l11| potrf_with(isa, 1, n, a, n, l11)).unwrap()
             });
+        }
+    }
+
+    /// Single-lane `gemm_nt` 1024³ rate of every copy the host supports,
+    /// best of five. A timing probe, not a check: run it with
+    /// `cargo test --release -p rlchol-dense -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn gemm_rate_of_each_copy() {
+        let n = 1024;
+        let mut rng = StdRng::seed_from_u64(1);
+        let a = rand_vec(&mut rng, n * n);
+        let b = rand_vec(&mut rng, n * n);
+        let mut c = rand_vec(&mut rng, n * n);
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let best = (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    gemm(
+                        isa,
+                        1,
+                        n,
+                        n,
+                        n,
+                        -1.0,
+                        &a,
+                        n,
+                        &b,
+                        n,
+                        TransB::Yes,
+                        1.0,
+                        &mut c,
+                        n,
+                    );
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            let gflops = crate::flops_gemm(n, n, n) / best / 1e9;
+            println!("gemm_nt {n}^3 on {isa:?}, one lane: {gflops:.1} GF/s");
         }
     }
 }

@@ -57,11 +57,28 @@
 //!
 //! ## Parallelism
 //!
-//! The [`par`] wrappers (`par_gemm_nn`, `par_gemm_nt`, `par_syrk_ln`,
-//! `par_trsm_rlt`) stripe the output and run the stripes on the
-//! persistent work-stealing [`pool`] shared by the whole process. The
-//! pool is sized by the **`RLCHOL_THREADS`** environment variable when it
-//! is set to a positive integer, and by
+//! Every public factorization kernel splits a call above a fixed flop
+//! cutoff across the persistent work-stealing [`pool`] shared by the
+//! whole process, and runs a smaller call on the caller. Each kernel is
+//! cut only where no output entry's sequence of floating-point
+//! operations changes, so **the bits do not depend on the lane count**:
+//!
+//! * [`gemm_nn`] / [`gemm_nt`]: column blocks of `C` when `n >= m`,
+//!   row blocks otherwise — an entry's sum over `k`, and its `KC` split,
+//!   do not depend on the block that holds it;
+//! * [`syrk_ln`]: one task per `NB` column block, making the same two
+//!   calls the one-lane sweep makes for it (the diagonal triangle, then
+//!   the GEMM below);
+//! * [`trsm_rlt`]: row blocks of `B`, each solved by the unchanged
+//!   blocked sweep (rows of `X Lᵀ = B` are independent);
+//! * [`potrf`]: the `NB` steps run in order with the unblocked diagonal
+//!   factor on the caller; each step's panel TRSM and trailing SYRK split
+//!   as above.
+//!
+//! The parts run through the pool's allocation-free `run_for`; a split
+//! started while another is running (a concurrent or nested call) runs
+//! on its caller. The pool is sized by the **`RLCHOL_THREADS`**
+//! environment variable when it is set to a positive integer, and by
 //! [`std::thread::available_parallelism`] otherwise; the submitting
 //! thread participates in execution, so `RLCHOL_THREADS=8` means eight
 //! runnable lanes in total. (Its device-side sibling is
@@ -71,8 +88,8 @@
 pub mod flops;
 pub mod gemm;
 mod isa;
+mod lanes;
 pub mod mat;
-pub mod par;
 pub mod pool;
 pub mod potrf;
 pub mod syrk;
@@ -81,8 +98,7 @@ pub mod trsm;
 pub use flops::{flops_gemm, flops_potrf, flops_syrk, flops_trsm};
 pub use gemm::{gemm_nn, gemm_nt};
 pub use mat::DMat;
-pub use par::{par_gemm_nn, par_gemm_nt, par_syrk_ln, par_trsm_rlt};
-pub use potrf::{par_potrf, potrf, PotrfError};
+pub use potrf::{potrf, PotrfError};
 pub use syrk::syrk_ln;
 pub use trsm::{trsm_lln, trsm_llt, trsm_rlt, trsv_ln, trsv_lt};
 

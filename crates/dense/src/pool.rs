@@ -1,6 +1,6 @@
 //! Persistent work-stealing thread pool for the parallel kernels.
 //!
-//! The `par_*` BLAS wrappers and the elimination-tree scheduler in
+//! The dense kernels' lane splits and the elimination-tree scheduler in
 //! `rlchol-core` submit closures here instead of spawning OS threads per
 //! call. Workers are started once (lazily, on first use of
 //! [`global`]) and live for the process; each has a local deque and
@@ -13,13 +13,13 @@
 //! participates in execution itself, so a "pool of `t` threads" means `t`
 //! runnable lanes including the submitter (`t - 1` parked workers).
 //!
-//! **Nesting.** Jobs may themselves call [`ThreadPool::run`] (the
-//! tree-level scheduler factors a supernode whose inner BLAS stripes
-//! re-enter the pool). Submission from a worker pushes to that worker's
-//! local deque (LIFO pop keeps the cache-hot stripes on the spawning
-//! worker; idle siblings steal FIFO from the other end), and the waiting
-//! job keeps executing pending work instead of blocking a lane, so
-//! nested parallelism cannot deadlock.
+//! **Nesting.** Jobs may themselves call [`ThreadPool::run`], and a
+//! job's dense kernel call may start a [`ThreadPool::run_for`].
+//! Submission from a worker pushes to that worker's local deque (LIFO pop
+//! keeps the cache-hot jobs on the spawning worker; idle siblings steal
+//! FIFO from the other end), and the waiting job keeps executing pending
+//! work instead of blocking a lane, so nested parallelism cannot
+//! deadlock.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -365,17 +365,18 @@ impl ThreadPool {
         }
     }
 
-    /// Pops and runs one pending job, if any; returns whether a job ran.
-    /// Lets a caller that is waiting on its own condition (e.g. the tree
-    /// scheduler with an empty ready queue) lend its lane to pending BLAS
-    /// stripes instead of sleeping.
+    /// Pops and runs one pending job, or else helps the active
+    /// [`run_for`](Self::run_for) until its indices are claimed; returns
+    /// whether anything ran. Lets a caller that is waiting on its own
+    /// condition (e.g. the tree scheduler with an empty ready queue) lend
+    /// its lane to a split kernel call instead of sleeping.
     pub fn try_run_one(&self) -> bool {
         match self.shared.pop(self.worker_index()) {
             Some(job) => {
                 (job.0)();
                 true
             }
-            None => false,
+            None => help_par_for(&self.shared),
         }
     }
 

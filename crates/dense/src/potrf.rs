@@ -5,9 +5,9 @@
 //! rank-k update to the trailing matrix — the same structure the sparse
 //! supernodal algorithms replay at the supernode level.
 
-use crate::gemm::{gemm, TransB};
+use crate::flops::flops_potrf;
 use crate::isa::{isa_dispatch, Isa};
-use crate::pool;
+use crate::lanes;
 use crate::syrk::syrk_ln_with;
 use crate::trsm::trsm_rlt_with;
 use crate::NB;
@@ -35,86 +35,8 @@ impl std::error::Error for PotrfError {}
 /// dimension `lda`) in place as `A = L Lᵀ`, leaving `L` in the lower
 /// triangle. The strict upper triangle is neither read nor written.
 pub fn potrf(n: usize, a: &mut [f64], lda: usize) -> Result<(), PotrfError> {
-    with_l11_scratch(|l11| potrf_with(Isa::host(), n, a, lda, l11, 1))
-}
-
-/// Pool-parallel [`potrf`]: the same fixed-`NB` right-looking loop, with
-/// the trailing SYRK update — the O(n³) term — distributed over the
-/// persistent pool. The distribution stripes at the serial kernel's own
-/// `NB` column-block boundaries, so each output entry is produced by
-/// exactly the per-block calls the serial sweep would issue and the
-/// factor is **bit-identical** to [`potrf`] at any `threads`; selection
-/// only affects wall clock. The diagonal-block factor and the panel
-/// TRSM (whose width is at most `NB`) stay serial — they are the
-/// O(n·NB²) fringe. `threads <= 1` or `n <= NB` takes the serial path
-/// unchanged.
-pub fn par_potrf(threads: usize, n: usize, a: &mut [f64], lda: usize) -> Result<(), PotrfError> {
-    if threads <= 1 || n <= NB {
-        return potrf(n, a, lda);
-    }
-    with_l11_scratch(|l11| potrf_with(Isa::host(), n, a, lda, l11, threads))
-}
-
-/// Trailing update `C -= A Aᵀ` (lower triangle) striped at the serial
-/// [`syrk_ln`] kernel's fixed `NB` column-block boundaries. Each task
-/// replays the identical two calls the serial sweep makes for its block
-/// — the diagonal triangle, then the rectangle below via [`gemm_nt`] —
-/// on slices holding the same elements, so the result is bit-for-bit
-/// the serial one regardless of execution order (the blocks write
-/// disjoint column ranges).
-fn par_syrk_update(
-    isa: Isa,
-    threads: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    lda: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let nblocks = n.div_ceil(NB.max(1));
-    if threads <= 1 || nblocks < 2 {
-        syrk_ln_with(isa, n, k, -1.0, a, lda, 1.0, c, ldc);
-        return;
-    }
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nblocks);
-    let mut rest = c;
-    let mut consumed = 0usize;
-    for b in 0..nblocks {
-        let j0 = b * NB;
-        let jb = NB.min(n - j0);
-        let take = ((j0 - consumed + jb) * ldc).min(rest.len());
-        let (mine, tail) = rest.split_at_mut(take);
-        let my_c = &mut mine[(j0 - consumed) * ldc..];
-        rest = tail;
-        consumed = j0 + jb;
-        tasks.push(Box::new(move || {
-            // `my_c` starts at column j0 of C; rows keep global indices.
-            // Diagonal jb x jb triangle at (j0, j0) — a single-block
-            // syrk_ln call over the same shifted operands.
-            syrk_ln_with(isa, jb, k, -1.0, &a[j0..], lda, 1.0, &mut my_c[j0..], ldc);
-            // Rectangle below: rows j0+jb..n of columns [j0, j0+jb).
-            let below = n - j0 - jb;
-            if below > 0 {
-                gemm(
-                    isa,
-                    below,
-                    jb,
-                    k,
-                    -1.0,
-                    &a[j0 + jb..],
-                    lda,
-                    &a[j0..],
-                    lda,
-                    TransB::Yes,
-                    1.0,
-                    &mut my_c[j0 + jb..],
-                    ldc,
-                );
-            }
-        }));
-    }
-    pool::global().run(tasks);
+    let lanes = lanes::for_flops(flops_potrf(n));
+    with_l11_scratch(|l11| potrf_with(Isa::host(), lanes, n, a, lda, l11))
 }
 
 /// Scratch copy of the diagonal block so the panel TRSM can borrow the
@@ -123,9 +45,8 @@ fn par_syrk_update(
 /// a compile-time constant, so one lazily grown thread-local buffer
 /// serves every POTRF this thread ever runs — the supernodal engines
 /// call this once per supernode and must not allocate each time. The
-/// factorization never re-enters itself (the panel TRSM is a plain
-/// kernel and pool stripes run in their own threads), so the `RefCell`
-/// borrow is never contended.
+/// factorization never re-enters itself (the lanes of its TRSM and SYRK
+/// run plain kernels), so the `RefCell` borrow is never contended.
 pub(crate) fn with_l11_scratch<R>(f: impl FnOnce(&mut [f64]) -> R) -> R {
     std::thread_local! {
         static L11: std::cell::RefCell<Vec<f64>> =
@@ -139,16 +60,17 @@ pub(crate) fn with_l11_scratch<R>(f: impl FnOnce(&mut [f64]) -> R) -> R {
 }
 
 /// [`potrf`] on the `isa` copy of the kernels, against caller-provided
-/// diagonal-block scratch (grown to `NB * NB` by the wrapper above),
-/// with the trailing update striped over `threads` pool lanes when
-/// `threads > 1`.
+/// diagonal-block scratch (grown to `NB * NB` by the wrapper above). The
+/// `NB` steps stay in order and `potf2` stays on the caller; with
+/// `lanes > 1` each step's panel TRSM and trailing SYRK are split across
+/// lanes, which does not change a bit.
 pub(crate) fn potrf_with(
     isa: Isa,
+    lanes: usize,
     n: usize,
     a: &mut [f64],
     lda: usize,
     l11: &mut [f64],
-    threads: usize,
 ) -> Result<(), PotrfError> {
     debug_assert!(lda >= n.max(1));
     let mut k = 0;
@@ -167,18 +89,14 @@ pub(crate) fn potrf_with(
                     l11[j * kb + i] = a[(k + j) * lda + k + i];
                 }
             }
-            {
-                // The panel is at most NB columns wide, so the TRSM is
-                // the same serial kernel on every lane count.
-                let a21 = &mut a[k * lda + k + kb..];
-                trsm_rlt_with(isa, 1, below, kb, &l11[..kb * kb], kb, a21, lda);
-            }
+            let a21 = &mut a[k * lda + k + kb..];
+            trsm_rlt_with(isa, lanes, below, kb, &l11[..kb * kb], kb, a21, lda);
             // Trailing update A22 -= A21 * A21ᵀ. The two operands live in
             // disjoint column spans, so a split borrow works.
             let (panel_cols, trailing_cols) = a.split_at_mut((k + kb) * lda);
             let a21 = &panel_cols[k * lda + k + kb..];
             let a22 = &mut trailing_cols[k + kb..];
-            par_syrk_update(isa, threads, below, kb, a21, lda, a22, lda);
+            syrk_ln_with(isa, lanes, below, kb, -1.0, a21, lda, 1.0, a22, lda);
         }
         k += kb;
     }
@@ -292,39 +210,6 @@ mod tests {
         // Zero matrix: fails at pivot 0.
         let mut z = DMat::zeros(3, 3);
         assert_eq!(potrf(3, z.as_mut_slice(), 3).unwrap_err().pivot, 0);
-    }
-
-    #[test]
-    fn par_potrf_is_bit_identical_to_serial() {
-        // Sizes straddling NB (64) and 2*NB (128): the serial fallback,
-        // single-block, and multi-block parallel paths all land here.
-        for n in [1usize, 31, 64, 65, 100, 129, 200, 300] {
-            let a = random_spd(n, n as u64 + 900);
-            let mut serial = a.clone();
-            potrf(n, serial.as_mut_slice(), n).unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                let mut par = a.clone();
-                par_potrf(threads, n, par.as_mut_slice(), n).unwrap();
-                assert_eq!(
-                    par.as_slice(),
-                    serial.as_slice(),
-                    "n={n} threads={threads}: parallel POTRF diverged bitwise"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_potrf_reports_same_bad_pivot() {
-        // Indefinite trailing block: both paths must fail at the same pivot.
-        let n = 130;
-        let mut a = random_spd(n, 7);
-        a[(n - 1, n - 1)] = -1e6;
-        let mut serial = a.clone();
-        let se = potrf(n, serial.as_mut_slice(), n).unwrap_err();
-        let mut par = a.clone();
-        let pe = par_potrf(4, n, par.as_mut_slice(), n).unwrap_err();
-        assert_eq!(se, pe);
     }
 
     #[test]

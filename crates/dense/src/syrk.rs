@@ -4,8 +4,10 @@
 //! This is the single call RL uses to form a supernode's entire update
 //! matrix, and the per-block call RLB uses on ancestor diagonal blocks.
 
-use crate::gemm::{gemm, TransB};
+use crate::flops::flops_syrk;
+use crate::gemm::{gemm_view, TransB};
 use crate::isa::{isa_dispatch, Isa};
+use crate::lanes::{self, split, Axis, MatMut, MatRef};
 use crate::NB;
 
 /// `C := alpha * A Aᵀ + beta * C` on the lower triangle.
@@ -22,12 +24,16 @@ pub fn syrk_ln(
     c: &mut [f64],
     ldc: usize,
 ) {
-    syrk_ln_with(Isa::host(), n, k, alpha, a, lda, beta, c, ldc)
+    let lanes = lanes::for_flops(flops_syrk(n, k));
+    syrk_ln_with(Isa::host(), lanes, n, k, alpha, a, lda, beta, c, ldc)
 }
 
-/// [`syrk_ln`] on the `isa` copy of the kernels.
+/// [`syrk_ln`] on the `isa` copy of the kernels. With `lanes > 1` every
+/// `NB` column block is a task of its own, making exactly the calls the
+/// one-lane sweep makes for that block.
 pub(crate) fn syrk_ln_with(
     isa: Isa,
+    lanes: usize,
     n: usize,
     k: usize,
     alpha: f64,
@@ -42,53 +48,60 @@ pub(crate) fn syrk_ln_with(
     }
     debug_assert!(lda >= n, "lda {lda} < n {n}");
     debug_assert!(ldc >= n, "ldc {ldc} < n {n}");
-    let mut j0 = 0;
-    while j0 < n {
-        let jb = NB.min(n - j0);
-        // Diagonal block: small triangular kernel.
-        syrk_diag_block(isa, j0, jb, k, alpha, a, lda, beta, c, ldc);
-        // Sub-diagonal rectangle: plain GEMM with Bᵀ = A[J, :]ᵀ.
-        let below = n - j0 - jb;
+    let a = MatRef::new(a, n, k, lda);
+    let c = MatMut::new(c, n, n, ldc);
+    let parts = if lanes > 1 { n.div_ceil(NB) } else { 1 };
+    split(c, Axis::Cols, parts, NB, &|j0, c| {
+        syrk_cols(isa, j0, alpha, a, beta, c)
+    });
+}
+
+/// The lower-triangle update of columns `[j0, j0 + c.cols())`, which `c`
+/// holds in full height, one `NB` block at a time: the diagonal triangle,
+/// then the rectangle below it as a GEMM with `Bᵀ = A[J, :]ᵀ`.
+fn syrk_cols(isa: Isa, j0: usize, alpha: f64, a: MatRef<'_>, beta: f64, mut c: MatMut<'_>) {
+    let (n, k) = (a.rows(), a.cols());
+    let mut jj = 0;
+    while jj < c.cols() {
+        let jb = NB.min(c.cols() - jj);
+        let g = j0 + jj;
+        let (_, rest) = c.rb().split_cols(jj);
+        let (mut cb, _) = rest.split_cols(jb);
+        syrk_diag_block(isa, g, jb, k, alpha, a, beta, cb.rb());
+        let below = n - g - jb;
         if below > 0 {
-            // C[j0+jb.., J] = alpha * A[j0+jb.., :] * A[J, :]ᵀ + beta * C
-            let cj = j0 * ldc + j0 + jb;
-            gemm(
+            // C[g+jb.., J] = alpha * A[g+jb.., :] * A[J, :]ᵀ + beta * C
+            let (_, cbelow) = cb.split_rows(g + jb);
+            gemm_view(
                 isa,
-                below,
-                jb,
-                k,
                 alpha,
-                &a[j0 + jb..],
-                lda,
-                &a[j0..],
-                lda,
+                a.sub(g + jb, below, 0, k),
+                a.sub(g, jb, 0, k),
                 TransB::Yes,
                 beta,
-                &mut c[cj..],
-                ldc,
+                cbelow,
             );
         }
-        j0 += jb;
+        jj += jb;
     }
 }
 
 isa_dispatch! {
-    /// Updates the `jb x jb` lower-triangular block of `C` at `(j0, j0)`.
+    /// Updates the `jb x jb` lower triangle at `(j0, j0)`; column `j` of
+    /// `c` is column `j0 + j` of `C`, in full height.
     fn syrk_diag_block(
         j0: usize,
         jb: usize,
         k: usize,
         alpha: f64,
-        a: &[f64],
-        lda: usize,
+        a: MatRef<'_>,
         beta: f64,
-        c: &mut [f64],
-        ldc: usize,
+        c: MatMut<'_>,
     ) {
+        let mut c = c;
         // Scale the triangle by beta first.
         for j in 0..jb {
-            let base = (j0 + j) * ldc + j0 + j;
-            let col = &mut c[base..base + jb - j];
+            let col = &mut c.col_mut(j)[j0 + j..j0 + jb];
             if beta == 0.0 {
                 col.fill(0.0);
             } else if beta != 1.0 {
@@ -103,14 +116,13 @@ isa_dispatch! {
         // Rank-1 accumulation over the k dimension; columns of A are
         // contiguous so the inner loop vectorizes.
         for p in 0..k {
-            let ap = &a[p * lda + j0..p * lda + j0 + jb];
+            let ap = &a.col(p)[j0..j0 + jb];
             for j in 0..jb {
                 let s = alpha * ap[j];
                 if s == 0.0 {
                     continue;
                 }
-                let base = (j0 + j) * ldc + j0 + j;
-                let col = &mut c[base..base + jb - j];
+                let col = &mut c.col_mut(j)[j0 + j..j0 + jb];
                 for (ci, &av) in col.iter_mut().zip(&ap[j..]) {
                     *ci += s * av;
                 }

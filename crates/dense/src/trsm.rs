@@ -8,9 +8,10 @@
 //! * [`trsm_lln`] — `L X = B` (left, lower, no transpose): forward solve;
 //! * [`trsm_llt`] — `Lᵀ X = B` (left, lower, transposed): backward solve.
 
-use crate::gemm::{gemm, TransB};
+use crate::flops::flops_trsm;
+use crate::gemm::{gemm_view, TransB, MR};
 use crate::isa::{isa_dispatch, Isa};
-use crate::par::par_gemm_nt;
+use crate::lanes::{self, split, Axis, MatMut, MatRef};
 use crate::NB;
 
 /// Solves `X Lᵀ = B` in place: on return `b` holds `X = B L^{-T}`.
@@ -20,16 +21,16 @@ use crate::NB;
 /// trailing GEMM update from already-solved columns, then a small
 /// unblocked solve against the diagonal block.
 pub fn trsm_rlt(m: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
-    trsm_rlt_with(Isa::host(), 1, m, n, l, ldl, b, ldb)
+    let lanes = lanes::for_flops(flops_trsm(m, n));
+    trsm_rlt_with(Isa::host(), lanes, m, n, l, ldl, b, ldb)
 }
 
-/// The blocked right-looking sweep shared by [`trsm_rlt`] and
-/// [`crate::par::par_trsm_rlt`], on the `isa` copy of the kernels:
-/// `threads > 1` runs each block's trailing GEMM striped on the pool
-/// (whose stripes take the host's copy), everything else is identical.
+/// [`trsm_rlt`] on the `isa` copy of the kernels. Rows of `B` are
+/// independent, so `lanes > 1` cuts `B` into row blocks and runs the
+/// unchanged sweep on each.
 pub(crate) fn trsm_rlt_with(
     isa: Isa,
-    threads: usize,
+    lanes: usize,
     m: usize,
     n: usize,
     l: &[f64],
@@ -42,74 +43,56 @@ pub(crate) fn trsm_rlt_with(
     }
     debug_assert!(ldl >= n, "ldl {ldl} < n {n}");
     debug_assert!(ldb >= m, "ldb {ldb} < m {m}");
+    let l = MatRef::new(l, n, n, ldl);
+    let b = MatMut::new(b, m, n, ldb);
+    split(b, Axis::Rows, lanes, MR, &|_, b| trsm_sweep(isa, l, b));
+}
+
+/// The blocked right-looking sweep over the columns of `b`.
+fn trsm_sweep(isa: Isa, l: MatRef<'_>, mut b: MatMut<'_>) {
+    let n = b.cols();
     let mut j0 = 0;
     while j0 < n {
         let jb = NB.min(n - j0);
         // Columns [0, j0) are solved; columns [j0, j0+jb) are being solved.
-        // The final block's last column only needs m rows, so cap the
-        // slice at (jb-1)·ldb + m — a view into a larger panel may not
-        // own a full ldb stride after its last column.
-        let (solved, rest) = b.split_at_mut(j0 * ldb);
-        let bj = &mut rest[..(jb - 1) * ldb + m];
+        let (solved, rest) = b.rb().split_cols(j0);
+        let (mut bj, _) = rest.split_cols(jb);
         if j0 > 0 {
-            // B_J -= X_{<J} * L[J, <J]ᵀ. With threads > 1 the stripes
-            // split the jb (≤ NB) columns of this block, so per-block
-            // parallelism is capped at jb regardless of the height m.
-            if threads <= 1 {
-                gemm(
-                    isa,
-                    m,
-                    jb,
-                    j0,
-                    -1.0,
-                    solved,
-                    ldb,
-                    &l[j0..],
-                    ldl,
-                    TransB::Yes,
-                    1.0,
-                    bj,
-                    ldb,
-                );
-            } else {
-                par_gemm_nt(
-                    threads,
-                    m,
-                    jb,
-                    j0,
-                    -1.0,
-                    solved,
-                    ldb,
-                    &l[j0..],
-                    ldl,
-                    1.0,
-                    bj,
-                    ldb,
-                );
-            }
+            // B_J -= X_{<J} * L[J, <J]ᵀ
+            gemm_view(
+                isa,
+                -1.0,
+                solved.as_ref(),
+                l.sub(j0, jb, 0, j0),
+                TransB::Yes,
+                1.0,
+                bj.rb(),
+            );
         }
-        trsm_rlt_unblocked(isa, m, jb, &l[j0 * ldl + j0..], ldl, bj, ldb);
+        trsm_rlt_unblocked(isa, l.sub(j0, jb, j0, jb), bj);
         j0 += jb;
     }
 }
 
 isa_dispatch! {
-    /// Unblocked `X Lᵀ = B`; `l` points at the diagonal block.
-    fn trsm_rlt_unblocked(m: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
-        for j in 0..n {
+    /// Unblocked `X Lᵀ = B`; `l` is the diagonal block.
+    fn trsm_rlt_unblocked(l: MatRef<'_>, b: MatMut<'_>) {
+        let mut b = b;
+        for j in 0..b.cols() {
             // x_j = (b_j - sum_{i<j} x_i * L[j, i]) / L[j, j]
-            let (done, cur) = b.split_at_mut(j * ldb);
-            let xj = &mut cur[..m];
+            let (done, cur) = b.rb().split_cols(j);
+            let (mut cur, _) = cur.split_cols(1);
+            let done = done.as_ref();
+            let xj = cur.col_mut(0);
             for i in 0..j {
-                let lji = l[i * ldl + j];
+                let lji = l.col(i)[j];
                 if lji != 0.0 {
-                    let xi = &done[i * ldb..i * ldb + m];
-                    for (x, &y) in xj.iter_mut().zip(xi) {
+                    for (x, &y) in xj.iter_mut().zip(done.col(i)) {
                         *x -= lji * y;
                     }
                 }
             }
-            let d = 1.0 / l[j * ldl + j];
+            let d = 1.0 / l.col(j)[j];
             for x in xj.iter_mut() {
                 *x *= d;
             }
