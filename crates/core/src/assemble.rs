@@ -96,7 +96,7 @@ pub(crate) fn scatter_segment(
 /// Bit-exactness: every entry is written by exactly the same subtraction,
 /// in the same per-segment order, as [`assemble_update`] — segments only
 /// move between lanes, so the result is bit-identical to the serial
-/// scatter (unlike striped BLAS, where summation order may shift).
+/// scatter.
 pub fn assemble_update_pool(
     sym: &SymbolicFactor,
     data: &mut [Vec<f64>],

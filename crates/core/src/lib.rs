@@ -34,8 +34,8 @@
 //!   scheduled over the supernodal elimination tree on the persistent
 //!   thread pool (`RLCHOL_THREADS` lanes; see `rlchol-dense`'s crate
 //!   docs): independent subtrees factor concurrently, fan-out updates
-//!   are guarded per-target, and large per-task BLAS calls stripe
-//!   across idle lanes.
+//!   are guarded per-target, and large per-task BLAS calls split
+//!   across idle lanes inside `rlchol-dense`.
 //! * **Pipelined multi-stream GPU engines** ([`sched::gpu`]) — the same
 //!   elimination-tree dependency machinery ([`sched::driver`]) drives
 //!   out-of-order dispatch of ready supernodes onto `RLCHOL_STREAMS`

@@ -211,7 +211,7 @@ fn run_scheduler(
     });
 
     if let Some(payload) = shared.panic.lock().unwrap().take() {
-        // A task panicked (BLAS stripe, debug assertion, ...): re-raise
+        // A task panicked (BLAS kernel, debug assertion, ...): re-raise
         // on the driver, exactly as the serial engines would.
         std::panic::resume_unwind(payload);
     }

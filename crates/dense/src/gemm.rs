@@ -8,13 +8,20 @@
 //! write-back, so the hot loop is branch-free.
 //!
 //! Each entry of `C` gets `alpha * acc` added once per `KC` block, where
-//! `acc` sums `a[i,p] * b[p,j]` over the block's `p` in order. The blocked
-//! loop (packing, macro- and micro-kernel) is compiled once per vector
-//! unit and chosen at run time (see the crate docs); the copies keep
-//! that arithmetic, so they agree to the last bit:
+//! `acc` starts at zero and takes `acc = fma(a[i,p], b[p,j], acc)` over
+//! the block's `p` in order — one rounding per step — and the write-back
+//! `c += alpha * acc` rounds the product and the sum separately. The
+//! blocked loop (packing, macro- and micro-kernel) is compiled once per
+//! vector unit, each with a tile that fits that unit's registers, and
+//! chosen at run time (see the crate docs); the copies keep that
+//! arithmetic, so they agree to the last bit:
 //!
-//! * Rust never contracts `a * b + c` into an FMA, so every copy rounds
-//!   the product and the sum separately;
+//! * `f64::mul_add` is a fused multiply-add on every copy — an FMA
+//!   instruction on AVX-512F and AVX2, a call to libm's exact `fma` on the
+//!   baseline — and Rust never contracts the unfused write-back into one;
+//! * the tile does not change an entry's sum: entry `(i, j)` meets the
+//!   same `p` in the same order in a 16 x 6 tile as in an 8 x 4 one, and
+//!   padding rows and columns only touch accumulators that are dropped;
 //! * `KC` fixes where the sum over `k` is split, so it is not tuned per
 //!   vector unit — a different `KC` is a different result;
 //! * the dispatch sits inside the `PACK` thread-local closure, around the
@@ -23,7 +30,7 @@
 //!   baseline loops.
 //!
 //! A call above the lane cutoff is cut into column blocks of `C` when
-//! `n >= m` and into row blocks otherwise ([`crate::lanes`]); nothing
+//! `n >= m` and into row blocks otherwise (see the crate docs); nothing
 //! above depends on which block or lane computes an entry, so the split
 //! does not change a bit either.
 
@@ -31,10 +38,18 @@ use crate::flops::flops_gemm;
 use crate::isa::Isa;
 use crate::lanes::{self, split, Axis, MatMut, MatRef};
 
-/// Micro-tile rows (register blocking in the `m` dimension).
-pub const MR: usize = 8;
-/// Micro-tile columns (register blocking in the `n` dimension).
-pub const NR: usize = 4;
+/// The micro-tile, `rows x columns`, of each copy's blocked loop.
+pub(crate) const fn tile(isa: Isa) -> (usize, usize) {
+    match isa {
+        // 12 accumulator registers of eight lanes, two for a column of
+        // `A`, one broadcast.
+        Isa::Avx512 => (16, 6),
+        // A wider AVX2 tile spills its 16 registers (8 x 6 ran at half
+        // the rate of 8 x 4).
+        Isa::Avx2 | Isa::Baseline => (8, 4),
+    }
+}
+
 /// Cache block in the `m` dimension.
 pub const MC: usize = 256;
 /// Cache block in the `k` dimension.
@@ -42,10 +57,32 @@ pub const KC: usize = 256;
 /// Cache block in the `n` dimension.
 pub const NC: usize = 1024;
 
-/// Row and column multiples the lane split cuts `C` at, so that only the
-/// last block of a split has a partial micro-tile.
-const ROW_ALIGN: usize = MR;
-const COL_ALIGN: usize = NR;
+/// Row and column multiples the lane split cuts `C` at — multiples of
+/// every tile's, so that only the last block of a split has a partial
+/// micro-tile.
+pub(crate) const ROW_ALIGN: usize = 16;
+const COL_ALIGN: usize = 12;
+
+/// Longest packed panel of `extent` rows (`rows`) or columns by `KC`
+/// steps over every copy's tile, zero-padded to whole tiles; also checks
+/// that `align` is a multiple of every tile's side.
+const fn panel_len(extent: usize, rows: bool, align: usize) -> usize {
+    let mut len = 0;
+    let mut i = 0;
+    while i < Isa::ALL.len() {
+        let t = tile(Isa::ALL[i]);
+        let side = if rows { t.0 } else { t.1 };
+        assert!(align.is_multiple_of(side));
+        let l = extent.div_ceil(side) * side * KC;
+        if l > len {
+            len = l;
+        }
+        i += 1;
+    }
+    len
+}
+const APACK_LEN: usize = panel_len(MC, true, ROW_ALIGN);
+const BPACK_LEN: usize = panel_len(NC, false, COL_ALIGN);
 
 /// Whether the second operand of [`gemm`] is transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,13 +229,13 @@ pub(crate) fn gemm_view(
         return;
     }
 
-    // Packed panels, zero-padded to multiples of MR / NR. The buffers are
+    // Packed panels, zero-padded to multiples of the tile. The buffers are
     // thread-local and reused across calls, so the supernodal update loop
     // (thousands of GEMMs) allocates only on each thread's first call.
     PACK.with(|cell| {
         let (apack, bpack) = &mut *cell.borrow_mut();
-        apack.resize(MC.div_ceil(MR) * MR * KC, 0.0);
-        bpack.resize(NC.div_ceil(NR) * NR * KC, 0.0);
+        apack.resize(APACK_LEN, 0.0);
+        bpack.resize(BPACK_LEN, 0.0);
         blocked(isa, alpha, a, b, tb, c, apack, bpack);
     });
 }
@@ -234,7 +271,13 @@ fn blocked(
     bpack: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
+    const W: (usize, usize) = tile(Isa::Avx512);
+    #[cfg(target_arch = "x86_64")]
+    const N: (usize, usize) = tile(Isa::Avx2);
+    const B: (usize, usize) = tile(Isa::Baseline);
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,fma")]
     fn avx512(
         alpha: f64,
         a: MatRef<'_>,
@@ -244,11 +287,11 @@ fn blocked(
         apack: &mut [f64],
         bpack: &mut [f64],
     ) {
-        blocked_tile::<MR, NR>(alpha, a, b, tb, c, apack, bpack)
+        blocked_tile::<{ W.0 }, { W.1 }>(alpha, a, b, tb, c, apack, bpack)
     }
 
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     fn avx2(
         alpha: f64,
         a: MatRef<'_>,
@@ -258,23 +301,23 @@ fn blocked(
         apack: &mut [f64],
         bpack: &mut [f64],
     ) {
-        blocked_tile::<MR, NR>(alpha, a, b, tb, c, apack, bpack)
+        blocked_tile::<{ N.0 }, { N.1 }>(alpha, a, b, tb, c, apack, bpack)
     }
 
     match isa {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 if isa.supported() => {
-            // SAFETY: the guard's `is_x86_feature_detected!("avx512f")`
-            // just confirmed this CPU has AVX-512F.
+            // SAFETY: the guard's `is_x86_feature_detected!` just
+            // confirmed this CPU has AVX-512F and FMA.
             unsafe { avx512(alpha, a, b, tb, c, apack, bpack) }
         }
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 if isa.supported() => {
-            // SAFETY: the guard's `is_x86_feature_detected!("avx2")`
-            // just confirmed this CPU has AVX2.
+            // SAFETY: the guard's `is_x86_feature_detected!` just
+            // confirmed this CPU has AVX2 and FMA.
             unsafe { avx2(alpha, a, b, tb, c, apack, bpack) }
         }
-        _ => blocked_tile::<MR, NR>(alpha, a, b, tb, c, apack, bpack),
+        _ => blocked_tile::<{ B.0 }, { B.1 }>(alpha, a, b, tb, c, apack, bpack),
     }
 }
 
@@ -421,7 +464,7 @@ fn macro_kernel<const MR_: usize, const NR_: usize>(
     }
 }
 
-/// The `MR_ x NR_` register tile: a rank-1 update per `k` step.
+/// The `MR_ x NR_` register tile: a fused rank-1 update per `k` step.
 #[inline(always)]
 fn micro_kernel<const MR_: usize, const NR_: usize>(
     kc: usize,
@@ -435,7 +478,7 @@ fn micro_kernel<const MR_: usize, const NR_: usize>(
         for j in 0..NR_ {
             let bj = b[j];
             for i in 0..MR_ {
-                acc[j][i] += a[i] * bj;
+                acc[j][i] = a[i].mul_add(bj, acc[j][i]);
             }
         }
     }

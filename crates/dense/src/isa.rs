@@ -1,20 +1,20 @@
 //! Run-time choice of the vector unit the dense kernels run on.
 //!
 //! The crate is built for the target's baseline (SSE2 on x86-64), which
-//! gives the autovectorised loops two-wide vectors. [`isa_dispatch!`]
-//! compiles a kernel body three times — for AVX-512F, for AVX2 and for
-//! the baseline — and the kernel entry points pick the widest copy the
-//! host supports ([`Isa::host`]). Every copy computes the same bits; see
-//! the crate docs for why.
+//! gives the autovectorised loops two-wide vectors and no fused
+//! multiply-add. [`isa_dispatch!`] compiles a kernel body three times —
+//! for AVX-512F, for AVX2 with FMA and for the baseline — and the kernel
+//! entry points pick the widest copy the host supports ([`Isa::host`]).
+//! Every copy computes the same bits; see the crate docs for why.
 
 /// One compiled copy of the dense kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Isa {
     /// What the crate is built for.
     Baseline,
-    /// 256-bit AVX2 vectors.
+    /// 256-bit AVX2 vectors with FMA.
     Avx2,
-    /// 512-bit AVX-512F vectors.
+    /// 512-bit AVX-512F vectors (which always come with FMA).
     Avx512,
 }
 
@@ -30,15 +30,17 @@ impl Isa {
             .unwrap_or(Isa::Baseline)
     }
 
-    /// Whether this host can run the copy. Non-x86-64 targets run only
-    /// the baseline.
+    /// Whether this host can run the copy: every feature the copy is
+    /// compiled with. Non-x86-64 targets run only the baseline.
     pub(crate) fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        use std::arch::is_x86_feature_detected as has;
         match self {
             Isa::Baseline => true,
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Isa::Avx2 => has!("avx2") && has!("fma"),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            Isa::Avx512 => has!("avx512f") && has!("fma"),
             #[cfg(not(target_arch = "x86_64"))]
             Isa::Avx2 | Isa::Avx512 => false,
         }
@@ -61,13 +63,13 @@ macro_rules! isa_dispatch {
             fn body($($arg: $ty),*) $(-> $ret)? $body
 
             #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx512f")]
+            #[target_feature(enable = "avx512f,fma")]
             fn avx512($($arg: $ty),*) $(-> $ret)? {
                 body($($arg),*)
             }
 
             #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2")]
+            #[target_feature(enable = "avx2,fma")]
             fn avx2($($arg: $ty),*) $(-> $ret)? {
                 body($($arg),*)
             }
@@ -75,14 +77,14 @@ macro_rules! isa_dispatch {
             match isa {
                 #[cfg(target_arch = "x86_64")]
                 $crate::isa::Isa::Avx512 if isa.supported() => {
-                    // SAFETY: the guard's `is_x86_feature_detected!("avx512f")`
-                    // just confirmed this CPU has AVX-512F.
+                    // SAFETY: the guard's `is_x86_feature_detected!` just
+                    // confirmed this CPU has AVX-512F and FMA.
                     unsafe { avx512($($arg),*) }
                 }
                 #[cfg(target_arch = "x86_64")]
                 $crate::isa::Isa::Avx2 if isa.supported() => {
-                    // SAFETY: the guard's `is_x86_feature_detected!("avx2")`
-                    // just confirmed this CPU has AVX2.
+                    // SAFETY: the guard's `is_x86_feature_detected!` just
+                    // confirmed this CPU has AVX2 and FMA.
                     unsafe { avx2($($arg),*) }
                 }
                 _ => body($($arg),*),
@@ -96,7 +98,7 @@ pub(crate) use isa_dispatch;
 #[cfg(test)]
 pub(crate) mod tests {
     use super::Isa;
-    use crate::gemm::{gemm, TransB, KC, MC, MR, NC, NR};
+    use crate::gemm::{gemm, tile, TransB, KC, MC, NC};
     use crate::potrf::{potrf_with, with_l11_scratch};
     use crate::syrk::syrk_ln_with;
     use crate::trsm::trsm_rlt_with;
@@ -162,23 +164,33 @@ pub(crate) mod tests {
             .into_iter()
             .filter(|&isa| isa != Isa::Baseline && isa.supported())
             .collect();
+        let tiles: Vec<String> = isas
+            .iter()
+            .chain(&[Isa::Baseline])
+            .map(|&isa| format!("{isa:?} {}x{}", tile(isa).0, tile(isa).1))
+            .collect();
         // Straight to the process's stderr, past the harness's capture,
         // so the CI log names the copies this host checked.
         let _ = writeln!(
             std::io::stderr(),
-            "rlchol-dense: copies compared bit for bit with the baseline: {isas:?}"
+            "rlchol-dense: copies compared bit for bit with the baseline: {isas:?} \
+             (GEMM tiles: {})",
+            tiles.join(", ")
         );
         let mut rng = StdRng::seed_from_u64(26);
 
-        // Off the MR/NR multiples, and across MC, KC and NC.
+        // Off the multiples of both tiles (16 x 6 and 8 x 4), and across
+        // MC, KC and NC.
         let gemm_shapes = [
             (1, 1, 1),
-            (MR - 1, NR - 1, 5),
-            (MR + 1, NR + 1, 17),
+            (7, 3, 5),
+            (15, 5, 9),
+            (17, 7, 17),
+            (9, 13, 3),
             (MC + 13, 9, 7),
             (13, 11, KC + 44),
             (17, NC + 6, 33),
-            (MC + 3, 5 * NR + 1, KC + 5),
+            (MC + 3, 31, KC + 5),
         ];
         for (m, n, k) in gemm_shapes {
             for (tb, ldb, bcols) in [(TransB::No, k + 1, n), (TransB::Yes, n + 1, k)] {
@@ -237,6 +249,14 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn the_avx2_copy_is_only_chosen_with_fma() {
+        #[cfg(target_arch = "x86_64")]
+        if Isa::Avx2.supported() {
+            assert!(std::arch::is_x86_feature_detected!("fma"));
+        }
+    }
+
     /// Single-lane `gemm_nt` 1024³ rate of every copy the host supports,
     /// best of five. A timing probe, not a check: run it with
     /// `cargo test --release -p rlchol-dense -- --ignored --nocapture`.
@@ -272,7 +292,8 @@ pub(crate) mod tests {
                 })
                 .fold(f64::INFINITY, f64::min);
             let gflops = crate::flops_gemm(n, n, n) / best / 1e9;
-            println!("gemm_nt {n}^3 on {isa:?}, one lane: {gflops:.1} GF/s");
+            let (mr, nr) = tile(isa);
+            println!("gemm_nt {n}^3 on {isa:?} ({mr}x{nr} tile), one lane: {gflops:.1} GF/s");
         }
     }
 }

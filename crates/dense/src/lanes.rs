@@ -17,8 +17,10 @@ use std::marker::PhantomData;
 use crate::pool;
 
 /// Calls below this many flops run inline on the caller: waking a lane
-/// costs more than it saves. A sweep on the 2-vCPU reference host found
-/// 2¹⁸, 2²⁰ and 2²² flops within noise of each other on every workload.
+/// costs more than it saves. On a 2-vCPU AVX-512F host, cutoffs from 2¹⁶
+/// to 2²² flops were within noise of each other on every benchmark
+/// workload, and 2²⁴ was slower; the highest of the equal ones wakes the
+/// pool least.
 const SPLIT_FLOPS: f64 = (1u64 << 22) as f64;
 
 /// Lanes a public kernel call of `flops` gets: the whole pool above the
@@ -207,7 +209,7 @@ impl<'a> MatMut<'a> {
 }
 
 /// Which way [`split`] cuts its view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) enum Axis {
     Rows,
     Cols,
@@ -325,7 +327,7 @@ mod tests {
                             part_start(i, parts, extent, align),
                             part_start(i + 1, parts, extent, align),
                         );
-                        assert!(lo <= hi && (lo == extent || lo % align == 0));
+                        assert!(lo <= hi && (lo == extent || lo.is_multiple_of(align)));
                         seen[lo..hi].iter_mut().for_each(|s| *s += 1);
                     }
                     assert!(seen.iter().all(|&s| s == 1), "{extent} {parts} {align}");
@@ -369,7 +371,7 @@ mod tests {
             (MC + 13, 9, 7),
             (13, 11, KC + 44),
             (17, NC + 6, 33),
-            (MC + 3, 5 * 6 + 1, KC + 5),
+            (MC + 3, 31, KC + 5),
             (2 * MC + 7, NC + 29, 19),
         ];
         for (m, n, k) in gemm_shapes {

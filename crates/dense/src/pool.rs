@@ -5,7 +5,7 @@
 //! call. Workers are started once (lazily, on first use of
 //! [`global`]) and live for the process; each has a local deque and
 //! steals from the shared injector or from its siblings when idle, so a
-//! worker that finishes its stripe early picks up someone else's work.
+//! worker that finishes its job early picks up someone else's work.
 //!
 //! **Sizing.** The global pool runs `RLCHOL_THREADS` workers when that
 //! environment variable is set to a positive integer, otherwise
@@ -147,7 +147,7 @@ impl Shared {
 
     /// Enqueues a whole batch under one queue lock and one broadcast —
     /// per-job wakeups would thundering-herd every parked worker once
-    /// per stripe on the hot fan-out path.
+    /// per job on the hot fan-out path.
     fn push_batch(&self, me: Option<usize>, jobs: Vec<Job>) {
         match me {
             Some(w) => self.locals[w].lock().unwrap().extend(jobs),

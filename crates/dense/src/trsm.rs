@@ -9,7 +9,7 @@
 //! * [`trsm_llt`] — `Lᵀ X = B` (left, lower, transposed): backward solve.
 
 use crate::flops::flops_trsm;
-use crate::gemm::{gemm_view, TransB, MR};
+use crate::gemm::{gemm_view, TransB, ROW_ALIGN};
 use crate::isa::{isa_dispatch, Isa};
 use crate::lanes::{self, split, Axis, MatMut, MatRef};
 use crate::NB;
@@ -45,7 +45,9 @@ pub(crate) fn trsm_rlt_with(
     debug_assert!(ldb >= m, "ldb {ldb} < m {m}");
     let l = MatRef::new(l, n, n, ldl);
     let b = MatMut::new(b, m, n, ldb);
-    split(b, Axis::Rows, lanes, MR, &|_, b| trsm_sweep(isa, l, b));
+    split(b, Axis::Rows, lanes, ROW_ALIGN, &|_, b| {
+        trsm_sweep(isa, l, b)
+    });
 }
 
 /// The blocked right-looking sweep over the columns of `b`.

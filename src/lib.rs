@@ -258,7 +258,8 @@
 //! ## Threads, streams and solve lanes
 //!
 //! The task-parallel engines ([`Method::RlCpuPar`], [`Method::RlbCpuPar`])
-//! and the striped dense kernels share one persistent work-stealing pool;
+//! and the dense kernels, which split any large call across lanes,
+//! share one persistent work-stealing pool;
 //! the pipelined GPU engines ([`Method::RlGpuPipe`], [`Method::RlbGpuPipe`])
 //! dispatch ready supernodes onto the least-loaded of their simulated
 //! compute/copy stream pairs (retirement discipline via

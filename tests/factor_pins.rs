@@ -5,8 +5,19 @@
 //! bitwise tests that compare engines with each other cannot see a
 //! change in a kernel's arithmetic. These pins can. A change meant to
 //! make a kernel faster without moving a bit (wider vectors, the same
-//! summation order) must leave every digest here untouched; a change
-//! that means to move one records the new value and says why.
+//! summation order, splitting a call across lanes) must leave every
+//! digest here untouched; a change that means to move one records the
+//! new value and says why.
+//!
+//! Last re-recorded when the GEMM micro-kernel began accumulating with a
+//! fused multiply-add (`f64::mul_add`, one rounding per step instead of
+//! two): every digest whose factor passes through a GEMM moved. The RL
+//! digests of the 2-D grid did not: its only supernode wider than `NB`
+//! is the root and no update matrix is taller than `NB`, so RL never
+//! reaches the GEMM there. The new factors pass the entry-wise and
+//! backward-error checks of `tests/oracle.rs`, which use no dense
+//! kernel. The preceding change, which split large kernel calls across
+//! the pool, left every digest as it was.
 //!
 //! `RlCpuPar` and `RlbCpuPar` are left out on purpose: their fan-out
 //! updates land in the order the scheduler runs them, so their factor
@@ -99,18 +110,18 @@ fn grid3d_star7_factor_is_pinned() {
         "grid3d 16^3 star7",
         &grid3d(16, 16, 16, Stencil::Star7, 1, 1),
         &[
-            0x3061_53e1_a1ff_cd25,
-            0x516d_3519_94fb_dc23,
-            0x3061_53e1_a1ff_cd25,
-            0x3061_53e1_a1ff_cd25,
-            0x3061_53e1_a1ff_cd25,
-            0x45f5_ca8d_5a80_0bbf,
-            0x3061_53e1_a1ff_cd25,
-            0x45f5_ca8d_5a80_0bbf,
-            0x3061_53e1_a1ff_cd25,
-            0x3061_53e1_a1ff_cd25,
-            0x3061_53e1_a1ff_cd25,
-            0x45f5_ca8d_5a80_0bbf,
+            0x7d4a_4641_a314_e630,
+            0x5e8f_8438_ca9b_54ff,
+            0x7d4a_4641_a314_e630,
+            0x7d4a_4641_a314_e630,
+            0x634e_5203_cf14_567d,
+            0xc610_5335_4670_b6b0,
+            0x634e_5203_cf14_567d,
+            0xc610_5335_4670_b6b0,
+            0x7d4a_4641_a314_e630,
+            0x7d4a_4641_a314_e630,
+            0x634e_5203_cf14_567d,
+            0xc610_5335_4670_b6b0,
         ],
     );
     // The root separator must span more than one NB block, so the
@@ -128,17 +139,17 @@ fn grid2d_star5_factor_is_pinned() {
         &grid2d(60, 60, Stencil::Star5, 1, 1),
         &[
             0x61af_88fe_225e_daaf,
-            0x1cc5_a2a2_cc76_1d68,
+            0x3715_5fa8_cd17_842a,
             0x61af_88fe_225e_daaf,
             0x61af_88fe_225e_daaf,
+            0xb776_37f5_f3df_dc1c,
+            0x8531_9256_5154_5c0f,
+            0xb776_37f5_f3df_dc1c,
+            0x8531_9256_5154_5c0f,
             0x61af_88fe_225e_daaf,
-            0x28a9_f4ba_681a_e60a,
             0x61af_88fe_225e_daaf,
-            0x28a9_f4ba_681a_e60a,
-            0x61af_88fe_225e_daaf,
-            0x61af_88fe_225e_daaf,
-            0x61af_88fe_225e_daaf,
-            0x28a9_f4ba_681a_e60a,
+            0xb776_37f5_f3df_dc1c,
+            0x8531_9256_5154_5c0f,
         ],
     );
 }
@@ -149,18 +160,18 @@ fn grid3d_star27_factor_is_pinned() {
         "grid3d 10^3 star27",
         &grid3d(10, 10, 10, Stencil::Star27, 1, 1),
         &[
-            0xc668_f2c6_632b_8154,
-            0xb0c5_7af6_4bb2_6c4f,
-            0xc668_f2c6_632b_8154,
-            0xc668_f2c6_632b_8154,
-            0xc668_f2c6_632b_8154,
-            0xc668_f2c6_632b_8154,
-            0xc668_f2c6_632b_8154,
-            0xc668_f2c6_632b_8154,
-            0xc668_f2c6_632b_8154,
-            0xc668_f2c6_632b_8154,
-            0xc668_f2c6_632b_8154,
-            0xc668_f2c6_632b_8154,
+            0x851c_1cad_76f7_56e3,
+            0xeda2_b46e_c42b_2247,
+            0x851c_1cad_76f7_56e3,
+            0x851c_1cad_76f7_56e3,
+            0x0a05_4a44_3e63_a7f0,
+            0x0a05_4a44_3e63_a7f0,
+            0x0a05_4a44_3e63_a7f0,
+            0x0a05_4a44_3e63_a7f0,
+            0x851c_1cad_76f7_56e3,
+            0x851c_1cad_76f7_56e3,
+            0x0a05_4a44_3e63_a7f0,
+            0x0a05_4a44_3e63_a7f0,
         ],
     );
 }
