@@ -98,7 +98,7 @@ fn clique(k: usize) -> Graph {
 
 #[test]
 fn nested_dissection_permutations_are_pinned() {
-    let cases: [(&str, Graph, u64); 5] = [
+    let cases: [(&str, Graph, u64); 6] = [
         (
             "grid2d 60x60",
             grid2d(60, 60, Stencil::Star5, 1, 1).to_graph(),
@@ -116,6 +116,13 @@ fn nested_dissection_permutations_are_pinned() {
         ),
         ("two components", two_components(), 0x9911_9958_0eec_ba31),
         ("clique 130", clique(130), 0x8703_4ac9_13bc_e744),
+        // A tree: every half below the root is a forest, so pieces that
+        // fall apart are pinned deep in the recursion, not only at the top.
+        (
+            "random tree 2000 seed 3",
+            random_graph(2000, 0, 3),
+            0xfcfc_9531_66d0_9459,
+        ),
     ];
     let pins: Vec<(String, u64, u64)> = cases
         .iter()
@@ -148,6 +155,32 @@ fn minimum_degree_permutations_are_pinned() {
         .map(|(name, g, want)| {
             let p = min_degree(g);
             (format!("md {name}"), digest(p.old_of_slice()), *want)
+        })
+        .collect();
+    check(&pins);
+}
+
+/// RCM starts each component from the pseudo-peripheral search that
+/// nested dissection's bisection shares.
+#[test]
+fn rcm_permutations_are_pinned() {
+    let cases: [(&str, Graph, u64); 2] = [
+        (
+            "grid2d 60x60",
+            grid2d(60, 60, Stencil::Star5, 1, 1).to_graph(),
+            0xd859_e706_8c45_f531,
+        ),
+        (
+            "random 400/2 seed 1",
+            random_graph(400, 2, 1),
+            0xb135_65bd_6f1f_b609,
+        ),
+    ];
+    let pins: Vec<(String, u64, u64)> = cases
+        .iter()
+        .map(|(name, g, want)| {
+            let p = order_graph(g, OrderingMethod::Rcm);
+            (format!("rcm {name}"), digest(p.old_of_slice()), *want)
         })
         .collect();
     check(&pins);
