@@ -6,8 +6,9 @@
 //! * [`nested_dissection`] — recursive bisection with BFS level-set
 //!   separators grown from pseudo-peripheral vertices, separator cleanup
 //!   passes, and minimum-degree leaf ordering;
-//! * [`min_degree`] — exact external-degree minimum degree on a quotient
-//!   graph (element absorption keeps lists compact);
+//! * [`min_degree`] — exact external-degree minimum degree, on `u128`
+//!   bitsets up to 128 vertices and on a quotient graph above (element
+//!   absorption keeps lists compact), with identical output;
 //! * [`rcm`] — reverse Cuthill–McKee, a bandwidth-oriented baseline;
 //! * [`order`] — one-call dispatcher over [`OrderingMethod`].
 //!
@@ -15,6 +16,7 @@
 //! `old_of[new] = old`: position `k` of the returned ordering names the
 //! vertex eliminated `k`-th.
 
+mod levels;
 pub mod mindeg;
 pub mod nd;
 pub mod rcm;

@@ -2,7 +2,10 @@
 //!
 //! Classic recursive bisection in the style of SPARSPAK / METIS:
 //!
-//! 1. split the (sub)graph into connected components;
+//! 1. BFS from the piece's first vertex; if it reaches every vertex the
+//!    piece is connected and the search carries on as step 2, otherwise
+//!    the piece is split into its connected components, each dissected on
+//!    its own;
 //! 2. for each component above the leaf threshold, grow BFS level sets
 //!    from a pseudo-peripheral vertex and cut at the median level;
 //! 3. take the cut level as a vertex separator, then *shrink* it — a
@@ -18,16 +21,20 @@
 //! map is monotone and a piece's local numbering is exactly the
 //! numbering inducing it from the original graph would give: the
 //! ordering does not depend on where the recursion induces from, and the
-//! work per piece is proportional to the piece. A piece that is one
-//! connected component is dissected as it is, without a second copy.
+//! work per piece is proportional to the piece. Both halves and the
+//! separator come out of one pass over their parent.
+//!
+//! All other scratch — the BFS level structure, the side labels and the
+//! within-side ranks — is owned by the top-level call, sized to the whole
+//! graph once and used by each piece as a prefix of its own size.
 //!
 //! On the regular 2-D/3-D meshes that dominate the paper's test set this
 //! produces the familiar `O(n log n)` fill / `O(n^{3/2})`–`O(n²)` flop
 //! profiles that METIS achieves, which is all the downstream experiments
 //! need (the ordering only shapes the supernode size distribution).
 
-use crate::mindeg::min_degree;
-use crate::rcm::peripheral_levels;
+use crate::levels::Levels;
+use crate::mindeg::min_degree_into;
 use rlchol_sparse::{Graph, Permutation};
 
 /// Components at or below this size are ordered with minimum degree.
@@ -35,45 +42,76 @@ const LEAF_SIZE: usize = 96;
 /// Separator-shrinking passes after the level-set cut.
 const SHRINK_PASSES: usize = 4;
 
+/// Side labels of a bisection, also the index of the piece in [`split`].
+const A: u8 = 0;
+const B: u8 = 1;
+const SEP: u8 = 2;
+
 /// Computes a nested-dissection ordering of `g`.
 pub fn nested_dissection(g: &Graph) -> Permutation {
     let n = g.n();
     let mut order = Vec::with_capacity(n);
     let globals: Vec<usize> = (0..n).collect();
-    dissect(g, &globals, &mut order);
+    dissect(g, &globals, &mut order, &mut Scratch::new(n));
     debug_assert_eq!(order.len(), n);
     Permutation::from_old_of(order).expect("nested dissection visits each vertex once")
 }
 
-/// Orders the piece `g`, whose local vertex `l` is global vertex
-/// `globals[l]`, appending eliminated global vertices to `out`.
-fn dissect(g: &Graph, globals: &[usize], out: &mut Vec<usize>) {
-    let comps = g.connected_components();
-    if comps.len() == 1 {
-        return dissect_connected(g, globals, out);
-    }
-    for comp in comps {
-        let (c, c_globals) = piece(g, globals, &comp);
-        dissect_connected(&c, &c_globals, out);
+/// Buffers shared by every piece of one dissection.
+struct Scratch {
+    levels: Levels,
+    /// Side label of each vertex of the piece being bisected.
+    side: Vec<u8>,
+    /// Each vertex's local number within its side.
+    rank: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            levels: Levels::new(n),
+            side: vec![A; n],
+            rank: vec![0; n],
+        }
     }
 }
 
-/// [`dissect`] for a connected piece.
-fn dissect_connected(g: &Graph, globals: &[usize], out: &mut Vec<usize>) {
-    if g.n() <= LEAF_SIZE {
+/// Orders the piece `g`, whose local vertex `l` is global vertex
+/// `globals[l]`, appending eliminated global vertices to `out`.
+fn dissect(g: &Graph, globals: &[usize], out: &mut Vec<usize>, s: &mut Scratch) {
+    let n = g.n();
+    if n == 0 {
+        return;
+    }
+    s.levels.bfs(g, 0, |_| true);
+    if s.levels.reached() == n {
+        return dissect_connected(g, globals, out, s);
+    }
+    for comp in g.connected_components() {
+        let (c, c_globals) = piece(g, globals, &comp);
+        s.levels.bfs(&c, 0, |_| true);
+        dissect_connected(&c, &c_globals, out, s);
+    }
+}
+
+/// [`dissect`] for a connected piece, with `s.levels` holding the BFS
+/// from its local vertex 0.
+fn dissect_connected(g: &Graph, globals: &[usize], out: &mut Vec<usize>, s: &mut Scratch) {
+    let n = g.n();
+    if n <= LEAF_SIZE {
         return emit_min_degree(g, globals, out);
     }
-    match bisect(g) {
-        Some((a, b, sep)) => {
-            for half in [a, b] {
-                let (h, h_globals) = piece(g, globals, &half);
-                dissect(&h, &h_globals, out);
+    let side = &mut s.side[..n];
+    match bisect(g, &mut s.levels, side) {
+        Some(counts) => {
+            let [a, b, sep] = split(g, globals, side, &mut s.rank[..n], counts);
+            for (h, h_globals) in [a, b] {
+                dissect(&h, &h_globals, out, s);
             }
             // Separator vertices are eliminated last; order them by
             // minimum degree of their induced subgraph for a better
             // dense tail.
-            let (s, s_globals) = piece(g, globals, &sep);
-            emit_min_degree(&s, &s_globals, out);
+            emit_min_degree(&sep.0, &sep.1, out);
         }
         // Bisection failed (e.g. a clique): fall back to MD.
         None => emit_min_degree(g, globals, out),
@@ -89,94 +127,125 @@ fn piece(g: &Graph, globals: &[usize], locals: &[usize]) -> (Graph, Vec<usize>) 
 
 /// Appends the minimum-degree ordering of the piece `g`, as global ids.
 fn emit_min_degree(g: &Graph, globals: &[usize], out: &mut Vec<usize>) {
-    let p = min_degree(g);
-    out.extend(p.old_of_slice().iter().map(|&l| globals[l]));
+    min_degree_into(g, |l| out.push(globals[l]));
 }
 
-/// Splits a connected graph into `(A, B, S)` with `S` a vertex separator.
-/// Returns `None` when no useful split exists.
-fn bisect(g: &Graph) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
+/// Labels each vertex of the connected graph `g` [`A`], [`B`] or [`SEP`]
+/// in `side`, with `SEP` a vertex separator, starting from the BFS that
+/// `levels` holds. Returns the three sizes, or `None` when no useful
+/// split exists.
+fn bisect(g: &Graph, levels: &mut Levels, side: &mut [u8]) -> Option<[usize; 3]> {
     let n = g.n();
-    let mask = vec![true; n];
-    let (_, levels, level_of) = peripheral_levels(g, 0, &mask);
-    if levels.len() < 3 {
+    levels.reroot_peripheral(g, |_| true);
+    let depth = levels.depth();
+    if depth < 3 {
         return None; // graph of diameter < 2: no interior level to cut
     }
     // Cut at the level where the cumulative size crosses half.
-    let mut cum = 0usize;
-    let mut cut = 1usize;
-    for (l, lv) in levels.iter().enumerate() {
-        cum += lv.len();
-        if cum * 2 >= n {
-            cut = l.clamp(1, levels.len() - 2);
-            break;
-        }
-    }
+    let cut = (0..depth)
+        .find(|&l| levels.below(l + 1) * 2 >= n)
+        .expect("the levels hold all n vertices")
+        .clamp(1, depth - 2);
 
-    // side[v]: 0 = A (levels < cut), 1 = B (levels > cut), 2 = separator.
-    let mut side = vec![0u8; n];
-    for v in 0..n {
-        side[v] = match level_of[v].cmp(&cut) {
-            std::cmp::Ordering::Less => 0,
-            std::cmp::Ordering::Equal => 2,
-            std::cmp::Ordering::Greater => 1,
+    // A = levels < cut, B = levels > cut. BFS edges join equal or
+    // adjacent levels, so no edge joins A and B.
+    for (sd, &l) in side.iter_mut().zip(levels.level_of()) {
+        *sd = match l.cmp(&cut) {
+            std::cmp::Ordering::Less => A,
+            std::cmp::Ordering::Equal => SEP,
+            std::cmp::Ordering::Greater => B,
         };
     }
+    let mut counts = [levels.below(cut), n - levels.below(cut + 1), 0];
+    counts[SEP as usize] = n - counts[A as usize] - counts[B as usize];
 
     // Shrink: a separator vertex with all non-separator neighbors on one
-    // side joins that side. Multiple passes let the separator thin out.
+    // side joins that side, and one with only separator neighbors joins
+    // A. Multiple passes let the separator thin out. A vertex moves only
+    // while it has no neighbor on the other side, and its separator
+    // neighbors cannot then move there in turn, so no A-B edge appears.
+    let sep = levels.sorted_level(cut);
     for _ in 0..SHRINK_PASSES {
         let mut changed = false;
-        for v in 0..n {
-            if side[v] != 2 {
+        for &v in sep {
+            if side[v] != SEP {
                 continue;
             }
             let mut has_a = false;
             let mut has_b = false;
             for &u in g.neighbors(v) {
                 match side[u] {
-                    0 => has_a = true,
-                    1 => has_b = true,
+                    A => has_a = true,
+                    B => has_b = true,
                     _ => {}
                 }
             }
-            if has_a != has_b {
-                side[v] = if has_a { 0 } else { 1 };
-                changed = true;
-            } else if !has_a && !has_b {
-                // Separator-only neighborhood: join A, whichever side is
-                // smaller (no B neighbor, so no A-B edge appears).
-                side[v] = 0;
-                changed = true;
-            }
+            let to = match (has_a, has_b) {
+                (_, false) => A,
+                (false, true) => B,
+                (true, true) => continue,
+            };
+            side[v] = to;
+            counts[to as usize] += 1;
+            counts[SEP as usize] -= 1;
+            changed = true;
         }
         if !changed {
             break;
         }
-        // Re-legalize: after migration some A-B edges may appear; push
-        // offending B endpoints back into the separator.
-        for v in 0..n {
-            if side[v] == 0 {
-                for &u in g.neighbors(v) {
-                    if side[u] == 1 {
-                        side[u] = 2;
-                    }
-                }
-            }
-        }
     }
 
-    let a: Vec<usize> = (0..n).filter(|&v| side[v] == 0).collect();
-    let b: Vec<usize> = (0..n).filter(|&v| side[v] == 1).collect();
-    let s: Vec<usize> = (0..n).filter(|&v| side[v] == 2).collect();
     // Sanity: S must actually separate A from B.
-    debug_assert!(a
-        .iter()
-        .all(|&v| g.neighbors(v).iter().all(|&u| side[u] != 1)));
-    if a.is_empty() || b.is_empty() || s.len() >= n / 2 {
+    debug_assert!((0..n)
+        .filter(|&v| side[v] == A)
+        .all(|v| g.neighbors(v).iter().all(|&u| side[u] != B)));
+    if counts[A as usize] == 0 || counts[B as usize] == 0 || counts[SEP as usize] >= n / 2 {
         return None;
     }
-    Some((a, b, s))
+    Some(counts)
+}
+
+/// The three subgraphs of `g` induced by the side labels, each with its
+/// local → global map, built in one pass; `counts` are the side sizes
+/// and `rank` is scratch.
+fn split(
+    g: &Graph,
+    globals: &[usize],
+    side: &[u8],
+    rank: &mut [usize],
+    counts: [usize; 3],
+) -> [(Graph, Vec<usize>); 3] {
+    let mut maps = counts.map(Vec::with_capacity);
+    let mut edges = [0usize; 3];
+    for (v, (&sd, r)) in side.iter().zip(rank.iter_mut()).enumerate() {
+        let map = &mut maps[sd as usize];
+        *r = map.len();
+        map.push(globals[v]);
+        edges[sd as usize] += g.degree(v);
+    }
+    let mut xadj = counts.map(|k| {
+        let mut x = Vec::with_capacity(k + 1);
+        x.push(0);
+        x
+    });
+    let mut adjncy = edges.map(Vec::with_capacity);
+    for (v, &sd) in side.iter().enumerate() {
+        // Ranks within a side increase with the parent index, so the
+        // filtered list comes out sorted.
+        let adj = &mut adjncy[sd as usize];
+        adj.extend(
+            g.neighbors(v)
+                .iter()
+                .filter(|&&u| side[u] == sd)
+                .map(|&u| rank[u]),
+        );
+        xadj[sd as usize].push(adj.len());
+    }
+    let mut pieces = xadj.into_iter().zip(adjncy).zip(maps);
+    std::array::from_fn(|_| {
+        let ((x, adj), map) = pieces.next().expect("three sides");
+        (Graph::from_sorted_parts(x, adj), map)
+    })
 }
 
 #[cfg(test)]
@@ -209,24 +278,43 @@ mod tests {
     #[test]
     fn bisect_produces_valid_separator() {
         let g = grid2d(10);
-        let (a, b, s) = bisect(&g).expect("grid splits");
-        assert_eq!(a.len() + b.len() + s.len(), 100);
-        assert!(!a.is_empty() && !b.is_empty());
+        let mut s = Scratch::new(100);
+        s.levels.bfs(&g, 0, |_| true);
+        let counts = bisect(&g, &mut s.levels, &mut s.side).expect("grid splits");
+        assert_eq!(counts.iter().sum::<usize>(), 100);
+        assert!(counts[0] > 0 && counts[1] > 0);
+        let side = &s.side;
+        for (k, &count) in counts.iter().enumerate() {
+            assert_eq!(side.iter().filter(|&&sd| sd as usize == k).count(), count);
+        }
         // No direct A-B edge.
-        let mut side = [2u8; 100];
-        for &v in &a {
-            side[v] = 0;
-        }
-        for &v in &b {
-            side[v] = 1;
-        }
-        for &v in &a {
+        for v in (0..100).filter(|&v| side[v] == A) {
             for &u in g.neighbors(v) {
-                assert_ne!(side[u], 1, "edge {v}-{u} crosses the separator");
+                assert_ne!(side[u], B, "edge {v}-{u} crosses the separator");
             }
         }
         // Grid separator should be O(k): allow some slack.
-        assert!(s.len() <= 30, "separator too large: {}", s.len());
+        assert!(counts[2] <= 30, "separator too large: {}", counts[2]);
+    }
+
+    #[test]
+    fn split_matches_induced_subgraphs() {
+        let g = grid2d(10);
+        let mut s = Scratch::new(100);
+        s.levels.bfs(&g, 0, |_| true);
+        let counts = bisect(&g, &mut s.levels, &mut s.side).expect("grid splits");
+        let globals: Vec<usize> = (0..100).map(|v| 1000 + v).collect();
+        let pieces = split(&g, &globals, &s.side, &mut s.rank, counts);
+        for (k, (h, h_globals)) in pieces.iter().enumerate() {
+            let locals: Vec<usize> = (0..100).filter(|&v| s.side[v] as usize == k).collect();
+            assert_eq!(
+                (h, h_globals),
+                (
+                    &piece(&g, &globals, &locals).0,
+                    &piece(&g, &globals, &locals).1
+                )
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Reverse Cuthill–McKee ordering and pseudo-peripheral vertex search.
 
+use crate::levels::Levels;
 use rlchol_sparse::{Graph, Permutation};
 
 /// Finds a pseudo-peripheral vertex of the component containing `start`,
@@ -7,31 +8,7 @@ use rlchol_sparse::{Graph, Permutation};
 /// repeat BFS from the lowest-degree vertex of the deepest level until the
 /// eccentricity stops increasing).
 pub fn pseudo_peripheral(g: &Graph, start: usize, mask: &[bool]) -> usize {
-    peripheral_levels(g, start, mask).0
-}
-
-/// [`pseudo_peripheral`] plus the BFS level structure rooted at the
-/// returned vertex (`levels`, `level_of` as from [`Graph::bfs_levels`]),
-/// which the search has already computed.
-pub(crate) fn peripheral_levels(
-    g: &Graph,
-    start: usize,
-    mask: &[bool],
-) -> (usize, Vec<Vec<usize>>, Vec<usize>) {
-    let (mut levels, _) = g.bfs_levels(start, mask);
-    loop {
-        let last = levels.last().expect("component is nonempty");
-        let candidate = *last
-            .iter()
-            .min_by_key(|&&v| (g.degree(v), v))
-            .expect("last level nonempty");
-        let (lv, level_of) = g.bfs_levels(candidate, mask);
-        if lv.len() > levels.len() {
-            levels = lv;
-        } else {
-            return (candidate, lv, level_of);
-        }
-    }
+    Levels::new(g.n()).pseudo_peripheral(g, start, |v| mask[v])
 }
 
 /// Computes the reverse Cuthill–McKee ordering of `g`.
@@ -42,14 +19,14 @@ pub(crate) fn peripheral_levels(
 /// factorization).
 pub fn rcm(g: &Graph) -> Permutation {
     let n = g.n();
-    let mask = vec![true; n];
+    let mut levels = Levels::new(n);
     let mut visited = vec![false; n];
     let mut order: Vec<usize> = Vec::with_capacity(n);
     for s in 0..n {
         if visited[s] {
             continue;
         }
-        let root = pseudo_peripheral(g, s, &mask);
+        let root = levels.pseudo_peripheral(g, s, |_| true);
         // BFS with degree-sorted neighbor expansion.
         let mut queue = std::collections::VecDeque::new();
         visited[root] = true;

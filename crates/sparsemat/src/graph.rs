@@ -59,6 +59,20 @@ impl Graph {
         Ok(g)
     }
 
+    /// Builds from raw compressed adjacency that already meets every
+    /// invariant [`Graph::from_parts`] checks (monotone `xadj`, sorted
+    /// in-range lists, symmetric, no self-loops). Only debug builds check
+    /// them; for builders that get the invariants by construction, such
+    /// as a split of a graph by vertex labels.
+    pub fn from_sorted_parts(xadj: Vec<usize>, adjncy: Vec<usize>) -> Self {
+        let g = Graph { xadj, adjncy };
+        debug_assert!(
+            Graph::from_parts(g.xadj.clone(), g.adjncy.clone()).is_ok_and(|checked| checked == g),
+            "graph parts break an invariant"
+        );
+        g
+    }
+
     /// Builds a graph from an edge list (self-loops ignored, duplicates
     /// collapsed).
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
@@ -195,34 +209,6 @@ impl Graph {
         }
         comps
     }
-
-    /// Breadth-first level sets from `root` restricted to vertices where
-    /// `mask[v]` is true. Returns `(levels, level_of)` where `level_of[v]`
-    /// is `usize::MAX` for unreached vertices.
-    pub fn bfs_levels(&self, root: usize, mask: &[bool]) -> (Vec<Vec<usize>>, Vec<usize>) {
-        let n = self.n();
-        let mut level_of = vec![usize::MAX; n];
-        let mut levels: Vec<Vec<usize>> = Vec::new();
-        if !mask[root] {
-            return (levels, level_of);
-        }
-        let mut frontier = vec![root];
-        level_of[root] = 0;
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &u in self.neighbors(v) {
-                    if mask[u] && level_of[u] == usize::MAX {
-                        level_of[u] = levels.len() + 1;
-                        next.push(u);
-                    }
-                }
-            }
-            levels.push(frontier);
-            frontier = next;
-        }
-        (levels, level_of)
-    }
 }
 
 #[cfg(test)]
@@ -245,6 +231,23 @@ mod tests {
     fn from_parts_rejects_asymmetric() {
         // Edge 0->1 present but 1->0 missing.
         assert!(Graph::from_parts(vec![0, 1, 1], vec![1]).is_err());
+    }
+
+    #[test]
+    fn from_sorted_parts_keeps_valid_parts() {
+        let g = path4();
+        assert_eq!(
+            Graph::from_sorted_parts(g.xadj().to_vec(), g.adjncy().to_vec()),
+            g
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "invariant")]
+    fn from_sorted_parts_checks_in_debug_builds() {
+        // Neighbor list of vertex 1 out of order.
+        Graph::from_sorted_parts(vec![0, 1, 3, 4], vec![1, 2, 0, 1]);
     }
 
     #[test]
@@ -285,23 +288,5 @@ mod tests {
         assert_eq!(comps[0], vec![0, 1]);
         assert_eq!(comps[1], vec![2]);
         assert_eq!(comps[2], vec![3, 4]);
-    }
-
-    #[test]
-    fn bfs_levels_from_endpoint() {
-        let g = path4();
-        let mask = vec![true; 4];
-        let (levels, level_of) = g.bfs_levels(0, &mask);
-        assert_eq!(levels.len(), 4);
-        assert_eq!(level_of, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn bfs_respects_mask() {
-        let g = path4();
-        let mask = vec![true, false, true, true];
-        let (levels, level_of) = g.bfs_levels(0, &mask);
-        assert_eq!(levels.len(), 1);
-        assert_eq!(level_of[2], usize::MAX);
     }
 }
