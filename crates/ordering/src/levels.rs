@@ -1,8 +1,8 @@
 //! Breadth-first level structures in caller-owned flat buffers.
 //!
-//! Nested dissection runs several BFS passes per piece (the
-//! pseudo-peripheral search, then the cut), and RCM one search per
-//! component. [`Levels`] holds one structure at a time in three buffers
+//! Nested dissection runs several BFS passes per piece (a connectivity
+//! check, then the pseudo-peripheral search whose last structure it
+//! cuts), and RCM one search per component. [`Levels`] holds one structure at a time in three buffers
 //! sized once: the vertices in visiting order, the offset at which each
 //! level starts, and each vertex's level. A new BFS resets `level_of`
 //! only on the entries the previous one visited, so a search costs the
@@ -11,10 +11,9 @@
 use rlchol_sparse::Graph;
 
 /// Level of a vertex the current structure has not reached.
-pub(crate) const UNSEEN: usize = usize::MAX;
+const UNSEEN: usize = usize::MAX;
 
 /// One BFS level structure, rebuilt in place by every [`Levels::bfs`].
-#[derive(Debug)]
 pub(crate) struct Levels {
     /// Level of every reached vertex, [`UNSEEN`] elsewhere.
     level_of: Vec<usize>,
@@ -81,7 +80,7 @@ impl Levels {
     }
 
     /// The vertices of level `l`, in visiting order.
-    pub(crate) fn level(&self, l: usize) -> &[usize] {
+    fn level(&self, l: usize) -> &[usize] {
         &self.queue[self.starts[l]..self.starts[l + 1]]
     }
 

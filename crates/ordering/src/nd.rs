@@ -307,13 +307,8 @@ mod tests {
         let pieces = split(&g, &globals, &s.side, &mut s.rank, counts);
         for (k, (h, h_globals)) in pieces.iter().enumerate() {
             let locals: Vec<usize> = (0..100).filter(|&v| s.side[v] as usize == k).collect();
-            assert_eq!(
-                (h, h_globals),
-                (
-                    &piece(&g, &globals, &locals).0,
-                    &piece(&g, &globals, &locals).1
-                )
-            );
+            let (want, want_globals) = piece(&g, &globals, &locals);
+            assert_eq!((h, h_globals), (&want, &want_globals));
         }
     }
 
