@@ -1,6 +1,6 @@
 //! Pinned outputs of the analysis phase: nested dissection and minimum
-//! degree permutations, and the amalgamation + partition-refinement
-//! result, recorded as digests.
+//! degree permutations, the amalgamation + partition-refinement result,
+//! and the whole symbolic factor, recorded as digests.
 //!
 //! Orderings and merge sequences are deterministic functions of the
 //! pattern, and every downstream number (fill, flops, supernode sizes,
@@ -17,7 +17,7 @@ use rlchol::matgen::{grid2d, grid3d, Stencil};
 use rlchol::ordering::{min_degree, order, order_graph};
 use rlchol::sparse::Graph;
 use rlchol::symbolic::analyze;
-use rlchol::{OrderingMethod, SymCsc, SymbolicOptions};
+use rlchol::{OrderingMethod, SymCsc, SymbolicFactor, SymbolicOptions, TripletMatrix};
 
 /// FNV-1a over the 64-bit little-endian encoding of each value.
 fn digest<'a>(xs: impl IntoIterator<Item = &'a usize>) -> u64 {
@@ -29,6 +29,38 @@ fn digest<'a>(xs: impl IntoIterator<Item = &'a usize>) -> u64 {
         }
     }
     h
+}
+
+/// FNV-1a over every field of a symbolic factor: the permutation, the
+/// partition, each row list and block list with its length, the tree,
+/// `nnz`, the bits of `flops` and all five statistics. A wrong row or
+/// block list moves it even where fill and supernode count do not.
+fn factor_digest(f: &SymbolicFactor) -> u64 {
+    let mut xs: Vec<usize> = vec![f.n];
+    xs.extend(f.perm.old_of_slice());
+    xs.extend(&f.sn.sn_start);
+    for rows in &f.rows {
+        xs.push(rows.len());
+        xs.extend(rows);
+    }
+    xs.extend(&f.sn_parent);
+    for blocks in &f.blocks {
+        xs.push(blocks.len());
+        for b in blocks {
+            xs.extend([b.offset, b.len, b.first, b.target]);
+        }
+    }
+    let st = &f.stats;
+    xs.extend([
+        f.nnz as usize,
+        f.flops.to_bits() as usize,
+        st.nsup_before_merge,
+        st.merges,
+        st.merge_extra_fill as usize,
+        st.blocks_before_pr,
+        st.blocks_after_pr,
+    ]);
+    digest(&xs)
 }
 
 /// Compares every `(name, got, want)` and reports all drifted pins at once.
@@ -187,7 +219,8 @@ fn rcm_permutations_are_pinned() {
 }
 
 /// `(perm digest, merges, extra_fill, nsup)` of the symbolic pipeline
-/// (amalgamation + partition refinement) on the ND-ordered matrix.
+/// (amalgamation + partition refinement) on the ND-ordered matrix, at
+/// three growth caps.
 fn merge_pins(name: &str, a: &SymCsc, want: [(f64, [u64; 4]); 3]) -> Vec<(String, u64, u64)> {
     let fill = order(a, OrderingMethod::NestedDissection);
     let af = a.permute(&fill);
@@ -234,14 +267,147 @@ fn supernode_merge_is_pinned() {
     check(&pins);
 }
 
-/// ND digest and factor nonzeros under default symbolic options — the
-/// `ordering.factor_nnz` the benchmark records for the same matrix.
-fn workload_pins(name: &str, a: &SymCsc, nd: u64, nnz: u64) -> Vec<(String, u64, u64)> {
+/// [`factor_digest`] of the ND-ordered matrix under each named set of
+/// symbolic options.
+fn factor_pins(
+    name: &str,
+    a: &SymCsc,
+    want: &[(&str, SymbolicOptions, u64)],
+) -> Vec<(String, u64, u64)> {
+    let fill = order(a, OrderingMethod::NestedDissection);
+    let af = a.permute(&fill);
+    want.iter()
+        .map(|(label, opts, want)| {
+            let got = factor_digest(&analyze(&af, opts));
+            (format!("factor {name} {label}"), got, *want)
+        })
+        .collect()
+}
+
+/// The option sets the whole-factor pins cover: the merge-pin caps
+/// under default options, then one switch flipped at a time.
+fn option_cases(want: [u64; 6]) -> Vec<(&'static str, SymbolicOptions, u64)> {
+    let d = SymbolicOptions::default();
+    let cap = |merge_growth_cap| SymbolicOptions {
+        merge_growth_cap,
+        ..d
+    };
+    vec![
+        ("cap 0", cap(0.0), want[0]),
+        ("cap 0.25", cap(0.25), want[1]),
+        ("cap 1", cap(1.0), want[2]),
+        (
+            "fundamental",
+            SymbolicOptions {
+                fundamental: true,
+                ..d
+            },
+            want[3],
+        ),
+        ("no merge", SymbolicOptions { merge: false, ..d }, want[4]),
+        (
+            "no pr",
+            SymbolicOptions {
+                partition_refine: false,
+                ..d
+            },
+            want[5],
+        ),
+    ]
+}
+
+#[test]
+fn symbolic_factor_is_pinned() {
+    let mut pins = factor_pins(
+        "grid2d 50x50",
+        &grid2d(50, 50, Stencil::Star5, 1, 1),
+        &option_cases([
+            0x0e22_190d_45ab_5666,
+            0xdb44_0e3e_fd7c_de96,
+            0x0276_db38_f1ce_9fb4,
+            0xded7_9421_b2a4_6f34,
+            0x0e22_190d_45ab_5666,
+            0xc212_1af4_ad15_febd,
+        ]),
+    );
+    pins.extend(factor_pins(
+        "grid3d 10^3 star7",
+        &grid3d(10, 10, 10, Stencil::Star7, 1, 1),
+        &option_cases([
+            0x33a2_9a0a_9d08_9afb,
+            0x91ef_d975_1210_36fd,
+            0x8914_3eac_30a5_24aa,
+            0xb53a_ae96_7b5d_078d,
+            0x33a2_9a0a_9d08_9afb,
+            0xe8d3_0f73_17e4_3963,
+        ]),
+    ));
+    check(&pins);
+}
+
+/// The random SPD pattern of the symbolic crate's property tests
+/// (`crates/symbolic/tests/props.rs`): a connected random tree plus `n`
+/// random edges, from an xorshift stream seeded with `seed`.
+fn props_pattern(n: usize, seed: u64) -> SymCsc {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut t = TripletMatrix::new(n, n);
+    for j in 0..n {
+        t.push(j, j, 8.0);
+    }
+    for i in 1..n {
+        t.push(i, (next() as usize) % i, -0.5);
+    }
+    for _ in 0..n {
+        let a = (next() as usize) % n;
+        let b = (next() as usize) % n;
+        if a != b {
+            t.push(a.max(b), a.min(b), -0.25);
+        }
+    }
+    SymCsc::from_lower_triplets(&t).unwrap()
+}
+
+/// One digest folded over 64 random patterns (sizes 12–75, in their
+/// natural order) × growth caps {0, 0.25, 1e9} × {maximal, fundamental}.
+#[test]
+fn symbolic_factor_of_random_patterns_is_pinned() {
+    let mut folded = Vec::new();
+    for k in 0..64u64 {
+        let a = props_pattern(12 + k as usize, 0x9e37_79b9 ^ k);
+        for merge_growth_cap in [0.0, 0.25, 1e9] {
+            for fundamental in [false, true] {
+                let opts = SymbolicOptions {
+                    fundamental,
+                    merge_growth_cap,
+                    ..SymbolicOptions::default()
+                };
+                folded.push(factor_digest(&analyze(&a, &opts)) as usize);
+            }
+        }
+    }
+    check(&[(
+        "factor 64 random patterns".into(),
+        digest(&folded),
+        0xd36b_b464_169d_5809,
+    )]);
+}
+
+/// ND digest, factor nonzeros and [`factor_digest`] under default
+/// symbolic options; `factor_nnz` is the `ordering.factor_nnz` the
+/// benchmark records for the same matrix.
+fn workload_pins(name: &str, a: &SymCsc, nd: u64, nnz: u64, whole: u64) -> Vec<(String, u64, u64)> {
     let fill = order(a, OrderingMethod::NestedDissection);
     let f = analyze(&a.permute(&fill), &SymbolicOptions::default());
     vec![
         (format!("{name} nd"), digest(fill.old_of_slice()), nd),
         (format!("{name} factor_nnz"), f.nnz, nnz),
+        (format!("{name} factor"), factor_digest(&f), whole),
     ]
 }
 
@@ -253,6 +419,7 @@ fn plate300_analysis_is_pinned() {
         &grid2d(300, 300, Stencil::Star5, 1, 1),
         0x0a1f_3dbc_a987_9ba1,
         3_277_057,
+        0xcfeb_47be_9758_3b46,
     ));
 }
 
@@ -264,5 +431,6 @@ fn cube32_analysis_is_pinned() {
         &grid3d(32, 32, 32, Stencil::Star7, 1, 1),
         0xcd52_97b3_f47a_33b5,
         6_481_534,
+        0xf55e_572c_f718_c4cb,
     ));
 }
