@@ -1,9 +1,11 @@
 //! Criterion benches of the symbolic phases: elimination tree, column
-//! counts, supernode detection, amalgamation and partition refinement.
+//! counts, supernode detection, amalgamation (with the merged row
+//! structures) and partition refinement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_ordering::{order, OrderingMethod};
+use rlchol_sparse::Permutation;
 use rlchol_symbolic::colcount::col_counts;
 use rlchol_symbolic::etree::EliminationTree;
 use rlchol_symbolic::merge::merge_supernodes;
@@ -24,24 +26,28 @@ fn bench_symbolic(c: &mut Criterion) {
 
     g.bench_function("etree", |b| b.iter(|| EliminationTree::from_matrix(&a)));
 
-    let t = EliminationTree::from_matrix(&a);
-    g.bench_function("col_counts", |b| b.iter(|| col_counts(&a, &t)));
+    // Supernodes are found on the postordered matrix, as `analyze` does.
+    let t0 = EliminationTree::from_matrix(&a);
+    let post = Permutation::from_old_of(t0.postorder()).unwrap();
+    let ap = a.permute(&post);
+    let t = EliminationTree::from_matrix(&ap);
+    g.bench_function("col_counts", |b| b.iter(|| col_counts(&ap, &t)));
 
-    let counts = col_counts(&a, &t);
+    let counts = col_counts(&ap, &t);
+    let id = Permutation::identity(ap.n());
     g.bench_function("supernodes+rows", |b| {
         b.iter(|| {
             let sn = find_supernodes(&t, &counts, false);
-            supernode_rows(&a, &sn)
+            supernode_rows(&ap, &sn, &id)
         })
     });
 
     let sn = find_supernodes(&t, &counts, false);
-    let rows = supernode_rows(&a, &sn);
     g.bench_function("merge_25pct", |b| {
-        b.iter(|| merge_supernodes(&sn, &rows, 0.25))
+        b.iter(|| merge_supernodes(&ap, &t, &counts, &sn, 0.25))
     });
 
-    let m = merge_supernodes(&sn, &rows, 0.25);
+    let m = merge_supernodes(&ap, &t, &counts, &sn, 0.25);
     g.bench_function("partition_refinement", |b| {
         b.iter(|| refine_partition(&m.sn, &m.rows))
     });

@@ -187,9 +187,11 @@ pub struct AnalyzeBreakdown {
     pub etree: std::time::Duration,
     /// Column counts via row-subtree traversal.
     pub colcount: std::time::Duration,
-    /// Supernode detection, amalgamation, partition refinement.
+    /// Supernode detection, amalgamation, the merged partition's row
+    /// structures and partition refinement.
     pub merge: std::time::Duration,
-    /// Per-supernode row structures and relative-index blocks.
+    /// Per-supernode row-block decomposition, supernodal tree and the
+    /// nnz/flop totals.
     pub relind: std::time::Duration,
     /// Level sets + gather segments for the tree-parallel sweeps.
     pub solve_plan: std::time::Duration,

@@ -50,10 +50,21 @@ pub fn row_blocks(rows: &[usize], sn: &SupernodePartition) -> Vec<RowBlock> {
     out
 }
 
+/// Number of blocks [`row_blocks`] splits `rows` into, counted in place:
+/// a block starts at the first row and wherever a row does not follow its
+/// predecessor in the same supernode.
+fn block_count(rows: &[usize], sn: &SupernodePartition) -> usize {
+    let breaks = rows
+        .windows(2)
+        .filter(|w| w[1] != w[0] + 1 || sn.col_to_sn[w[1]] != sn.col_to_sn[w[0]])
+        .count();
+    usize::from(!rows.is_empty()) + breaks
+}
+
 /// Total number of blocks over all supernodes — the metric partition
 /// refinement minimizes (paper §IV-A: "the number of blocks was reduced").
 pub fn total_blocks(all_rows: &[Vec<usize>], sn: &SupernodePartition) -> usize {
-    all_rows.iter().map(|r| row_blocks(r, sn).len()).sum()
+    all_rows.iter().map(|r| block_count(r, sn)).sum()
 }
 
 #[cfg(test)]
@@ -111,5 +122,19 @@ mod tests {
         let rows = vec![vec![2, 3, 4], vec![5, 7], vec![]];
         // First: {2,3} in sn1 + {4} in sn2 → 2 blocks; second: {5},{7} → 2.
         assert_eq!(total_blocks(&rows, &sn), 4);
+    }
+
+    #[test]
+    fn block_count_matches_row_blocks() {
+        let sn = SupernodePartition::from_starts(vec![0, 3, 4, 7, 12]);
+        // Every subset of 0..12 (as a bitmask), sorted ascending.
+        for mask in 0u32..1 << 12 {
+            let rows: Vec<usize> = (0..12).filter(|&i| mask >> i & 1 == 1).collect();
+            assert_eq!(
+                block_count(&rows, &sn),
+                row_blocks(&rows, &sn).len(),
+                "{rows:?}"
+            );
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! The symbolic-analysis driver: postorder → supernodes → merge → PR.
+//! The symbolic-analysis driver: postorder → counts → supernodes → merge
+//! → merged row structures → PR → block lists.
 //!
 //! [`analyze`] consumes a symmetrically permuted SPD matrix (typically the
 //! output of a fill-reducing ordering) and produces a [`SymbolicFactor`]:
@@ -50,11 +51,11 @@ pub struct AnalyzeStages {
     pub etree: Duration,
     /// Exact column counts (parallel when `threads > 1`).
     pub colcount: Duration,
-    /// Supernode detection, row structures, amalgamation and partition
-    /// refinement.
+    /// Supernode detection, amalgamation, the row structures of the
+    /// merged partition and partition refinement.
     pub merge: Duration,
     /// Per-supernode row-block decomposition, supernodal etree and the
-    /// nnz/flop totals (parallel when `threads > 1`).
+    /// nnz/flop/block totals (parallel when `threads > 1`).
     pub relind: Duration,
 }
 
@@ -268,27 +269,29 @@ pub fn analyze_instrumented(
     stages.colcount = t.elapsed();
     let t = Instant::now();
     let sn0 = find_supernodes(&t1, &counts, opts.fundamental);
-    let rows0 = supernode_rows(&a1, &sn0);
     let nsup_before_merge = sn0.nsup();
 
-    // Phase 3: amalgamation. Note that even a cap of 0.0 performs *free*
-    // merges (e.g. a child whose rows are exactly its parent's columns,
-    // made adjacent by the accompanying topological reordering), so
-    // `merge: false` skips the phase entirely.
+    // Phase 3: amalgamation, on the supernodes' widths, row counts and
+    // parents, then the row structures of the merged partition. Note that
+    // even a cap of 0.0 performs *free* merges (e.g. a child whose rows
+    // are exactly its parent's columns, made adjacent by the accompanying
+    // topological reordering), so `merge: false` skips the phase entirely
+    // and builds the rows of the input partition.
     let (p2, sn1, rows1, merges, merge_extra_fill) = if opts.merge {
-        let m = merge_supernodes(&sn0, &rows0, opts.merge_growth_cap);
+        let m = merge_supernodes(&a1, &t1, &counts, &sn0, opts.merge_growth_cap);
         (m.perm, m.sn, m.rows, m.merges, m.extra_fill)
     } else {
-        (Permutation::identity(n), sn0, rows0, 0, 0)
+        let id = Permutation::identity(n);
+        let rows0 = supernode_rows(&a1, &sn0, &id);
+        (id, sn0, rows0, 0, 0)
     };
 
     // Phase 4: partition refinement within supernodes.
-    let (p3, sn2, rows2, blocks_before_pr, blocks_after_pr) = if opts.partition_refine {
+    let (p3, sn2, rows2, blocks_before_pr) = if opts.partition_refine {
         let r = refine_partition(&sn1, &rows1);
-        (r.perm, sn1, r.rows, r.blocks_before, r.blocks_after)
+        (r.perm, sn1, r.rows, Some(r.blocks_before))
     } else {
-        let b = crate::blocks::total_blocks(&rows1, &sn1);
-        (Permutation::identity(n), sn1, rows1, b, b)
+        (Permutation::identity(n), sn1, rows1, None)
     };
 
     // Compose: input → postorder → merge-reorder → PR.
@@ -296,7 +299,9 @@ pub fn analyze_instrumented(
     stages.merge = t.elapsed();
 
     // Phase 5: per-supernode structure — the supernodal tree, the
-    // row-block decompositions RLB iterates over, and the size totals.
+    // row-block decompositions RLB iterates over, and the size and block
+    // totals (the block lists give `blocks_after_pr`, and with PR off
+    // also `blocks_before_pr`).
     // Each supernode's decomposition is independent, so `threads > 1`
     // fills contiguous chunks of the `blocks` table on the pool (every
     // slot computed by the same `row_blocks` call as the serial loop).
@@ -324,6 +329,7 @@ pub fn analyze_instrumented(
     } else {
         blocks.extend(rows2.iter().map(|r| row_blocks(r, &sn2)));
     }
+    let blocks_after_pr: usize = blocks.iter().map(Vec::len).sum();
     let mut nnz = 0u64;
     let mut flops = 0.0f64;
     for s in 0..nsup {
@@ -347,7 +353,7 @@ pub fn analyze_instrumented(
             nsup_before_merge,
             merges,
             merge_extra_fill,
-            blocks_before_pr,
+            blocks_before_pr: blocks_before_pr.unwrap_or(blocks_after_pr),
             blocks_after_pr,
         },
     };

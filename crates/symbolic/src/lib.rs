@@ -5,10 +5,14 @@
 //!
 //! * [`etree`] — the elimination tree (Liu) and postorderings;
 //! * [`colcount`] — exact column counts of `L` via row-subtree traversal;
-//! * [`supernodes`] — fundamental supernodes (Liu–Ng–Peyton) and their
-//!   below-diagonal row structures;
+//! * [`supernodes`] — fundamental and maximal supernodes (Liu–Ng–Peyton)
+//!   and the one builder of below-diagonal row structures, which reads
+//!   the matrix through a column map;
 //! * [`merge`] — relaxed supernode amalgamation (Ashcraft–Grimes) with the
-//!   paper's 25 % storage-growth cap and min-fill pair selection;
+//!   paper's 25 % storage-growth cap and min-fill pair selection, run on
+//!   per-supernode widths, row counts and parents taken from the column
+//!   counts and elimination tree; rows are built once, for the merged
+//!   partition;
 //! * [`pr`] — partition-refinement reordering of columns *within*
 //!   supernodes (Jacquelin–Ng–Peyton), which shrinks the number of
 //!   row blocks RLB issues BLAS calls for;

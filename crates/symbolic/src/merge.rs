@@ -11,29 +11,54 @@
 //! * merging stops once the cumulative increase in factor storage exceeds
 //!   a cap (25 % in the paper).
 //!
-//! Every live non-root node has exactly one candidate — the merge into
-//! its current parent — so the candidates live in an *indexed* min-heap
-//! keyed by `(cost, child)`: a merge re-keys the surviving parent and its
-//! children in place, so the heap never holds a stale entry.
-//!
 //! Because `rows(J) ⊆ cols(P) ∪ rows(P)` for a supernodal child, the
 //! merged node's row set is exactly `rows(P)`, and the extra fill has the
-//! closed form `cJ·cP + cJ·(|rows(P)| − |rows(J)|)`. A merged node's rows
-//! are therefore always the input rows of the supernode it kept, and only
-//! column *counts* are tracked while merging; each node's column list is
-//! collected once, at the end.
+//! closed form `cJ·cP + cJ·(rP − rJ)` (`c` columns, `r` rows below the
+//! diagonal). A merged node's rows are therefore always those of the
+//! input supernode it kept, and the merge loop runs on three flat arrays
+//! per input supernode, all read off the last column `l` of the supernode:
+//! its width, `r = count(l) − 1` and the parent `col_to_sn[parent(l)]`.
+//! Row structures are built once, for the merged partition, by
+//! [`supernode_rows`].
 //!
-//! Merged supernodes need not be contiguous in the current ordering
-//! (siblings may sit between a child and its parent), so the merge phase
-//! also produces a **topological reordering** making every merged
-//! supernode a contiguous column range. Such reorderings preserve the
-//! simplicial fill exactly (they are equivalent orderings of the etree).
+//! **Lazy candidate heap.** Every candidate cost is nondecreasing under a
+//! merge of `J` into `P`:
+//!
+//! * a child `C` of `P` costs `cC·cP + cC·(rP − rC)`, and `cP` grows;
+//! * `P`'s own candidate grows by `cJ·(cQ + rQ − rP) ≥ 0` (`Q` the parent
+//!   of `P`, and `rP ≤ cQ + rQ` by the row identity);
+//! * a child `G` of `J` moves from `cG·cJ + cG·(rJ − rG)` to
+//!   `cG·(cP + cJ) + cG·(rP − rG)`, a growth of `cG·(cP + rP − rJ) ≥ 0`.
+//!
+//! So a plain min-heap of `(cost, child)` holds exactly one entry per live
+//! non-root node, keyed at most at its current cost. The top entry is
+//! recomputed against the node's current parent — the live end of its
+//! input parent's `merged_into` chain, found by union-find with path
+//! compression — and re-keyed in place if its cost grew. The first top
+//! entry that validates is ≤ every other entry, hence ≤ every other
+//! node's current cost, so it is the `argmin (cost, child)` an eagerly
+//! re-keyed heap would return: the merge sequence, its tie-break and the
+//! budget stop are those of eager re-keying, without touching `P`'s
+//! children. Only a validated entry meets the budget check.
+//!
+//! **Merged postorder.** Merged supernodes need not be contiguous in the
+//! current ordering (siblings may sit between a child and its parent), so
+//! the merge phase also produces a **topological reordering** making every
+//! merged supernode a contiguous column range. Such reorderings preserve
+//! the simplicial fill exactly (they are equivalent orderings of the
+//! etree). The input is postordered, so a merged node's subtree covers a
+//! contiguous column range ending at the last column of the node it kept;
+//! a postorder of the merged tree that visits children by their smallest
+//! column is therefore the ascending order of the kept input supernodes,
+//! and one pass over the input supernodes places every column.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use crate::supernodes::SupernodePartition;
+use crate::etree::EliminationTree;
+use crate::supernodes::{supernode_rows, SupernodePartition};
 use crate::NONE;
-use rlchol_sparse::Permutation;
+use rlchol_sparse::{Permutation, SymCsc};
 
 /// Result of the merge phase.
 #[derive(Debug, Clone)]
@@ -68,267 +93,110 @@ fn merge_cost(cj: usize, rj: usize, cp: usize, rp: usize) -> u64 {
     (cj * cp) as u64 + (cj as u64) * (rp as u64) - (cj as u64) * (rj as u64)
 }
 
-/// A (possibly merged) supernode, indexed by the input supernode whose
-/// row set it keeps.
-struct Node {
-    /// Number of (pre-merge) columns.
-    ncols: usize,
-    parent: usize,
-    children: Vec<usize>,
-    /// The node this one was merged into, or [`NONE`] while alive.
-    merged_into: usize,
+/// The live node `s` was merged into: the end of its `merged_into`
+/// chain, which is compressed to point there directly.
+fn find(merged_into: &mut [usize], s: usize) -> usize {
+    let mut live = s;
+    while merged_into[live] != NONE {
+        live = merged_into[live];
+    }
+    let mut v = s;
+    while merged_into[v] != NONE {
+        let next = merged_into[v];
+        merged_into[v] = live;
+        v = next;
+    }
+    live
 }
 
-/// Binary min-heap over node ids keyed by `(cost[j], j)`, with a position
-/// index so a node's key can change in place.
-struct CandidateHeap {
-    heap: Vec<usize>,
-    /// Slot of each node in `heap`, or [`NONE`].
-    pos: Vec<usize>,
-    cost: Vec<u64>,
-}
-
-impl CandidateHeap {
-    fn new(n: usize) -> Self {
-        CandidateHeap {
-            heap: Vec::with_capacity(n),
-            pos: vec![NONE; n],
-            cost: vec![0; n],
-        }
-    }
-
-    fn less(&self, a: usize, b: usize) -> bool {
-        (self.cost[a], a) < (self.cost[b], b)
-    }
-
-    fn place(&mut self, slot: usize, j: usize) {
-        self.heap[slot] = j;
-        self.pos[j] = slot;
-    }
-
-    fn sift_up(&mut self, mut slot: usize) {
-        let j = self.heap[slot];
-        while slot > 0 {
-            let up = (slot - 1) / 2;
-            if !self.less(j, self.heap[up]) {
-                break;
-            }
-            self.place(slot, self.heap[up]);
-            slot = up;
-        }
-        self.place(slot, j);
-    }
-
-    fn sift_down(&mut self, mut slot: usize) {
-        let j = self.heap[slot];
-        let len = self.heap.len();
-        loop {
-            let mut child = 2 * slot + 1;
-            if child >= len {
-                break;
-            }
-            if child + 1 < len && self.less(self.heap[child + 1], self.heap[child]) {
-                child += 1;
-            }
-            if !self.less(self.heap[child], j) {
-                break;
-            }
-            self.place(slot, self.heap[child]);
-            slot = child;
-        }
-        self.place(slot, j);
-    }
-
-    /// Inserts `j` with key `cost`, or moves it to that key.
-    fn set(&mut self, j: usize, cost: u64) {
-        let old = self.cost[j];
-        self.cost[j] = cost;
-        match self.pos[j] {
-            NONE => {
-                self.heap.push(j);
-                self.sift_up(self.heap.len() - 1);
-            }
-            slot if cost < old => self.sift_up(slot),
-            slot => self.sift_down(slot),
-        }
-    }
-
-    /// The node with the smallest key, and its cost.
-    fn peek(&self) -> Option<(usize, u64)> {
-        self.heap.first().map(|&j| (j, self.cost[j]))
-    }
-
-    fn pop(&mut self) {
-        let last = self.heap.pop().expect("pop on a non-empty heap");
-        self.pos[last] = NONE;
-        if !self.heap.is_empty() {
-            self.pos[self.heap[0]] = NONE;
-            self.place(0, last);
-            self.sift_down(0);
-        }
-    }
-}
-
-/// Keys `j`'s candidate — its merge into its current parent — if it has
-/// a parent.
-fn key_candidate(heap: &mut CandidateHeap, nodes: &[Node], rows: &[Vec<usize>], j: usize) {
-    let p = nodes[j].parent;
-    if p != NONE {
-        let cost = merge_cost(nodes[j].ncols, rows[j].len(), nodes[p].ncols, rows[p].len());
-        heap.set(j, cost);
-    }
-}
-
-/// Runs relaxed amalgamation.
+/// Runs relaxed amalgamation on the partition `sn` of the postordered
+/// matrix `a`, whose elimination tree is `etree` and factor column counts
+/// are `counts`, and builds the merged partition's row structures. (An
+/// input that is only topologically ordered still gets a valid merged
+/// partition and reordering, though not the postorder of the merged
+/// tree.)
 ///
 /// `growth_cap` bounds the *cumulative relative increase* in factor
-/// storage (the paper uses `0.25`). `rows[s]` must be the below-diagonal
-/// structure of supernode `s`, sorted ascending.
+/// storage (the paper uses `0.25`).
 pub fn merge_supernodes(
+    a: &SymCsc,
+    etree: &EliminationTree,
+    counts: &[usize],
     sn: &SupernodePartition,
-    rows: &[Vec<usize>],
     growth_cap: f64,
 ) -> MergeResult {
     let nsup = sn.nsup();
-    let n = sn.n();
-    let mut nodes: Vec<Node> = (0..nsup)
-        .map(|s| Node {
-            ncols: sn.ncols(s),
-            parent: NONE,
-            children: Vec::new(),
-            merged_into: NONE,
+    // Width (grows as children merge in), rows below the diagonal and
+    // supernodal parent of every input supernode, from its last column.
+    let mut ncols: Vec<usize> = (0..nsup).map(|s| sn.ncols(s)).collect();
+    let nrows: Vec<usize> = (0..nsup).map(|s| counts[sn.end_col(s) - 1] - 1).collect();
+    let parent: Vec<usize> = (0..nsup)
+        .map(|s| match etree.parent[sn.end_col(s) - 1] {
+            NONE => NONE,
+            p => sn.col_to_sn[p],
         })
         .collect();
-    // Parent pointers from the supernodal etree.
-    for s in 0..nsup {
-        if let Some(&r) = rows[s].first() {
-            let p = sn.col_to_sn[r];
-            nodes[s].parent = p;
-            nodes[p].children.push(s);
-        }
-    }
 
-    let base_storage: u64 = (0..nsup).map(|s| storage(sn.ncols(s), rows[s].len())).sum();
+    let base_storage: u64 = (0..nsup).map(|s| storage(ncols[s], nrows[s])).sum();
     let budget = (base_storage as f64 * growth_cap) as u64;
 
-    let mut heap = CandidateHeap::new(nsup);
-    for s in 0..nsup {
-        key_candidate(&mut heap, &nodes, rows, s);
-    }
-
+    let cost =
+        |ncols: &[usize], j: usize, p: usize| merge_cost(ncols[j], nrows[j], ncols[p], nrows[p]);
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..nsup)
+        .filter(|&j| parent[j] != NONE)
+        .map(|j| Reverse((cost(&ncols, j, parent[j]), j)))
+        .collect();
+    let mut merged_into = vec![NONE; nsup];
     let mut extra_fill = 0u64;
     let mut merges = 0usize;
-    while let Some((j, cost)) = heap.peek() {
-        if extra_fill + cost > budget && cost > 0 {
-            // The heap is cost-ordered, so every remaining candidate costs
-            // at least this much: no further merge can fit the budget.
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((key, j)) = *top;
+        // Only a validated entry leaves the heap, and its node merges or
+        // ends the loop: every entry belongs to a live node.
+        debug_assert_eq!(merged_into[j], NONE);
+        let p = find(&mut merged_into, parent[j]);
+        let c = cost(&ncols, j, p);
+        if c > key {
+            // Stale: re-key in place (sifts down when `top` drops).
+            *top = Reverse((c, j));
+            continue;
+        }
+        if extra_fill + c > budget && c > 0 {
+            // `c` is the least current cost: no further merge fits.
             break;
         }
-        heap.pop();
-        // Merge j into p.
-        let p = nodes[j].parent;
-        extra_fill += cost;
+        PeekMut::pop(top);
+        extra_fill += c;
         merges += 1;
-        nodes[j].merged_into = p;
-        let grandchildren = std::mem::take(&mut nodes[j].children);
-        nodes[p].ncols += nodes[j].ncols;
-        nodes[p].children.retain(|&c| c != j);
-        for &c in &grandchildren {
-            nodes[c].parent = p;
-        }
-        nodes[p].children.extend_from_slice(&grandchildren);
-        // Re-key candidates involving p (itself and its children).
-        key_candidate(&mut heap, &nodes, rows, p);
-        for k in 0..nodes[p].children.len() {
-            key_candidate(&mut heap, &nodes, rows, nodes[p].children[k]);
-        }
+        merged_into[j] = p;
+        ncols[p] += ncols[j];
     }
 
-    build_result(sn, rows, nodes, n, merges, extra_fill, base_storage)
-}
-
-/// Postorders the merged forest and renumbers columns so each merged
-/// supernode is contiguous.
-fn build_result(
-    sn: &SupernodePartition,
-    rows: &[Vec<usize>],
-    mut nodes: Vec<Node>,
-    n: usize,
-    merges: usize,
-    extra_fill: u64,
-    base_storage: u64,
-) -> MergeResult {
-    // Each input supernode's columns go to the live node it ended up in.
-    // Visiting supernodes in column order keeps every node's list sorted.
-    let nsup = nodes.len();
-    let mut cols: Vec<Vec<usize>> = vec![Vec::new(); nsup];
-    for s in 0..nsup {
-        let mut live = s;
-        while nodes[live].merged_into != NONE {
-            live = nodes[live].merged_into;
-        }
-        // Path compression: later members of the same chain stop here.
-        let mut v = s;
-        while nodes[v].merged_into != NONE {
-            let next = nodes[v].merged_into;
-            nodes[v].merged_into = live;
-            v = next;
-        }
-        cols[live].extend(sn.first_col(s)..sn.end_col(s));
-    }
-
-    let live: Vec<usize> = (0..nsup)
-        .filter(|&s| nodes[s].merged_into == NONE)
-        .collect();
-    // DFS postorder over live nodes; roots and children ordered by their
-    // smallest original column for determinism.
-    let key = |s: usize| cols[s][0];
-    let mut roots: Vec<usize> = live
-        .iter()
-        .copied()
-        .filter(|&s| nodes[s].parent == NONE)
-        .collect();
-    roots.sort_by_key(|&s| key(s));
-    let mut order: Vec<usize> = Vec::with_capacity(live.len());
-    let mut stack: Vec<(usize, bool)> = Vec::new();
-    let mut kids: Vec<usize> = Vec::new();
-    for &r in roots.iter() {
-        stack.push((r, false));
-        while let Some((v, expanded)) = stack.pop() {
-            if expanded {
-                order.push(v);
-            } else {
-                stack.push((v, true));
-                kids.clone_from(&nodes[v].children);
-                kids.sort_by_key(|&s| Reverse(key(s)));
-                stack.extend(kids.iter().map(|&k| (k, false)));
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), live.len());
-
-    // New column numbering: concatenate each supernode's columns.
-    let mut old_of = Vec::with_capacity(n);
+    // Live nodes in ascending index are the merged postorder: give each
+    // its column range, then place every input supernode's columns in
+    // the range of the node it ended up in.
+    let mut next = vec![0usize; nsup];
     let mut sn_start = vec![0usize];
-    for &s in &order {
-        old_of.extend_from_slice(&cols[s]);
-        sn_start.push(old_of.len());
+    for m in (0..nsup).filter(|&m| merged_into[m] == NONE) {
+        let f = sn_start[sn_start.len() - 1];
+        next[m] = f;
+        sn_start.push(f + ncols[m]);
+    }
+    let mut old_of = vec![0usize; sn.n()];
+    for s in 0..nsup {
+        let m = find(&mut merged_into, s);
+        for j in sn.first_col(s)..sn.end_col(s) {
+            old_of[next[m]] = j;
+            next[m] += 1;
+        }
     }
     let perm = Permutation::from_old_of(old_of).expect("merge reordering is a bijection");
     let merged = SupernodePartition::from_starts(sn_start);
-    // Map row sets to the new numbering.
-    let new_rows: Vec<Vec<usize>> = order
-        .iter()
-        .map(|&s| {
-            let mut r: Vec<usize> = rows[s].iter().map(|&i| perm.new_of(i)).collect();
-            r.sort_unstable();
-            r
-        })
-        .collect();
+    let rows = supernode_rows(a, &merged, &perm);
     MergeResult {
         perm,
         sn: merged,
-        rows: new_rows,
+        rows,
         merges,
         extra_fill,
         base_storage,
@@ -354,12 +222,15 @@ mod tests {
         SymCsc::from_lower_triplets(&t).unwrap()
     }
 
-    fn setup(a: &SymCsc) -> (SupernodePartition, Vec<Vec<usize>>) {
+    /// The input partition of `a` and its row structures, and `a`'s
+    /// amalgamation at `cap`.
+    fn setup(a: &SymCsc, cap: f64) -> (SupernodePartition, Vec<Vec<usize>>, MergeResult) {
         let t = EliminationTree::from_matrix(a);
         let counts = col_counts(a, &t);
         let sn = find_supernodes(&t, &counts, false);
-        let rows = supernode_rows(a, &sn);
-        (sn, rows)
+        let rows = supernode_rows(a, &sn, &Permutation::identity(a.n()));
+        let m = merge_supernodes(a, &t, &counts, &sn, cap);
+        (sn, rows, m)
     }
 
     /// Total storage of a partition.
@@ -372,9 +243,8 @@ mod tests {
     #[test]
     fn zero_cap_only_does_free_merges() {
         let a = sym_from_edges(15, &paper_fig1_edges());
-        let (sn, rows) = setup(&a);
+        let (sn, rows, m) = setup(&a, 0.0);
         let before = total_storage(&sn, &rows);
-        let m = merge_supernodes(&sn, &rows, 0.0);
         assert_eq!(m.extra_fill, 0);
         let after = total_storage(&m.sn, &m.rows);
         assert_eq!(before, after);
@@ -383,9 +253,8 @@ mod tests {
     #[test]
     fn cap_is_respected() {
         let a = sym_from_edges(15, &paper_fig1_edges());
-        let (sn, rows) = setup(&a);
         for cap in [0.1, 0.25, 0.5, 1.0] {
-            let m = merge_supernodes(&sn, &rows, cap);
+            let (_, _, m) = setup(&a, cap);
             let budget = (m.base_storage as f64 * cap) as u64;
             assert!(
                 m.extra_fill <= budget,
@@ -401,10 +270,9 @@ mod tests {
     #[test]
     fn merging_reduces_supernode_count_monotonically_in_cap() {
         let a = sym_from_edges(15, &paper_fig1_edges());
-        let (sn, rows) = setup(&a);
-        let mut prev = sn.nsup() + 1;
+        let mut prev = 16;
         for cap in [0.0, 0.25, 1.0, 10.0] {
-            let m = merge_supernodes(&sn, &rows, cap);
+            let (_, _, m) = setup(&a, cap);
             assert!(m.sn.nsup() <= prev);
             prev = m.sn.nsup();
         }
@@ -414,8 +282,7 @@ mod tests {
     fn huge_cap_merges_everything_connected() {
         // A chain: every supernode merges into one.
         let a = sym_from_edges(6, &[(1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]);
-        let (sn, rows) = setup(&a);
-        let m = merge_supernodes(&sn, &rows, 1e9);
+        let (_, _, m) = setup(&a, 1e9);
         assert_eq!(m.sn.nsup(), 1);
         assert_eq!(m.sn.ncols(0), 6);
         assert!(m.rows[0].is_empty());
@@ -424,8 +291,7 @@ mod tests {
     #[test]
     fn permutation_is_topological_for_rows() {
         let a = sym_from_edges(15, &paper_fig1_edges());
-        let (sn, rows) = setup(&a);
-        let m = merge_supernodes(&sn, &rows, 0.25);
+        let (_, _, m) = setup(&a, 0.25);
         // Every supernode's rows lie strictly after its last column.
         for s in 0..m.sn.nsup() {
             let last = m.sn.end_col(s) - 1;
@@ -443,8 +309,7 @@ mod tests {
         // must describe a superset of L's true structure (explicit zeros
         // are allowed, lost entries are not).
         let a = sym_from_edges(15, &paper_fig1_edges());
-        let (sn, rows) = setup(&a);
-        let m = merge_supernodes(&sn, &rows, 0.25);
+        let (_, _, m) = setup(&a, 0.25);
         let ap = a.permute(&m.perm);
         let t2 = EliminationTree::from_matrix(&ap);
         let true_counts = col_counts(&ap, &t2);

@@ -26,10 +26,9 @@ pub struct PrResult {
     pub perm: Permutation,
     /// Remapped row structures (same sets, renumbered and re-sorted).
     pub rows: Vec<Vec<usize>>,
-    /// Total row blocks before refinement.
+    /// Total row blocks before refinement (after refinement they are
+    /// counted off the final block lists).
     pub blocks_before: usize,
-    /// Total row blocks after refinement.
-    pub blocks_after: usize,
 }
 
 /// Visits every `(P, S(J, P))` in updater order `J`, and within one
@@ -163,12 +162,10 @@ pub fn refine_partition(sn: &SupernodePartition, rows: &[Vec<usize>]) -> PrResul
             m
         })
         .collect();
-    let blocks_after = total_blocks(&new_rows, sn);
     PrResult {
         perm,
         rows: new_rows,
         blocks_before,
-        blocks_after,
     }
 }
 
@@ -188,7 +185,7 @@ mod tests {
         // is irrelevant — we pass them as the global rows table.
         let r = refine_partition(&sn, &rows);
         assert_eq!(r.blocks_before, 6);
-        assert_eq!(r.blocks_after, 2);
+        assert_eq!(total_blocks(&r.rows, &sn), 2);
         // Sets preserved.
         for (old, new) in rows.iter().zip(&r.rows) {
             let mut mapped: Vec<usize> = old.iter().map(|&i| r.perm.new_of(i)).collect();
@@ -202,8 +199,8 @@ mod tests {
         let sn = SupernodePartition::from_starts(vec![0, 4, 8]);
         let rows = vec![vec![4, 5], vec![]];
         let r = refine_partition(&sn, &rows);
-        assert_eq!(r.blocks_before, r.blocks_after);
-        assert_eq!(r.blocks_after, 1);
+        assert_eq!(r.blocks_before, total_blocks(&r.rows, &sn));
+        assert_eq!(total_blocks(&r.rows, &sn), 1);
     }
 
     #[test]
@@ -212,7 +209,7 @@ mod tests {
         let sn = SupernodePartition::from_starts(vec![0, 5]);
         let rows = vec![vec![0, 1, 2, 3], vec![0, 1], vec![2]];
         let r = refine_partition(&sn, &rows);
-        assert!(r.blocks_after <= r.blocks_before);
+        assert!(total_blocks(&r.rows, &sn) <= r.blocks_before);
         // Each subset must be contiguous after refinement.
         for s in &r.rows {
             for w in s.windows(2) {
@@ -241,6 +238,6 @@ mod tests {
         let sn = SupernodePartition::from_starts(vec![0, 8]);
         let rows = vec![vec![1, 3, 5, 7]];
         let r = refine_partition(&sn, &rows);
-        assert_eq!(r.blocks_after, 1);
+        assert_eq!(total_blocks(&r.rows, &sn), 1);
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::etree::EliminationTree;
 use crate::NONE;
-use rlchol_sparse::SymCsc;
+use rlchol_sparse::{Permutation, SymCsc};
 
 /// A partition of the columns `0..n` into contiguous supernodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,23 +101,30 @@ pub fn find_supernodes(
 
 /// Computes each supernode's below-diagonal row structure.
 ///
-/// `rows[s]` is the sorted list of global row indices `> last(s)` present
-/// in the columns of supernode `s` of `L`. Computed bottom-up: a child
-/// supernode's rows flow into the supernode containing its first
+/// `sn` partitions the columns of `a` renumbered by `map`: column `j` of
+/// that numbering is column `map.old_of(j)` of `a` (pass the identity to
+/// read `a` as it stands). `map` must be topological — every
+/// strict-lower entry of `a` stays strictly below the diagonal. `rows[s]`
+/// is the sorted list of row indices `> last(s)`, in the new numbering,
+/// present in the columns of supernode `s` of `L`. Computed bottom-up: a
+/// child supernode's rows flow into the supernode containing its first
 /// below-diagonal row (its supernodal parent).
-pub fn supernode_rows(a: &SymCsc, sn: &SupernodePartition) -> Vec<Vec<usize>> {
-    let n = a.n();
+pub fn supernode_rows(a: &SymCsc, sn: &SupernodePartition, map: &Permutation) -> Vec<Vec<usize>> {
     let nsup = sn.nsup();
-    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); nsup];
-    // Children lists in the supernodal elimination tree.
-    let mut pending_children: Vec<Vec<usize>> = vec![Vec::new(); nsup];
-    let mut mark = vec![usize::MAX; n];
+    let (old_of, new_of) = (map.old_of_slice(), map.new_of_slice());
+    let mut rows: Vec<Vec<usize>> = Vec::with_capacity(nsup);
+    // Children in the supernodal elimination tree, as linked lists:
+    // `first_child[p]`, then `next_sibling[c]` until [`NONE`].
+    let mut first_child = vec![NONE; nsup];
+    let mut next_sibling = vec![NONE; nsup];
+    let mut mark = vec![NONE; a.n()];
     for s in 0..nsup {
         let last = sn.end_col(s) - 1;
         let mut set: Vec<usize> = Vec::new();
         // Original matrix entries below the supernode.
         for j in sn.first_col(s)..sn.end_col(s) {
-            for &i in &a.col_rows(j)[1..] {
+            for &i in &a.col_rows(old_of[j])[1..] {
+                let i = new_of[i];
                 if i > last && mark[i] != s {
                     mark[i] = s;
                     set.push(i);
@@ -125,21 +132,24 @@ pub fn supernode_rows(a: &SymCsc, sn: &SupernodePartition) -> Vec<Vec<usize>> {
             }
         }
         // Child contributions.
-        for &c in &pending_children[s] {
+        let mut c = first_child[s];
+        while c != NONE {
             for &i in &rows[c] {
                 if i > last && mark[i] != s {
                     mark[i] = s;
                     set.push(i);
                 }
             }
+            c = next_sibling[c];
         }
         set.sort_unstable();
         if let Some(&first) = set.first() {
             let p = sn.col_to_sn[first];
             debug_assert!(p > s);
-            pending_children[p].push(s);
+            next_sibling[s] = first_child[p];
+            first_child[p] = s;
         }
-        rows[s] = set;
+        rows.push(set);
     }
     rows
 }
@@ -266,7 +276,7 @@ mod tests {
         let counts = col_counts(&a, &t);
         let sn = find_supernodes(&t, &counts, false);
         assert_eq!(sn.sn_start, vec![0, 2, 4, 7, 9, 12, 15]);
-        let rows = supernode_rows(&a, &sn);
+        let rows = supernode_rows(&a, &sn, &Permutation::identity(a.n()));
         assert_eq!(rows[0], vec![5, 6, 13]); // J1: rows 6,7,14 one-based
         assert_eq!(rows[1], vec![7, 8, 14]);
         assert_eq!(rows[2], vec![12, 13, 14]);
@@ -299,7 +309,7 @@ mod tests {
             assert!(fine.sn_start.contains(&b));
         }
         // Row structures remain consistent for the finer partition too.
-        let rows = supernode_rows(&a, &fine);
+        let rows = supernode_rows(&a, &fine, &Permutation::identity(a.n()));
         assert_eq!(check_against_counts(&fine, &rows, &counts), None);
     }
 
@@ -311,7 +321,7 @@ mod tests {
         let sn = find_supernodes(&t, &counts, false);
         // Counts are [2,2,2,2,2,1]: only the last pair merges.
         assert_eq!(sn.sn_start, vec![0, 1, 2, 3, 4, 6]);
-        let rows = supernode_rows(&a, &sn);
+        let rows = supernode_rows(&a, &sn, &Permutation::identity(a.n()));
         assert_eq!(check_against_counts(&sn, &rows, &counts), None);
     }
 
@@ -327,7 +337,7 @@ mod tests {
         let sn = find_supernodes(&t, &counts, false);
         assert_eq!(sn.nsup(), 1);
         assert_eq!(sn.ncols(0), n);
-        let rows = supernode_rows(&a, &sn);
+        let rows = supernode_rows(&a, &sn, &Permutation::identity(a.n()));
         assert!(rows[0].is_empty());
     }
 

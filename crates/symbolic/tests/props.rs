@@ -1,9 +1,10 @@
 //! Property-based tests of the symbolic machinery.
 
 use proptest::prelude::*;
-use rlchol_sparse::{SymCsc, TripletMatrix};
+use rlchol_sparse::{Permutation, SymCsc, TripletMatrix};
 use rlchol_symbolic::colcount::{col_counts, col_counts_reference};
 use rlchol_symbolic::etree::EliminationTree;
+use rlchol_symbolic::merge::{merge_supernodes, storage};
 use rlchol_symbolic::relind::relative_indices;
 use rlchol_symbolic::supernodes::{check_against_counts, find_supernodes, supernode_rows};
 use rlchol_symbolic::{analyze, SymbolicOptions, NONE};
@@ -36,6 +37,70 @@ fn arb_sym(max_n: usize) -> impl Strategy<Value = SymCsc> {
     })
 }
 
+/// A random tree with every parent above its child, so the elimination
+/// tree is bushy (`arb_sym`'s fill makes near-paths), each vertex also
+/// linked to an ancestor a few steps further up. Amalgamation on it
+/// reorders columns in about half the cases.
+fn arb_bushy(max_n: usize) -> impl Strategy<Value = SymCsc> {
+    (3..=max_n, any::<u64>()).prop_map(|(n, seed)| {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        let mut t = TripletMatrix::new(n, n);
+        for j in 0..n {
+            t.push(j, j, 8.0);
+        }
+        let mut parent = vec![NONE; n];
+        for i in 0..n - 1 {
+            parent[i] = i + 1 + next() % (n - 1 - i).min(6);
+            t.push(parent[i], i, -0.5);
+        }
+        for i in 0..n - 1 {
+            let mut v = parent[i];
+            for _ in 0..next() % 3 {
+                if parent[v] == NONE {
+                    break;
+                }
+                v = parent[v];
+            }
+            if v != parent[i] {
+                t.push(v, i, -0.25);
+            }
+        }
+        SymCsc::from_lower_triplets(&t).unwrap()
+    })
+}
+
+/// Amalgamates the postordered `a` at several caps, on both partitions,
+/// and checks the merged rows against rows built on the explicitly
+/// permuted matrix with the identity map, and the stored entries against
+/// the input storage plus the accounted extra fill.
+fn check_row_map(a: &SymCsc) {
+    let t0 = EliminationTree::from_matrix(a);
+    let p = Permutation::from_old_of(t0.postorder()).unwrap();
+    let ap = a.permute(&p);
+    let t = EliminationTree::from_matrix(&ap);
+    let counts = col_counts(&ap, &t);
+    let id = Permutation::identity(ap.n());
+    for fundamental in [false, true] {
+        let sn = find_supernodes(&t, &counts, fundamental);
+        for cap in [0.0, 0.25, 1e9] {
+            // `m.rows` is `supernode_rows(&ap, &m.sn, &m.perm)`.
+            let m = merge_supernodes(&ap, &t, &counts, &sn, cap);
+            let explicit = supernode_rows(&ap.permute(&m.perm), &m.sn, &id);
+            assert_eq!(m.rows, explicit, "fundamental {fundamental} cap {cap}");
+            let stored: u64 = (0..m.sn.nsup())
+                .map(|s| storage(m.sn.ncols(s), m.rows[s].len()))
+                .sum();
+            assert_eq!(stored, m.base_storage + m.extra_fill);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -66,9 +131,15 @@ proptest! {
         let counts = col_counts(&ap, &t);
         for fundamental in [false, true] {
             let sn = find_supernodes(&t, &counts, fundamental);
-            let rows = supernode_rows(&ap, &sn);
+            let rows = supernode_rows(&ap, &sn, &Permutation::identity(ap.n()));
             prop_assert_eq!(check_against_counts(&sn, &rows, &counts), None);
         }
+    }
+
+    #[test]
+    fn merged_rows_read_through_the_merge_permutation(a in arb_sym(40), b in arb_bushy(40)) {
+        check_row_map(&a);
+        check_row_map(&b);
     }
 
     #[test]

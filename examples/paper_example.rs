@@ -6,7 +6,7 @@
 //! cargo run --release --example paper_example
 //! ```
 
-use rlchol::sparse::{SymCsc, TripletMatrix};
+use rlchol::sparse::{Permutation, SymCsc, TripletMatrix};
 use rlchol::symbolic::colcount::col_counts;
 use rlchol::symbolic::etree::EliminationTree;
 use rlchol::symbolic::relind::{generalized_from_bottom, relative_indices};
@@ -31,7 +31,7 @@ fn main() {
     let etree = EliminationTree::from_matrix(&a);
     let counts = col_counts(&a, &etree);
     let sn = find_supernodes(&etree, &counts, false);
-    let rows = supernode_rows(&a, &sn);
+    let rows = supernode_rows(&a, &sn, &Permutation::identity(n));
     let parent = supernodal_etree(&sn, &rows);
 
     println!("Figure 1 — supernodes of the 15x15 factor (columns are 1-based):\n");
