@@ -22,7 +22,17 @@
 //! `RlCpuPar` and `RlbCpuPar` are left out on purpose: their fan-out
 //! updates land in the order the scheduler runs them, so their factor
 //! differs by roundoff from run to run.
+//!
+//! Each device run also pins its simulated clock: the bits of
+//! `sim_seconds` and of the host, kernel and transfer seconds, and the
+//! kernel, transfer and peak-memory counters. Host-side refactors of the
+//! device engines must issue the same device and host operations with
+//! the same floating-point grouping, so a one-ulp drift fails here. The
+//! pipelined engines are pinned under each explicit retirement mode,
+//! since left to `RLCHOL_RETIRE` their clock follows the environment.
 
+use rlchol::core::engine::RetireMode;
+use rlchol::core::FactorInfo;
 use rlchol::matgen::{grid2d, grid3d, Stencil};
 use rlchol::{CholeskySolver, GpuOptions, Method, SolverOptions, SymCsc};
 
@@ -37,17 +47,41 @@ const DETERMINISTIC: [Method; 7] = [
     Method::RlbGpuPipe,
 ];
 
-/// FNV-1a over the little-endian `f64::to_bits` of every factor entry,
-/// supernode by supernode.
-fn digest(sn: &[Vec<f64>]) -> u64 {
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &x in sn.iter().flatten() {
-        for b in x.to_bits().to_le_bytes() {
+    for w in words {
+        for b in w.to_le_bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     h
+}
+
+/// FNV-1a over the `f64::to_bits` of every factor entry, supernode by
+/// supernode.
+fn digest(sn: &[Vec<f64>]) -> u64 {
+    fnv(sn.iter().flatten().map(|x| x.to_bits()))
+}
+
+/// FNV-1a over a device run's simulated seconds and device counters.
+fn sim_digest(info: &FactorInfo) -> u64 {
+    let g = info.gpu.as_ref().expect("device engines report counters");
+    fnv([
+        info.sim_seconds
+            .expect("device engines report sim time")
+            .to_bits(),
+        g.host_seconds.to_bits(),
+        g.kernel_seconds.to_bits(),
+        g.transfer_seconds.to_bits(),
+        g.kernel_launches,
+        g.h2d_count,
+        g.h2d_bytes,
+        g.d2h_count,
+        g.d2h_bytes,
+        g.peak_bytes,
+    ])
 }
 
 /// Thresholds the device engines run at: all-device and a CPU/device
@@ -74,11 +108,34 @@ fn options(method: Method, threshold: usize) -> SolverOptions {
     }
 }
 
-/// Factors `a` with every deterministic engine and compares each digest
-/// with its pin, in `DETERMINISTIC` × `thresholds` order; reports every
-/// drifted pin at once. Returns the widest supernode's column count.
-fn check(name: &str, a: &SymCsc, want: &[u64]) -> usize {
+/// The explicit retirement modes a pipelined engine's clock is pinned
+/// under; none for the single-stream engines, whose clock is pinned from
+/// their factor run.
+fn retire_modes(method: Method) -> &'static [RetireMode] {
+    match method {
+        Method::RlGpuPipe | Method::RlbGpuPipe => &[RetireMode::InOrder, RetireMode::Ooo],
+        _ => &[],
+    }
+}
+
+/// Lists every run whose digest differs from its pin.
+fn drifted(got: &[(String, u64)], want: &[u64]) -> Vec<String> {
+    got.iter()
+        .zip(want)
+        .filter(|((_, g), w)| g != *w)
+        .map(|((run, g), w)| format!("{run}: got {g:#018x}, pinned {w:#018x}"))
+        .collect()
+}
+
+/// Factors `a` with every deterministic engine and compares each factor
+/// digest with its pin, in `DETERMINISTIC` × `thresholds` order, and
+/// each device run's simulated-clock digest with its pin, in the same
+/// order (the pipelined engines once per explicit retirement mode);
+/// reports every drifted pin at once. Returns the widest supernode's
+/// column count.
+fn check(name: &str, a: &SymCsc, want: &[u64], want_sim: &[u64]) -> usize {
     let mut got = Vec::new();
+    let mut got_sim = Vec::new();
     let mut widest = 0;
     for method in DETERMINISTIC {
         for &threshold in thresholds(method) {
@@ -90,17 +147,30 @@ fn check(name: &str, a: &SymCsc, want: &[u64]) -> usize {
             if method.is_gpu() {
                 run += &format!(" thr {threshold}");
             }
+            let modes = retire_modes(method);
+            if method.is_gpu() && modes.is_empty() {
+                got_sim.push((run.clone(), sim_digest(fact.info())));
+            }
+            for &mode in modes {
+                let mut opts = options(method, threshold);
+                opts.gpu = opts.gpu.with_retire(mode);
+                let fact = CholeskySolver::analyze(a, &opts)
+                    .factor_with(a)
+                    .expect("SPD input");
+                got_sim.push((format!("{run} {}", mode.name()), sim_digest(fact.info())));
+            }
             got.push((run, digest(&fact.data().sn)));
         }
     }
     assert_eq!(got.len(), want.len(), "{name}: one pin per engine run");
-    let drifted: Vec<String> = got
-        .iter()
-        .zip(want)
-        .filter(|((_, g), w)| g != *w)
-        .map(|((run, g), w)| format!("{run}: got {g:#018x}, pinned {w:#018x}"))
-        .collect();
-    assert!(drifted.is_empty(), "drifted pins:\n{}", drifted.join("\n"));
+    assert_eq!(
+        got_sim.len(),
+        want_sim.len(),
+        "{name}: one clock pin per device run"
+    );
+    let mut all = drifted(&got, want);
+    all.extend(drifted(&got_sim, want_sim));
+    assert!(all.is_empty(), "drifted pins:\n{}", all.join("\n"));
     widest
 }
 
@@ -122,6 +192,22 @@ fn grid3d_star7_factor_is_pinned() {
             0x7d4a_4641_a314_e630,
             0x634e_5203_cf14_567d,
             0xc610_5335_4670_b6b0,
+        ],
+        &[
+            0xbc36_e0d9_a3c3_d4fe,
+            0xae1e_0932_11d7_9f75,
+            0x1514_ba8b_bdc1_3307,
+            0xd7a9_90fd_998f_0cd0,
+            0x4144_91e8_db3f_f61a,
+            0xaf55_2d2b_decb_5c7c,
+            0x1b3c_179f_c84b_363f,
+            0xa695_1b52_74b2_5530,
+            0xe857_8205_b926_f7b4,
+            0x084e_abed_c178_e751,
+            0x9670_cafb_dc8e_4952,
+            0x68aa_ed82_f7f4_e154,
+            0xffbb_fbe3_8998_283d,
+            0x964c_0ae6_524a_17d2,
         ],
     );
     // The root separator must span more than one NB block, so the
@@ -151,6 +237,22 @@ fn grid2d_star5_factor_is_pinned() {
             0xb776_37f5_f3df_dc1c,
             0x8531_9256_5154_5c0f,
         ],
+        &[
+            0x05e6_5aff_865a_9c86,
+            0x7738_1f0c_758c_947e,
+            0xd33b_7665_b34c_63f1,
+            0x1417_8ebc_c7ce_eb2f,
+            0xebfc_d15b_39a3_d0ec,
+            0x4a7c_0e18_6d01_2b43,
+            0xac81_6364_c42f_b923,
+            0x8e5c_e146_b273_4484,
+            0x230d_99ee_c671_bd21,
+            0xd6bd_19df_f849_d9eb,
+            0x35ac_8952_1e77_6ae6,
+            0x3247_a4c4_e228_7be9,
+            0x4a63_8f11_0743_49f5,
+            0xf48b_b5ee_6681_6bf6,
+        ],
     );
 }
 
@@ -172,6 +274,22 @@ fn grid3d_star27_factor_is_pinned() {
             0x851c_1cad_76f7_56e3,
             0x0a05_4a44_3e63_a7f0,
             0x0a05_4a44_3e63_a7f0,
+        ],
+        &[
+            0x9d61_293e_1481_be19,
+            0x9d61_293e_1481_be19,
+            0x79af_d3eb_3ff0_38f8,
+            0x79af_d3eb_3ff0_38f8,
+            0x12e9_e909_96ca_4607,
+            0x12e9_e909_96ca_4607,
+            0xe4e1_9c5b_4548_3d3e,
+            0x50c6_55ba_0b72_2f6f,
+            0xe4e1_9c5b_4548_3d3e,
+            0x50c6_55ba_0b72_2f6f,
+            0xfb51_e97e_823d_a071,
+            0x049d_d9f4_4098_d5b0,
+            0xfb51_e97e_823d_a071,
+            0x049d_d9f4_4098_d5b0,
         ],
     );
 }
