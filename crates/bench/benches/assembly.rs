@@ -1,9 +1,11 @@
 //! Criterion benches of the update-matrix assembly (the scatter loops
-//! the paper parallelizes with OpenMP), serial vs scoped threads.
+//! the paper parallelizes with OpenMP), serial vs one job per target on
+//! a persistent pool.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rlchol_core::assemble::{assemble_update, assemble_update_par};
+use rlchol_core::assemble::{assemble_update, assemble_update_pool};
 use rlchol_core::storage::FactorData;
+use rlchol_dense::pool::ThreadPool;
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_ordering::{order, OrderingMethod};
 use rlchol_symbolic::{analyze, SymbolicOptions};
@@ -34,9 +36,10 @@ fn bench_assembly(c: &mut Criterion) {
         b.iter(|| assemble_update(&sym, &mut data.sn, s, &upd, r))
     });
     for threads in [2usize, 4] {
-        g.bench_function(format!("par_{threads}"), |b| {
+        let pool = ThreadPool::new(threads);
+        g.bench_function(format!("pool_{threads}"), |b| {
             let mut data = FactorData::load(&sym, &a);
-            b.iter(|| assemble_update_par(&sym, &mut data.sn, s, &upd, r, threads))
+            b.iter(|| assemble_update_pool(&pool, &sym, &mut data.sn, s, &upd, r))
         });
     }
     g.finish();

@@ -86,13 +86,9 @@ const SECTIONS: [Section; 9] = [
     ),
     (
         "streams",
-        "Pipelined engines: stream pairs x retirement discipline, and the pinned-lookahead \
-         sweep (0 = adaptive)",
-        &[
-            ("streams_matrix", ""),
-            ("streams", ""),
-            ("lookahead_sweep", ""),
-        ],
+        "Pipelined engines: stream pairs x retirement discipline (out-of-order with the \
+         adaptive lookahead window)",
+        &[("streams_matrix", ""), ("streams", "")],
     ),
     (
         "calibrate",

@@ -45,9 +45,6 @@ pub const PROFILE_SOLVERS: [(&str, &str); 4] = [
 const PROFILE_TAUS: [f64; 6] = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0];
 /// Stream-pair counts swept on the pipelined engines.
 const STREAM_SWEEP: [usize; 4] = [1, 2, 4, 8];
-/// Pinned lookahead windows swept at the widest stream count; 0 is the
-/// adaptive controller.
-const LOOKAHEADS: [usize; 5] = [0, 4, 8, 16, 32];
 /// Edge of the grid the stream sweep factors.
 const STREAMS_GRID: usize = 20;
 
@@ -278,11 +275,10 @@ fn merge_pr_ablation(p: &PreparedMatrix, cfg: &SuiteConfig) -> Vec<Row> {
 
 /// Stream count × retirement discipline of the pipelined engines on a
 /// nested-dissection-ordered `k³` grid (so the elimination tree has
-/// breadth to pipeline over; threshold 0, default machine model), and
-/// the pinned-lookahead sweep at the widest count. Returns the matrix
-/// row and the two tables; asserts the two disciplines produce
-/// bitwise-equal factors at every stream count.
-fn streams_sweep(k: usize) -> (Row, Vec<Row>, Vec<Row>) {
+/// breadth to pipeline over; threshold 0, default machine model).
+/// Returns the matrix row and the table; asserts the two disciplines
+/// produce bitwise-equal factors at every stream count.
+fn streams_sweep(k: usize) -> (Row, Vec<Row>) {
     let p = prepare("grid3d", grid3d(k, k, k, Stencil::Star7, 1, 33));
     let run = |method: Method, opts: GpuOptions| {
         let run = run_gpu(&p, method, &opts).expect("the grid fits the default device");
@@ -337,27 +333,14 @@ fn streams_sweep(k: usize) -> (Row, Vec<Row>, Vec<Row>) {
                 .num("rlb_ooo_copy_util", util(&rlb_ooo, StreamRole::Copy))
         })
         .collect();
-    let wide = STREAM_SWEEP[STREAM_SWEEP.len() - 1];
-    let lookahead = LOOKAHEADS
-        .into_iter()
-        .map(|lookahead| {
-            let opts = opts(wide, RetireMode::Ooo).with_lookahead(lookahead);
-            let run = run(Method::RlGpuPipe, opts);
-            Row::default()
-                .int("lookahead", lookahead)
-                .num("rl_ooo_s", sim_seconds(&run))
-                .int("final_window", run.info.lookahead)
-        })
-        .collect();
     let matrix = Row::default()
         .str("matrix", &format!("grid3d({k}, {k}, {k}, Star7)"))
         .int("n", p.sym.n)
         .int("supernodes", p.sym.nsup())
         .int("factor_nnz", p.sym.nnz as usize)
         .int("flops", p.sym.flops as usize)
-        .int("threshold", 0)
-        .int("lookahead_sweep_streams", wide);
-    (matrix, sweep, lookahead)
+        .int("threshold", 0);
+    (matrix, sweep)
 }
 
 /// One full reproduction run: named sections of rows, in file order.
@@ -389,7 +372,7 @@ pub fn generate() -> Artifact {
         }
         eprintln!("done {}", p.name);
     }
-    let (streams_matrix, streams, lookahead) = streams_sweep(STREAMS_GRID);
+    let (streams_matrix, streams) = streams_sweep(STREAMS_GRID);
     let mut art = Artifact {
         cfg,
         sections: vec![
@@ -400,7 +383,6 @@ pub fn generate() -> Artifact {
             ("merge_pr", merge_pr),
             ("streams_matrix", vec![streams_matrix]),
             ("streams", streams),
-            ("lookahead_sweep", lookahead),
         ],
     };
     let profile = art.profile();

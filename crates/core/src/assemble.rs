@@ -6,11 +6,16 @@
 //! `q` is the supernode containing that index, and every row below lands
 //! at its relative index in the target's array (§II-A of the paper).
 //!
-//! The paper parallelizes these loops with OpenMP; [`assemble_update_par`]
-//! is the equivalent scoped-thread version, splitting work by target
-//! supernode (targets are disjoint arrays, so no synchronization is
-//! needed).
+//! The paper parallelizes these loops with OpenMP;
+//! [`assemble_update_pool`] is the equivalent here, one job per target
+//! supernode on a persistent [`ThreadPool`] (targets are disjoint arrays,
+//! so no synchronization is needed). Its fan-out ([`fan_out`]) is the
+//! one per-target fan-out of the crate: the RLB engines' staged strips
+//! and direct updates go through it too.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use rlchol_dense::pool::ThreadPool;
 use rlchol_symbolic::relind::relative_indices;
 use rlchol_symbolic::SymbolicFactor;
 
@@ -51,11 +56,10 @@ pub fn assemble_update(
 ) -> usize {
     let rows = &sym.rows[s];
     debug_assert_eq!(rows.len(), r);
-    let mut entries = 0usize;
-    for seg in segments(sym, s) {
-        entries += scatter_segment(sym, &mut data[seg.target], seg, rows, upd, r);
-    }
-    entries
+    segments(sym, s)
+        .into_iter()
+        .map(|seg| scatter_segment(sym, &mut data[seg.target], seg, rows, upd, r))
+        .sum()
 }
 
 /// Scatters one segment into its (already borrowed) target array.
@@ -87,82 +91,66 @@ pub(crate) fn scatter_segment(
     entries
 }
 
-/// Pool-parallel assembly: each target supernode's segment is scattered
-/// by a job on the persistent [`rlchol_dense::pool`], so the GPU engines'
-/// host-side assembly overlaps across cores without per-call thread
-/// spawns. Targets appear in increasing order, so progressive
-/// `split_at_mut` hands each job a disjoint `&mut` array.
+/// Fans one source supernode's per-target work out over `pool`, one job
+/// per target. `units` pairs each target's index in `data` with its work
+/// item in ascending target order, so progressive `split_at_mut` hands
+/// every job a disjoint `&mut` array; the units are drawn on the calling
+/// thread, in order. A single-lane pool or a single unit runs inline,
+/// with no task boxing. Returns the sum of `work`'s counts (the entries
+/// assembled).
 ///
-/// Bit-exactness: every entry is written by exactly the same subtraction,
-/// in the same per-segment order, as [`assemble_update`] — segments only
-/// move between lanes, so the result is bit-identical to the serial
-/// scatter.
-pub fn assemble_update_pool(
-    sym: &SymbolicFactor,
+/// Bit-exactness: each unit runs the same arithmetic in the same order
+/// whichever lane takes it, and units write disjoint targets, so the
+/// result equals the serial sweep's.
+pub(crate) fn fan_out<U: Send>(
+    pool: &ThreadPool,
     data: &mut [Vec<f64>],
-    s: usize,
-    upd: &[f64],
-    r: usize,
+    units: impl IntoIterator<Item = (usize, U)>,
+    work: impl Fn(U, &mut [f64]) -> usize + Sync,
 ) -> usize {
-    let segs = segments(sym, s);
-    if rlchol_dense::pool::global().threads() <= 1 || segs.len() <= 1 {
-        return assemble_update(sym, data, s, upd, r);
+    let mut units = units.into_iter().peekable();
+    if pool.threads() <= 1 {
+        return units.map(|(t, unit)| work(unit, &mut data[t])).sum();
     }
-    let rows = &sym.rows[s];
-    let total: std::sync::atomic::AtomicUsize = 0.into();
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(segs.len());
-    let mut rest: &mut [Vec<f64>] = data;
+    let total = AtomicUsize::new(0);
+    let (total_ref, work) = (&total, &work);
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+    let mut rest = data;
     let mut consumed = 0usize;
-    for seg in &segs {
-        let (head, tail) = rest.split_at_mut(seg.target - consumed + 1);
-        let target_arr = head.last_mut().expect("nonempty split");
+    while let Some((target, unit)) = units.next() {
+        let (head, tail) = rest.split_at_mut(target - consumed + 1);
+        let arr = head.last_mut().expect("nonempty split");
         rest = tail;
-        consumed = seg.target + 1;
-        let total = &total;
-        let seg = *seg;
+        consumed = target + 1;
+        if tasks.is_empty() && units.peek().is_none() {
+            return work(unit, arr);
+        }
         tasks.push(Box::new(move || {
-            let e = scatter_segment(sym, target_arr, seg, rows, upd, r);
-            total.fetch_add(e, std::sync::atomic::Ordering::Relaxed);
+            total_ref.fetch_add(work(unit, arr), Ordering::Relaxed);
         }));
     }
-    rlchol_dense::pool::global().run(tasks);
+    pool.run(tasks);
     total.into_inner()
 }
 
-/// Parallel assembly: each target supernode's segment is scattered by a
-/// scoped thread. Targets appear in increasing order, so progressive
-/// `split_at_mut` hands each thread a disjoint `&mut` array.
-pub fn assemble_update_par(
+/// Pool-parallel assembly: [`assemble_update`] with each target's
+/// segment scattered by its own job on `pool` ([`fan_out`]), so host
+/// assembly overlaps across cores without per-call thread spawns.
+/// Bit-identical to the serial scatter — segments only move between
+/// lanes.
+pub fn assemble_update_pool(
+    pool: &ThreadPool,
     sym: &SymbolicFactor,
     data: &mut [Vec<f64>],
     s: usize,
     upd: &[f64],
     r: usize,
-    threads: usize,
 ) -> usize {
-    let segs = segments(sym, s);
-    if threads <= 1 || segs.len() <= 1 {
-        return assemble_update(sym, data, s, upd, r);
-    }
     let rows = &sym.rows[s];
-    let total: std::sync::atomic::AtomicUsize = 0.into();
-    std::thread::scope(|scope| {
-        let mut rest: &mut [Vec<f64>] = data;
-        let mut consumed = 0usize;
-        for seg in &segs {
-            let (head, tail) = rest.split_at_mut(seg.target - consumed + 1);
-            let target_arr = head.last_mut().expect("nonempty split");
-            rest = tail;
-            consumed = seg.target + 1;
-            let total = &total;
-            let seg = *seg;
-            scope.spawn(move || {
-                let e = scatter_segment(sym, target_arr, seg, rows, upd, r);
-                total.fetch_add(e, std::sync::atomic::Ordering::Relaxed);
-            });
-        }
-    });
-    total.into_inner()
+    let units = segments(sym, s).into_iter().map(|seg| (seg.target, seg));
+    fan_out(pool, data, units, |seg, arr| {
+        scatter_segment(sym, arr, seg, rows, upd, r)
+    })
 }
 
 #[cfg(test)]
@@ -192,44 +180,68 @@ mod tests {
         (sym, ap)
     }
 
-    #[test]
-    fn serial_and_parallel_assembly_agree() {
-        let (sym, ap) = fig1_sym();
-        // Pick the first supernode with >= 2 targets.
-        let s = (0..sym.nsup())
-            .find(|&s| {
-                let segs = super::segments(&sym, s);
-                segs.len() >= 2
-            })
-            .expect("fig1 has multi-target supernodes");
-        let r = sym.rows[s].len();
-        let upd: Vec<f64> = (0..r * r).map(|i| (i % 7) as f64 + 0.5).collect();
-        let mut d1 = FactorData::load(&sym, &ap);
-        let mut d2 = d1.clone();
-        let e1 = assemble_update(&sym, &mut d1.sn, s, &upd, r);
-        let e2 = assemble_update_par(&sym, &mut d2.sn, s, &upd, r, 4);
-        assert_eq!(e1, e2);
-        assert_eq!(d1, d2);
+    /// Source-independent test values for an `n`-entry buffer.
+    fn pattern(n: usize) -> Vec<f64> {
+        (0..n).map(|i| ((i * 13) % 11) as f64 * 0.3 - 1.0).collect()
     }
 
+    /// The one fan-out on a real four-lane pool — whatever lane count the
+    /// global pool has — against the serial sweep, bitwise and with equal
+    /// counts, for each kind of per-target work: RL segments, RLB staged
+    /// strips and RLB direct runs.
     #[test]
     fn pool_assembly_is_bit_identical_to_serial() {
+        use crate::gpu_rlb::{apply_strip, scatter_strips, strips_of};
+        use crate::rlb::{rlb_apply_run, rlb_target_runs, rlb_update_pool};
+
+        let pool = ThreadPool::new(4);
         let (sym, ap) = fig1_sym();
+        let mut multi_target = 0;
         for s in 0..sym.nsup() {
             let r = sym.rows[s].len();
             if r == 0 {
                 continue;
             }
-            let upd: Vec<f64> = (0..r * r)
-                .map(|i| ((i * 13) % 11) as f64 * 0.3 - 1.0)
-                .collect();
+            multi_target += usize::from(segments(&sym, s).len() > 1);
+
+            // RL: the update matrix scattered segment by segment.
+            let upd = pattern(r * r);
             let mut d1 = FactorData::load(&sym, &ap);
             let mut d2 = d1.clone();
             let e1 = assemble_update(&sym, &mut d1.sn, s, &upd, r);
-            let e2 = assemble_update_pool(&sym, &mut d2.sn, s, &upd, r);
-            assert_eq!(e1, e2, "supernode {s}");
-            assert_eq!(d1, d2, "supernode {s} must match bitwise");
+            let e2 = assemble_update_pool(&pool, &sym, &mut d2.sn, s, &upd, r);
+            assert_eq!(e1, e2, "RL supernode {s}");
+            assert_eq!(d1, d2, "RL supernode {s} must match bitwise");
+
+            // RLB staged strips, as the device engines land them.
+            let blocks = &sym.blocks[s];
+            let (strips, stage_len) = strips_of(blocks);
+            let staged = pattern(stage_len);
+            let mut d1 = FactorData::load(&sym, &ap);
+            let mut d2 = d1.clone();
+            let mut e1 = 0;
+            for st in &strips {
+                let host = &staged[st.stage_off..st.stage_off + st.m * st.n];
+                e1 += apply_strip(&sym, &mut d1.sn[blocks[st.b1].target], blocks, st, host);
+            }
+            let e2 = scatter_strips(&pool, &sym, &mut d2.sn, blocks, &strips, &staged);
+            assert_eq!(e1, e2, "strips supernode {s}");
+            assert_eq!(d1, d2, "strips supernode {s} must match bitwise");
+
+            // RLB direct runs, as the serial RLB sweep applies them.
+            let mut d1 = FactorData::load(&sym, &ap);
+            let mut d2 = d1.clone();
+            let (mut ops1, mut ops2) = (Vec::new(), Vec::new());
+            let (head, tail) = d1.sn.split_at_mut(s + 1);
+            for run in rlb_target_runs(&sym, s) {
+                let parr = &mut tail[run.target - s - 1];
+                rlb_apply_run(&sym, s, &head[s], parr, &run, |op| ops1.push(*op));
+            }
+            rlb_update_pool(&pool, &sym, &mut d2.sn, s, |op| ops2.push(*op));
+            assert_eq!(ops1, ops2, "direct supernode {s}");
+            assert_eq!(d1, d2, "direct supernode {s} must match bitwise");
         }
+        assert!(multi_target > 0, "fig1 has multi-target supernodes");
     }
 
     #[test]

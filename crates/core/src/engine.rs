@@ -4,8 +4,10 @@ use std::time::Duration;
 
 use rlchol_dense::{potrf, trsm_rlt};
 use rlchol_gpu::GpuStats;
-use rlchol_perfmodel::{MachineModel, Trace};
+use rlchol_perfmodel::{MachineModel, Trace, TraceOp};
+use rlchol_symbolic::SymbolicFactor;
 
+use crate::error::FactorError;
 use crate::storage::FactorData;
 
 /// The factorization engines of the paper.
@@ -114,6 +116,17 @@ impl std::str::FromStr for Method {
     }
 }
 
+/// Which update formulation an engine applies after the panel step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Variant {
+    /// One coarse SYRK forms the full update matrix, which is scattered
+    /// into the ancestors (RL, §II-A).
+    Rl,
+    /// Per-block SYRK/GEMM updates straight into the ancestors (RLB,
+    /// §II-B).
+    Rlb,
+}
+
 /// Result of a CPU-only factorization.
 #[derive(Debug)]
 pub(crate) struct CpuRun {
@@ -193,12 +206,6 @@ pub struct GpuOptions {
     /// mode yields the same factor bits; out-of-order retirement only
     /// reorders host waits across *different* targets.
     pub retire: Option<RetireMode>,
-    /// Lookahead window for out-of-order retirement: how many supernodes
-    /// may be in flight on the device at once. `None` and `0` mean
-    /// adaptive (grow on stream starvation, shrink when the host is the
-    /// bottleneck). In-order retirement keeps its fixed `2 × pairs`
-    /// bound and ignores this.
-    pub lookahead: Option<usize>,
 }
 
 impl GpuOptions {
@@ -211,7 +218,6 @@ impl GpuOptions {
             streams: 0,
             faults: None,
             retire: None,
-            lookahead: None,
         }
     }
 
@@ -224,13 +230,6 @@ impl GpuOptions {
     /// The same options with an explicit retirement mode.
     pub fn with_retire(mut self, retire: RetireMode) -> Self {
         self.retire = Some(retire);
-        self
-    }
-
-    /// The same options with an explicit lookahead window (`0` =
-    /// adaptive).
-    pub fn with_lookahead(mut self, lookahead: usize) -> Self {
-        self.lookahead = Some(lookahead);
         self
     }
 
@@ -256,12 +255,6 @@ impl GpuOptions {
         self.retire
             .or_else(RetireMode::from_env)
             .unwrap_or(RetireMode::InOrder)
-    }
-
-    /// The lookahead window: [`lookahead`](Self::lookahead), else `0`
-    /// (adaptive).
-    pub fn resolved_lookahead(&self) -> usize {
-        self.lookahead.unwrap_or(0)
     }
 
     /// The fault plan with the fallback chain applied: an explicit
@@ -317,8 +310,7 @@ pub(crate) struct GpuRun {
     /// single-stream engines).
     pub retire: RetireMode,
     /// Final lookahead window of an out-of-order run (the adaptive
-    /// policy's last value, or the pinned window); `0` for
-    /// in-order runs.
+    /// policy's last value); `0` for in-order runs.
     pub lookahead: usize,
     /// H2D transfers skipped because device-resident data from a
     /// previous factorization on the same workspace was still valid
@@ -342,7 +334,7 @@ pub(crate) struct GpuRun {
 /// A wide panel — the root separator, often the only ready work — needs
 /// no special path: `rlchol_dense` splits any large POTRF or TRSM across
 /// the pool itself, with the same bits at any lane count.
-pub fn factor_panel(
+fn factor_panel(
     arr: &mut [f64],
     len: usize,
     c: usize,
@@ -360,6 +352,32 @@ pub fn factor_panel(
             }
         }
         trsm_rlt(r, c, &l11[..c * c], c, &mut arr[c..], len);
+    }
+    Ok(())
+}
+
+/// The panel step of every engine's host path: factors supernode `s`'s
+/// panel `arr` in place ([`factor_panel`]) and reports its kernels to
+/// `account` — the POTRF, then the TRSM when rows lie below. A
+/// nonpositive pivot becomes [`FactorError::NotPositiveDefinite`] at its
+/// global column, before anything is reported.
+pub(crate) fn panel_step(
+    sym: &SymbolicFactor,
+    s: usize,
+    arr: &mut [f64],
+    l11: &mut Vec<f64>,
+    mut account: impl FnMut(&TraceOp),
+) -> Result<(), FactorError> {
+    let c = sym.sn_ncols(s);
+    let r = sym.sn_nrows_below(s);
+    factor_panel(arr, sym.sn_len(s), c, r, l11).map_err(|pivot| {
+        FactorError::NotPositiveDefinite {
+            column: sym.sn.first_col(s) + pivot,
+        }
+    })?;
+    account(&TraceOp::Potrf { n: c });
+    if r > 0 {
+        account(&TraceOp::Trsm { m: r, n: c });
     }
     Ok(())
 }
@@ -396,16 +414,14 @@ mod tests {
         assert_eq!(RetireMode::InOrder.name(), "inorder");
         assert_eq!(RetireMode::Ooo.name(), "ooo");
         // An explicit option always wins over the environment/default
-        // chain; unset falls back to in-order with an adaptive window.
-        // (from_env itself is exercised end-to-end by CI's `faults` job
-        // — mutating RLCHOL_RETIRE here would race parallel tests.)
+        // chain. (from_env itself is exercised end-to-end by CI's
+        // `faults` job — mutating RLCHOL_RETIRE here would race parallel
+        // tests.)
         let opts = GpuOptions::with_threshold(0);
-        assert_eq!(opts.resolved_lookahead(), 0);
         assert_eq!(
-            opts.clone().with_retire(RetireMode::Ooo).resolved_retire(),
+            opts.with_retire(RetireMode::Ooo).resolved_retire(),
             RetireMode::Ooo
         );
-        assert_eq!(opts.with_lookahead(7).resolved_lookahead(), 7);
     }
 
     #[test]

@@ -197,10 +197,6 @@ impl From<GpuError> for FactorError {
                 requested_bytes,
                 capacity_bytes,
             },
-            GpuError::Numerical(msg) => {
-                // Device POTRF failures carry the pivot message.
-                FactorError::Gpu(msg)
-            }
             GpuError::Fault(e) => FactorError::DeviceFault(e),
             other => FactorError::Gpu(other.to_string()),
         }
@@ -335,8 +331,8 @@ mod tests {
                 capacity_bytes: 5
             }
         );
-        let numerical: FactorError = GpuError::Numerical("pivot 12 not positive".into()).into();
-        assert!(format!("{numerical}").contains("pivot 12 not positive"));
+        let numerical: FactorError = GpuError::Numerical { pivot: 12 }.into();
+        assert!(format!("{numerical}").contains("pivot at column 12"));
         let fault: FactorError = GpuError::Fault(rlchol_gpu::DeviceError {
             kind: rlchol_gpu::FaultKind::TransferFail,
             index: 3,

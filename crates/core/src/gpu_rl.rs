@@ -23,15 +23,18 @@
 
 use std::time::Instant;
 
-use rlchol_dense::syrk_ln;
-use rlchol_perfmodel::TraceOp;
+use rlchol_dense::pool;
+use rlchol_gpu::{Buffer, Event, Gpu, GpuError, StreamId};
+use rlchol_perfmodel::{CpuModel, TraceOp};
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::assemble_update_pool;
-use crate::engine::{factor_panel, GpuOptions, GpuRun};
+use crate::engine::{panel_step, GpuOptions, GpuRun, Variant};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
+use crate::rl::rl_update_matrix;
+use crate::rlb::rlb_update_pool;
 
 /// Decides which supernodes are offloaded under the threshold rule.
 pub fn offload_set(sym: &SymbolicFactor, threshold: usize) -> Vec<bool> {
@@ -88,59 +91,41 @@ pub(crate) fn factor_rl_gpu_ws(
         // simulated clock, so a sim budget aborts here instead of
         // grinding through the remaining supernodes.
         ctl.check_sim(gpu.elapsed())?;
-        let c = sym.sn_ncols(s);
-        let r = sym.sn_nrows_below(s);
-        let len = sym.sn_len(s);
-        let first = sym.sn.first_col(s);
-
         if !on_gpu[s] {
-            // CPU path: real numerics; host clock advances by model time.
-            {
-                let arr = &mut data.sn[s];
-                factor_panel(arr, len, c, r, &mut l11).map_err(|pivot| {
-                    FactorError::NotPositiveDefinite {
-                        column: first + pivot,
-                    }
-                })?;
-            }
-            gpu.host_compute(
-                cpu.op_time(&TraceOp::Potrf { n: c }) + cpu.op_time(&TraceOp::Trsm { m: r, n: c }),
-            );
-            if r > 0 {
-                {
-                    let ws = host_upd_grow(&mut host_upd, r);
-                    let arr = &data.sn[s];
-                    syrk_ln(r, c, 1.0, &arr[c..], len, 0.0, ws, r);
-                }
-                gpu.host_compute(cpu.op_time(&TraceOp::Syrk { n: r, k: c }));
-                let entries = assemble_update_pool(sym, &mut data.sn, s, &host_upd[..r * r], r);
-                gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
-            }
+            host_node(
+                &gpu,
+                &cpu,
+                sym,
+                &mut data.sn,
+                s,
+                Variant::Rl,
+                &mut l11,
+                &mut host_upd,
+            )?;
             continue;
         }
 
         // --- GPU path ---
-        if let Some(ev) = prev_copyback.take() {
-            gpu.stream_wait_event(compute, ev);
-        }
-        gpu.memcpy_h2d(compute, panel_buf, 0, &data.sn[s])?;
-        gpu.potrf(compute, panel_buf, 0, c, len)
-            .map_err(map_device_pivot(first))?;
-        gpu.trsm_panel(compute, panel_buf, 0, len, c, r)?;
-        // Asynchronous copy-back of the factored supernode (§III: "this
-        // second transfer is asynchronous since the CPU does not
-        // immediately require the data").
-        let factored = gpu.record_event(compute);
-        gpu.stream_wait_event(copy, factored);
-        gpu.memcpy_d2h(copy, panel_buf, 0, &mut data.sn[s])?;
-        prev_copyback = Some(gpu.record_event(copy));
+        let (c, r, len) = (sym.sn_ncols(s), sym.sn_nrows_below(s), sym.sn_len(s));
+        let gate = prev_copyback.take();
+        prev_copyback = Some(device_panel(
+            &gpu,
+            sym,
+            s,
+            compute,
+            copy,
+            panel_buf,
+            gate,
+            &mut data.sn[s],
+        )?);
         if r > 0 {
             // The coarse-grain DSYRK forming the whole update matrix.
             gpu.syrk(compute, panel_buf, c, len, r, c, 1.0, 0.0, upd_buf, 0, r)?;
             gpu.memcpy_d2h(compute, upd_buf, 0, &mut host_upd[..r * r])?;
             // The host needs the update matrix now.
             gpu.sync_stream(compute);
-            let entries = assemble_update_pool(sym, &mut data.sn, s, &host_upd[..r * r], r);
+            let upd = &host_upd[..r * r];
+            let entries = assemble_update_pool(pool::global(), sym, &mut data.sn, s, upd, r);
             gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
         }
     }
@@ -158,23 +143,108 @@ pub(crate) fn factor_rl_gpu_ws(
     })
 }
 
-/// Ensures the host update workspace can hold an `r x r` matrix (CPU-path
-/// supernodes may exceed every *offloaded* supernode's update size).
-fn host_upd_grow(buf: &mut Vec<f64>, r: usize) -> &mut [f64] {
-    if buf.len() < r * r {
-        buf.resize(r * r, 0.0);
+/// The device panel phase of supernode `s`, shared by every GPU engine:
+/// the compute stream waits on `gate` (the panel buffer's previous
+/// occupant), then H2D of the panel `arr`, device POTRF + TRSM, and the
+/// copy-back on the `copy` stream — asynchronous, since the host does not
+/// need the factored panel yet (§III). Returns the copy-back's
+/// completion event. A nonpositive pivot becomes
+/// [`FactorError::NotPositiveDefinite`] at its global column, as on the
+/// host.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn device_panel(
+    gpu: &Gpu,
+    sym: &SymbolicFactor,
+    s: usize,
+    compute: StreamId,
+    copy: StreamId,
+    panel_buf: Buffer,
+    gate: Option<Event>,
+    arr: &mut [f64],
+) -> Result<Event, FactorError> {
+    let (c, r, len) = (sym.sn_ncols(s), sym.sn_nrows_below(s), sym.sn_len(s));
+    if let Some(ev) = gate {
+        gpu.stream_wait_event(compute, ev);
     }
-    &mut buf[..r * r]
+    gpu.memcpy_h2d(compute, panel_buf, 0, arr)?;
+    gpu.potrf(compute, panel_buf, 0, c, len)
+        .map_err(|e| match e {
+            GpuError::Numerical { pivot } => FactorError::NotPositiveDefinite {
+                column: sym.sn.first_col(s) + pivot,
+            },
+            other => other.into(),
+        })?;
+    gpu.trsm_panel(compute, panel_buf, 0, len, c, r)?;
+    let factored = gpu.record_event(compute);
+    gpu.stream_wait_event(copy, factored);
+    gpu.memcpy_d2h(copy, panel_buf, 0, arr)?;
+    Ok(gpu.record_event(copy))
 }
 
-/// Maps a device-side POTRF failure to the factorization error type.
-pub(crate) fn map_device_pivot(first_col: usize) -> impl Fn(rlchol_gpu::GpuError) -> FactorError {
-    move |e| match e {
-        rlchol_gpu::GpuError::Numerical(_) => {
-            FactorError::NotPositiveDefinite { column: first_col }
-        }
-        other => other.into(),
+/// The panel step of a below-threshold supernode on the simulated host:
+/// real numerics, with the POTRF and TRSM model times charged to the
+/// host clock as one interval. The TRSM's call overhead is charged even
+/// when no rows lie below (and [`panel_step`] reports no TRSM).
+pub(crate) fn host_panel(
+    gpu: &Gpu,
+    cpu: &CpuModel,
+    sym: &SymbolicFactor,
+    s: usize,
+    arr: &mut [f64],
+    l11: &mut Vec<f64>,
+) -> Result<(), FactorError> {
+    let mut seconds = 0.0;
+    panel_step(sym, s, arr, l11, |op| seconds += cpu.op_time(op))?;
+    if sym.sn_nrows_below(s) == 0 {
+        seconds += cpu.op_time(&TraceOp::Trsm {
+            m: 0,
+            n: sym.sn_ncols(s),
+        });
     }
+    gpu.host_compute(seconds);
+    Ok(())
+}
+
+/// Runs below-threshold supernode `s` entirely on the simulated host —
+/// the transfers would cost more than its kernels — with real numerics
+/// and model time charged to the host clock: the panel step
+/// ([`host_panel`]), then RL's update matrix (`upd` is its workspace) and
+/// its scatter, charged separately, or RLB's direct update, charged once
+/// as the sum over its kernels in sweep order. The scatter and the direct
+/// update fan out over the global pool, one job per target.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn host_node(
+    gpu: &Gpu,
+    cpu: &CpuModel,
+    sym: &SymbolicFactor,
+    data: &mut [Vec<f64>],
+    s: usize,
+    variant: Variant,
+    l11: &mut Vec<f64>,
+    upd: &mut Vec<f64>,
+) -> Result<(), FactorError> {
+    host_panel(gpu, cpu, sym, s, &mut data[s], l11)?;
+    let r = sym.sn_nrows_below(s);
+    if r == 0 {
+        return Ok(());
+    }
+    match variant {
+        Variant::Rl => {
+            let upd = rl_update_matrix(sym, s, &data[s], upd, |op| {
+                gpu.host_compute(cpu.op_time(op))
+            });
+            let entries = assemble_update_pool(pool::global(), sym, data, s, upd, r);
+            gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
+        }
+        Variant::Rlb => {
+            let mut seconds = 0.0;
+            rlb_update_pool(pool::global(), sym, data, s, |op| {
+                seconds += cpu.op_time(op)
+            });
+            gpu.host_compute(seconds);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,14 +15,16 @@
 //!   variant that factors matrices whose update matrices exceed device
 //!   memory (Table II's nlpkkt120 row).
 //!
-//! The CPU-side of the direct update (what makes CPU-RLB assembly-free)
-//! is *not* used here: applying updates in factor storage on the device
-//! would require round-tripping ancestor supernodes over PCIe (§III), so
-//! both GPU versions assemble on the host like RL does.
+//! The direct update (what makes CPU-RLB assembly-free) is *not* used
+//! for offloaded supernodes: applying updates in factor storage on the
+//! device would require round-tripping ancestor supernodes over PCIe
+//! (§III), so both GPU versions assemble on the host like RL does. Only
+//! below-threshold supernodes, which run wholly on the host
+//! ([`crate::gpu_rl::host_node`]), update their ancestors directly.
 
 use std::time::Instant;
 
-use rlchol_dense::{gemm_nt, pool, syrk_ln};
+use rlchol_dense::pool::{self, ThreadPool};
 use rlchol_gpu::{Buffer, Event, Gpu, StreamId};
 use rlchol_perfmodel::TraceOp;
 use rlchol_sparse::SymCsc;
@@ -30,11 +32,11 @@ use rlchol_symbolic::blocks::RowBlock;
 use rlchol_symbolic::relind::relative_indices;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::engine::{factor_panel, GpuOptions, GpuRun};
+use crate::assemble::fan_out;
+use crate::engine::{GpuOptions, GpuRun, Variant};
 use crate::error::FactorError;
-use crate::gpu_rl::offload_set;
+use crate::gpu_rl::{device_panel, host_node, offload_set};
 use crate::registry::EngineWorkspace;
-use crate::rlb::{rlb_run_updates, rlb_target_runs};
 
 /// Which RLB GPU variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,101 +139,52 @@ pub(crate) fn apply_strip(
     entries
 }
 
-/// Applies a whole supernode's staged strips, one pool job per target
-/// supernode (strips are ordered by `b1`, whose targets ascend, so each
-/// target owns one contiguous strip range and the splits are disjoint).
-/// Bit-identical to the serial sweep: only the lane changes, never the
-/// per-strip subtraction order.
-pub(crate) fn apply_strips_pool(
+/// Groups a supernode's strips by target, in ascending target order:
+/// strips are ordered by `b1`, whose targets ascend, so each target owns
+/// one contiguous strip range.
+pub(crate) fn strip_groups<'a>(
+    blocks: &'a [RowBlock],
+    strips: &'a [Strip],
+) -> impl Iterator<Item = (usize, &'a [Strip])> + 'a {
+    strips
+        .chunk_by(|a, b| blocks[a.b1].target == blocks[b.b1].target)
+        .map(|group| (blocks[group[0].b1].target, group))
+}
+
+/// Applies one target's group of staged strips ([`strip_groups`]) into
+/// its storage `parr`, reading each strip at its offset in `staged`.
+/// Returns the entries touched.
+pub(crate) fn apply_strips(
+    sym: &SymbolicFactor,
+    parr: &mut [f64],
+    blocks: &[RowBlock],
+    group: &[Strip],
+    staged: &[f64],
+) -> usize {
+    group
+        .iter()
+        .map(|st| {
+            let host = &staged[st.stage_off..st.stage_off + st.m * st.n];
+            apply_strip(sym, parr, blocks, st, host)
+        })
+        .sum()
+}
+
+/// Applies a whole supernode's staged strips with one `pool` job per
+/// target ([`fan_out`]). Bit-identical to the serial sweep: only the lane
+/// changes, never the per-strip subtraction order. Returns the entries
+/// touched.
+pub(crate) fn scatter_strips(
+    pool: &ThreadPool,
     sym: &SymbolicFactor,
     data: &mut [Vec<f64>],
     blocks: &[RowBlock],
     strips: &[Strip],
     staged: &[f64],
 ) -> usize {
-    if pool::global().threads() <= 1 {
-        // Single-lane pool: skip the per-target task boxing and run the
-        // identical sweep inline.
-        let mut entries = 0usize;
-        for st in strips {
-            let p = blocks[st.b1].target;
-            entries += apply_strip(
-                sym,
-                &mut data[p],
-                blocks,
-                st,
-                &staged[st.stage_off..st.stage_off + st.m * st.n],
-            );
-        }
-        return entries;
-    }
-    let total: std::sync::atomic::AtomicUsize = 0.into();
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-    let mut rest: &mut [Vec<f64>] = data;
-    let mut consumed = 0usize;
-    let mut s1 = 0usize;
-    while s1 < strips.len() {
-        let p = blocks[strips[s1].b1].target;
-        let s_end = strips[s1..]
-            .iter()
-            .position(|st| blocks[st.b1].target != p)
-            .map_or(strips.len(), |off| s1 + off);
-        let (head, tail) = rest.split_at_mut(p - consumed + 1);
-        let parr = head.last_mut().expect("nonempty split");
-        rest = tail;
-        consumed = p + 1;
-        let group = &strips[s1..s_end];
-        let total = &total;
-        tasks.push(Box::new(move || {
-            let mut entries = 0usize;
-            for st in group {
-                entries += apply_strip(
-                    sym,
-                    parr,
-                    blocks,
-                    st,
-                    &staged[st.stage_off..st.stage_off + st.m * st.n],
-                );
-            }
-            total.fetch_add(entries, std::sync::atomic::Ordering::Relaxed);
-        }));
-        s1 = s_end;
-    }
-    pool::global().run(tasks);
-    total.into_inner()
-}
-
-/// Shared panel phase: H2D, device POTRF + TRSM, async copy-back.
-#[allow(clippy::too_many_arguments)]
-fn panel_on_device(
-    gpu: &Gpu,
-    compute: StreamId,
-    copy: StreamId,
-    panel_buf: Buffer,
-    data_s: &mut Vec<f64>,
-    len: usize,
-    c: usize,
-    r: usize,
-    first: usize,
-    prev_copyback: &mut Option<Event>,
-) -> Result<(), FactorError> {
-    if let Some(ev) = prev_copyback.take() {
-        gpu.stream_wait_event(compute, ev);
-    }
-    gpu.memcpy_h2d(compute, panel_buf, 0, data_s)?;
-    gpu.potrf(compute, panel_buf, 0, c, len)
-        .map_err(|e| match e {
-            rlchol_gpu::GpuError::Numerical(_) => {
-                FactorError::NotPositiveDefinite { column: first }
-            }
-            other => other.into(),
-        })?;
-    gpu.trsm_panel(compute, panel_buf, 0, len, c, r)?;
-    let factored = gpu.record_event(compute);
-    gpu.stream_wait_event(copy, factored);
-    gpu.memcpy_d2h(copy, panel_buf, 0, data_s)?;
-    *prev_copyback = Some(gpu.record_event(copy));
-    Ok(())
+    fan_out(pool, data, strip_groups(blocks, strips), |group, parr| {
+        apply_strips(sym, parr, blocks, group, staged)
+    })
 }
 
 /// Factors `a` with GPU-accelerated RLB (version selected by `version`),
@@ -300,7 +253,7 @@ pub(crate) fn factor_rlb_gpu_ws(
     };
 
     let mut prev_copyback: Option<Event> = None;
-    // Host-side CPU-path update workspace.
+    // Host-side staging of the v1 update transfers.
     let mut host_ws: Vec<f64> = Vec::new();
     let mut l11 = Vec::new();
 
@@ -308,45 +261,34 @@ pub(crate) fn factor_rlb_gpu_ws(
         // Deadline/cancel checkpoint, against the simulated device clock
         // (what an injected stream stall inflates).
         ctl.check_sim(gpu.elapsed())?;
-        let c = sym.sn_ncols(s);
-        let r = sym.sn_nrows_below(s);
-        let len = sym.sn_len(s);
-        let first = sym.sn.first_col(s);
-
         if !on_gpu[s] {
             // CPU path: the direct in-place RLB update (no staging).
-            {
-                let arr = &mut data.sn[s];
-                factor_panel(arr, len, c, r, &mut l11).map_err(|pivot| {
-                    FactorError::NotPositiveDefinite {
-                        column: first + pivot,
-                    }
-                })?;
-            }
-            gpu.host_compute(
-                cpu.op_time(&TraceOp::Potrf { n: c }) + cpu.op_time(&TraceOp::Trsm { m: r, n: c }),
-            );
-            if r > 0 {
-                let mut host_seconds = 0.0;
-                cpu_direct_update(sym, &mut data.sn, s, c, len, &cpu, &mut host_seconds);
-                gpu.host_compute(host_seconds);
-            }
+            host_node(
+                &gpu,
+                &cpu,
+                sym,
+                &mut data.sn,
+                s,
+                Variant::Rlb,
+                &mut l11,
+                &mut host_ws,
+            )?;
             continue;
         }
 
         // --- GPU path ---
-        panel_on_device(
+        let (c, r, len) = (sym.sn_ncols(s), sym.sn_nrows_below(s), sym.sn_len(s));
+        let gate = prev_copyback.take();
+        prev_copyback = Some(device_panel(
             &gpu,
+            sym,
+            s,
             compute,
             copy,
             panel_buf,
+            gate,
             &mut data.sn[s],
-            len,
-            c,
-            r,
-            first,
-            &mut prev_copyback,
-        )?;
+        )?);
         if r == 0 {
             continue;
         }
@@ -364,8 +306,9 @@ pub(crate) fn factor_rlb_gpu_ws(
                 host_ws.resize(stage_len.max(host_ws.len()), 0.0);
                 gpu.memcpy_d2h(compute, stage, 0, &mut host_ws[..stage_len])?;
                 gpu.sync_stream(compute);
+                let staged = &host_ws[..stage_len];
                 let entries =
-                    apply_strips_pool(sym, &mut data.sn, blocks, &strips, &host_ws[..stage_len]);
+                    scatter_strips(pool::global(), sym, &mut data.sn, blocks, &strips, staged);
                 gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
             }
             RlbGpuVersion::V2 => {
@@ -475,162 +418,6 @@ pub(crate) fn launch_strip_kernel(
         )?;
     }
     Ok(())
-}
-
-/// The CPU-side direct RLB update (same sweep as `factor_rlb_cpu`'s inner
-/// loop, via the shared [`rlb_run_updates`] enumerator) for
-/// below-threshold supernodes, accumulating model time. Real numerics run
-/// one pool job per target run — targets are disjoint ancestor arrays, so
-/// the fan-out is lock-free and bit-identical to the serial sweep. Model
-/// time is the serial op-time sum either way (the host cost model is
-/// thread-count-aware at replay, not here).
-pub(crate) fn cpu_direct_update(
-    sym: &SymbolicFactor,
-    sn_data: &mut [Vec<f64>],
-    s: usize,
-    c: usize,
-    len: usize,
-    cpu: &rlchol_perfmodel::CpuModel,
-    host_seconds: &mut f64,
-) {
-    /// The real numerics of one target run (identical kernels whichever
-    /// lane executes them).
-    fn run_kernels(
-        sym: &SymbolicFactor,
-        s: usize,
-        c: usize,
-        len: usize,
-        src: &[f64],
-        parr: &mut Vec<f64>,
-        run: &crate::rlb::RlbTargetRun,
-    ) {
-        rlb_run_updates(sym, s, c, run, |u| {
-            if u.diagonal {
-                syrk_ln(
-                    u.n,
-                    c,
-                    -1.0,
-                    &src[u.a_off..],
-                    len,
-                    1.0,
-                    &mut parr[u.dst_off..],
-                    run.p_len,
-                );
-            } else {
-                gemm_nt(
-                    u.m,
-                    u.n,
-                    c,
-                    -1.0,
-                    &src[u.a_off..],
-                    len,
-                    &src[u.b_off..],
-                    len,
-                    1.0,
-                    &mut parr[u.dst_off..],
-                    run.p_len,
-                );
-            }
-        });
-    }
-
-    let (head, tail) = sn_data.split_at_mut(s + 1);
-    let src: &[f64] = head.last().expect("source exists");
-    // Single-lane pool: run the sweep inline, no task boxing.
-    let single = pool::global().threads() <= 1;
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-    let mut rest: &mut [Vec<f64>] = tail;
-    let mut consumed = s + 1;
-    for run in rlb_target_runs(sym, s) {
-        rlb_run_updates(sym, s, c, &run, |u| {
-            *host_seconds += cpu.op_time(&if u.diagonal {
-                TraceOp::Syrk { n: u.n, k: c }
-            } else {
-                TraceOp::Gemm {
-                    m: u.m,
-                    n: u.n,
-                    k: c,
-                }
-            });
-        });
-        let (h, t) = rest.split_at_mut(run.target - consumed + 1);
-        let parr = h.last_mut().expect("nonempty split");
-        rest = t;
-        consumed = run.target + 1;
-        if single {
-            run_kernels(sym, s, c, len, src, parr, &run);
-        } else {
-            tasks.push(Box::new(move || {
-                run_kernels(sym, s, c, len, src, parr, &run)
-            }));
-        }
-    }
-    pool::global().run(tasks);
-}
-
-/// One target's slice of [`cpu_direct_update`]: the SYRK/GEMM kernels of
-/// supernode `s`'s run into ancestor `p` alone, reading the (final,
-/// factored) source panel. The out-of-order retirement loop applies CPU
-/// supernodes' updates per target so each destination still receives its
-/// sources in ascending order; running the runs one at a time with the
-/// identical kernels keeps the result bit-equal to the full sweep.
-pub(crate) fn cpu_direct_update_target(
-    sym: &SymbolicFactor,
-    sn_data: &mut [Vec<f64>],
-    s: usize,
-    p: usize,
-    c: usize,
-    len: usize,
-    cpu: &rlchol_perfmodel::CpuModel,
-    host_seconds: &mut f64,
-) {
-    debug_assert!(s < p, "RLB targets are strict ancestors");
-    let (head, tail) = sn_data.split_at_mut(p);
-    let src: &[f64] = &head[s];
-    let parr = &mut tail[0];
-    for run in rlb_target_runs(sym, s) {
-        if run.target != p {
-            continue;
-        }
-        rlb_run_updates(sym, s, c, &run, |u| {
-            *host_seconds += cpu.op_time(&if u.diagonal {
-                TraceOp::Syrk { n: u.n, k: c }
-            } else {
-                TraceOp::Gemm {
-                    m: u.m,
-                    n: u.n,
-                    k: c,
-                }
-            });
-            if u.diagonal {
-                syrk_ln(
-                    u.n,
-                    c,
-                    -1.0,
-                    &src[u.a_off..],
-                    len,
-                    1.0,
-                    &mut parr[u.dst_off..],
-                    run.p_len,
-                );
-            } else {
-                gemm_nt(
-                    u.m,
-                    u.n,
-                    c,
-                    -1.0,
-                    &src[u.a_off..],
-                    len,
-                    &src[u.b_off..],
-                    len,
-                    1.0,
-                    &mut parr[u.dst_off..],
-                    run.p_len,
-                );
-            }
-        });
-        break;
-    }
 }
 
 #[cfg(test)]

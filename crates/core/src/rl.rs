@@ -14,9 +14,39 @@ use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::assemble_update;
-use crate::engine::{factor_panel, CpuRun};
+use crate::engine::{panel_step, CpuRun};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
+
+/// Forms supernode `s`'s whole update matrix `U = L₂₁ L₂₁ᵀ` from its
+/// factored panel `arr` in one coarse DSYRK, into `upd` (grown to
+/// `r × r`, never shrunk), and reports the SYRK to `account`. Returns the
+/// `r × r` matrix (lower triangle valid).
+pub(crate) fn rl_update_matrix<'u>(
+    sym: &SymbolicFactor,
+    s: usize,
+    arr: &[f64],
+    upd: &'u mut Vec<f64>,
+    mut account: impl FnMut(&TraceOp),
+) -> &'u [f64] {
+    let c = sym.sn_ncols(s);
+    let r = sym.sn_nrows_below(s);
+    if upd.len() < r * r {
+        upd.resize(r * r, 0.0);
+    }
+    syrk_ln(
+        r,
+        c,
+        1.0,
+        &arr[c..],
+        sym.sn_len(s),
+        0.0,
+        &mut upd[..r * r],
+        r,
+    );
+    account(&TraceOp::Syrk { n: r, k: c });
+    &upd[..r * r]
+}
 
 /// Factors `a` (permuted into factor order) with CPU-only RL, drawing
 /// factor storage and scratch from `ws` (recycled storage is reused, no
@@ -31,32 +61,14 @@ pub(crate) fn factor_rl_cpu_ws(
     let mut trace = ws.take_trace();
     // "The temporary working storage is preallocated so that it can store
     // the largest update matrix during the factorization." (§II-A)
-    let rmax2 = sym.max_update_matrix_entries();
-    ws.upd_mut(rmax2);
+    ws.upd_mut(sym.max_update_matrix_entries());
 
     for s in 0..sym.nsup() {
-        let c = sym.sn_ncols(s);
+        panel_step(sym, s, &mut data.sn[s], &mut ws.l11, |op| trace.push(*op))?;
         let r = sym.sn_nrows_below(s);
-        let len = sym.sn_len(s);
-        let first = sym.sn.first_col(s);
-        {
-            let arr = &mut data.sn[s];
-            factor_panel(arr, len, c, r, &mut ws.l11).map_err(|pivot| {
-                FactorError::NotPositiveDefinite {
-                    column: first + pivot,
-                }
-            })?;
-        }
-        trace.push(TraceOp::Potrf { n: c });
         if r > 0 {
-            trace.push(TraceOp::Trsm { m: r, n: c });
-            // U := L21 · L21ᵀ in one coarse-grain DSYRK.
-            {
-                let arr = &data.sn[s];
-                syrk_ln(r, c, 1.0, &arr[c..], len, 0.0, &mut ws.upd[..r * r], r);
-            }
-            trace.push(TraceOp::Syrk { n: r, k: c });
-            let entries = assemble_update(sym, &mut data.sn, s, &ws.upd[..r * r], r);
+            let upd = rl_update_matrix(sym, s, &data.sn[s], &mut ws.upd, |op| trace.push(*op));
+            let entries = assemble_update(sym, &mut data.sn, s, upd, r);
             trace.push(TraceOp::Assemble { entries });
         }
     }

@@ -13,20 +13,23 @@
 //! generalized relative index (its offset in the ancestor's index list),
 //! since consecutive global indices stay consecutive there.
 //!
-//! The sweep itself ([`rlb_target_runs`] + [`rlb_run_updates`]) is shared
-//! with the task-parallel scheduler and the GPU engines' CPU path, which
-//! differ only in locking, tracing and kernel dispatch — the relative
-//! index arithmetic lives here and nowhere else.
+//! The sweep itself ([`rlb_target_runs`] + [`rlb_run_updates`]) and the
+//! direct update of one target run ([`rlb_apply_run`]) are shared with
+//! the task-parallel scheduler and the GPU engines' CPU path, which
+//! differ only in locking, accounting and lanes — the relative index
+//! arithmetic and the update kernels live here and nowhere else.
 
 use std::time::Instant;
 
+use rlchol_dense::pool::ThreadPool;
 use rlchol_dense::{gemm_nt, syrk_ln};
 use rlchol_perfmodel::TraceOp;
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::relind::relative_index_of;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::engine::{factor_panel, CpuRun};
+use crate::assemble::fan_out;
+use crate::engine::{panel_step, CpuRun};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
 
@@ -65,6 +68,22 @@ pub(crate) struct RlbUpdate {
     pub(crate) b_off: usize,
     /// Offset in the target supernode's storage.
     pub(crate) dst_off: usize,
+}
+
+impl RlbUpdate {
+    /// The update's kernel as a trace record; `k` is the source's column
+    /// count.
+    pub(crate) fn op(&self, k: usize) -> TraceOp {
+        if self.diagonal {
+            TraceOp::Syrk { n: self.n, k }
+        } else {
+            TraceOp::Gemm {
+                m: self.m,
+                n: self.n,
+                k,
+            }
+        }
+    }
 }
 
 /// Groups supernode `s`'s row blocks into target runs, in ascending
@@ -141,6 +160,71 @@ pub(crate) fn rlb_run_updates(
     }
 }
 
+/// The direct update of one target run: every block update of
+/// supernode `s`'s `run` ([`rlb_run_updates`]) applied straight into the
+/// target's storage `parr` — a DSYRK on the diagonal part `L[B, B]`, a
+/// DGEMM on each lower part `L[B′, B]` — reading the factored source
+/// panel `src`. Each kernel is reported to `account` after it runs.
+pub(crate) fn rlb_apply_run(
+    sym: &SymbolicFactor,
+    s: usize,
+    src: &[f64],
+    parr: &mut [f64],
+    run: &RlbTargetRun,
+    mut account: impl FnMut(&TraceOp),
+) {
+    let c = sym.sn_ncols(s);
+    let len = sym.sn_len(s);
+    rlb_run_updates(sym, s, c, run, |u| {
+        let dst = &mut parr[u.dst_off..];
+        if u.diagonal {
+            syrk_ln(u.n, c, -1.0, &src[u.a_off..], len, 1.0, dst, run.p_len);
+        } else {
+            gemm_nt(
+                u.m,
+                u.n,
+                c,
+                -1.0,
+                &src[u.a_off..],
+                len,
+                &src[u.b_off..],
+                len,
+                1.0,
+                dst,
+                run.p_len,
+            );
+        }
+        account(&u.op(c));
+    });
+}
+
+/// Supernode `s`'s whole direct update with one `pool` job per target
+/// run ([`fan_out`]): runs target disjoint ancestor arrays, so the
+/// fan-out is lock-free and bit-identical to the serial sweep. The
+/// kernels are reported to `account` on the calling thread, in sweep
+/// order, each run's before that run is handed out.
+pub(crate) fn rlb_update_pool(
+    pool: &ThreadPool,
+    sym: &SymbolicFactor,
+    data: &mut [Vec<f64>],
+    s: usize,
+    mut account: impl FnMut(&TraceOp),
+) {
+    let c = sym.sn_ncols(s);
+    // Targets are strict ancestors (> s), so a split borrow separates
+    // the source panel from the targets.
+    let (head, tail) = data.split_at_mut(s + 1);
+    let src: &[f64] = &head[s];
+    let units = rlb_target_runs(sym, s).map(|run| {
+        rlb_run_updates(sym, s, c, &run, |u| account(&u.op(c)));
+        (run.target - s - 1, run)
+    });
+    fan_out(pool, tail, units, |run, parr| {
+        rlb_apply_run(sym, s, src, parr, &run, |_| {});
+        0
+    });
+}
+
 /// Factors `a` (permuted into factor order) with CPU-only RLB, drawing
 /// factor storage and scratch from `ws` (recycled storage is reused, no
 /// reallocation).
@@ -154,66 +238,13 @@ pub(crate) fn factor_rlb_cpu_ws(
     let mut trace = ws.take_trace();
 
     for s in 0..sym.nsup() {
-        let c = sym.sn_ncols(s);
-        let r = sym.sn_nrows_below(s);
-        let len = sym.sn_len(s);
-        let first = sym.sn.first_col(s);
-        {
-            let arr = &mut data.sn[s];
-            factor_panel(arr, len, c, r, &mut ws.l11).map_err(|pivot| {
-                FactorError::NotPositiveDefinite {
-                    column: first + pivot,
-                }
-            })?;
-        }
-        trace.push(TraceOp::Potrf { n: c });
-        if r == 0 {
-            continue;
-        }
-        trace.push(TraceOp::Trsm { m: r, n: c });
-
-        // Per-block direct updates. Targets are strict ancestors (> s),
-        // so a split borrow separates the source panel from the targets.
+        panel_step(sym, s, &mut data.sn[s], &mut ws.l11, |op| trace.push(*op))?;
+        // Per-block direct updates, target run by target run; the split
+        // borrow separates the source panel from its (later) targets.
         let (head, tail) = data.sn.split_at_mut(s + 1);
-        let src = head.last().expect("source supernode exists");
         for run in rlb_target_runs(sym, s) {
             let parr = &mut tail[run.target - s - 1];
-            rlb_run_updates(sym, s, c, &run, |u| {
-                if u.diagonal {
-                    // Diagonal part L[B, B] via DSYRK.
-                    syrk_ln(
-                        u.n,
-                        c,
-                        -1.0,
-                        &src[u.a_off..],
-                        len,
-                        1.0,
-                        &mut parr[u.dst_off..],
-                        run.p_len,
-                    );
-                    trace.push(TraceOp::Syrk { n: u.n, k: c });
-                } else {
-                    // Lower part L[B′, B] via DGEMM.
-                    gemm_nt(
-                        u.m,
-                        u.n,
-                        c,
-                        -1.0,
-                        &src[u.a_off..],
-                        len,
-                        &src[u.b_off..],
-                        len,
-                        1.0,
-                        &mut parr[u.dst_off..],
-                        run.p_len,
-                    );
-                    trace.push(TraceOp::Gemm {
-                        m: u.m,
-                        n: u.n,
-                        k: c,
-                    });
-                }
-            });
+            rlb_apply_run(sym, s, &head[s], parr, &run, |op| trace.push(*op));
         }
     }
     Ok(CpuRun {

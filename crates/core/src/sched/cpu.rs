@@ -27,28 +27,20 @@
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use rlchol_dense::{gemm_nt, pool, syrk_ln};
+use rlchol_dense::pool;
 use rlchol_perfmodel::{Trace, TraceOp};
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::{scatter_segment, segments};
-use crate::engine::{factor_panel, CpuRun};
+use crate::engine::{panel_step, CpuRun, Variant};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
-use crate::rlb::{rlb_run_updates, rlb_target_runs};
+use crate::rl::rl_update_matrix;
+use crate::rlb::{rlb_apply_run, rlb_target_runs};
 use crate::storage::FactorData;
 
 use super::driver::Frontier;
-
-/// Which update formulation the scheduler applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Variant {
-    /// Full update matrix + scatter (RL, §II-A).
-    Rl,
-    /// Per-block direct updates (RLB, §II-B).
-    Rlb,
-}
 
 /// Task-parallel RL factorization with `threads` lanes, drawing factor
 /// storage from `ws`. `threads <= 1` runs the serial engine.
@@ -303,10 +295,6 @@ std::thread_local! {
 /// Factors supernode `s` and applies its fan-out updates.
 fn process_supernode(shared: &Shared<'_>, s: usize) -> Result<(), FactorError> {
     let sym = shared.sym;
-    let c = sym.sn_ncols(s);
-    let r = sym.sn_nrows_below(s);
-    let len = sym.sn_len(s);
-    let first = sym.sn.first_col(s);
     let mut ops: Vec<TraceOp> = Vec::new();
 
     // The factor task holds `s`'s lock for its whole duration: all
@@ -316,19 +304,13 @@ fn process_supernode(shared: &Shared<'_>, s: usize) -> Result<(), FactorError> {
     let mut src = shared.sn[s].lock().unwrap();
     SCRATCH.with(|cell| -> Result<(), FactorError> {
         let (l11, upd) = &mut *cell.borrow_mut();
-        factor_panel(&mut src, len, c, r, l11).map_err(|pivot| {
-            FactorError::NotPositiveDefinite {
-                column: first + pivot,
-            }
-        })?;
-        ops.push(TraceOp::Potrf { n: c });
-        if r == 0 {
+        panel_step(sym, s, &mut src, l11, |op| ops.push(*op))?;
+        if sym.sn_nrows_below(s) == 0 {
             return Ok(());
         }
-        ops.push(TraceOp::Trsm { m: r, n: c });
         match shared.variant {
-            Variant::Rl => apply_updates_rl(shared, s, &src, r, c, len, upd, &mut ops),
-            Variant::Rlb => apply_updates_rlb(shared, s, &src, c, len, &mut ops),
+            Variant::Rl => apply_updates_rl(shared, s, &src, upd, &mut ops),
+            Variant::Rlb => apply_updates_rlb(shared, s, &src, &mut ops),
         }
         Ok(())
     })?;
@@ -339,78 +321,35 @@ fn process_supernode(shared: &Shared<'_>, s: usize) -> Result<(), FactorError> {
 
 /// RL fan-out: one coarse SYRK into the per-thread update workspace, then
 /// scatter each target segment under that target's lock.
-#[allow(clippy::too_many_arguments)]
 fn apply_updates_rl(
     shared: &Shared<'_>,
     s: usize,
     src: &[f64],
-    r: usize,
-    c: usize,
-    len: usize,
     upd: &mut Vec<f64>,
     ops: &mut Vec<TraceOp>,
 ) {
     let sym = shared.sym;
-    if upd.len() < r * r {
-        upd.resize(r * r, 0.0);
-    }
-    syrk_ln(r, c, 1.0, &src[c..], len, 0.0, &mut upd[..r * r], r);
-    ops.push(TraceOp::Syrk { n: r, k: c });
+    let r = sym.sn_nrows_below(s);
+    let upd = rl_update_matrix(sym, s, src, upd, |op| ops.push(*op));
     let rows = &sym.rows[s];
     let mut entries = 0usize;
     for seg in segments(sym, s) {
         let mut target = shared.sn[seg.target].lock().unwrap();
-        entries += scatter_segment(sym, &mut target, seg, rows, &upd[..r * r], r);
+        entries += scatter_segment(sym, &mut target, seg, rows, upd, r);
         drop(target);
         shared.release_target(seg.target);
     }
     ops.push(TraceOp::Assemble { entries });
 }
 
-/// RLB fan-out: per-block SYRK/GEMM applied directly into each target's
-/// storage under its lock, enumerated by the shared sweep
-/// ([`rlb_target_runs`] / [`rlb_run_updates`]); all blocks of one target
-/// run share one lock acquisition, and the target is released once the
-/// run completes.
-fn apply_updates_rlb(
-    shared: &Shared<'_>,
-    s: usize,
-    src: &[f64],
-    c: usize,
-    len: usize,
-    ops: &mut Vec<TraceOp>,
-) {
+/// RLB fan-out: each target run's direct update ([`rlb_apply_run`])
+/// under that target's lock — one lock acquisition per run — releasing
+/// the target once its run completes.
+fn apply_updates_rlb(shared: &Shared<'_>, s: usize, src: &[f64], ops: &mut Vec<TraceOp>) {
     let sym = shared.sym;
     for run in rlb_target_runs(sym, s) {
         let mut parr = shared.sn[run.target].lock().unwrap();
-        rlb_run_updates(sym, s, c, &run, |u| {
-            let cblock = &mut parr[u.dst_off..];
-            if u.diagonal {
-                // Diagonal part L[B, B] via DSYRK.
-                syrk_ln(u.n, c, -1.0, &src[u.a_off..], len, 1.0, cblock, run.p_len);
-                ops.push(TraceOp::Syrk { n: u.n, k: c });
-            } else {
-                // Lower part L[B′, B] via DGEMM.
-                gemm_nt(
-                    u.m,
-                    u.n,
-                    c,
-                    -1.0,
-                    &src[u.a_off..],
-                    len,
-                    &src[u.b_off..],
-                    len,
-                    1.0,
-                    cblock,
-                    run.p_len,
-                );
-                ops.push(TraceOp::Gemm {
-                    m: u.m,
-                    n: u.n,
-                    k: c,
-                });
-            }
-        });
+        rlb_apply_run(sym, s, src, &mut parr, &run, |op| ops.push(*op));
         drop(parr);
         shared.release_target(run.target);
     }

@@ -43,10 +43,9 @@
 //!     clock) changes. Frontier releases happen per applied update unit,
 //!     so a target becomes ready the moment its last incoming update
 //!     lands rather than when the global retire front passes. The
-//!     lookahead window is **adaptive** by default: it grows when issue
-//!     is window-blocked while some stream pair idles, and shrinks
-//!     toward the pair count while the device runs ahead of the host; a
-//!     positive `GpuOptions::lookahead` pins it.
+//!     lookahead window is **adaptive**: it grows when issue is
+//!     window-blocked while some stream pair idles, and shrinks toward
+//!     the pair count while the device runs ahead of the host.
 //!
 //! Deadline/cancel checkpoints ([`RunCtl`]) run inside the retire loop —
 //! once per landed supernode in either mode — so a stalled stream or a
@@ -85,37 +84,26 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use rlchol_dense::syrk_ln;
+use rlchol_dense::pool;
 use rlchol_gpu::{Buffer, Event, Gpu, StreamId, StreamRole};
 use rlchol_perfmodel::{CpuModel, TraceOp};
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::{assemble_update_pool, scatter_segment, segments, Segment};
-use crate::engine::{factor_panel, GpuOptions, GpuRun, RetireMode};
+use crate::engine::{GpuOptions, GpuRun, RetireMode, Variant};
 use crate::error::FactorError;
-use crate::gpu_rl::{map_device_pivot, offload_set};
+use crate::gpu_rl::{device_panel, host_node, host_panel, offload_set};
 use crate::gpu_rlb::{
-    apply_strip, apply_strips_pool, cpu_direct_update, cpu_direct_update_target,
-    launch_strip_kernel, strips_of, Strip,
+    apply_strips, launch_strip_kernel, scatter_strips, strip_groups, strips_of, Strip,
 };
 use crate::registry::EngineWorkspace;
 use crate::resilience::RunCtl;
+use crate::rl::rl_update_matrix;
+use crate::rlb::{rlb_apply_run, rlb_target_runs};
 use crate::storage::FactorData;
 
 use super::driver::{distinct_targets, Frontier};
-
-/// Which update formulation the pipeline stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PipeVariant {
-    /// One coarse SYRK per supernode; host scatters the update matrix
-    /// (bit-identical to [`crate::engine::Method::RlGpu`]).
-    Rl,
-    /// Per-block SYRK/GEMM strips into compacted staging, one transfer
-    /// per supernode (the batched formulation — bit-identical to both
-    /// RLB GPU versions whenever v2 leaves blocks unsplit).
-    Rlb,
-}
 
 /// Pipelined multi-stream GPU-RL ([`crate::engine::Method::RlGpuPipe`]),
 /// drawing factor storage from `ws`.
@@ -125,7 +113,7 @@ pub(crate) fn factor_rl_gpu_pipe_ws(
     opts: &GpuOptions,
     ws: &mut EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
-    run_pipeline(sym, a, opts, PipeVariant::Rl, ws)
+    run_pipeline(sym, a, opts, Variant::Rl, ws)
 }
 
 /// Pipelined multi-stream GPU-RLB
@@ -137,7 +125,7 @@ pub(crate) fn factor_rlb_gpu_pipe_ws(
     opts: &GpuOptions,
     ws: &mut EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
-    run_pipeline(sym, a, opts, PipeVariant::Rlb, ws)
+    run_pipeline(sym, a, opts, Variant::Rlb, ws)
 }
 
 /// One compute/copy stream pair with its device working storage.
@@ -186,21 +174,25 @@ struct LandedSource {
 }
 
 /// Everything the per-run symbolic setup produced, shared by both
-/// retirement loops.
+/// retirement loops. RL stages one coarse SYRK's update matrix per
+/// supernode (bit-identical to [`crate::engine::Method::RlGpu`]); RLB
+/// stages per-block SYRK/GEMM strips in compacted staging, one transfer
+/// per supernode (the batched formulation — bit-identical to both RLB
+/// GPU versions whenever v2 leaves blocks unsplit).
 struct PipeCtx<'a> {
     gpu: &'a Gpu,
     sym: &'a SymbolicFactor,
     on_gpu: &'a [bool],
     cpu: CpuModel,
     ctl: RunCtl,
-    variant: PipeVariant,
+    variant: Variant,
 }
 
 fn run_pipeline(
     sym: &SymbolicFactor,
     a: &SymCsc,
     opts: &GpuOptions,
-    variant: PipeVariant,
+    variant: Variant,
     ws: &mut EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
     let t0 = Instant::now();
@@ -223,14 +215,13 @@ fn run_pipeline(
     let max_upd = (0..nsup)
         .filter(|&s| on_gpu[s])
         .map(|s| match variant {
-            PipeVariant::Rl => sym.update_matrix_entries(s),
-            PipeVariant::Rlb => strips_of(&sym.blocks[s]).1,
+            Variant::Rl => sym.update_matrix_entries(s),
+            Variant::Rlb => strips_of(&sym.blocks[s]).1,
         })
         .max()
         .unwrap_or(0);
     let requested = opts.resolved_streams();
     let retire = opts.resolved_retire();
-    let lookahead = opts.resolved_lookahead();
 
     // Residency: a warm lane workspace holds the previous run's device
     // (buffers + pattern metadata) under a key describing this symbolic
@@ -304,7 +295,7 @@ fn run_pipeline(
             run_inorder(&ctx, &mut data, &mut ctxs)?;
             0
         }
-        RetireMode::Ooo => run_ooo(&ctx, &mut data, &mut ctxs, lookahead)?,
+        RetireMode::Ooo => run_ooo(&ctx, &mut data, &mut ctxs)?,
     };
 
     gpu.synchronize();
@@ -370,7 +361,7 @@ fn run_inorder(
     let mut targets = Vec::new();
     // CPU-path scratch, reused across supernodes.
     let mut l11: Vec<f64> = Vec::new();
-    let mut host_ws: Vec<f64> = Vec::new();
+    let mut host_upd: Vec<f64> = Vec::new();
 
     for s in 0..nsup {
         // Deadline/cancel checkpoint, once per retirement step. The
@@ -398,66 +389,37 @@ fn run_inorder(
         }
 
         // Retire phase: host effects in ascending supernode order.
-        let c = sym.sn_ncols(s);
-        let r = sym.sn_nrows_below(s);
-        let len = sym.sn_len(s);
-        let first = sym.sn.first_col(s);
         if on_gpu[s] {
             let inf = inflight[s]
                 .take()
                 .expect("ascending retirement implies s was ready and issued");
             in_flight_count -= 1;
             pair_load[pair_of[s]] -= 1;
+            let r = sym.sn_nrows_below(s);
             if r > 0 {
                 gpu.host_wait_event(inf.ready);
+                let (sn, staged) = (&mut data.sn, &inf.staged);
                 let entries = match variant {
-                    PipeVariant::Rl => assemble_update_pool(sym, &mut data.sn, s, &inf.staged, r),
-                    PipeVariant::Rlb => apply_strips_pool(
-                        sym,
-                        &mut data.sn,
-                        &sym.blocks[s],
-                        &inf.strips,
-                        &inf.staged,
-                    ),
+                    Variant::Rl => assemble_update_pool(pool::global(), sym, sn, s, staged, r),
+                    Variant::Rlb => {
+                        let blocks = &sym.blocks[s];
+                        scatter_strips(pool::global(), sym, sn, blocks, &inf.strips, staged)
+                    }
                 };
                 gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
             }
         } else {
-            // CPU path: identical kernels and model costs to the
-            // single-stream engines' below-threshold branch.
-            {
-                let arr = &mut data.sn[s];
-                factor_panel(arr, len, c, r, &mut l11).map_err(|pivot| {
-                    FactorError::NotPositiveDefinite {
-                        column: first + pivot,
-                    }
-                })?;
-            }
-            gpu.host_compute(
-                cpu.op_time(&TraceOp::Potrf { n: c }) + cpu.op_time(&TraceOp::Trsm { m: r, n: c }),
-            );
-            if r > 0 {
-                match variant {
-                    PipeVariant::Rl => {
-                        if host_ws.len() < r * r {
-                            host_ws.resize(r * r, 0.0);
-                        }
-                        {
-                            let arr = &data.sn[s];
-                            syrk_ln(r, c, 1.0, &arr[c..], len, 0.0, &mut host_ws[..r * r], r);
-                        }
-                        gpu.host_compute(cpu.op_time(&TraceOp::Syrk { n: r, k: c }));
-                        let entries =
-                            assemble_update_pool(sym, &mut data.sn, s, &host_ws[..r * r], r);
-                        gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
-                    }
-                    PipeVariant::Rlb => {
-                        let mut host_seconds = 0.0;
-                        cpu_direct_update(sym, &mut data.sn, s, c, len, cpu, &mut host_seconds);
-                        gpu.host_compute(host_seconds);
-                    }
-                }
-            }
+            // CPU path: the single-stream engines' below-threshold body.
+            host_node(
+                gpu,
+                cpu,
+                sym,
+                &mut data.sn,
+                s,
+                *variant,
+                &mut l11,
+                &mut host_upd,
+            )?;
         }
 
         distinct_targets(sym, s, &mut targets);
@@ -473,13 +435,12 @@ fn run_inorder(
 /// Out-of-order retirement with per-target sequencing: land whichever
 /// in-flight supernode's staging completes earliest; apply each landed
 /// source's updates the moment — and only the moment — the destination's
-/// ascending-source cursor reaches them. Returns the final lookahead
-/// window (the adaptive policy's last value, or the pinned one).
+/// ascending-source cursor reaches them. Returns the adaptive lookahead
+/// window's final value.
 fn run_ooo(
     ctx: &PipeCtx<'_>,
     data: &mut FactorData,
     ctxs: &mut [StreamCtx],
-    lookahead: usize,
 ) -> Result<usize, FactorError> {
     let PipeCtx {
         gpu,
@@ -528,8 +489,7 @@ fn run_ooo(
     let mut stash: Vec<Option<LandedSource>> = (0..nsup).map(|_| None).collect();
     let mut landed_count = 0usize;
 
-    let adaptive = lookahead == 0;
-    let mut window = if adaptive { 2 * nstreams } else { lookahead };
+    let mut window = 2 * nstreams;
     let mut pair_load = vec![0usize; nstreams];
     let mut pair_of = vec![usize::MAX; nsup];
     let mut l11: Vec<f64> = Vec::new();
@@ -601,8 +561,8 @@ fn run_ooo(
         let r = sym.sn_nrows_below(s);
         stash[s] = (r > 0).then(|| LandedSource {
             segs: match variant {
-                PipeVariant::Rl => segments(sym, s),
-                PipeVariant::Rlb => Vec::new(),
+                Variant::Rl => segments(sym, s),
+                Variant::Rlb => Vec::new(),
             },
             staged: inf.staged,
             strips: inf.strips,
@@ -634,12 +594,10 @@ fn run_ooo(
         // pair count while the device finishes work before the host can
         // land it (the host is the bottleneck; depth only defers
         // retirement).
-        if adaptive {
-            if blocked_issue && pair_load.contains(&0) {
-                window = (window + 1).min(nsup.max(1));
-            } else if device_ahead {
-                window = window.saturating_sub(1).max(nstreams.max(1));
-            }
+        if blocked_issue && pair_load.contains(&0) {
+            window = (window + 1).min(nsup.max(1));
+        } else if device_ahead {
+            window = window.saturating_sub(1).max(nstreams.max(1));
         }
     }
     Ok(window)
@@ -656,35 +614,22 @@ fn land_cpu_node(
     sym: &SymbolicFactor,
     data: &mut FactorData,
     cpu: &CpuModel,
-    variant: PipeVariant,
+    variant: Variant,
     s: usize,
     l11: &mut Vec<f64>,
     stash: &mut [Option<LandedSource>],
 ) -> Result<(), FactorError> {
-    let c = sym.sn_ncols(s);
+    host_panel(gpu, cpu, sym, s, &mut data.sn[s], l11)?;
     let r = sym.sn_nrows_below(s);
-    let len = sym.sn_len(s);
-    let first = sym.sn.first_col(s);
-    {
-        let arr = &mut data.sn[s];
-        factor_panel(arr, len, c, r, l11).map_err(|pivot| FactorError::NotPositiveDefinite {
-            column: first + pivot,
-        })?;
-    }
-    gpu.host_compute(
-        cpu.op_time(&TraceOp::Potrf { n: c }) + cpu.op_time(&TraceOp::Trsm { m: r, n: c }),
-    );
     if r == 0 {
         return Ok(());
     }
     stash[s] = Some(match variant {
-        PipeVariant::Rl => {
-            let mut staged = vec![0.0f64; r * r];
-            {
-                let arr = &data.sn[s];
-                syrk_ln(r, c, 1.0, &arr[c..], len, 0.0, &mut staged, r);
-            }
-            gpu.host_compute(cpu.op_time(&TraceOp::Syrk { n: r, k: c }));
+        Variant::Rl => {
+            let mut staged = Vec::new();
+            rl_update_matrix(sym, s, &data.sn[s], &mut staged, |op| {
+                gpu.host_compute(cpu.op_time(op))
+            });
             LandedSource {
                 staged,
                 strips: Vec::new(),
@@ -694,7 +639,7 @@ fn land_cpu_node(
                 units_left: 0,
             }
         }
-        PipeVariant::Rlb => LandedSource {
+        Variant::Rlb => LandedSource {
             staged: Vec::new(),
             strips: Vec::new(),
             segs: Vec::new(),
@@ -718,7 +663,7 @@ fn cascade(
     sym: &SymbolicFactor,
     data: &mut FactorData,
     cpu: &CpuModel,
-    variant: PipeVariant,
+    variant: Variant,
     s: usize,
     frontier: &Frontier,
     upd_ptr: &[usize],
@@ -757,7 +702,7 @@ fn apply_unit(
     sym: &SymbolicFactor,
     data: &mut FactorData,
     cpu: &CpuModel,
-    variant: PipeVariant,
+    variant: Variant,
     q: usize,
     p: usize,
     stash: &mut [Option<LandedSource>],
@@ -767,7 +712,7 @@ fn apply_unit(
             .as_mut()
             .expect("landed sources with targets stash");
         match variant {
-            PipeVariant::Rl => {
+            Variant::Rl => {
                 let at = st
                     .segs
                     .binary_search_by_key(&p, |g| g.target)
@@ -782,25 +727,25 @@ fn apply_unit(
                 );
                 gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
             }
-            PipeVariant::Rlb if st.rlb_cpu => {
-                let c = sym.sn_ncols(q);
-                let len = sym.sn_len(q);
-                let mut host_seconds = 0.0;
-                cpu_direct_update_target(sym, &mut data.sn, q, p, c, len, cpu, &mut host_seconds);
-                gpu.host_compute(host_seconds);
+            Variant::Rlb if st.rlb_cpu => {
+                // The direct update of q's run into p alone, reading q's
+                // final panel: the same kernels as the full sweep.
+                let run = rlb_target_runs(sym, q)
+                    .find(|run| run.target == p)
+                    .expect("p is a distinct target of q");
+                let (head, tail) = data.sn.split_at_mut(p);
+                let mut seconds = 0.0;
+                rlb_apply_run(sym, q, &head[q], &mut tail[0], &run, |op| {
+                    seconds += cpu.op_time(op)
+                });
+                gpu.host_compute(seconds);
             }
-            PipeVariant::Rlb => {
+            Variant::Rlb => {
                 let blocks = &sym.blocks[q];
-                let mut entries = 0usize;
-                for strip in st.strips.iter().filter(|t| blocks[t.b1].target == p) {
-                    entries += apply_strip(
-                        sym,
-                        &mut data.sn[p],
-                        blocks,
-                        strip,
-                        &st.staged[strip.stage_off..strip.stage_off + strip.m * strip.n],
-                    );
-                }
+                let (_, group) = strip_groups(blocks, &st.strips)
+                    .find(|&(target, _)| target == p)
+                    .expect("p is a distinct target of q");
+                let entries = apply_strips(sym, &mut data.sn[p], blocks, group, &st.staged);
                 gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
             }
         }
@@ -826,7 +771,7 @@ fn pick_pair(pair_load: &[usize]) -> usize {
 /// for; a refactorization may only reuse the device when it matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ResidencyKey {
-    variant: PipeVariant,
+    variant: Variant,
     requested: usize,
     threshold: usize,
     max_panel: usize,
@@ -959,33 +904,31 @@ fn issue(
     data: &mut FactorData,
     ctx: &mut StreamCtx,
     s: usize,
-    variant: PipeVariant,
+    variant: Variant,
     inflight: &mut [Option<InFlight>],
 ) -> Result<(), FactorError> {
-    let c = sym.sn_ncols(s);
-    let r = sym.sn_nrows_below(s);
-    let len = sym.sn_len(s);
-    let first = sym.sn.first_col(s);
+    let (c, r, len) = (sym.sn_ncols(s), sym.sn_nrows_below(s), sym.sn_len(s));
 
     // The pair's buffers may still feed the previous occupant's
-    // transfers; its gate event marks both drained.
-    if let Some(ev) = ctx.gate.take() {
-        gpu.stream_wait_event(ctx.compute, ev);
-    }
-    gpu.memcpy_h2d(ctx.compute, ctx.panel_buf, 0, &data.sn[s])?;
-    gpu.potrf(ctx.compute, ctx.panel_buf, 0, c, len)
-        .map_err(map_device_pivot(first))?;
-    gpu.trsm_panel(ctx.compute, ctx.panel_buf, 0, len, c, r)?;
-    // Asynchronous panel copy-back on the pair's copy stream.
-    let factored = gpu.record_event(ctx.compute);
-    gpu.stream_wait_event(ctx.copy, factored);
-    gpu.memcpy_d2h(ctx.copy, ctx.panel_buf, 0, &mut data.sn[s])?;
+    // transfers; its gate event marks both drained. The panel copies
+    // back on the pair's copy stream, ahead of the staging D2H.
+    let gate = ctx.gate.take();
+    device_panel(
+        gpu,
+        sym,
+        s,
+        ctx.compute,
+        ctx.copy,
+        ctx.panel_buf,
+        gate,
+        &mut data.sn[s],
+    )?;
 
     let mut staged = Vec::new();
     let mut strips = Vec::new();
     if r > 0 {
         match variant {
-            PipeVariant::Rl => {
+            Variant::Rl => {
                 gpu.syrk(
                     ctx.compute,
                     ctx.panel_buf,
@@ -1001,7 +944,7 @@ fn issue(
                 )?;
                 staged = vec![0.0f64; r * r];
             }
-            PipeVariant::Rlb => {
+            Variant::Rlb => {
                 let blocks = &sym.blocks[s];
                 let stage_len;
                 (strips, stage_len) = strips_of(blocks);
@@ -1100,22 +1043,12 @@ mod tests {
         let a = laplace3d(6, 44);
         let (sym, ap) = setup(&a);
         let base = factor_rl_gpu(&sym, &ap, &GpuOptions::with_threshold(300)).unwrap();
-        for lookahead in [0usize, 1, 7] {
-            let opts = GpuOptions::with_threshold(300)
-                .with_streams(4)
-                .with_retire(RetireMode::Ooo)
-                .with_lookahead(lookahead);
-            let run = factor_rl_gpu_pipe(&sym, &ap, &opts).unwrap();
-            assert_eq!(
-                base.factor.sn, run.factor.sn,
-                "lookahead {lookahead}: must be bit-identical"
-            );
-            if lookahead > 0 {
-                assert_eq!(run.lookahead, lookahead, "pinned window must be reported");
-            } else {
-                assert!(run.lookahead >= 1, "adaptive window must be reported");
-            }
-        }
+        let opts = GpuOptions::with_threshold(300)
+            .with_streams(4)
+            .with_retire(RetireMode::Ooo);
+        let run = factor_rl_gpu_pipe(&sym, &ap, &opts).unwrap();
+        assert_eq!(base.factor.sn, run.factor.sn, "must be bit-identical");
+        assert!(run.lookahead >= 1, "adaptive window must be reported");
     }
 
     #[test]

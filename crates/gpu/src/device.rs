@@ -441,7 +441,7 @@ impl Gpu {
         }
         let data = st.buffers[buf.id].as_mut().unwrap();
         rlchol_dense::potrf(n, &mut data[offset..], ld)
-            .map_err(|e| GpuError::Numerical(e.to_string()))?;
+            .map_err(|e| GpuError::Numerical { pivot: e.pivot })?;
         self.launch(&mut st, stream, TraceOp::Potrf { n });
         Ok(())
     }
@@ -848,9 +848,9 @@ mod tests {
         let s = gpu.default_stream();
         let buf = gpu.alloc(4).unwrap();
         gpu.memcpy_h2d(s, buf, 0, &[0.0, 0.0, 0.0, 0.0]).unwrap();
-        assert!(matches!(
+        assert_eq!(
             gpu.potrf(s, buf, 0, 2, 2),
-            Err(GpuError::Numerical(_))
-        ));
+            Err(GpuError::Numerical { pivot: 0 })
+        );
     }
 }

@@ -51,7 +51,7 @@ fn usage() -> ! {
          [--method {}] \
          [--ordering nd|md|rcm|natural] [--solve-threads N] \
          [--factor-lanes N] [--analyze-threads N] [--size N] [--gpu-threshold N] \
-         [--retire inorder|ooo] [--lookahead N] \
+         [--retire inorder|ooo] \
          [--faults SPEC[,SPEC...]] [--fallback auto|m1>m2>...] \
          [--deadline-ms N] [--json]\n\
          \x20      rlchol serve <addr> [solver flags as above]",
@@ -71,7 +71,6 @@ struct Args {
     analyze_threads: usize,
     gpu_threshold: Option<usize>,
     retire: Option<RetireMode>,
-    lookahead: Option<usize>,
     faults: Option<FaultPlan>,
     fallback: Option<FallbackChain>,
     deadline_ms: Option<u64>,
@@ -90,7 +89,6 @@ fn parse_args() -> Args {
     let mut analyze_threads = 0usize;
     let mut gpu_threshold = None;
     let mut retire = None;
-    let mut lookahead = None;
     let mut faults = None;
     let mut fallback = None;
     let mut deadline_ms = None;
@@ -134,8 +132,6 @@ fn parse_args() -> Args {
                     _ => usage(),
                 })
             }
-            // Out-of-order issue window; 0 adapts it from stream idle time.
-            "--lookahead" => lookahead = Some(value.parse().unwrap_or_else(|_| usage())),
             "--faults" => {
                 faults = Some(FaultPlan::parse(&value).unwrap_or_else(|e| {
                     eprintln!("rlchol: bad --faults: {e}");
@@ -169,7 +165,6 @@ fn parse_args() -> Args {
         analyze_threads,
         gpu_threshold,
         retire,
-        lookahead,
         faults,
         fallback,
         deadline_ms,
@@ -194,7 +189,6 @@ fn solver_options(args: &Args) -> SolverOptions {
         gpu: GpuOptions {
             machine: MachineModel::perlmutter(64).scale_compute(24.0),
             retire: args.retire,
-            lookahead: args.lookahead,
             ..GpuOptions::with_threshold(args.gpu_threshold.unwrap_or(12_000))
         },
         solve_threads: args.solve_threads,

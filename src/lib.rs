@@ -272,21 +272,19 @@
 //!    [`SolverOptions::solve_threads`] / [`SolverOptions::factor_lanes`] /
 //!    [`SolverOptions::analyze_threads`] /
 //!    [`GpuOptions::streams`](core::engine::GpuOptions::streams), or an
-//!    explicit [`GpuOptions::retire`](core::engine::GpuOptions::retire) /
-//!    [`GpuOptions::lookahead`](core::engine::GpuOptions::lookahead),
+//!    explicit [`GpuOptions::retire`](core::engine::GpuOptions::retire),
 //!    wins.
 //! 2. A zero (`None` for retire) defers to the
 //!    **`RLCHOL_THREADS`** / **`RLCHOL_SOLVE_THREADS`** /
 //!    **`RLCHOL_FACTOR_LANES`** / **`RLCHOL_ANALYZE_THREADS`** /
 //!    **`RLCHOL_STREAMS`** / **`RLCHOL_RETIRE`** environment variable
-//!    (positive integer; `inorder`/`ooo` for retire). The lookahead
-//!    window has no variable: `None` is adaptive.
+//!    (positive integer; `inorder`/`ooo` for retire).
 //! 3. Unset environment falls back to
 //!    [`std::thread::available_parallelism`] (threads, solve lanes,
 //!    factor lanes, analyze lanes — solves and analyses additionally
 //!    stay serial below a small-system cutoff) / the runtime default of
-//!    2 (stream pairs) / in-order retirement with an adaptive lookahead
-//!    window (lookahead 0).
+//!    2 (stream pairs) / in-order retirement. Out-of-order retirement
+//!    always sizes its lookahead window adaptively; there is no knob.
 //!
 //! One lane / one pair degenerates to the serial / single-stream
 //! schedule, bit-exactly — and the level-set solves, lane-pooled

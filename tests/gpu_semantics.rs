@@ -9,6 +9,7 @@ use rlchol::matgen::{grid3d, Stencil};
 use rlchol::ordering::{order, OrderingMethod};
 use rlchol::perfmodel::{perlmutter_gpu, MachineModel, TraceOp};
 use rlchol::symbolic::{analyze, SymbolicFactor, SymbolicOptions};
+use rlchol::FactorError;
 
 fn setup() -> (SymbolicFactor, rlchol::SymCsc) {
     let a = grid3d(7, 7, 6, Stencil::Star7, 1, 55);
@@ -150,4 +151,33 @@ fn capacity_is_a_hard_invariant_across_engines() {
         .with_gpu_capacity(cap);
     let run = run_gpu(Method::RlbGpuV2, &sym, &afact, &o);
     assert!(run.stats.peak_bytes <= cap);
+}
+
+#[test]
+fn device_potrf_failure_reports_the_failing_column() {
+    // One indefinite supernode whose bad pivot is its second column: the
+    // host panel step and the device POTRF must name the same column, on
+    // every engine and whichever side of the threshold the supernode is.
+    let (sym, mut afact) = setup();
+    let s = (sym.nsup() / 2..sym.nsup())
+        .find(|&s| sym.sn_ncols(s) > 1)
+        .expect("a multi-column supernode in the upper half");
+    let bad = sym.sn.first_col(s) + 1;
+    let diag = afact.colptr()[bad];
+    assert_eq!(afact.rowind()[diag], bad, "diagonal stored first");
+    afact.values_mut()[diag] = -50.0;
+    let want = FactorError::NotPositiveDefinite { column: bad };
+    for method in Method::ALL {
+        let thresholds: &[usize] = if method.is_gpu() {
+            &[0, 300]
+        } else {
+            &[usize::MAX]
+        };
+        for &threshold in thresholds {
+            let got = engine_for(method)
+                .factor(&sym, &afact, &mut EngineWorkspace::new(0, opts(threshold)))
+                .unwrap_err();
+            assert_eq!(got, want, "{} thr {threshold}", method.label());
+        }
+    }
 }
