@@ -9,7 +9,7 @@
 //! The paper parallelizes these loops with OpenMP;
 //! [`assemble_update_pool`] is the equivalent here, one job per target
 //! supernode on a persistent [`ThreadPool`] (targets are disjoint arrays,
-//! so no synchronization is needed). Its fan-out ([`fan_out`]) is the
+//! so no synchronization is needed). Its fan-out (`fan_out`) is the
 //! one per-target fan-out of the crate: the RLB engines' staged strips
 //! and direct updates go through it too.
 
@@ -134,7 +134,7 @@ pub(crate) fn fan_out<U: Send>(
 }
 
 /// Pool-parallel assembly: [`assemble_update`] with each target's
-/// segment scattered by its own job on `pool` ([`fan_out`]), so host
+/// segment scattered by its own job on `pool` (`fan_out`), so host
 /// assembly overlaps across cores without per-call thread spawns.
 /// Bit-identical to the serial scatter — segments only move between
 /// lanes.

@@ -20,7 +20,7 @@
 //! device would require round-tripping ancestor supernodes over PCIe
 //! (§III), so both GPU versions assemble on the host like RL does. Only
 //! below-threshold supernodes, which run wholly on the host
-//! ([`crate::gpu_rl::host_node`]), update their ancestors directly.
+//! (`gpu_rl::host_node`), update their ancestors directly.
 
 use std::time::Instant;
 

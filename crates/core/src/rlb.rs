@@ -14,7 +14,7 @@
 //! since consecutive global indices stay consecutive there.
 //!
 //! The sweep itself ([`rlb_target_runs`] + [`rlb_run_updates`]) and the
-//! direct update of one target run ([`rlb_apply_run`]) are shared with
+//! direct update of one target run (`rlb_apply_run`) are shared with
 //! the task-parallel scheduler and the GPU engines' CPU path, which
 //! differ only in locking, accounting and lanes — the relative index
 //! arithmetic and the update kernels live here and nowhere else.
@@ -202,7 +202,7 @@ pub(crate) fn rlb_apply_run(
 /// run ([`fan_out`]): runs target disjoint ancestor arrays, so the
 /// fan-out is lock-free and bit-identical to the serial sweep. The
 /// kernels are reported to `account` on the calling thread, in sweep
-/// order, each run's before that run is handed out.
+/// order, as the runs are handed out.
 pub(crate) fn rlb_update_pool(
     pool: &ThreadPool,
     sym: &SymbolicFactor,
