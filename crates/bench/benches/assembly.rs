@@ -33,7 +33,8 @@ fn bench_assembly(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(600));
     g.bench_function("serial", |b| {
         let mut data = FactorData::load(&sym, &a);
-        b.iter(|| assemble_update(&sym, &mut data.sn, s, &upd, r))
+        let mut rel = Vec::new();
+        b.iter(|| assemble_update(&sym, &mut data.sn, s, &upd, r, &mut rel))
     });
     for threads in [2usize, 4] {
         let pool = ThreadPool::new(threads);

@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rlchol_dense::pool::ThreadPool;
-use rlchol_symbolic::relind::relative_indices;
+use rlchol_symbolic::relind::relative_indices_into;
 use rlchol_symbolic::SymbolicFactor;
 
 /// One contiguous run of update columns aimed at a single target.
@@ -30,46 +30,70 @@ pub(crate) struct Segment {
     pub(crate) target: usize,
 }
 
-pub(crate) fn segments(sym: &SymbolicFactor, s: usize) -> Vec<Segment> {
+/// Supernode `s`'s segments in ascending target order. Allocation-free:
+/// the iterator walks the sorted row list, as `rlb_target_runs` walks the
+/// block list.
+pub(crate) fn segments(sym: &SymbolicFactor, s: usize) -> impl Iterator<Item = Segment> + '_ {
     let rows = &sym.rows[s];
-    let mut out = Vec::new();
     let mut k = 0;
-    while k < rows.len() {
+    std::iter::from_fn(move || {
+        if k >= rows.len() {
+            return None;
+        }
         let target = sym.sn.col_to_sn[rows[k]];
         let end = sym.sn.end_col(target);
-        let hi = rows.partition_point(|&r| r < end);
-        out.push(Segment { lo: k, hi, target });
+        let hi = k + rows[k..].partition_point(|&r| r < end);
+        let seg = Segment { lo: k, hi, target };
         k = hi;
-    }
-    out
+        Some(seg)
+    })
+}
+
+/// The segment of supernode `s`'s update aimed at `target`, which must
+/// be one of `s`'s targets.
+pub(crate) fn segment_to(sym: &SymbolicFactor, s: usize, target: usize) -> Segment {
+    let rows = &sym.rows[s];
+    let lo = rows.partition_point(|&r| r < sym.sn.first_col(target));
+    let hi = lo + rows[lo..].partition_point(|&r| r < sym.sn.end_col(target));
+    debug_assert!(lo < hi, "supernode {target} is not a target of {s}");
+    Segment { lo, hi, target }
 }
 
 /// Scatters `-U` into the ancestors of supernode `s`. `upd` is the
-/// `r × r` column-major update matrix (only the lower triangle is read).
-/// Returns the number of entries assembled (the trace metric).
+/// `r × r` column-major update matrix (only the lower triangle is read);
+/// `rel` is relative-index scratch. Returns the number of entries
+/// assembled (the trace metric).
 pub fn assemble_update(
     sym: &SymbolicFactor,
     data: &mut [Vec<f64>],
     s: usize,
     upd: &[f64],
     r: usize,
+    rel: &mut Vec<usize>,
 ) -> usize {
     let rows = &sym.rows[s];
     debug_assert_eq!(rows.len(), r);
     segments(sym, s)
-        .into_iter()
-        .map(|seg| scatter_segment(sym, &mut data[seg.target], seg, rows, upd, r))
+        .map(|seg| scatter_segment(sym, &mut data[seg.target], seg, rows, upd, 0, r, rel))
         .sum()
 }
 
-/// Scatters one segment into its (already borrowed) target array.
+/// Scatters one segment into its (already borrowed) target array, with
+/// `rel` as relative-index scratch (no allocation once it has grown).
+/// `upd` holds the trailing block `U[base.., base..]` of the `r × r`
+/// update matrix, column-major with leading dimension `r - base`
+/// (`base` 0: the whole matrix); the segment must start at or after
+/// `base`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn scatter_segment(
     sym: &SymbolicFactor,
     target_arr: &mut [f64],
     seg: Segment,
     rows: &[usize],
     upd: &[f64],
+    base: usize,
     r: usize,
+    rel: &mut Vec<usize>,
 ) -> usize {
     let p = seg.target;
     let first = sym.sn.first_col(p);
@@ -77,14 +101,17 @@ pub(crate) fn scatter_segment(
     let len = sym.sn_len(p);
     // Relative indices of ALL update rows from `lo` on (they all appear in
     // the target's index list — see module docs in rlchol-symbolic).
-    let rel = relative_indices(&rows[seg.lo..], first, ncols, &sym.rows[p]);
+    relative_indices_into(&rows[seg.lo..], first, ncols, &sym.rows[p], rel);
+    debug_assert!(base <= seg.lo);
+    let m = r - base;
     let mut entries = 0usize;
     for jj in seg.lo..seg.hi {
         let tcol = rows[jj] - first;
         let dst = &mut target_arr[tcol * len..(tcol + 1) * len];
-        let ucol = &upd[jj * r..(jj + 1) * r];
-        for ii in jj..r {
-            dst[rel[ii - seg.lo]] -= ucol[ii];
+        // Rows jj..r of update column jj.
+        let ucol = &upd[(jj - base) * m + (jj - base)..(jj - base + 1) * m];
+        for (&at, &u) in rel[jj - seg.lo..].iter().zip(ucol) {
+            dst[at] -= u;
         }
         entries += r - jj;
     }
@@ -147,9 +174,9 @@ pub fn assemble_update_pool(
     r: usize,
 ) -> usize {
     let rows = &sym.rows[s];
-    let units = segments(sym, s).into_iter().map(|seg| (seg.target, seg));
+    let units = segments(sym, s).map(|seg| (seg.target, seg));
     fan_out(pool, data, units, |seg, arr| {
-        scatter_segment(sym, arr, seg, rows, upd, r)
+        scatter_segment(sym, arr, seg, rows, upd, 0, r, &mut Vec::new())
     })
 }
 
@@ -202,13 +229,13 @@ mod tests {
             if r == 0 {
                 continue;
             }
-            multi_target += usize::from(segments(&sym, s).len() > 1);
+            multi_target += usize::from(segments(&sym, s).count() > 1);
 
             // RL: the update matrix scattered segment by segment.
             let upd = pattern(r * r);
             let mut d1 = FactorData::load(&sym, &ap);
             let mut d2 = d1.clone();
-            let e1 = assemble_update(&sym, &mut d1.sn, s, &upd, r);
+            let e1 = assemble_update(&sym, &mut d1.sn, s, &upd, r, &mut Vec::new());
             let e2 = assemble_update_pool(&pool, &sym, &mut d2.sn, s, &upd, r);
             assert_eq!(e1, e2, "RL supernode {s}");
             assert_eq!(d1, d2, "RL supernode {s} must match bitwise");
@@ -254,7 +281,7 @@ mod tests {
                 continue;
             }
             let upd = vec![0.0; r * r];
-            let e = assemble_update(&sym, &mut d.sn, s, &upd, r);
+            let e = assemble_update(&sym, &mut d.sn, s, &upd, r, &mut Vec::new());
             assert_eq!(e, r * (r + 1) / 2, "supernode {s}");
         }
     }
@@ -267,7 +294,7 @@ mod tests {
         for s in 0..sym.nsup() {
             let r = sym.rows[s].len();
             let upd = vec![0.0; r * r];
-            assemble_update(&sym, &mut d.sn, s, &upd, r);
+            assemble_update(&sym, &mut d.sn, s, &upd, r, &mut Vec::new());
         }
         assert_eq!(d, before);
     }
@@ -289,7 +316,7 @@ mod tests {
         let mut d = FactorData::load(&sym, &ap);
         let g = sym.rows[s][0];
         let before = d.get(&sym, g, g);
-        assemble_update(&sym, &mut d.sn, s, &upd, r);
+        assemble_update(&sym, &mut d.sn, s, &upd, r, &mut Vec::new());
         let after = d.get(&sym, g, g);
         assert!((before - after - 10.0).abs() < 1e-14);
     }

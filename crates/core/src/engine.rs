@@ -13,13 +13,17 @@ use crate::storage::FactorData;
 /// The factorization engines of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
-    /// Right-looking, CPU only (`RL_C` in Figure 3).
+    /// Right-looking, CPU only (`RL_C` in Figure 3), run over the
+    /// elimination tree by the CPU tree executor at
+    /// [`SolverOptions::threads`](crate::SolverOptions::threads) lanes.
     RlCpu,
-    /// Right-looking blocked, CPU only (`RLB_C`).
+    /// Right-looking blocked, CPU only (`RLB_C`), on the same executor.
     RlbCpu,
-    /// Task-parallel RL over the elimination tree (real threads).
+    /// A synonym of [`Method::RlCpu`]: the same executor and the same
+    /// bits. The name stays because the benchmark and the CLI use it.
     RlCpuPar,
-    /// Task-parallel RLB over the elimination tree (real threads).
+    /// A synonym of [`Method::RlbCpu`], as [`Method::RlCpuPar`] is of
+    /// [`Method::RlCpu`].
     RlbCpuPar,
     /// GPU-accelerated RL (`RL_G`).
     RlGpu,
@@ -136,6 +140,8 @@ pub(crate) struct CpuRun {
     pub trace: Trace,
     /// Real wall-clock duration of this process's execution.
     pub wall: Duration,
+    /// Peak bytes of RL update matrices alive at once (0 for RLB).
+    pub peak_held_bytes: usize,
 }
 
 /// How the pipelined engines retire host-side effects (staged-update

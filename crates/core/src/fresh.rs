@@ -5,7 +5,7 @@
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::engine::{CpuRun, GpuOptions, GpuRun};
+use crate::engine::{CpuRun, GpuOptions, GpuRun, Variant};
 use crate::error::FactorError;
 use crate::gpu_rlb::RlbGpuVersion;
 use crate::registry::EngineWorkspace;
@@ -18,19 +18,11 @@ fn ws() -> EngineWorkspace {
 }
 
 pub(crate) fn factor_rl_cpu(sym: &SymbolicFactor, a: &SymCsc) -> Cpu {
-    crate::rl::factor_rl_cpu_ws(sym, a, &mut ws())
+    crate::sched::cpu::factor_cpu_ws(sym, a, Variant::Rl, &mut ws())
 }
 
 pub(crate) fn factor_rlb_cpu(sym: &SymbolicFactor, a: &SymCsc) -> Cpu {
-    crate::rlb::factor_rlb_cpu_ws(sym, a, &mut ws())
-}
-
-pub(crate) fn factor_rl_cpu_par(sym: &SymbolicFactor, a: &SymCsc, threads: usize) -> Cpu {
-    crate::sched::cpu::factor_rl_cpu_par_ws(sym, a, threads, &mut ws())
-}
-
-pub(crate) fn factor_rlb_cpu_par(sym: &SymbolicFactor, a: &SymCsc, threads: usize) -> Cpu {
-    crate::sched::cpu::factor_rlb_cpu_par_ws(sym, a, threads, &mut ws())
+    crate::sched::cpu::factor_cpu_ws(sym, a, Variant::Rlb, &mut ws())
 }
 
 pub(crate) fn factor_rl_gpu(sym: &SymbolicFactor, a: &SymCsc, opts: &GpuOptions) -> Gpu {

@@ -230,6 +230,9 @@ pub(crate) fn host_node(
     }
     match variant {
         Variant::Rl => {
+            if upd.len() < r * r {
+                upd.resize(r * r, 0.0);
+            }
             let upd = rl_update_matrix(sym, s, &data[s], upd, |op| {
                 gpu.host_compute(cpu.op_time(op))
             });

@@ -30,12 +30,13 @@
 //! kernel-independent column-by-column oracle the engines are tested
 //! against.
 //!
-//! * **Task-parallel CPU engines** ([`sched::cpu`]) — RL and RLB
-//!   scheduled over the supernodal elimination tree on the persistent
-//!   thread pool (`RLCHOL_THREADS` lanes; see `rlchol-dense`'s crate
-//!   docs): independent subtrees factor concurrently, fan-out updates
-//!   are guarded per-target, and large per-task BLAS calls split
-//!   across idle lanes inside `rlchol-dense`.
+//! * **One CPU tree executor** ([`sched::cpu`]) — every CPU method, RL
+//!   or RLB, runs over the supernodal elimination tree at
+//!   `SolverOptions::threads` lanes: independent subtrees factor
+//!   concurrently, each target takes its updates in ascending source
+//!   order (the same bits at any lane count), and large BLAS calls split
+//!   across the persistent pool inside `rlchol-dense` (`RLCHOL_THREADS`
+//!   lanes; see its crate docs).
 //! * **Pipelined multi-stream GPU engines** ([`sched::gpu`]) — the same
 //!   elimination-tree dependency machinery ([`sched::driver`]) drives
 //!   out-of-order dispatch of ready supernodes onto `RLCHOL_STREAMS`

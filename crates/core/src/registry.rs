@@ -15,7 +15,7 @@
 //! * [`EngineWorkspace`] — the engine-resolved resources a
 //!   [`SymbolicCholesky`](crate::SymbolicCholesky) handle owns across
 //!   repeated factorizations: pool lanes, GPU options (threshold,
-//!   stream pairs), recycled factor storage, and the serial engines'
+//!   stream pairs), recycled factor storage, and the CPU executor's
 //!   scratch buffers. Refactoring a same-pattern matrix reuses all of
 //!   it — no factor reallocation, no scratch regrowth.
 //! * [`engine_for`] — the registry lookup keyed by [`Method`]. Every
@@ -29,7 +29,7 @@ use rlchol_perfmodel::{Trace, TraceOp};
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::engine::{CpuRun, GpuOptions, GpuRun, Method, RetireMode};
+use crate::engine::{CpuRun, GpuOptions, GpuRun, Method, RetireMode, Variant};
 use crate::error::FactorError;
 use crate::storage::FactorData;
 
@@ -63,6 +63,10 @@ pub struct FactorInfo {
     /// Operation trace, replayable under the performance model (CPU
     /// engines only).
     pub trace: Option<Trace>,
+    /// Peak bytes of RL update matrices alive at once (CPU engines; 0
+    /// for RLB, which updates in place). At most `lanes ×` the largest
+    /// update matrix.
+    pub peak_held_bytes: usize,
     /// Recovery steps the staged handle took to produce this factor
     /// (retries, fallbacks, lane quarantines); empty on a clean run.
     pub recovery: Vec<crate::resilience::RecoveryEvent>,
@@ -84,6 +88,7 @@ impl EngineRun {
             info: FactorInfo {
                 wall: run.wall,
                 trace: Some(run.trace),
+                peak_held_bytes: run.peak_held_bytes,
                 ..FactorInfo::default()
             },
         }
@@ -112,7 +117,7 @@ impl EngineRun {
 /// through every factorization it runs.
 #[derive(Debug, Default)]
 pub struct EngineWorkspace {
-    /// Pool lanes for the task-parallel CPU engines; `0` resolves to
+    /// Lanes of the CPU tree executor; `0` resolves to
     /// `RLCHOL_THREADS` / available parallelism at use.
     pub lanes: usize,
     /// GPU engine options (threshold, machine model, stream pairs).
@@ -122,15 +127,13 @@ pub struct EngineWorkspace {
     /// factorization; [`take_factor`](Self::take_factor) reuses it
     /// instead of reallocating.
     recycle: Option<FactorData>,
-    /// RL's preallocated update-matrix workspace (§II-A), kept across
-    /// refactorizations.
-    pub(crate) upd: Vec<f64>,
-    /// Diagonal-block copy scratch shared by the serial panel kernels.
-    pub(crate) l11: Vec<f64>,
+    /// The CPU executor's lane scratch and RL update-matrix buffers,
+    /// kept across refactorizations.
+    pub(crate) cpu: crate::sched::cpu::CpuScratch,
     /// Recycled trace buffer: [`take_trace`](Self::take_trace) hands it
     /// to the engine, the lane pool restocks it from factorizations
-    /// returned through `SymbolicCholesky::recycle` — so the serial CPU
-    /// engines' trace recording allocates nothing at steady state.
+    /// returned through `SymbolicCholesky::recycle` — so the CPU
+    /// executor's trace recording allocates nothing at steady state.
     pub(crate) trace_ops: Vec<TraceOp>,
     /// Deadline/cancellation control the `Frontier` executors check per
     /// supernode. Unarmed (a no-op) by default; the staged handle arms
@@ -158,7 +161,7 @@ impl EngineWorkspace {
         }
     }
 
-    /// Resolved lane count for the task-parallel engines.
+    /// Resolved lane count for the CPU tree executor.
     pub fn resolved_lanes(&self) -> usize {
         if self.lanes == 0 {
             rlchol_dense::pool::default_threads()
@@ -224,14 +227,6 @@ impl EngineWorkspace {
             self.trace_ops = trace.ops;
         }
     }
-
-    /// Grows (never shrinks) the RL update workspace to `entries`.
-    pub(crate) fn upd_mut(&mut self, entries: usize) -> &mut [f64] {
-        if self.upd.len() < entries {
-            self.upd.resize(entries, 0.0);
-        }
-        &mut self.upd
-    }
 }
 
 /// A numeric factorization engine, dispatchable by [`Method`].
@@ -250,7 +245,7 @@ pub trait NumericEngine: Sync {
 }
 
 macro_rules! cpu_engine {
-    ($name:ident, $method:expr, $call:expr) => {
+    ($name:ident, $method:expr, $variant:expr) => {
         struct $name;
         impl NumericEngine for $name {
             fn method(&self) -> Method {
@@ -262,8 +257,7 @@ macro_rules! cpu_engine {
                 a: &SymCsc,
                 ws: &mut EngineWorkspace,
             ) -> Result<EngineRun, FactorError> {
-                #[allow(clippy::redundant_closure_call)]
-                ($call)(sym, a, ws).map(EngineRun::from_cpu)
+                crate::sched::cpu::factor_cpu_ws(sym, a, $variant, ws).map(EngineRun::from_cpu)
             }
         }
     };
@@ -290,24 +284,12 @@ macro_rules! gpu_engine {
     };
 }
 
-cpu_engine!(RlCpuEngine, Method::RlCpu, crate::rl::factor_rl_cpu_ws);
-cpu_engine!(RlbCpuEngine, Method::RlbCpu, crate::rlb::factor_rlb_cpu_ws);
-cpu_engine!(
-    RlCpuParEngine,
-    Method::RlCpuPar,
-    |sym: &SymbolicFactor, a: &SymCsc, ws: &mut EngineWorkspace| {
-        let lanes = ws.resolved_lanes();
-        crate::sched::cpu::factor_rl_cpu_par_ws(sym, a, lanes, ws)
-    }
-);
-cpu_engine!(
-    RlbCpuParEngine,
-    Method::RlbCpuPar,
-    |sym: &SymbolicFactor, a: &SymCsc, ws: &mut EngineWorkspace| {
-        let lanes = ws.resolved_lanes();
-        crate::sched::cpu::factor_rlb_cpu_par_ws(sym, a, lanes, ws)
-    }
-);
+// The `*Par` names are synonyms: every CPU method runs the one tree
+// executor at `EngineWorkspace::lanes`.
+cpu_engine!(RlCpuEngine, Method::RlCpu, Variant::Rl);
+cpu_engine!(RlbCpuEngine, Method::RlbCpu, Variant::Rlb);
+cpu_engine!(RlCpuParEngine, Method::RlCpuPar, Variant::Rl);
+cpu_engine!(RlbCpuParEngine, Method::RlbCpuPar, Variant::Rlb);
 gpu_engine!(RlGpuEngine, Method::RlGpu, crate::gpu_rl::factor_rl_gpu_ws);
 gpu_engine!(
     RlbGpuV1Engine,

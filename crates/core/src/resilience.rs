@@ -49,9 +49,9 @@ impl FallbackChain {
     }
 
     /// The recommended degradation path for `primary`: pipelined GPU →
-    /// single-stream GPU → task-parallel CPU → serial CPU, staying in
-    /// the same algorithm family (RL or RLB) so the recovered factor is
-    /// bit-identical to the family's serial engine. CPU engines have no
+    /// single-stream GPU → the CPU executor (under both of its names),
+    /// staying in the same algorithm family (RL or RLB) so the recovered
+    /// factor is bit-identical to the family's CPU engine. CPU engines have no
     /// device failure modes, so their chain is empty.
     pub fn recommended(primary: Method) -> Self {
         let methods = match primary {

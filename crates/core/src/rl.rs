@@ -6,82 +6,33 @@
 //! into a preallocated workspace (sized for the largest update matrix in
 //! the factor) and scattered into the ancestors via relative indices.
 
-use std::time::Instant;
-
 use rlchol_dense::syrk_ln;
 use rlchol_perfmodel::TraceOp;
-use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::assemble::assemble_update;
-use crate::engine::{panel_step, CpuRun};
-use crate::error::FactorError;
-use crate::registry::EngineWorkspace;
-
 /// Forms supernode `s`'s whole update matrix `U = L₂₁ L₂₁ᵀ` from its
-/// factored panel `arr` in one coarse DSYRK, into `upd` (grown to
-/// `r × r`, never shrunk), and reports the SYRK to `account`. Returns the
-/// `r × r` matrix (lower triangle valid).
+/// factored panel `arr` in one coarse DSYRK, into the first `r × r`
+/// entries of `upd`, and reports the SYRK to `account`. Returns those
+/// entries (lower triangle valid).
 pub(crate) fn rl_update_matrix<'u>(
     sym: &SymbolicFactor,
     s: usize,
     arr: &[f64],
-    upd: &'u mut Vec<f64>,
+    upd: &'u mut [f64],
     mut account: impl FnMut(&TraceOp),
 ) -> &'u [f64] {
     let c = sym.sn_ncols(s);
     let r = sym.sn_nrows_below(s);
-    if upd.len() < r * r {
-        upd.resize(r * r, 0.0);
-    }
-    syrk_ln(
-        r,
-        c,
-        1.0,
-        &arr[c..],
-        sym.sn_len(s),
-        0.0,
-        &mut upd[..r * r],
-        r,
-    );
+    let upd = &mut upd[..r * r];
+    syrk_ln(r, c, 1.0, &arr[c..], sym.sn_len(s), 0.0, upd, r);
     account(&TraceOp::Syrk { n: r, k: c });
-    &upd[..r * r]
-}
-
-/// Factors `a` (permuted into factor order) with CPU-only RL, drawing
-/// factor storage and scratch from `ws` (recycled storage is reused, no
-/// reallocation).
-pub(crate) fn factor_rl_cpu_ws(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    ws: &mut EngineWorkspace,
-) -> Result<CpuRun, FactorError> {
-    let t0 = Instant::now();
-    let mut data = ws.take_factor(sym, a);
-    let mut trace = ws.take_trace();
-    // "The temporary working storage is preallocated so that it can store
-    // the largest update matrix during the factorization." (§II-A)
-    ws.upd_mut(sym.max_update_matrix_entries());
-
-    for s in 0..sym.nsup() {
-        panel_step(sym, s, &mut data.sn[s], &mut ws.l11, |op| trace.push(*op))?;
-        let r = sym.sn_nrows_below(s);
-        if r > 0 {
-            let upd = rl_update_matrix(sym, s, &data.sn[s], &mut ws.upd, |op| trace.push(*op));
-            let entries = assemble_update(sym, &mut data.sn, s, upd, r);
-            trace.push(TraceOp::Assemble { entries });
-        }
-    }
-    Ok(CpuRun {
-        factor: data,
-        trace,
-        wall: t0.elapsed(),
-    })
+    upd
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::FactorError;
     use crate::fresh::factor_rl_cpu;
     use rlchol_matgen::laplace2d;
     use rlchol_sparse::TripletMatrix;

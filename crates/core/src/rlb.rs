@@ -14,24 +14,18 @@
 //! since consecutive global indices stay consecutive there.
 //!
 //! The sweep itself ([`rlb_target_runs`] + [`rlb_run_updates`]) and the
-//! direct update of one target run (`rlb_apply_run`) are shared with
-//! the task-parallel scheduler and the GPU engines' CPU path, which
-//! differ only in locking, accounting and lanes — the relative index
-//! arithmetic and the update kernels live here and nowhere else.
-
-use std::time::Instant;
+//! direct update of one target run (`rlb_apply_run`) are shared by the
+//! CPU tree executor and the GPU engines' CPU path, which differ only in
+//! scheduling, accounting and lanes — the relative index arithmetic and
+//! the update kernels live here and nowhere else.
 
 use rlchol_dense::pool::ThreadPool;
 use rlchol_dense::{gemm_nt, syrk_ln};
 use rlchol_perfmodel::TraceOp;
-use rlchol_sparse::SymCsc;
 use rlchol_symbolic::relind::relative_index_of;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::fan_out;
-use crate::engine::{panel_step, CpuRun};
-use crate::error::FactorError;
-use crate::registry::EngineWorkspace;
 
 /// A maximal run of consecutive row blocks of one source supernode aimed
 /// at a single target supernode, with the target geometry resolved once.
@@ -112,6 +106,41 @@ pub(crate) fn rlb_target_runs(
         b1 = b_end;
         Some(run)
     })
+}
+
+/// The target run of supernode `s` aimed at `target`, which must be one
+/// of `s`'s targets (blocks are sorted by target).
+pub(crate) fn rlb_run_to(sym: &SymbolicFactor, s: usize, target: usize) -> RlbTargetRun {
+    let blocks = &sym.blocks[s];
+    let b_start = blocks.partition_point(|b| b.target < target);
+    let b_end = b_start + blocks[b_start..].partition_point(|b| b.target == target);
+    debug_assert!(b_start < b_end, "supernode {target} is not a target of {s}");
+    RlbTargetRun {
+        target,
+        p_len: sym.sn_len(target),
+        b_start,
+        b_end,
+    }
+}
+
+/// The kernels of one target run as trace records, in
+/// [`rlb_run_updates`] order. They depend on block shapes only, so no
+/// relative index is resolved.
+pub(crate) fn rlb_run_ops(
+    sym: &SymbolicFactor,
+    s: usize,
+    run: &RlbTargetRun,
+    mut account: impl FnMut(&TraceOp),
+) {
+    let blocks = &sym.blocks[s];
+    let k = sym.sn_ncols(s);
+    for bi in run.b_start..run.b_end {
+        let n = blocks[bi].len;
+        account(&TraceOp::Syrk { n, k });
+        for blk2 in &blocks[bi + 1..] {
+            account(&TraceOp::Gemm { m: blk2.len, n, k });
+        }
+    }
 }
 
 /// Enumerates the block updates of one target run — the single home of
@@ -210,48 +239,18 @@ pub(crate) fn rlb_update_pool(
     s: usize,
     mut account: impl FnMut(&TraceOp),
 ) {
-    let c = sym.sn_ncols(s);
     // Targets are strict ancestors (> s), so a split borrow separates
     // the source panel from the targets.
     let (head, tail) = data.split_at_mut(s + 1);
     let src: &[f64] = &head[s];
     let units = rlb_target_runs(sym, s).map(|run| {
-        rlb_run_updates(sym, s, c, &run, |u| account(&u.op(c)));
+        rlb_run_ops(sym, s, &run, &mut account);
         (run.target - s - 1, run)
     });
     fan_out(pool, tail, units, |run, parr| {
         rlb_apply_run(sym, s, src, parr, &run, |_| {});
         0
     });
-}
-
-/// Factors `a` (permuted into factor order) with CPU-only RLB, drawing
-/// factor storage and scratch from `ws` (recycled storage is reused, no
-/// reallocation).
-pub(crate) fn factor_rlb_cpu_ws(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    ws: &mut EngineWorkspace,
-) -> Result<CpuRun, FactorError> {
-    let t0 = Instant::now();
-    let mut data = ws.take_factor(sym, a);
-    let mut trace = ws.take_trace();
-
-    for s in 0..sym.nsup() {
-        panel_step(sym, s, &mut data.sn[s], &mut ws.l11, |op| trace.push(*op))?;
-        // Per-block direct updates, target run by target run; the split
-        // borrow separates the source panel from its (later) targets.
-        let (head, tail) = data.sn.split_at_mut(s + 1);
-        for run in rlb_target_runs(sym, s) {
-            let parr = &mut tail[run.target - s - 1];
-            rlb_apply_run(sym, s, &head[s], parr, &run, |op| trace.push(*op));
-        }
-    }
-    Ok(CpuRun {
-        factor: data,
-        trace,
-        wall: t0.elapsed(),
-    })
 }
 
 #[cfg(test)]

@@ -1,410 +1,985 @@
-//! The task-parallel CPU executor over the frontier driver.
+//! The CPU tree executor: every CPU engine runs here.
 //!
-//! * **Ready queue.** Seeded with the forest's leaves from the
-//!   [`Frontier`]. A fixed team of scheduler workers (running as jobs on
-//!   the persistent [`rlchol_dense::pool`]) pops supernodes, factors the
-//!   panel, applies the fan-out updates guarded by a per-supernode lock
-//!   on the target's storage, and releases the targets through the
-//!   frontier — pushing any that become ready.
-//! * **Two-level parallelism.** Inside a task, BLAS calls are the plain
-//!   `rlchol_dense` kernels, which split any large call across the same
-//!   pool themselves (one split at a time; a concurrent one runs on its
-//!   caller). Idle scheduler workers help with the running split instead
-//!   of sleeping, so near the root, where one wide supernode is the only
-//!   ready task, its kernels still use every lane.
-//! * **Error propagation.** A non-positive-definite pivot stops the
-//!   scheduler: the failing worker records the error and raises the stop
-//!   flag; everyone drains and the first error is returned. No task is
-//!   left blocked — waits are bounded and re-check the flag.
+//! `RlCpu`, `RlbCpu` and their synonyms `RlCpuPar` / `RlbCpuPar` all
+//! factor through `factor_cpu_ws` at `SolverOptions::threads` lanes,
+//! and the factor is bit-identical to the one-lane sweep at every lane
+//! count. The work comes in two kinds of unit (the fan-both task graph of
+//! Jacquelin et al.):
 //!
-//! Floating-point note: updates into a target may apply in any order, so
-//! parallel factors differ from serial ones by roundoff (≈1e-15
-//! relative); tests compare at 1e-11. (The pipelined GPU executor makes
-//! the opposite trade — every target's updates apply in ascending
-//! source order, under either retirement discipline, for bit-exactness;
-//! see [`super::gpu`].)
+//! * **Factor s** runs the panel step (`panel_step`); under RL it also
+//!   forms `s`'s update matrix, once (`rl_update_matrix`).
+//! * **Apply s → t** subtracts `s`'s update from target `t`: one
+//!   `scatter_segment` of the update matrix (RL), or the direct kernels
+//!   of one target run (`rlb_apply_run`, RLB), which read only `s`'s
+//!   factored panel.
+//!
+//! **Order.** Apply s → t is released when `t`'s [`Sequencer`] cursor
+//! reaches `s`, so every target takes its updates in ascending source
+//! order: the sweep's order, hence the sweep's bits. Factor t is released
+//! when `t`'s cursor has passed its last updater. Lanes take ready work
+//! lowest supernode index first (the GPU executor's heap order); a lane
+//! that takes an apply of `s` takes every ready apply of `s` with it.
+//!
+//! **Progress.** Let `s` be the lowest source not fully applied. Every
+//! source below `s` is done; those include every updater of `s` and every
+//! earlier updater of each of `s`'s targets. So factor s is ready, and
+//! once it has run, every apply s → t is ready too. Under RL the slab
+//! below always keeps room for `s`'s update matrix. Some unit is
+//! therefore always runnable: the executor cannot deadlock.
+//!
+//! **Held bytes.** An RL update matrix stays alive from factor s until its
+//! last segment lands. Live matrices sit in one `Slab` of `lanes ×
+//! max_update_matrix_entries` f64s, kept in the workspace: its first
+//! largest-matrix room is for the lowest source, the rest is handed out
+//! first fit, and a source that does not fit waits. A source whose next
+//! segments wait on other sources keeps only what they read: when at most
+//! half of its range is still needed, a *compact s* unit copies that
+//! trailing block to a smaller range. The peak is reported in
+//! [`FactorInfo::peak_held_bytes`](crate::FactorInfo::peak_held_bytes).
+//! RLB holds nothing.
+//!
+//! **One lane when the tree does not pay.** Below `TREE_FLOPS` factor
+//! flops, or while another factorization's tree is running (one active
+//! tree, as the pool runs one kernel split at a time), the executor runs
+//! the ascending sweep on the caller. Every cursor is always ready there,
+//! so the sweep is the serial loop: it applies each source's updates
+//! right after factoring it, and once warm it allocates nothing.
+//!
+//! **Two-level parallelism.** Kernels split large calls across
+//! [`rlchol_dense::pool`] themselves. A lane with nothing ready helps the
+//! running split before it sleeps, so near the root, where one wide
+//! supernode is the only ready work, its kernels still use every lane.
+//! Lanes are scoped threads, not pool jobs: no pool job ever waits on the
+//! tree.
+//!
+//! **Trace.** The trace depends on shapes only. The sweep records it as it
+//! runs; the tree emits it afterwards in supernode order
+//! (`trace_supernode`), so it is the same op for op at every lane count.
+//!
+//! **Errors.** [`RunCtl::check`](crate::resilience::RunCtl::check) runs
+//! once per supernode at every lane count. A deadline, a cancellation, a
+//! nonpositive pivot or a panicking unit stops every lane; the first
+//! error is returned and a panic is re-raised on the caller.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rlchol_dense::pool;
 use rlchol_perfmodel::{Trace, TraceOp};
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::assemble::{scatter_segment, segments};
+use crate::assemble::{scatter_segment, segment_to, segments};
 use crate::engine::{panel_step, CpuRun, Variant};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
+use crate::resilience::RunCtl;
 use crate::rl::rl_update_matrix;
-use crate::rlb::{rlb_apply_run, rlb_target_runs};
+use crate::rlb::{rlb_apply_run, rlb_run_ops, rlb_run_to, rlb_target_runs};
 use crate::storage::FactorData;
 
-use super::driver::Frontier;
+use super::driver::Sequencer;
 
-/// Task-parallel RL factorization with `threads` lanes, drawing factor
-/// storage from `ws`. `threads <= 1` runs the serial engine.
-pub(crate) fn factor_rl_cpu_par_ws(
+/// Factorizations below this many flops run the one-lane sweep. Best
+/// refactor of `grid3d(k)`, sweep against the tree at two lanes on a
+/// 2-vCPU host (RL; RLB gains from `k = 10` on):
+///
+/// | k  | flops  | sweep   | tree    |
+/// |----|--------|---------|---------|
+/// | 8  | 5.6e5  | 0.26 ms | 0.44 ms |
+/// | 10 | 2.3e6  | 0.86 ms | 1.18 ms |
+/// | 12 | 7.7e6  | 1.95 ms | 2.20 ms |
+/// | 14 | 2.1e7  | 4.61 ms | 4.46 ms |
+/// | 16 | 4.7e7  | 7.94 ms | 7.41 ms |
+const TREE_FLOPS: f64 = (1u64 << 24) as f64;
+
+/// Set while a factorization runs its tree on more than one lane.
+static TREE_ACTIVE: AtomicBool = AtomicBool::new(false);
+
+/// The one active tree; dropping it lets the next factorization fan out.
+struct TreeClaim;
+
+impl TreeClaim {
+    fn try_claim() -> Option<TreeClaim> {
+        TREE_ACTIVE
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| TreeClaim)
+    }
+}
+
+impl Drop for TreeClaim {
+    fn drop(&mut self) {
+        TREE_ACTIVE.store(false, Ordering::Release);
+    }
+}
+
+/// The executor's buffers, kept in the workspace across factorizations so
+/// a refactorization grows nothing. The sweep uses the first of each.
+#[derive(Debug, Default)]
+pub(crate) struct CpuScratch {
+    /// Diagonal-block copies for the panel TRSM. The tree's factor units
+    /// draw them from one pool, so the wide ones near the root, which run
+    /// one at a time, share one buffer.
+    l11: Vec<Vec<f64>>,
+    /// One per lane.
+    lanes: Vec<LaneScratch>,
+    /// RL's update matrices: the sweep's one, or the tree's [`Slab`].
+    upd: Vec<f64>,
+}
+
+/// One lane's scratch.
+#[derive(Debug, Default)]
+struct LaneScratch {
+    /// Relative indices of an RL scatter.
+    rel: Vec<usize>,
+    /// Targets of the apply batch the lane runs.
+    batch: Vec<usize>,
+}
+
+/// Grows `buf` to at least `len` entries. A fresh allocation is zeroed by
+/// the system, so pages a run never touches stay unmapped.
+fn grow(buf: &mut Vec<f64>, len: usize) {
+    if buf.len() < len {
+        *buf = vec![0.0; len];
+    }
+}
+
+/// Takes from `pool` the smallest buffer of at least `need` entries, else
+/// the largest (the caller grows it), else a new one.
+fn take_fit(pool: &mut Vec<Vec<f64>>, need: usize) -> Vec<f64> {
+    let fit = (0..pool.len())
+        .filter(|&i| pool[i].len() >= need)
+        .min_by_key(|&i| pool[i].len())
+        .or_else(|| (0..pool.len()).max_by_key(|&i| pool[i].len()));
+    fit.map(|i| pool.swap_remove(i)).unwrap_or_default()
+}
+
+/// Factors `a` (permuted into factor order) with `variant`, drawing
+/// factor storage and scratch from `ws`, on `ws.resolved_lanes()` lanes
+/// unless the tree does not pay (see the module docs).
+pub(crate) fn factor_cpu_ws(
     sym: &SymbolicFactor,
     a: &SymCsc,
-    threads: usize,
-    ws: &mut EngineWorkspace,
-) -> Result<CpuRun, FactorError> {
-    if threads <= 1 || sym.nsup() <= 1 {
-        return crate::rl::factor_rl_cpu_ws(sym, a, ws);
-    }
-    run_scheduler(sym, a, threads, Variant::Rl, ws)
-}
-
-/// Task-parallel RLB factorization with `threads` lanes, drawing factor
-/// storage from `ws`. `threads <= 1` runs the serial engine.
-pub(crate) fn factor_rlb_cpu_par_ws(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    threads: usize,
-    ws: &mut EngineWorkspace,
-) -> Result<CpuRun, FactorError> {
-    if threads <= 1 || sym.nsup() <= 1 {
-        return crate::rlb::factor_rlb_cpu_ws(sym, a, ws);
-    }
-    run_scheduler(sym, a, threads, Variant::Rlb, ws)
-}
-
-/// Ready queue and termination state, guarded by one mutex.
-struct Ctrl {
-    ready: std::collections::VecDeque<usize>,
-    /// Supernodes fully processed (factored + updates applied).
-    done: usize,
-    /// Raised on completion or error; workers exit when they see it.
-    stop: bool,
-}
-
-struct Shared<'a> {
-    sym: &'a SymbolicFactor,
-    /// Per-supernode storage, each behind its own lock. A supernode is
-    /// written by its updaters (serialized by the lock) and then by its
-    /// own factor task (exclusive by scheduling: its count is zero and
-    /// nothing reads it until it finishes).
-    sn: Vec<Mutex<Vec<f64>>>,
-    /// Remaining-updater counts (the engine-agnostic frontier driver).
-    frontier: Frontier,
-    ctrl: Mutex<Ctrl>,
-    wake: Condvar,
-    variant: Variant,
-    /// Deadline/cancel control, checked once per popped supernode (the
-    /// workers' natural checkpoint granularity).
-    ctl: crate::resilience::RunCtl,
-    error: Mutex<Option<FactorError>>,
-    /// Payload of the first task panic; re-raised by the driver so a
-    /// panicking parallel factorization behaves like the serial one.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    trace: Mutex<Trace>,
-}
-
-impl Shared<'_> {
-    /// Marks one supernode fully processed; raises stop on the last.
-    fn complete_one(&self) {
-        let mut ctrl = self.ctrl.lock().unwrap();
-        ctrl.done += 1;
-        if ctrl.done == self.sym.nsup() {
-            ctrl.stop = true;
-            self.wake.notify_all();
-        }
-    }
-
-    /// Records `err` (first wins) and stops the scheduler.
-    fn fail(&self, err: FactorError) {
-        let mut e = self.error.lock().unwrap();
-        if e.is_none() {
-            *e = Some(err);
-        }
-        drop(e);
-        let mut ctrl = self.ctrl.lock().unwrap();
-        ctrl.stop = true;
-        self.wake.notify_all();
-    }
-
-    /// Records a task panic (first wins) and stops the scheduler.
-    fn fail_panic(&self, payload: Box<dyn std::any::Any + Send>) {
-        let mut p = self.panic.lock().unwrap();
-        if p.is_none() {
-            *p = Some(payload);
-        }
-        drop(p);
-        let mut ctrl = self.ctrl.lock().unwrap();
-        ctrl.stop = true;
-        self.wake.notify_all();
-    }
-
-    /// Releases `p` through the frontier; queues it when it became ready.
-    fn release_target(&self, p: usize) {
-        if self.frontier.release(p) {
-            let mut ctrl = self.ctrl.lock().unwrap();
-            ctrl.ready.push_back(p);
-            drop(ctrl);
-            self.wake.notify_one();
-        }
-    }
-}
-
-fn run_scheduler(
-    sym: &SymbolicFactor,
-    a: &SymCsc,
-    threads: usize,
     variant: Variant,
     ws: &mut EngineWorkspace,
+) -> Result<CpuRun, FactorError> {
+    let want = if sym.flops < TREE_FLOPS {
+        1
+    } else {
+        ws.resolved_lanes()
+    };
+    let claim = (want > 1).then(TreeClaim::try_claim).flatten();
+    let lanes = if claim.is_some() { want } else { 1 };
+    execute(sym, a, variant, ws, lanes, &|_| {})
+}
+
+/// The executor at exactly `lanes` lanes (one: the sweep). `after_factor`
+/// runs on the lane that factored each supernode, right after it.
+fn execute(
+    sym: &SymbolicFactor,
+    a: &SymCsc,
+    variant: Variant,
+    ws: &mut EngineWorkspace,
+    lanes: usize,
+    after_factor: &(dyn Fn(usize) + Sync),
 ) -> Result<CpuRun, FactorError> {
     let t0 = Instant::now();
-    let nsup = sym.nsup();
-    // The recycled per-supernode buffers move into the mutexes and back
-    // out at the end — reused, never reallocated.
-    let data = ws.take_factor(sym, a);
-
-    let frontier = Frontier::new(sym);
-    let mut ready: std::collections::VecDeque<usize> = frontier.initial_ready().into();
-    debug_assert!(!ready.is_empty(), "a forest always has leaves");
-    // Factor large leaves first: they unlock deeper chains sooner and
-    // keep the team busy while small leaves fill the gaps.
-    ready
-        .make_contiguous()
-        .sort_by_key(|&s| std::cmp::Reverse(sym.sn_size(s)));
-
-    let shared = Shared {
-        sym,
-        sn: data.sn.into_iter().map(Mutex::new).collect(),
-        frontier,
-        ctrl: Mutex::new(Ctrl {
-            ready,
-            done: 0,
-            stop: false,
-        }),
-        wake: Condvar::new(),
-        variant,
-        ctl: ws.ctl.clone(),
-        error: Mutex::new(None),
-        panic: Mutex::new(None),
-        trace: Mutex::new(Trace::new()),
-    };
-
-    // One scheduler worker per lane, on dedicated scoped threads (one
-    // spawn per *factorization*, not per BLAS call — the pool still
-    // carries the kernels' lane splits). Scheduler workers must NOT run as
-    // pool jobs: a task that waits for pool work while holding a
-    // target lock would then execute a queued scheduler worker nested on
-    // its stack, which can try to take the same lock — a same-thread
-    // deadlock. Keeping the pool's work down to non-blocking kernel parts
-    // makes every nested "help while waiting" execution safe.
-    let team = threads.min(nsup).max(1);
-    std::thread::scope(|scope| {
-        for _ in 1..team {
-            scope.spawn(|| worker(&shared));
+    let mut data = ws.take_factor(sym, a);
+    let mut trace = ws.take_trace();
+    let lanes = lanes.clamp(1, sym.nsup().max(1));
+    let peak = if lanes == 1 {
+        sweep(sym, variant, &mut data, ws, &mut trace, after_factor)?
+    } else {
+        let peak = Tree::run(sym, variant, &mut data, ws, lanes, after_factor)?;
+        for s in 0..sym.nsup() {
+            trace_supernode(sym, s, variant, &mut trace);
         }
-        worker(&shared);
-    });
-
-    if let Some(payload) = shared.panic.lock().unwrap().take() {
-        // A task panicked (BLAS kernel, debug assertion, ...): re-raise
-        // on the driver, exactly as the serial engines would.
-        std::panic::resume_unwind(payload);
-    }
-    if let Some(err) = shared.error.lock().unwrap().take() {
-        return Err(err);
-    }
-    debug_assert_eq!(shared.ctrl.lock().unwrap().done, nsup);
-    let factor = FactorData {
-        sn: shared
-            .sn
-            .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .collect(),
+        peak
     };
     Ok(CpuRun {
-        factor,
-        trace: shared.trace.into_inner().unwrap(),
+        factor: data,
+        trace,
         wall: t0.elapsed(),
+        peak_held_bytes: peak * std::mem::size_of::<f64>(),
     })
 }
 
-/// Scheduler worker loop: pop ready supernodes and process them; while
-/// idle, help with pending pool work (a busy teammate's kernel split).
-fn worker(shared: &Shared<'_>) {
-    loop {
-        let s = {
-            let mut ctrl = shared.ctrl.lock().unwrap();
-            // Escalating idle wait: stay responsive right after running
-            // dry, but back off toward 2 ms on long-idle lanes (e.g. a
-            // path-shaped tree where one lane works for all) so idle
-            // polling stops contending the queue mutexes.
-            let mut idle_wait = Duration::from_micros(100);
-            loop {
-                if ctrl.stop {
-                    return;
-                }
-                if let Some(s) = ctrl.ready.pop_front() {
-                    break s;
-                }
-                drop(ctrl);
-                if !pool::global().try_run_one() {
-                    // Nothing to help with: sleep briefly, re-check. The
-                    // bounded wait guarantees stop/error always terminate
-                    // the loop.
-                    let guard = shared.ctrl.lock().unwrap();
-                    let (guard, _) = shared.wake.wait_timeout(guard, idle_wait).unwrap();
-                    ctrl = guard;
-                    idle_wait = (idle_wait * 2).min(Duration::from_millis(2));
-                } else {
-                    ctrl = shared.ctrl.lock().unwrap();
-                    idle_wait = Duration::from_micros(100);
-                }
-            }
-        };
-        // Deadline/cancel checkpoint before committing to the task: a
-        // tripped control stops the whole scheduler (first error wins)
-        // instead of letting the sweep run to completion.
-        if let Err(err) = shared.ctl.check() {
-            shared.fail(err);
-            return;
-        }
-        // A panicking task must still stop the scheduler: letting it
-        // unwind freely would leave `stop` unset and every other worker
-        // (and the scope join) waiting forever.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_supernode(shared, s)
-        }));
-        match result {
-            Ok(Ok(())) => shared.complete_one(),
-            Ok(Err(err)) => {
-                shared.fail(err);
-                return;
-            }
-            Err(payload) => {
-                shared.fail_panic(payload);
-                return;
-            }
-        }
+/// Factor s: the panel step, then (RL) `s`'s update matrix into `upd`.
+fn factor_unit(
+    sym: &SymbolicFactor,
+    variant: Variant,
+    s: usize,
+    arr: &mut [f64],
+    l11: &mut Vec<f64>,
+    upd: &mut [f64],
+    mut account: impl FnMut(&TraceOp),
+) -> Result<(), FactorError> {
+    panel_step(sym, s, arr, l11, &mut account)?;
+    if variant == Variant::Rl && sym.sn_nrows_below(s) > 0 {
+        rl_update_matrix(sym, s, arr, upd, account);
     }
-}
-
-std::thread_local! {
-    /// Per-thread scratch reused across tasks: the `l11` triangle copy
-    /// for the panel TRSM and (RL only) the dense update matrix.
-    static SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// Factors supernode `s` and applies its fan-out updates.
-fn process_supernode(shared: &Shared<'_>, s: usize) -> Result<(), FactorError> {
-    let sym = shared.sym;
-    let mut ops: Vec<TraceOp> = Vec::new();
-
-    // The factor task holds `s`'s lock for its whole duration: all
-    // updaters have finished (deps reached zero) and no other task reads
-    // `s` before it completes, so there is no contention — the lock is
-    // the happens-before edge collecting the updaters' writes.
-    let mut src = shared.sn[s].lock().unwrap();
-    SCRATCH.with(|cell| -> Result<(), FactorError> {
-        let (l11, upd) = &mut *cell.borrow_mut();
-        panel_step(sym, s, &mut src, l11, |op| ops.push(*op))?;
-        if sym.sn_nrows_below(s) == 0 {
-            return Ok(());
-        }
-        match shared.variant {
-            Variant::Rl => apply_updates_rl(shared, s, &src, upd, &mut ops),
-            Variant::Rlb => apply_updates_rlb(shared, s, &src, &mut ops),
-        }
-        Ok(())
-    })?;
-    drop(src);
-    shared.trace.lock().unwrap().ops.append(&mut ops);
     Ok(())
 }
 
-/// RL fan-out: one coarse SYRK into the per-thread update workspace, then
-/// scatter each target segment under that target's lock.
-fn apply_updates_rl(
-    shared: &Shared<'_>,
+/// Apply s → t: `s`'s update subtracted from `t`'s array `tarr`, reading
+/// `s`'s update matrix (RL: `upd` holds its trailing block from `base`
+/// on) or its factored panel `src` (RLB).
+#[allow(clippy::too_many_arguments)]
+fn apply_unit(
+    sym: &SymbolicFactor,
+    variant: Variant,
     s: usize,
+    t: usize,
     src: &[f64],
-    upd: &mut Vec<f64>,
-    ops: &mut Vec<TraceOp>,
+    upd: &[f64],
+    base: usize,
+    tarr: &mut [f64],
+    rel: &mut Vec<usize>,
 ) {
-    let sym = shared.sym;
-    let r = sym.sn_nrows_below(s);
-    let upd = rl_update_matrix(sym, s, src, upd, |op| ops.push(*op));
-    let rows = &sym.rows[s];
-    let mut entries = 0usize;
-    for seg in segments(sym, s) {
-        let mut target = shared.sn[seg.target].lock().unwrap();
-        entries += scatter_segment(sym, &mut target, seg, rows, upd, r);
-        drop(target);
-        shared.release_target(seg.target);
+    match variant {
+        Variant::Rl => {
+            let (rows, r) = (&sym.rows[s], sym.sn_nrows_below(s));
+            scatter_segment(sym, tarr, segment_to(sym, s, t), rows, upd, base, r, rel);
+        }
+        Variant::Rlb => rlb_apply_run(sym, s, src, tarr, &rlb_run_to(sym, s, t), |_| {}),
     }
-    ops.push(TraceOp::Assemble { entries });
 }
 
-/// RLB fan-out: each target run's direct update ([`rlb_apply_run`])
-/// under that target's lock — one lock acquisition per run — releasing
-/// the target once its run completes.
-fn apply_updates_rlb(shared: &Shared<'_>, s: usize, src: &[f64], ops: &mut Vec<TraceOp>) {
-    let sym = shared.sym;
-    for run in rlb_target_runs(sym, s) {
-        let mut parr = shared.sn[run.target].lock().unwrap();
-        rlb_apply_run(sym, s, src, &mut parr, &run, |op| ops.push(*op));
-        drop(parr);
-        shared.release_target(run.target);
+/// Supernode `s`'s kernels as trace records, in the sweep's order.
+fn trace_supernode(sym: &SymbolicFactor, s: usize, variant: Variant, trace: &mut Trace) {
+    let c = sym.sn_ncols(s);
+    let r = sym.sn_nrows_below(s);
+    trace.push(TraceOp::Potrf { n: c });
+    if r == 0 {
+        return;
+    }
+    trace.push(TraceOp::Trsm { m: r, n: c });
+    match variant {
+        Variant::Rl => {
+            trace.push(TraceOp::Syrk { n: r, k: c });
+            trace.push(TraceOp::Assemble {
+                entries: r * (r + 1) / 2,
+            });
+        }
+        Variant::Rlb => {
+            for run in rlb_target_runs(sym, s) {
+                rlb_run_ops(sym, s, &run, |op| trace.push(*op));
+            }
+        }
+    }
+}
+
+/// The one-lane sweep: supernodes in ascending order, each factored and
+/// then applied to all its targets. Returns the largest update matrix
+/// held (entries).
+fn sweep(
+    sym: &SymbolicFactor,
+    variant: Variant,
+    data: &mut FactorData,
+    ws: &mut EngineWorkspace,
+    trace: &mut Trace,
+    after_factor: &(dyn Fn(usize) + Sync),
+) -> Result<usize, FactorError> {
+    let ctl = &ws.ctl;
+    let CpuScratch { l11, lanes, upd } = &mut ws.cpu;
+    if l11.is_empty() {
+        l11.push(Vec::new());
+    }
+    if lanes.is_empty() {
+        lanes.push(LaneScratch::default());
+    }
+    let (l11, rel) = (&mut l11[0], &mut lanes[0].rel);
+    let mut peak = 0;
+    if variant == Variant::Rl {
+        // "The temporary working storage is preallocated so that it can
+        // store the largest update matrix during the factorization."
+        // (§II-A)
+        peak = sym.max_update_matrix_entries();
+        grow(upd, peak);
+    }
+    for s in 0..sym.nsup() {
+        ctl.check()?;
+        // Targets are strict ancestors (> s): a split borrow separates
+        // the source panel from them.
+        let (head, tail) = data.sn.split_at_mut(s + 1);
+        let src = &mut head[s];
+        factor_unit(sym, variant, s, src, l11, upd, |op| trace.push(*op))?;
+        after_factor(s);
+        // Every cursor is ready: apply s → t for all targets, ascending.
+        match variant {
+            Variant::Rl if !sym.rows[s].is_empty() => {
+                let (rows, r) = (&sym.rows[s], sym.sn_nrows_below(s));
+                let entries = segments(sym, s)
+                    .map(|seg| {
+                        let tarr = &mut tail[seg.target - s - 1];
+                        scatter_segment(sym, tarr, seg, rows, upd, 0, r, rel)
+                    })
+                    .sum();
+                trace.push(TraceOp::Assemble { entries });
+            }
+            Variant::Rl => {}
+            Variant::Rlb => {
+                for run in rlb_target_runs(sym, s) {
+                    let tarr = &mut tail[run.target - s - 1];
+                    rlb_apply_run(sym, s, src, tarr, &run, |op| trace.push(*op));
+                }
+            }
+        }
+    }
+    Ok(peak)
+}
+
+/// Raw supernode arrays and update-matrix slab shared by the lanes.
+///
+/// Safety rests on the schedule: apply s → t is the only unit writing
+/// `t`, and only one apply into `t` is ever ready at a time (its cursor);
+/// factor t writes `t` once every apply into it has completed; after
+/// factor s, `s` is only read. A slab range is written by the one unit
+/// it was handed to (factor s, or compact s for its new range) and read
+/// by `s`'s applies, which start after that unit and end before the
+/// range is handed out again. Every hand-over goes through the state
+/// lock, which orders the writes before the reads.
+struct Arrays {
+    sn: Vec<(*mut f64, usize)>,
+    slab: *mut f64,
+}
+
+// SAFETY: see the type docs — the schedule hands each array and slab
+// range to at most one writer at a time, never to a writer and a reader
+// at once.
+unsafe impl Sync for Arrays {}
+
+impl Arrays {
+    /// # Safety
+    /// The caller runs the one unit that may write supernode `s` now.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn write(&self, s: usize) -> &mut [f64] {
+        let (ptr, len) = self.sn[s];
+        std::slice::from_raw_parts_mut(ptr, len)
+    }
+
+    /// # Safety
+    /// Supernode `s` has been factored (nothing writes it any more).
+    unsafe fn read(&self, s: usize) -> &[f64] {
+        let (ptr, len) = self.sn[s];
+        std::slice::from_raw_parts(ptr, len)
+    }
+
+    /// # Safety
+    /// The range was handed to the caller's unit; for writing, to it
+    /// alone.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slab(&self, range: (usize, usize)) -> &mut [f64] {
+        std::slice::from_raw_parts_mut(self.slab.add(range.0), range.1)
+    }
+}
+
+/// A unit handed to a lane, with what it takes from the shared state.
+enum Unit {
+    /// Factor `s`; `l11` is its TRSM's scratch and (RL) its update matrix
+    /// goes to slab range `upd`.
+    Factor {
+        s: usize,
+        l11: Vec<f64>,
+        upd: (usize, usize),
+    },
+    /// Apply `s →` each target of the lane's batch, reading (RL) `s`'s
+    /// update matrix in slab range `upd`: its trailing block from `base`
+    /// on.
+    Apply {
+        s: usize,
+        upd: (usize, usize),
+        base: usize,
+    },
+    /// Copy the trailing block from `to` on of `s`'s held matrix in slab
+    /// range `old` (whose base is `from`) to the smaller range `new`.
+    Compact {
+        s: usize,
+        from: usize,
+        to: usize,
+        old: (usize, usize),
+        new: (usize, usize),
+    },
+}
+
+/// Where RL's live update matrices sit: one slab of `lanes ×
+/// max_update_matrix_entries` f64s. Its first `reserve` (one largest
+/// matrix) are kept for the lowest unfinished source; the rest is handed
+/// out first fit. Ranges are `(start, len)`.
+struct Slab {
+    /// Free ranges of the shared part, ascending, never adjacent.
+    free: Vec<(usize, usize)>,
+    /// Entries handed out, and their peak.
+    held: usize,
+    peak: usize,
+    reserve: usize,
+}
+
+impl Slab {
+    fn new(reserve: usize, len: usize) -> Self {
+        Slab {
+            free: if len > reserve {
+                vec![(reserve, len - reserve)]
+            } else {
+                Vec::new()
+            },
+            held: 0,
+            peak: 0,
+            reserve,
+        }
+    }
+
+    /// Whether an `need`-entry range is there: the kept part for the
+    /// lowest source (no other source holds it: it is released before
+    /// the next source becomes the lowest), else a free range that fits.
+    fn fits(&self, need: usize, lowest: bool) -> bool {
+        lowest || self.free.iter().any(|&(_, len)| len >= need)
+    }
+
+    fn take(&mut self, need: usize, lowest: bool) -> Option<(usize, usize)> {
+        let start = if lowest {
+            0
+        } else {
+            let i = self.free.iter().position(|&(_, len)| len >= need)?;
+            let (start, len) = self.free[i];
+            if len == need {
+                self.free.remove(i);
+            } else {
+                self.free[i] = (start + need, len - need);
+            }
+            start
+        };
+        self.held += need;
+        self.peak = self.peak.max(self.held);
+        Some((start, need))
+    }
+
+    fn put(&mut self, (start, len): (usize, usize)) {
+        self.held -= len;
+        if start < self.reserve {
+            return;
+        }
+        let i = self.free.partition_point(|&(s, _)| s < start);
+        let joins_prev = i > 0 && self.free[i - 1].0 + self.free[i - 1].1 == start;
+        let joins_next = i < self.free.len() && start + len == self.free[i].0;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.free[i - 1].1 += len + self.free[i].1;
+                self.free.remove(i);
+            }
+            (true, false) => self.free[i - 1].1 += len,
+            (false, true) => self.free[i] = (start, len + self.free[i].1),
+            (false, false) => self.free.insert(i, (start, len)),
+        }
+    }
+}
+
+/// Copies the lower triangle of the trailing block `U[to.., to..]` of a
+/// held update matrix out of `old`, which stores `U[from.., from..]`
+/// (leading dimension `r - from`), into `new` with leading dimension
+/// `r - to`. Values move, nothing is recomputed.
+fn compact(old: &[f64], new: &mut [f64], r: usize, from: usize, to: usize) {
+    let (m, k, d) = (r - from, r - to, to - from);
+    for j in 0..k {
+        let src = (j + d) * m + d + j;
+        new[j * k + j..(j + 1) * k].copy_from_slice(&old[src..src + (k - j)]);
+    }
+}
+
+/// Scheduling state, behind one lock.
+struct State {
+    seq: Sequencer,
+    /// Ready units, lowest `(source, target)` first. `(s, s)` is factor s,
+    /// or compact s once `s` is factored.
+    ready: BinaryHeap<Reverse<(usize, usize)>>,
+    /// RL factor units waiting for slab room, lowest first.
+    starved: BinaryHeap<Reverse<usize>>,
+    factored: Vec<bool>,
+    /// Applies of each source still to run.
+    left: Vec<usize>,
+    /// Applies of each source that are ready or running.
+    busy: Vec<usize>,
+    /// Each factored RL source's slab range until its last apply, holding
+    /// the trailing block of its update matrix from `base[s]` on.
+    held: Vec<(usize, usize)>,
+    base: Vec<usize>,
+    /// The new base of a source being compacted; its applies wait.
+    compacting: Vec<Option<usize>>,
+    slab: Slab,
+    /// Free diagonal-block scratch of the factor units.
+    l11: Vec<Vec<f64>>,
+    /// Sources fully applied, and the lowest one that is not.
+    finished: Vec<bool>,
+    nfinished: usize,
+    low: usize,
+    /// Lanes waiting for work.
+    sleeping: usize,
+    stop: bool,
+    error: Option<FactorError>,
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+/// What the lanes share.
+struct Tree<'a> {
+    sym: &'a SymbolicFactor,
+    variant: Variant,
+    arrays: Arrays,
+    ctl: &'a RunCtl,
+    after_factor: &'a (dyn Fn(usize) + Sync),
+    state: Mutex<State>,
+    wake: Condvar,
+}
+
+impl<'a> Tree<'a> {
+    /// Runs the tree at `lanes` lanes: the caller plus `lanes - 1` scoped
+    /// threads. Returns the peak of held update-matrix entries.
+    fn run(
+        sym: &'a SymbolicFactor,
+        variant: Variant,
+        data: &mut FactorData,
+        ws: &'a mut EngineWorkspace,
+        lanes: usize,
+        after_factor: &'a (dyn Fn(usize) + Sync),
+    ) -> Result<usize, FactorError> {
+        let nsup = sym.nsup();
+        let seq = Sequencer::new(sym);
+        let ready = (0..nsup)
+            .filter(|&t| seq.next(t).is_none())
+            .map(|t| Reverse((t, t)))
+            .collect();
+        let left = (0..nsup).map(|s| segments(sym, s).count()).collect();
+        let max_upd = sym.max_update_matrix_entries();
+        let slab_len = if variant == Variant::Rl {
+            lanes * max_upd
+        } else {
+            0
+        };
+        grow(&mut ws.cpu.upd, slab_len);
+        let mut scratch = std::mem::take(&mut ws.cpu.lanes);
+        scratch.resize_with(lanes, LaneScratch::default);
+        let tree = Tree {
+            sym,
+            variant,
+            arrays: Arrays {
+                sn: data
+                    .sn
+                    .iter_mut()
+                    .map(|v| (v.as_mut_ptr(), v.len()))
+                    .collect(),
+                slab: ws.cpu.upd.as_mut_ptr(),
+            },
+            ctl: &ws.ctl,
+            after_factor,
+            state: Mutex::new(State {
+                seq,
+                ready,
+                starved: BinaryHeap::new(),
+                factored: vec![false; nsup],
+                left,
+                busy: vec![0; nsup],
+                held: vec![(0, 0); nsup],
+                base: vec![0; nsup],
+                compacting: vec![None; nsup],
+                slab: Slab::new(max_upd, slab_len),
+                l11: std::mem::take(&mut ws.cpu.l11),
+                finished: vec![false; nsup],
+                nfinished: 0,
+                low: 0,
+                sleeping: 0,
+                stop: false,
+                error: None,
+                panic: None,
+            }),
+            wake: Condvar::new(),
+        };
+        let scratch = std::thread::scope(|scope| {
+            let mut lanes = scratch.into_iter();
+            let mut mine = lanes.next().expect("at least one lane");
+            let others: Vec<_> = lanes
+                .map(|mut sc| {
+                    let tree = &tree;
+                    scope.spawn(move || {
+                        tree.lane(&mut sc);
+                        sc
+                    })
+                })
+                .collect();
+            tree.lane(&mut mine);
+            let mut all = vec![mine];
+            all.extend(
+                others
+                    .into_iter()
+                    .map(|h| h.join().expect("lanes catch unit panics")),
+            );
+            all
+        });
+        let st = tree.state.into_inner().unwrap();
+        ws.cpu.lanes = scratch;
+        ws.cpu.l11 = st.l11;
+        if let Some(payload) = st.panic {
+            resume_unwind(payload);
+        }
+        if let Some(err) = st.error {
+            return Err(err);
+        }
+        debug_assert_eq!(st.nfinished, nsup);
+        debug_assert_eq!(st.slab.held, 0);
+        Ok(st.slab.peak)
+    }
+
+    /// One lane: run the lowest ready unit; with none ready, help the
+    /// pool's running split, else sleep until a unit is released.
+    fn lane(&self, scratch: &mut LaneScratch) {
+        let mut st = self.state.lock().unwrap();
+        loop {
+            if st.stop {
+                return;
+            }
+            if let Some(unit) = self.pop(&mut st, &mut scratch.batch) {
+                if st.sleeping > 0 && !st.ready.is_empty() {
+                    self.wake.notify_one();
+                }
+                drop(st);
+                let result = catch_unwind(AssertUnwindSafe(|| self.work(unit, scratch)));
+                st = self.state.lock().unwrap();
+                match result {
+                    Ok(Ok(done)) => self.complete(&mut st, done, &scratch.batch),
+                    Ok(Err(err)) => {
+                        st.error.get_or_insert(err);
+                        st.stop = true;
+                    }
+                    Err(payload) => {
+                        st.panic.get_or_insert(payload);
+                        st.stop = true;
+                    }
+                }
+                if st.stop {
+                    self.wake.notify_all();
+                }
+                continue;
+            }
+            drop(st);
+            let helped = pool::global().try_run_one();
+            st = self.state.lock().unwrap();
+            if !helped && !st.stop && st.ready.is_empty() {
+                st.sleeping += 1;
+                st = self.wake.wait(st).unwrap();
+                st.sleeping -= 1;
+            }
+        }
+    }
+
+    /// Takes the lowest ready unit there is slab room for. Applies go in
+    /// batches: every ready apply of the lowest source, whose targets are
+    /// put in `batch`.
+    fn pop(&self, st: &mut State, batch: &mut Vec<usize>) -> Option<Unit> {
+        while let Some(Reverse((s, t))) = st.ready.pop() {
+            if s != t {
+                batch.clear();
+                batch.push(t);
+                while let Some(&Reverse((q, u))) = st.ready.peek() {
+                    if q != s {
+                        break;
+                    }
+                    st.ready.pop();
+                    batch.push(u);
+                }
+                return Some(Unit::Apply {
+                    s,
+                    upd: st.held[s],
+                    base: st.base[s],
+                });
+            }
+            let r = self.sym.sn_nrows_below(s);
+            if st.factored[s] {
+                let to = st.compacting[s].expect("compaction was scheduled");
+                let Some(new) = st.slab.take((r - to) * (r - to), false) else {
+                    st.compacting[s] = None;
+                    self.queue_applies(st, s);
+                    continue;
+                };
+                return Some(Unit::Compact {
+                    s,
+                    from: st.base[s],
+                    to,
+                    old: st.held[s],
+                    new,
+                });
+            }
+            let upd = if self.variant == Variant::Rlb || r == 0 {
+                (0, 0)
+            } else if let Some(upd) = st.slab.take(r * r, s == st.low) {
+                upd
+            } else {
+                st.starved.push(Reverse(s));
+                continue;
+            };
+            let c = self.sym.sn_ncols(s);
+            let l11 = if r > 0 {
+                take_fit(&mut st.l11, c * c)
+            } else {
+                Vec::new()
+            };
+            return Some(Unit::Factor { s, l11, upd });
+        }
+        None
+    }
+
+    /// Runs one unit outside the lock; returns it for [`complete`].
+    fn work(&self, unit: Unit, scratch: &mut LaneScratch) -> Result<Unit, FactorError> {
+        let (sym, variant) = (self.sym, self.variant);
+        // SAFETY (all three arms): the state lock handed these arrays and
+        // slab ranges to this unit, as the `Arrays` docs lay out.
+        match unit {
+            Unit::Factor { s, mut l11, upd } => {
+                self.ctl.check()?;
+                let arr = unsafe { self.arrays.write(s) };
+                let upd_m = unsafe { self.arrays.slab(upd) };
+                factor_unit(sym, variant, s, arr, &mut l11, upd_m, |_| {})?;
+                (self.after_factor)(s);
+                Ok(Unit::Factor { s, l11, upd })
+            }
+            Unit::Apply { s, upd, base } => {
+                let (src, upd_m) = unsafe { (self.arrays.read(s), self.arrays.slab(upd)) };
+                let LaneScratch { rel, batch } = scratch;
+                for &t in batch.iter() {
+                    let tarr = unsafe { self.arrays.write(t) };
+                    apply_unit(sym, variant, s, t, src, upd_m, base, tarr, rel);
+                }
+                Ok(unit)
+            }
+            Unit::Compact {
+                s,
+                from,
+                to,
+                old,
+                new,
+            } => {
+                let (old_m, new_m) = unsafe { (self.arrays.slab(old), self.arrays.slab(new)) };
+                compact(old_m, new_m, sym.sn_nrows_below(s), from, to);
+                Ok(unit)
+            }
+        }
+    }
+
+    /// Records a finished unit and releases what it unblocks.
+    fn complete(&self, st: &mut State, unit: Unit, batch: &[usize]) {
+        match unit {
+            Unit::Factor { s, l11, upd } => {
+                if l11.capacity() > 0 {
+                    st.l11.push(l11);
+                }
+                st.factored[s] = true;
+                st.held[s] = upd;
+                self.queue_applies(st, s);
+                self.settle(st, s);
+            }
+            Unit::Apply { s, .. } => {
+                for &t in batch {
+                    st.busy[s] -= 1;
+                    st.left[s] -= 1;
+                    st.seq.advance(t);
+                    match st.seq.next(t) {
+                        None => st.ready.push(Reverse((t, t))),
+                        Some(q) if st.factored[q] && st.compacting[q].is_none() => {
+                            st.busy[q] += 1;
+                            st.ready.push(Reverse((q, t)));
+                        }
+                        Some(_) => {}
+                    }
+                }
+                self.settle(st, s);
+            }
+            Unit::Compact {
+                s, to, old, new, ..
+            } => {
+                st.slab.put(old);
+                st.held[s] = new;
+                st.base[s] = to;
+                st.compacting[s] = None;
+                self.queue_applies(st, s);
+                self.settle(st, s);
+                self.readmit(st);
+            }
+        }
+    }
+
+    /// Queues every apply of the factored source `s` whose target's
+    /// cursor is at `s`.
+    fn queue_applies(&self, st: &mut State, s: usize) {
+        for seg in segments(self.sym, s) {
+            if st.seq.next(seg.target) == Some(s) {
+                st.busy[s] += 1;
+                st.ready.push(Reverse((s, seg.target)));
+            }
+        }
+    }
+
+    /// After a unit of source `s`: finish it when fully applied; else, when
+    /// none of its applies is ready and the rest of its RL matrix is at
+    /// most half of its range, schedule compacting it to that rest.
+    fn settle(&self, st: &mut State, s: usize) {
+        if st.left[s] == 0 {
+            return self.finish(st, s);
+        }
+        if self.variant != Variant::Rl || st.busy[s] > 0 || st.compacting[s].is_some() {
+            return;
+        }
+        // Every remaining target's cursor is below `s`; the first one's
+        // segment starts the rest.
+        let Some(to) = segments(self.sym, s)
+            .find(|g| st.seq.next(g.target).is_some_and(|q| q < s))
+            .map(|g| g.lo)
+        else {
+            return;
+        };
+        let rest = self.sym.sn_nrows_below(s) - to;
+        if 2 * rest * rest <= st.held[s].1 {
+            st.compacting[s] = Some(to);
+            st.ready.push(Reverse((s, s)));
+        }
+    }
+
+    /// Source `s` is fully applied: release its slab range and re-admit
+    /// the starved factor units that now fit.
+    fn finish(&self, st: &mut State, s: usize) {
+        if st.held[s].1 > 0 {
+            st.slab.put(st.held[s]);
+        }
+        st.finished[s] = true;
+        st.nfinished += 1;
+        while st.low < st.finished.len() && st.finished[st.low] {
+            st.low += 1;
+        }
+        if st.nfinished == st.finished.len() {
+            st.stop = true;
+            return;
+        }
+        self.readmit(st);
+    }
+
+    /// Moves starved factor units back to the ready queue, lowest first,
+    /// while they fit (the pop takes the range).
+    fn readmit(&self, st: &mut State) {
+        while let Some(&Reverse(q)) = st.starved.peek() {
+            let r = self.sym.sn_nrows_below(q);
+            if !st.slab.fits(r * r, q == st.low) {
+                return;
+            }
+            st.starved.pop();
+            st.ready.push(Reverse((q, q)));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fresh::{factor_rl_cpu, factor_rl_cpu_par, factor_rlb_cpu, factor_rlb_cpu_par};
+    use crate::resilience::{CancelToken, Deadline};
     use rlchol_dense::{flops_potrf, flops_trsm};
     use rlchol_matgen::{grid3d, laplace2d, Stencil};
+    use rlchol_ordering::{order, OrderingMethod};
     use rlchol_symbolic::{analyze, SymbolicOptions};
 
+    /// `a` in nested-dissection order (a bushy tree, where the lanes run
+    /// ahead of the lowest source and RL matrices get compacted), with
+    /// its symbolic factor.
     fn prepared(a: &SymCsc) -> (SymbolicFactor, SymCsc) {
-        let sym = analyze(a, &SymbolicOptions::default());
+        let a = a.permute(&order(a, OrderingMethod::NestedDissection));
+        let sym = analyze(&a, &SymbolicOptions::default());
         let ap = a.permute(&sym.perm);
         (sym, ap)
     }
 
-    #[test]
-    fn parallel_rlb_matches_serial_2d() {
-        let a = laplace2d(24, 5);
-        let (sym, ap) = prepared(&a);
-        let serial = factor_rlb_cpu(&sym, &ap).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let par = factor_rlb_cpu_par(&sym, &ap, threads).unwrap();
-            let d = serial.factor.max_rel_diff(&par.factor);
-            assert!(d < 1e-11, "threads={threads}: diff {d}");
+    /// The executor at exactly `lanes` lanes, bypassing the flop cutoff
+    /// and the one-active-tree rule.
+    fn at(sym: &SymbolicFactor, ap: &SymCsc, variant: Variant, lanes: usize) -> CpuRun {
+        let mut ws = EngineWorkspace::default();
+        execute(sym, ap, variant, &mut ws, lanes, &|_| {}).unwrap()
+    }
+
+    /// Factor and trace at 2, 4 and 8 lanes equal the sweep's, bit for
+    /// bit and op for op.
+    fn check_lanes(a: &SymCsc) {
+        let (sym, ap) = prepared(a);
+        for variant in [Variant::Rl, Variant::Rlb] {
+            let sweep = at(&sym, &ap, variant, 1);
+            for lanes in [2, 4, 8] {
+                let tree = at(&sym, &ap, variant, lanes);
+                assert_eq!(sweep.factor, tree.factor, "{variant:?} lanes={lanes}");
+                assert_eq!(sweep.trace.ops, tree.trace.ops, "{variant:?} lanes={lanes}");
+            }
         }
     }
 
     #[test]
-    fn parallel_rl_matches_serial_3d() {
-        let a = grid3d(7, 7, 7, Stencil::Star7, 1, 3);
-        let (sym, ap) = prepared(&a);
-        let serial = factor_rl_cpu(&sym, &ap).unwrap();
-        for threads in [2, 4, 8] {
-            let par = factor_rl_cpu_par(&sym, &ap, threads).unwrap();
-            let d = serial.factor.max_rel_diff(&par.factor);
-            assert!(d < 1e-11, "threads={threads}: diff {d}");
+    fn lanes_match_the_sweep_2d() {
+        check_lanes(&laplace2d(24, 5));
+    }
+
+    #[test]
+    fn lanes_match_the_sweep_3d() {
+        check_lanes(&grid3d(7, 7, 7, Stencil::Star7, 1, 3));
+        check_lanes(&grid3d(12, 10, 9, Stencil::Star7, 1, 4));
+    }
+
+    #[test]
+    fn compaction_keeps_the_trailing_triangle() {
+        // A 6 x 6 matrix stored from base 1 (a 5 x 5 block), compacted to
+        // base 3: the lower triangle of U[3.., 3..] moves, nothing else.
+        let (r, from, to) = (6, 1, 3);
+        let m = r - from;
+        let u = |i: usize, j: usize| (10 * i + j) as f64;
+        let mut old = vec![f64::NAN; m * m];
+        for j in from..r {
+            for i in j..r {
+                old[(j - from) * m + (i - from)] = u(i, j);
+            }
         }
+        let k = r - to;
+        let mut new = vec![f64::NAN; k * k];
+        compact(&old, &mut new, r, from, to);
+        for j in to..r {
+            for i in j..r {
+                assert_eq!(new[(j - to) * k + (i - to)], u(i, j), "({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
+    fn slab_keeps_room_for_the_lowest_and_merges_free_ranges() {
+        let mut slab = Slab::new(10, 30);
+        assert_eq!(slab.take(10, true), Some((0, 10)), "the kept part");
+        let a = slab.take(8, false).unwrap();
+        let b = slab.take(8, false).unwrap();
+        assert_eq!((a, b), ((10, 8), (18, 8)));
+        assert!(!slab.fits(5, false) && slab.take(5, false).is_none());
+        assert!(slab.fits(10, true), "the lowest always fits");
+        slab.put(a);
+        slab.put(b);
+        assert_eq!(slab.free, vec![(10, 20)], "neighbours merge");
+        slab.put((0, 10));
+        assert_eq!((slab.held, slab.peak), (0, 26));
     }
 
     #[test]
     fn more_lanes_than_pool_threads_never_deadlocks() {
-        // Regression: with a scheduler team larger than the pool's lane
-        // count AND supernodes big enough that their kernels split across
-        // the pool, scheduler workers used to be pool jobs — a task
-        // waiting on its kernel's parts while holding a target lock could
-        // execute a queued scheduler worker nested on its own stack and
-        // self-deadlock. The grid is sized so a panel kernel is above
-        // rlchol-dense's split cutoff (2²² flops); the test machine's
-        // pool typically has far fewer lanes than the 8 requested here.
+        // Regression: with more lanes than the pool has AND supernodes big
+        // enough that their kernels split across the pool, lanes that were
+        // pool jobs could run a queued lane nested on a waiting kernel's
+        // stack and deadlock. Lanes are scoped threads now; the grid is
+        // sized so a panel kernel is above rlchol-dense's split cutoff
+        // (2²² flops), and the test machine's pool typically has far fewer
+        // lanes than the 8 requested here. In natural order, its
+        // separators are whole planes.
         let a = grid3d(14, 14, 14, Stencil::Star7, 1, 7);
-        let (sym, ap) = prepared(&a);
+        let sym = analyze(&a, &SymbolicOptions::default());
+        let ap = a.permute(&sym.perm);
         assert!(
             (0..sym.nsup()).any(|s| {
                 let c = sym.sn_ncols(s);
@@ -413,20 +988,81 @@ mod tests {
             }),
             "test matrix must split a panel kernel across lanes"
         );
-        let serial = factor_rlb_cpu(&sym, &ap).unwrap();
-        let par = factor_rlb_cpu_par(&sym, &ap, 8).unwrap();
-        let d = serial.factor.max_rel_diff(&par.factor);
-        assert!(d < 1e-11, "diff {d}");
+        for variant in [Variant::Rl, Variant::Rlb] {
+            let sweep = at(&sym, &ap, variant, 1);
+            assert_eq!(
+                sweep.factor,
+                at(&sym, &ap, variant, 8).factor,
+                "{variant:?}"
+            );
+        }
     }
 
     #[test]
-    fn trace_flops_match_serial() {
-        // The parallel trace holds the same multiset of BLAS calls (order
-        // aside) as the serial engine's.
-        let a = laplace2d(16, 3);
+    fn trace_matches_the_sweep_op_for_op() {
+        // The sweep records the kernels as they run; the tree emits them
+        // from shapes. Both must give the same sequence.
+        let a = grid3d(6, 5, 7, Stencil::Star7, 1, 3);
         let (sym, ap) = prepared(&a);
-        let serial = factor_rlb_cpu(&sym, &ap).unwrap();
-        let par = factor_rlb_cpu_par(&sym, &ap, 4).unwrap();
-        assert_eq!(serial.trace.blas_calls(), par.trace.blas_calls());
+        for variant in [Variant::Rl, Variant::Rlb] {
+            let sweep = at(&sym, &ap, variant, 1);
+            let mut shapes = Trace::new();
+            for s in 0..sym.nsup() {
+                trace_supernode(&sym, s, variant, &mut shapes);
+            }
+            assert_eq!(sweep.trace.ops, shapes.ops, "{variant:?}");
+            assert_eq!(sweep.trace.ops, at(&sym, &ap, variant, 3).trace.ops);
+        }
+    }
+
+    #[test]
+    fn held_update_matrices_stay_within_the_budget() {
+        let a = grid3d(9, 8, 7, Stencil::Star7, 1, 5);
+        let (sym, ap) = prepared(&a);
+        let max = sym.max_update_matrix_entries() * std::mem::size_of::<f64>();
+        assert_eq!(at(&sym, &ap, Variant::Rl, 1).peak_held_bytes, max);
+        for lanes in [2, 4] {
+            let peak = at(&sym, &ap, Variant::Rl, lanes).peak_held_bytes;
+            assert!(
+                peak >= max && peak <= lanes * max,
+                "lanes={lanes}: {peak} > {lanes} × {max}"
+            );
+        }
+        assert_eq!(at(&sym, &ap, Variant::Rlb, 2).peak_held_bytes, 0);
+    }
+
+    #[test]
+    fn cancel_after_the_first_supernode_stops_every_lane() {
+        let a = grid3d(7, 6, 5, Stencil::Star7, 1, 8);
+        let (sym, ap) = prepared(&a);
+        for variant in [Variant::Rl, Variant::Rlb] {
+            for lanes in [1, 2] {
+                let token = CancelToken::new();
+                let mut ws = EngineWorkspace::default();
+                ws.ctl = RunCtl::armed(Deadline::none(), token.clone());
+                let cancel = |_: usize| token.cancel();
+                let err = execute(&sym, &ap, variant, &mut ws, lanes, &cancel).unwrap_err();
+                assert_eq!(err, FactorError::Cancelled, "{variant:?} lanes={lanes}");
+                // Every lane came home: the workspace runs again.
+                token.reset();
+                assert!(execute(&sym, &ap, variant, &mut ws, lanes, &|_| {}).is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn one_tree_at_a_time() {
+        // Other tests may hold the claim for a moment; wait for it.
+        let first = loop {
+            match TreeClaim::try_claim() {
+                Some(claim) => break claim,
+                None => std::thread::yield_now(),
+            }
+        };
+        assert!(
+            TreeClaim::try_claim().is_none(),
+            "a second tree runs at one lane"
+        );
+        drop(first);
     }
 }

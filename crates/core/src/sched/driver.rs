@@ -1,14 +1,19 @@
-//! The engine-agnostic frontier driver.
+//! The engine-agnostic frontier driver and update sequencer.
 //!
 //! A supernode is *ready* when every descendant that updates it has
-//! finished applying its updates. The driver owns exactly that state —
+//! finished applying its updates. [`Frontier`] owns exactly that state —
 //! one remaining-updater count per supernode, decremented as updaters
-//! complete — and nothing else: no queue discipline, no locking policy,
-//! no notion of where work runs. The CPU executor pairs it with a
-//! condvar-guarded ready queue drained by a worker team; the GPU
-//! executor pairs it with an index-ordered heap drained by a single
-//! issue loop that fans device work across streams. Counts are atomic
-//! so concurrent executors may release targets from any thread.
+//! complete. [`Sequencer`] adds the order: every target's updaters in
+//! ascending source order, with a cursor at the next one to apply. An
+//! executor that applies an update into `t` only when `t`'s cursor
+//! reaches its source performs every target's subtractions in the
+//! serial sweep's order, so its factor is bit-identical to the sweep's
+//! whatever runs when. Neither type knows about threads, locks or
+//! devices: the CPU tree executor ([`super::cpu`]) keeps a sequencer
+//! under its one lock; the GPU executor ([`super::gpu`]) drains an
+//! index-ordered heap from a single issue loop and sequences its
+//! out-of-order retirement with one. Frontier counts are atomic so
+//! concurrent executors may release targets from any thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -71,6 +76,63 @@ impl Frontier {
     }
 }
 
+/// Every target's updaters in ascending source order (CSR), with one
+/// cursor per target at its next unapplied update.
+pub struct Sequencer {
+    /// `list[ptr[t]..ptr[t + 1]]` are `t`'s updaters, ascending.
+    ptr: Vec<usize>,
+    list: Vec<usize>,
+    /// Updates applied into each target so far.
+    cursor: Vec<usize>,
+}
+
+impl Sequencer {
+    /// Builds the updater lists from the symbolic structure; every
+    /// cursor starts at its target's first updater.
+    pub fn new(sym: &SymbolicFactor) -> Self {
+        let nsup = sym.nsup();
+        let mut ptr = vec![0usize; nsup + 1];
+        let mut targets = Vec::new();
+        for s in 0..nsup {
+            distinct_targets(sym, s, &mut targets);
+            for &p in &targets {
+                ptr[p + 1] += 1;
+            }
+        }
+        for p in 0..nsup {
+            ptr[p + 1] += ptr[p];
+        }
+        // Visiting sources in ascending order makes each list ascend.
+        let mut fill = ptr.clone();
+        let mut list = vec![0usize; ptr[nsup]];
+        for s in 0..nsup {
+            distinct_targets(sym, s, &mut targets);
+            for &p in &targets {
+                list[fill[p]] = s;
+                fill[p] += 1;
+            }
+        }
+        Sequencer {
+            ptr,
+            list,
+            cursor: vec![0; nsup],
+        }
+    }
+
+    /// The source whose update `target` takes next; `None` once every
+    /// update into it has been applied (it is ready to factor).
+    pub fn next(&self, target: usize) -> Option<usize> {
+        let at = self.ptr[target] + self.cursor[target];
+        (at < self.ptr[target + 1]).then(|| self.list[at])
+    }
+
+    /// Records that `target`'s next update has been applied.
+    pub fn advance(&mut self, target: usize) {
+        debug_assert!(self.next(target).is_some(), "{target} has no update left");
+        self.cursor[target] += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +147,7 @@ mod tests {
         let mut targets = Vec::new();
         for s in 0..sym.nsup() {
             distinct_targets(&sym, s, &mut targets);
-            let segs = segments(&sym, s);
+            let segs: Vec<_> = segments(&sym, s).collect();
             assert_eq!(targets.len(), segs.len(), "supernode {s}");
             for (t, seg) in targets.iter().zip(&segs) {
                 assert_eq!(*t, seg.target);
@@ -116,5 +178,27 @@ mod tests {
             }
         }
         assert!(became_ready.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn sequencer_walks_each_target_through_its_updaters_ascending() {
+        let a = grid3d(5, 4, 6, Stencil::Star7, 1, 2);
+        let sym = analyze(&a, &SymbolicOptions::default());
+        let mut seq = Sequencer::new(&sym);
+        let mut expected = vec![Vec::new(); sym.nsup()];
+        let mut targets = Vec::new();
+        for s in 0..sym.nsup() {
+            distinct_targets(&sym, s, &mut targets);
+            for &p in &targets {
+                expected[p].push(s);
+            }
+        }
+        for (t, updaters) in expected.iter().enumerate() {
+            for &s in updaters {
+                assert_eq!(seq.next(t), Some(s), "target {t}");
+                seq.advance(t);
+            }
+            assert_eq!(seq.next(t), None, "target {t} is ready");
+        }
     }
 }

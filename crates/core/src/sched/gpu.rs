@@ -90,7 +90,7 @@ use rlchol_perfmodel::{CpuModel, TraceOp};
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::assemble::{assemble_update_pool, scatter_segment, segments, Segment};
+use crate::assemble::{assemble_update_pool, scatter_segment, segment_to};
 use crate::engine::{GpuOptions, GpuRun, RetireMode, Variant};
 use crate::error::FactorError;
 use crate::gpu_rl::{device_panel, host_node, host_panel, offload_set};
@@ -100,10 +100,10 @@ use crate::gpu_rlb::{
 use crate::registry::EngineWorkspace;
 use crate::resilience::RunCtl;
 use crate::rl::rl_update_matrix;
-use crate::rlb::{rlb_apply_run, rlb_target_runs};
+use crate::rlb::{rlb_apply_run, rlb_run_to};
 use crate::storage::FactorData;
 
-use super::driver::{distinct_targets, Frontier};
+use super::driver::{distinct_targets, Frontier, Sequencer};
 
 /// Pipelined multi-stream GPU-RL ([`crate::engine::Method::RlGpuPipe`]),
 /// drawing factor storage from `ws`.
@@ -162,8 +162,6 @@ struct LandedSource {
     staged: Vec<f64>,
     /// RLB GPU path: the strip set (grouped contiguously by target).
     strips: Vec<Strip>,
-    /// RL: one scatter segment per target, ascending.
-    segs: Vec<Segment>,
     /// True when the source ran the below-threshold CPU path under the
     /// RLB variant — its units re-run the direct per-target kernels.
     rlb_cpu: bool,
@@ -454,31 +452,10 @@ fn run_ooo(
     let nsup = sym.nsup();
     let nstreams = ctxs.len();
 
-    // Per-target updater lists (CSR): iterating sources in ascending
-    // order makes each target's list ascend — the serial application
-    // order the sequence cursors enforce.
-    let mut upd_ptr = vec![0usize; nsup + 1];
+    // Each target's updaters in ascending source order, with the
+    // sequence cursor that enforces it.
+    let mut seq = Sequencer::new(sym);
     let mut targets = Vec::new();
-    for s in 0..nsup {
-        distinct_targets(sym, s, &mut targets);
-        for &p in &targets {
-            upd_ptr[p + 1] += 1;
-        }
-    }
-    for p in 0..nsup {
-        upd_ptr[p + 1] += upd_ptr[p];
-    }
-    let mut fill = upd_ptr.clone();
-    let mut upd_list = vec![0usize; upd_ptr[nsup]];
-    for s in 0..nsup {
-        distinct_targets(sym, s, &mut targets);
-        for &p in &targets {
-            upd_list[fill[p]] = s;
-            fill[p] += 1;
-        }
-    }
-    // Next unapplied position in each target's updater list.
-    let mut cursor = vec![0usize; nsup];
 
     let frontier = Frontier::new(sym);
     let mut heap: BinaryHeap<Reverse<usize>> =
@@ -527,9 +504,7 @@ fn run_ooo(
                     *variant,
                     t,
                     &frontier,
-                    &upd_ptr,
-                    &upd_list,
-                    &mut cursor,
+                    &mut seq,
                     &landed,
                     &mut stash,
                     &mut heap,
@@ -559,11 +534,7 @@ fn run_ooo(
         let device_ahead = inf.ready.time() <= gpu.host_now();
         gpu.host_wait_event(inf.ready);
         let r = sym.sn_nrows_below(s);
-        stash[s] = (r > 0).then(|| LandedSource {
-            segs: match variant {
-                Variant::Rl => segments(sym, s),
-                Variant::Rlb => Vec::new(),
-            },
+        stash[s] = (r > 0).then_some(LandedSource {
             staged: inf.staged,
             strips: inf.strips,
             rlb_cpu: false,
@@ -580,9 +551,7 @@ fn run_ooo(
             *variant,
             s,
             &frontier,
-            &upd_ptr,
-            &upd_list,
-            &mut cursor,
+            &mut seq,
             &landed,
             &mut stash,
             &mut heap,
@@ -626,14 +595,13 @@ fn land_cpu_node(
     }
     stash[s] = Some(match variant {
         Variant::Rl => {
-            let mut staged = Vec::new();
+            let mut staged = vec![0.0; r * r];
             rl_update_matrix(sym, s, &data.sn[s], &mut staged, |op| {
                 gpu.host_compute(cpu.op_time(op))
             });
             LandedSource {
                 staged,
                 strips: Vec::new(),
-                segs: segments(sym, s),
                 rlb_cpu: false,
                 r,
                 units_left: 0,
@@ -642,7 +610,6 @@ fn land_cpu_node(
         Variant::Rlb => LandedSource {
             staged: Vec::new(),
             strips: Vec::new(),
-            segs: Vec::new(),
             rlb_cpu: true,
             r,
             units_left: 0,
@@ -666,9 +633,7 @@ fn cascade(
     variant: Variant,
     s: usize,
     frontier: &Frontier,
-    upd_ptr: &[usize],
-    upd_list: &[usize],
-    cursor: &mut [usize],
+    seq: &mut Sequencer,
     landed: &[bool],
     stash: &mut [Option<LandedSource>],
     heap: &mut BinaryHeap<Reverse<usize>>,
@@ -679,13 +644,12 @@ fn cascade(
         st.units_left = targets.len();
     }
     for &p in targets.iter() {
-        while cursor[p] < upd_ptr[p + 1] - upd_ptr[p] {
-            let q = upd_list[upd_ptr[p] + cursor[p]];
+        while let Some(q) = seq.next(p) {
             if !landed[q] {
                 break;
             }
             apply_unit(gpu, sym, data, cpu, variant, q, p, stash);
-            cursor[p] += 1;
+            seq.advance(p);
             if frontier.release(p) {
                 heap.push(Reverse(p));
             }
@@ -713,26 +677,22 @@ fn apply_unit(
             .expect("landed sources with targets stash");
         match variant {
             Variant::Rl => {
-                let at = st
-                    .segs
-                    .binary_search_by_key(&p, |g| g.target)
-                    .expect("p is a distinct target of q");
                 let entries = scatter_segment(
                     sym,
                     &mut data.sn[p],
-                    st.segs[at],
+                    segment_to(sym, q, p),
                     &sym.rows[q],
                     &st.staged,
+                    0,
                     st.r,
+                    &mut Vec::new(),
                 );
                 gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
             }
             Variant::Rlb if st.rlb_cpu => {
                 // The direct update of q's run into p alone, reading q's
                 // final panel: the same kernels as the full sweep.
-                let run = rlb_target_runs(sym, q)
-                    .find(|run| run.target == p)
-                    .expect("p is a distinct target of q");
+                let run = rlb_run_to(sym, q, p);
                 let (head, tail) = data.sn.split_at_mut(p);
                 let mut seconds = 0.0;
                 rlb_apply_run(sym, q, &head[q], &mut tail[0], &run, |op| {

@@ -13,10 +13,11 @@
 //!   updates), leaf seeding, and fan-out release. It knows nothing about
 //!   threads, locks, or devices — executors layer their own queueing and
 //!   synchronization over it.
-//! * [`cpu`] — the task-parallel CPU executor: a fixed team of scheduler
-//!   workers over the persistent [`rlchol_dense::pool`], per-target
-//!   locks, composable node-level BLAS striping, and clean error/panic
-//!   propagation out of the team.
+//! * [`cpu`] — the CPU tree executor every CPU method runs on: *factor
+//!   s* and *apply s → t* units, each target's updates in ascending
+//!   source order through the driver's [`Sequencer`], so the factor is
+//!   the one-lane sweep's at any lane count; kernels split across the
+//!   persistent [`rlchol_dense::pool`].
 //! * [`gpu`] — the **pipelined multi-stream GPU executor**: independent
 //!   ready supernodes are dispatched onto `RLCHOL_STREAMS` simulated
 //!   compute/copy stream pairs (per-pair device buffers, `Event`-gated
@@ -40,4 +41,4 @@ pub mod cpu;
 pub mod driver;
 pub mod gpu;
 
-pub use driver::Frontier;
+pub use driver::{Frontier, Sequencer};

@@ -99,7 +99,7 @@ impl SolvePlan {
                     let base = t * chunk;
                     let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                         for (off, dst) in slot.iter_mut().enumerate() {
-                            *dst = segments(sym, base + off);
+                            *dst = segments(sym, base + off).collect();
                         }
                     });
                     task
@@ -108,7 +108,7 @@ impl SolvePlan {
             rlchol_dense::pool::global().run(tasks);
             segs
         } else {
-            (0..nsup).map(|s| segments(sym, s)).collect()
+            (0..nsup).map(|s| segments(sym, s).collect()).collect()
         };
         // Longest-path depth: every updater finishes strictly before its
         // target, so one ascending pass suffices (sources precede their

@@ -33,9 +33,12 @@ pub struct SolverOptions {
     pub method: Method,
     /// GPU engine options (ignored by the CPU methods).
     pub gpu: GpuOptions,
-    /// Lanes for the task-parallel CPU engines ([`Method::RlCpuPar`],
-    /// [`Method::RlbCpuPar`]); `0` means `RLCHOL_THREADS` / available
-    /// parallelism. Ignored by the serial and GPU methods.
+    /// Lanes of the CPU tree executor, which runs every CPU method;
+    /// `0` means `RLCHOL_THREADS` / available parallelism, and `1` pins
+    /// the one-lane sweep. The factor is bit-identical at every lane
+    /// count. Below a flop cutoff, or while another factorization's tree
+    /// is running, the executor takes one lane whatever this says.
+    /// Ignored by the GPU methods.
     pub threads: usize,
     /// Lanes for the level-set (tree-parallel) triangular solves. `0`
     /// means automatic: `RLCHOL_SOLVE_THREADS` if set, else the pool

@@ -137,7 +137,7 @@ struct LaneState {
 /// [`SymbolicCholesky`](crate::SymbolicCholesky) handle.
 pub(crate) struct WorkspaceLanes {
     cap: usize,
-    /// Lanes for the task-parallel CPU engines inside one factorization.
+    /// Lanes of the CPU tree executor inside one factorization.
     threads: usize,
     /// The per-lane GPU options (streams, retirement mode and fault plan
     /// pre-resolved).

@@ -25,6 +25,20 @@ pub fn relative_indices(
     p_rows: &[usize],
 ) -> Vec<usize> {
     let mut out = Vec::with_capacity(sub.len());
+    relative_indices_into(sub, p_first, p_ncols, p_rows, &mut out);
+    out
+}
+
+/// [`relative_indices`] written into `out` (cleared first), so a caller
+/// that scatters many segments reuses one buffer.
+pub fn relative_indices_into(
+    sub: &[usize],
+    p_first: usize,
+    p_ncols: usize,
+    p_rows: &[usize],
+    out: &mut Vec<usize>,
+) {
+    out.clear();
     let p_end = p_first + p_ncols;
     let mut cursor = 0usize; // two-pointer walk over p_rows
     for &i in sub {
@@ -42,7 +56,6 @@ pub fn relative_indices(
             out.push(p_ncols + cursor);
         }
     }
-    out
 }
 
 /// Relative index of a single global row `i` inside the target's index

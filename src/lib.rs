@@ -229,8 +229,8 @@
 //!
 //! Numeric factorization dispatches through the
 //! [`NumericEngine`](core::registry::NumericEngine) registry, keyed by
-//! [`Method`] — serial CPU (RL, RLB), task-parallel CPU, and
-//! (simulated) GPU engines including the pipelined multi-stream
+//! [`Method`] — CPU (RL, RLB, on one tree executor whose factor does not
+//! depend on its lane count) and (simulated) GPU engines including the pipelined multi-stream
 //! variants; `engine_for(method).factor(sym, a, &mut ws)` is the only
 //! public way to run one. [`Method::ALL`] enumerates every
 //! registered engine; `Method` round-trips through `FromStr` via its
@@ -257,9 +257,10 @@
 //!
 //! ## Threads, streams and solve lanes
 //!
-//! The task-parallel engines ([`Method::RlCpuPar`], [`Method::RlbCpuPar`])
-//! and the dense kernels, which split any large call across lanes,
-//! share one persistent work-stealing pool;
+//! The CPU tree executor (every CPU method, sized by
+//! [`SolverOptions::threads`]) runs its lanes next to one persistent
+//! work-stealing pool, which the dense kernels split any large call
+//! across;
 //! the pipelined GPU engines ([`Method::RlGpuPipe`], [`Method::RlbGpuPipe`])
 //! dispatch ready supernodes onto the least-loaded of their simulated
 //! compute/copy stream pairs (retirement discipline via

@@ -19,9 +19,10 @@
 //! kernel. The preceding change, which split large kernel calls across
 //! the pool, left every digest as it was.
 //!
-//! `RlCpuPar` and `RlbCpuPar` are left out on purpose: their fan-out
-//! updates land in the order the scheduler runs them, so their factor
-//! differs by roundoff from run to run.
+//! The CPU methods run one tree executor whose factor does not depend on
+//! its lane count, so every CPU method (`RlCpuPar` and `RlbCpuPar` are
+//! synonyms of `RlCpu` and `RlbCpu`) at 1, 2, 4 and 8 lanes must give its
+//! family's digest.
 //!
 //! Each device run also pins its simulated clock: the bits of
 //! `sim_seconds` and of the host, kernel and transfer seconds, and the
@@ -94,6 +95,9 @@ fn thresholds(method: Method) -> &'static [usize] {
     }
 }
 
+/// Lane counts every CPU method is pinned at.
+const LANES: [usize; 4] = [1, 2, 4, 8];
+
 /// Every resource count is explicit, so no `RLCHOL_*` variable reaches
 /// the factor.
 fn options(method: Method, threshold: usize) -> SolverOptions {
@@ -116,6 +120,18 @@ fn retire_modes(method: Method) -> &'static [RetireMode] {
         Method::RlGpuPipe | Method::RlbGpuPipe => &[RetireMode::InOrder, RetireMode::Ooo],
         _ => &[],
     }
+}
+
+/// The factor digest of a CPU method at `threads` lanes.
+fn cpu_digest(a: &SymCsc, method: Method, threads: usize) -> u64 {
+    let opts = SolverOptions {
+        threads,
+        ..options(method, usize::MAX)
+    };
+    let fact = CholeskySolver::analyze(a, &opts)
+        .factor_with(a)
+        .expect("SPD input");
+    digest(&fact.data().sn)
 }
 
 /// Lists every run whose digest differs from its pin.
@@ -162,6 +178,20 @@ fn check(name: &str, a: &SymCsc, want: &[u64], want_sim: &[u64]) -> usize {
             got.push((run, digest(&fact.data().sn)));
         }
     }
+    // Every CPU method at every lane count against its family's pin
+    // (`RlCpu` and `RlbCpu` come first in `DETERMINISTIC`).
+    let mut lanes = Vec::new();
+    for (method, pin) in [
+        (Method::RlCpu, want[0]),
+        (Method::RlbCpu, want[1]),
+        (Method::RlCpuPar, want[0]),
+        (Method::RlbCpuPar, want[1]),
+    ] {
+        for threads in LANES {
+            let run = format!("{name} {} threads {threads}", method.label());
+            lanes.push((run, cpu_digest(a, method, threads), pin));
+        }
+    }
     assert_eq!(got.len(), want.len(), "{name}: one pin per engine run");
     assert_eq!(
         got_sim.len(),
@@ -170,6 +200,12 @@ fn check(name: &str, a: &SymCsc, want: &[u64], want_sim: &[u64]) -> usize {
     );
     let mut all = drifted(&got, want);
     all.extend(drifted(&got_sim, want_sim));
+    all.extend(
+        lanes
+            .iter()
+            .filter(|(_, g, w)| g != w)
+            .map(|(run, g, w)| format!("{run}: got {g:#018x}, pinned {w:#018x}")),
+    );
     assert!(all.is_empty(), "drifted pins:\n{}", all.join("\n"));
     widest
 }
@@ -292,4 +328,32 @@ fn grid3d_star27_factor_is_pinned() {
             0x049d_d9f4_4098_d5b0,
         ],
     );
+}
+
+/// The benchmark matrices (`cube32`, `plate300`): `RlCpu` at one and two
+/// lanes, against digests recorded with the serial loop the tree
+/// executor replaced. These run the tree with split kernels on 923 and
+/// 10 330 supernodes; run them in release with `--ignored`.
+fn check_benchmark_size(name: &str, a: &SymCsc, pin: u64) {
+    for threads in [1, 2] {
+        let got = cpu_digest(a, Method::RlCpu, threads);
+        assert_eq!(
+            got, pin,
+            "{name} threads {threads}: got {got:#018x}, pinned {pin:#018x}"
+        );
+    }
+}
+
+#[test]
+#[ignore = "benchmark size: cargo test --release --test factor_pins -- --ignored"]
+fn cube32_factor_is_pinned() {
+    let a = grid3d(32, 32, 32, Stencil::Star7, 1, 1);
+    check_benchmark_size("cube32", &a, 0x07d7_af15_a1b6_23fe);
+}
+
+#[test]
+#[ignore = "benchmark size: cargo test --release --test factor_pins -- --ignored"]
+fn plate300_factor_is_pinned() {
+    let a = grid2d(300, 300, Stencil::Star5, 1, 1);
+    check_benchmark_size("plate300", &a, 0xd25c_3cfe_822c_ce53);
 }

@@ -1,7 +1,7 @@
-//! End-to-end tests of the task-parallel numeric factorization: the
-//! elimination-tree scheduler must reproduce the serial engines across
-//! thread counts and tree shapes, and propagate numeric failures cleanly
-//! out of the pool.
+//! End-to-end tests of the CPU tree executor through the registry: every
+//! CPU method must give the one-lane factor bit for bit across lane
+//! counts and tree shapes, and propagate numeric failures cleanly out of
+//! its lanes.
 
 use rlchol::core::{engine_for, EngineWorkspace, FactorData, FactorError, GpuOptions};
 use rlchol::matgen::{grid3d, laplace2d, Stencil};
@@ -30,18 +30,22 @@ fn factor(
         .map(|run| run.factor)
 }
 
-/// Both parallel engines against their serial counterparts at 1e-11.
+/// Every CPU method at every lane count against its family at one lane,
+/// bit for bit.
 fn check_matches_serial(a: &SymCsc, label: &str) {
     let (sym, ap) = prepared(a);
     let rl = factor(Method::RlCpu, &sym, &ap, 1).unwrap();
     let rlb = factor(Method::RlbCpu, &sym, &ap, 1).unwrap();
     for threads in THREAD_SWEEP {
-        let rl_par = factor(Method::RlCpuPar, &sym, &ap, threads).unwrap();
-        let d = rl.max_rel_diff(&rl_par);
-        assert!(d < 1e-11, "{label}: RL threads={threads} diff {d}");
-        let rlb_par = factor(Method::RlbCpuPar, &sym, &ap, threads).unwrap();
-        let d = rlb.max_rel_diff(&rlb_par);
-        assert!(d < 1e-11, "{label}: RLB threads={threads} diff {d}");
+        for (method, serial) in [
+            (Method::RlCpu, &rl),
+            (Method::RlCpuPar, &rl),
+            (Method::RlbCpu, &rlb),
+            (Method::RlbCpuPar, &rlb),
+        ] {
+            let got = factor(method, &sym, &ap, threads).unwrap();
+            assert_eq!(&got, serial, "{label}: {method:?} threads={threads}");
+        }
     }
 }
 

@@ -4,11 +4,9 @@
 //! typed error paths (pattern mismatch, not-positive-definite on
 //! refactor).
 //!
-//! The task-parallel CPU engines apply fan-out updates in a
-//! nondeterministic order when running with >1 lane, so run-to-run
-//! factors differ by roundoff there; the bit-identity sweep pins them
-//! to one lane (which exercises the same entry points) and a separate
-//! tolerance-based test covers the multi-lane path.
+//! The CPU engines give the same bits at any lane count, so the sweep
+//! runs them at the pool default and a separate test refactors on four
+//! lanes.
 
 use rlchol::core::FactorError;
 use rlchol::matgen::{grid3d, Stencil};
@@ -21,16 +19,9 @@ fn matrix(seed: u64) -> SymCsc {
 
 fn opts_for(method: Method) -> SolverOptions {
     let threshold = if method.is_gpu() { 200 } else { usize::MAX };
-    let threads = match method {
-        // One lane: deterministic (serial) schedule through the same
-        // task-parallel entry points.
-        Method::RlCpuPar | Method::RlbCpuPar => 1,
-        _ => 0,
-    };
     SolverOptions {
         method,
         gpu: GpuOptions::with_threshold(threshold),
-        threads,
         ..SolverOptions::default()
     }
 }
@@ -62,10 +53,13 @@ fn refactor_is_bit_identical_to_one_shot_for_every_engine() {
 }
 
 #[test]
-fn multi_lane_refactor_matches_serial_within_roundoff() {
+fn multi_lane_refactor_matches_serial_bitwise() {
     let a0 = matrix(200);
     let a1 = matrix(201);
-    for method in [Method::RlCpuPar, Method::RlbCpuPar] {
+    for (method, serial) in [
+        (Method::RlCpuPar, Method::RlCpu),
+        (Method::RlbCpuPar, Method::RlbCpu),
+    ] {
         let opts = SolverOptions {
             method,
             threads: 4,
@@ -80,9 +74,8 @@ fn multi_lane_refactor_matches_serial_within_roundoff() {
             storage_ptr,
             "{method:?}: multi-lane refactor must reuse factor storage"
         );
-        let serial = CholeskySolver::factor(&a1, &opts_for(Method::RlCpu)).expect("SPD input");
-        let diff = fact.data().max_rel_diff(serial.factor_data());
-        assert!(diff < 1e-11, "{method:?}: relative diff {diff}");
+        let serial = CholeskySolver::factor(&a1, &opts_for(serial)).expect("SPD input");
+        assert_eq!(fact.data(), serial.factor_data(), "{method:?}");
     }
 }
 

@@ -10,10 +10,6 @@
 //!   thread to prove error isolation: that call fails with the typed
 //!   error, every other in-flight and subsequent factorization is
 //!   unaffected.
-//! * The task-parallel CPU engines pin to one pool lane so their
-//!   fan-out order (and therefore roundoff) is deterministic — the same
-//!   policy as tests/refactor.rs; workspace-lane concurrency on top is
-//!   exactly what this file exercises.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,14 +33,9 @@ fn value_seed(thread: usize, iter: usize) -> u64 {
 
 fn opts_for(method: Method, lanes: usize) -> SolverOptions {
     let threshold = if method.is_gpu() { 200 } else { usize::MAX };
-    let threads = match method {
-        Method::RlCpuPar | Method::RlbCpuPar => 1,
-        _ => 0,
-    };
     SolverOptions {
         method,
         gpu: GpuOptions::with_threshold(threshold),
-        threads,
         factor_lanes: lanes,
         ..SolverOptions::default()
     }

@@ -3,7 +3,7 @@
 //! heap allocations per call — and so must a `factor_with` + `recycle`
 //! serving loop through a warm workspace lane (lane checkout/return,
 //! recycled factor storage, recycled trace buffer, RLB's in-place
-//! update sweep). Enforced with a counting global allocator, so a
+//! update sweep and RL's scatter). Enforced with a counting global allocator, so a
 //! regression that sneaks a `Vec` into a hot path fails loudly.
 //!
 //! The counting allocator is per-binary, so this file holds exactly one
@@ -190,50 +190,54 @@ fn solves_are_allocation_free_after_warm_up() {
     });
 
     // Lane-pooled factorization: a factor_with/recycle serving loop on a
-    // warm lane must not touch the heap either. RLB applies updates
-    // directly into factor storage (no workspace growth), the lane's
-    // recycle bins return the factor storage and trace buffer, and lane
+    // warm lane must not touch the heap either, for both CPU families.
+    // RLB applies updates directly into factor storage; RL forms each
+    // update matrix in the workspace's preallocated buffer and scatters it
+    // with relative indices written into lane scratch. The lane's recycle
+    // bins return the factor storage and trace buffer, and lane
     // checkout/return is a free-list pop/push — so after one warm-up
     // round the loop is allocation-free end to end.
-    let a_rlb = grid3d(5, 5, 4, Stencil::Star7, 1, 13);
-    let handle_rlb = CholeskySolver::analyze(
-        &a_rlb,
-        &SolverOptions {
-            method: rlchol::Method::RlbCpu,
-            factor_lanes: 2,
-            ..SolverOptions::default()
-        },
-    );
-    // Warm-up: creates the lane, grows engine scratch and the GEMM
-    // packing buffers, seeds the recycle bins.
-    let warm = handle_rlb.factor_with(&a_rlb).expect("SPD input");
-    handle_rlb.recycle(warm);
-    let warm = handle_rlb.factor_with(&a_rlb).expect("SPD input");
-    handle_rlb.recycle(warm);
-    settle_pool();
-    assert_alloc_free("lane-pooled factor_with", || {
-        for _ in 0..5 {
-            let fact = handle_rlb.factor_with(&a_rlb).expect("SPD input");
-            handle_rlb.recycle(fact);
+    let a_cpu = grid3d(5, 5, 4, Stencil::Star7, 1, 13);
+    for method in [rlchol::Method::RlbCpu, rlchol::Method::RlCpu] {
+        let handle = CholeskySolver::analyze(
+            &a_cpu,
+            &SolverOptions {
+                method,
+                factor_lanes: 2,
+                ..SolverOptions::default()
+            },
+        );
+        // Warm-up: creates the lane, grows engine scratch and the GEMM
+        // packing buffers, seeds the recycle bins.
+        for _ in 0..2 {
+            let warm = handle.factor_with(&a_cpu).expect("SPD input");
+            handle.recycle(warm);
         }
-    });
-    let stats = handle_rlb.lane_stats();
-    assert_eq!(
-        (stats.created, stats.in_use),
-        (1, 0),
-        "a serial serving loop reuses one lane: {stats:?}"
-    );
+        settle_pool();
+        assert_alloc_free(&format!("{method:?} lane-pooled factor_with"), || {
+            for _ in 0..5 {
+                let fact = handle.factor_with(&a_cpu).expect("SPD input");
+                handle.recycle(fact);
+            }
+        });
+        let stats = handle.lane_stats();
+        assert_eq!(
+            (stats.created, stats.in_use),
+            (1, 0),
+            "a serial serving loop reuses one lane: {stats:?}"
+        );
 
-    // refactor through the same lane pool is equally allocation-free
-    // (storage recycles through the factorization itself).
-    let mut fact = handle_rlb.factor_with(&a_rlb).expect("SPD input");
-    handle_rlb.refactor(&mut fact, &a_rlb).expect("SPD values");
-    settle_pool();
-    assert_alloc_free("lane-pooled refactor", || {
-        for _ in 0..5 {
-            handle_rlb.refactor(&mut fact, &a_rlb).expect("SPD values");
-        }
-    });
+        // refactor through the same lane pool is equally allocation-free
+        // (storage recycles through the factorization itself).
+        let mut fact = handle.factor_with(&a_cpu).expect("SPD input");
+        handle.refactor(&mut fact, &a_cpu).expect("SPD values");
+        settle_pool();
+        assert_alloc_free(&format!("{method:?} lane-pooled refactor"), || {
+            for _ in 0..5 {
+                handle.refactor(&mut fact, &a_cpu).expect("SPD values");
+            }
+        });
+    }
 
     // Analyze path: repeated analyses on a warm process allocate a
     // bounded, *stable* amount per call — analysis inherently builds

@@ -15,10 +15,8 @@
 //!    `b = A₂ x` within a tight tolerance (the generated systems are
 //!    strictly diagonally dominant, hence well conditioned).
 //!
-//! The task-parallel engines pin to one lane for the bitwise sweeps
-//! (nondeterministic fan-out order at >1 lane changes roundoff, see
-//! tests/refactor.rs); the GPU engines run with threshold 0 so even
-//! these small supernodes exercise the device path.
+//! The GPU engines run with threshold 0 so even these small supernodes
+//! exercise the device path.
 
 use proptest::prelude::*;
 
@@ -142,14 +140,9 @@ fn perturbed_pattern(a: &SymCsc, vals: &mut Vals) -> SymCsc {
 
 fn opts_for(method: Method) -> SolverOptions {
     let threshold = if method.is_gpu() { 0 } else { usize::MAX };
-    let threads = match method {
-        Method::RlCpuPar | Method::RlbCpuPar => 1,
-        _ => 0,
-    };
     SolverOptions {
         method,
         gpu: GpuOptions::with_threshold(threshold),
-        threads,
         factor_lanes: 2,
         ..SolverOptions::default()
     }
