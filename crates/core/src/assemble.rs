@@ -74,24 +74,18 @@ pub fn assemble_update(
     let rows = &sym.rows[s];
     debug_assert_eq!(rows.len(), r);
     segments(sym, s)
-        .map(|seg| scatter_segment(sym, &mut data[seg.target], seg, rows, upd, 0, r, rel))
+        .map(|seg| scatter_segment(sym, &mut data[seg.target], seg, rows, upd, r, rel))
         .sum()
 }
 
 /// Scatters one segment into its (already borrowed) target array, with
 /// `rel` as relative-index scratch (no allocation once it has grown).
-/// `upd` holds the trailing block `U[base.., base..]` of the `r × r`
-/// update matrix, column-major with leading dimension `r - base`
-/// (`base` 0: the whole matrix); the segment must start at or after
-/// `base`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn scatter_segment(
     sym: &SymbolicFactor,
     target_arr: &mut [f64],
     seg: Segment,
     rows: &[usize],
     upd: &[f64],
-    base: usize,
     r: usize,
     rel: &mut Vec<usize>,
 ) -> usize {
@@ -102,14 +96,12 @@ pub(crate) fn scatter_segment(
     // Relative indices of ALL update rows from `lo` on (they all appear in
     // the target's index list — see module docs in rlchol-symbolic).
     relative_indices_into(&rows[seg.lo..], first, ncols, &sym.rows[p], rel);
-    debug_assert!(base <= seg.lo);
-    let m = r - base;
     let mut entries = 0usize;
     for jj in seg.lo..seg.hi {
         let tcol = rows[jj] - first;
         let dst = &mut target_arr[tcol * len..(tcol + 1) * len];
         // Rows jj..r of update column jj.
-        let ucol = &upd[(jj - base) * m + (jj - base)..(jj - base + 1) * m];
+        let ucol = &upd[jj * r + jj..(jj + 1) * r];
         for (&at, &u) in rel[jj - seg.lo..].iter().zip(ucol) {
             dst[at] -= u;
         }
@@ -176,7 +168,7 @@ pub fn assemble_update_pool(
     let rows = &sym.rows[s];
     let units = segments(sym, s).map(|seg| (seg.target, seg));
     fan_out(pool, data, units, |seg, arr| {
-        scatter_segment(sym, arr, seg, rows, upd, 0, r, &mut Vec::new())
+        scatter_segment(sym, arr, seg, rows, upd, r, &mut Vec::new())
     })
 }
 

@@ -135,7 +135,7 @@ pub struct EngineWorkspace {
     /// returned through `SymbolicCholesky::recycle` — so the CPU
     /// executor's trace recording allocates nothing at steady state.
     pub(crate) trace_ops: Vec<TraceOp>,
-    /// Deadline/cancellation control the `Frontier` executors check per
+    /// Deadline/cancellation control the tree executors check per
     /// supernode. Unarmed (a no-op) by default; the staged handle arms
     /// it per factorization.
     pub ctl: crate::resilience::RunCtl,
@@ -244,23 +244,22 @@ pub trait NumericEngine: Sync {
     ) -> Result<EngineRun, FactorError>;
 }
 
-macro_rules! cpu_engine {
-    ($name:ident, $method:expr, $variant:expr) => {
-        struct $name;
-        impl NumericEngine for $name {
-            fn method(&self) -> Method {
-                $method
-            }
-            fn factor(
-                &self,
-                sym: &SymbolicFactor,
-                a: &SymCsc,
-                ws: &mut EngineWorkspace,
-            ) -> Result<EngineRun, FactorError> {
-                crate::sched::cpu::factor_cpu_ws(sym, a, $variant, ws).map(EngineRun::from_cpu)
-            }
-        }
-    };
+/// A CPU method: the one tree executor on its update variant.
+struct CpuEngine(Method, Variant);
+
+impl NumericEngine for CpuEngine {
+    fn method(&self) -> Method {
+        self.0
+    }
+
+    fn factor(
+        &self,
+        sym: &SymbolicFactor,
+        a: &SymCsc,
+        ws: &mut EngineWorkspace,
+    ) -> Result<EngineRun, FactorError> {
+        crate::sched::cpu::factor_cpu_ws(sym, a, self.1, ws).map(EngineRun::from_cpu)
+    }
 }
 
 macro_rules! gpu_engine {
@@ -284,12 +283,6 @@ macro_rules! gpu_engine {
     };
 }
 
-// The `*Par` names are synonyms: every CPU method runs the one tree
-// executor at `EngineWorkspace::lanes`.
-cpu_engine!(RlCpuEngine, Method::RlCpu, Variant::Rl);
-cpu_engine!(RlbCpuEngine, Method::RlbCpu, Variant::Rlb);
-cpu_engine!(RlCpuParEngine, Method::RlCpuPar, Variant::Rl);
-cpu_engine!(RlbCpuParEngine, Method::RlbCpuPar, Variant::Rlb);
 gpu_engine!(RlGpuEngine, Method::RlGpu, crate::gpu_rl::factor_rl_gpu_ws);
 gpu_engine!(
     RlbGpuV1Engine,
@@ -316,12 +309,13 @@ gpu_engine!(
     crate::sched::gpu::factor_rlb_gpu_pipe_ws
 );
 
-/// The registry, in [`Method::ALL`] order.
+/// The registry, in [`Method::ALL`] order. The `*Par` names are
+/// synonyms: every CPU method runs the one tree executor.
 static ENGINES: [&dyn NumericEngine; 9] = [
-    &RlCpuEngine,
-    &RlbCpuEngine,
-    &RlCpuParEngine,
-    &RlbCpuParEngine,
+    &CpuEngine(Method::RlCpu, Variant::Rl),
+    &CpuEngine(Method::RlbCpu, Variant::Rlb),
+    &CpuEngine(Method::RlCpuPar, Variant::Rl),
+    &CpuEngine(Method::RlbCpuPar, Variant::Rlb),
     &RlGpuEngine,
     &RlbGpuV1Engine,
     &RlbGpuV2Engine,

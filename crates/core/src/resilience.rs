@@ -10,7 +10,7 @@
 //! 2. a persistent device failure moves to the next engine of the
 //!    [`FallbackChain`], reusing the lane's scattered values;
 //! 3. a [`Deadline`] (real wall time and/or simulated seconds) and a
-//!    [`CancelToken`] are threaded through the `Frontier` executors as a
+//!    [`CancelToken`] are threaded through the tree executors as a
 //!    [`RunCtl`], so a stalled stream aborts with
 //!    [`FactorError::DeadlineExceeded`] instead of hanging.
 //!

@@ -1,70 +1,60 @@
-//! The CPU tree executor: every CPU engine runs here.
+//! The CPU tree executor: `RlCpu`, `RlbCpu` and their synonyms
+//! `RlCpuPar` / `RlbCpuPar` all run here, at `SolverOptions::threads`
+//! lanes, and the factor is the one-lane sweep's bit for bit at every
+//! lane count. The units are those of the fan-both task graph of
+//! Jacquelin et al.:
 //!
-//! `RlCpu`, `RlbCpu` and their synonyms `RlCpuPar` / `RlbCpuPar` all
-//! factor through `factor_cpu_ws` at `SolverOptions::threads` lanes,
-//! and the factor is bit-identical to the one-lane sweep at every lane
-//! count. The work comes in two kinds of unit (the fan-both task graph of
-//! Jacquelin et al.):
-//!
-//! * **Factor s** runs the panel step (`panel_step`); under RL it also
-//!   forms `s`'s update matrix, once (`rl_update_matrix`).
-//! * **Apply s → t** subtracts `s`'s update from target `t`: one
-//!   `scatter_segment` of the update matrix (RL), or the direct kernels
-//!   of one target run (`rlb_apply_run`, RLB), which read only `s`'s
-//!   factored panel.
+//! * **factor s**: the panel step; under RL also `s`'s update matrix,
+//!   formed once (`rl_update_matrix`);
+//! * **apply s → t**: one `scatter_segment` of that matrix (RL), or one
+//!   target run's direct kernels (`rlb_apply_run`, RLB), which read only
+//!   `s`'s factored panel.
 //!
 //! **Order.** Apply s → t is released when `t`'s [`Sequencer`] cursor
-//! reaches `s`, so every target takes its updates in ascending source
-//! order: the sweep's order, hence the sweep's bits. Factor t is released
-//! when `t`'s cursor has passed its last updater. Lanes take ready work
-//! lowest supernode index first (the GPU executor's heap order); a lane
-//! that takes an apply of `s` takes every ready apply of `s` with it.
+//! reaches `s`, so every target takes its updates in the sweep's order,
+//! ascending source. Factor t is released when the cursor has passed
+//! every updater. Lanes take ready work lowest supernode first (the GPU
+//! executor's heap order), every ready apply of a source at once.
 //!
-//! **Progress.** Let `s` be the lowest source not fully applied. Every
-//! source below `s` is done; those include every updater of `s` and every
-//! earlier updater of each of `s`'s targets. So factor s is ready, and
-//! once it has run, every apply s → t is ready too. Under RL the slab
-//! below always keeps room for `s`'s update matrix. Some unit is
-//! therefore always runnable: the executor cannot deadlock.
+//! **Progress.** Let `s` be the lowest source not fully applied. All
+//! sources below it are done, among them every updater of `s` and every
+//! earlier updater of its targets: factor s is ready, then every apply
+//! of `s`. The slab below always has room for `s`'s update matrix, so
+//! some unit can always run and the executor cannot deadlock.
 //!
-//! **Held bytes.** An RL update matrix stays alive from factor s until its
-//! last segment lands. Live matrices sit in one `Slab` of `lanes ×
-//! max_update_matrix_entries` f64s, kept in the workspace: its first
-//! largest-matrix room is for the lowest source, the rest is handed out
-//! first fit, and a source that does not fit waits. A source whose next
-//! segments wait on other sources keeps only what they read: when at most
-//! half of its range is still needed, a *compact s* unit copies that
-//! trailing block to a smaller range. The peak is reported in
+//! **Held bytes.** An RL update matrix lives from factor s until its last
+//! segment lands, in one slab of `lanes × max_update_matrix_entries` f64s
+//! kept in the workspace. Its first largest-matrix room is for the lowest
+//! source; the rest goes first fit, and a factor that does not fit waits.
+//! RLB holds nothing. The peak is
 //! [`FactorInfo::peak_held_bytes`](crate::FactorInfo::peak_held_bytes).
-//! RLB holds nothing.
 //!
-//! **One lane when the tree does not pay.** Below `TREE_FLOPS` factor
-//! flops, or while another factorization's tree is running (one active
-//! tree, as the pool runs one kernel split at a time), the executor runs
-//! the ascending sweep on the caller. Every cursor is always ready there,
-//! so the sweep is the serial loop: it applies each source's updates
-//! right after factoring it, and once warm it allocates nothing.
+//! **One lane when the tree does not pay**, below `TREE_FLOPS` or when
+//! another CPU factorization is running as this one starts (a second
+//! handle lane, a second service connection: the process is busy, and
+//! the pool runs one kernel split at a time): the ascending sweep on the
+//! caller, where every cursor is always ready. Once warm it allocates
+//! nothing. A tree that is running when another factorization starts
+//! shrinks to the caller's lane: the other lanes leave after their
+//! current unit.
 //!
-//! **Two-level parallelism.** Kernels split large calls across
-//! [`rlchol_dense::pool`] themselves. A lane with nothing ready helps the
-//! running split before it sleeps, so near the root, where one wide
-//! supernode is the only ready work, its kernels still use every lane.
-//! Lanes are scoped threads, not pool jobs: no pool job ever waits on the
-//! tree.
+//! **Lanes** are scoped threads, so no pool job waits on the tree. Kernels
+//! split large calls across [`rlchol_dense::pool`] themselves, and an
+//! idle lane helps the running split before it sleeps, so the one wide
+//! supernode near the root still uses every lane.
 //!
-//! **Trace.** The trace depends on shapes only. The sweep records it as it
-//! runs; the tree emits it afterwards in supernode order
-//! (`trace_supernode`), so it is the same op for op at every lane count.
+//! **Trace.** It depends on shapes only: the sweep records it as it runs,
+//! the tree emits it afterwards in supernode order (`trace_supernode`).
 //!
 //! **Errors.** [`RunCtl::check`](crate::resilience::RunCtl::check) runs
 //! once per supernode at every lane count. A deadline, a cancellation, a
 //! nonpositive pivot or a panicking unit stops every lane; the first
-//! error is returned and a panic is re-raised on the caller.
+//! error is returned, a panic re-raised on the caller.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -73,7 +63,7 @@ use rlchol_perfmodel::{Trace, TraceOp};
 use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::assemble::{scatter_segment, segment_to, segments};
+use crate::assemble::{assemble_update, scatter_segment, segment_to, segments};
 use crate::engine::{panel_step, CpuRun, Variant};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
@@ -84,49 +74,40 @@ use crate::storage::FactorData;
 
 use super::driver::Sequencer;
 
-/// Factorizations below this many flops run the one-lane sweep. Best
-/// refactor of `grid3d(k)`, sweep against the tree at two lanes on a
-/// 2-vCPU host (RL; RLB gains from `k = 10` on):
-///
-/// | k  | flops  | sweep   | tree    |
-/// |----|--------|---------|---------|
-/// | 8  | 5.6e5  | 0.26 ms | 0.44 ms |
-/// | 10 | 2.3e6  | 0.86 ms | 1.18 ms |
-/// | 12 | 7.7e6  | 1.95 ms | 2.20 ms |
-/// | 14 | 2.1e7  | 4.61 ms | 4.46 ms |
-/// | 16 | 4.7e7  | 7.94 ms | 7.41 ms |
+/// Factorizations below this many flops run the one-lane sweep. Best RL
+/// refactor, sweep against two lanes, 2-vCPU host: `grid3d(12)` (7.7e6
+/// flops) 1.95 against 2.20 ms, `grid3d(14)` (2.1e7) 4.61 against 4.46
+/// ms, `grid3d(16)` (4.7e7) 7.94 against 7.41 ms.
 const TREE_FLOPS: f64 = (1u64 << 24) as f64;
 
-/// Set while a factorization runs its tree on more than one lane.
-static TREE_ACTIVE: AtomicBool = AtomicBool::new(false);
+/// CPU factorizations in flight in this process.
+static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
 
-/// The one active tree; dropping it lets the next factorization fan out.
-struct TreeClaim;
+/// One in-flight CPU factorization; `alone` when no other was running as
+/// it started.
+struct InFlight {
+    alone: bool,
+}
 
-impl TreeClaim {
-    fn try_claim() -> Option<TreeClaim> {
-        TREE_ACTIVE
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .ok()
-            .map(|_| TreeClaim)
+impl InFlight {
+    fn enter() -> InFlight {
+        InFlight {
+            alone: IN_FLIGHT.fetch_add(1, Ordering::AcqRel) == 0,
+        }
     }
 }
 
-impl Drop for TreeClaim {
+impl Drop for InFlight {
     fn drop(&mut self) {
-        TREE_ACTIVE.store(false, Ordering::Release);
+        IN_FLIGHT.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 /// The executor's buffers, kept in the workspace across factorizations so
-/// a refactorization grows nothing. The sweep uses the first of each.
+/// a refactorization grows nothing.
 #[derive(Debug, Default)]
 pub(crate) struct CpuScratch {
-    /// Diagonal-block copies for the panel TRSM. The tree's factor units
-    /// draw them from one pool, so the wide ones near the root, which run
-    /// one at a time, share one buffer.
-    l11: Vec<Vec<f64>>,
-    /// One per lane.
+    /// One per lane; the sweep uses the first.
     lanes: Vec<LaneScratch>,
     /// RL's update matrices: the sweep's one, or the tree's [`Slab`].
     upd: Vec<f64>,
@@ -135,6 +116,8 @@ pub(crate) struct CpuScratch {
 /// One lane's scratch.
 #[derive(Debug, Default)]
 struct LaneScratch {
+    /// The diagonal-block copy of the panel TRSM.
+    l11: Vec<f64>,
     /// Relative indices of an RL scatter.
     rel: Vec<usize>,
     /// Targets of the apply batch the lane runs.
@@ -149,16 +132,6 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
     }
 }
 
-/// Takes from `pool` the smallest buffer of at least `need` entries, else
-/// the largest (the caller grows it), else a new one.
-fn take_fit(pool: &mut Vec<Vec<f64>>, need: usize) -> Vec<f64> {
-    let fit = (0..pool.len())
-        .filter(|&i| pool[i].len() >= need)
-        .min_by_key(|&i| pool[i].len())
-        .or_else(|| (0..pool.len()).max_by_key(|&i| pool[i].len()));
-    fit.map(|i| pool.swap_remove(i)).unwrap_or_default()
-}
-
 /// Factors `a` (permuted into factor order) with `variant`, drawing
 /// factor storage and scratch from `ws`, on `ws.resolved_lanes()` lanes
 /// unless the tree does not pay (see the module docs).
@@ -168,34 +141,46 @@ pub(crate) fn factor_cpu_ws(
     variant: Variant,
     ws: &mut EngineWorkspace,
 ) -> Result<CpuRun, FactorError> {
-    let want = if sym.flops < TREE_FLOPS {
-        1
-    } else {
+    let in_flight = InFlight::enter();
+    let lanes = if in_flight.alone && sym.flops >= TREE_FLOPS {
         ws.resolved_lanes()
+    } else {
+        1
     };
-    let claim = (want > 1).then(TreeClaim::try_claim).flatten();
-    let lanes = if claim.is_some() { want } else { 1 };
-    execute(sym, a, variant, ws, lanes, &|_| {})
+    let plan = Plan {
+        lanes,
+        shrink: true,
+        after_factor: &|_| {},
+    };
+    execute(sym, a, variant, ws, &plan)
 }
 
-/// The executor at exactly `lanes` lanes (one: the sweep). `after_factor`
-/// runs on the lane that factored each supernode, right after it.
+/// How the executor runs.
+struct Plan<'h> {
+    /// Lanes (one: the sweep).
+    lanes: usize,
+    /// Whether lanes other than the caller's bow out, between units, once
+    /// another CPU factorization is in flight: the process is busy.
+    shrink: bool,
+    /// Runs on the lane that factored each supernode, right after it.
+    after_factor: &'h (dyn Fn(usize) + Sync),
+}
+
 fn execute(
     sym: &SymbolicFactor,
     a: &SymCsc,
     variant: Variant,
     ws: &mut EngineWorkspace,
-    lanes: usize,
-    after_factor: &(dyn Fn(usize) + Sync),
+    plan: &Plan<'_>,
 ) -> Result<CpuRun, FactorError> {
     let t0 = Instant::now();
     let mut data = ws.take_factor(sym, a);
     let mut trace = ws.take_trace();
-    let lanes = lanes.clamp(1, sym.nsup().max(1));
+    let lanes = plan.lanes.clamp(1, sym.nsup().max(1));
     let peak = if lanes == 1 {
-        sweep(sym, variant, &mut data, ws, &mut trace, after_factor)?
+        sweep(sym, variant, &mut data, ws, &mut trace, plan.after_factor)?
     } else {
-        let peak = Tree::run(sym, variant, &mut data, ws, lanes, after_factor)?;
+        let peak = Tree::run(sym, variant, &mut data, ws, lanes, plan)?;
         for s in 0..sym.nsup() {
             trace_supernode(sym, s, variant, &mut trace);
         }
@@ -227,8 +212,7 @@ fn factor_unit(
 }
 
 /// Apply s → t: `s`'s update subtracted from `t`'s array `tarr`, reading
-/// `s`'s update matrix (RL: `upd` holds its trailing block from `base`
-/// on) or its factored panel `src` (RLB).
+/// `s`'s update matrix `upd` (RL) or its factored panel `src` (RLB).
 #[allow(clippy::too_many_arguments)]
 fn apply_unit(
     sym: &SymbolicFactor,
@@ -237,14 +221,13 @@ fn apply_unit(
     t: usize,
     src: &[f64],
     upd: &[f64],
-    base: usize,
     tarr: &mut [f64],
     rel: &mut Vec<usize>,
 ) {
     match variant {
         Variant::Rl => {
             let (rows, r) = (&sym.rows[s], sym.sn_nrows_below(s));
-            scatter_segment(sym, tarr, segment_to(sym, s, t), rows, upd, base, r, rel);
+            scatter_segment(sym, tarr, segment_to(sym, s, t), rows, upd, r, rel);
         }
         Variant::Rlb => rlb_apply_run(sym, s, src, tarr, &rlb_run_to(sym, s, t), |_| {}),
     }
@@ -286,14 +269,11 @@ fn sweep(
     after_factor: &(dyn Fn(usize) + Sync),
 ) -> Result<usize, FactorError> {
     let ctl = &ws.ctl;
-    let CpuScratch { l11, lanes, upd } = &mut ws.cpu;
-    if l11.is_empty() {
-        l11.push(Vec::new());
-    }
+    let CpuScratch { lanes, upd } = &mut ws.cpu;
     if lanes.is_empty() {
         lanes.push(LaneScratch::default());
     }
-    let (l11, rel) = (&mut l11[0], &mut lanes[0].rel);
+    let LaneScratch { l11, rel, .. } = &mut lanes[0];
     let mut peak = 0;
     if variant == Variant::Rl {
         // "The temporary working storage is preallocated so that it can
@@ -304,29 +284,25 @@ fn sweep(
     }
     for s in 0..sym.nsup() {
         ctl.check()?;
-        // Targets are strict ancestors (> s): a split borrow separates
-        // the source panel from them.
-        let (head, tail) = data.sn.split_at_mut(s + 1);
-        let src = &mut head[s];
-        factor_unit(sym, variant, s, src, l11, upd, |op| trace.push(*op))?;
+        factor_unit(sym, variant, s, &mut data.sn[s], l11, upd, |op| {
+            trace.push(*op)
+        })?;
         after_factor(s);
         // Every cursor is ready: apply s → t for all targets, ascending.
+        let r = sym.sn_nrows_below(s);
         match variant {
-            Variant::Rl if !sym.rows[s].is_empty() => {
-                let (rows, r) = (&sym.rows[s], sym.sn_nrows_below(s));
-                let entries = segments(sym, s)
-                    .map(|seg| {
-                        let tarr = &mut tail[seg.target - s - 1];
-                        scatter_segment(sym, tarr, seg, rows, upd, 0, r, rel)
-                    })
-                    .sum();
+            Variant::Rl if r > 0 => {
+                let entries = assemble_update(sym, &mut data.sn, s, upd, r, rel);
                 trace.push(TraceOp::Assemble { entries });
             }
             Variant::Rl => {}
             Variant::Rlb => {
+                // Targets are strict ancestors (> s): a split borrow
+                // separates the source panel from them.
+                let (head, tail) = data.sn.split_at_mut(s + 1);
                 for run in rlb_target_runs(sym, s) {
                     let tarr = &mut tail[run.target - s - 1];
-                    rlb_apply_run(sym, s, src, tarr, &run, |op| trace.push(*op));
+                    rlb_apply_run(sym, s, &head[s], tarr, &run, |op| trace.push(*op));
                 }
             }
         }
@@ -339,10 +315,9 @@ fn sweep(
 /// Safety rests on the schedule: apply s → t is the only unit writing
 /// `t`, and only one apply into `t` is ever ready at a time (its cursor);
 /// factor t writes `t` once every apply into it has completed; after
-/// factor s, `s` is only read. A slab range is written by the one unit
-/// it was handed to (factor s, or compact s for its new range) and read
-/// by `s`'s applies, which start after that unit and end before the
-/// range is handed out again. Every hand-over goes through the state
+/// factor s, `s` is only read. A slab range is written by factor s and
+/// read by `s`'s applies, which start after it and end before the range
+/// is handed out again. Every hand-over goes through the state
 /// lock, which orders the writes before the reads.
 struct Arrays {
     sn: Vec<(*mut f64, usize)>,
@@ -381,30 +356,11 @@ impl Arrays {
 
 /// A unit handed to a lane, with what it takes from the shared state.
 enum Unit {
-    /// Factor `s`; `l11` is its TRSM's scratch and (RL) its update matrix
-    /// goes to slab range `upd`.
-    Factor {
-        s: usize,
-        l11: Vec<f64>,
-        upd: (usize, usize),
-    },
+    /// Factor `s`; (RL) its update matrix goes to slab range `upd`.
+    Factor { s: usize, upd: (usize, usize) },
     /// Apply `s →` each target of the lane's batch, reading (RL) `s`'s
-    /// update matrix in slab range `upd`: its trailing block from `base`
-    /// on.
-    Apply {
-        s: usize,
-        upd: (usize, usize),
-        base: usize,
-    },
-    /// Copy the trailing block from `to` on of `s`'s held matrix in slab
-    /// range `old` (whose base is `from`) to the smaller range `new`.
-    Compact {
-        s: usize,
-        from: usize,
-        to: usize,
-        old: (usize, usize),
-        new: (usize, usize),
-    },
+    /// update matrix in slab range `upd`.
+    Apply { s: usize, upd: (usize, usize) },
 }
 
 /// Where RL's live update matrices sit: one slab of `lanes ×
@@ -479,40 +435,19 @@ impl Slab {
     }
 }
 
-/// Copies the lower triangle of the trailing block `U[to.., to..]` of a
-/// held update matrix out of `old`, which stores `U[from.., from..]`
-/// (leading dimension `r - from`), into `new` with leading dimension
-/// `r - to`. Values move, nothing is recomputed.
-fn compact(old: &[f64], new: &mut [f64], r: usize, from: usize, to: usize) {
-    let (m, k, d) = (r - from, r - to, to - from);
-    for j in 0..k {
-        let src = (j + d) * m + d + j;
-        new[j * k + j..(j + 1) * k].copy_from_slice(&old[src..src + (k - j)]);
-    }
-}
-
 /// Scheduling state, behind one lock.
 struct State {
     seq: Sequencer,
-    /// Ready units, lowest `(source, target)` first. `(s, s)` is factor s,
-    /// or compact s once `s` is factored.
+    /// Ready units, lowest `(source, target)` first; `(s, s)` is factor s.
     ready: BinaryHeap<Reverse<(usize, usize)>>,
     /// RL factor units waiting for slab room, lowest first.
     starved: BinaryHeap<Reverse<usize>>,
     factored: Vec<bool>,
     /// Applies of each source still to run.
     left: Vec<usize>,
-    /// Applies of each source that are ready or running.
-    busy: Vec<usize>,
-    /// Each factored RL source's slab range until its last apply, holding
-    /// the trailing block of its update matrix from `base[s]` on.
+    /// Each factored RL source's slab range, until its last apply.
     held: Vec<(usize, usize)>,
-    base: Vec<usize>,
-    /// The new base of a source being compacted; its applies wait.
-    compacting: Vec<Option<usize>>,
     slab: Slab,
-    /// Free diagonal-block scratch of the factor units.
-    l11: Vec<Vec<f64>>,
     /// Sources fully applied, and the lowest one that is not.
     finished: Vec<bool>,
     nfinished: usize,
@@ -530,7 +465,7 @@ struct Tree<'a> {
     variant: Variant,
     arrays: Arrays,
     ctl: &'a RunCtl,
-    after_factor: &'a (dyn Fn(usize) + Sync),
+    plan: &'a Plan<'a>,
     state: Mutex<State>,
     wake: Condvar,
 }
@@ -544,14 +479,11 @@ impl<'a> Tree<'a> {
         data: &mut FactorData,
         ws: &'a mut EngineWorkspace,
         lanes: usize,
-        after_factor: &'a (dyn Fn(usize) + Sync),
+        plan: &'a Plan<'a>,
     ) -> Result<usize, FactorError> {
         let nsup = sym.nsup();
         let seq = Sequencer::new(sym);
-        let ready = (0..nsup)
-            .filter(|&t| seq.next(t).is_none())
-            .map(|t| Reverse((t, t)))
-            .collect();
+        let ready = seq.leaves().map(|t| Reverse((t, t))).collect();
         let left = (0..nsup).map(|s| segments(sym, s).count()).collect();
         let max_upd = sym.max_update_matrix_entries();
         let slab_len = if variant == Variant::Rl {
@@ -574,19 +506,15 @@ impl<'a> Tree<'a> {
                 slab: ws.cpu.upd.as_mut_ptr(),
             },
             ctl: &ws.ctl,
-            after_factor,
+            plan,
             state: Mutex::new(State {
                 seq,
                 ready,
                 starved: BinaryHeap::new(),
                 factored: vec![false; nsup],
                 left,
-                busy: vec![0; nsup],
                 held: vec![(0, 0); nsup],
-                base: vec![0; nsup],
-                compacting: vec![None; nsup],
                 slab: Slab::new(max_upd, slab_len),
-                l11: std::mem::take(&mut ws.cpu.l11),
                 finished: vec![false; nsup],
                 nfinished: 0,
                 low: 0,
@@ -604,12 +532,12 @@ impl<'a> Tree<'a> {
                 .map(|mut sc| {
                     let tree = &tree;
                     scope.spawn(move || {
-                        tree.lane(&mut sc);
+                        tree.lane(&mut sc, true);
                         sc
                     })
                 })
                 .collect();
-            tree.lane(&mut mine);
+            tree.lane(&mut mine, false);
             let mut all = vec![mine];
             all.extend(
                 others
@@ -620,7 +548,6 @@ impl<'a> Tree<'a> {
         });
         let st = tree.state.into_inner().unwrap();
         ws.cpu.lanes = scratch;
-        ws.cpu.l11 = st.l11;
         if let Some(payload) = st.panic {
             resume_unwind(payload);
         }
@@ -633,11 +560,18 @@ impl<'a> Tree<'a> {
     }
 
     /// One lane: run the lowest ready unit; with none ready, help the
-    /// pool's running split, else sleep until a unit is released.
-    fn lane(&self, scratch: &mut LaneScratch) {
+    /// pool's running split, else sleep until a unit is released. A
+    /// `spawned` lane bows out when the plan shrinks and the process is
+    /// busy, handing any ready work on; the caller's lane alone can
+    /// finish the tree.
+    fn lane(&self, scratch: &mut LaneScratch, spawned: bool) {
         let mut st = self.state.lock().unwrap();
         loop {
             if st.stop {
+                return;
+            }
+            if spawned && self.plan.shrink && IN_FLIGHT.load(Ordering::Acquire) > 1 {
+                self.wake.notify_one();
                 return;
             }
             if let Some(unit) = self.pop(&mut st, &mut scratch.batch) {
@@ -689,28 +623,9 @@ impl<'a> Tree<'a> {
                     st.ready.pop();
                     batch.push(u);
                 }
-                return Some(Unit::Apply {
-                    s,
-                    upd: st.held[s],
-                    base: st.base[s],
-                });
+                return Some(Unit::Apply { s, upd: st.held[s] });
             }
             let r = self.sym.sn_nrows_below(s);
-            if st.factored[s] {
-                let to = st.compacting[s].expect("compaction was scheduled");
-                let Some(new) = st.slab.take((r - to) * (r - to), false) else {
-                    st.compacting[s] = None;
-                    self.queue_applies(st, s);
-                    continue;
-                };
-                return Some(Unit::Compact {
-                    s,
-                    from: st.base[s],
-                    to,
-                    old: st.held[s],
-                    new,
-                });
-            }
             let upd = if self.variant == Variant::Rlb || r == 0 {
                 (0, 0)
             } else if let Some(upd) = st.slab.take(r * r, s == st.low) {
@@ -719,13 +634,7 @@ impl<'a> Tree<'a> {
                 st.starved.push(Reverse(s));
                 continue;
             };
-            let c = self.sym.sn_ncols(s);
-            let l11 = if r > 0 {
-                take_fit(&mut st.l11, c * c)
-            } else {
-                Vec::new()
-            };
-            return Some(Unit::Factor { s, l11, upd });
+            return Some(Unit::Factor { s, upd });
         }
         None
     }
@@ -733,35 +642,24 @@ impl<'a> Tree<'a> {
     /// Runs one unit outside the lock; returns it for [`complete`].
     fn work(&self, unit: Unit, scratch: &mut LaneScratch) -> Result<Unit, FactorError> {
         let (sym, variant) = (self.sym, self.variant);
-        // SAFETY (all three arms): the state lock handed these arrays and
-        // slab ranges to this unit, as the `Arrays` docs lay out.
+        // SAFETY (both arms): the state lock handed these arrays and slab
+        // ranges to this unit, as the `Arrays` docs lay out.
         match unit {
-            Unit::Factor { s, mut l11, upd } => {
+            Unit::Factor { s, upd } => {
                 self.ctl.check()?;
                 let arr = unsafe { self.arrays.write(s) };
                 let upd_m = unsafe { self.arrays.slab(upd) };
-                factor_unit(sym, variant, s, arr, &mut l11, upd_m, |_| {})?;
-                (self.after_factor)(s);
-                Ok(Unit::Factor { s, l11, upd })
-            }
-            Unit::Apply { s, upd, base } => {
-                let (src, upd_m) = unsafe { (self.arrays.read(s), self.arrays.slab(upd)) };
-                let LaneScratch { rel, batch } = scratch;
-                for &t in batch.iter() {
-                    let tarr = unsafe { self.arrays.write(t) };
-                    apply_unit(sym, variant, s, t, src, upd_m, base, tarr, rel);
-                }
+                factor_unit(sym, variant, s, arr, &mut scratch.l11, upd_m, |_| {})?;
+                (self.plan.after_factor)(s);
                 Ok(unit)
             }
-            Unit::Compact {
-                s,
-                from,
-                to,
-                old,
-                new,
-            } => {
-                let (old_m, new_m) = unsafe { (self.arrays.slab(old), self.arrays.slab(new)) };
-                compact(old_m, new_m, sym.sn_nrows_below(s), from, to);
+            Unit::Apply { s, upd } => {
+                let (src, upd_m) = unsafe { (self.arrays.read(s), self.arrays.slab(upd)) };
+                let LaneScratch { rel, batch, .. } = scratch;
+                for &t in batch.iter() {
+                    let tarr = unsafe { self.arrays.write(t) };
+                    apply_unit(sym, variant, s, t, src, upd_m, tarr, rel);
+                }
                 Ok(unit)
             }
         }
@@ -770,78 +668,32 @@ impl<'a> Tree<'a> {
     /// Records a finished unit and releases what it unblocks.
     fn complete(&self, st: &mut State, unit: Unit, batch: &[usize]) {
         match unit {
-            Unit::Factor { s, l11, upd } => {
-                if l11.capacity() > 0 {
-                    st.l11.push(l11);
-                }
+            Unit::Factor { s, upd } => {
                 st.factored[s] = true;
                 st.held[s] = upd;
-                self.queue_applies(st, s);
-                self.settle(st, s);
+                // Queue every apply whose target's cursor is at `s`.
+                for seg in segments(self.sym, s) {
+                    if st.seq.next(seg.target) == Some(s) {
+                        st.ready.push(Reverse((s, seg.target)));
+                    }
+                }
+                if st.left[s] == 0 {
+                    self.finish(st, s);
+                }
             }
             Unit::Apply { s, .. } => {
                 for &t in batch {
-                    st.busy[s] -= 1;
                     st.left[s] -= 1;
-                    st.seq.advance(t);
-                    match st.seq.next(t) {
-                        None => st.ready.push(Reverse((t, t))),
-                        Some(q) if st.factored[q] && st.compacting[q].is_none() => {
-                            st.busy[q] += 1;
-                            st.ready.push(Reverse((q, t)));
-                        }
-                        Some(_) => {}
+                    if st.seq.advance(t) {
+                        st.ready.push(Reverse((t, t)));
+                    } else if let Some(q) = st.seq.next(t).filter(|&q| st.factored[q]) {
+                        st.ready.push(Reverse((q, t)));
                     }
                 }
-                self.settle(st, s);
+                if st.left[s] == 0 {
+                    self.finish(st, s);
+                }
             }
-            Unit::Compact {
-                s, to, old, new, ..
-            } => {
-                st.slab.put(old);
-                st.held[s] = new;
-                st.base[s] = to;
-                st.compacting[s] = None;
-                self.queue_applies(st, s);
-                self.settle(st, s);
-                self.readmit(st);
-            }
-        }
-    }
-
-    /// Queues every apply of the factored source `s` whose target's
-    /// cursor is at `s`.
-    fn queue_applies(&self, st: &mut State, s: usize) {
-        for seg in segments(self.sym, s) {
-            if st.seq.next(seg.target) == Some(s) {
-                st.busy[s] += 1;
-                st.ready.push(Reverse((s, seg.target)));
-            }
-        }
-    }
-
-    /// After a unit of source `s`: finish it when fully applied; else, when
-    /// none of its applies is ready and the rest of its RL matrix is at
-    /// most half of its range, schedule compacting it to that rest.
-    fn settle(&self, st: &mut State, s: usize) {
-        if st.left[s] == 0 {
-            return self.finish(st, s);
-        }
-        if self.variant != Variant::Rl || st.busy[s] > 0 || st.compacting[s].is_some() {
-            return;
-        }
-        // Every remaining target's cursor is below `s`; the first one's
-        // segment starts the rest.
-        let Some(to) = segments(self.sym, s)
-            .find(|g| st.seq.next(g.target).is_some_and(|q| q < s))
-            .map(|g| g.lo)
-        else {
-            return;
-        };
-        let rest = self.sym.sn_nrows_below(s) - to;
-        if 2 * rest * rest <= st.held[s].1 {
-            st.compacting[s] = Some(to);
-            st.ready.push(Reverse((s, s)));
         }
     }
 
@@ -887,8 +739,7 @@ mod tests {
     use rlchol_symbolic::{analyze, SymbolicOptions};
 
     /// `a` in nested-dissection order (a bushy tree, where the lanes run
-    /// ahead of the lowest source and RL matrices get compacted), with
-    /// its symbolic factor.
+    /// ahead of the lowest source), with its symbolic factor.
     fn prepared(a: &SymCsc) -> (SymbolicFactor, SymCsc) {
         let a = a.permute(&order(a, OrderingMethod::NestedDissection));
         let sym = analyze(&a, &SymbolicOptions::default());
@@ -900,7 +751,16 @@ mod tests {
     /// and the one-active-tree rule.
     fn at(sym: &SymbolicFactor, ap: &SymCsc, variant: Variant, lanes: usize) -> CpuRun {
         let mut ws = EngineWorkspace::default();
-        execute(sym, ap, variant, &mut ws, lanes, &|_| {}).unwrap()
+        execute(sym, ap, variant, &mut ws, &fixed(lanes, &|_| {})).unwrap()
+    }
+
+    /// Exactly `lanes` lanes, whatever else runs.
+    fn fixed(lanes: usize, after_factor: &(dyn Fn(usize) + Sync)) -> Plan<'_> {
+        Plan {
+            lanes,
+            shrink: false,
+            after_factor,
+        }
     }
 
     /// Factor and trace at 2, 4 and 8 lanes equal the sweep's, bit for
@@ -926,29 +786,6 @@ mod tests {
     fn lanes_match_the_sweep_3d() {
         check_lanes(&grid3d(7, 7, 7, Stencil::Star7, 1, 3));
         check_lanes(&grid3d(12, 10, 9, Stencil::Star7, 1, 4));
-    }
-
-    #[test]
-    fn compaction_keeps_the_trailing_triangle() {
-        // A 6 x 6 matrix stored from base 1 (a 5 x 5 block), compacted to
-        // base 3: the lower triangle of U[3.., 3..] moves, nothing else.
-        let (r, from, to) = (6, 1, 3);
-        let m = r - from;
-        let u = |i: usize, j: usize| (10 * i + j) as f64;
-        let mut old = vec![f64::NAN; m * m];
-        for j in from..r {
-            for i in j..r {
-                old[(j - from) * m + (i - from)] = u(i, j);
-            }
-        }
-        let k = r - to;
-        let mut new = vec![f64::NAN; k * k];
-        compact(&old, &mut new, r, from, to);
-        for j in to..r {
-            for i in j..r {
-                assert_eq!(new[(j - to) * k + (i - to)], u(i, j), "({i}, {j})");
-            }
-        }
     }
 
     #[test]
@@ -1041,28 +878,39 @@ mod tests {
                 let mut ws = EngineWorkspace::default();
                 ws.ctl = RunCtl::armed(Deadline::none(), token.clone());
                 let cancel = |_: usize| token.cancel();
-                let err = execute(&sym, &ap, variant, &mut ws, lanes, &cancel).unwrap_err();
+                let plan = fixed(lanes, &cancel);
+                let err = execute(&sym, &ap, variant, &mut ws, &plan).unwrap_err();
                 assert_eq!(err, FactorError::Cancelled, "{variant:?} lanes={lanes}");
                 // Every lane came home: the workspace runs again.
                 token.reset();
-                assert!(execute(&sym, &ap, variant, &mut ws, lanes, &|_| {}).is_ok());
+                assert!(execute(&sym, &ap, variant, &mut ws, &fixed(lanes, &|_| {})).is_ok());
             }
         }
     }
 
     #[test]
-    fn one_tree_at_a_time() {
-        // Other tests may hold the claim for a moment; wait for it.
-        let first = loop {
-            match TreeClaim::try_claim() {
-                Some(claim) => break claim,
-                None => std::thread::yield_now(),
-            }
-        };
-        assert!(
-            TreeClaim::try_claim().is_none(),
-            "a second tree runs at one lane"
-        );
-        drop(first);
+    fn lanes_bow_out_when_the_process_is_busy() {
+        // With another factorization in flight, the spawned lanes leave
+        // at once and the caller's lane finishes the tree alone.
+        let (sym, ap) = prepared(&grid3d(8, 7, 6, Stencil::Star7, 1, 6));
+        let busy = (InFlight::enter(), InFlight::enter());
+        for variant in [Variant::Rl, Variant::Rlb] {
+            let plan = Plan {
+                lanes: 4,
+                shrink: true,
+                after_factor: &|_| {},
+            };
+            let tree = execute(&sym, &ap, variant, &mut EngineWorkspace::default(), &plan);
+            assert_eq!(tree.unwrap().factor, at(&sym, &ap, variant, 1).factor);
+        }
+        drop(busy);
+    }
+
+    #[test]
+    fn a_factorization_that_starts_beside_another_takes_one_lane() {
+        let first = InFlight::enter();
+        let second = InFlight::enter();
+        assert!(!second.alone, "a second factorization runs the sweep");
+        drop((first, second));
     }
 }

@@ -1,21 +1,15 @@
-//! The engine-agnostic frontier driver and update sequencer.
+//! The engine-agnostic update sequencer.
 //!
 //! A supernode is *ready* when every descendant that updates it has
-//! finished applying its updates. [`Frontier`] owns exactly that state —
-//! one remaining-updater count per supernode, decremented as updaters
-//! complete. [`Sequencer`] adds the order: every target's updaters in
-//! ascending source order, with a cursor at the next one to apply. An
-//! executor that applies an update into `t` only when `t`'s cursor
-//! reaches its source performs every target's subtractions in the
-//! serial sweep's order, so its factor is bit-identical to the sweep's
-//! whatever runs when. Neither type knows about threads, locks or
-//! devices: the CPU tree executor ([`super::cpu`]) keeps a sequencer
-//! under its one lock; the GPU executor ([`super::gpu`]) drains an
-//! index-ordered heap from a single issue loop and sequences its
-//! out-of-order retirement with one. Frontier counts are atomic so
-//! concurrent executors may release targets from any thread.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! applied its update. [`Sequencer`] owns exactly that state, with its
+//! order: every target's updaters in ascending source order, and a
+//! cursor at the next one to apply. An executor that applies an update
+//! into `t` only when `t`'s cursor reaches its source performs every
+//! target's subtractions in the serial sweep's order, so its factor is
+//! bit-identical to the sweep's whatever runs when. The sequencer knows
+//! nothing of threads, locks or devices: the CPU tree executor
+//! ([`super::cpu`]) keeps it under its one lock; the GPU executor
+//! ([`super::gpu`]) advances it from a single issue loop.
 
 use rlchol_symbolic::SymbolicFactor;
 
@@ -29,50 +23,6 @@ pub fn distinct_targets(sym: &SymbolicFactor, s: usize, out: &mut Vec<usize>) {
         if out.last() != Some(&p) {
             out.push(p);
         }
-    }
-}
-
-/// Remaining-updater counts over the supernodal elimination structure.
-pub struct Frontier {
-    /// One count per supernode: distinct update *sources* not yet
-    /// completed. Zero means ready.
-    deps: Vec<AtomicUsize>,
-}
-
-impl Frontier {
-    /// Builds the counts from the symbolic structure: one per distinct
-    /// `(source, target)` update pair.
-    pub fn new(sym: &SymbolicFactor) -> Self {
-        let nsup = sym.nsup();
-        let mut deps = vec![0usize; nsup];
-        let mut targets = Vec::new();
-        for s in 0..nsup {
-            distinct_targets(sym, s, &mut targets);
-            for &p in &targets {
-                deps[p] += 1;
-            }
-        }
-        Frontier {
-            deps: deps.into_iter().map(AtomicUsize::new).collect(),
-        }
-    }
-
-    /// Number of supernodes tracked.
-    pub fn nsup(&self) -> usize {
-        self.deps.len()
-    }
-
-    /// The initially ready supernodes (the forest's leaves), ascending.
-    pub fn initial_ready(&self) -> Vec<usize> {
-        (0..self.deps.len())
-            .filter(|&s| self.deps[s].load(Ordering::Relaxed) == 0)
-            .collect()
-    }
-
-    /// Records that one updater of `target` has completed; returns `true`
-    /// exactly once per target — when its last updater releases it.
-    pub fn release(&self, target: usize) -> bool {
-        self.deps[target].fetch_sub(1, Ordering::AcqRel) == 1
     }
 }
 
@@ -126,10 +76,18 @@ impl Sequencer {
         (at < self.ptr[target + 1]).then(|| self.list[at])
     }
 
-    /// Records that `target`'s next update has been applied.
-    pub fn advance(&mut self, target: usize) {
+    /// The supernodes no update goes into (the forest's leaves),
+    /// ascending: ready from the start.
+    pub fn leaves(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.cursor.len()).filter(|&t| self.ptr[t] == self.ptr[t + 1])
+    }
+
+    /// Records that `target`'s next update has been applied; returns
+    /// whether that was its last (it is ready now).
+    pub fn advance(&mut self, target: usize) -> bool {
         debug_assert!(self.next(target).is_some(), "{target} has no update left");
         self.cursor[target] += 1;
+        self.next(target).is_none()
     }
 }
 
@@ -161,9 +119,9 @@ mod tests {
         // become ready exactly once, and before its own retirement.
         let a = grid3d(5, 5, 5, Stencil::Star7, 1, 4);
         let sym = analyze(&a, &SymbolicOptions::default());
-        let frontier = Frontier::new(&sym);
+        let mut seq = Sequencer::new(&sym);
         let mut became_ready = vec![false; sym.nsup()];
-        for s in frontier.initial_ready() {
+        for s in seq.leaves().collect::<Vec<_>>() {
             became_ready[s] = true;
         }
         let mut targets = Vec::new();
@@ -171,7 +129,7 @@ mod tests {
             assert!(became_ready[s], "supernode {s} retired before ready");
             distinct_targets(&sym, s, &mut targets);
             for &p in &targets {
-                if frontier.release(p) {
+                if seq.advance(p) {
                     assert!(!became_ready[p], "supernode {p} released twice");
                     became_ready[p] = true;
                 }

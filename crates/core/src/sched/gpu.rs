@@ -4,7 +4,7 @@
 //! walk supernodes left to right on one compute/copy stream pair, so a
 //! supernode's H2D waits behind its *predecessor's* kernels even when the
 //! two live in disjoint subtrees. This executor splits scheduling into
-//! two interleaved phases driven by the engine-agnostic [`Frontier`]:
+//! two interleaved phases driven by the engine-agnostic [`Sequencer`]:
 //!
 //! * **Issue (out of order).** Whenever a supernode becomes
 //!   ready — all its updaters have been applied to host storage — its
@@ -40,7 +40,7 @@
 //!     operands in the same per-target order as the serial engines, so
 //!     the factor is **bit-identical** at any stream count for both
 //!     variants; only the host-wait interleaving (and thus the simulated
-//!     clock) changes. Frontier releases happen per applied update unit,
+//!     clock) changes. Targets are released per applied update unit,
 //!     so a target becomes ready the moment its last incoming update
 //!     lands rather than when the global retire front passes. The
 //!     lookahead window is **adaptive**: it grows when issue is
@@ -103,7 +103,7 @@ use crate::rl::rl_update_matrix;
 use crate::rlb::{rlb_apply_run, rlb_run_to};
 use crate::storage::FactorData;
 
-use super::driver::{distinct_targets, Frontier, Sequencer};
+use super::driver::{distinct_targets, Sequencer};
 
 /// Pipelined multi-stream GPU-RL ([`crate::engine::Method::RlGpuPipe`]),
 /// drawing factor storage from `ws`.
@@ -341,9 +341,8 @@ fn run_inorder(
     let nsup = sym.nsup();
     let nstreams = ctxs.len();
 
-    let frontier = Frontier::new(sym);
-    let mut heap: BinaryHeap<Reverse<usize>> =
-        frontier.initial_ready().into_iter().map(Reverse).collect();
+    let mut seq = Sequencer::new(sym);
+    let mut heap: BinaryHeap<Reverse<usize>> = seq.leaves().map(Reverse).collect();
     let mut inflight: Vec<Option<InFlight>> = (0..nsup).map(|_| None).collect();
     let mut in_flight_count = 0usize;
     // Lookahead window: at most ~2 supernodes queued per stream pair.
@@ -422,7 +421,7 @@ fn run_inorder(
 
         distinct_targets(sym, s, &mut targets);
         for &p in &targets {
-            if frontier.release(p) {
+            if seq.advance(p) {
                 heap.push(Reverse(p));
             }
         }
@@ -456,10 +455,7 @@ fn run_ooo(
     // sequence cursor that enforces it.
     let mut seq = Sequencer::new(sym);
     let mut targets = Vec::new();
-
-    let frontier = Frontier::new(sym);
-    let mut heap: BinaryHeap<Reverse<usize>> =
-        frontier.initial_ready().into_iter().map(Reverse).collect();
+    let mut heap: BinaryHeap<Reverse<usize>> = seq.leaves().map(Reverse).collect();
     let mut inflight: Vec<Option<InFlight>> = (0..nsup).map(|_| None).collect();
     let mut inflight_ids: Vec<usize> = Vec::new();
     let mut landed = vec![false; nsup];
@@ -503,7 +499,6 @@ fn run_ooo(
                     cpu,
                     *variant,
                     t,
-                    &frontier,
                     &mut seq,
                     &landed,
                     &mut stash,
@@ -550,7 +545,6 @@ fn run_ooo(
             cpu,
             *variant,
             s,
-            &frontier,
             &mut seq,
             &landed,
             &mut stash,
@@ -620,8 +614,8 @@ fn land_cpu_node(
 
 /// After source `s` lands, advance every one of its targets' sequence
 /// cursors: apply each target's next-expected updates while they are
-/// landed (possibly from sources that landed long ago), releasing the
-/// frontier once per applied unit. Per-target application order is
+/// landed (possibly from sources that landed long ago), releasing each
+/// target when its last unit lands. Per-target application order is
 /// always ascending source — the serial order — regardless of landing
 /// order, which is what keeps the factor bit-identical.
 #[allow(clippy::too_many_arguments)]
@@ -632,7 +626,6 @@ fn cascade(
     cpu: &CpuModel,
     variant: Variant,
     s: usize,
-    frontier: &Frontier,
     seq: &mut Sequencer,
     landed: &[bool],
     stash: &mut [Option<LandedSource>],
@@ -649,8 +642,7 @@ fn cascade(
                 break;
             }
             apply_unit(gpu, sym, data, cpu, variant, q, p, stash);
-            seq.advance(p);
-            if frontier.release(p) {
+            if seq.advance(p) {
                 heap.push(Reverse(p));
             }
         }
@@ -683,7 +675,6 @@ fn apply_unit(
                     segment_to(sym, q, p),
                     &sym.rows[q],
                     &st.staged,
-                    0,
                     st.r,
                     &mut Vec::new(),
                 );

@@ -1,44 +1,31 @@
-//! Elimination-tree scheduling: an engine-agnostic frontier driver plus
-//! the executors built on it.
+//! Elimination-tree scheduling: an engine-agnostic update sequencer plus
+//! the two executors built on it.
 //!
 //! Two supernodes in disjoint subtrees of the supernodal elimination
 //! tree touch disjoint storage and can be processed concurrently (the
-//! fan-out / right-looking task model — cf. the asynchronous fan-both
-//! solver of Jacquelin et al.). What "processed" means is up to the
-//! executor; the dependency machinery is not:
+//! fan-both task model of Jacquelin et al.). What "processed" means is up
+//! to the executor; the dependency machinery is not:
 //!
-//! * [`driver`] — the **frontier driver**: per-supernode dependency
-//!   counts derived from the symbolic block/row structure (supernode `p`
-//!   may start once every descendant that updates it has applied its
-//!   updates), leaf seeding, and fan-out release. It knows nothing about
-//!   threads, locks, or devices — executors layer their own queueing and
-//!   synchronization over it.
+//! * [`driver`] — the [`Sequencer`]: each target's updaters in ascending
+//!   source order with a cursor at the next, derived from the symbolic
+//!   row structure. Applying updates only at the cursor keeps every
+//!   factor bit-identical to the serial sweep. It knows nothing about
+//!   threads, locks, or devices.
 //! * [`cpu`] — the CPU tree executor every CPU method runs on: *factor
-//!   s* and *apply s → t* units, each target's updates in ascending
-//!   source order through the driver's [`Sequencer`], so the factor is
-//!   the one-lane sweep's at any lane count; kernels split across the
-//!   persistent [`rlchol_dense::pool`].
-//! * [`gpu`] — the **pipelined multi-stream GPU executor**: independent
-//!   ready supernodes are dispatched onto `RLCHOL_STREAMS` simulated
-//!   compute/copy stream pairs (per-pair device buffers, `Event`-gated
-//!   buffer reuse, least-loaded assignment), while
-//!   supernodes retire — host assembly, CPU-path work, frontier
-//!   release — under one of two disciplines selected by
-//!   `RLCHOL_RETIRE`: **in-order** (ascending supernode order, the
-//!   conservative default) or **out-of-order** (a supernode's host
-//!   effects apply as soon as its device→host copy lands, with
-//!   per-target sequence counters forcing each destination's updates
-//!   into ascending-source order and an adaptive lookahead window
-//!   pacing issue against retirement — the asynchronous fan-both
-//!   discipline). Both keep the factor bit-identical to the
-//!   single-stream engines at any stream count; out-of-order stops the
-//!   host timeline from serializing on the oldest in-flight supernode.
-//!   On staged handles the executor also keeps its device session
-//!   resident across same-pattern refactorizations (buffers and
-//!   uploaded pattern metadata survive between calls).
+//!   s* and *apply s → t* units on `SolverOptions::threads` lanes, the
+//!   factor the one-lane sweep's at any lane count; kernels split across
+//!   the persistent [`rlchol_dense::pool`].
+//! * [`gpu`] — the **pipelined multi-stream GPU executor**: ready
+//!   supernodes are dispatched onto `RLCHOL_STREAMS` simulated
+//!   compute/copy stream pairs (least-loaded assignment, `Event`-gated
+//!   buffer reuse) and retire in order or out of order
+//!   (`RLCHOL_RETIRE`), in either case bit-identical to the
+//!   single-stream engines at any stream count; on staged handles the
+//!   device session stays resident across same-pattern
+//!   refactorizations.
 
 pub mod cpu;
 pub mod driver;
 pub mod gpu;
 
-pub use driver::{Frontier, Sequencer};
+pub use driver::Sequencer;
