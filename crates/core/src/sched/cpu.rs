@@ -346,11 +346,17 @@ impl Arrays {
     }
 
     /// # Safety
-    /// The range was handed to the caller's unit; for writing, to it
-    /// alone.
+    /// The slab range was handed to the caller's unit alone.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn slab(&self, range: (usize, usize)) -> &mut [f64] {
-        std::slice::from_raw_parts_mut(self.slab.add(range.0), range.1)
+    unsafe fn slab_write(&self, (start, len): (usize, usize)) -> &mut [f64] {
+        std::slice::from_raw_parts_mut(self.slab.add(start), len)
+    }
+
+    /// # Safety
+    /// The slab range holds a factored source's update matrix (nothing
+    /// writes it any more) and stays handed out while the caller reads.
+    unsafe fn slab_read(&self, (start, len): (usize, usize)) -> &[f64] {
+        std::slice::from_raw_parts(self.slab.add(start), len)
     }
 }
 
@@ -459,6 +465,10 @@ struct State {
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
+/// Units run outside the state lock and catch their panics, so no lane
+/// panics while holding it.
+const POISON: &str = "no lane panics holding the state lock";
+
 /// What the lanes share.
 struct Tree<'a> {
     sym: &'a SymbolicFactor,
@@ -546,7 +556,7 @@ impl<'a> Tree<'a> {
             );
             all
         });
-        let st = tree.state.into_inner().unwrap();
+        let st = tree.state.into_inner().expect(POISON);
         ws.cpu.lanes = scratch;
         if let Some(payload) = st.panic {
             resume_unwind(payload);
@@ -565,7 +575,7 @@ impl<'a> Tree<'a> {
     /// busy, handing any ready work on; the caller's lane alone can
     /// finish the tree.
     fn lane(&self, scratch: &mut LaneScratch, spawned: bool) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock().expect(POISON);
         loop {
             if st.stop {
                 return;
@@ -580,7 +590,7 @@ impl<'a> Tree<'a> {
                 }
                 drop(st);
                 let result = catch_unwind(AssertUnwindSafe(|| self.work(unit, scratch)));
-                st = self.state.lock().unwrap();
+                st = self.state.lock().expect(POISON);
                 match result {
                     Ok(Ok(done)) => self.complete(&mut st, done, &scratch.batch),
                     Ok(Err(err)) => {
@@ -599,10 +609,10 @@ impl<'a> Tree<'a> {
             }
             drop(st);
             let helped = pool::global().try_run_one();
-            st = self.state.lock().unwrap();
+            st = self.state.lock().expect(POISON);
             if !helped && !st.stop && st.ready.is_empty() {
                 st.sleeping += 1;
-                st = self.wake.wait(st).unwrap();
+                st = self.wake.wait(st).expect(POISON);
                 st.sleeping -= 1;
             }
         }
@@ -642,21 +652,25 @@ impl<'a> Tree<'a> {
     /// Runs one unit outside the lock; returns it for [`complete`].
     fn work(&self, unit: Unit, scratch: &mut LaneScratch) -> Result<Unit, FactorError> {
         let (sym, variant) = (self.sym, self.variant);
-        // SAFETY (both arms): the state lock handed these arrays and slab
-        // ranges to this unit, as the `Arrays` docs lay out.
         match unit {
             Unit::Factor { s, upd } => {
                 self.ctl.check()?;
+                // SAFETY: factor s is popped once, after every apply into
+                // `s` completed; its slab range was handed to it alone.
                 let arr = unsafe { self.arrays.write(s) };
-                let upd_m = unsafe { self.arrays.slab(upd) };
+                let upd_m = unsafe { self.arrays.slab_write(upd) };
                 factor_unit(sym, variant, s, arr, &mut scratch.l11, upd_m, |_| {})?;
                 (self.plan.after_factor)(s);
                 Ok(unit)
             }
             Unit::Apply { s, upd } => {
-                let (src, upd_m) = unsafe { (self.arrays.read(s), self.arrays.slab(upd)) };
+                // SAFETY: `s` is factored, so only read, and its slab range
+                // stays handed out until its last apply completes.
+                let (src, upd_m) = unsafe { (self.arrays.read(s), self.arrays.slab_read(upd)) };
                 let LaneScratch { rel, batch, .. } = scratch;
                 for &t in batch.iter() {
+                    // SAFETY: `t`'s cursor is at `s`, so this apply is the
+                    // one unit that may write `t` now.
                     let tarr = unsafe { self.arrays.write(t) };
                     apply_unit(sym, variant, s, t, src, upd_m, tarr, rel);
                 }

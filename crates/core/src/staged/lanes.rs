@@ -229,6 +229,16 @@ impl WorkspaceLanes {
         self.cap
     }
 
+    /// Lanes of the CPU tree executor a factorization may run on (as
+    /// `EngineWorkspace::resolved_lanes` resolves them).
+    pub(crate) fn tree_lanes(&self) -> usize {
+        if self.threads == 0 {
+            rlchol_dense::pool::default_threads()
+        } else {
+            self.threads
+        }
+    }
+
     /// Heap bytes of one lane's private factor-ordered matrix template
     /// (every lane clones it at construction).
     pub(crate) fn template_bytes(&self) -> u64 {

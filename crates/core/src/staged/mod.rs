@@ -497,19 +497,19 @@ impl SymbolicCholesky {
     }
 
     /// Worst-case heap bytes of one workspace lane: its private
-    /// factor-ordered matrix plus the engine's factor storage, the
-    /// dense update-matrix scratch (RL forms one `r × r` update per
-    /// supernode), and the diagonal-block scratch.
+    /// factor-ordered matrix plus the engine's factor storage, and per
+    /// CPU tree lane the dense update-matrix room (RL forms one `r × r`
+    /// update per supernode) and the diagonal-block scratch.
     pub fn lane_memory_bytes(&self) -> u64 {
         let f64b = std::mem::size_of::<f64>() as u64;
         let max_diag = (0..self.sym.nsup())
             .map(|s| self.sym.sn_ncols(s) * self.sym.sn_ncols(s))
             .max()
             .unwrap_or(0) as u64;
+        let scratch = self.sym.max_update_matrix_entries() as u64 + max_diag;
         self.lanes.template_bytes()
             + self.sym.total_storage_entries() * f64b
-            + self.sym.max_update_matrix_entries() as u64 * f64b
-            + max_diag * f64b
+            + self.lanes.tree_lanes() as u64 * scratch * f64b
     }
 
     /// Checks that `a` has exactly the analyzed sparsity pattern.
