@@ -748,7 +748,7 @@ mod tests {
     use super::*;
     use crate::resilience::{CancelToken, Deadline};
     use rlchol_dense::{flops_potrf, flops_trsm};
-    use rlchol_matgen::{grid3d, laplace2d, Stencil};
+    use rlchol_matgen::{grid2d, grid3d, kkt3d, laplace2d, perturbed_grid3d, Stencil};
     use rlchol_ordering::{order, OrderingMethod};
     use rlchol_symbolic::{analyze, SymbolicOptions};
 
@@ -816,6 +816,17 @@ mod tests {
         assert_eq!(slab.free, vec![(10, 20)], "neighbours merge");
         slab.put((0, 10));
         assert_eq!((slab.held, slab.peak), (0, 26));
+    }
+
+    #[test]
+    fn lanes_match_the_sweep_on_varied_trees() {
+        // Denser stencils, several unknowns per node, random extra edges
+        // and a KKT-like system give other tree shapes and block
+        // structures.
+        check_lanes(&grid3d(8, 7, 6, Stencil::Star27, 1, 21));
+        check_lanes(&grid2d(30, 25, Stencil::Star9, 2, 22));
+        check_lanes(&perturbed_grid3d(9, 8, 7, Stencil::Star7, 1, 0.05, 23));
+        check_lanes(&kkt3d(6, 24));
     }
 
     #[test]
