@@ -112,6 +112,15 @@ impl EngineRun {
     }
 }
 
+/// `lanes`, with `0` meaning `RLCHOL_THREADS` / available parallelism.
+pub(crate) fn resolve_lanes(lanes: usize) -> usize {
+    if lanes == 0 {
+        rlchol_dense::pool::default_threads()
+    } else {
+        lanes
+    }
+}
+
 /// Engine-resolved resources, owned by a
 /// [`SymbolicCholesky`](crate::SymbolicCholesky) handle and threaded
 /// through every factorization it runs.
@@ -163,11 +172,7 @@ impl EngineWorkspace {
 
     /// Resolved lane count for the CPU tree executor.
     pub fn resolved_lanes(&self) -> usize {
-        if self.lanes == 0 {
-            rlchol_dense::pool::default_threads()
-        } else {
-            self.lanes
-        }
+        resolve_lanes(self.lanes)
     }
 
     /// Resolved GPU options (defaults to an everything-on-CPU threshold

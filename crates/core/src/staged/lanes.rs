@@ -229,14 +229,9 @@ impl WorkspaceLanes {
         self.cap
     }
 
-    /// Lanes of the CPU tree executor a factorization may run on (as
-    /// `EngineWorkspace::resolved_lanes` resolves them).
+    /// Lanes of the CPU tree executor a factorization may run on.
     pub(crate) fn tree_lanes(&self) -> usize {
-        if self.threads == 0 {
-            rlchol_dense::pool::default_threads()
-        } else {
-            self.threads
-        }
+        crate::registry::resolve_lanes(self.threads)
     }
 
     /// Heap bytes of one lane's private factor-ordered matrix template
