@@ -861,7 +861,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_matches_the_sweep_op_for_op() {
+    fn trace_flops_match_serial() {
         // The sweep records the kernels as they run; the tree emits them
         // from shapes. Both must give the same sequence.
         let a = grid3d(6, 5, 7, Stencil::Star7, 1, 3);
