@@ -454,9 +454,9 @@ struct State {
     /// Each factored RL source's slab range, until its last apply.
     held: Vec<(usize, usize)>,
     slab: Slab,
-    /// Sources fully applied, and the lowest one that is not.
+    /// Sources fully applied, and the lowest one that is not (`nsup`
+    /// once all are: the tree is done).
     finished: Vec<bool>,
-    nfinished: usize,
     low: usize,
     /// Lanes waiting for work.
     sleeping: usize,
@@ -526,7 +526,6 @@ impl<'a> Tree<'a> {
                 held: vec![(0, 0); nsup],
                 slab: Slab::new(max_upd, slab_len),
                 finished: vec![false; nsup],
-                nfinished: 0,
                 low: 0,
                 sleeping: 0,
                 stop: false,
@@ -564,7 +563,7 @@ impl<'a> Tree<'a> {
         if let Some(err) = st.error {
             return Err(err);
         }
-        debug_assert_eq!(st.nfinished, nsup);
+        debug_assert_eq!(st.low, nsup);
         debug_assert_eq!(st.slab.held, 0);
         Ok(st.slab.peak)
     }
@@ -718,11 +717,10 @@ impl<'a> Tree<'a> {
             st.slab.put(st.held[s]);
         }
         st.finished[s] = true;
-        st.nfinished += 1;
         while st.low < st.finished.len() && st.finished[st.low] {
             st.low += 1;
         }
-        if st.nfinished == st.finished.len() {
+        if st.low == st.finished.len() {
             st.stop = true;
             return;
         }
