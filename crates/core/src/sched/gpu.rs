@@ -1,4 +1,4 @@
-//! Pipelined multi-stream GPU executor over the frontier driver.
+//! Pipelined multi-stream GPU executor over the update sequencer.
 //!
 //! The single-stream GPU engines ([`crate::gpu_rl`], [`crate::gpu_rlb`])
 //! walk supernodes left to right on one compute/copy stream pair, so a

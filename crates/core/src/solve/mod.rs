@@ -9,7 +9,7 @@
 //!
 //! * [`plan`] — the [`SolvePlan`]: level sets of supernodes derived
 //!   from the elimination-tree dependency structure (the same structure
-//!   the [frontier driver](crate::sched::driver) schedules the numeric
+//!   the [update sequencer](crate::sched::driver) schedules the numeric
 //!   factorization with), the per-supernode incoming *gather* segments
 //!   that re-orient the forward sweep so parallel tasks write disjoint
 //!   entries, and per-level equal-cost slice boundaries. Pattern-only:

@@ -2,7 +2,7 @@
 //! symbolic factorization.
 //!
 //! Triangular solves carry the same dependency structure as the numeric
-//! factorization (the frontier driver in [`crate::sched::driver`]): in
+//! factorization (the update sequencer in [`crate::sched::driver`]): in
 //! the forward sweep `L y = b`, supernode `s` may finish its columns of
 //! `y` only after every descendant that updates those columns has
 //! produced its own entries; the backward sweep `Lᵀ x = y` reverses the

@@ -66,10 +66,8 @@ fn solver_opts(method: Method, faults: Option<FaultPlan>) -> SolverOptions {
     SolverOptions {
         method,
         gpu: gpu_opts(faults, None),
-        // Pin the task-parallel CPU engines to one pool lane so a
-        // fallback factorization is deterministic (same policy as
-        // tests/shared_handle.rs) and bitwise comparable to a clean
-        // one-shot run.
+        // Explicit lane counts, so no `RLCHOL_*` variable reaches a
+        // fallback factorization (its bits do not depend on them).
         threads: 1,
         factor_lanes: 1,
         ..SolverOptions::default()
