@@ -142,6 +142,8 @@ pub(crate) struct CpuRun {
     pub wall: Duration,
     /// Peak bytes of RL update matrices alive at once (0 for RLB).
     pub peak_held_bytes: usize,
+    /// Lanes the executor started (1: the one-lane sweep).
+    pub lanes: usize,
 }
 
 /// How the pipelined engines retire host-side effects (staged-update

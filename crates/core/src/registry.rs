@@ -67,6 +67,10 @@ pub struct FactorInfo {
     /// for RLB, which updates in place). At most `lanes ×` the largest
     /// update matrix.
     pub peak_held_bytes: usize,
+    /// Lanes the CPU tree executor started (1: the one-lane sweep, which
+    /// it runs below its flop cutoff or beside another CPU
+    /// factorization; 0 for the GPU engines).
+    pub lanes: usize,
     /// Recovery steps the staged handle took to produce this factor
     /// (retries, fallbacks, lane quarantines); empty on a clean run.
     pub recovery: Vec<crate::resilience::RecoveryEvent>,
@@ -89,6 +93,7 @@ impl EngineRun {
                 wall: run.wall,
                 trace: Some(run.trace),
                 peak_held_bytes: run.peak_held_bytes,
+                lanes: run.lanes,
                 ..FactorInfo::default()
             },
         }

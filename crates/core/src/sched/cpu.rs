@@ -43,8 +43,9 @@
 //! idle lane helps the running split before it sleeps, so the one wide
 //! supernode near the root still uses every lane.
 //!
-//! **Trace.** It depends on shapes only: the sweep records it as it runs,
-//! the tree emits it afterwards in supernode order (`trace_supernode`).
+//! **Trace.** It depends on shapes only, so both paths emit it after the
+//! run, in supernode order (`trace_supernode`), and the kernels run with
+//! no accounting.
 //!
 //! **Errors.** [`RunCtl::check`](crate::resilience::RunCtl::check) runs
 //! once per supernode at every lane count. A deadline, a cancellation, a
@@ -111,6 +112,9 @@ pub(crate) struct CpuScratch {
     lanes: Vec<LaneScratch>,
     /// RL's update matrices: the sweep's one, or the tree's [`Slab`].
     upd: Vec<f64>,
+    /// Test hook: cancelled right after each supernode is factored.
+    #[cfg(test)]
+    cancel_after_factor: Option<crate::resilience::CancelToken>,
 }
 
 /// One lane's scratch.
@@ -122,6 +126,9 @@ struct LaneScratch {
     rel: Vec<usize>,
     /// Targets of the apply batch the lane runs.
     batch: Vec<usize>,
+    /// Units the lane ran in the last tree.
+    #[cfg(test)]
+    units: usize,
 }
 
 /// Grows `buf` to at least `len` entries. A fresh allocation is zeroed by
@@ -147,50 +154,38 @@ pub(crate) fn factor_cpu_ws(
     } else {
         1
     };
-    let plan = Plan {
-        lanes,
-        shrink: true,
-        after_factor: &|_| {},
-    };
-    execute(sym, a, variant, ws, &plan)
+    execute(sym, a, variant, ws, lanes, true)
 }
 
-/// How the executor runs.
-struct Plan<'h> {
-    /// Lanes (one: the sweep).
-    lanes: usize,
-    /// Whether lanes other than the caller's bow out, between units, once
-    /// another CPU factorization is in flight: the process is busy.
-    shrink: bool,
-    /// Runs on the lane that factored each supernode, right after it.
-    after_factor: &'h (dyn Fn(usize) + Sync),
-}
-
+/// Runs the executor at `lanes` lanes (one: the sweep). With `shrink`,
+/// lanes other than the caller's bow out, between units, once another
+/// CPU factorization is in flight: the process is busy.
 fn execute(
     sym: &SymbolicFactor,
     a: &SymCsc,
     variant: Variant,
     ws: &mut EngineWorkspace,
-    plan: &Plan<'_>,
+    lanes: usize,
+    shrink: bool,
 ) -> Result<CpuRun, FactorError> {
     let t0 = Instant::now();
     let mut data = ws.take_factor(sym, a);
-    let mut trace = ws.take_trace();
-    let lanes = plan.lanes.clamp(1, sym.nsup().max(1));
+    let lanes = lanes.clamp(1, sym.nsup().max(1));
     let peak = if lanes == 1 {
-        sweep(sym, variant, &mut data, ws, &mut trace, plan.after_factor)?
+        sweep(sym, variant, &mut data, ws)?
     } else {
-        let peak = Tree::run(sym, variant, &mut data, ws, lanes, plan)?;
-        for s in 0..sym.nsup() {
-            trace_supernode(sym, s, variant, &mut trace);
-        }
-        peak
+        Tree::run(sym, variant, &mut data, ws, lanes, shrink)?
     };
+    let mut trace = ws.take_trace();
+    for s in 0..sym.nsup() {
+        trace_supernode(sym, s, variant, &mut trace);
+    }
     Ok(CpuRun {
         factor: data,
         trace,
         wall: t0.elapsed(),
         peak_held_bytes: peak * std::mem::size_of::<f64>(),
+        lanes,
     })
 }
 
@@ -202,11 +197,10 @@ fn factor_unit(
     arr: &mut [f64],
     l11: &mut Vec<f64>,
     upd: &mut [f64],
-    mut account: impl FnMut(&TraceOp),
 ) -> Result<(), FactorError> {
-    panel_step(sym, s, arr, l11, &mut account)?;
+    panel_step(sym, s, arr, l11, |_| {})?;
     if variant == Variant::Rl && sym.sn_nrows_below(s) > 0 {
-        rl_update_matrix(sym, s, arr, upd, account);
+        rl_update_matrix(sym, s, arr, upd, |_| {});
     }
     Ok(())
 }
@@ -265,11 +259,11 @@ fn sweep(
     variant: Variant,
     data: &mut FactorData,
     ws: &mut EngineWorkspace,
-    trace: &mut Trace,
-    after_factor: &(dyn Fn(usize) + Sync),
 ) -> Result<usize, FactorError> {
+    #[cfg(test)]
+    let hook = ws.cpu.cancel_after_factor.clone();
     let ctl = &ws.ctl;
-    let CpuScratch { lanes, upd } = &mut ws.cpu;
+    let CpuScratch { lanes, upd, .. } = &mut ws.cpu;
     if lanes.is_empty() {
         lanes.push(LaneScratch::default());
     }
@@ -284,16 +278,16 @@ fn sweep(
     }
     for s in 0..sym.nsup() {
         ctl.check()?;
-        factor_unit(sym, variant, s, &mut data.sn[s], l11, upd, |op| {
-            trace.push(*op)
-        })?;
-        after_factor(s);
+        factor_unit(sym, variant, s, &mut data.sn[s], l11, upd)?;
+        #[cfg(test)]
+        if let Some(token) = &hook {
+            token.cancel();
+        }
         // Every cursor is ready: apply s → t for all targets, ascending.
         let r = sym.sn_nrows_below(s);
         match variant {
             Variant::Rl if r > 0 => {
-                let entries = assemble_update(sym, &mut data.sn, s, upd, r, rel);
-                trace.push(TraceOp::Assemble { entries });
+                assemble_update(sym, &mut data.sn, s, upd, r, rel);
             }
             Variant::Rl => {}
             Variant::Rlb => {
@@ -302,7 +296,7 @@ fn sweep(
                 let (head, tail) = data.sn.split_at_mut(s + 1);
                 for run in rlb_target_runs(sym, s) {
                     let tarr = &mut tail[run.target - s - 1];
-                    rlb_apply_run(sym, s, &head[s], tarr, &run, |op| trace.push(*op));
+                    rlb_apply_run(sym, s, &head[s], tarr, &run, |_| {});
                 }
             }
         }
@@ -475,7 +469,9 @@ struct Tree<'a> {
     variant: Variant,
     arrays: Arrays,
     ctl: &'a RunCtl,
-    plan: &'a Plan<'a>,
+    shrink: bool,
+    #[cfg(test)]
+    hook: Option<crate::resilience::CancelToken>,
     state: Mutex<State>,
     wake: Condvar,
 }
@@ -489,7 +485,7 @@ impl<'a> Tree<'a> {
         data: &mut FactorData,
         ws: &'a mut EngineWorkspace,
         lanes: usize,
-        plan: &'a Plan<'a>,
+        shrink: bool,
     ) -> Result<usize, FactorError> {
         let nsup = sym.nsup();
         let seq = Sequencer::new(sym);
@@ -504,6 +500,10 @@ impl<'a> Tree<'a> {
         grow(&mut ws.cpu.upd, slab_len);
         let mut scratch = std::mem::take(&mut ws.cpu.lanes);
         scratch.resize_with(lanes, LaneScratch::default);
+        #[cfg(test)]
+        for sc in &mut scratch {
+            sc.units = 0;
+        }
         let tree = Tree {
             sym,
             variant,
@@ -516,7 +516,9 @@ impl<'a> Tree<'a> {
                 slab: ws.cpu.upd.as_mut_ptr(),
             },
             ctl: &ws.ctl,
-            plan,
+            shrink,
+            #[cfg(test)]
+            hook: ws.cpu.cancel_after_factor.clone(),
             state: Mutex::new(State {
                 seq,
                 ready,
@@ -570,7 +572,7 @@ impl<'a> Tree<'a> {
 
     /// One lane: run the lowest ready unit; with none ready, help the
     /// pool's running split, else sleep until a unit is released. A
-    /// `spawned` lane bows out when the plan shrinks and the process is
+    /// `spawned` lane bows out when the tree shrinks and the process is
     /// busy, handing any ready work on; the caller's lane alone can
     /// finish the tree.
     fn lane(&self, scratch: &mut LaneScratch, spawned: bool) {
@@ -579,7 +581,7 @@ impl<'a> Tree<'a> {
             if st.stop {
                 return;
             }
-            if spawned && self.plan.shrink && IN_FLIGHT.load(Ordering::Acquire) > 1 {
+            if spawned && self.shrink && IN_FLIGHT.load(Ordering::Acquire) > 1 {
                 self.wake.notify_one();
                 return;
             }
@@ -589,6 +591,10 @@ impl<'a> Tree<'a> {
                 }
                 drop(st);
                 let result = catch_unwind(AssertUnwindSafe(|| self.work(unit, scratch)));
+                #[cfg(test)]
+                {
+                    scratch.units += 1;
+                }
                 st = self.state.lock().expect(POISON);
                 match result {
                     Ok(Ok(done)) => self.complete(&mut st, done, &scratch.batch),
@@ -658,8 +664,11 @@ impl<'a> Tree<'a> {
                 // `s` completed; its slab range was handed to it alone.
                 let arr = unsafe { self.arrays.write(s) };
                 let upd_m = unsafe { self.arrays.slab_write(upd) };
-                factor_unit(sym, variant, s, arr, &mut scratch.l11, upd_m, |_| {})?;
-                (self.plan.after_factor)(s);
+                factor_unit(sym, variant, s, arr, &mut scratch.l11, upd_m)?;
+                #[cfg(test)]
+                if let Some(token) = &self.hook {
+                    token.cancel();
+                }
                 Ok(unit)
             }
             Unit::Apply { s, upd } => {
@@ -763,16 +772,7 @@ mod tests {
     /// and the one-active-tree rule.
     fn at(sym: &SymbolicFactor, ap: &SymCsc, variant: Variant, lanes: usize) -> CpuRun {
         let mut ws = EngineWorkspace::default();
-        execute(sym, ap, variant, &mut ws, &fixed(lanes, &|_| {})).unwrap()
-    }
-
-    /// Exactly `lanes` lanes, whatever else runs.
-    fn fixed(lanes: usize, after_factor: &(dyn Fn(usize) + Sync)) -> Plan<'_> {
-        Plan {
-            lanes,
-            shrink: false,
-            after_factor,
-        }
+        execute(sym, ap, variant, &mut ws, lanes, false).unwrap()
     }
 
     /// Factor and trace at 2, 4 and 8 lanes equal the sweep's, bit for
@@ -783,6 +783,7 @@ mod tests {
             let sweep = at(&sym, &ap, variant, 1);
             for lanes in [2, 4, 8] {
                 let tree = at(&sym, &ap, variant, lanes);
+                assert_eq!(tree.lanes, lanes);
                 assert_eq!(sweep.factor, tree.factor, "{variant:?} lanes={lanes}");
                 assert_eq!(sweep.trace.ops, tree.trace.ops, "{variant:?} lanes={lanes}");
             }
@@ -858,20 +859,43 @@ mod tests {
         }
     }
 
+    /// The kernels' own accounting over a plain ascending sweep.
+    fn accounted(sym: &SymbolicFactor, ap: &SymCsc, variant: Variant) -> Vec<TraceOp> {
+        let mut data = FactorData::load(sym, ap);
+        let (mut ops, mut l11, mut rel) = (Vec::new(), Vec::new(), Vec::new());
+        let mut upd = vec![0.0; sym.max_update_matrix_entries()];
+        for s in 0..sym.nsup() {
+            panel_step(sym, s, &mut data.sn[s], &mut l11, |op| ops.push(*op)).unwrap();
+            let r = sym.sn_nrows_below(s);
+            match variant {
+                Variant::Rl if r > 0 => {
+                    rl_update_matrix(sym, s, &data.sn[s], &mut upd, |op| ops.push(*op));
+                    let entries = assemble_update(sym, &mut data.sn, s, &upd, r, &mut rel);
+                    ops.push(TraceOp::Assemble { entries });
+                }
+                Variant::Rl => {}
+                Variant::Rlb => {
+                    let (head, tail) = data.sn.split_at_mut(s + 1);
+                    for run in rlb_target_runs(sym, s) {
+                        let tarr = &mut tail[run.target - s - 1];
+                        rlb_apply_run(sym, s, &head[s], tarr, &run, |op| ops.push(*op));
+                    }
+                }
+            }
+        }
+        ops
+    }
+
     #[test]
     fn trace_flops_match_serial() {
-        // The sweep records the kernels as they run; the tree emits them
-        // from shapes. Both must give the same sequence.
+        // The trace is emitted from shapes; it must be the kernels' own
+        // accounting op for op, at one lane and at three.
         let a = grid3d(6, 5, 7, Stencil::Star7, 1, 3);
         let (sym, ap) = prepared(&a);
         for variant in [Variant::Rl, Variant::Rlb] {
-            let sweep = at(&sym, &ap, variant, 1);
-            let mut shapes = Trace::new();
-            for s in 0..sym.nsup() {
-                trace_supernode(&sym, s, variant, &mut shapes);
-            }
-            assert_eq!(sweep.trace.ops, shapes.ops, "{variant:?}");
-            assert_eq!(sweep.trace.ops, at(&sym, &ap, variant, 3).trace.ops);
+            let kernels = accounted(&sym, &ap, variant);
+            assert_eq!(at(&sym, &ap, variant, 1).trace.ops, kernels, "{variant:?}");
+            assert_eq!(at(&sym, &ap, variant, 3).trace.ops, kernels, "{variant:?}");
         }
     }
 
@@ -900,13 +924,13 @@ mod tests {
                 let token = CancelToken::new();
                 let mut ws = EngineWorkspace::default();
                 ws.ctl = RunCtl::armed(Deadline::none(), token.clone());
-                let cancel = |_: usize| token.cancel();
-                let plan = fixed(lanes, &cancel);
-                let err = execute(&sym, &ap, variant, &mut ws, &plan).unwrap_err();
+                ws.cpu.cancel_after_factor = Some(token.clone());
+                let err = execute(&sym, &ap, variant, &mut ws, lanes, false).unwrap_err();
                 assert_eq!(err, FactorError::Cancelled, "{variant:?} lanes={lanes}");
                 // Every lane came home: the workspace runs again.
+                ws.cpu.cancel_after_factor = None;
                 token.reset();
-                assert!(execute(&sym, &ap, variant, &mut ws, &fixed(lanes, &|_| {})).is_ok());
+                assert!(execute(&sym, &ap, variant, &mut ws, lanes, false).is_ok());
             }
         }
     }
@@ -914,26 +938,37 @@ mod tests {
     #[test]
     fn lanes_bow_out_when_the_process_is_busy() {
         // With another factorization in flight, the spawned lanes leave
-        // at once and the caller's lane finishes the tree alone.
+        // before their first unit and the caller's lane runs the tree.
         let (sym, ap) = prepared(&grid3d(8, 7, 6, Stencil::Star7, 1, 6));
         let busy = (InFlight::enter(), InFlight::enter());
         for variant in [Variant::Rl, Variant::Rlb] {
-            let plan = Plan {
-                lanes: 4,
-                shrink: true,
-                after_factor: &|_| {},
-            };
-            let tree = execute(&sym, &ap, variant, &mut EngineWorkspace::default(), &plan);
-            assert_eq!(tree.unwrap().factor, at(&sym, &ap, variant, 1).factor);
+            let mut ws = EngineWorkspace::default();
+            let tree = execute(&sym, &ap, variant, &mut ws, 4, true).unwrap();
+            let units: Vec<usize> = ws.cpu.lanes.iter().map(|l| l.units).collect();
+            assert_eq!(tree.lanes, 4);
+            assert!(
+                units[0] >= sym.nsup() && units[1..].iter().all(|&u| u == 0),
+                "{variant:?}: units per lane {units:?}"
+            );
+            assert_eq!(tree.factor, at(&sym, &ap, variant, 1).factor);
         }
         drop(busy);
     }
 
     #[test]
     fn a_factorization_that_starts_beside_another_takes_one_lane() {
-        let first = InFlight::enter();
-        let second = InFlight::enter();
-        assert!(!second.alone, "a second factorization runs the sweep");
-        drop((first, second));
+        let four = || EngineWorkspace::new(4, crate::GpuOptions::with_threshold(usize::MAX));
+        // Above the flop cutoff: alone, it would run the tree.
+        let (sym, ap) = prepared(&grid3d(16, 16, 16, Stencil::Star7, 1, 9));
+        assert!(sym.flops >= TREE_FLOPS, "{} flops", sym.flops);
+        let other = InFlight::enter();
+        let run = factor_cpu_ws(&sym, &ap, Variant::Rl, &mut four()).unwrap();
+        drop(other);
+        assert_eq!(run.lanes, 1, "a second factorization runs the sweep");
+        // Below the cutoff: the sweep, whatever else runs.
+        let (small, sap) = prepared(&grid3d(8, 8, 8, Stencil::Star7, 1, 9));
+        assert!(small.flops < TREE_FLOPS, "{} flops", small.flops);
+        let run = factor_cpu_ws(&small, &sap, Variant::Rl, &mut four()).unwrap();
+        assert_eq!(run.lanes, 1, "below the cutoff");
     }
 }

@@ -22,7 +22,10 @@
 //! The CPU methods run one tree executor whose factor does not depend on
 //! its lane count, so every CPU method (`RlCpuPar` and `RlbCpuPar` are
 //! synonyms of `RlCpu` and `RlbCpu`) at 1, 2, 4 and 8 lanes must give its
-//! family's digest.
+//! family's digest. The executor runs one lane below a flop cutoff and
+//! beside another CPU factorization, so every test holds [`serial`] and
+//! asserts the lanes its CPU runs started: the 16³ grid and the two
+//! benchmark matrices run the tree, the others the one-lane sweep.
 //!
 //! Each device run also pins its simulated clock: the bits of
 //! `sim_seconds` and of the host, kernel and transfer seconds, and the
@@ -31,6 +34,8 @@
 //! the same floating-point grouping, so a one-ulp drift fails here. The
 //! pipelined engines are pinned under each explicit retirement mode,
 //! since left to `RLCHOL_RETIRE` their clock follows the environment.
+
+use std::sync::{Mutex, MutexGuard};
 
 use rlchol::core::engine::RetireMode;
 use rlchol::core::FactorInfo;
@@ -98,6 +103,13 @@ fn thresholds(method: Method) -> &'static [usize] {
 /// Lane counts every CPU method is pinned at.
 const LANES: [usize; 4] = [1, 2, 4, 8];
 
+/// One factorization at a time in this test binary, so none of them
+/// sees another in flight and falls back to one lane.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Every resource count is explicit, so no `RLCHOL_*` variable reaches
 /// the factor.
 fn options(method: Method, threshold: usize) -> SolverOptions {
@@ -122,8 +134,9 @@ fn retire_modes(method: Method) -> &'static [RetireMode] {
     }
 }
 
-/// The factor digest of a CPU method at `threads` lanes.
-fn cpu_digest(a: &SymCsc, method: Method, threads: usize) -> u64 {
+/// The factor digest of a CPU method at `threads` lanes, and the lanes
+/// the run started.
+fn cpu_digest(a: &SymCsc, method: Method, threads: usize) -> (u64, usize) {
     let opts = SolverOptions {
         threads,
         ..options(method, usize::MAX)
@@ -131,7 +144,7 @@ fn cpu_digest(a: &SymCsc, method: Method, threads: usize) -> u64 {
     let fact = CholeskySolver::analyze(a, &opts)
         .factor_with(a)
         .expect("SPD input");
-    digest(&fact.data().sn)
+    (digest(&fact.data().sn), fact.info().lanes)
 }
 
 /// Lists every run whose digest differs from its pin.
@@ -147,9 +160,12 @@ fn drifted(got: &[(String, u64)], want: &[u64]) -> Vec<String> {
 /// digest with its pin, in `DETERMINISTIC` × `thresholds` order, and
 /// each device run's simulated-clock digest with its pin, in the same
 /// order (the pipelined engines once per explicit retirement mode);
-/// reports every drifted pin at once. Returns the widest supernode's
+/// reports every drifted pin at once. `tree`: the matrix is above the
+/// executor's flop cutoff, so a CPU run at `threads` lanes must start that
+/// many; else every CPU run is the sweep. Returns the widest supernode's
 /// column count.
-fn check(name: &str, a: &SymCsc, want: &[u64], want_sim: &[u64]) -> usize {
+fn check(name: &str, a: &SymCsc, tree: bool, want: &[u64], want_sim: &[u64]) -> usize {
+    let _serial = serial();
     let mut got = Vec::new();
     let mut got_sim = Vec::new();
     let mut widest = 0;
@@ -189,7 +205,9 @@ fn check(name: &str, a: &SymCsc, want: &[u64], want_sim: &[u64]) -> usize {
     ] {
         for threads in LANES {
             let run = format!("{name} {} threads {threads}", method.label());
-            lanes.push((run, cpu_digest(a, method, threads)));
+            let (digest, started) = cpu_digest(a, method, threads);
+            assert_eq!(started, if tree { threads } else { 1 }, "{run}: lanes");
+            lanes.push((run, digest));
             lane_pins.push(pin);
         }
     }
@@ -211,6 +229,7 @@ fn grid3d_star7_factor_is_pinned() {
     let widest = check(
         "grid3d 16^3 star7",
         &grid3d(16, 16, 16, Stencil::Star7, 1, 1),
+        true,
         &[
             0x7d4a_4641_a314_e630,
             0x5e8f_8438_ca9b_54ff,
@@ -255,6 +274,7 @@ fn grid2d_star5_factor_is_pinned() {
     check(
         "grid2d 60x60 star5",
         &grid2d(60, 60, Stencil::Star5, 1, 1),
+        false,
         &[
             0x61af_88fe_225e_daaf,
             0x3715_5fa8_cd17_842a,
@@ -293,6 +313,7 @@ fn grid3d_star27_factor_is_pinned() {
     check(
         "grid3d 10^3 star27",
         &grid3d(10, 10, 10, Stencil::Star27, 1, 1),
+        false,
         &[
             0x851c_1cad_76f7_56e3,
             0xeda2_b46e_c42b_2247,
@@ -331,8 +352,10 @@ fn grid3d_star27_factor_is_pinned() {
 /// executor replaced. These run the tree with split kernels on 923 and
 /// 10 330 supernodes; run them in release with `--ignored`.
 fn check_benchmark_size(name: &str, a: &SymCsc, pin: u64) {
+    let _serial = serial();
     for threads in [1, 2] {
-        let got = cpu_digest(a, Method::RlCpu, threads);
+        let (got, lanes) = cpu_digest(a, Method::RlCpu, threads);
+        assert_eq!(lanes, threads, "{name} threads {threads}: lanes");
         assert_eq!(
             got, pin,
             "{name} threads {threads}: got {got:#018x}, pinned {pin:#018x}"

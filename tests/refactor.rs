@@ -6,7 +6,12 @@
 //!
 //! The CPU engines give the same bits at any lane count, so the sweep
 //! runs them at the pool default and a separate test refactors on four
-//! lanes.
+//! lanes. The CPU executor runs one lane below a flop cutoff and beside
+//! another CPU factorization, so that test uses a matrix above the
+//! cutoff, every test holds [`serial`] while it factors, and the test
+//! asserts the lanes its runs started.
+
+use std::sync::{Mutex, MutexGuard};
 
 use rlchol::core::FactorError;
 use rlchol::matgen::{grid3d, Stencil};
@@ -15,6 +20,13 @@ use rlchol::{CholeskySolver, GpuOptions, Method, SolverOptions, SymCsc};
 /// Same pattern for every seed; values re-roll per seed.
 fn matrix(seed: u64) -> SymCsc {
     grid3d(5, 4, 4, Stencil::Star7, 1, seed)
+}
+
+/// One factorization at a time in this test binary, so none of them
+/// sees another in flight and falls back to one lane.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn opts_for(method: Method) -> SolverOptions {
@@ -28,6 +40,7 @@ fn opts_for(method: Method) -> SolverOptions {
 
 #[test]
 fn refactor_is_bit_identical_to_one_shot_for_every_engine() {
+    let _serial = serial();
     let a0 = matrix(100);
     for method in Method::ALL {
         let opts = opts_for(method);
@@ -54,8 +67,10 @@ fn refactor_is_bit_identical_to_one_shot_for_every_engine() {
 
 #[test]
 fn multi_lane_refactor_matches_serial_bitwise() {
-    let a0 = matrix(200);
-    let a1 = matrix(201);
+    let _serial = serial();
+    // Above the executor's flop cutoff, so four lanes run the tree.
+    let a0 = grid3d(16, 16, 16, Stencil::Star7, 1, 200);
+    let a1 = grid3d(16, 16, 16, Stencil::Star7, 1, 201);
     for (method, serial) in [
         (Method::RlCpuPar, Method::RlCpu),
         (Method::RlbCpuPar, Method::RlbCpu),
@@ -74,13 +89,24 @@ fn multi_lane_refactor_matches_serial_bitwise() {
             storage_ptr,
             "{method:?}: multi-lane refactor must reuse factor storage"
         );
-        let serial = CholeskySolver::factor(&a1, &opts_for(serial)).expect("SPD input");
+        assert_eq!(
+            fact.info().lanes,
+            4,
+            "{method:?}: the refactor ran the tree"
+        );
+        let one_lane = SolverOptions {
+            threads: 1,
+            ..opts_for(serial)
+        };
+        let serial = CholeskySolver::factor(&a1, &one_lane).expect("SPD input");
+        assert_eq!(serial.info().lanes, 1);
         assert_eq!(fact.data(), serial.factor_data(), "{method:?}");
     }
 }
 
 #[test]
 fn pattern_mismatch_is_rejected_for_factor_and_refactor() {
+    let _serial = serial();
     let a = matrix(300);
     let wrong_size = grid3d(5, 4, 3, Stencil::Star7, 1, 300);
     let wrong_pattern = grid3d(5, 4, 4, Stencil::Star27, 1, 300);
@@ -103,6 +129,7 @@ fn pattern_mismatch_is_rejected_for_factor_and_refactor() {
 
 #[test]
 fn non_pd_on_refactor_errors_for_every_engine_and_handle_recovers() {
+    let _serial = serial();
     let a0 = matrix(400);
     // Same pattern, indefinite values: a large negative diagonal entry.
     let mut bad = a0.clone();
