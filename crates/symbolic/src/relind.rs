@@ -24,7 +24,7 @@ pub fn relative_indices(
     p_ncols: usize,
     p_rows: &[usize],
 ) -> Vec<usize> {
-    let mut out = Vec::with_capacity(sub.len());
+    let mut out = Vec::new();
     relative_indices_into(sub, p_first, p_ncols, p_rows, &mut out);
     out
 }
@@ -39,6 +39,7 @@ pub fn relative_indices_into(
     out: &mut Vec<usize>,
 ) {
     out.clear();
+    out.reserve(sub.len());
     let p_end = p_first + p_ncols;
     let mut cursor = 0usize; // two-pointer walk over p_rows
     for &i in sub {
