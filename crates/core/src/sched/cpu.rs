@@ -205,28 +205,6 @@ fn factor_unit(
     Ok(())
 }
 
-/// Apply s → t: `s`'s update subtracted from `t`'s array `tarr`, reading
-/// `s`'s update matrix `upd` (RL) or its factored panel `src` (RLB).
-#[allow(clippy::too_many_arguments)]
-fn apply_unit(
-    sym: &SymbolicFactor,
-    variant: Variant,
-    s: usize,
-    t: usize,
-    src: &[f64],
-    upd: &[f64],
-    tarr: &mut [f64],
-    rel: &mut Vec<usize>,
-) {
-    match variant {
-        Variant::Rl => {
-            let (rows, r) = (&sym.rows[s], sym.sn_nrows_below(s));
-            scatter_segment(sym, tarr, segment_to(sym, s, t), rows, upd, r, rel);
-        }
-        Variant::Rlb => rlb_apply_run(sym, s, src, tarr, &rlb_run_to(sym, s, t), |_| {}),
-    }
-}
-
 /// Supernode `s`'s kernels as trace records, in the sweep's order.
 fn trace_supernode(sym: &SymbolicFactor, s: usize, variant: Variant, trace: &mut Trace) {
     let c = sym.sn_ncols(s);
@@ -286,10 +264,9 @@ fn sweep(
         // Every cursor is ready: apply s → t for all targets, ascending.
         let r = sym.sn_nrows_below(s);
         match variant {
-            Variant::Rl if r > 0 => {
+            Variant::Rl => {
                 assemble_update(sym, &mut data.sn, s, upd, r, rel);
             }
-            Variant::Rl => {}
             Variant::Rlb => {
                 // Targets are strict ancestors (> s): a split borrow
                 // separates the source panel from them.
@@ -675,12 +652,21 @@ impl<'a> Tree<'a> {
                 // SAFETY: `s` is factored, so only read, and its slab range
                 // stays handed out until its last apply completes.
                 let (src, upd_m) = unsafe { (self.arrays.read(s), self.arrays.slab_read(upd)) };
+                let (rows, r) = (&sym.rows[s], sym.sn_nrows_below(s));
                 let LaneScratch { rel, batch, .. } = scratch;
                 for &t in batch.iter() {
                     // SAFETY: `t`'s cursor is at `s`, so this apply is the
                     // one unit that may write `t` now.
                     let tarr = unsafe { self.arrays.write(t) };
-                    apply_unit(sym, variant, s, t, src, upd_m, tarr, rel);
+                    match variant {
+                        Variant::Rl => {
+                            let seg = segment_to(sym, s, t);
+                            scatter_segment(sym, tarr, seg, rows, upd_m, r, rel);
+                        }
+                        Variant::Rlb => {
+                            rlb_apply_run(sym, s, src, tarr, &rlb_run_to(sym, s, t), |_| {})
+                        }
+                    }
                 }
                 Ok(unit)
             }
