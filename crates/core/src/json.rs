@@ -13,11 +13,10 @@
 //! assert_eq!(s, r#"{"op":"factor","n":100}"#);
 //! ```
 //!
-//! [`factor_info_json`] / [`solve_info_json`] are the shared report
-//! serializers.
+//! [`factor_info_json`] and [`analyze_breakdown_json`] are the shared
+//! report serializers.
 
 use crate::registry::FactorInfo;
-use crate::solve::SolveInfo;
 
 /// Escapes `s` for inclusion inside a JSON string literal (quotes not
 /// included).
@@ -182,21 +181,8 @@ pub fn analyze_breakdown_json(b: &crate::AnalyzeBreakdown) -> String {
         .f64("colcount_ms", b.colcount.as_secs_f64() * 1e3)
         .f64("merge_ms", b.merge.as_secs_f64() * 1e3)
         .f64("relind_ms", b.relind.as_secs_f64() * 1e3)
-        .f64("solve_plan_ms", b.solve_plan.as_secs_f64() * 1e3)
         .f64("value_map_ms", b.value_map.as_secs_f64() * 1e3)
         .f64("total_ms", b.total().as_secs_f64() * 1e3)
-        .finish()
-}
-
-/// The solve-side report ([`SolveInfo`]) as JSON — plan shape plus the
-/// resolved dispatch path.
-pub fn solve_info_json(info: &SolveInfo) -> String {
-    JsonObj::new()
-        .u64("levels", info.levels as u64)
-        .u64("max_width", info.max_width as u64)
-        .u64("threads", info.threads as u64)
-        .bool("level_set", info.level_set)
-        .bool("async_dispatch", info.async_dispatch)
         .finish()
 }
 

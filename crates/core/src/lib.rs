@@ -43,11 +43,10 @@
 //!   simulated compute/copy stream pairs, with per-target ascending-source
 //!   update order keeping the factor bit-identical to the single-stream
 //!   engines under either retirement discipline.
-//! * **Planned triangular solves** ([`solve`]) — a [`solve::SolvePlan`]
-//!   of elimination-tree level sets, computed once per analysis, drives
-//!   tree-parallel forward/backward sweeps (`RLCHOL_SOLVE_THREADS`
-//!   lanes) that are bit-identical to the serial reference at any
-//!   thread count.
+//! * **Supernodal triangular solves** ([`solve`]) — one serial forward
+//!   and one backward sweep for any number of right-hand sides: each
+//!   panel is read once per sweep, and column `j` of a many-RHS solve
+//!   has the bits of solving column `j` alone.
 //! * **Lane-pooled concurrent factorization** ([`staged::lanes`]) — a
 //!   [`SymbolicCholesky`](staged::SymbolicCholesky) handle is
 //!   `Send + Sync` and owns `RLCHOL_FACTOR_LANES` independent engine
@@ -86,7 +85,7 @@ pub use registry::{engine_for, EngineRun, EngineWorkspace, FactorInfo, NumericEn
 pub use resilience::{
     CancelToken, Deadline, FallbackChain, RecoveryAction, RecoveryEvent, RetryPolicy, RunCtl,
 };
-pub use solve::{SolveInfo, SolvePlan};
+pub use solve::SolveInfo;
 pub use solver::{CholeskySolver, SolverOptions};
 pub use staged::lanes::LaneStats;
 pub use staged::{AnalyzeBreakdown, Factorization, SolveWorkspace, SymbolicCholesky};

@@ -1,147 +1,121 @@
-//! Serial supernodal triangular sweeps — the reference arithmetic.
+//! The supernodal triangular sweeps: one serial body for any number of
+//! right-hand sides.
 //!
-//! Every other solve path in the subsystem (the level-set sweeps in
-//! [`super::levelset`], the blocked multi-RHS variants) is defined as
-//! "bit-identical to this module": per solution entry, the same
-//! floating-point operations in the same order. These functions are also
-//! the production path for small systems and single-lane configurations,
-//! where the level-set machinery is pure overhead.
+//! Right-hand sides are `k` columns of length `n`, stored column-major.
+//! Per supernode the forward sweep solves the diagonal block, adds the
+//! below-diagonal contribution `L₂₁ y` of every column into a dense
+//! buffer of `r` entries per right-hand side (`r` the supernode's
+//! below-diagonal rows) and scatters the buffer once. The backward sweep
+//! gathers the `r` solved entries once, subtracts `L₂₁ᵀ g` from the
+//! block's entries and solves the diagonal block. Each panel column is
+//! read once per sweep whatever `k`, and no step's order of
+//! floating-point operations depends on `k`: column `j` of a `k`-wide
+//! solve is bit-identical to solving column `j` alone.
 
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::storage::FactorData;
 
-/// Forward substitution `L y = b`, in place.
-pub fn solve_forward(sym: &SymbolicFactor, f: &FactorData, b: &mut [f64]) {
-    assert_eq!(b.len(), sym.n);
+/// `scratch[..len]`, grown first if it is shorter (never shrunk).
+pub(crate) fn scratch_of(scratch: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
+    }
+    &mut scratch[..len]
+}
+
+/// Forward substitution `L Y = B` in place on the `n × k` block `b`.
+/// `scratch` grows to the largest below-diagonal row count times `k`
+/// (at most `n · k`) and is never shrunk.
+pub fn solve_forward(
+    sym: &SymbolicFactor,
+    f: &FactorData,
+    b: &mut [f64],
+    k: usize,
+    scratch: &mut Vec<f64>,
+) {
+    let n = sym.n;
+    assert_eq!(b.len(), n * k);
+    if k == 0 {
+        return;
+    }
     for s in 0..sym.nsup() {
         let first = sym.sn.first_col(s);
         let c = sym.sn_ncols(s);
         let len = sym.sn_len(s);
+        let r = len - c;
         let arr = &f.sn[s];
-        // Dense forward solve on the diagonal block.
-        rlchol_dense::trsv_ln(c, arr, len, &mut b[first..first + c]);
-        // Propagate into below-diagonal rows: b[rows] -= L21 · y.
-        let rows = &sym.rows[s];
+        rlchol_dense::trsm_lln(c, k, arr, len, &mut b[first..], n);
+        if r == 0 {
+            continue;
+        }
+        // t_j = L₂₁ · y_j, column by column of the panel.
+        let t = scratch_of(scratch, r * k);
+        t.fill(0.0);
         for lc in 0..c {
-            let yj = b[first + lc];
-            if yj == 0.0 {
-                continue;
-            }
             let col = &arr[lc * len + c..(lc + 1) * len];
-            for (pos, &v) in col.iter().enumerate() {
-                if v != 0.0 {
-                    b[rows[pos]] -= v * yj;
+            for (j, tj) in t.chunks_exact_mut(r).enumerate() {
+                let y = b[j * n + first + lc];
+                for (ti, &v) in tj.iter_mut().zip(col) {
+                    *ti += v * y;
                 }
+            }
+        }
+        let rows = &sym.rows[s];
+        for (bj, tj) in b.chunks_exact_mut(n).zip(t.chunks_exact(r)) {
+            for (&i, &v) in rows.iter().zip(tj) {
+                bj[i] -= v;
             }
         }
     }
 }
 
-/// Backward substitution `Lᵀ x = y`, in place.
-pub fn solve_backward(sym: &SymbolicFactor, f: &FactorData, b: &mut [f64]) {
-    assert_eq!(b.len(), sym.n);
+/// Backward substitution `Lᵀ X = Y` in place on the `n × k` block `b`;
+/// `scratch` as for [`solve_forward`].
+pub fn solve_backward(
+    sym: &SymbolicFactor,
+    f: &FactorData,
+    b: &mut [f64],
+    k: usize,
+    scratch: &mut Vec<f64>,
+) {
+    let n = sym.n;
+    assert_eq!(b.len(), n * k);
+    if k == 0 {
+        return;
+    }
     for s in (0..sym.nsup()).rev() {
         let first = sym.sn.first_col(s);
         let c = sym.sn_ncols(s);
         let len = sym.sn_len(s);
+        let r = len - c;
         let arr = &f.sn[s];
-        let rows = &sym.rows[s];
-        // Gather below-diagonal contributions, then solve the block.
-        for lc in (0..c).rev() {
-            let col = &arr[lc * len..(lc + 1) * len];
-            let mut acc = b[first + lc];
-            for li in lc + 1..c {
-                acc -= col[li] * b[first + li];
-            }
-            for (pos, &v) in col[c..].iter().enumerate() {
-                if v != 0.0 {
-                    acc -= v * b[rows[pos]];
+        if r > 0 {
+            let rows = &sym.rows[s];
+            let g = scratch_of(scratch, r * k);
+            for (gj, bj) in g.chunks_exact_mut(r).zip(b.chunks_exact(n)) {
+                for (gi, &i) in gj.iter_mut().zip(rows) {
+                    *gi = bj[i];
                 }
             }
-            b[first + lc] = acc / col[lc];
+            for lc in 0..c {
+                let col = &arr[lc * len + c..(lc + 1) * len];
+                for (j, gj) in g.chunks_exact(r).enumerate() {
+                    let dot = col.iter().zip(gj).fold(0.0, |acc, (&v, &x)| acc + v * x);
+                    b[j * n + first + lc] -= dot;
+                }
+            }
         }
+        rlchol_dense::trsm_llt(c, k, arr, len, &mut b[first..], n);
     }
 }
 
 /// Full solve `(L Lᵀ) x = b` in factor ordering; returns `x`.
 pub fn solve(sym: &SymbolicFactor, f: &FactorData, b: &[f64]) -> Vec<f64> {
     let mut x = b.to_vec();
-    solve_forward(sym, f, &mut x);
-    solve_backward(sym, f, &mut x);
-    x
-}
-
-/// Forward substitution for `nrhs` right-hand sides stored column-major
-/// in `b` (leading dimension `n`): the diagonal-block solves become
-/// level-3 TRSM calls, the propagation a GEMM-shaped loop.
-pub fn solve_forward_multi(sym: &SymbolicFactor, f: &FactorData, b: &mut [f64], nrhs: usize) {
-    let n = sym.n;
-    assert_eq!(b.len(), n * nrhs);
-    for s in 0..sym.nsup() {
-        let first = sym.sn.first_col(s);
-        let c = sym.sn_ncols(s);
-        let len = sym.sn_len(s);
-        let arr = &f.sn[s];
-        let rows = &sym.rows[s];
-        for rhs in 0..nrhs {
-            let col = &mut b[rhs * n..(rhs + 1) * n];
-            rlchol_dense::trsv_ln(c, arr, len, &mut col[first..first + c]);
-            for lc in 0..c {
-                let yj = col[first + lc];
-                if yj == 0.0 {
-                    continue;
-                }
-                let lcol = &arr[lc * len + c..(lc + 1) * len];
-                for (pos, &v) in lcol.iter().enumerate() {
-                    if v != 0.0 {
-                        col[rows[pos]] -= v * yj;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Backward substitution for `nrhs` column-major right-hand sides,
-/// blocked like the forward sweep: one pass over the supernodes
-/// (outer), all right-hand sides inside (inner), so each supernode's
-/// panel is read once per sweep instead of once per RHS. Per-column
-/// arithmetic order is identical to [`solve_backward`], so results are
-/// bit-identical to solving each RHS alone.
-pub fn solve_backward_multi(sym: &SymbolicFactor, f: &FactorData, b: &mut [f64], nrhs: usize) {
-    let n = sym.n;
-    assert_eq!(b.len(), n * nrhs);
-    for s in (0..sym.nsup()).rev() {
-        let first = sym.sn.first_col(s);
-        let c = sym.sn_ncols(s);
-        let len = sym.sn_len(s);
-        let arr = &f.sn[s];
-        let rows = &sym.rows[s];
-        for rhs in 0..nrhs {
-            let col = &mut b[rhs * n..(rhs + 1) * n];
-            for lc in (0..c).rev() {
-                let lcol = &arr[lc * len..(lc + 1) * len];
-                let mut acc = col[first + lc];
-                for li in lc + 1..c {
-                    acc -= lcol[li] * col[first + li];
-                }
-                for (pos, &v) in lcol[c..].iter().enumerate() {
-                    if v != 0.0 {
-                        acc -= v * col[rows[pos]];
-                    }
-                }
-                col[first + lc] = acc / lcol[lc];
-            }
-        }
-    }
-}
-
-/// Full multi-RHS solve; `b` holds `nrhs` columns of length `n`.
-pub fn solve_multi(sym: &SymbolicFactor, f: &FactorData, b: &[f64], nrhs: usize) -> Vec<f64> {
-    let mut x = b.to_vec();
-    solve_forward_multi(sym, f, &mut x, nrhs);
-    solve_backward_multi(sym, f, &mut x, nrhs);
+    let mut scratch = Vec::new();
+    solve_forward(sym, f, &mut x, 1, &mut scratch);
+    solve_backward(sym, f, &mut x, 1, &mut scratch);
     x
 }
 
@@ -179,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_rhs_matches_single_rhs() {
+    fn multi_rhs_matches_single_rhs_bitwise() {
         let a = laplace2d(7, 8);
         let sym = analyze(&a, &SymbolicOptions::default());
         let ap = a.permute(&sym.perm);
@@ -189,15 +163,13 @@ mod tests {
         let b: Vec<f64> = (0..n * nrhs)
             .map(|i| ((i * 29) % 23) as f64 - 11.0)
             .collect();
-        let x_multi = solve_multi(&sym, &run.factor, &b, nrhs);
+        let mut x_multi = b.clone();
+        let mut scratch = Vec::new();
+        solve_forward(&sym, &run.factor, &mut x_multi, nrhs, &mut scratch);
+        solve_backward(&sym, &run.factor, &mut x_multi, nrhs, &mut scratch);
         for rhs in 0..nrhs {
             let x_single = solve(&sym, &run.factor, &b[rhs * n..(rhs + 1) * n]);
-            for i in 0..n {
-                assert!(
-                    (x_multi[rhs * n + i] - x_single[i]).abs() < 1e-12,
-                    "rhs {rhs} entry {i}"
-                );
-            }
+            assert_eq!(&x_multi[rhs * n..(rhs + 1) * n], &x_single[..], "rhs {rhs}");
         }
     }
 

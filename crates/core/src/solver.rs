@@ -40,12 +40,6 @@ pub struct SolverOptions {
     /// is running, the executor takes one lane whatever this says.
     /// Ignored by the GPU methods.
     pub threads: usize,
-    /// Lanes for the level-set (tree-parallel) triangular solves. `0`
-    /// means automatic: `RLCHOL_SOLVE_THREADS` if set, else the pool
-    /// default with a small-system serial cutoff. `1` forces the serial
-    /// sweeps, `> 1` forces the level-set path whenever the elimination
-    /// tree has level width. Both paths produce bit-identical solutions.
-    pub solve_threads: usize,
     /// Workspace lanes of the staged handle: how many `factor_with` /
     /// `refactor` calls may run **concurrently** on one shared
     /// [`SymbolicCholesky`] (each lane owns an independent engine
@@ -55,7 +49,7 @@ pub struct SolverOptions {
     /// lane's factor is bit-identical to the serial path.
     pub factor_lanes: usize,
     /// Lanes for the thread-parallel symbolic analysis (column counts,
-    /// relative indices, solve plan, value map). `0` means automatic:
+    /// relative indices, value map). `0` means automatic:
     /// `RLCHOL_ANALYZE_THREADS` if set, else the pool default with a
     /// small-system serial cutoff. `1` forces the serial pipeline,
     /// `> 1` forces the parallel one. The analysis is bit-identical at
@@ -95,7 +89,6 @@ impl Default for SolverOptions {
             method: Method::RlCpu,
             gpu: GpuOptions::with_threshold(usize::MAX),
             threads: 0,
-            solve_threads: 0,
             factor_lanes: 0,
             analyze_threads: 0,
             fallback: crate::resilience::FallbackChain::none(),

@@ -54,7 +54,8 @@ use crate::registry::{engine_for, FactorInfo, NumericEngine};
 use crate::resilience::{
     CancelToken, Deadline, RecoveryAction, RecoveryEvent, RetryPolicy, RunCtl,
 };
-use crate::solve::{self, SolveInfo, SolvePlan};
+use crate::solve::serial::scratch_of;
+use crate::solve::{self, SolveInfo};
 use crate::solver::SolverOptions;
 use crate::storage::FactorData;
 
@@ -108,6 +109,9 @@ pub struct SolveWorkspace {
     resid: Vec<f64>,
     /// Correction in original ordering (iterative refinement).
     corr: Vec<f64>,
+    /// The sweeps' per-supernode buffer (largest below-diagonal row
+    /// count × `k`, at most `n × k`).
+    sweep: Vec<f64>,
 }
 
 impl SolveWorkspace {
@@ -124,35 +128,15 @@ impl SolveWorkspace {
             perm: vec![0.0; n * k.max(1)],
             resid: vec![0.0; n],
             corr: vec![0.0; n],
+            sweep: vec![0.0; n * k.max(1)],
         }
     }
 }
 
-/// Grows `buf` to at least `len` entries (never shrinks).
-fn ensure_len(buf: &mut Vec<f64>, len: usize) {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-}
-
-/// Resolves the solve lane count once, at handle construction: an
-/// explicit option wins, else `RLCHOL_SOLVE_THREADS`, else the pool
-/// default. Returns `(lanes, forced)` — `forced` marks the first two
-/// sources, which bypass the automatic small-system serial cutoff.
-fn resolve_solve_threads(option: usize) -> (usize, bool) {
-    if option > 0 {
-        return (option, true);
-    }
-    match solve::env_solve_threads() {
-        Some(t) => (t, true),
-        None => (rlchol_dense::pool::default_threads(), false),
-    }
-}
-
-/// Resolves the analyze lane count, same precedence as the solve lanes:
-/// an explicit [`SolverOptions::analyze_threads`] wins, else
-/// `RLCHOL_ANALYZE_THREADS`, else the pool default. `forced` marks the
-/// first two sources, which bypass the small-system serial cutoff.
+/// Resolves the analyze lane count: an explicit
+/// [`SolverOptions::analyze_threads`] wins, else `RLCHOL_ANALYZE_THREADS`,
+/// else the pool default. `forced` marks the first two sources, which
+/// bypass the small-system serial cutoff.
 fn resolve_analyze_threads(option: usize) -> (usize, bool) {
     if option > 0 {
         return (option, true);
@@ -175,9 +159,8 @@ const ANALYZE_PAR_MIN_NNZ: usize = 16_384;
 /// metrics. All stages sum to (just under) the analyze wall: `ordering`
 /// is the fill-reducing ordering and the permute that applies it;
 /// `etree` through `relind` come from
-/// [`rlchol_symbolic::analyze_instrumented`]; `solve_plan` and
-/// `value_map` are the handle-construction stages added on top of the
-/// symbolic factor.
+/// [`rlchol_symbolic::analyze_instrumented`]; `value_map` is the
+/// handle-construction stage added on top of the symbolic factor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalyzeBreakdown {
     /// Fill-reducing ordering ([`SolverOptions::ordering`]) plus the
@@ -193,7 +176,8 @@ pub struct AnalyzeBreakdown {
     /// Per-supernode row-block decomposition, supernodal tree and the
     /// nnz/flop totals.
     pub relind: std::time::Duration,
-    /// Level sets + gather segments for the tree-parallel sweeps.
+    /// Always zero: there is no solve plan to build. The repository
+    /// benchmark reads it; it goes with ROADMAP item 0(d).
     pub solve_plan: std::time::Duration,
     /// The input → factor-order value scatter map.
     pub value_map: std::time::Duration,
@@ -205,13 +189,7 @@ pub struct AnalyzeBreakdown {
 impl AnalyzeBreakdown {
     /// Sum of all instrumented stages.
     pub fn total(&self) -> std::time::Duration {
-        self.ordering
-            + self.etree
-            + self.colcount
-            + self.merge
-            + self.relind
-            + self.solve_plan
-            + self.value_map
+        self.ordering + self.etree + self.colcount + self.merge + self.relind + self.value_map
     }
 }
 
@@ -309,16 +287,6 @@ pub struct SymbolicCholesky {
     total_perm: Permutation,
     method: Method,
     engine: &'static dyn NumericEngine,
-    /// Level sets + gather segments for the tree-parallel sweeps,
-    /// computed once here (pattern-only) and consulted on every solve.
-    plan: SolvePlan,
-    /// Resolved solve lane count and whether it was forced (explicit
-    /// [`SolverOptions::solve_threads`] or `RLCHOL_SOLVE_THREADS`)
-    /// rather than derived from the pool default. Resolved **once** at
-    /// construction (or [`set_solve_threads`](Self::set_solve_threads)):
-    /// an environment read allocates, and the solve hot path must not.
-    solve_lanes: usize,
-    solve_forced: bool,
     /// The analyzed pattern (lower triangle of the *input* matrix), kept
     /// to reject same-handle calls with a different pattern.
     pattern_colptr: Vec<usize>,
@@ -407,18 +375,11 @@ impl SymbolicCholesky {
             .iter()
             .map(|&m| (m, engine_for(m)))
             .collect();
-        let t = Instant::now();
-        let plan = SolvePlan::build_par(&sym, analyze_lanes);
-        analyze_stages.solve_plan = t.elapsed();
-        let (solve_lanes, solve_forced) = resolve_solve_threads(opts.solve_threads);
         SymbolicCholesky {
             sym,
             total_perm,
             method: opts.method,
             engine,
-            plan,
-            solve_lanes,
-            solve_forced,
             pattern_colptr: a.colptr().to_vec(),
             pattern_rowind: a.rowind().to_vec(),
             value_map,
@@ -443,7 +404,7 @@ impl SymbolicCholesky {
     }
 
     /// True when `other` encodes the identical analysis: symbolic
-    /// factor, composed permutation, solve plan, value map and analyzed
+    /// factor, composed permutation, value map and analyzed
     /// pattern all compare equal. Engine resources, lane counts and
     /// stage timings are ignored — this is the handle-level statement of
     /// "the analysis is bit-identical", which the parallel-analyze tests
@@ -451,7 +412,6 @@ impl SymbolicCholesky {
     pub fn analysis_eq(&self, other: &SymbolicCholesky) -> bool {
         self.sym == other.sym
             && self.total_perm == other.total_perm
-            && self.plan == other.plan
             && self.value_map == other.value_map
             && self.pattern_colptr == other.pattern_colptr
             && self.pattern_rowind == other.pattern_rowind
@@ -478,7 +438,7 @@ impl SymbolicCholesky {
     }
 
     /// Estimated resident bytes of this handle: the symbolic structure,
-    /// the cached solve plan, the retained pattern copy and value map,
+    /// the retained pattern copy and value map,
     /// plus a worst-case workspace estimate for every lane the pool may
     /// create ([`factor_lanes`](Self::factor_lanes) ×
     /// [`lane_memory_bytes`](Self::lane_memory_bytes) — lanes are built
@@ -488,7 +448,6 @@ impl SymbolicCholesky {
     pub fn memory_bytes(&self) -> u64 {
         let usz = std::mem::size_of::<usize>() as u64;
         self.sym.memory_bytes()
-            + self.plan.memory_bytes()
             + 2 * self.sym.n as u64 * usz // total_perm: old_of + new_of
             + (self.pattern_colptr.len() + self.pattern_rowind.len() + self.value_map.len())
                 as u64
@@ -788,61 +747,17 @@ impl SymbolicCholesky {
         })
     }
 
-    /// Overrides the handle's solve lane count (`0` restores the
-    /// `RLCHOL_SOLVE_THREADS` / automatic resolution). Lets one analyzed
-    /// handle serve configurations with different solve parallelism —
-    /// e.g. a thread-sweep benchmark — without re-analyzing.
-    pub fn set_solve_threads(&mut self, threads: usize) {
-        let (lanes, forced) = resolve_solve_threads(threads);
-        self.solve_lanes = lanes;
-        self.solve_forced = forced;
-    }
+    /// Does nothing: solves run one serial sweep. The repository
+    /// benchmark calls it; it goes with ROADMAP item 0(d).
+    pub fn set_solve_threads(&mut self, _threads: usize) {}
 
-    /// How this handle's solves will run: plan shape (levels, width)
-    /// plus the resolved thread count and selected path. The solve-side
-    /// analogue of [`FactorInfo`].
+    /// How this handle's solves run, in the shape the repository
+    /// benchmark reads (see [`SolveInfo`]).
     pub fn solve_info(&self) -> SolveInfo {
-        let (threads, level_set) = self.solve_path();
         SolveInfo {
-            levels: self.plan.num_levels(),
-            max_width: self.plan.max_width(),
-            threads,
-            level_set,
+            threads: 1,
+            level_set: false,
             async_dispatch: false,
-        }
-    }
-
-    /// The cached solve plan (level sets, gather segments).
-    pub fn solve_plan(&self) -> &SolvePlan {
-        &self.plan
-    }
-
-    /// Serial/parallel selection. The level-set path needs lanes *and*
-    /// level width to pay for its barriers; under automatic resolution
-    /// small systems stay serial too ([`solve::AUTO_MIN_N`]), while a
-    /// forced thread count trusts the caller. Selection never affects
-    /// results — the paths are bit-identical — only wall clock.
-    fn solve_path(&self) -> (usize, bool) {
-        let threads = self.solve_lanes;
-        let wide = self.plan.max_width() > 1;
-        let level_set =
-            threads > 1 && wide && (self.solve_forced || self.sym.n >= solve::AUTO_MIN_N);
-        (threads, level_set)
-    }
-
-    /// Runs the planned forward + backward sweeps on the factor-ordered
-    /// block `bp` (`n × k`, column-major).
-    fn run_sweeps(&self, fact: &Factorization, bp: &mut [f64], k: usize) {
-        let (threads, level_set) = self.solve_path();
-        if level_set {
-            solve::solve_forward_level_set(&self.sym, &self.plan, &fact.data, bp, k, threads);
-            solve::solve_backward_level_set(&self.sym, &self.plan, &fact.data, bp, k, threads);
-        } else if k == 1 {
-            solve::solve_forward(&self.sym, &fact.data, bp);
-            solve::solve_backward(&self.sym, &fact.data, bp);
-        } else {
-            solve::solve_forward_multi(&self.sym, &fact.data, bp, k);
-            solve::solve_backward_multi(&self.sym, &fact.data, bp, k);
         }
     }
 
@@ -862,9 +777,8 @@ impl SymbolicCholesky {
 
     /// Solves `A x = b` (original ordering) into the caller's `x`,
     /// drawing scratch from `ws` — zero heap allocations once `ws` is
-    /// warm. Takes the level-set path when the handle's solve plan
-    /// selected it (see [`solve_info`](Self::solve_info)); results are
-    /// bit-identical either way.
+    /// warm. Bit-identical to column `j` of a [`solve_many`](Self::solve_many)
+    /// whose column `j` is `b`.
     pub fn solve_into(
         &self,
         fact: &Factorization,
@@ -872,46 +786,16 @@ impl SymbolicCholesky {
         x: &mut [f64],
         ws: &mut SolveWorkspace,
     ) -> Result<(), SolveError> {
-        self.solve_perm(fact, b, x, &mut ws.perm)
-    }
-
-    /// Inner single-RHS solve against an explicit permutation scratch
-    /// (lets refinement use the other workspace fields simultaneously).
-    fn solve_perm(
-        &self,
-        fact: &Factorization,
-        b: &[f64],
-        x: &mut [f64],
-        scratch: &mut Vec<f64>,
-    ) -> Result<(), SolveError> {
-        assert!(
-            fact.is_valid(),
-            "factorization was invalidated by a failed refactor; \
-             refactor successfully before solving"
-        );
-        self.check_dim(b.len(), 1, |expected, found| SolveError::RhsDimension {
-            expected,
-            found,
-        })?;
-        self.check_dim(x.len(), 1, |expected, found| {
-            SolveError::SolutionDimension { expected, found }
-        })?;
-        let n = self.sym.n;
-        ensure_len(scratch, n);
-        let bp = &mut scratch[..n];
-        self.total_perm.apply_into(b, bp);
-        self.run_sweeps(fact, bp, 1);
-        self.total_perm.apply_inv_into(bp, x);
-        Ok(())
+        self.solve_block(fact, b, x, 1, &mut ws.perm, &mut ws.sweep)
     }
 
     /// Solves `A X = B` for `k` right-hand sides stored column-major in
     /// `b` (an `n × k` block, leading dimension `n`), writing the
-    /// solutions into `x` with the same layout. The forward/backward
-    /// sweeps are blocked over the supernodes (each panel is read once
-    /// per sweep, not once per RHS) and take the level-set path when
-    /// selected; zero heap allocations once `ws` is warm. `k == 0` is a
-    /// valid empty request.
+    /// solutions into `x` with the same layout. One forward and one
+    /// backward sweep serve all `k` columns, reading each supernode's
+    /// panel once per sweep; column `j` of `x` is bit-identical to
+    /// [`solve_into`](Self::solve_into) of column `j` of `b`. Zero heap
+    /// allocations once `ws` is warm. `k == 0` is a valid empty request.
     pub fn solve_many(
         &self,
         fact: &Factorization,
@@ -919,6 +803,21 @@ impl SymbolicCholesky {
         x: &mut [f64],
         k: usize,
         ws: &mut SolveWorkspace,
+    ) -> Result<(), SolveError> {
+        self.solve_block(fact, b, x, k, &mut ws.perm, &mut ws.sweep)
+    }
+
+    /// The solve behind every entry point, on explicit scratch (lets
+    /// refinement hold the other workspace fields at the same time):
+    /// permute into factor order, sweep, permute back.
+    fn solve_block(
+        &self,
+        fact: &Factorization,
+        b: &[f64],
+        x: &mut [f64],
+        k: usize,
+        perm: &mut Vec<f64>,
+        sweep: &mut Vec<f64>,
     ) -> Result<(), SolveError> {
         assert!(
             fact.is_valid(),
@@ -932,28 +831,27 @@ impl SymbolicCholesky {
         self.check_dim(x.len(), k, |expected, found| {
             SolveError::SolutionDimension { expected, found }
         })?;
-        if k == 0 || self.sym.n == 0 {
+        let n = self.sym.n;
+        if k == 0 || n == 0 {
             return Ok(());
         }
-        let n = self.sym.n;
-        ensure_len(&mut ws.perm, n * k);
-        let bp = &mut ws.perm[..n * k];
-        for rhs in 0..k {
-            self.total_perm
-                .apply_into(&b[rhs * n..(rhs + 1) * n], &mut bp[rhs * n..(rhs + 1) * n]);
+        let bp = scratch_of(perm, n * k);
+        for (src, dst) in b.chunks_exact(n).zip(bp.chunks_exact_mut(n)) {
+            self.total_perm.apply_into(src, dst);
         }
-        self.run_sweeps(fact, bp, k);
-        for rhs in 0..k {
-            self.total_perm
-                .apply_inv_into(&bp[rhs * n..(rhs + 1) * n], &mut x[rhs * n..(rhs + 1) * n]);
+        solve::solve_forward(&self.sym, &fact.data, bp, k, sweep);
+        solve::solve_backward(&self.sym, &fact.data, bp, k, sweep);
+        for (src, dst) in bp.chunks_exact(n).zip(x.chunks_exact_mut(n)) {
+            self.total_perm.apply_inv_into(src, dst);
         }
         Ok(())
     }
 
     /// Solves with iterative refinement on the in-place path, writing
-    /// the solution into `x`; returns the final `‖b − A x‖∞`. Stops
-    /// early when the residual stops improving (keeping the best
-    /// iterate) or hits exactly zero; a NaN/Inf residual is the typed
+    /// the solution into `x`; returns `‖b − A x‖∞` of that `x`. Each of
+    /// up to `max_iters` corrections is kept only if it lowers the
+    /// residual; refinement stops at the first that does not, or at a
+    /// residual of exactly zero. A NaN/Inf residual is the typed
     /// [`SolveError::NonFinite`] — non-finite inputs (or a corrupted
     /// factor) cannot converge, and a serving loop should reject the
     /// request rather than return a silently poisoned solution. Zero
@@ -974,38 +872,58 @@ impl SymbolicCholesky {
                 found: a.n(),
             });
         }
-        let SolveWorkspace { perm, resid, corr } = ws;
-        ensure_len(resid, n);
-        ensure_len(corr, n);
-        let resid = &mut resid[..n];
-        let corr = &mut corr[..n];
-        self.solve_perm(fact, b, x, perm)?;
-        let mut last = f64::INFINITY;
-        for iteration in 0..max_iters {
-            a.matvec(x, resid);
-            for i in 0..n {
-                resid[i] = b[i] - resid[i];
-            }
-            // `f64::max` ignores NaN, so an all-NaN residual would fold
-            // to 0.0 and read as converged; sum the absolute values
-            // first (NaN-propagating) to catch any non-finite entry.
-            if !resid.iter().map(|v| v.abs()).sum::<f64>().is_finite() {
-                return Err(SolveError::NonFinite { iteration });
-            }
-            let norm = resid.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-            if norm >= last || norm == 0.0 {
-                last = norm.min(last);
+        let SolveWorkspace {
+            perm,
+            resid,
+            corr,
+            sweep,
+        } = ws;
+        let resid = scratch_of(resid, n);
+        let corr = scratch_of(corr, n);
+        self.solve_block(fact, b, x, 1, perm, sweep)?;
+        let mut best = residual_norm(a, b, x, resid, 0)?;
+        for iteration in 1..=max_iters {
+            if best == 0.0 {
                 break;
             }
-            last = norm;
-            self.solve_perm(fact, resid, corr, perm)
+            self.solve_block(fact, resid, corr, 1, perm, sweep)
                 .expect("workspace buffers are sized to n");
-            for i in 0..n {
-                x[i] += corr[i];
+            // The candidate `x + correction` takes `corr`'s place, so a
+            // correction that does not help leaves `x` untouched.
+            for (c, &xi) in corr.iter_mut().zip(x.iter()) {
+                *c += xi;
             }
+            let norm = residual_norm(a, b, corr, resid, iteration)?;
+            if norm >= best {
+                break;
+            }
+            x.copy_from_slice(corr);
+            best = norm;
         }
-        Ok(last)
+        Ok(best)
     }
+}
+
+/// `‖b − A x‖∞`, leaving `b − A x` in `resid`; a NaN/Inf entry is
+/// [`SolveError::NonFinite`] at `iteration`.
+fn residual_norm(
+    a: &SymCsc,
+    b: &[f64],
+    x: &[f64],
+    resid: &mut [f64],
+    iteration: usize,
+) -> Result<f64, SolveError> {
+    a.matvec(x, resid);
+    for (r, &bi) in resid.iter_mut().zip(b) {
+        *r = bi - *r;
+    }
+    // `f64::max` ignores NaN, so an all-NaN residual would fold to 0.0
+    // and read as converged; sum the absolute values first
+    // (NaN-propagating) to catch any non-finite entry.
+    if !resid.iter().map(|v| v.abs()).sum::<f64>().is_finite() {
+        return Err(SolveError::NonFinite { iteration });
+    }
+    Ok(resid.iter().fold(0.0f64, |m, &v| m.max(v.abs())))
 }
 
 #[cfg(test)]
@@ -1112,6 +1030,45 @@ mod tests {
     }
 
     #[test]
+    fn solve_refined_returns_the_residual_of_its_best_iterate() {
+        // On both systems the third correction raises the residual, so
+        // `max_iters = 3` must undo it.
+        for a in [grid3d(10, 10, 10, Stencil::Star7, 1, 7), laplace2d(30, 7)] {
+            let n = a.n();
+            let (sc, fact) = staged_default(&a);
+            let b: Vec<f64> = (0..n).map(|i| (i % 17) as f64 / 17.0 - 0.5).collect();
+            let mut ws = SolveWorkspace::warm(n, 1);
+            let mut x0 = vec![0.0; n];
+            sc.solve_into(&fact, &b, &mut x0, &mut ws).unwrap();
+            let mut ax = vec![0.0; n];
+            let mut prev = f64::INFINITY;
+            for max_iters in 0..=3 {
+                let mut x = vec![0.0; n];
+                let got = sc
+                    .solve_refined(&fact, &a, &b, &mut x, max_iters, &mut ws)
+                    .unwrap();
+                a.matvec(&x, &mut ax);
+                let want = b
+                    .iter()
+                    .zip(&ax)
+                    .fold(0.0f64, |m, (&bi, &yi)| m.max((bi - yi).abs()));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "n {n}, max_iters {max_iters}: returned {got:e}, residual of x {want:e}"
+                );
+                // A correction is kept only when it helps: more
+                // iterations never end on a worse iterate.
+                assert!(got <= prev, "n {n}, max_iters {max_iters}");
+                if max_iters == 0 {
+                    assert_eq!(x, x0, "no iterations leave the plain solve");
+                }
+                prev = got;
+            }
+        }
+    }
+
+    #[test]
     fn solve_dimension_mismatches_are_typed() {
         let a = laplace2d(6, 3);
         let n = a.n();
@@ -1182,31 +1139,6 @@ mod tests {
             .solve_refined(&fact0, &empty, &[], &mut [], 2, &mut ws)
             .unwrap();
         assert_eq!(r, 0.0);
-        let info = sc0.solve_info();
-        assert_eq!(info.levels, 0);
-        assert!(!info.level_set);
-    }
-
-    #[test]
-    fn solve_info_reports_plan_and_forced_path() {
-        let a = grid3d(6, 6, 5, Stencil::Star7, 1, 31);
-        let mut sc = SymbolicCholesky::new(
-            &a,
-            &SolverOptions {
-                solve_threads: 4,
-                ..SolverOptions::default()
-            },
-        );
-        let info = sc.solve_info();
-        assert!(info.levels > 1);
-        assert!(info.max_width > 1, "ND-ordered 3-D grid has level width");
-        assert_eq!(info.threads, 4);
-        assert!(
-            info.level_set,
-            "explicit threads > 1 force the level-set path"
-        );
-        sc.set_solve_threads(1);
-        assert!(!sc.solve_info().level_set, "1 thread forces serial");
     }
 
     #[test]

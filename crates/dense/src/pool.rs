@@ -303,8 +303,8 @@ impl ThreadPool {
     /// **no heap allocation**: the closure stays on the caller's stack,
     /// indices are claimed from a shared counter, and idle workers join
     /// in through the pool's wake signal — which makes it the right
-    /// primitive for steady-state hot paths (the level-set triangular
-    /// solves) that must stay allocation-free after warm-up.
+    /// primitive for steady-state hot paths (the kernels' lane splits)
+    /// that must stay allocation-free after warm-up.
     ///
     /// Calls are *claimed* in ascending index order but may run
     /// concurrently; `f` must make concurrent calls safe (e.g. by

@@ -14,7 +14,7 @@
 //! `factor` and `solve` to a single machine-readable JSON report on
 //! stdout (same schema as the service protocol's response frames).
 //! `analyze` prints the per-stage wall breakdown (etree / colcount /
-//! merge / relind / solve-plan / value-map); `--analyze-threads` forces
+//! merge / relind / value-map); `--analyze-threads` forces
 //! the symbolic pipeline's lane count (the result is bit-identical at
 //! any value — only the wall changes).
 //!
@@ -27,7 +27,7 @@
 use std::time::Duration;
 
 use rlchol::core::engine::{GpuOptions, Method, RetireMode};
-use rlchol::core::json::{factor_info_json, solve_info_json, JsonObj};
+use rlchol::core::json::{factor_info_json, JsonObj};
 use rlchol::perfmodel::MachineModel;
 use rlchol::report::spy_lower;
 use rlchol::sparse::read_matrix_market;
@@ -49,7 +49,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rlchol <analyze|factor|solve|spy> <matrix.mtx> \
          [--method {}] \
-         [--ordering nd|md|rcm|natural] [--solve-threads N] \
+         [--ordering nd|md|rcm|natural] \
          [--factor-lanes N] [--analyze-threads N] [--size N] [--gpu-threshold N] \
          [--retire inorder|ooo] \
          [--faults SPEC[,SPEC...]] [--fallback auto|m1>m2>...] \
@@ -66,7 +66,6 @@ struct Args {
     method: Method,
     ordering: OrderingMethod,
     size: usize,
-    solve_threads: usize,
     factor_lanes: usize,
     analyze_threads: usize,
     gpu_threshold: Option<usize>,
@@ -84,7 +83,6 @@ fn parse_args() -> Args {
     let mut method = Method::RlCpu;
     let mut ordering = OrderingMethod::NestedDissection;
     let mut size = 40usize;
-    let mut solve_threads = 0usize;
     let mut factor_lanes = 0usize;
     let mut analyze_threads = 0usize;
     let mut gpu_threshold = None;
@@ -117,7 +115,6 @@ fn parse_args() -> Args {
                 }
             }
             "--size" => size = value.parse().unwrap_or_else(|_| usage()),
-            "--solve-threads" => solve_threads = value.parse().unwrap_or_else(|_| usage()),
             "--factor-lanes" => factor_lanes = value.parse().unwrap_or_else(|_| usage()),
             "--analyze-threads" => analyze_threads = value.parse().unwrap_or_else(|_| usage()),
             // Supernode-size offload cutoff; 0 sends everything to the
@@ -160,7 +157,6 @@ fn parse_args() -> Args {
         method,
         ordering,
         size,
-        solve_threads,
         factor_lanes,
         analyze_threads,
         gpu_threshold,
@@ -191,7 +187,6 @@ fn solver_options(args: &Args) -> SolverOptions {
             retire: args.retire,
             ..GpuOptions::with_threshold(args.gpu_threshold.unwrap_or(12_000))
         },
-        solve_threads: args.solve_threads,
         factor_lanes: args.factor_lanes,
         analyze_threads: args.analyze_threads,
         faults: args.faults.clone(),
@@ -284,14 +279,13 @@ fn main() {
             println!(
                 "stage breakdown ({} analyze thread(s)): ordering {:.1} ms, \
                  etree {:.1} ms, colcount {:.1} ms, merge {:.1} ms, \
-                 relind {:.1} ms, solve plan {:.1} ms, value map {:.1} ms",
+                 relind {:.1} ms, value map {:.1} ms",
                 stages.threads,
                 ms(stages.ordering),
                 ms(stages.etree),
                 ms(stages.colcount),
                 ms(stages.merge),
                 ms(stages.relind),
-                ms(stages.solve_plan),
                 ms(stages.value_map)
             );
             println!("analysis wall time: {:.1} ms", ms(wall));
@@ -367,7 +361,6 @@ fn main() {
             let ones = vec![1.0; n];
             let mut b = vec![0.0; n];
             a.matvec(&ones, &mut b);
-            let info = handle.solve_info();
             if args.json {
                 let mut x = vec![0.0; n];
                 let mut ws = SolveWorkspace::warm(n, 1);
@@ -387,21 +380,10 @@ fn main() {
                     .f64("max_error", err)
                     .f64("refined_residual", resid)
                     .raw("factor", &factor_info_json(fact.info()))
-                    .raw("solve", &solve_info_json(&info))
                     .finish();
                 println!("{obj}");
                 return;
             }
-            println!(
-                "solve plan: {} levels, max width {}; path: {}",
-                info.levels,
-                info.max_width,
-                if info.level_set {
-                    format!("level-set ({} threads)", info.threads)
-                } else {
-                    "serial".to_string()
-                }
-            );
             let mut x = vec![0.0; n];
             let mut ws = SolveWorkspace::warm(n, 1);
             let resid = handle

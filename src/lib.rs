@@ -23,11 +23,10 @@
 //! factor reallocation), and solves run in caller buffers with zero
 //! per-call heap allocation ([`SymbolicCholesky::solve_into`],
 //! [`SymbolicCholesky::solve_many`],
-//! [`SymbolicCholesky::solve_refined`]). Solves follow a
-//! [`SolvePlan`](core::solve::SolvePlan) cached on the handle: level
-//! sets of the elimination tree that let the forward/backward sweeps
-//! run tree-parallel on wide trees — bit-identical to the serial sweeps
-//! at any thread count (see `core::solve`):
+//! [`SymbolicCholesky::solve_refined`]). Every solve is one serial
+//! supernodal forward and backward sweep, whatever the number of
+//! right-hand sides; column `j` of a `solve_many` is bit-identical to a
+//! `solve_into` of column `j` (see `core::solve`):
 //!
 //! ```
 //! use rlchol::{CholeskySolver, SolveWorkspace, SolverOptions};
@@ -264,34 +263,31 @@
 //! the pipelined GPU engines ([`Method::RlGpuPipe`], [`Method::RlbGpuPipe`])
 //! dispatch ready supernodes onto the least-loaded of their simulated
 //! compute/copy stream pairs (retirement discipline via
-//! `RLCHOL_RETIRE={inorder,ooo}`); the level-set triangular solves
-//! dispatch each level of the solve plan onto the same pool. Sizing
-//! follows one precedence rule, resolved when
-//! [`CholeskySolver::analyze`] builds the handle:
+//! `RLCHOL_RETIRE={inorder,ooo}`). The triangular solves are one
+//! serial sweep and take no lanes. Sizing follows one precedence rule,
+//! resolved when [`CholeskySolver::analyze`] builds the handle:
 //!
 //! 1. An explicit nonzero [`SolverOptions::threads`] /
-//!    [`SolverOptions::solve_threads`] / [`SolverOptions::factor_lanes`] /
-//!    [`SolverOptions::analyze_threads`] /
+//!    [`SolverOptions::factor_lanes`] / [`SolverOptions::analyze_threads`] /
 //!    [`GpuOptions::streams`](core::engine::GpuOptions::streams), or an
 //!    explicit [`GpuOptions::retire`](core::engine::GpuOptions::retire),
 //!    wins.
 //! 2. A zero (`None` for retire) defers to the
-//!    **`RLCHOL_THREADS`** / **`RLCHOL_SOLVE_THREADS`** /
-//!    **`RLCHOL_FACTOR_LANES`** / **`RLCHOL_ANALYZE_THREADS`** /
+//!    **`RLCHOL_THREADS`** / **`RLCHOL_FACTOR_LANES`** /
+//!    **`RLCHOL_ANALYZE_THREADS`** /
 //!    **`RLCHOL_STREAMS`** / **`RLCHOL_RETIRE`** environment variable
 //!    (positive integer; `inorder`/`ooo` for retire).
 //! 3. Unset environment falls back to
-//!    [`std::thread::available_parallelism`] (threads, solve lanes,
-//!    factor lanes, analyze lanes — solves and analyses additionally
-//!    stay serial below a small-system cutoff) / the runtime default of
-//!    2 (stream pairs) / in-order retirement. Out-of-order retirement
+//!    [`std::thread::available_parallelism`] (threads, factor lanes,
+//!    analyze lanes — analyses additionally stay serial below a
+//!    small-system cutoff) / the runtime default of 2 (stream pairs) /
+//!    in-order retirement. Out-of-order retirement
 //!    always sizes its lookahead window adaptively; there is no knob.
 //!
 //! One lane / one pair degenerates to the serial / single-stream
-//! schedule, bit-exactly — and the level-set solves, lane-pooled
-//! factorizations and thread-parallel symbolic analyses are
-//! bit-identical to serial at *any* lane count, so the settings are
-//! purely about speed.
+//! schedule, bit-exactly — and the lane-pooled factorizations and
+//! thread-parallel symbolic analyses are bit-identical to serial at
+//! *any* lane count, so the settings are purely about speed.
 
 pub use rlchol_core as core;
 pub use rlchol_dense as dense;

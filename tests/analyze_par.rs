@@ -11,7 +11,7 @@
 //!    stats).
 //! 2. A `SymbolicCholesky` handle built with `analyze_threads` 2/4/8 is
 //!    `analysis_eq` to the serial handle: symbolic factor, composed
-//!    permutation, solve plan, value map and analyzed pattern all equal.
+//!    permutation, value map and analyzed pattern all equal.
 //! 3. The analysis is engine-independent: every registered engine's
 //!    handle carries the identical analysis.
 //! 4. Numeric smoke: a factor through a parallel-analyzed handle is

@@ -119,7 +119,6 @@ fn options(method: Method, threshold: usize) -> SolverOptions {
         threads: 1,
         factor_lanes: 1,
         analyze_threads: 1,
-        solve_threads: 1,
         ..SolverOptions::default()
     }
 }

@@ -137,54 +137,46 @@ fn solves_are_allocation_free_after_warm_up() {
         "warm workspace allocated {allocs} times on first use"
     );
 
-    // The level-set (tree-parallel) solve path must be equally
-    // allocation-free: chunks come from the plan's precomputed prefix
-    // sums and the pool's `run_for` parallel-for never boxes a task.
+    // A second, larger system through a workspace that grows on its
+    // own: the sweeps' supernode buffer holds `k` right-hand sides of
+    // the largest below-diagonal row count, and stays put once grown.
     // The handle asks for out-of-order retirement: that is a setting of
     // the pipelined GPU executor and must not reach the solves.
-    let a_par = grid3d(8, 8, 6, Stencil::Star7, 1, 12);
-    let n_par = a_par.n();
-    let handle_par = CholeskySolver::analyze(
-        &a_par,
+    let a2 = grid3d(8, 8, 6, Stencil::Star7, 1, 12);
+    let n2 = a2.n();
+    let handle2 = CholeskySolver::analyze(
+        &a2,
         &SolverOptions {
-            solve_threads: 4,
             gpu: GpuOptions::with_threshold(usize::MAX).with_retire(RetireMode::Ooo),
             ..SolverOptions::default()
         },
     );
-    let info = handle_par.solve_info();
-    assert!(
-        info.level_set && info.max_width > 1,
-        "test matrix must engage the level-set path (got {info:?})"
-    );
-    let fact_par = handle_par.factor_with(&a_par).expect("SPD input");
-    let bp: Vec<f64> = (0..n_par * k)
-        .map(|i| ((i * 7) % 43) as f64 - 21.0)
-        .collect();
-    let mut xp = vec![0.0; n_par];
-    let mut xsp = vec![0.0; n_par * k];
-    let mut ws_par = SolveWorkspace::new();
-    // Warm-up also spawns the pool's workers on first use.
-    handle_par
-        .solve_into(&fact_par, &bp[..n_par], &mut xp, &mut ws_par)
+    let fact2 = handle2.factor_with(&a2).expect("SPD input");
+    let bp: Vec<f64> = (0..n2 * k).map(|i| ((i * 7) % 43) as f64 - 21.0).collect();
+    let mut xp = vec![0.0; n2];
+    let mut xsp = vec![0.0; n2 * k];
+    let mut ws2 = SolveWorkspace::new();
+    // Warm-up grows the workspace to this system.
+    handle2
+        .solve_into(&fact2, &bp[..n2], &mut xp, &mut ws2)
         .unwrap();
-    handle_par
-        .solve_many(&fact_par, &bp, &mut xsp, k, &mut ws_par)
+    handle2
+        .solve_many(&fact2, &bp, &mut xsp, k, &mut ws2)
         .unwrap();
-    handle_par
-        .solve_refined(&fact_par, &a_par, &bp[..n_par], &mut xp, 2, &mut ws_par)
+    handle2
+        .solve_refined(&fact2, &a2, &bp[..n2], &mut xp, 2, &mut ws2)
         .unwrap();
     settle_pool();
-    assert_alloc_free("level-set solve path", || {
+    assert_alloc_free("second solve path", || {
         for _ in 0..5 {
-            handle_par
-                .solve_into(&fact_par, &bp[..n_par], &mut xp, &mut ws_par)
+            handle2
+                .solve_into(&fact2, &bp[..n2], &mut xp, &mut ws2)
                 .unwrap();
-            handle_par
-                .solve_many(&fact_par, &bp, &mut xsp, k, &mut ws_par)
+            handle2
+                .solve_many(&fact2, &bp, &mut xsp, k, &mut ws2)
                 .unwrap();
-            handle_par
-                .solve_refined(&fact_par, &a_par, &bp[..n_par], &mut xp, 2, &mut ws_par)
+            handle2
+                .solve_refined(&fact2, &a2, &bp[..n2], &mut xp, 2, &mut ws2)
                 .unwrap();
         }
     });
