@@ -14,8 +14,7 @@
 
 use std::process::ExitCode;
 
-use rlchol_bench::paper::{generate, render, Artifact, PROFILE_SOLVERS};
-use rlchol_report::ascii_plot;
+use rlchol_bench::paper::{ascii_plot, generate, render, Artifact, PROFILE_SOLVERS};
 
 const ARTIFACT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper.json");
 

@@ -13,7 +13,17 @@
 //! assertions, and [`Artifact::to_json`] renders the file: one row per
 //! line, shortest round-trip `f64`, simulated and structural values
 //! (and the paper's published columns) only — no wall clock, no host
-//! stamp — so it is byte-identical on any host.
+//! stamp — so it is byte-identical on any host. The terminal side is
+//! [`Table`] (the layout of Tables I and II), [`PerformanceProfile`]
+//! (Figure 3's Dolan–Moré profiles) and [`ascii_plot`].
+
+mod plot;
+mod profile;
+mod table;
+
+pub use plot::ascii_plot;
+pub use profile::PerformanceProfile;
+pub use table::Table;
 
 use rlchol_core::engine::{GpuOptions, Method, RetireMode};
 use rlchol_core::gpu_rl::offload_set;
@@ -22,7 +32,6 @@ use rlchol_core::EngineRun;
 use rlchol_gpu::StreamRole;
 use rlchol_matgen::suite::{SuiteConfig, SuiteEntry};
 use rlchol_matgen::{grid3d, paper_suite, Stencil};
-use rlchol_report::{PerformanceProfile, Table};
 use rlchol_symbolic::blocks::total_blocks;
 use rlchol_symbolic::SymbolicOptions;
 

@@ -284,6 +284,13 @@ impl RunCtl {
         }
     }
 
+    /// Wall budget left: `None` when unarmed or without a wall limit,
+    /// zero once it has run out.
+    pub(crate) fn wall_left(&self) -> Option<Duration> {
+        let state = self.armed.as_ref()?;
+        Some(state.wall?.saturating_sub(state.started.elapsed()))
+    }
+
     /// Errors when cancelled or past the wall deadline. Executors call
     /// this once per supernode.
     #[inline]

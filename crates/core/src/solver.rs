@@ -33,12 +33,15 @@ pub struct SolverOptions {
     pub method: Method,
     /// GPU engine options (ignored by the CPU methods).
     pub gpu: GpuOptions,
-    /// Lanes of the CPU tree executor, which runs every CPU method;
-    /// `0` means `RLCHOL_THREADS` / available parallelism, and `1` pins
-    /// the one-lane sweep. The factor is bit-identical at every lane
-    /// count. Below a flop cutoff, or while another factorization's tree
-    /// is running, the executor takes one lane whatever this says.
-    /// Ignored by the GPU methods.
+    /// Lanes of the CPU tree executor, which runs every CPU method, and
+    /// of the symbolic analysis (column counts, relative indices, value
+    /// map); `0` means `RLCHOL_THREADS` / available parallelism, and `1`
+    /// pins the one-lane sweep and the serial analysis. The factor and
+    /// the analysis are bit-identical at every lane count. Below a flop
+    /// cutoff, or while another factorization's tree is running, the
+    /// executor takes one lane whatever this says; below a size cutoff
+    /// (1 024 columns and 16 384 entries) so does the analysis. The GPU
+    /// methods use it for the analysis only.
     pub threads: usize,
     /// Workspace lanes of the staged handle: how many `factor_with` /
     /// `refactor` calls may run **concurrently** on one shared
@@ -48,13 +51,6 @@ pub struct SolverOptions {
     /// the pool default. The lane count never affects results — every
     /// lane's factor is bit-identical to the serial path.
     pub factor_lanes: usize,
-    /// Lanes for the thread-parallel symbolic analysis (column counts,
-    /// relative indices, value map). `0` means automatic:
-    /// `RLCHOL_ANALYZE_THREADS` if set, else the pool default with a
-    /// small-system serial cutoff. `1` forces the serial pipeline,
-    /// `> 1` forces the parallel one. The analysis is bit-identical at
-    /// every lane count — only the analyze wall clock changes.
-    pub analyze_threads: usize,
     /// Engines to degrade to (in order) when the primary engine fails
     /// with a device-side error. Empty (the default) surfaces the typed
     /// error instead; [`FallbackChain::recommended`] builds the
@@ -64,7 +60,8 @@ pub struct SolverOptions {
     /// none).
     pub retry: crate::resilience::RetryPolicy,
     /// Wall-clock / simulated-seconds budget per factorization (default:
-    /// unlimited). Expiry surfaces as
+    /// unlimited). The wall budget counts from the call's entry, so it
+    /// includes any wait for a free workspace lane. Expiry surfaces as
     /// [`FactorError::DeadlineExceeded`](crate::FactorError::DeadlineExceeded).
     pub deadline: crate::resilience::Deadline,
     /// Deterministic fault-injection plan for the simulated device
@@ -72,13 +69,6 @@ pub struct SolverOptions {
     /// `RLCHOL_FAULTS` environment variable, resolved once at handle
     /// construction.
     pub faults: Option<rlchol_gpu::FaultPlan>,
-    /// How long a `factor_with`/`refactor` call may wait for a free
-    /// workspace lane before failing with
-    /// [`FactorError::LanesExhausted`](crate::FactorError::LanesExhausted).
-    /// `None` resolves to `RLCHOL_LANE_WAIT_MS`, else a generous 30 s —
-    /// long enough for any real factorization to return a lane, short
-    /// enough that a wedged lane cannot hang a service forever.
-    pub lane_wait: Option<std::time::Duration>,
 }
 
 impl Default for SolverOptions {
@@ -90,12 +80,10 @@ impl Default for SolverOptions {
             gpu: GpuOptions::with_threshold(usize::MAX),
             threads: 0,
             factor_lanes: 0,
-            analyze_threads: 0,
             fallback: crate::resilience::FallbackChain::none(),
             retry: crate::resilience::RetryPolicy::default(),
             deadline: crate::resilience::Deadline::none(),
             faults: None,
-            lane_wait: None,
         }
     }
 }

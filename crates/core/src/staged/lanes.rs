@@ -21,11 +21,15 @@
 //!   a free list on drop of the checkout guard; the most recently used
 //!   lane — with its cache-warm scratch — is handed out first. When all
 //!   `cap` lanes are in flight, [`checkout`](WorkspaceLanes::checkout)
-//!   blocks until one returns — except on a thread that already holds a
-//!   lane (a nested factorization picked up while an engine waits on
-//!   the thread pool), which gets a temporary beyond-cap *overflow*
-//!   lane instead, because blocking there could deadlock on a lane held
-//!   further down its own stack. A lane is always returned, including
+//!   blocks until one returns — for at most 30 s, and never past the
+//!   caller's wall deadline, which counts the wait (the typed
+//!   [`FactorError::LanesExhausted`] or
+//!   [`FactorError::DeadlineExceeded`] says which ran out) — except on
+//!   a thread that already holds a lane (a nested factorization picked
+//!   up while an engine waits on the thread pool), which gets a
+//!   temporary beyond-cap *overflow* lane instead, because blocking
+//!   there could deadlock on a lane held further down its own stack.
+//!   A lane is always returned, including
 //!   on error and panic paths (the guard's `Drop` does it), so an
 //!   indefinite value set in one lane never wedges the others.
 //! * **Per-lane GPU stream options.** Each lane's workspace owns its own
@@ -56,6 +60,7 @@ use rlchol_sparse::SymCsc;
 use crate::engine::GpuOptions;
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
+use crate::resilience::RunCtl;
 use crate::storage::FactorData;
 
 /// One independent factorization lane: the engine resources plus the
@@ -166,33 +171,25 @@ pub fn resolved_cap(cap_option: usize) -> usize {
     }
 }
 
-/// Checkout wait budget from the environment: `RLCHOL_LANE_WAIT_MS`
-/// when set to a positive integer (milliseconds).
-fn env_lane_wait() -> Option<Duration> {
-    env_positive("RLCHOL_LANE_WAIT_MS").map(|ms| Duration::from_millis(ms as u64))
-}
-
-/// Default checkout wait budget: long enough that a healthy pool under
-/// momentary load never trips it, short enough that a wedged lane set
-/// surfaces as a typed error rather than a hang.
-const DEFAULT_LANE_WAIT: Duration = Duration::from_secs(30);
+/// Checkout wait budget of every handle: long enough that a healthy
+/// pool under momentary load never trips it, short enough that a wedged
+/// lane set surfaces as a typed error rather than a hang.
+pub(crate) const DEFAULT_LANE_WAIT: Duration = Duration::from_secs(30);
 
 impl WorkspaceLanes {
     /// Builds the pool. `cap_option` is
     /// [`SolverOptions::factor_lanes`](crate::SolverOptions): `0` defers
-    /// to `RLCHOL_FACTOR_LANES`, then the pool default. No lane is
-    /// created yet — the first checkout does that.
+    /// to `RLCHOL_FACTOR_LANES`, then the pool default. `wait` is the
+    /// checkout wait budget ([`DEFAULT_LANE_WAIT`] outside the unit
+    /// tests). No lane is created yet — the first checkout does that.
     pub(crate) fn new(
         cap_option: usize,
         threads: usize,
         gpu: GpuOptions,
         template: SymCsc,
-        wait_option: Option<Duration>,
+        wait: Duration,
     ) -> Self {
         let cap = resolved_cap(cap_option);
-        let wait = wait_option
-            .or_else(env_lane_wait)
-            .unwrap_or(DEFAULT_LANE_WAIT);
         // Pre-resolve stream options and the fault plan once so every
         // lane's engine runs with explicit, stable settings (no env
         // reads per call, and `RLCHOL_FAULTS` cannot change mid-handle).
@@ -260,13 +257,15 @@ impl WorkspaceLanes {
     /// lane returns — unless this thread already holds a lane (nested
     /// checkout via pool work-stealing), where blocking could deadlock
     /// and a temporary overflow lane is built instead. A blocked
-    /// checkout waits at most the pool's wait budget
-    /// (`SolverOptions::lane_wait` / `RLCHOL_LANE_WAIT_MS` / 30 s)
-    /// before giving up with [`FactorError::LanesExhausted`] — the
+    /// checkout waits at most the pool's wait budget (30 s) before
+    /// giving up with [`FactorError::LanesExhausted`] — the
     /// admission-control signal that sheds load instead of queueing it
-    /// forever. The returned guard hands the lane back on drop (also on
-    /// panic), so a failed factorization cannot leak a lane.
-    pub(crate) fn checkout(&self) -> Result<LaneGuard<'_>, FactorError> {
+    /// forever — and never past the caller's `ctl`: its wall deadline
+    /// counts the wait, and running out of it (or a cancel seen on
+    /// wake-up) fails the checkout with `ctl`'s own error. The returned
+    /// guard hands the lane back on drop (also on panic), so a failed
+    /// factorization cannot leak a lane.
+    pub(crate) fn checkout(&self, ctl: &RunCtl) -> Result<LaneGuard<'_>, FactorError> {
         let nested = HELD_LANES.with(|h| h.get()) > 0;
         let mut overflow = false;
         let mut st = self.state.lock().unwrap();
@@ -291,6 +290,7 @@ impl WorkspaceLanes {
                 st.contended += 1;
                 Instant::now()
             });
+            ctl.check()?;
             let elapsed = started.elapsed();
             let Some(remaining) = self.wait.checked_sub(elapsed) else {
                 return Err(FactorError::LanesExhausted {
@@ -298,7 +298,8 @@ impl WorkspaceLanes {
                     waited: elapsed,
                 });
             };
-            st = self.returned.wait_timeout(st, remaining).unwrap().0;
+            let timeout = ctl.wall_left().map_or(remaining, |w| w.min(remaining));
+            st = self.returned.wait_timeout(st, timeout).unwrap().0;
         };
         if lane.is_none() {
             // Build the lane outside the lock: cloning the template of a
@@ -451,7 +452,7 @@ mod tests {
             1,
             GpuOptions::with_threshold(usize::MAX),
             laplace2d(4, 3),
-            None,
+            DEFAULT_LANE_WAIT,
         )
     }
 
@@ -460,8 +461,8 @@ mod tests {
         let lanes = pool(3);
         assert_eq!(lanes.stats().created, 0, "no lane before first checkout");
         {
-            let mut g1 = lanes.checkout().unwrap();
-            let mut g2 = lanes.checkout().unwrap();
+            let mut g1 = lanes.checkout(&RunCtl::default()).unwrap();
+            let mut g2 = lanes.checkout(&RunCtl::default()).unwrap();
             g1.lane().ws.lanes = 11; // tag the lanes to observe reuse
             g2.lane().ws.lanes = 22;
             assert_eq!(lanes.stats().created, 2);
@@ -470,7 +471,7 @@ mod tests {
         assert_eq!(lanes.stats().in_use, 0);
         // LIFO: the last lane returned comes back first (guards drop in
         // reverse declaration order, so g1's lane returned last).
-        let mut g = lanes.checkout().unwrap();
+        let mut g = lanes.checkout(&RunCtl::default()).unwrap();
         assert_eq!(g.lane().ws.lanes, 11);
         let st = lanes.stats();
         assert_eq!((st.created, st.checkouts, st.contended), (2, 3, 0));
@@ -479,10 +480,10 @@ mod tests {
     #[test]
     fn checkout_blocks_at_cap_until_a_lane_returns() {
         let lanes = std::sync::Arc::new(pool(1));
-        let guard = lanes.checkout().unwrap();
+        let guard = lanes.checkout(&RunCtl::default()).unwrap();
         let l2 = std::sync::Arc::clone(&lanes);
         let waiter = std::thread::spawn(move || {
-            let _g = l2.checkout().unwrap(); // must block until the guard drops
+            let _g = l2.checkout(&RunCtl::default()).unwrap(); // must block until the guard drops
             l2.stats().peak_in_use
         });
         // Give the waiter time to reach the condvar, then release.
@@ -501,13 +502,13 @@ mod tests {
             1,
             GpuOptions::with_threshold(usize::MAX),
             laplace2d(4, 3),
-            Some(Duration::from_millis(30)),
+            Duration::from_millis(30),
         );
-        let _held = lanes.checkout().unwrap();
+        let _held = lanes.checkout(&RunCtl::default()).unwrap();
         // Checkout from a fresh thread (no nested-overflow escape
         // hatch): it must give up after the wait budget, not hang.
         let err = std::thread::scope(|s| {
-            s.spawn(|| lanes.checkout().map(|_| ()).unwrap_err())
+            s.spawn(|| lanes.checkout(&RunCtl::default()).map(|_| ()).unwrap_err())
                 .join()
                 .unwrap()
         });
@@ -525,7 +526,7 @@ mod tests {
     fn quarantine_tears_the_lane_down_and_releases_the_cap_slot() {
         let lanes = pool(1);
         {
-            let mut g = lanes.checkout().unwrap();
+            let mut g = lanes.checkout(&RunCtl::default()).unwrap();
             g.lane().ws.lanes = 13; // tag: this lane must never come back
             g.quarantine();
         }
@@ -536,7 +537,7 @@ mod tests {
             "quarantine releases the cap slot instead of freeing the lane"
         );
         // The next checkout builds a fresh lane from the template.
-        let mut g = lanes.checkout().unwrap();
+        let mut g = lanes.checkout(&RunCtl::default()).unwrap();
         assert_ne!(g.lane().ws.lanes, 13, "quarantined lane must not return");
         assert_eq!(lanes.stats().created, 1);
     }
@@ -546,7 +547,7 @@ mod tests {
         let lanes = std::sync::Arc::new(pool(1));
         let l2 = std::sync::Arc::clone(&lanes);
         let joined = std::thread::spawn(move || {
-            let mut g = l2.checkout().unwrap();
+            let mut g = l2.checkout(&RunCtl::default()).unwrap();
             g.lane().ws.lanes = 99;
             panic!("engine blew up mid-factorization");
         })
@@ -554,7 +555,7 @@ mod tests {
         assert!(joined.is_err(), "the spawned thread must have panicked");
         let st = lanes.stats();
         assert_eq!((st.created, st.in_use, st.quarantined), (0, 0, 1));
-        let mut g = lanes.checkout().unwrap();
+        let mut g = lanes.checkout(&RunCtl::default()).unwrap();
         assert_ne!(g.lane().ws.lanes, 99, "poisoned lane must not be reused");
     }
 
@@ -566,8 +567,8 @@ mod tests {
         // lane held further down its own stack. It gets a temporary
         // overflow lane instead — this test deadlocks if it regresses.
         let lanes = pool(1);
-        let outer = lanes.checkout().unwrap();
-        let mut inner = lanes.checkout().unwrap();
+        let outer = lanes.checkout(&RunCtl::default()).unwrap();
+        let mut inner = lanes.checkout(&RunCtl::default()).unwrap();
         inner.lane().ws.lanes = 77; // tag the overflow lane
         let st = lanes.stats();
         assert_eq!((st.created, st.overflow, st.in_use), (1, 1, 2));
@@ -585,8 +586,8 @@ mod tests {
         }
         // A later nested checkout reuses the cached lane instead of
         // cloning the template again.
-        let _outer = lanes.checkout().unwrap();
-        let mut inner = lanes.checkout().unwrap();
+        let _outer = lanes.checkout(&RunCtl::default()).unwrap();
+        let mut inner = lanes.checkout(&RunCtl::default()).unwrap();
         assert_eq!(inner.lane().ws.lanes, 77, "cached overflow lane reused");
         assert_eq!(lanes.stats().overflow, 2);
     }
@@ -606,7 +607,7 @@ mod tests {
             assert_eq!(st.traces.len(), 1);
         }
         // Checkout moves the binned storage into the lane's workspace.
-        let mut g = lanes.checkout().unwrap();
+        let mut g = lanes.checkout(&RunCtl::default()).unwrap();
         assert!(g.lane().ws.has_recycled_factor());
         assert!(g.lane().ws.trace_ops.capacity() > 0);
         drop(g);

@@ -133,24 +133,9 @@ impl SolveWorkspace {
     }
 }
 
-/// Resolves the analyze lane count: an explicit
-/// [`SolverOptions::analyze_threads`] wins, else `RLCHOL_ANALYZE_THREADS`,
-/// else the pool default. `forced` marks the first two sources, which
-/// bypass the small-system serial cutoff.
-fn resolve_analyze_threads(option: usize) -> (usize, bool) {
-    if option > 0 {
-        return (option, true);
-    }
-    match rlchol_dense::pool::env_positive("RLCHOL_ANALYZE_THREADS") {
-        Some(t) => (t, true),
-        None => (rlchol_dense::pool::default_threads(), false),
-    }
-}
-
-/// Below these sizes an automatically-sized analysis stays serial: the
-/// pool dispatch and per-thread scratch cost more than the stages save.
-/// A forced lane count (explicit option or environment) skips the
-/// cutoff, which is what the bit-identity tests rely on.
+/// Below these sizes the analysis stays serial whatever
+/// [`SolverOptions::threads`] says: the pool dispatch and per-thread
+/// scratch cost more than the stages save.
 const ANALYZE_PAR_MIN_N: usize = 1024;
 const ANALYZE_PAR_MIN_NNZ: usize = 16_384;
 
@@ -181,8 +166,8 @@ pub struct AnalyzeBreakdown {
     pub solve_plan: std::time::Duration,
     /// The input → factor-order value scatter map.
     pub value_map: std::time::Duration,
-    /// The lane count the analysis actually ran with (after the
-    /// automatic cutoff).
+    /// The lane count the analysis actually ran with (after the size
+    /// cutoff).
     pub threads: usize,
 }
 
@@ -325,17 +310,11 @@ impl SymbolicCholesky {
     /// `RLCHOL_STREAMS` environment variables (read at use), which in
     /// turn default to the machine's parallelism / the runtime default.
     pub fn new(a: &SymCsc, opts: &SolverOptions) -> Self {
-        // Analyze lane count: explicit option / environment force it;
-        // an automatic count stays serial below the cutoff, where the
-        // pool dispatch costs more than the stages save.
-        let (analyze_opt, analyze_forced) = resolve_analyze_threads(opts.analyze_threads);
-        let analyze_lanes =
-            if analyze_forced || a.n() >= ANALYZE_PAR_MIN_N || a.nnz_lower() >= ANALYZE_PAR_MIN_NNZ
-            {
-                analyze_opt.max(1)
-            } else {
-                1
-            };
+        let analyze_lanes = if a.n() >= ANALYZE_PAR_MIN_N || a.nnz_lower() >= ANALYZE_PAR_MIN_NNZ {
+            crate::registry::resolve_lanes(opts.threads)
+        } else {
+            1
+        };
 
         let t = Instant::now();
         let fill = order(a, opts.ordering);
@@ -367,8 +346,13 @@ impl SymbolicCholesky {
         if gpu.faults.is_none() {
             gpu.faults = opts.faults.clone();
         }
-        let lanes =
-            WorkspaceLanes::new(opts.factor_lanes, opts.threads, gpu, a_fact, opts.lane_wait);
+        let lanes = WorkspaceLanes::new(
+            opts.factor_lanes,
+            opts.threads,
+            gpu,
+            a_fact,
+            lanes::DEFAULT_LANE_WAIT,
+        );
         let chain = opts
             .fallback
             .methods
@@ -511,9 +495,10 @@ impl SymbolicCholesky {
     /// Takes `&self`: up to [`factor_lanes`](Self::factor_lanes) calls
     /// run concurrently on independent workspace lanes, each producing a
     /// factor bit-identical to a serial call with the same engine;
-    /// beyond that, callers block until a lane frees up — at most the
-    /// handle's wait budget ([`SolverOptions::lane_wait`]), after which
-    /// the call sheds with [`FactorError::LanesExhausted`].
+    /// beyond that, callers block until a lane frees up — at most 30 s,
+    /// after which the call sheds with [`FactorError::LanesExhausted`].
+    /// The handle's wall [`Deadline`] counts from the call's entry, so
+    /// it includes that wait.
     ///
     /// Device-side failures degrade per the handle's
     /// [`RetryPolicy`]/[`FallbackChain`](crate::resilience::FallbackChain)
@@ -529,17 +514,20 @@ impl SymbolicCholesky {
     /// and [`CancelToken`] overriding the handle defaults — the entry
     /// point a serving front end arms per request, so one shared handle
     /// can enforce a different remaining budget for every caller without
-    /// re-analyzing. The deadline spans the whole call including
-    /// retries/fallbacks, exactly like the handle-wide one.
+    /// re-analyzing. The wall deadline spans the whole call: the wait
+    /// for a lane (running out there is
+    /// [`FactorError::DeadlineExceeded`]) and every retry and fallback,
+    /// exactly like the handle-wide one.
     pub fn factor_with_ctl(
         &self,
         a: &SymCsc,
         deadline: Deadline,
         cancel: &CancelToken,
     ) -> Result<Factorization, FactorError> {
+        let ctl = RunCtl::armed(deadline, cancel.clone());
         self.check_pattern(a)?;
-        let mut guard = self.lanes.checkout()?;
-        let result = self.run_engine(guard.lane(), a, deadline, cancel);
+        let mut guard = self.lanes.checkout(&ctl)?;
+        let result = self.run_engine(guard.lane(), a, ctl);
         if let Err(e) = &result {
             if e.is_device() {
                 guard.quarantine();
@@ -605,8 +593,9 @@ impl SymbolicCholesky {
     /// need the previous factor as a fallback should `factor_with` into
     /// a separate [`Factorization`] instead.
     pub fn refactor(&self, fact: &mut Factorization, a: &SymCsc) -> Result<(), FactorError> {
+        let ctl = RunCtl::armed(self.deadline, self.cancel.clone());
         self.check_pattern(a)?;
-        let mut guard = self.lanes.checkout()?;
+        let mut guard = self.lanes.checkout(&ctl)?;
         let lane = guard.lane();
         lane.ws.recycle(std::mem::take(&mut fact.data));
         // The replaced report's trace buffer feeds the new recording, so
@@ -614,7 +603,7 @@ impl SymbolicCholesky {
         if let Some(trace) = fact.info.trace.take() {
             lane.ws.recycle_trace(trace);
         }
-        match self.run_engine(lane, a, self.deadline, &self.cancel) {
+        match self.run_engine(lane, a, ctl) {
             Ok(fresh) => {
                 *fact = fresh;
                 Ok(())
@@ -667,29 +656,28 @@ impl SymbolicCholesky {
     }
 
     /// Scatters `a`'s values into the lane's factor-ordered matrix and
-    /// runs the engine under the degradation policy: transient device
-    /// faults retry on the same engine (bounded by the handle's
-    /// [`RetryPolicy`]), persistent device failures move down the
-    /// fallback chain reusing the already-scattered values, and data or
-    /// control errors surface immediately. Every step lands in
-    /// [`FactorInfo::recovery`].
+    /// runs the engine under `ctl` (armed at the call's entry) and the
+    /// degradation policy: transient device faults retry on the same
+    /// engine (bounded by the handle's [`RetryPolicy`]), persistent
+    /// device failures move down the fallback chain reusing the
+    /// already-scattered values, and data or control errors surface
+    /// immediately. Every step lands in [`FactorInfo::recovery`].
     fn run_engine(
         &self,
         lane: &mut Lane,
         a: &SymCsc,
-        deadline: Deadline,
-        cancel: &CancelToken,
+        ctl: RunCtl,
     ) -> Result<Factorization, FactorError> {
         let Lane { ws, a_fact } = lane;
         let src = a.values();
         for (dst, &from) in a_fact.values_mut().iter_mut().zip(&self.value_map) {
             *dst = src[from];
         }
-        // One arming per factorization: the wall budget spans retries
-        // and fallbacks (the attempts are one user-visible call), while
-        // the simulated budget is checked per attempt against each
-        // attempt's fresh device clock.
-        ws.ctl = RunCtl::armed(deadline, cancel.clone());
+        // One arming per call: the wall budget spans the lane wait,
+        // retries and fallbacks (the attempts are one user-visible
+        // call), while the simulated budget is checked per attempt
+        // against each attempt's fresh device clock.
+        ws.ctl = ctl;
         let mut recovery: Vec<RecoveryEvent> = Vec::new();
         let mut step = 0usize; // 0 = primary engine, 1.. = chain index
         let run = 'chain: loop {
@@ -1264,6 +1252,39 @@ mod tests {
             .iter()
             .all(|r| matches!(r, Err(FactorError::Cancelled))));
         assert!(sc.factor_with(&a).is_ok(), "handle token still open");
+    }
+
+    #[test]
+    fn wall_deadline_counts_the_wait_for_a_lane() {
+        use std::time::{Duration, Instant};
+        let a = laplace2d(6, 2);
+        let opts = SolverOptions {
+            factor_lanes: 1,
+            ..SolverOptions::default()
+        };
+        let sc = SymbolicCholesky::new(&a, &opts);
+        // Hold the only lane on this thread; the call below comes from
+        // another one, so it blocks instead of taking an overflow lane.
+        let _held = sc.lanes.checkout(&RunCtl::default()).unwrap();
+        let limit = Duration::from_millis(30);
+        let (r, took) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let t = Instant::now();
+                let r = sc.factor_with_ctl(&a, Deadline::wall(limit), &CancelToken::new());
+                (r, t.elapsed())
+            })
+            .join()
+            .unwrap()
+        });
+        match r {
+            Err(FactorError::DeadlineExceeded { wall, sim_seconds }) => {
+                assert_eq!((wall, sim_seconds), (Some(limit), None));
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        assert!(took >= limit, "gave up after {took:?}");
+        assert!(took < Duration::from_secs(1), "waited {took:?}");
+        assert_eq!(sc.lane_stats().contended, 1);
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! plus every engine knob (`RLCHOL_THREADS`, `RLCHOL_STREAMS`, …).
 //! The evented front end adds `RLCHOL_NET_WORKERS` (fixed worker pool,
 //! default 4), `RLCHOL_CONN_TIMEOUT_MS` (per-connection idle/read
-//! deadline, default 30 000) and `RLCHOL_BATCH_WINDOW_US`
-//! (cross-request factor coalescing window, default 0 = off). Stop it
-//! by sending the protocol's `shutdown` op (e.g. via
+//! deadline, default 30 000). Stop it by sending the protocol's `shutdown` op (e.g. via
 //! `rlchol_service::Client::shutdown`).
 
 fn main() {

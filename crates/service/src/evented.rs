@@ -47,11 +47,6 @@
 //! |------|-----|---------|
 //! | worker threads | `RLCHOL_NET_WORKERS` | 4 |
 //! | idle/read deadline | `RLCHOL_CONN_TIMEOUT_MS` | 30 000 ms |
-//!
-//! Cross-request batching is a [`Service`](crate::Service)-level knob
-//! (`RLCHOL_BATCH_WINDOW_US`, see [`crate::service`]); the evented loop
-//! simply delivers concurrent requests to enough workers for the
-//! coalescing window to see them together.
 
 use crate::protocol::{
     decode_request, encode_response, error_json, frame_body_len, handle_request, put_frame,

@@ -24,10 +24,8 @@
 //!   (`RLCHOL_NET_WORKERS`), incremental frame assembly, and
 //!   per-connection idle deadlines (`RLCHOL_CONN_TIMEOUT_MS`).
 //!
-//! Requests whose pattern fingerprints collide within
-//! `RLCHOL_BATCH_WINDOW_US` can additionally coalesce into one batched
-//! numeric factorization — see the "Cross-request batching" notes in
-//! [`service`].
+//! Concurrent requests on one pattern share its cached handle, whose
+//! workspace lanes factor them side by side (see [`service`]).
 //!
 //! ## Quick start (in-process)
 //!

@@ -346,9 +346,7 @@ fn response_json(op_name: &str, resp: Response) -> (String, Vec<f64>) {
         .f64("analyze_ms", m.analyze_wall.as_secs_f64() * 1e3)
         .f64("factor_ms", m.factor_wall.as_secs_f64() * 1e3)
         .f64("solve_ms", m.solve_wall.as_secs_f64() * 1e3)
-        .u64("recovery_events", m.recovery_events as u64)
-        .u64("batch_size", m.batch_size as u64)
-        .f64("coalesce_wait_ms", m.coalesce_wait.as_secs_f64() * 1e3);
+        .u64("recovery_events", m.recovery_events as u64);
     match resp.payload {
         ResponsePayload::Analyzed {
             n,

@@ -16,7 +16,6 @@ fn config(queue_depth: usize, lanes: usize) -> ServiceConfig {
         queue_depth,
         cache_bytes: 1 << 30,
         default_deadline: None,
-        batch_window_us: 0,
     }
 }
 

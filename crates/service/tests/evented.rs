@@ -1,16 +1,11 @@
 //! Evented front-end integration tests: partial-frame (slow-loris)
 //! clients time out without wedging the pool, a burst of short-lived
-//! connections all get served by a small fixed worker pool, injected
-//! transient accept errors are survived, and solves coalesced by the
-//! cross-request batching window stay bitwise-identical to the direct
-//! staged-API path.
+//! connections all get served by a small fixed worker pool, and
+//! injected transient accept errors are survived.
 
-use rlchol_core::solver::SolverOptions;
-use rlchol_core::{CholeskySolver, SolveWorkspace};
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_service::{
-    protocol, Client, ClientOptions, NetStats, Request, ResponsePayload, ServeOptions, Service,
-    ServiceConfig,
+    protocol, Client, ClientOptions, NetStats, ServeOptions, Service, ServiceConfig,
 };
 use rlchol_sparse::SymCsc;
 use std::io::{Read, Write};
@@ -193,78 +188,6 @@ fn partial_frame_delivery_is_assembled_incrementally() {
     let mut c = client(addr);
     c.shutdown().expect("shutdown");
     server.join().unwrap().unwrap();
-}
-
-/// Solves that arrive inside the coalescing window fan out through one
-/// `batch_factor_ctl` call — and the answers are **bitwise identical**
-/// to the direct staged-API path, so coalescing is invisible to
-/// clients beyond the metrics.
-#[test]
-fn coalesced_solves_are_bitwise_identical_to_the_direct_path() {
-    const MEMBERS: usize = 6;
-    let opts = SolverOptions::default();
-
-    // Direct-path oracle: one handle, factor + solve per value set.
-    let handle = CholeskySolver::analyze(&matrix(100), &opts);
-    let mut ws = SolveWorkspace::new();
-    let oracle: Vec<Vec<f64>> = (0..MEMBERS)
-        .map(|i| {
-            let a = matrix(100 + i as u64);
-            let fact = handle.factor_with(&a).expect("SPD oracle factor");
-            let b = rhs_for(&a);
-            let mut x = vec![0.0; a.n()];
-            handle.solve_into(&fact, &b, &mut x, &mut ws).unwrap();
-            handle.recycle(fact);
-            x
-        })
-        .collect();
-
-    let service = Arc::new(Service::new(ServiceConfig {
-        options: opts,
-        queue_depth: 2 * MEMBERS,
-        batch_window_us: 50_000,
-        ..ServiceConfig::default()
-    }));
-    let barrier = Arc::new(Barrier::new(MEMBERS));
-    let workers: Vec<_> = (0..MEMBERS)
-        .map(|i| {
-            let service = Arc::clone(&service);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let a = matrix(100 + i as u64);
-                let b = rhs_for(&a);
-                barrier.wait();
-                let resp = service.submit(Request::solve(a, b)).expect("solve");
-                (i, resp)
-            })
-        })
-        .collect();
-
-    let mut max_batch = 0;
-    for w in workers {
-        let (i, resp) = w.join().expect("member panicked");
-        match &resp.payload {
-            ResponsePayload::Solved { x, .. } => {
-                assert_eq!(
-                    x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    oracle[i].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "coalesced solve {i} differs from the direct path"
-                );
-            }
-            other => panic!("expected Solved, got {other:?}"),
-        }
-        assert!(resp.metrics.batch_size >= 1);
-        max_batch = max_batch.max(resp.metrics.batch_size);
-    }
-
-    // Barrier + 50 ms window: at least one fan-out must have coalesced.
-    assert!(
-        max_batch >= 2,
-        "no request coalesced (max batch {max_batch})"
-    );
-    let stats = service.stats();
-    assert!(stats.coalesced_batches >= 1);
-    assert!(stats.coalesced_requests >= 2);
 }
 
 /// Writes `pieces` raw, pausing between them, and returns the JSON

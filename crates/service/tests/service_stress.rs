@@ -76,7 +76,6 @@ fn mixed_traffic_is_bitwise_identical_to_the_serial_oracle() {
         queue_depth: 2 * THREADS,
         cache_bytes: 1 << 30,
         default_deadline: None,
-        batch_window_us: 0,
     }));
 
     let workers: Vec<_> = (0..THREADS)

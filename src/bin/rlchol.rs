@@ -1,10 +1,9 @@
 //! `rlchol` — command-line driver for the factorization pipeline.
 //!
 //! ```text
-//! rlchol analyze <matrix.mtx> [--ordering nd|md|rcm|natural] [--analyze-threads N] [--json]
+//! rlchol analyze <matrix.mtx> [--ordering nd|md|rcm|natural] [--json]
 //! rlchol factor  <matrix.mtx> [--method <engine>] [--ordering ...] [--json]
 //! rlchol solve   <matrix.mtx> [--method ...] [--json]  # b = A·1, reports errors
-//! rlchol spy     <matrix.mtx> [--size N]       # ASCII sparsity plot
 //! rlchol serve   <addr>       [--method ...]   # solver-as-a-service daemon
 //! ```
 //!
@@ -14,9 +13,9 @@
 //! `factor` and `solve` to a single machine-readable JSON report on
 //! stdout (same schema as the service protocol's response frames).
 //! `analyze` prints the per-stage wall breakdown (etree / colcount /
-//! merge / relind / value-map); `--analyze-threads` forces
-//! the symbolic pipeline's lane count (the result is bit-identical at
-//! any value — only the wall changes).
+//! merge / relind / value-map) and the lane count it ran on, which
+//! follows `RLCHOL_THREADS` above a size cutoff (the result is
+//! bit-identical at any count — only the wall changes).
 //!
 //! Matrices are Matrix Market files (`coordinate real|pattern`,
 //! `symmetric` or `general` holding a symmetric matrix). `serve` takes
@@ -29,7 +28,6 @@ use std::time::Duration;
 use rlchol::core::engine::{GpuOptions, Method, RetireMode};
 use rlchol::core::json::{factor_info_json, JsonObj};
 use rlchol::perfmodel::MachineModel;
-use rlchol::report::spy_lower;
 use rlchol::sparse::read_matrix_market;
 use rlchol::{
     CholeskySolver, Deadline, FallbackChain, FaultPlan, OrderingMethod, SolveWorkspace,
@@ -47,10 +45,10 @@ fn method_names() -> String {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: rlchol <analyze|factor|solve|spy> <matrix.mtx> \
+        "usage: rlchol <analyze|factor|solve> <matrix.mtx> \
          [--method {}] \
          [--ordering nd|md|rcm|natural] \
-         [--factor-lanes N] [--analyze-threads N] [--size N] [--gpu-threshold N] \
+         [--factor-lanes N] [--gpu-threshold N] \
          [--retire inorder|ooo] \
          [--faults SPEC[,SPEC...]] [--fallback auto|m1>m2>...] \
          [--deadline-ms N] [--json]\n\
@@ -65,9 +63,7 @@ struct Args {
     path: String,
     method: Method,
     ordering: OrderingMethod,
-    size: usize,
     factor_lanes: usize,
-    analyze_threads: usize,
     gpu_threshold: Option<usize>,
     retire: Option<RetireMode>,
     faults: Option<FaultPlan>,
@@ -82,9 +78,7 @@ fn parse_args() -> Args {
     let path = it.next().unwrap_or_else(|| usage());
     let mut method = Method::RlCpu;
     let mut ordering = OrderingMethod::NestedDissection;
-    let mut size = 40usize;
     let mut factor_lanes = 0usize;
-    let mut analyze_threads = 0usize;
     let mut gpu_threshold = None;
     let mut retire = None;
     let mut faults = None;
@@ -114,9 +108,7 @@ fn parse_args() -> Args {
                     _ => usage(),
                 }
             }
-            "--size" => size = value.parse().unwrap_or_else(|_| usage()),
             "--factor-lanes" => factor_lanes = value.parse().unwrap_or_else(|_| usage()),
-            "--analyze-threads" => analyze_threads = value.parse().unwrap_or_else(|_| usage()),
             // Supernode-size offload cutoff; 0 sends everything to the
             // (simulated) device — handy with --faults.
             "--gpu-threshold" => gpu_threshold = Some(value.parse().unwrap_or_else(|_| usage())),
@@ -156,9 +148,7 @@ fn parse_args() -> Args {
         path,
         method,
         ordering,
-        size,
         factor_lanes,
-        analyze_threads,
         gpu_threshold,
         retire,
         faults,
@@ -188,7 +178,6 @@ fn solver_options(args: &Args) -> SolverOptions {
             ..GpuOptions::with_threshold(args.gpu_threshold.unwrap_or(12_000))
         },
         factor_lanes: args.factor_lanes,
-        analyze_threads: args.analyze_threads,
         faults: args.faults.clone(),
         fallback: args.fallback.clone().unwrap_or_default(),
         deadline: match args.deadline_ms {
@@ -219,12 +208,6 @@ fn main() {
         println!("matrix: n = {}, nnz(lower) = {}", a.n(), a.nnz_lower());
     }
     match args.cmd.as_str() {
-        "spy" => {
-            println!(
-                "{}",
-                spy_lower(a.n(), args.size, |j| a.col_rows(j).to_vec())
-            );
-        }
         "analyze" => {
             // The staged API: symbolic analysis only, no numeric factor.
             let t0 = std::time::Instant::now();

@@ -139,9 +139,11 @@
 //! ([`SolverOptions::faults`], or the **`RLCHOL_FAULTS`** environment
 //! variable) using the grammar `transfer@N`, `kernel@N`, `oom@N`,
 //! `stall@N=SECS`, `seed@SEED[#COUNT[/HORIZON]]`, comma-separated; a
-//! `:t` suffix marks a fault transient (it fires once). Lane-checkout
-//! waits are bounded by **`RLCHOL_LANE_WAIT_MS`** (typed
-//! [`FactorError::LanesExhausted`] on expiry). The CLI mirrors all of
+//! `:t` suffix marks a fault transient (it fires once). A call that
+//! waits for a workspace lane waits at most 30 s (typed
+//! [`FactorError::LanesExhausted`]) and never past its wall deadline,
+//! which counts the wait ([`FactorError::DeadlineExceeded`]). The CLI
+//! mirrors all of
 //! this: `rlchol factor --faults kernel@3:t --fallback auto
 //! --deadline-ms 5000` prints each recovery event and the quarantine
 //! count.
@@ -217,12 +219,7 @@
 //!   above);
 //! * **`RLCHOL_NET_WORKERS`** — evented worker-pool width, default 4;
 //! * **`RLCHOL_CONN_TIMEOUT_MS`** — per-connection idle/read deadline,
-//!   default 30 000 ms;
-//! * **`RLCHOL_BATCH_WINDOW_US`** — cross-request coalescing window:
-//!   factor/solve requests on the same pattern fingerprint arriving
-//!   within the window fan out through one `batch_factor_ctl` call
-//!   (bitwise-identical results, per-request `batch_size` /
-//!   `coalesce_wait` metrics); default 0 = off.
+//!   default 30 000 ms.
 //!
 //! ## Engines
 //!
@@ -252,7 +249,6 @@
 //! | [`matgen`] | SPD generators and the paper's 21-matrix synthetic suite |
 //! | [`core`] | engines + registry, staged solver, hybrid dispatch, solves |
 //! | [`service`] | request serving: handle cache, admission control, wire protocol |
-//! | [`report`] | performance profiles, tables, plots |
 //!
 //! ## Threads, streams and solve lanes
 //!
@@ -263,24 +259,24 @@
 //! the pipelined GPU engines ([`Method::RlGpuPipe`], [`Method::RlbGpuPipe`])
 //! dispatch ready supernodes onto the least-loaded of their simulated
 //! compute/copy stream pairs (retirement discipline via
-//! `RLCHOL_RETIRE={inorder,ooo}`). The triangular solves are one
+//! `RLCHOL_RETIRE={inorder,ooo}`). The symbolic analysis runs on the
+//! same lane count as the tree executor, and serially below a
+//! small-system cutoff. The triangular solves are one
 //! serial sweep and take no lanes. Sizing follows one precedence rule,
 //! resolved when [`CholeskySolver::analyze`] builds the handle:
 //!
 //! 1. An explicit nonzero [`SolverOptions::threads`] /
-//!    [`SolverOptions::factor_lanes`] / [`SolverOptions::analyze_threads`] /
+//!    [`SolverOptions::factor_lanes`] /
 //!    [`GpuOptions::streams`](core::engine::GpuOptions::streams), or an
 //!    explicit [`GpuOptions::retire`](core::engine::GpuOptions::retire),
 //!    wins.
 //! 2. A zero (`None` for retire) defers to the
 //!    **`RLCHOL_THREADS`** / **`RLCHOL_FACTOR_LANES`** /
-//!    **`RLCHOL_ANALYZE_THREADS`** /
 //!    **`RLCHOL_STREAMS`** / **`RLCHOL_RETIRE`** environment variable
 //!    (positive integer; `inorder`/`ooo` for retire).
 //! 3. Unset environment falls back to
-//!    [`std::thread::available_parallelism`] (threads, factor lanes,
-//!    analyze lanes — analyses additionally stay serial below a
-//!    small-system cutoff) / the runtime default of 2 (stream pairs) /
+//!    [`std::thread::available_parallelism`] (threads and factor
+//!    lanes) / the runtime default of 2 (stream pairs) /
 //!    in-order retirement. Out-of-order retirement
 //!    always sizes its lookahead window adaptively; there is no knob.
 //!
@@ -295,7 +291,6 @@ pub use rlchol_gpu as gpu;
 pub use rlchol_matgen as matgen;
 pub use rlchol_ordering as ordering;
 pub use rlchol_perfmodel as perfmodel;
-pub use rlchol_report as report;
 pub use rlchol_service as service;
 pub use rlchol_sparse as sparse;
 pub use rlchol_symbolic as symbolic;

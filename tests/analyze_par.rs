@@ -1,16 +1,19 @@
 //! Bit-identity of the thread-parallel symbolic analysis.
 //!
-//! The contract under test: `analyze_threads` (the option, the
-//! `RLCHOL_ANALYZE_THREADS` lane count, or the pool default) may change
-//! only the analyze *wall clock* — never a single bit of the analysis.
-//! Per generated `(pattern, ordering)` case:
+//! The contract under test: the handle's lane count
+//! (`SolverOptions::threads`, `RLCHOL_THREADS` or the pool default),
+//! which also sizes the symbolic analysis at and above 1 024 columns
+//! or 16 384 entries, may change only the analyze *wall clock* — never
+//! a single bit of the analysis. Below that size the analysis is serial
+//! whatever the lane count says. Per generated `(pattern, ordering)` case:
 //!
 //! 1. `rlchol_symbolic::analyze_par` at 2/4/8 threads equals the serial
 //!    `analyze` **exactly** (full `SymbolicFactor` comparison: counts,
 //!    supernode partition, rows, relative-index blocks, permutation,
 //!    stats).
-//! 2. A `SymbolicCholesky` handle built with `analyze_threads` 2/4/8 is
-//!    `analysis_eq` to the serial handle: symbolic factor, composed
+//! 2. On patterns above the cutoff, a `SymbolicCholesky` handle built
+//!    with `threads` 2/4/8 analyzes on that many lanes and is
+//!    `analysis_eq` to the one-lane handle: symbolic factor, composed
 //!    permutation, value map and analyzed pattern all equal.
 //! 3. The analysis is engine-independent: every registered engine's
 //!    handle carries the identical analysis.
@@ -84,10 +87,38 @@ fn random_spd(n: usize, extra: usize, vals: &mut Vals) -> SymCsc {
     SymCsc::from_lower_triplets(&t).expect("valid triplets")
 }
 
-fn opts(ordering: OrderingMethod, analyze_threads: usize) -> SolverOptions {
+/// Random SPD pattern above the handle's parallel-analysis cutoff
+/// (`n ≥ 1024`): a path plus `extra` random off-diagonals per column
+/// within `band` of the diagonal, so every ordering, the natural one
+/// included, keeps the fill small.
+fn banded_spd(n: usize, band: usize, extra: usize, vals: &mut Vals) -> SymCsc {
+    let mut t = TripletMatrix::new(n, n);
+    let mut present = std::collections::HashSet::new();
+    let mut dom = vec![0.0f64; n];
+    for j in 0..n - 1 {
+        let reach = band.min(n - 1 - j);
+        let picks: Vec<usize> = std::iter::once(j + 1)
+            .chain((0..extra).map(|_| j + 1 + vals.index(reach)))
+            .collect();
+        for i in picks {
+            if present.insert((i, j)) {
+                let v = vals.in_range(-1.0, 1.0);
+                dom[i] += v.abs();
+                dom[j] += v.abs();
+                t.push(i, j, v);
+            }
+        }
+    }
+    for (j, d) in dom.iter().enumerate() {
+        t.push(j, j, 1.0 + d + vals.in_range(0.0, 1.0));
+    }
+    SymCsc::from_lower_triplets(&t).expect("valid triplets")
+}
+
+fn opts(ordering: OrderingMethod, threads: usize) -> SolverOptions {
     SolverOptions {
         ordering,
-        analyze_threads,
+        threads,
         ..SolverOptions::default()
     }
 }
@@ -118,10 +149,34 @@ proptest! {
                 );
             }
 
-            // Handle layer: plan + value map + permutation all equal.
+            // Below the cutoff the handle analyzes serially at any
+            // lane count.
+            let h = SymbolicCholesky::new(&a, &opts(ordering, 8));
+            prop_assert_eq!(h.analyze_breakdown().threads, 1);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn parallel_handle_analysis_is_bit_identical_for_every_ordering(
+        n in 1024usize..1100,
+        band in 2usize..24,
+        extra in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let mut vals = Vals::new(seed);
+        let a = banded_spd(n, band, extra, &mut vals);
+
+        for ordering in ORDERINGS {
+            // Handle layer: symbolic factor + value map + permutation.
             let serial = SymbolicCholesky::new(&a, &opts(ordering, 1));
+            prop_assert_eq!(serial.analyze_breakdown().threads, 1);
             for threads in [2usize, 4, 8] {
                 let par = SymbolicCholesky::new(&a, &opts(ordering, threads));
+                prop_assert_eq!(par.analyze_breakdown().threads, threads);
                 prop_assert!(
                     par.analysis_eq(&serial),
                     "handle analysis diverged ({:?}, n={}, threads={}, seed={})",
@@ -135,7 +190,7 @@ proptest! {
 #[test]
 fn analysis_is_engine_independent_and_factors_bitwise() {
     let mut vals = Vals::new(0x5eed);
-    let a = random_spd(60, 3, &mut vals);
+    let a = banded_spd(1100, 16, 2, &mut vals);
     let serial = SymbolicCholesky::new(&a, &opts(OrderingMethod::NestedDissection, 1));
     let serial_fact = serial.factor_with(&a).expect("SPD input");
     for method in Method::ALL {
@@ -154,6 +209,7 @@ fn analysis_is_engine_independent_and_factors_bitwise() {
     // Numeric smoke: the default engine's factor through a
     // parallel-analyzed handle is bitwise the serial-analyzed one.
     let par = SymbolicCholesky::new(&a, &opts(OrderingMethod::NestedDissection, 8));
+    assert_eq!(par.analyze_breakdown().threads, 8);
     let par_fact = par.factor_with(&a).expect("SPD input");
     assert_eq!(
         par_fact.data(),
@@ -165,7 +221,7 @@ fn analysis_is_engine_independent_and_factors_bitwise() {
 #[test]
 fn concurrent_analyses_from_many_threads_stay_bit_identical() {
     let mut vals = Vals::new(0xc0ffee);
-    let a = random_spd(80, 2, &mut vals);
+    let a = banded_spd(1050, 12, 1, &mut vals);
     let serial = std::sync::Arc::new(SymbolicCholesky::new(
         &a,
         &opts(OrderingMethod::NestedDissection, 1),
@@ -179,6 +235,7 @@ fn concurrent_analyses_from_many_threads_stay_bit_identical() {
                 let threads = [1usize, 2, 4, 8][t % 4];
                 let par =
                     SymbolicCholesky::new(a, &opts(OrderingMethod::NestedDissection, threads));
+                assert_eq!(par.analyze_breakdown().threads, threads);
                 assert!(
                     par.analysis_eq(&serial),
                     "concurrent analysis (worker {t}, threads {threads}) diverged"
@@ -193,7 +250,7 @@ fn oneshot_analyze_honours_the_option() {
     // CholeskySolver::analyze is the public front door; make sure the
     // option flows through and is reported back in the breakdown.
     let mut vals = Vals::new(7);
-    let a = random_spd(50, 2, &mut vals);
+    let a = banded_spd(1030, 8, 2, &mut vals);
     let h = CholeskySolver::analyze(&a, &opts(OrderingMethod::MinDegree, 4));
     assert_eq!(h.analyze_breakdown().threads, 4);
     let serial = CholeskySolver::analyze(&a, &opts(OrderingMethod::MinDegree, 1));

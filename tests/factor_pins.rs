@@ -118,7 +118,6 @@ fn options(method: Method, threshold: usize) -> SolverOptions {
         gpu: GpuOptions::with_threshold(threshold).with_streams(2),
         threads: 1,
         factor_lanes: 1,
-        analyze_threads: 1,
         ..SolverOptions::default()
     }
 }

@@ -237,10 +237,11 @@ fn solves_are_allocation_free_after_warm_up() {
     // call to call (a creep means some cache, pool queue, or
     // thread-local is growing without bound under analyze churn). The
     // parallel pipeline is the interesting case: it boxes pool tasks
-    // and per-thread scratch on every call.
-    let a_an = grid3d(6, 6, 5, Stencil::Star7, 1, 14);
+    // and per-thread scratch on every call. It runs at and above 1 024
+    // columns, hence the 11 × 10 × 10 grid.
+    let a_an = grid3d(11, 10, 10, Stencil::Star7, 1, 14);
     let opts_an = SolverOptions {
-        analyze_threads: 4,
+        threads: 4,
         ..SolverOptions::default()
     };
     let analyze_once = || {
@@ -248,6 +249,13 @@ fn solves_are_allocation_free_after_warm_up() {
         std::hint::black_box(&h);
     };
     // Warm-up settles one-time lazies (ordering scratch, pool state).
+    assert_eq!(
+        CholeskySolver::analyze(&a_an, &opts_an)
+            .analyze_breakdown()
+            .threads,
+        4,
+        "the analysis runs on the parallel pipeline"
+    );
     analyze_once();
     settle_pool();
     let baseline = (0..3)
