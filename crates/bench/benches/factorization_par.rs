@@ -34,7 +34,7 @@ fn bench_factorization_par(c: &mut Criterion) {
             b.iter(|| factor(Method::RlCpuPar, t))
         });
         g.bench_with_input(BenchmarkId::new("rlb_par", threads), &threads, |b, &t| {
-            b.iter(|| factor(Method::RlbCpuPar, t))
+            b.iter(|| factor(Method::RlbCpu, t))
         });
     }
     g.finish();

@@ -7,13 +7,15 @@
 //! at its relative index in the target's array (§II-A of the paper).
 //!
 //! The paper parallelizes these loops with OpenMP;
-//! [`assemble_update_pool`] is the equivalent here, one job per target
-//! supernode on a persistent [`ThreadPool`] (targets are disjoint arrays,
-//! so no synchronization is needed). Its fan-out (`fan_out`) is the
-//! one per-target fan-out of the crate: the RLB engines' staged strips
-//! and direct updates go through it too.
+//! [`assemble_update_pool`] is the equivalent here, an OpenMP-style
+//! parallel-for ([`ThreadPool::run_for`]) with one index per target
+//! supernode (targets are disjoint arrays, so no synchronization is
+//! needed beyond handing each index its array). Its fan-out (`fan_out`)
+//! is the one per-target fan-out of the crate: the RLB engines' staged
+//! strips and direct updates go through it too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use rlchol_dense::pool::ThreadPool;
 use rlchol_symbolic::relind::relative_indices_into;
@@ -110,13 +112,16 @@ pub(crate) fn scatter_segment(
     entries
 }
 
-/// Fans one source supernode's per-target work out over `pool`, one job
-/// per target. `units` pairs each target's index in `data` with its work
-/// item in ascending target order, so progressive `split_at_mut` hands
-/// every job a disjoint `&mut` array; the units are drawn on the calling
-/// thread, in order. A single-lane pool or a single unit runs inline,
-/// with no task boxing. Returns the sum of `work`'s counts (the entries
-/// assembled).
+/// Fans one source supernode's per-target work out over `pool`, one
+/// [`ThreadPool::run_for`] index per target. `units` pairs each target's
+/// index in `data` with its work item in ascending target order, so
+/// progressive `split_at_mut` hands every index a disjoint `&mut` array
+/// (through its own `Mutex` slot); the units are drawn on the calling
+/// thread, in order. A single-lane pool runs the units inline, in
+/// order, without slots; a fan-out started while another `run_for` is
+/// active (e.g. inside one member of a `batch_factor`) also runs its
+/// units inline, in order. Returns the sum of `work`'s counts (the
+/// entries assembled).
 ///
 /// Bit-exactness: each unit runs the same arithmetic in the same order
 /// whichever lane takes it, and units write disjoint targets, so the
@@ -127,34 +132,36 @@ pub(crate) fn fan_out<U: Send>(
     units: impl IntoIterator<Item = (usize, U)>,
     work: impl Fn(U, &mut [f64]) -> usize + Sync,
 ) -> usize {
-    let mut units = units.into_iter().peekable();
+    let units = units.into_iter();
     if pool.threads() <= 1 {
         return units.map(|(t, unit)| work(unit, &mut data[t])).sum();
     }
-    let total = AtomicUsize::new(0);
-    let (total_ref, work) = (&total, &work);
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
     let mut rest = data;
     let mut consumed = 0usize;
-    while let Some((target, unit)) = units.next() {
-        let (head, tail) = rest.split_at_mut(target - consumed + 1);
-        let arr = head.last_mut().expect("nonempty split");
-        rest = tail;
-        consumed = target + 1;
-        if tasks.is_empty() && units.peek().is_none() {
-            return work(unit, arr);
-        }
-        tasks.push(Box::new(move || {
-            total_ref.fetch_add(work(unit, arr), Ordering::Relaxed);
-        }));
-    }
-    pool.run(tasks);
+    let slots: Vec<Mutex<Option<(U, &mut Vec<f64>)>>> = units
+        .map(|(target, unit)| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(target - consumed + 1);
+            rest = tail;
+            consumed = target + 1;
+            Mutex::new(Some((unit, head.last_mut().expect("nonempty split"))))
+        })
+        .collect();
+    let total = AtomicUsize::new(0);
+    pool.run_for(slots.len(), &|i| {
+        let (unit, arr) = slots[i]
+            .lock()
+            .expect("each index locks only its own slot")
+            .take()
+            .expect("each unit runs once");
+        total.fetch_add(work(unit, arr), Ordering::Relaxed);
+    });
     total.into_inner()
 }
 
 /// Pool-parallel assembly: [`assemble_update`] with each target's
-/// segment scattered by its own job on `pool` (`fan_out`), so host
-/// assembly overlaps across cores without per-call thread spawns.
+/// segment scattered by its own `run_for` index on `pool` (`fan_out`),
+/// so host assembly overlaps across cores without per-call thread
+/// spawns.
 /// Bit-identical to the serial scatter — segments only move between
 /// lanes.
 pub fn assemble_update_pool(

@@ -22,9 +22,6 @@ pub enum Method {
     /// A synonym of [`Method::RlCpu`]: the same executor and the same
     /// bits. The name stays because the benchmark and the CLI use it.
     RlCpuPar,
-    /// A synonym of [`Method::RlbCpu`], as [`Method::RlCpuPar`] is of
-    /// [`Method::RlCpu`].
-    RlbCpuPar,
     /// GPU-accelerated RL (`RL_G`).
     RlGpu,
     /// GPU-accelerated RLB, batched update transfer (first version, §III).
@@ -41,11 +38,10 @@ impl Method {
     /// Every engine, in registry order. The CLI help text, the engine
     /// registry and the cross-engine tests all iterate this — adding a
     /// variant here is the single registration step.
-    pub const ALL: [Method; 9] = [
+    pub const ALL: [Method; 8] = [
         Method::RlCpu,
         Method::RlbCpu,
         Method::RlCpuPar,
-        Method::RlbCpuPar,
         Method::RlGpu,
         Method::RlbGpuV1,
         Method::RlbGpuV2,
@@ -59,7 +55,6 @@ impl Method {
             Method::RlCpu => "RL_C",
             Method::RlbCpu => "RLB_C",
             Method::RlCpuPar => "RL_C(par)",
-            Method::RlbCpuPar => "RLB_C(par)",
             Method::RlGpu => "RL_G",
             Method::RlbGpuV1 => "RLB_G(v1)",
             Method::RlbGpuV2 => "RLB_G",
@@ -88,7 +83,6 @@ impl Method {
             Method::RlCpu => "rl",
             Method::RlbCpu => "rlb",
             Method::RlCpuPar => "rl-par",
-            Method::RlbCpuPar => "rlb-par",
             Method::RlGpu => "rl-gpu",
             Method::RlbGpuV1 => "rlb-gpu-v1",
             Method::RlbGpuV2 => "rlb-gpu",

@@ -10,8 +10,8 @@
 //! 4. one coarse DSYRK on the device forms the full update matrix;
 //! 5. transfer the update matrix back and assemble it on the host
 //!    (OpenMP-parallel in the paper; here the scatter fans out across
-//!    `rlchol_dense::pool`, one job per target, with the simulated cost
-//!    still taken from the CPU model).
+//!    `rlchol_dense::pool`, one `run_for` index per target, with the
+//!    simulated cost still taken from the CPU model).
 //!
 //! Supernodes below the threshold run entirely on the CPU — the transfer
 //! cost would exceed their compute time.
@@ -211,7 +211,8 @@ pub(crate) fn host_panel(
 /// ([`host_panel`]), then RL's update matrix (`upd` is its workspace) and
 /// its scatter, charged separately, or RLB's direct update, charged once
 /// as the sum over its kernels in sweep order. The scatter and the direct
-/// update fan out over the global pool, one job per target.
+/// update fan out over the global pool (`fan_out`), one `run_for` index
+/// per target; nested in another `run_for` they run inline.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn host_node(
     gpu: &Gpu,

@@ -170,7 +170,7 @@ pub(crate) fn apply_strips(
         .sum()
 }
 
-/// Applies a whole supernode's staged strips with one `pool` job per
+/// Applies a whole supernode's staged strips with one `pool` index per
 /// target ([`fan_out`]). Bit-identical to the serial sweep: only the lane
 /// changes, never the per-strip subtraction order. Returns the entries
 /// touched.
@@ -302,7 +302,8 @@ pub(crate) fn factor_rlb_gpu_ws(
                     launch_strip_kernel(&gpu, compute, panel_buf, stage, st, blocks, c, len)?;
                 }
                 // One transfer for the whole supernode; the host-side
-                // scatter fans out across the pool (one job per target).
+                // scatter fans out across the pool (one `run_for` index
+                // per target).
                 host_ws.resize(stage_len.max(host_ws.len()), 0.0);
                 gpu.memcpy_d2h(compute, stage, 0, &mut host_ws[..stage_len])?;
                 gpu.sync_stream(compute);

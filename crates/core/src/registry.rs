@@ -1,4 +1,4 @@
-//! The numeric-engine registry: one trait, nine engines, and the only
+//! The numeric-engine registry: one trait, eight engines, and the only
 //! public way to run one.
 //!
 //! Inside the crate each engine family reports through its own shape
@@ -319,13 +319,12 @@ gpu_engine!(
     crate::sched::gpu::factor_rlb_gpu_pipe_ws
 );
 
-/// The registry, in [`Method::ALL`] order. The `*Par` names are
-/// synonyms: every CPU method runs the one tree executor.
-static ENGINES: [&dyn NumericEngine; 9] = [
+/// The registry, in [`Method::ALL`] order. `RlCpuPar` is a synonym of
+/// `RlCpu`: every CPU method runs the one tree executor.
+static ENGINES: [&dyn NumericEngine; 8] = [
     &CpuEngine(Method::RlCpu, Variant::Rl),
     &CpuEngine(Method::RlbCpu, Variant::Rlb),
     &CpuEngine(Method::RlCpuPar, Variant::Rl),
-    &CpuEngine(Method::RlbCpuPar, Variant::Rlb),
     &RlGpuEngine,
     &RlbGpuV1Engine,
     &RlbGpuV2Engine,

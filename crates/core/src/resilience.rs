@@ -49,16 +49,17 @@ impl FallbackChain {
     }
 
     /// The recommended degradation path for `primary`: pipelined GPU →
-    /// single-stream GPU → the CPU executor (under both of its names),
+    /// single-stream GPU → the CPU executor, ending on one CPU step (CPU
+    /// engines raise no device error, so a second could never run), and
     /// staying in the same algorithm family (RL or RLB) so the recovered
     /// factor is bit-identical to the family's CPU engine. CPU engines have no
     /// device failure modes, so their chain is empty.
     pub fn recommended(primary: Method) -> Self {
         let methods = match primary {
-            Method::RlGpuPipe => vec![Method::RlGpu, Method::RlCpuPar, Method::RlCpu],
-            Method::RlbGpuPipe => vec![Method::RlbGpuV2, Method::RlbCpuPar, Method::RlbCpu],
-            Method::RlGpu => vec![Method::RlCpuPar, Method::RlCpu],
-            Method::RlbGpuV1 | Method::RlbGpuV2 => vec![Method::RlbCpuPar, Method::RlbCpu],
+            Method::RlGpuPipe => vec![Method::RlGpu, Method::RlCpu],
+            Method::RlbGpuPipe => vec![Method::RlbGpuV2, Method::RlbCpu],
+            Method::RlGpu => vec![Method::RlCpu],
+            Method::RlbGpuV1 | Method::RlbGpuV2 => vec![Method::RlbCpu],
             _ => Vec::new(),
         };
         FallbackChain { methods }
@@ -74,7 +75,7 @@ impl std::str::FromStr for FallbackChain {
     type Err = String;
 
     /// Parses `a>b>c` where each element is an engine CLI name or paper
-    /// label (e.g. `rlb-gpu>rlb-par>rlb`).
+    /// label (e.g. `rlb-gpu-pipe>rlb-gpu>rlb`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut methods = Vec::new();
         for (index, part) in s.split('>').enumerate() {
@@ -342,6 +343,8 @@ mod tests {
             if m.is_gpu() {
                 let last = *chain.methods.last().unwrap();
                 assert!(!last.is_gpu(), "{m:?} chain must end on CPU");
+                let cpu_steps = chain.methods.iter().filter(|c| !c.is_gpu()).count();
+                assert_eq!(cpu_steps, 1, "{m:?} chain must end on one CPU step");
                 assert!(!chain.methods.contains(&m), "{m:?} must not self-chain");
             } else {
                 assert!(chain.is_empty(), "{m:?} needs no fallback");
@@ -349,16 +352,27 @@ mod tests {
         }
         assert_eq!(
             FallbackChain::recommended(Method::RlbGpuPipe).methods,
-            vec![Method::RlbGpuV2, Method::RlbCpuPar, Method::RlbCpu]
+            vec![Method::RlbGpuV2, Method::RlbCpu]
         );
+        assert_eq!(
+            FallbackChain::recommended(Method::RlGpuPipe).methods,
+            vec![Method::RlGpu, Method::RlCpu]
+        );
+        assert_eq!(
+            FallbackChain::recommended(Method::RlGpu).methods,
+            vec![Method::RlCpu]
+        );
+        for m in [Method::RlbGpuV1, Method::RlbGpuV2] {
+            assert_eq!(FallbackChain::recommended(m).methods, vec![Method::RlbCpu]);
+        }
     }
 
     #[test]
     fn chain_parses_cli_names() {
-        let chain: FallbackChain = "rlb-gpu>rlb-par>rlb".parse().unwrap();
+        let chain: FallbackChain = "rlb-gpu-pipe>rlb-gpu>rlb".parse().unwrap();
         assert_eq!(
             chain.methods,
-            vec![Method::RlbGpuV2, Method::RlbCpuPar, Method::RlbCpu]
+            vec![Method::RlbGpuPipe, Method::RlbGpuV2, Method::RlbCpu]
         );
         // The error identifies the failing element (position and text),
         // lists the valid engine names, and reminds the chain syntax.

@@ -32,7 +32,7 @@ use crate::assemble::fan_out;
 ///
 /// Blocks are listed in ascending row order and targets are ancestors in
 /// ascending order too, so each target owns exactly one run — callers may
-/// treat runs as disjoint (`split_at_mut`, one lock, one pool job).
+/// treat runs as disjoint (`split_at_mut`, one lock, one pool index).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RlbTargetRun {
     /// Target supernode.
@@ -227,7 +227,7 @@ pub(crate) fn rlb_apply_run(
     });
 }
 
-/// Supernode `s`'s whole direct update with one `pool` job per target
+/// Supernode `s`'s whole direct update with one `pool` index per target
 /// run ([`fan_out`]): runs target disjoint ancestor arrays, so the
 /// fan-out is lock-free and bit-identical to the serial sweep. The
 /// kernels are reported to `account` on the calling thread, in sweep

@@ -1,5 +1,5 @@
-//! The CPU tree executor: `RlCpu`, `RlbCpu` and their synonyms
-//! `RlCpuPar` / `RlbCpuPar` all run here, at `SolverOptions::threads`
+//! The CPU tree executor: `RlCpu`, `RlbCpu` and `RlCpu`'s synonym
+//! `RlCpuPar` all run here, at `SolverOptions::threads`
 //! lanes, and the factor is the one-lane sweep's bit for bit at every
 //! lane count. The units are those of the fan-both task graph of
 //! Jacquelin et al.:
@@ -38,10 +38,10 @@
 //! shrinks to the caller's lane: the other lanes leave after their
 //! current unit.
 //!
-//! **Lanes** are scoped threads, so no pool job waits on the tree. Kernels
-//! split large calls across [`rlchol_dense::pool`] themselves, and an
-//! idle lane helps the running split before it sleeps, so the one wide
-//! supernode near the root still uses every lane.
+//! **Lanes** are scoped threads, so no pool worker waits on the tree.
+//! Kernels split large calls across [`rlchol_dense::pool`] themselves,
+//! and an idle lane helps the running split before it sleeps, so the
+//! one wide supernode near the root still uses every lane.
 //!
 //! **Trace.** It depends on shapes only, so both paths emit it after the
 //! run, in supernode order (`trace_supernode`), and the kernels run with
@@ -590,7 +590,7 @@ impl<'a> Tree<'a> {
                 continue;
             }
             drop(st);
-            let helped = pool::global().try_run_one();
+            let helped = pool::global().help_run_for();
             st = self.state.lock().expect(POISON);
             if !helped && !st.stop && st.ready.is_empty() {
                 st.sleeping += 1;

@@ -64,11 +64,6 @@ pub struct SolverOptions {
     /// includes any wait for a free workspace lane. Expiry surfaces as
     /// [`FactorError::DeadlineExceeded`](crate::FactorError::DeadlineExceeded).
     pub deadline: crate::resilience::Deadline,
-    /// Deterministic fault-injection plan for the simulated device
-    /// (testing). `None` defers to [`GpuOptions::faults`], then the
-    /// `RLCHOL_FAULTS` environment variable, resolved once at handle
-    /// construction.
-    pub faults: Option<rlchol_gpu::FaultPlan>,
 }
 
 impl Default for SolverOptions {
@@ -83,7 +78,6 @@ impl Default for SolverOptions {
             fallback: crate::resilience::FallbackChain::none(),
             retry: crate::resilience::RetryPolicy::default(),
             deadline: crate::resilience::Deadline::none(),
-            faults: None,
         }
     }
 }

@@ -107,12 +107,12 @@ pub struct LaneStats {
 thread_local! {
     /// Lanes currently held by this OS thread, across **all** handles.
     /// A nested checkout happens when the engine inside `factor_with`
-    /// waits on `rlchol_dense::pool` and the waiting thread pops another
-    /// queued factorization (e.g. a sibling `batch_factor` task) to help
-    /// out: blocking on the condvar there could deadlock, because the
-    /// lane the pool is waiting for is held further down this very
-    /// stack. A positive count therefore routes checkout to a temporary
-    /// overflow lane instead of the wait loop.
+    /// lends its idle thread to the pool's active `run_for` (the tree
+    /// executor does) and that call is a `batch_factor`, so the thread
+    /// picks up a sibling factorization: blocking on the condvar there
+    /// could deadlock, because the lane it waits for may be held
+    /// further down this very stack. A positive count therefore routes
+    /// checkout to a temporary overflow lane instead of the wait loop.
     static HELD_LANES: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -120,7 +120,7 @@ struct LaneState {
     /// Returned lanes, most recently used last (LIFO handout).
     free: Vec<Lane>,
     /// Returned overflow lanes, cached (bounded by the cap) so repeated
-    /// nested checkouts under sustained work-stealing contention reuse
+    /// nested checkouts under sustained contention reuse
     /// a built lane instead of re-cloning the template each time. Kept
     /// separate from `free`: these never satisfy a blocked waiter (no
     /// cap slot backs them).
@@ -255,8 +255,8 @@ impl WorkspaceLanes {
     /// Checks a lane out: a free lane if one is ready, a newly created
     /// one while the pool is below its cap, otherwise blocks until a
     /// lane returns — unless this thread already holds a lane (nested
-    /// checkout via pool work-stealing), where blocking could deadlock
-    /// and a temporary overflow lane is built instead. A blocked
+    /// checkout by a thread helping the pool), where blocking could
+    /// deadlock and a temporary overflow lane is built instead. A blocked
     /// checkout waits at most the pool's wait budget (30 s) before
     /// giving up with [`FactorError::LanesExhausted`] — the
     /// admission-control signal that sheds load instead of queueing it

@@ -42,6 +42,8 @@
 
 pub mod lanes;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use rlchol_ordering::order;
@@ -229,31 +231,27 @@ fn build_value_map(
         bounds.push((*bounds.last().unwrap()).max(cut));
     }
     bounds.push(n);
-    {
-        let dst_of = &dst_of;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(threads);
-        let mut rest = dst.as_mut_slice();
-        let mut consumed = 0usize;
-        for w in bounds.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            if lo == hi {
-                continue;
-            }
-            let take = colptr[hi] - consumed;
-            let (mine, tail) = rest.split_at_mut(take);
+    // One slot per nonempty range: its columns and its part of `dst`.
+    let mut rest = dst.as_mut_slice();
+    let parts: Vec<Mutex<(usize, usize, &mut [usize])>> = bounds
+        .windows(2)
+        .filter(|w| w[0] < w[1])
+        .map(|w| {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(colptr[w[1]] - colptr[w[0]]);
             rest = tail;
-            let base = consumed;
-            consumed = colptr[hi];
-            tasks.push(Box::new(move || {
-                for j in lo..hi {
-                    for (off, &i) in a.col_rows(j).iter().enumerate() {
-                        mine[colptr[j] + off - base] = dst_of(j, i);
-                    }
-                }
-            }));
+            Mutex::new((w[0], w[1], mine))
+        })
+        .collect();
+    rlchol_dense::pool::global().run_for(parts.len(), &|t| {
+        let (lo, hi, ref mut mine) = *parts[t].lock().expect("each index locks only its own slot");
+        let base = colptr[lo];
+        for j in lo..hi {
+            for (off, &i) in a.col_rows(j).iter().enumerate() {
+                mine[colptr[j] + off - base] = dst_of(j, i);
+            }
         }
-        rlchol_dense::pool::global().run(tasks);
-    }
+    });
+    drop(parts);
     // Phase 2 (serial): scatter. Exactly the serial loop's writes, in a
     // different order over a bijection — same map.
     for (k, &d) in dst.iter().enumerate() {
@@ -339,17 +337,12 @@ impl SymbolicCholesky {
         analyze_stages.value_map = t.elapsed();
 
         let engine = engine_for(opts.method);
-        // Fault plans flow down: an explicit GpuOptions plan wins, else
-        // the solver-level plan, else (inside the lane pool, resolved
-        // once) the RLCHOL_FAULTS environment variable.
-        let mut gpu = opts.gpu.clone();
-        if gpu.faults.is_none() {
-            gpu.faults = opts.faults.clone();
-        }
+        // A `GpuOptions::faults` of `None` resolves (once, inside the
+        // lane pool) to the RLCHOL_FAULTS environment variable.
         let lanes = WorkspaceLanes::new(
             opts.factor_lanes,
             opts.threads,
-            gpu,
+            opts.gpu.clone(),
             a_fact,
             lanes::DEFAULT_LANE_WAIT,
         );
@@ -540,8 +533,14 @@ impl SymbolicCholesky {
     /// across the workspace lanes on [`rlchol_dense::pool`]. Results
     /// come back in input order, each independently `Ok` or `Err` — one
     /// indefinite matrix fails its own slot and nothing else. With `L`
-    /// lanes and a pool of `t` threads, `min(L, t)` factorizations are
-    /// in flight at a time. Cancelling the handle's
+    /// lanes and a pool of `t` threads, the batch is a `run_for` of
+    /// `min(L, t)` indices, each factoring the next unstarted value set
+    /// until none is left; a batch started while another `run_for` is
+    /// active (another batch, or a split kernel call on another thread)
+    /// runs its value sets one after another on the caller. While the
+    /// batch's `run_for` is active, each member's own kernel splits and
+    /// host assembly run inline on the member's thread. Cancelling the
+    /// handle's
     /// [`cancel_token`](Self::cancel_token) fails not-yet-started slots
     /// with [`FactorError::Cancelled`] (in-flight ones abort at their
     /// next executor checkpoint).
@@ -560,25 +559,33 @@ impl SymbolicCholesky {
         deadline: Deadline,
         cancel: &CancelToken,
     ) -> Vec<Result<Factorization, FactorError>> {
-        let mut out: Vec<Option<Result<Factorization, FactorError>>> =
-            (0..batch.len()).map(|_| None).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = batch
-            .iter()
-            .zip(out.iter_mut())
-            .map(|(&a, slot)| {
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    *slot = Some(if cancel.is_cancelled() {
-                        Err(FactorError::Cancelled)
-                    } else {
-                        self.factor_with_ctl(a, deadline, cancel)
-                    });
-                });
-                task
-            })
-            .collect();
-        rlchol_dense::pool::global().run(tasks);
+        let pool = rlchol_dense::pool::global();
+        // No more indices than lanes: the batch then never holds every
+        // lane while one of its indices waits for one. An index may run
+        // on a thread that helps the pool from inside a factorization (an
+        // idle tree lane does); waiting there for a lane that
+        // factorization holds would stall both for the whole lane-wait
+        // budget.
+        let workers = self.lanes.cap().min(pool.threads()).min(batch.len());
+        let next = AtomicUsize::new(0);
+        let out: Vec<Mutex<Option<Result<Factorization, FactorError>>>> =
+            batch.iter().map(|_| Mutex::default()).collect();
+        pool.run_for(workers, &|_| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&a) = batch.get(i) else { break };
+            let result = if cancel.is_cancelled() {
+                Err(FactorError::Cancelled)
+            } else {
+                self.factor_with_ctl(a, deadline, cancel)
+            };
+            *out[i].lock().expect("each value set is taken once") = Some(result);
+        });
         out.into_iter()
-            .map(|r| r.expect("every batch task ran"))
+            .map(|r| {
+                r.into_inner()
+                    .expect("run_for re-raises a panicking index")
+                    .expect("every batch slot ran")
+            })
             .collect()
     }
 
@@ -1196,6 +1203,32 @@ mod tests {
         assert!(sc.lane_stats().peak_in_use <= 2, "lane cap respected");
         // An empty batch is a valid empty request.
         assert!(sc.batch_factor(&[]).is_empty());
+
+        // A pipelined GPU engine offloading everything: each member's
+        // host assembly fans out (`fan_out`) inside the batch's own
+        // `run_for`, so it runs inline on the member's thread. Factor
+        // and simulated clock match a `factor_with` outside any batch.
+        let gpu = SymbolicCholesky::new(
+            &a0,
+            &SolverOptions {
+                method: Method::RlGpuPipe,
+                gpu: crate::engine::GpuOptions::with_threshold(0),
+                factor_lanes: 2,
+                ..SolverOptions::default()
+            },
+        );
+        for (i, r) in gpu.batch_factor(&refs).iter().enumerate() {
+            let serial = gpu.factor_with(&sets[i]);
+            match (r, serial) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got.data(), want.data(), "pipelined slot {i} factor");
+                    let sim = |f: &Factorization| f.info().sim_seconds.map(f64::to_bits);
+                    assert_eq!(sim(got), sim(&want), "pipelined slot {i} clock");
+                }
+                (Err(FactorError::NotPositiveDefinite { .. }), Err(_)) => assert_eq!(i, 2),
+                (got, want) => panic!("pipelined slot {i}: batch {got:?}, serial {want:?}"),
+            }
+        }
     }
 
     #[test]

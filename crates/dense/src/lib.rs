@@ -75,10 +75,11 @@
 //! ## Parallelism
 //!
 //! Every public factorization kernel splits a call above a fixed flop
-//! cutoff across the persistent work-stealing [`pool`] shared by the
-//! whole process, and runs a smaller call on the caller. Each kernel is
-//! cut only where no output entry's sequence of floating-point
-//! operations changes, so **the bits do not depend on the lane count**:
+//! cutoff across the persistent [`pool`] shared by the whole process
+//! (one allocation-free indexed parallel-for), and runs a smaller call
+//! on the caller. Each kernel is cut only where no output entry's
+//! sequence of floating-point operations changes, so **the bits do not
+//! depend on the lane count**:
 //!
 //! * [`gemm_nn`] / [`gemm_nt`]: column blocks of `C` when `n >= m`,
 //!   row blocks otherwise — an entry's sum over `k`, and its `KC` split,

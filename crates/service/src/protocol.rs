@@ -22,8 +22,8 @@
 //! ```
 //!
 //! (*) The method byte is positional: it renumbers whenever
-//! `Method::ALL` changes (deleting `LL_C` / `MF_C` moved `RL_G` from 6
-//! to 4). Both ends build from this tree and nothing persists the byte,
+//! `Method::ALL` changes (deleting `RLB_C(par)` moved `RL_G` from 4
+//! to 3). Both ends build from this tree and nothing persists the byte,
 //! so no numbering is kept stable; the reply's `"method"` names the
 //! engine that ran, and an index past the end is answered with a typed
 //! `Protocol("method index … out of range")`.

@@ -6,6 +6,8 @@
 //! nonzero of `L` exactly once, giving column counts in
 //! `O(nnz(L))` time and `O(n)` extra space.
 
+use std::sync::Mutex;
+
 use crate::etree::{strict_lower_rows, EliminationTree};
 use rlchol_sparse::SymCsc;
 
@@ -63,42 +65,33 @@ pub fn col_counts_par(a: &SymCsc, etree: &EliminationTree, threads: usize) -> Ve
     }
     bounds.push(n);
 
-    let mut partials: Vec<Vec<usize>> = Vec::with_capacity(threads);
-    partials.resize_with(threads, Vec::new);
-    {
-        let rowptr = &rowptr;
-        let colind = &colind;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = partials
-            .iter_mut()
-            .enumerate()
-            .map(|(t, slot)| {
-                let (lo, hi) = (bounds[t], bounds[t + 1]);
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let mut counts = vec![0usize; n];
-                    let mut mark = vec![usize::MAX; n];
-                    for i in lo..hi {
-                        mark[i] = i;
-                        for &k in &colind[rowptr[i]..rowptr[i + 1]] {
-                            let mut j = k;
-                            while mark[j] != i {
-                                counts[j] += 1;
-                                mark[j] = i;
-                                j = parent[j];
-                                debug_assert!(j != crate::NONE, "path must reach row {i}");
-                            }
-                        }
-                    }
-                    *slot = counts;
-                });
-                task
-            })
-            .collect();
-        rlchol_dense::pool::global().run(tasks);
-    }
+    let partials: Vec<Mutex<Vec<usize>>> = (0..threads).map(|_| Mutex::default()).collect();
+    rlchol_dense::pool::global().run_for(threads, &|t| {
+        let mut counts = vec![0usize; n];
+        let mut mark = vec![usize::MAX; n];
+        for i in bounds[t]..bounds[t + 1] {
+            mark[i] = i;
+            for &k in &colind[rowptr[i]..rowptr[i + 1]] {
+                let mut j = k;
+                while mark[j] != i {
+                    counts[j] += 1;
+                    mark[j] = i;
+                    j = parent[j];
+                    debug_assert!(j != crate::NONE, "path must reach row {i}");
+                }
+            }
+        }
+        *partials[t]
+            .lock()
+            .expect("each index locks only its own slot") = counts;
+    });
 
     let mut counts = vec![1usize; n]; // diagonal entries
-    for partial in &partials {
-        for (c, &p) in counts.iter_mut().zip(partial) {
+    for partial in partials {
+        let partial = partial
+            .into_inner()
+            .expect("run_for re-raises a panicking index");
+        for (c, p) in counts.iter_mut().zip(partial) {
             *c += p;
         }
     }

@@ -6,6 +6,7 @@
 //! everything the numeric engines need, plus the composed permutation the
 //! caller must apply to the matrix before loading numeric values.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::blocks::{row_blocks, RowBlock};
@@ -312,20 +313,19 @@ pub fn analyze_instrumented(
     if threads > 1 && nsup >= 2 * threads {
         blocks.resize_with(nsup, Vec::new);
         let chunk = nsup.div_ceil(threads);
-        let sn_ref = &sn2;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = blocks
-            .chunks_mut(chunk)
-            .zip(rows2.chunks(chunk))
-            .map(|(bs, rs)| {
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    for (b, r) in bs.iter_mut().zip(rs) {
-                        *b = row_blocks(r, sn_ref);
-                    }
-                });
-                task
-            })
-            .collect();
-        rlchol_dense::pool::global().run(tasks);
+        let chunks: Vec<Mutex<&mut [Vec<RowBlock>]>> =
+            blocks.chunks_mut(chunk).map(Mutex::new).collect();
+        rlchol_dense::pool::global().run_for(chunks.len(), &|i| {
+            let rows = &rows2[i * chunk..];
+            for (b, r) in chunks[i]
+                .lock()
+                .expect("each index locks only its own slot")
+                .iter_mut()
+                .zip(rows)
+            {
+                *b = row_blocks(r, &sn2);
+            }
+        });
     } else {
         blocks.extend(rows2.iter().map(|r| row_blocks(r, &sn2)));
     }

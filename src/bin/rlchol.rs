@@ -175,10 +175,10 @@ fn solver_options(args: &Args) -> SolverOptions {
         gpu: GpuOptions {
             machine: MachineModel::perlmutter(64).scale_compute(24.0),
             retire: args.retire,
+            faults: args.faults.clone(),
             ..GpuOptions::with_threshold(args.gpu_threshold.unwrap_or(12_000))
         },
         factor_lanes: args.factor_lanes,
-        faults: args.faults.clone(),
         fallback: args.fallback.clone().unwrap_or_default(),
         deadline: match args.deadline_ms {
             Some(ms) => Deadline::wall(Duration::from_millis(ms)),

@@ -136,7 +136,7 @@
 //! panic, a hang, or a silently wrong result.
 //!
 //! Faults are injected deterministically with a [`FaultPlan`]
-//! ([`SolverOptions::faults`], or the **`RLCHOL_FAULTS`** environment
+//! ([`GpuOptions::faults`], or the **`RLCHOL_FAULTS`** environment
 //! variable) using the grammar `transfer@N`, `kernel@N`, `oom@N`,
 //! `stall@N=SECS`, `seed@SEED[#COUNT[/HORIZON]]`, comma-separated; a
 //! `:t` suffix marks a fault transient (it fires once). A call that
@@ -158,9 +158,11 @@
 //! let a = grid3d(5, 5, 4, Stencil::Star7, 1, 11);
 //! let opts = SolverOptions {
 //!     method: Method::RlGpu,
-//!     gpu: GpuOptions::with_threshold(0), // offload everything
-//!     // Deterministic injected fault: the 4th kernel launch fails, once.
-//!     faults: Some(FaultPlan::parse("kernel@3:t").unwrap()),
+//!     gpu: GpuOptions {
+//!         // Deterministic injected fault: the 4th kernel launch fails, once.
+//!         faults: Some(FaultPlan::parse("kernel@3:t").unwrap()),
+//!         ..GpuOptions::with_threshold(0) // offload everything
+//!     },
 //!     retry: RetryPolicy::retries(1),
 //!     fallback: FallbackChain::recommended(Method::RlGpu),
 //!     ..SolverOptions::default()
@@ -170,7 +172,8 @@
 //! // The transient fault was retried on the same engine, and the
 //! // result is bit-identical to a clean run.
 //! assert!(matches!(fact.info().recovery[0].action, RecoveryAction::Retried));
-//! let clean = CholeskySolver::factor(&a, &SolverOptions { faults: None, ..opts.clone() }).unwrap();
+//! let clean_gpu = GpuOptions { faults: None, ..opts.gpu.clone() };
+//! let clean = CholeskySolver::factor(&a, &SolverOptions { gpu: clean_gpu, ..opts.clone() }).unwrap();
 //! assert_eq!(fact.data(), clean.factor_data());
 //! ```
 //!
@@ -254,7 +257,7 @@
 //!
 //! The CPU tree executor (every CPU method, sized by
 //! [`SolverOptions::threads`]) runs its lanes next to one persistent
-//! work-stealing pool, which the dense kernels split any large call
+//! parallel-for pool, which the dense kernels split any large call
 //! across;
 //! the pipelined GPU engines ([`Method::RlGpuPipe`], [`Method::RlbGpuPipe`])
 //! dispatch ready supernodes onto the least-loaded of their simulated

@@ -20,9 +20,8 @@
 //! the pool, left every digest as it was.
 //!
 //! The CPU methods run one tree executor whose factor does not depend on
-//! its lane count, so every CPU method (`RlCpuPar` and `RlbCpuPar` are
-//! synonyms of `RlCpu` and `RlbCpu`) at 1, 2, 4 and 8 lanes must give its
-//! family's digest. The executor runs one lane below a flop cutoff and
+//! its lane count, so every CPU method (`RlCpuPar` is a synonym of
+//! `RlCpu`) at 1, 2, 4 and 8 lanes must give its family's digest. The executor runs one lane below a flop cutoff and
 //! beside another CPU factorization, so every test holds [`serial`] and
 //! asserts the lanes its CPU runs started: the 16³ grid and the two
 //! benchmark matrices run the tree, the others the one-lane sweep.
@@ -199,7 +198,6 @@ fn check(name: &str, a: &SymCsc, tree: bool, want: &[u64], want_sim: &[u64]) -> 
         (Method::RlCpu, want[0]),
         (Method::RlbCpu, want[1]),
         (Method::RlCpuPar, want[0]),
-        (Method::RlbCpuPar, want[1]),
     ] {
         for threads in LANES {
             let run = format!("{name} {} threads {threads}", method.label());

@@ -71,7 +71,6 @@ fn check_matches_serial(a: &SymCsc, label: &str, tree: bool) {
             (Method::RlCpu, &rl),
             (Method::RlCpuPar, &rl),
             (Method::RlbCpu, &rlb),
-            (Method::RlbCpuPar, &rlb),
         ] {
             let (got, lanes) = factor(method, &sym, &ap, threads).unwrap();
             assert_eq!(&got, serial, "{label}: {method:?} threads={threads}");
@@ -214,7 +213,7 @@ fn indefinite_matrix_errors_cleanly_in_parallel() {
             "{label}: {want:?}"
         );
         for threads in THREAD_SWEEP {
-            for method in [Method::RlCpuPar, Method::RlbCpuPar] {
+            for method in [Method::RlCpuPar, Method::RlbCpu] {
                 let got = factor(method, &sym, &ap, threads).unwrap_err();
                 assert_eq!(got, want, "{label}: {method:?} threads={threads}");
             }
@@ -223,7 +222,7 @@ fn indefinite_matrix_errors_cleanly_in_parallel() {
     // The lanes survive the failed runs: a healthy factorization still
     // runs the tree afterwards.
     let (sym, ap) = prepared(&cube);
-    let (_, lanes) = factor(Method::RlbCpuPar, &sym, &ap, 4).unwrap();
+    let (_, lanes) = factor(Method::RlbCpu, &sym, &ap, 4).unwrap();
     assert_eq!(lanes, 4, "the tree after the errors");
 }
 
@@ -239,7 +238,7 @@ fn solver_pipeline_with_parallel_methods() {
         let x_true: Vec<f64> = (0..n).map(|i| (i % 9) as f64 - 4.0).collect();
         let mut b = vec![0.0; n];
         a.matvec(&x_true, &mut b);
-        for method in [Method::RlCpuPar, Method::RlbCpuPar] {
+        for method in [Method::RlCpuPar, Method::RlbCpu] {
             for threads in [0, 4] {
                 let opts = SolverOptions {
                     method,
@@ -262,5 +261,38 @@ fn solver_pipeline_with_parallel_methods() {
                 );
             }
         }
+    }
+}
+
+/// A batch on a one-lane handle, above the cutoff: the member that holds
+/// the lane runs the tree, and its idle tree lane helps the pool. Every
+/// slot must still factor, with the bits of a lone `factor_with`.
+/// (Were each value set its own pool index, that tree lane could take
+/// the next set and wait for the lane its own tree holds: 30 s, then
+/// `LanesExhausted`.)
+#[test]
+fn one_lane_batch_above_the_cutoff_factors_every_slot() {
+    let _serial = serial();
+    let sets: Vec<SymCsc> = (0..4)
+        .map(|seed| grid3d(16, 16, 16, Stencil::Star7, 1, 40 + seed))
+        .collect();
+    let handle = rlchol::SymbolicCholesky::new(
+        &sets[0],
+        &SolverOptions {
+            factor_lanes: 1,
+            ..SolverOptions::default()
+        },
+    );
+    let refs: Vec<&SymCsc> = sets.iter().collect();
+    let results = handle.batch_factor(&refs);
+    let mut tree = false;
+    for (i, r) in results.iter().enumerate() {
+        let got = r.as_ref().unwrap_or_else(|e| panic!("slot {i}: {e}"));
+        tree |= got.info().lanes > 1;
+        let want = handle.factor_with(&sets[i]).expect("SPD input");
+        assert_eq!(got.data(), want.data(), "slot {i}");
+    }
+    if rlchol::dense::pool::global().threads() > 1 {
+        assert!(tree, "a member ran the tree");
     }
 }

@@ -73,7 +73,7 @@ fn multi_lane_refactor_matches_serial_bitwise() {
     let a1 = grid3d(16, 16, 16, Stencil::Star7, 1, 201);
     for (method, serial) in [
         (Method::RlCpuPar, Method::RlCpu),
-        (Method::RlbCpuPar, Method::RlbCpu),
+        (Method::RlbCpu, Method::RlbCpu),
     ] {
         let opts = SolverOptions {
             method,

@@ -204,13 +204,15 @@ fn a_midstream_fault_quarantines_one_lane_without_poisoning_the_rest() {
     const FT_ITERS: usize = 6;
     let opts = SolverOptions {
         method: Method::RlGpu,
-        gpu: GpuOptions::with_threshold(0),
+        gpu: GpuOptions {
+            faults: Some(FaultPlan::parse("kernel@2:t").unwrap()),
+            ..GpuOptions::with_threshold(0)
+        },
         factor_lanes: 2,
-        faults: Some(FaultPlan::parse("kernel@2:t").unwrap()),
         ..SolverOptions::default()
     };
     let clean = SolverOptions {
-        faults: None,
+        gpu: GpuOptions::with_threshold(0),
         ..opts.clone()
     };
     let a0 = matrix(value_seed(0, 0));

@@ -236,8 +236,9 @@ fn solves_are_allocation_free_after_warm_up() {
     // its structures on the heap, but the count must not creep from
     // call to call (a creep means some cache, pool queue, or
     // thread-local is growing without bound under analyze churn). The
-    // parallel pipeline is the interesting case: it boxes pool tasks
-    // and per-thread scratch on every call. It runs at and above 1 024
+    // parallel pipeline is the interesting case: it builds per-chunk
+    // slots and per-thread scratch for the pool's `run_for` on every
+    // call. It runs at and above 1 024
     // columns, hence the 11 × 10 × 10 grid.
     let a_an = grid3d(11, 10, 10, Stencil::Star7, 1, 14);
     let opts_an = SolverOptions {
