@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rlchol_core::engine::{GpuOptions, Method};
 use rlchol_core::simplicial::simplicial_cholesky;
-use rlchol_core::{engine_for, EngineWorkspace};
+use rlchol_core::{engine_for, EngineWorkspace, FactorData};
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_ordering::{order, OrderingMethod};
 use rlchol_perfmodel::MachineModel;
@@ -41,7 +41,9 @@ fn bench_factorization(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut ws = EngineWorkspace::new(0, opts.clone());
-                engine_for(method).factor(&sym, &a, &mut ws).unwrap()
+                engine_for(method)
+                    .factor(&sym, FactorData::load(&sym, &a), &mut ws)
+                    .unwrap()
             })
         });
     }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlchol_core::engine::{GpuOptions, Method};
-use rlchol_core::{engine_for, EngineWorkspace};
+use rlchol_core::{engine_for, EngineWorkspace, FactorData};
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_ordering::{order, OrderingMethod};
 use rlchol_symbolic::{analyze, SymbolicOptions};
@@ -25,7 +25,9 @@ fn bench_factorization_par(c: &mut Criterion) {
     // One engine through the registry at an explicit lane count.
     let factor = |method: Method, lanes: usize| {
         let mut ws = EngineWorkspace::new(lanes, GpuOptions::with_threshold(usize::MAX));
-        engine_for(method).factor(&sym, &a, &mut ws).unwrap()
+        engine_for(method)
+            .factor(&sym, FactorData::load(&sym, &a), &mut ws)
+            .unwrap()
     };
     g.bench_function("rl_serial", |b| b.iter(|| factor(Method::RlCpu, 1)));
     g.bench_function("rlb_serial", |b| b.iter(|| factor(Method::RlbCpu, 1)));

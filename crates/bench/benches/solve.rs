@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rlchol_core::solve::{solve, solve_backward, solve_forward};
 use rlchol_core::{
-    engine_for, CholeskySolver, EngineWorkspace, Method, SolveWorkspace, SolverOptions,
+    engine_for, CholeskySolver, EngineWorkspace, FactorData, Method, SolveWorkspace, SolverOptions,
 };
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_ordering::{order, OrderingMethod};
@@ -17,7 +17,11 @@ fn bench_solve(c: &mut Criterion) {
     let sym = analyze(&af, &SymbolicOptions::default());
     let a = af.permute(&sym.perm);
     let run = engine_for(Method::RlCpu)
-        .factor(&sym, &a, &mut EngineWorkspace::default())
+        .factor(
+            &sym,
+            FactorData::load(&sym, &a),
+            &mut EngineWorkspace::default(),
+        )
         .unwrap();
     let n = a.n();
     let b: Vec<f64> = (0..n).map(|i| (i % 11) as f64 - 5.0).collect();

@@ -16,7 +16,7 @@
 pub mod paper;
 
 use rlchol_core::engine::{GpuOptions, Method};
-use rlchol_core::{engine_for, EngineRun, EngineWorkspace, FactorError};
+use rlchol_core::{engine_for, EngineRun, EngineWorkspace, FactorData, FactorError};
 use rlchol_matgen::suite::SuiteConfig;
 use rlchol_ordering::{order, OrderingMethod};
 use rlchol_perfmodel::{MachineModel, Trace};
@@ -87,7 +87,11 @@ pub(crate) fn gpu_options(cfg: &SuiteConfig, threshold: usize) -> GpuOptions {
 /// the matrix and method named.
 pub(crate) fn run_cpu(p: &PreparedMatrix, method: Method) -> Trace {
     let run = engine_for(method)
-        .factor(&p.sym, &p.a_fact, &mut EngineWorkspace::default())
+        .factor(
+            &p.sym,
+            FactorData::load(&p.sym, &p.a_fact),
+            &mut EngineWorkspace::default(),
+        )
         .unwrap_or_else(|e| panic!("{}: {} failed: {e}", p.name, method.label()));
     run.info.trace.expect("CPU engines record a trace")
 }
@@ -98,7 +102,7 @@ pub(crate) fn run_cpu(p: &PreparedMatrix, method: Method) -> Trace {
 /// instead of being tabulated as "OOM".
 pub(crate) fn run_gpu(p: &PreparedMatrix, method: Method, opts: &GpuOptions) -> Option<EngineRun> {
     let mut ws = EngineWorkspace::new(0, opts.clone());
-    match engine_for(method).factor(&p.sym, &p.a_fact, &mut ws) {
+    match engine_for(method).factor(&p.sym, FactorData::load(&p.sym, &p.a_fact), &mut ws) {
         Ok(run) => Some(run),
         Err(FactorError::GpuOutOfMemory { .. }) => None,
         Err(e) => panic!("{}: {} failed: {e}", p.name, method.label()),

@@ -161,7 +161,8 @@ pub(crate) fn fan_out<U: Send>(
 /// Pool-parallel assembly: [`assemble_update`] with each target's
 /// segment scattered by its own `run_for` index on `pool` (`fan_out`),
 /// so host assembly overlaps across cores without per-call thread
-/// spawns.
+/// spawns. Each thread keeps one relative-index scratch for every
+/// segment it scatters, so a warm thread allocates nothing.
 /// Bit-identical to the serial scatter — segments only move between
 /// lanes.
 pub fn assemble_update_pool(
@@ -172,10 +173,15 @@ pub fn assemble_update_pool(
     upd: &[f64],
     r: usize,
 ) -> usize {
+    std::thread_local! {
+        /// `scatter_segment` never re-enters itself, so the borrow is
+        /// never contended.
+        static REL: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
     let rows = &sym.rows[s];
     let units = segments(sym, s).map(|seg| (seg.target, seg));
     fan_out(pool, data, units, |seg, arr| {
-        scatter_segment(sym, arr, seg, rows, upd, r, &mut Vec::new())
+        REL.with(|rel| scatter_segment(sym, arr, seg, rows, upd, r, &mut rel.borrow_mut()))
     })
 }
 

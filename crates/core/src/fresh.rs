@@ -9,6 +9,7 @@ use crate::engine::{CpuRun, GpuOptions, GpuRun, Variant};
 use crate::error::FactorError;
 use crate::gpu_rlb::RlbGpuVersion;
 use crate::registry::EngineWorkspace;
+use crate::storage::FactorData;
 
 type Cpu = Result<CpuRun, FactorError>;
 type Gpu = Result<GpuRun, FactorError>;
@@ -18,15 +19,15 @@ fn ws() -> EngineWorkspace {
 }
 
 pub(crate) fn factor_rl_cpu(sym: &SymbolicFactor, a: &SymCsc) -> Cpu {
-    crate::sched::cpu::factor_cpu_ws(sym, a, Variant::Rl, &mut ws())
+    crate::sched::cpu::factor_cpu_ws(sym, FactorData::load(sym, a), Variant::Rl, &mut ws())
 }
 
 pub(crate) fn factor_rlb_cpu(sym: &SymbolicFactor, a: &SymCsc) -> Cpu {
-    crate::sched::cpu::factor_cpu_ws(sym, a, Variant::Rlb, &mut ws())
+    crate::sched::cpu::factor_cpu_ws(sym, FactorData::load(sym, a), Variant::Rlb, &mut ws())
 }
 
 pub(crate) fn factor_rl_gpu(sym: &SymbolicFactor, a: &SymCsc, opts: &GpuOptions) -> Gpu {
-    crate::gpu_rl::factor_rl_gpu_ws(sym, a, opts, &mut ws())
+    crate::gpu_rl::factor_rl_gpu_ws(sym, FactorData::load(sym, a), opts, &mut ws())
 }
 
 pub(crate) fn factor_rlb_gpu(
@@ -35,13 +36,13 @@ pub(crate) fn factor_rlb_gpu(
     opts: &GpuOptions,
     version: RlbGpuVersion,
 ) -> Gpu {
-    crate::gpu_rlb::factor_rlb_gpu_ws(sym, a, opts, version, &mut ws())
+    crate::gpu_rlb::factor_rlb_gpu_ws(sym, FactorData::load(sym, a), opts, version, &mut ws())
 }
 
 pub(crate) fn factor_rl_gpu_pipe(sym: &SymbolicFactor, a: &SymCsc, opts: &GpuOptions) -> Gpu {
-    crate::sched::gpu::factor_rl_gpu_pipe_ws(sym, a, opts, &mut ws())
+    crate::sched::gpu::factor_rl_gpu_pipe_ws(sym, FactorData::load(sym, a), opts, &mut ws())
 }
 
 pub(crate) fn factor_rlb_gpu_pipe(sym: &SymbolicFactor, a: &SymCsc, opts: &GpuOptions) -> Gpu {
-    crate::sched::gpu::factor_rlb_gpu_pipe_ws(sym, a, opts, &mut ws())
+    crate::sched::gpu::factor_rlb_gpu_pipe_ws(sym, FactorData::load(sym, a), opts, &mut ws())
 }

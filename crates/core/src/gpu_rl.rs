@@ -26,7 +26,6 @@ use std::time::Instant;
 use rlchol_dense::pool;
 use rlchol_gpu::{Buffer, Event, Gpu, GpuError, StreamId};
 use rlchol_perfmodel::{CpuModel, TraceOp};
-use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::assemble_update_pool;
@@ -35,6 +34,7 @@ use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
 use crate::rl::rl_update_matrix;
 use crate::rlb::rlb_update_pool;
+use crate::storage::FactorData;
 
 /// Decides which supernodes are offloaded under the threshold rule.
 pub fn offload_set(sym: &SymbolicFactor, threshold: usize) -> Vec<bool> {
@@ -43,18 +43,16 @@ pub fn offload_set(sym: &SymbolicFactor, threshold: usize) -> Vec<bool> {
         .collect()
 }
 
-/// Factors `a` (permuted into factor order) with GPU-accelerated RL,
-/// drawing factor storage from `ws` (recycled storage is reused, no
-/// reallocation).
+/// Factors `data` (the matrix's values in factor order) in place with
+/// GPU-accelerated RL.
 pub(crate) fn factor_rl_gpu_ws(
     sym: &SymbolicFactor,
-    a: &SymCsc,
+    mut data: FactorData,
     opts: &GpuOptions,
     ws: &mut EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
     let t0 = Instant::now();
     let ctl = ws.ctl.clone();
-    let mut data = ws.take_factor(sym, a);
     let gpu = opts.device();
     gpu.set_blocking(!opts.overlap);
     let compute = gpu.default_stream();

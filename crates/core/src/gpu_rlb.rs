@@ -27,7 +27,6 @@ use std::time::Instant;
 use rlchol_dense::pool::{self, ThreadPool};
 use rlchol_gpu::{Buffer, Event, Gpu, StreamId};
 use rlchol_perfmodel::TraceOp;
-use rlchol_sparse::SymCsc;
 use rlchol_symbolic::blocks::RowBlock;
 use rlchol_symbolic::relind::relative_indices;
 use rlchol_symbolic::SymbolicFactor;
@@ -37,6 +36,7 @@ use crate::engine::{GpuOptions, GpuRun, Variant};
 use crate::error::FactorError;
 use crate::gpu_rl::{device_panel, host_node, offload_set};
 use crate::registry::EngineWorkspace;
+use crate::storage::FactorData;
 
 /// Which RLB GPU variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,19 +187,17 @@ pub(crate) fn scatter_strips(
     })
 }
 
-/// Factors `a` with GPU-accelerated RLB (version selected by `version`),
-/// drawing factor storage from `ws` (recycled storage is reused, no
-/// reallocation).
+/// Factors `data` (the matrix's values in factor order) in place with
+/// GPU-accelerated RLB (version selected by `version`).
 pub(crate) fn factor_rlb_gpu_ws(
     sym: &SymbolicFactor,
-    a: &SymCsc,
+    mut data: FactorData,
     opts: &GpuOptions,
     version: RlbGpuVersion,
     ws: &mut EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
     let t0 = Instant::now();
     let ctl = ws.ctl.clone();
-    let mut data = ws.take_factor(sym, a);
     let gpu = opts.device();
     gpu.set_blocking(!opts.overlap);
     let compute = gpu.default_stream();

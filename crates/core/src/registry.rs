@@ -8,16 +8,19 @@
 //! the `paper` bin, benches, examples and tests — goes through one
 //! interface:
 //!
-//! * [`NumericEngine`] — `factor(sym, a, ws)` produces an [`EngineRun`]:
-//!   the factor plus a uniform [`FactorInfo`] (wall time, simulated
-//!   seconds, supernodes on GPU, stream count, per-stream device stats,
-//!   CPU trace).
+//! * [`NumericEngine`] — `factor(sym, data, ws)` factors `data`, the
+//!   matrix's values already loaded into supernodal storage
+//!   ([`FactorData::load`] for a one-shot call), in place and produces an
+//!   [`EngineRun`]: the factor plus a uniform [`FactorInfo`] (wall time,
+//!   simulated seconds, supernodes on GPU, stream count, per-stream
+//!   device stats, CPU trace).
 //! * [`EngineWorkspace`] — the engine-resolved resources a
 //!   [`SymbolicCholesky`](crate::SymbolicCholesky) handle owns across
-//!   repeated factorizations: pool lanes, GPU options (threshold,
-//!   stream pairs), recycled factor storage, and the CPU executor's
-//!   scratch buffers. Refactoring a same-pattern matrix reuses all of
-//!   it — no factor reallocation, no scratch regrowth.
+//!   repeated factorizations, one per workspace lane: pool lanes, GPU
+//!   options (threshold, stream pairs), the CPU executor's scratch
+//!   buffers and a trace buffer. Refactoring a same-pattern matrix
+//!   reuses all of it — no scratch regrowth. Factor storage is not part
+//!   of it: the caller hands it in.
 //! * [`engine_for`] — the registry lookup keyed by [`Method`]. Every
 //!   variant of [`Method::ALL`] is registered; the exhaustiveness test
 //!   below keeps the two lists in lock-step.
@@ -26,7 +29,6 @@ use std::time::Duration;
 
 use rlchol_gpu::GpuStats;
 use rlchol_perfmodel::{Trace, TraceOp};
-use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::engine::{CpuRun, GpuOptions, GpuRun, Method, RetireMode, Variant};
@@ -137,10 +139,6 @@ pub struct EngineWorkspace {
     /// GPU engine options (threshold, machine model, stream pairs).
     /// `streams == 0` resolves to `RLCHOL_STREAMS` / its default.
     pub gpu: Option<GpuOptions>,
-    /// Factor storage recycled from a previous same-pattern
-    /// factorization; [`take_factor`](Self::take_factor) reuses it
-    /// instead of reallocating.
-    recycle: Option<FactorData>,
     /// The CPU executor's lane scratch and RL update-matrix buffers,
     /// kept across refactorizations.
     pub(crate) cpu: crate::sched::cpu::CpuScratch,
@@ -188,37 +186,6 @@ impl EngineWorkspace {
             .unwrap_or_else(|| GpuOptions::with_threshold(usize::MAX))
     }
 
-    /// Hands storage for a factorization of `a`: the recycled factor
-    /// when its shape matches `sym` (zeroed and reloaded in place),
-    /// fresh storage otherwise.
-    pub fn take_factor(&mut self, sym: &SymbolicFactor, a: &SymCsc) -> FactorData {
-        match self.recycle.take() {
-            Some(mut data) if data.shape_matches(sym) => {
-                data.reload(sym, a);
-                data
-            }
-            _ => FactorData::load(sym, a),
-        }
-    }
-
-    /// Returns factor storage for reuse by the next
-    /// [`take_factor`](Self::take_factor) call.
-    pub fn recycle(&mut self, data: FactorData) {
-        self.recycle = Some(data);
-    }
-
-    /// Whether recycled factor storage is already staged (the lane pool
-    /// skips restocking from its shared bin when it is).
-    pub fn has_recycled_factor(&self) -> bool {
-        self.recycle.is_some()
-    }
-
-    /// Removes and returns the staged recycled storage, if any (the
-    /// lane pool salvages it from overflow lanes before dropping them).
-    pub fn take_recycled(&mut self) -> Option<FactorData> {
-        self.recycle.take()
-    }
-
     /// An empty [`Trace`] backed by the workspace's recycled buffer, so
     /// steady-state trace recording performs no heap allocation. The
     /// trace leaves with the engine's run; its buffer flows back through
@@ -244,12 +211,16 @@ pub trait NumericEngine: Sync {
     /// The [`Method`] this engine implements (the registry key).
     fn method(&self) -> Method;
 
-    /// Factors `a` (already permuted into factor order) for the
-    /// structure `sym`, drawing storage and resources from `ws`.
+    /// Factors in place the matrix whose values (in factor order) `data`
+    /// holds, for the structure `sym`, drawing scratch and resources from
+    /// `ws`. `data` must have `sym`'s shape
+    /// ([`FactorData::shape_matches`]); [`FactorData::load`] builds it
+    /// from a permuted matrix. The factor comes back in
+    /// [`EngineRun::factor`].
     fn factor(
         &self,
         sym: &SymbolicFactor,
-        a: &SymCsc,
+        data: FactorData,
         ws: &mut EngineWorkspace,
     ) -> Result<EngineRun, FactorError>;
 }
@@ -265,10 +236,11 @@ impl NumericEngine for CpuEngine {
     fn factor(
         &self,
         sym: &SymbolicFactor,
-        a: &SymCsc,
+        data: FactorData,
         ws: &mut EngineWorkspace,
     ) -> Result<EngineRun, FactorError> {
-        crate::sched::cpu::factor_cpu_ws(sym, a, self.1, ws).map(EngineRun::from_cpu)
+        assert!(data.shape_matches(sym), "factor storage shape mismatch");
+        crate::sched::cpu::factor_cpu_ws(sym, data, self.1, ws).map(EngineRun::from_cpu)
     }
 }
 
@@ -282,12 +254,13 @@ macro_rules! gpu_engine {
             fn factor(
                 &self,
                 sym: &SymbolicFactor,
-                a: &SymCsc,
+                data: FactorData,
                 ws: &mut EngineWorkspace,
             ) -> Result<EngineRun, FactorError> {
+                assert!(data.shape_matches(sym), "factor storage shape mismatch");
                 let opts = ws.resolved_gpu();
                 #[allow(clippy::redundant_closure_call)]
-                ($call)(sym, a, &opts, ws).map(EngineRun::from_gpu)
+                ($call)(sym, data, &opts, ws).map(EngineRun::from_gpu)
             }
         }
     };
@@ -297,15 +270,15 @@ gpu_engine!(RlGpuEngine, Method::RlGpu, crate::gpu_rl::factor_rl_gpu_ws);
 gpu_engine!(
     RlbGpuV1Engine,
     Method::RlbGpuV1,
-    |sym: &SymbolicFactor, a: &SymCsc, opts: &GpuOptions, ws: &mut EngineWorkspace| {
-        crate::gpu_rlb::factor_rlb_gpu_ws(sym, a, opts, crate::gpu_rlb::RlbGpuVersion::V1, ws)
+    |sym: &SymbolicFactor, data: FactorData, opts: &GpuOptions, ws: &mut EngineWorkspace| {
+        crate::gpu_rlb::factor_rlb_gpu_ws(sym, data, opts, crate::gpu_rlb::RlbGpuVersion::V1, ws)
     }
 );
 gpu_engine!(
     RlbGpuV2Engine,
     Method::RlbGpuV2,
-    |sym: &SymbolicFactor, a: &SymCsc, opts: &GpuOptions, ws: &mut EngineWorkspace| {
-        crate::gpu_rlb::factor_rlb_gpu_ws(sym, a, opts, crate::gpu_rlb::RlbGpuVersion::V2, ws)
+    |sym: &SymbolicFactor, data: FactorData, opts: &GpuOptions, ws: &mut EngineWorkspace| {
+        crate::gpu_rlb::factor_rlb_gpu_ws(sym, data, opts, crate::gpu_rlb::RlbGpuVersion::V2, ws)
     }
 );
 gpu_engine!(
@@ -351,29 +324,5 @@ mod tests {
             assert_eq!(engine_for(m).method(), m);
         }
         assert_eq!(ENGINES.len(), Method::ALL.len());
-    }
-
-    #[test]
-    fn workspace_recycles_matching_storage() {
-        use rlchol_matgen::laplace2d;
-        use rlchol_symbolic::{analyze, SymbolicOptions};
-
-        let a = laplace2d(6, 3);
-        let sym = analyze(&a, &SymbolicOptions::default());
-        let ap = a.permute(&sym.perm);
-        let mut ws = EngineWorkspace::default();
-        let first = ws.take_factor(&sym, &ap);
-        let ptr = first.sn[0].as_ptr();
-        ws.recycle(first);
-        let second = ws.take_factor(&sym, &ap);
-        assert_eq!(second.sn[0].as_ptr(), ptr, "storage must be reused");
-        assert_eq!(second, FactorData::load(&sym, &ap));
-        // A shape mismatch falls back to fresh allocation.
-        let b = laplace2d(7, 3);
-        let sym_b = analyze(&b, &SymbolicOptions::default());
-        let bp = b.permute(&sym_b.perm);
-        ws.recycle(second);
-        let third = ws.take_factor(&sym_b, &bp);
-        assert_eq!(third, FactorData::load(&sym_b, &bp));
     }
 }

@@ -61,7 +61,6 @@ use std::time::Instant;
 
 use rlchol_dense::pool;
 use rlchol_perfmodel::{Trace, TraceOp};
-use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::{assemble_update, scatter_segment, segment_to, segments};
@@ -139,12 +138,12 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
     }
 }
 
-/// Factors `a` (permuted into factor order) with `variant`, drawing
-/// factor storage and scratch from `ws`, on `ws.resolved_lanes()` lanes
+/// Factors `data` (the matrix's values in factor order) in place with
+/// `variant`, drawing scratch from `ws`, on `ws.resolved_lanes()` lanes
 /// unless the tree does not pay (see the module docs).
 pub(crate) fn factor_cpu_ws(
     sym: &SymbolicFactor,
-    a: &SymCsc,
+    data: FactorData,
     variant: Variant,
     ws: &mut EngineWorkspace,
 ) -> Result<CpuRun, FactorError> {
@@ -154,7 +153,7 @@ pub(crate) fn factor_cpu_ws(
     } else {
         1
     };
-    execute(sym, a, variant, ws, lanes, true)
+    execute(sym, data, variant, ws, lanes, true)
 }
 
 /// Runs the executor at `lanes` lanes (one: the sweep). With `shrink`,
@@ -162,14 +161,13 @@ pub(crate) fn factor_cpu_ws(
 /// CPU factorization is in flight: the process is busy.
 fn execute(
     sym: &SymbolicFactor,
-    a: &SymCsc,
+    mut data: FactorData,
     variant: Variant,
     ws: &mut EngineWorkspace,
     lanes: usize,
     shrink: bool,
 ) -> Result<CpuRun, FactorError> {
     let t0 = Instant::now();
-    let mut data = ws.take_factor(sym, a);
     let lanes = lanes.clamp(1, sym.nsup().max(1));
     let peak = if lanes == 1 {
         sweep(sym, variant, &mut data, ws)?
@@ -743,6 +741,7 @@ mod tests {
     use rlchol_dense::{flops_potrf, flops_trsm};
     use rlchol_matgen::{grid2d, grid3d, kkt3d, laplace2d, perturbed_grid3d, Stencil};
     use rlchol_ordering::{order, OrderingMethod};
+    use rlchol_sparse::SymCsc;
     use rlchol_symbolic::{analyze, SymbolicOptions};
 
     /// `a` in nested-dissection order (a bushy tree, where the lanes run
@@ -758,7 +757,15 @@ mod tests {
     /// and the one-active-tree rule.
     fn at(sym: &SymbolicFactor, ap: &SymCsc, variant: Variant, lanes: usize) -> CpuRun {
         let mut ws = EngineWorkspace::default();
-        execute(sym, ap, variant, &mut ws, lanes, false).unwrap()
+        execute(
+            sym,
+            FactorData::load(sym, ap),
+            variant,
+            &mut ws,
+            lanes,
+            false,
+        )
+        .unwrap()
     }
 
     /// Factor and trace at 2, 4 and 8 lanes equal the sweep's, bit for
@@ -908,15 +915,33 @@ mod tests {
         for variant in [Variant::Rl, Variant::Rlb] {
             for lanes in [1, 2] {
                 let token = CancelToken::new();
-                let mut ws = EngineWorkspace::default();
-                ws.ctl = RunCtl::armed(Deadline::none(), token.clone());
+                let mut ws = EngineWorkspace {
+                    ctl: RunCtl::armed(Deadline::none(), token.clone()),
+                    ..EngineWorkspace::default()
+                };
                 ws.cpu.cancel_after_factor = Some(token.clone());
-                let err = execute(&sym, &ap, variant, &mut ws, lanes, false).unwrap_err();
+                let err = execute(
+                    &sym,
+                    FactorData::load(&sym, &ap),
+                    variant,
+                    &mut ws,
+                    lanes,
+                    false,
+                )
+                .unwrap_err();
                 assert_eq!(err, FactorError::Cancelled, "{variant:?} lanes={lanes}");
                 // Every lane came home: the workspace runs again.
                 ws.cpu.cancel_after_factor = None;
                 token.reset();
-                assert!(execute(&sym, &ap, variant, &mut ws, lanes, false).is_ok());
+                assert!(execute(
+                    &sym,
+                    FactorData::load(&sym, &ap),
+                    variant,
+                    &mut ws,
+                    lanes,
+                    false
+                )
+                .is_ok());
             }
         }
     }
@@ -929,7 +954,8 @@ mod tests {
         let busy = (InFlight::enter(), InFlight::enter());
         for variant in [Variant::Rl, Variant::Rlb] {
             let mut ws = EngineWorkspace::default();
-            let tree = execute(&sym, &ap, variant, &mut ws, 4, true).unwrap();
+            let tree =
+                execute(&sym, FactorData::load(&sym, &ap), variant, &mut ws, 4, true).unwrap();
             let units: Vec<usize> = ws.cpu.lanes.iter().map(|l| l.units).collect();
             assert_eq!(tree.lanes, 4);
             assert!(
@@ -948,13 +974,20 @@ mod tests {
         let (sym, ap) = prepared(&grid3d(16, 16, 16, Stencil::Star7, 1, 9));
         assert!(sym.flops >= TREE_FLOPS, "{} flops", sym.flops);
         let other = InFlight::enter();
-        let run = factor_cpu_ws(&sym, &ap, Variant::Rl, &mut four()).unwrap();
+        let run =
+            factor_cpu_ws(&sym, FactorData::load(&sym, &ap), Variant::Rl, &mut four()).unwrap();
         drop(other);
         assert_eq!(run.lanes, 1, "a second factorization runs the sweep");
         // Below the cutoff: the sweep, whatever else runs.
         let (small, sap) = prepared(&grid3d(8, 8, 8, Stencil::Star7, 1, 9));
         assert!(small.flops < TREE_FLOPS, "{} flops", small.flops);
-        let run = factor_cpu_ws(&small, &sap, Variant::Rl, &mut four()).unwrap();
+        let run = factor_cpu_ws(
+            &small,
+            FactorData::load(&small, &sap),
+            Variant::Rl,
+            &mut four(),
+        )
+        .unwrap();
         assert_eq!(run.lanes, 1, "below the cutoff");
     }
 }

@@ -87,7 +87,6 @@ use std::time::Instant;
 use rlchol_dense::pool;
 use rlchol_gpu::{Buffer, Event, Gpu, StreamId, StreamRole};
 use rlchol_perfmodel::{CpuModel, TraceOp};
-use rlchol_sparse::SymCsc;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::{assemble_update_pool, scatter_segment, segment_to};
@@ -106,26 +105,25 @@ use crate::storage::FactorData;
 use super::driver::{distinct_targets, Sequencer};
 
 /// Pipelined multi-stream GPU-RL ([`crate::engine::Method::RlGpuPipe`]),
-/// drawing factor storage from `ws`.
+/// factoring `data` in place.
 pub(crate) fn factor_rl_gpu_pipe_ws(
     sym: &SymbolicFactor,
-    a: &SymCsc,
+    data: FactorData,
     opts: &GpuOptions,
     ws: &mut EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
-    run_pipeline(sym, a, opts, Variant::Rl, ws)
+    run_pipeline(sym, data, opts, Variant::Rl, ws)
 }
 
 /// Pipelined multi-stream GPU-RLB
-/// ([`crate::engine::Method::RlbGpuPipe`]), drawing factor storage from
-/// `ws`.
+/// ([`crate::engine::Method::RlbGpuPipe`]), factoring `data` in place.
 pub(crate) fn factor_rlb_gpu_pipe_ws(
     sym: &SymbolicFactor,
-    a: &SymCsc,
+    data: FactorData,
     opts: &GpuOptions,
     ws: &mut EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
-    run_pipeline(sym, a, opts, Variant::Rlb, ws)
+    run_pipeline(sym, data, opts, Variant::Rlb, ws)
 }
 
 /// One compute/copy stream pair with its device working storage.
@@ -188,14 +186,13 @@ struct PipeCtx<'a> {
 
 fn run_pipeline(
     sym: &SymbolicFactor,
-    a: &SymCsc,
+    mut data: FactorData,
     opts: &GpuOptions,
     variant: Variant,
     ws: &mut EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
     let t0 = Instant::now();
     let ctl = ws.ctl.clone();
-    let mut data = ws.take_factor(sym, a);
     let cpu = opts.machine.cpu;
     let nsup = sym.nsup();
 

@@ -1,14 +1,15 @@
 //! The workspace lane pool behind a shared [`SymbolicCholesky`].
 //!
 //! A numeric factorization needs mutable engine resources — the
-//! factor-ordered matrix whose values are overwritten per call, the
-//! engines' scratch buffers, recycled factor storage. Historically one
-//! [`EngineWorkspace`] lived behind a handle-wide mutex, so concurrent
-//! `factor_with` calls on a shared handle serialized completely. This
-//! module replaces that lock with a pool of **lanes**: each lane is an
-//! independent `(EngineWorkspace, factor-ordered matrix)` pair, so up to
-//! `cap` factorizations of *different value sets* run concurrently on
-//! one symbolic structure.
+//! engines' scratch buffers, a trace buffer, per-lane GPU stream
+//! options. Historically one [`EngineWorkspace`] lived behind a
+//! handle-wide mutex, so concurrent `factor_with` calls on a shared
+//! handle serialized completely. This module replaces that lock with a
+//! pool of **lanes**: each lane is one independent [`EngineWorkspace`],
+//! so up to `cap` factorizations of *different value sets* run
+//! concurrently on one symbolic structure. A lane holds no copy of the
+//! matrix: each factorization scatters its input's values straight into
+//! factor storage through the handle's value map.
 //!
 //! * **Sizing.** The cap follows the workspace-wide precedence rule:
 //!   an explicit [`SolverOptions::factor_lanes`](crate::SolverOptions)
@@ -24,14 +25,12 @@
 //!   blocks until one returns — for at most 30 s, and never past the
 //!   caller's wall deadline, which counts the wait (the typed
 //!   [`FactorError::LanesExhausted`] or
-//!   [`FactorError::DeadlineExceeded`] says which ran out) — except on
-//!   a thread that already holds a lane (a nested factorization picked
-//!   up while an engine waits on the thread pool), which gets a
-//!   temporary beyond-cap *overflow* lane instead, because blocking
-//!   there could deadlock on a lane held further down its own stack.
-//!   A lane is always returned, including
-//!   on error and panic paths (the guard's `Drop` does it), so an
-//!   indefinite value set in one lane never wedges the others.
+//!   [`FactorError::DeadlineExceeded`] says which ran out). No thread
+//!   ever holds two lanes: a factorization runs on its caller's thread
+//!   (a batch on threads of its own), never as an index of the shared
+//!   pool's `run_for`. A lane is always returned, including on error
+//!   and panic paths (the guard's `Drop` does it), so an indefinite
+//!   value set in one lane never wedges the others.
 //! * **Per-lane GPU stream options.** Each lane's workspace owns its own
 //!   [`GpuOptions`] with the stream-pair count and retirement mode
 //!   pre-resolved ([`GpuOptions::resolved_streams`] /
@@ -44,18 +43,17 @@
 //!   alive inside the lane between same-pattern refactorizations.
 //! * **Shared recycle bins.** Factor storage and trace buffers returned
 //!   through [`SymbolicCholesky::recycle`](crate::SymbolicCholesky::recycle)
-//!   land in pool-wide bins (bounded by the lane cap) and are restocked
-//!   into whichever lane is checked out next, so a
-//!   `factor_with`/`recycle` serving loop allocates nothing after
-//!   warm-up — the `factor_with` analogue of the zero-alloc solves.
+//!   land in pool-wide bins (bounded by the lane cap): the next
+//!   factorization takes its storage from the bin, and a checked-out
+//!   lane without a trace buffer takes one, so a `factor_with`/`recycle`
+//!   serving loop allocates nothing after warm-up — the `factor_with`
+//!   analogue of the zero-alloc solves.
 
-use std::cell::Cell;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rlchol_dense::pool::env_positive;
 use rlchol_perfmodel::TraceOp;
-use rlchol_sparse::SymCsc;
 
 use crate::engine::GpuOptions;
 use crate::error::FactorError;
@@ -63,27 +61,14 @@ use crate::registry::EngineWorkspace;
 use crate::resilience::RunCtl;
 use crate::storage::FactorData;
 
-/// One independent factorization lane: the engine resources plus the
-/// factor-ordered matrix template whose values are overwritten through
-/// the handle's value map on every (re)factorization.
-pub(crate) struct Lane {
-    /// Engine-resolved resources (scratch, recycled storage, per-lane
-    /// GPU stream options).
-    pub(crate) ws: EngineWorkspace,
-    /// Structure of `P A Pᵀ` in factor order, private to this lane.
-    pub(crate) a_fact: SymCsc,
-}
-
 /// Counters describing how a handle's lane pool has been used.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Maximum concurrent factorizations the pool admits.
     pub cap: usize,
-    /// Lanes created so far (lazily grown, never beyond `cap`;
-    /// temporary overflow lanes are counted separately).
+    /// Lanes created so far (lazily grown, never beyond `cap`).
     pub created: usize,
-    /// Lanes checked out right now (may briefly exceed `cap` when
-    /// overflow lanes are in flight).
+    /// Lanes checked out right now (at most `cap`).
     pub in_use: usize,
     /// High-water mark of concurrently checked-out lanes.
     pub peak_in_use: usize,
@@ -92,11 +77,6 @@ pub struct LaneStats {
     /// Checkouts that had to block for a lane to come back (counted
     /// once per blocked checkout, however many wakeups it took).
     pub contended: u64,
-    /// Temporary beyond-cap lanes created for nested checkouts — a
-    /// thread already holding a lane must never block on the pool (see
-    /// [`HELD_LANES`]); dropped on return instead of joining the free
-    /// list.
-    pub overflow: u64,
     /// Lanes torn down instead of rejoining the free list because the
     /// factorization they served ended in a device fault or a panic.
     /// The cap slot is released, so the next checkout builds a fresh
@@ -104,41 +84,23 @@ pub struct LaneStats {
     pub quarantined: u64,
 }
 
-thread_local! {
-    /// Lanes currently held by this OS thread, across **all** handles.
-    /// A nested checkout happens when the engine inside `factor_with`
-    /// lends its idle thread to the pool's active `run_for` (the tree
-    /// executor does) and that call is a `batch_factor`, so the thread
-    /// picks up a sibling factorization: blocking on the condvar there
-    /// could deadlock, because the lane it waits for may be held
-    /// further down this very stack. A positive count therefore routes
-    /// checkout to a temporary overflow lane instead of the wait loop.
-    static HELD_LANES: Cell<usize> = const { Cell::new(0) };
-}
-
 struct LaneState {
     /// Returned lanes, most recently used last (LIFO handout).
-    free: Vec<Lane>,
-    /// Returned overflow lanes, cached (bounded by the cap) so repeated
-    /// nested checkouts under sustained contention reuse
-    /// a built lane instead of re-cloning the template each time. Kept
-    /// separate from `free`: these never satisfy a blocked waiter (no
-    /// cap slot backs them).
-    overflow_free: Vec<Lane>,
+    free: Vec<EngineWorkspace>,
     created: usize,
     in_use: usize,
     peak_in_use: usize,
     checkouts: u64,
     contended: u64,
-    overflow: u64,
     quarantined: u64,
-    /// Factor storage returned via `recycle`, restocked at checkout.
+    /// Factor storage returned via `recycle`, taken by the next
+    /// factorization.
     factors: Vec<FactorData>,
     /// Trace buffers returned via `recycle`, restocked at checkout.
     traces: Vec<Vec<TraceOp>>,
 }
 
-/// The pool of [`Lane`]s owned by a
+/// The pool of lanes owned by a
 /// [`SymbolicCholesky`](crate::SymbolicCholesky) handle.
 pub(crate) struct WorkspaceLanes {
     cap: usize,
@@ -147,8 +109,6 @@ pub(crate) struct WorkspaceLanes {
     /// The per-lane GPU options (streams, retirement mode and fault plan
     /// pre-resolved).
     gpu: GpuOptions,
-    /// Pristine factor-ordered structure new lanes are cloned from.
-    template: SymCsc,
     /// How long a blocked checkout waits before giving up with
     /// [`FactorError::LanesExhausted`].
     wait: Duration,
@@ -182,13 +142,7 @@ impl WorkspaceLanes {
     /// to `RLCHOL_FACTOR_LANES`, then the pool default. `wait` is the
     /// checkout wait budget ([`DEFAULT_LANE_WAIT`] outside the unit
     /// tests). No lane is created yet — the first checkout does that.
-    pub(crate) fn new(
-        cap_option: usize,
-        threads: usize,
-        gpu: GpuOptions,
-        template: SymCsc,
-        wait: Duration,
-    ) -> Self {
+    pub(crate) fn new(cap_option: usize, threads: usize, gpu: GpuOptions, wait: Duration) -> Self {
         let cap = resolved_cap(cap_option);
         // Pre-resolve stream options and the fault plan once so every
         // lane's engine runs with explicit, stable settings (no env
@@ -202,17 +156,14 @@ impl WorkspaceLanes {
             cap,
             threads,
             gpu,
-            template,
             wait,
             state: Mutex::new(LaneState {
                 free: Vec::new(),
-                overflow_free: Vec::new(),
                 created: 0,
                 in_use: 0,
                 peak_in_use: 0,
                 checkouts: 0,
                 contended: 0,
-                overflow: 0,
                 quarantined: 0,
                 factors: Vec::new(),
                 traces: Vec::new(),
@@ -231,12 +182,6 @@ impl WorkspaceLanes {
         crate::registry::resolve_lanes(self.threads)
     }
 
-    /// Heap bytes of one lane's private factor-ordered matrix template
-    /// (every lane clones it at construction).
-    pub(crate) fn template_bytes(&self) -> u64 {
-        self.template.memory_bytes()
-    }
-
     /// Usage counters (cheap snapshot under the pool lock).
     pub(crate) fn stats(&self) -> LaneStats {
         let st = self.state.lock().unwrap();
@@ -247,44 +192,36 @@ impl WorkspaceLanes {
             peak_in_use: st.peak_in_use,
             checkouts: st.checkouts,
             contended: st.contended,
-            overflow: st.overflow,
             quarantined: st.quarantined,
         }
     }
 
     /// Checks a lane out: a free lane if one is ready, a newly created
     /// one while the pool is below its cap, otherwise blocks until a
-    /// lane returns — unless this thread already holds a lane (nested
-    /// checkout by a thread helping the pool), where blocking could
-    /// deadlock and a temporary overflow lane is built instead. A blocked
-    /// checkout waits at most the pool's wait budget (30 s) before
-    /// giving up with [`FactorError::LanesExhausted`] — the
-    /// admission-control signal that sheds load instead of queueing it
-    /// forever — and never past the caller's `ctl`: its wall deadline
-    /// counts the wait, and running out of it (or a cancel seen on
-    /// wake-up) fails the checkout with `ctl`'s own error. The returned
-    /// guard hands the lane back on drop (also on panic), so a failed
-    /// factorization cannot leak a lane.
+    /// lane returns. A blocked checkout waits at most the pool's wait
+    /// budget (30 s) before giving up with
+    /// [`FactorError::LanesExhausted`] — the admission-control signal
+    /// that sheds load instead of queueing it forever — and never past
+    /// the caller's `ctl`: its wall deadline counts the wait, and running
+    /// out of it (or a cancel seen on wake-up) fails the checkout with
+    /// `ctl`'s own error. The returned guard hands the lane back on drop
+    /// (also on panic), so a failed factorization cannot leak a lane.
     pub(crate) fn checkout(&self, ctl: &RunCtl) -> Result<LaneGuard<'_>, FactorError> {
-        let nested = HELD_LANES.with(|h| h.get()) > 0;
-        let mut overflow = false;
         let mut st = self.state.lock().unwrap();
         st.checkouts += 1;
         let mut wait_started: Option<Instant> = None;
-        let mut lane = loop {
-            if let Some(lane) = st.free.pop() {
-                break Some(lane);
+        let mut ws = loop {
+            if let Some(ws) = st.free.pop() {
+                break ws;
             }
             if st.created < self.cap {
                 st.created += 1;
-                break None; // reserved a cap slot; build outside the lock
-            }
-            if nested {
-                // Waiting here could wait on a lane held further down
-                // this thread's own stack — never block, overflow.
-                overflow = true;
-                st.overflow += 1;
-                break st.overflow_free.pop();
+                // Staged lanes live across factorizations, so the
+                // pipelined engines may keep their simulated device
+                // session resident between same-pattern refactor calls.
+                let mut ws = EngineWorkspace::new(self.threads, self.gpu.clone());
+                ws.residency_enabled = true;
+                break ws;
             }
             let started = *wait_started.get_or_insert_with(|| {
                 st.contended += 1;
@@ -301,45 +238,23 @@ impl WorkspaceLanes {
             let timeout = ctl.wall_left().map_or(remaining, |w| w.min(remaining));
             st = self.returned.wait_timeout(st, timeout).unwrap().0;
         };
-        if lane.is_none() {
-            // Build the lane outside the lock: cloning the template of a
-            // large pattern must not stall concurrent checkouts/returns.
-            drop(st);
-            // Staged lanes live across factorizations, so the pipelined
-            // engines may keep their simulated device session resident
-            // between same-pattern refactor calls.
-            let mut ws = EngineWorkspace::new(self.threads, self.gpu.clone());
-            ws.residency_enabled = true;
-            let fresh = Lane {
-                ws,
-                a_fact: self.template.clone(),
-            };
-            st = self.state.lock().unwrap();
-            lane = Some(fresh);
-        }
-        let mut lane = lane.expect("lane obtained above");
-        // Restock from the shared recycle bins so a factor_with/recycle
-        // loop reuses storage no matter which lane serves it.
-        if !lane.ws.has_recycled_factor() {
-            if let Some(data) = st.factors.pop() {
-                lane.ws.recycle(data);
-            }
-        }
-        if lane.ws.trace_ops.capacity() == 0 {
+        if ws.trace_ops.capacity() == 0 {
             if let Some(ops) = st.traces.pop() {
-                lane.ws.trace_ops = ops;
+                ws.trace_ops = ops;
             }
         }
         st.in_use += 1;
         st.peak_in_use = st.peak_in_use.max(st.in_use);
-        drop(st);
-        HELD_LANES.with(|h| h.set(h.get() + 1));
         Ok(LaneGuard {
             lanes: self,
-            lane: Some(lane),
-            overflow,
+            ws: Some(ws),
             quarantine: false,
         })
+    }
+
+    /// Factor storage from the shared bin, if any was recycled.
+    pub(crate) fn take_storage(&self) -> Option<FactorData> {
+        self.state.lock().unwrap().factors.pop()
     }
 
     /// Returns factor storage and a trace buffer to the shared bins
@@ -356,69 +271,39 @@ impl WorkspaceLanes {
         }
     }
 
-    fn hand_back(&self, lane: Lane, overflow: bool, quarantine: bool) {
-        HELD_LANES.with(|h| h.set(h.get() - 1));
-        let mut st: MutexGuard<'_, LaneState> = self.state.lock().unwrap();
+    fn hand_back(&self, ws: EngineWorkspace, quarantine: bool) {
+        let mut st = self.state.lock().unwrap();
         st.in_use -= 1;
         if quarantine {
             // The factorization this lane served ended in a device
-            // fault or a panic: its scratch, recycled storage and
-            // simulated device state are suspect. Tear the lane down
-            // instead of recycling it; a cap-backed slot is released so
-            // the next checkout (or a blocked waiter) builds a fresh
-            // lane from the pristine template.
+            // fault or a panic: its scratch and simulated device state
+            // are suspect. Tear the lane down instead of recycling it
+            // and release its cap slot, so the next checkout (or a
+            // blocked waiter) builds a fresh lane.
             st.quarantined += 1;
-            if !overflow {
-                st.created -= 1;
-            }
+            st.created -= 1;
             drop(st);
-            drop(lane);
-            if !overflow {
-                self.returned.notify_one();
-            }
-            return;
-        }
-        if overflow {
-            // Beyond-cap lane: cache it for the next nested checkout
-            // (bounded), salvaging its recyclables when the cache is
-            // full. Never joins `free` and never wakes a waiter — no
-            // cap slot backs it.
-            if st.overflow_free.len() < self.cap {
-                st.overflow_free.push(lane);
-            } else {
-                let Lane { mut ws, .. } = lane;
-                if let Some(data) = ws.take_recycled() {
-                    if st.factors.len() < self.cap {
-                        st.factors.push(data);
-                    }
-                }
-                let ops = std::mem::take(&mut ws.trace_ops);
-                if ops.capacity() > 0 && st.traces.len() < self.cap {
-                    st.traces.push(ops);
-                }
-            }
+            drop(ws);
         } else {
-            st.free.push(lane);
+            st.free.push(ws);
             drop(st);
-            self.returned.notify_one();
         }
+        self.returned.notify_one();
     }
 }
 
-/// Exclusive access to one checked-out [`Lane`]; returns it on drop.
+/// Exclusive access to one checked-out lane; returns it on drop.
 pub(crate) struct LaneGuard<'a> {
     lanes: &'a WorkspaceLanes,
-    lane: Option<Lane>,
-    /// True for a temporary beyond-cap lane (nested checkout).
-    overflow: bool,
+    ws: Option<EngineWorkspace>,
     /// Set when the factorization this lane served ended in a device
     /// fault — the lane is torn down on drop instead of recycled.
     quarantine: bool,
 }
 
 impl LaneGuard<'_> {
-    pub(crate) fn lane(&mut self) -> &mut Lane {
-        self.lane.as_mut().expect("lane present until drop")
+    pub(crate) fn lane(&mut self) -> &mut EngineWorkspace {
+        self.ws.as_mut().expect("lane present until drop")
     }
 
     /// Marks the lane for teardown on drop: its scratch and simulated
@@ -431,12 +316,12 @@ impl LaneGuard<'_> {
 
 impl Drop for LaneGuard<'_> {
     fn drop(&mut self) {
-        if let Some(lane) = self.lane.take() {
+        if let Some(ws) = self.ws.take() {
             // A panic unwinding through the guard quarantines the lane
-            // too: the engine stopped mid-write, so the lane's factor
-            // storage and scratch are in an undefined state.
+            // too: the engine stopped mid-write, so the lane's scratch
+            // is in an undefined state.
             let quarantine = self.quarantine || std::thread::panicking();
-            self.lanes.hand_back(lane, self.overflow, quarantine);
+            self.lanes.hand_back(ws, quarantine);
         }
     }
 }
@@ -444,14 +329,12 @@ impl Drop for LaneGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlchol_matgen::laplace2d;
 
     fn pool(cap: usize) -> WorkspaceLanes {
         WorkspaceLanes::new(
             cap,
             1,
             GpuOptions::with_threshold(usize::MAX),
-            laplace2d(4, 3),
             DEFAULT_LANE_WAIT,
         )
     }
@@ -463,8 +346,8 @@ mod tests {
         {
             let mut g1 = lanes.checkout(&RunCtl::default()).unwrap();
             let mut g2 = lanes.checkout(&RunCtl::default()).unwrap();
-            g1.lane().ws.lanes = 11; // tag the lanes to observe reuse
-            g2.lane().ws.lanes = 22;
+            g1.lane().lanes = 11; // tag the lanes to observe reuse
+            g2.lane().lanes = 22;
             assert_eq!(lanes.stats().created, 2);
             assert_eq!(lanes.stats().in_use, 2);
         }
@@ -472,7 +355,7 @@ mod tests {
         // LIFO: the last lane returned comes back first (guards drop in
         // reverse declaration order, so g1's lane returned last).
         let mut g = lanes.checkout(&RunCtl::default()).unwrap();
-        assert_eq!(g.lane().ws.lanes, 11);
+        assert_eq!(g.lane().lanes, 11);
         let st = lanes.stats();
         assert_eq!((st.created, st.checkouts, st.contended), (2, 3, 0));
     }
@@ -501,12 +384,10 @@ mod tests {
             1,
             1,
             GpuOptions::with_threshold(usize::MAX),
-            laplace2d(4, 3),
             Duration::from_millis(30),
         );
         let _held = lanes.checkout(&RunCtl::default()).unwrap();
-        // Checkout from a fresh thread (no nested-overflow escape
-        // hatch): it must give up after the wait budget, not hang.
+        // A second checkout must give up after the wait budget, not hang.
         let err = std::thread::scope(|s| {
             s.spawn(|| lanes.checkout(&RunCtl::default()).map(|_| ()).unwrap_err())
                 .join()
@@ -527,7 +408,7 @@ mod tests {
         let lanes = pool(1);
         {
             let mut g = lanes.checkout(&RunCtl::default()).unwrap();
-            g.lane().ws.lanes = 13; // tag: this lane must never come back
+            g.lane().lanes = 13; // tag: this lane must never come back
             g.quarantine();
         }
         let st = lanes.stats();
@@ -536,9 +417,9 @@ mod tests {
             (0, 0, 1),
             "quarantine releases the cap slot instead of freeing the lane"
         );
-        // The next checkout builds a fresh lane from the template.
+        // The next checkout builds a fresh lane.
         let mut g = lanes.checkout(&RunCtl::default()).unwrap();
-        assert_ne!(g.lane().ws.lanes, 13, "quarantined lane must not return");
+        assert_ne!(g.lane().lanes, 13, "quarantined lane must not return");
         assert_eq!(lanes.stats().created, 1);
     }
 
@@ -548,7 +429,7 @@ mod tests {
         let l2 = std::sync::Arc::clone(&lanes);
         let joined = std::thread::spawn(move || {
             let mut g = l2.checkout(&RunCtl::default()).unwrap();
-            g.lane().ws.lanes = 99;
+            g.lane().lanes = 99;
             panic!("engine blew up mid-factorization");
         })
         .join();
@@ -556,44 +437,11 @@ mod tests {
         let st = lanes.stats();
         assert_eq!((st.created, st.in_use, st.quarantined), (0, 0, 1));
         let mut g = lanes.checkout(&RunCtl::default()).unwrap();
-        assert_ne!(g.lane().ws.lanes, 99, "poisoned lane must not be reused");
+        assert_ne!(g.lane().lanes, 99, "poisoned lane must not be reused");
     }
 
     #[test]
-    fn nested_checkout_overflows_instead_of_deadlocking() {
-        // A thread that already holds a lane (an engine waiting on the
-        // thread pool popped another queued factorization) must never
-        // block on the condvar: with cap 1 that wait would be on the
-        // lane held further down its own stack. It gets a temporary
-        // overflow lane instead — this test deadlocks if it regresses.
-        let lanes = pool(1);
-        let outer = lanes.checkout(&RunCtl::default()).unwrap();
-        let mut inner = lanes.checkout(&RunCtl::default()).unwrap();
-        inner.lane().ws.lanes = 77; // tag the overflow lane
-        let st = lanes.stats();
-        assert_eq!((st.created, st.overflow, st.in_use), (1, 1, 2));
-        drop(inner);
-        drop(outer);
-        let st = lanes.stats();
-        assert_eq!((st.created, st.in_use), (1, 0));
-        {
-            // The overflow lane never joins the cap-backed free list; it
-            // is cached separately for the next nested checkout.
-            let inner_st = lanes.state.lock().unwrap();
-            let lens = (inner_st.free.len(), inner_st.overflow_free.len());
-            drop(inner_st);
-            assert_eq!(lens, (1, 1));
-        }
-        // A later nested checkout reuses the cached lane instead of
-        // cloning the template again.
-        let _outer = lanes.checkout(&RunCtl::default()).unwrap();
-        let mut inner = lanes.checkout(&RunCtl::default()).unwrap();
-        assert_eq!(inner.lane().ws.lanes, 77, "cached overflow lane reused");
-        assert_eq!(lanes.stats().overflow, 2);
-    }
-
-    #[test]
-    fn recycle_bins_are_bounded_by_cap_and_restock_lanes() {
+    fn recycle_bins_are_bounded_by_cap() {
         let lanes = pool(1);
         let data = FactorData {
             sn: vec![vec![0.0; 4]],
@@ -606,10 +454,12 @@ mod tests {
             assert_eq!(st.factors.len(), 1);
             assert_eq!(st.traces.len(), 1);
         }
-        // Checkout moves the binned storage into the lane's workspace.
+        // Checkout moves the binned trace buffer into the lane; the
+        // storage waits in its bin for the next factorization.
         let mut g = lanes.checkout(&RunCtl::default()).unwrap();
-        assert!(g.lane().ws.has_recycled_factor());
-        assert!(g.lane().ws.trace_ops.capacity() > 0);
+        assert!(g.lane().trace_ops.capacity() > 0);
+        assert_eq!(lanes.take_storage(), Some(data));
+        assert_eq!(lanes.take_storage(), None);
         drop(g);
         let st = lanes.state.lock().unwrap();
         assert!(st.factors.is_empty() && st.traces.is_empty());

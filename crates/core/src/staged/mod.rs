@@ -16,9 +16,12 @@
 //! ```
 //!
 //! * [`SymbolicCholesky`] owns the composed permutation, the symbolic
-//!   factor, and the engine-resolved resources
+//!   factor, the map from each input entry to its place in supernodal
+//!   storage, and the engine-resolved resources
 //!   ([`EngineWorkspace`](crate::registry::EngineWorkspace): pool lanes,
-//!   GPU stream pairs, recycled factor storage, per-engine scratch).
+//!   GPU stream pairs, per-engine scratch). Every factorization
+//!   zero-fills its storage and scatters the input's values straight
+//!   into it through that map.
 //! * [`SymbolicCholesky::factor_with`] /
 //!   [`SymbolicCholesky::refactor`] accept any matrix with the analyzed
 //!   pattern (a different pattern is the typed
@@ -38,7 +41,7 @@
 //!   `factor_with`/`refactor` calls run truly in parallel — each
 //!   bit-identical to the serial path — and
 //!   [`batch_factor`](SymbolicCholesky::batch_factor) fans a whole batch
-//!   of value sets across the lanes on [`rlchol_dense::pool`].
+//!   of value sets across the lanes on threads of its own.
 
 pub mod lanes;
 
@@ -52,7 +55,7 @@ use rlchol_symbolic::{analyze_instrumented, SymbolicFactor};
 
 use crate::engine::Method;
 use crate::error::{FactorError, SolveError};
-use crate::registry::{engine_for, FactorInfo, NumericEngine};
+use crate::registry::{engine_for, EngineWorkspace, FactorInfo, NumericEngine};
 use crate::resilience::{
     CancelToken, Deadline, RecoveryAction, RecoveryEvent, RetryPolicy, RunCtl,
 };
@@ -61,7 +64,7 @@ use crate::solve::{self, SolveInfo};
 use crate::solver::SolverOptions;
 use crate::storage::FactorData;
 
-use lanes::{Lane, LaneStats, WorkspaceLanes};
+use lanes::{LaneStats, WorkspaceLanes};
 
 /// A numeric factor produced by [`SymbolicCholesky::factor_with`] and
 /// refreshed in place by [`SymbolicCholesky::refactor`].
@@ -166,7 +169,8 @@ pub struct AnalyzeBreakdown {
     /// Always zero: there is no solve plan to build. The repository
     /// benchmark reads it; it goes with ROADMAP item 0(d).
     pub solve_plan: std::time::Duration,
-    /// The input → factor-order value scatter map.
+    /// The map from each input entry to its place in supernodal
+    /// storage.
     pub value_map: std::time::Duration,
     /// The lane count the analysis actually ran with (after the size
     /// cutoff).
@@ -180,84 +184,50 @@ impl AnalyzeBreakdown {
     }
 }
 
-/// Precomputes where each input value lands in factor order: entry
-/// `(i, j)` of the input lower triangle becomes `(pi, pj)` sorted so the
-/// larger index is the row — exactly what `permute` does.
+/// Where each input value lands in supernodal storage: entry `k` of
+/// `a.values()`, `(i, j)` of the input lower triangle, goes to
+/// [`FactorData::slot`] of `(pi, pj)` sorted so the larger index is the
+/// row, `p = total_perm`.
 ///
-/// With `threads > 1` the destination of every input entry is computed
-/// first, into disjoint per-column-chunk slices on the pool, and the
-/// map is then scattered serially. The map is a bijection (each factor
-/// position receives exactly one input position), so the scatter's
-/// result is independent of the chunking and identical to the serial
-/// loop.
-fn build_value_map(
+/// With `threads > 1` the map is filled in equal chunks of entries on
+/// the pool; each entry's slot depends on that entry alone, so the map is
+/// the serial loop's at any chunking.
+fn build_slots(
+    sym: &SymbolicFactor,
     a: &SymCsc,
-    a_fact: &SymCsc,
     total_perm: &Permutation,
     threads: usize,
-) -> Vec<usize> {
-    let n = a.n();
+) -> Vec<(usize, usize)> {
     let colptr = a.colptr();
-    let nnz = a.nnz_lower();
-    let mut value_map = vec![0usize; nnz];
-    // Destination of input entry (i, j): the factor-order position of
-    // the permuted entry.
-    let dst_of = |j: usize, i: usize| -> usize {
-        let pj = total_perm.new_of(j);
-        let pi = total_perm.new_of(i);
-        let (r, c) = if pi >= pj { (pi, pj) } else { (pj, pi) };
-        let pos = a_fact
-            .col_rows(c)
-            .binary_search(&r)
-            .expect("permuted entry exists in permuted pattern");
-        a_fact.colptr()[c] + pos
+    let rowind = a.rowind();
+    // Entries `k0..k0 + out.len()`, walking their columns.
+    let fill = |k0: usize, out: &mut [(usize, usize)]| {
+        let mut j = colptr.partition_point(|&p| p <= k0) - 1;
+        for (k, slot) in (k0..).zip(out) {
+            while colptr[j + 1] <= k {
+                j += 1;
+            }
+            let (pi, pj) = (total_perm.new_of(rowind[k]), total_perm.new_of(j));
+            *slot = FactorData::slot(sym, pi.max(pj), pi.min(pj))
+                .expect("permuted entry exists in the factor pattern");
+        }
     };
-    if threads <= 1 || n < 2 * threads {
-        for j in 0..n {
-            for (off, &i) in a.col_rows(j).iter().enumerate() {
-                value_map[dst_of(j, i)] = colptr[j] + off;
-            }
-        }
-        return value_map;
+    let mut slots = vec![(0, 0); rowind.len()];
+    let chunk = slots.len().div_ceil(threads.max(1)).max(1);
+    if slots.len() <= chunk {
+        fill(0, &mut slots);
+        return slots;
     }
-    // Phase 1 (parallel): per-entry destinations into `dst`, chunked at
-    // nnz-balanced column boundaries so each task owns a disjoint slice.
-    let mut dst = vec![0usize; nnz];
-    let mut bounds = Vec::with_capacity(threads + 1);
-    bounds.push(0usize);
-    for t in 1..threads {
-        let target = colptr[n] * t / threads;
-        let cut = colptr.partition_point(|&p| p < target).min(n);
-        bounds.push((*bounds.last().unwrap()).max(cut));
-    }
-    bounds.push(n);
-    // One slot per nonempty range: its columns and its part of `dst`.
-    let mut rest = dst.as_mut_slice();
-    let parts: Vec<Mutex<(usize, usize, &mut [usize])>> = bounds
-        .windows(2)
-        .filter(|w| w[0] < w[1])
-        .map(|w| {
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(colptr[w[1]] - colptr[w[0]]);
-            rest = tail;
-            Mutex::new((w[0], w[1], mine))
-        })
-        .collect();
+    let parts: Vec<Mutex<&mut [(usize, usize)]>> =
+        slots.chunks_mut(chunk).map(Mutex::new).collect();
     rlchol_dense::pool::global().run_for(parts.len(), &|t| {
-        let (lo, hi, ref mut mine) = *parts[t].lock().expect("each index locks only its own slot");
-        let base = colptr[lo];
-        for j in lo..hi {
-            for (off, &i) in a.col_rows(j).iter().enumerate() {
-                mine[colptr[j] + off - base] = dst_of(j, i);
-            }
-        }
+        let mut part = parts[t]
+            .lock()
+            .expect("each index locks only its own chunk");
+        fill(t * chunk, &mut part);
     });
     drop(parts);
-    // Phase 2 (serial): scatter. Exactly the serial loop's writes, in a
-    // different order over a bijection — same map.
-    for (k, &d) in dst.iter().enumerate() {
-        value_map[d] = k;
-    }
-    value_map
+    slots
 }
 
 /// The analyzed half of the pipeline: composed permutation, symbolic
@@ -274,13 +244,12 @@ pub struct SymbolicCholesky {
     /// to reject same-handle calls with a different pattern.
     pattern_colptr: Vec<usize>,
     pattern_rowind: Vec<usize>,
-    /// `a_fact.values[k] = a.values[value_map[k]]` — the precomputed
-    /// scatter that moves input values into factor order without
-    /// re-permuting the structure.
-    value_map: Vec<usize>,
-    /// The pool of independent engine workspaces (each with its own
-    /// factor-ordered matrix) that lets `factor_with(&self, ..)` run
-    /// concurrently from shared borrows — see [`lanes`].
+    /// `slots[k] = (s, off)`: entry `k` of an input's values lands at
+    /// `sn[s][off]` of the factor storage (see [`build_slots`]).
+    slots: Vec<(usize, usize)>,
+    /// The pool of independent engine workspaces that lets
+    /// `factor_with(&self, ..)` run concurrently from shared borrows —
+    /// see [`lanes`].
     lanes: WorkspaceLanes,
     /// Fallback engines (degradation order), resolved once from
     /// [`SolverOptions::fallback`] — the registry lookup must not run on
@@ -320,7 +289,9 @@ impl SymbolicCholesky {
         let ordering = t.elapsed();
         let (sym, sym_stages) = analyze_instrumented(&a_fill, &opts.symbolic, analyze_lanes);
         let total_perm = sym.perm.compose(&fill);
-        let a_fact = a_fill.permute(&sym.perm);
+        // Only the symbolic analysis reads the fill-ordered copy; free it
+        // before the value slots are built.
+        drop(a_fill);
 
         let mut analyze_stages = AnalyzeBreakdown {
             ordering,
@@ -333,7 +304,7 @@ impl SymbolicCholesky {
         };
 
         let t = Instant::now();
-        let value_map = build_value_map(a, &a_fact, &total_perm, analyze_lanes);
+        let slots = build_slots(&sym, a, &total_perm, analyze_lanes);
         analyze_stages.value_map = t.elapsed();
 
         let engine = engine_for(opts.method);
@@ -343,7 +314,6 @@ impl SymbolicCholesky {
             opts.factor_lanes,
             opts.threads,
             opts.gpu.clone(),
-            a_fact,
             lanes::DEFAULT_LANE_WAIT,
         );
         let chain = opts
@@ -359,7 +329,7 @@ impl SymbolicCholesky {
             engine,
             pattern_colptr: a.colptr().to_vec(),
             pattern_rowind: a.rowind().to_vec(),
-            value_map,
+            slots,
             lanes,
             chain,
             retry: opts.retry,
@@ -381,7 +351,7 @@ impl SymbolicCholesky {
     }
 
     /// True when `other` encodes the identical analysis: symbolic
-    /// factor, composed permutation, value map and analyzed
+    /// factor, composed permutation, value slots and analyzed
     /// pattern all compare equal. Engine resources, lane counts and
     /// stage timings are ignored — this is the handle-level statement of
     /// "the analysis is bit-identical", which the parallel-analyze tests
@@ -389,7 +359,7 @@ impl SymbolicCholesky {
     pub fn analysis_eq(&self, other: &SymbolicCholesky) -> bool {
         self.sym == other.sym
             && self.total_perm == other.total_perm
-            && self.value_map == other.value_map
+            && self.slots == other.slots
             && self.pattern_colptr == other.pattern_colptr
             && self.pattern_rowind == other.pattern_rowind
     }
@@ -415,7 +385,7 @@ impl SymbolicCholesky {
     }
 
     /// Estimated resident bytes of this handle: the symbolic structure,
-    /// the retained pattern copy and value map,
+    /// the retained pattern copy and value slots,
     /// plus a worst-case workspace estimate for every lane the pool may
     /// create ([`factor_lanes`](Self::factor_lanes) ×
     /// [`lane_memory_bytes`](Self::lane_memory_bytes) — lanes are built
@@ -426,16 +396,16 @@ impl SymbolicCholesky {
         let usz = std::mem::size_of::<usize>() as u64;
         self.sym.memory_bytes()
             + 2 * self.sym.n as u64 * usz // total_perm: old_of + new_of
-            + (self.pattern_colptr.len() + self.pattern_rowind.len() + self.value_map.len())
+            + (self.pattern_colptr.len() + self.pattern_rowind.len() + 2 * self.slots.len())
                 as u64
                 * usz
             + self.factor_lanes() as u64 * self.lane_memory_bytes()
     }
 
-    /// Worst-case heap bytes of one workspace lane: its private
-    /// factor-ordered matrix plus the engine's factor storage, and per
-    /// CPU tree lane the dense update-matrix room (RL forms one `r × r`
-    /// update per supernode) and the diagonal-block scratch.
+    /// Worst-case heap bytes of one workspace lane: the factor storage
+    /// it fills, and per CPU tree lane the dense update-matrix room (RL
+    /// forms one `r × r` update per supernode) and the diagonal-block
+    /// scratch.
     pub fn lane_memory_bytes(&self) -> u64 {
         let f64b = std::mem::size_of::<f64>() as u64;
         let max_diag = (0..self.sym.nsup())
@@ -443,9 +413,7 @@ impl SymbolicCholesky {
             .max()
             .unwrap_or(0) as u64;
         let scratch = self.sym.max_update_matrix_entries() as u64 + max_diag;
-        self.lanes.template_bytes()
-            + self.sym.total_storage_entries() * f64b
-            + self.lanes.tree_lanes() as u64 * scratch * f64b
+        self.sym.total_storage_entries() * f64b + self.lanes.tree_lanes() as u64 * scratch * f64b
     }
 
     /// Checks that `a` has exactly the analyzed sparsity pattern.
@@ -520,7 +488,7 @@ impl SymbolicCholesky {
         let ctl = RunCtl::armed(deadline, cancel.clone());
         self.check_pattern(a)?;
         let mut guard = self.lanes.checkout(&ctl)?;
-        let result = self.run_engine(guard.lane(), a, ctl);
+        let result = self.run_engine(guard.lane(), a, None, ctl);
         if let Err(e) = &result {
             if e.is_device() {
                 guard.quarantine();
@@ -530,17 +498,12 @@ impl SymbolicCholesky {
     }
 
     /// Factors a batch of same-pattern value sets, fanning the work
-    /// across the workspace lanes on [`rlchol_dense::pool`]. Results
-    /// come back in input order, each independently `Ok` or `Err` — one
-    /// indefinite matrix fails its own slot and nothing else. With `L`
-    /// lanes and a pool of `t` threads, the batch is a `run_for` of
-    /// `min(L, t)` indices, each factoring the next unstarted value set
-    /// until none is left; a batch started while another `run_for` is
-    /// active (another batch, or a split kernel call on another thread)
-    /// runs its value sets one after another on the caller. While the
-    /// batch's `run_for` is active, each member's own kernel splits and
-    /// host assembly run inline on the member's thread. Cancelling the
-    /// handle's
+    /// across the workspace lanes. Results come back in input order,
+    /// each independently `Ok` or `Err` — one indefinite matrix fails its
+    /// own slot and nothing else. With `L` lanes and a pool of `t`
+    /// threads, the batch runs on the caller plus scoped threads,
+    /// `min(L, t, batch.len())` in all, each factoring the next
+    /// unstarted value set until none is left. Cancelling the handle's
     /// [`cancel_token`](Self::cancel_token) fails not-yet-started slots
     /// with [`FactorError::Cancelled`] (in-flight ones abort at their
     /// next executor checkpoint).
@@ -559,18 +522,18 @@ impl SymbolicCholesky {
         deadline: Deadline,
         cancel: &CancelToken,
     ) -> Vec<Result<Factorization, FactorError>> {
-        let pool = rlchol_dense::pool::global();
-        // No more indices than lanes: the batch then never holds every
-        // lane while one of its indices waits for one. An index may run
-        // on a thread that helps the pool from inside a factorization (an
-        // idle tree lane does); waiting there for a lane that
-        // factorization holds would stall both for the whole lane-wait
-        // budget.
-        let workers = self.lanes.cap().min(pool.threads()).min(batch.len());
+        // No more threads than lanes: each holds one lane at a time, so
+        // none waits on a lane another member of the batch could hand
+        // back.
+        let workers = self
+            .lanes
+            .cap()
+            .min(rlchol_dense::pool::global().threads())
+            .min(batch.len());
         let next = AtomicUsize::new(0);
         let out: Vec<Mutex<Option<Result<Factorization, FactorError>>>> =
             batch.iter().map(|_| Mutex::default()).collect();
-        pool.run_for(workers, &|_| loop {
+        let member = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(&a) = batch.get(i) else { break };
             let result = if cancel.is_cancelled() {
@@ -579,11 +542,17 @@ impl SymbolicCholesky {
                 self.factor_with_ctl(a, deadline, cancel)
             };
             *out[i].lock().expect("each value set is taken once") = Some(result);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(member);
+            }
+            member();
         });
         out.into_iter()
             .map(|r| {
                 r.into_inner()
-                    .expect("run_for re-raises a panicking index")
+                    .expect("a panicking member re-raises at the scope's end")
                     .expect("every batch slot ran")
             })
             .collect()
@@ -603,14 +572,14 @@ impl SymbolicCholesky {
         let ctl = RunCtl::armed(self.deadline, self.cancel.clone());
         self.check_pattern(a)?;
         let mut guard = self.lanes.checkout(&ctl)?;
-        let lane = guard.lane();
-        lane.ws.recycle(std::mem::take(&mut fact.data));
+        let ws = guard.lane();
         // The replaced report's trace buffer feeds the new recording, so
         // a steady refactor loop never regrows it.
         if let Some(trace) = fact.info.trace.take() {
-            lane.ws.recycle_trace(trace);
+            ws.recycle_trace(trace);
         }
-        match self.run_engine(lane, a, ctl) {
+        let storage = std::mem::take(&mut fact.data);
+        match self.run_engine(ws, a, Some(storage), ctl) {
             Ok(fresh) => {
                 *fact = fresh;
                 Ok(())
@@ -662,24 +631,44 @@ impl SymbolicCholesky {
         self.cancel.clone()
     }
 
-    /// Scatters `a`'s values into the lane's factor-ordered matrix and
-    /// runs the engine under `ctl` (armed at the call's entry) and the
-    /// degradation policy: transient device faults retry on the same
-    /// engine (bounded by the handle's [`RetryPolicy`]), persistent
-    /// device failures move down the fallback chain reusing the
-    /// already-scattered values, and data or control errors surface
-    /// immediately. Every step lands in [`FactorInfo::recovery`].
+    /// `a`'s values in factor storage: `storage` (a refactored
+    /// factorization's) or else storage from the pool-wide bin, when it
+    /// has this handle's shape, zero-filled; fresh zeros otherwise. Then
+    /// every input entry is written to its slot.
+    fn load(&self, storage: Option<FactorData>, a: &SymCsc) -> FactorData {
+        let reused = storage
+            .or_else(|| self.lanes.take_storage())
+            .filter(|data| data.shape_matches(&self.sym));
+        let mut data = match reused {
+            Some(mut data) => {
+                for arr in &mut data.sn {
+                    arr.fill(0.0);
+                }
+                data
+            }
+            None => FactorData::zeros(&self.sym),
+        };
+        for (&(s, off), &v) in self.slots.iter().zip(a.values()) {
+            data.sn[s][off] = v;
+        }
+        data
+    }
+
+    /// Loads `a`'s values into factor storage ([`load`](Self::load),
+    /// reusing `storage` first) and runs the engine under `ctl` (armed at
+    /// the call's entry) and the degradation policy: transient device
+    /// faults retry on the same engine (bounded by the handle's
+    /// [`RetryPolicy`]), persistent device failures move down the
+    /// fallback chain, and data or control errors surface immediately.
+    /// A failed attempt consumed its storage, so every retry or fallback
+    /// loads `a` again. Every step lands in [`FactorInfo::recovery`].
     fn run_engine(
         &self,
-        lane: &mut Lane,
+        ws: &mut EngineWorkspace,
         a: &SymCsc,
+        mut storage: Option<FactorData>,
         ctl: RunCtl,
     ) -> Result<Factorization, FactorError> {
-        let Lane { ws, a_fact } = lane;
-        let src = a.values();
-        for (dst, &from) in a_fact.values_mut().iter_mut().zip(&self.value_map) {
-            *dst = src[from];
-        }
         // One arming per call: the wall budget spans the lane wait,
         // retries and fallbacks (the attempts are one user-visible
         // call), while the simulated budget is checked per attempt
@@ -701,7 +690,8 @@ impl SymbolicCholesky {
                 if let Err(e) = ws.ctl.check() {
                     break 'chain Err(e);
                 }
-                let err = match engine.factor(&self.sym, a_fact, ws) {
+                let data = self.load(storage.take(), a);
+                let err = match engine.factor(&self.sym, data, ws) {
                     Ok(run) => break 'chain Ok(run),
                     Err(e) => e,
                 };
@@ -1205,9 +1195,9 @@ mod tests {
         assert!(sc.batch_factor(&[]).is_empty());
 
         // A pipelined GPU engine offloading everything: each member's
-        // host assembly fans out (`fan_out`) inside the batch's own
-        // `run_for`, so it runs inline on the member's thread. Factor
-        // and simulated clock match a `factor_with` outside any batch.
+        // host assembly fans out (`fan_out`) on the shared pool from the
+        // member's own thread. Factor and simulated clock match a
+        // `factor_with` outside any batch.
         let gpu = SymbolicCholesky::new(
             &a0,
             &SolverOptions {
@@ -1242,9 +1232,12 @@ mod tests {
         let four = SymbolicCholesky::new(&a, &lanes(4));
         let base = one.memory_bytes();
         assert!(base > 0);
-        // The per-lane estimate includes at least the lane's private
-        // factor-ordered matrix copy.
-        assert!(one.lane_memory_bytes() >= a.memory_bytes());
+        // The per-lane estimate covers the factor storage plus at least
+        // one tree lane's RL update matrix.
+        let sym = one.symbolic();
+        let storage = sym.total_storage_entries() * 8;
+        let update = sym.max_update_matrix_entries() as u64 * 8;
+        assert!(one.lane_memory_bytes() >= storage + update);
         // The estimate is linear in the lane cap beyond the shared part.
         assert_eq!(four.memory_bytes(), base + 3 * one.lane_memory_bytes());
         // It covers the real factor storage a lane ends up holding.
@@ -1296,8 +1289,7 @@ mod tests {
             ..SolverOptions::default()
         };
         let sc = SymbolicCholesky::new(&a, &opts);
-        // Hold the only lane on this thread; the call below comes from
-        // another one, so it blocks instead of taking an overflow lane.
+        // Hold the only lane; the call below must wait for it.
         let _held = sc.lanes.checkout(&RunCtl::default()).unwrap();
         let limit = Duration::from_millis(30);
         let (r, took) = std::thread::scope(|s| {

@@ -31,71 +31,43 @@ impl FactorData {
     /// Loads the values of `a` (already permuted into factor order) into
     /// supernodal storage; entries outside `A`'s pattern stay zero.
     pub fn load(sym: &SymbolicFactor, a: &SymCsc) -> Self {
+        assert_eq!(a.n(), sym.n);
         let mut f = FactorData::zeros(sym);
-        f.reload(sym, a);
+        for j in 0..a.n() {
+            for (&i, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
+                let (s, off) = FactorData::slot(sym, i, j).expect("A entry outside factor pattern");
+                f.sn[s][off] = v;
+            }
+        }
         f
     }
 
-    /// True when this factor's per-supernode arrays match `sym`'s shapes
-    /// — the precondition for [`reload`](Self::reload).
+    /// True when this factor's per-supernode arrays match `sym`'s shapes,
+    /// so it can hold a factorization of `sym`.
     pub fn shape_matches(&self, sym: &SymbolicFactor) -> bool {
         self.sn.len() == sym.nsup()
             && (0..sym.nsup()).all(|s| self.sn[s].len() == sym.sn_len(s) * sym.sn_ncols(s))
     }
 
-    /// Reloads the values of `a` into this factor's existing storage
-    /// (zeroing it first) — the refactorization path: same symbolic
-    /// structure, new values, **no reallocation**.
-    pub fn reload(&mut self, sym: &SymbolicFactor, a: &SymCsc) {
-        assert_eq!(a.n(), sym.n);
-        assert!(self.shape_matches(sym), "factor storage shape mismatch");
-        for arr in &mut self.sn {
-            arr.fill(0.0);
-        }
-        let f = self;
-        for s in 0..sym.nsup() {
-            let first = sym.sn.first_col(s);
-            let end = sym.sn.end_col(s);
-            let len = sym.sn_len(s);
-            let rows = &sym.rows[s];
-            let arr = &mut f.sn[s];
-            for j in first..end {
-                let lc = j - first;
-                let mut cursor = 0usize; // two-pointer over rows (sorted)
-                for (&i, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
-                    debug_assert!(i >= j);
-                    let lr = if i < end {
-                        i - first
-                    } else {
-                        while rows[cursor] < i {
-                            cursor += 1;
-                        }
-                        debug_assert_eq!(rows[cursor], i, "A entry outside factor pattern");
-                        end - first + cursor
-                    };
-                    arr[lc * len + lr] = v;
-                }
-            }
-        }
+    /// Where entry `L[i, j]` (global indices, `i >= j`) is stored:
+    /// `(supernode, offset in its array)`, or `None` when it lies outside
+    /// the supernodal pattern.
+    pub fn slot(sym: &SymbolicFactor, i: usize, j: usize) -> Option<(usize, usize)> {
+        let s = sym.sn.col_to_sn[j];
+        let first = sym.sn.first_col(s);
+        let end = sym.sn.end_col(s);
+        let lr = if i < end {
+            i - first
+        } else {
+            end - first + sym.rows[s].binary_search(&i).ok()?
+        };
+        Some((s, (j - first) * sym.sn_len(s) + lr))
     }
 
     /// Entry `L[i, j]` (global indices, `i >= j`); zero when outside the
     /// supernodal pattern.
     pub fn get(&self, sym: &SymbolicFactor, i: usize, j: usize) -> f64 {
-        let s = sym.sn.col_to_sn[j];
-        let first = sym.sn.first_col(s);
-        let end = sym.sn.end_col(s);
-        let len = sym.sn_len(s);
-        let lc = j - first;
-        let lr = if i < end {
-            i - first
-        } else {
-            match sym.rows[s].binary_search(&i) {
-                Ok(pos) => end - first + pos,
-                Err(_) => return 0.0,
-            }
-        };
-        self.sn[s][lc * len + lr]
+        FactorData::slot(sym, i, j).map_or(0.0, |(s, off)| self.sn[s][off])
     }
 
     /// Maximum relative elementwise difference against another factor

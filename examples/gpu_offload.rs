@@ -10,7 +10,7 @@
 //! small supernodes on the CPU, and the device memory footprints.
 
 use rlchol::core::engine::{GpuOptions, Method};
-use rlchol::core::{engine_for, EngineWorkspace};
+use rlchol::core::{engine_for, EngineWorkspace, FactorData};
 use rlchol::matgen::{grid3d, Stencil};
 use rlchol::ordering::{order, OrderingMethod};
 use rlchol::perfmodel::MachineModel;
@@ -37,7 +37,9 @@ fn main() {
     // Every engine is reached through the registry: `engine_for(method)`
     // factors into an `EngineRun` (the factor plus a uniform report).
     let run = |method: Method, ws: &mut EngineWorkspace| {
-        engine_for(method).factor(&sym, &a_fact, ws).unwrap()
+        engine_for(method)
+            .factor(&sym, FactorData::load(&sym, &a_fact), ws)
+            .unwrap()
     };
     let rl_cpu = run(Method::RlCpu, &mut EngineWorkspace::default());
     let rlb_cpu = run(Method::RlbCpu, &mut EngineWorkspace::default());

@@ -6,7 +6,7 @@
 //! cargo run --release --example memory_limits
 //! ```
 
-use rlchol::core::{engine_for, EngineWorkspace, FactorError};
+use rlchol::core::{engine_for, EngineWorkspace, FactorData, FactorError};
 use rlchol::matgen::laplace3d;
 use rlchol::ordering::{order, OrderingMethod};
 use rlchol::perfmodel::MachineModel;
@@ -47,7 +47,11 @@ fn main() {
         // `info.gpu` carries the device counters.
         let run = |method: Method| {
             engine_for(method)
-                .factor(&sym, &a_fact, &mut EngineWorkspace::new(0, opts.clone()))
+                .factor(
+                    &sym,
+                    FactorData::load(&sym, &a_fact),
+                    &mut EngineWorkspace::new(0, opts.clone()),
+                )
                 .map(|r| r.info.gpu.expect("GPU engines report device counters"))
         };
         let rl = match run(Method::RlGpu) {

@@ -230,8 +230,9 @@
 //! [`NumericEngine`](core::registry::NumericEngine) registry, keyed by
 //! [`Method`] — CPU (RL, RLB, on one tree executor whose factor does not
 //! depend on its lane count) and (simulated) GPU engines including the pipelined multi-stream
-//! variants; `engine_for(method).factor(sym, a, &mut ws)` is the only
-//! public way to run one. [`Method::ALL`] enumerates every
+//! variants; `engine_for(method).factor(sym, FactorData::load(sym, a),
+//! &mut ws)` (with `a` in factor order) is the only public way to run
+//! one; the staged handle loads its storage through its own value map. [`Method::ALL`] enumerates every
 //! registered engine; `Method` round-trips through `FromStr` via its
 //! CLI name (`"rlb-gpu".parse()`) or paper label (`"RLB_G".parse()`).
 //! Every engine reports a uniform

@@ -2,7 +2,7 @@
 //! numeric → solve) across matrix families, engines and options.
 
 use rlchol::core::engine::{GpuOptions, Method};
-use rlchol::core::{engine_for, EngineWorkspace};
+use rlchol::core::{engine_for, EngineWorkspace, FactorData};
 use rlchol::matgen::{grid2d, grid3d, kkt3d, perturbed_grid3d, Stencil};
 use rlchol::perfmodel::MachineModel;
 use rlchol::sparse::SymCsc;
@@ -118,7 +118,7 @@ fn engines_agree_on_the_factor_bitwise_tolerance() {
     let run = |method: Method| {
         let mut ws = EngineWorkspace::new(0, gpu_opts(500));
         engine_for(method)
-            .factor(&sym, &afact, &mut ws)
+            .factor(&sym, FactorData::load(&sym, &afact), &mut ws)
             .unwrap()
             .factor
     };
@@ -145,7 +145,11 @@ fn factorization_residual_is_small_on_suite_scale_matrix() {
     let sym = analyze(&af, &SymbolicOptions::default());
     let afact = af.permute(&sym.perm);
     let run = engine_for(Method::RlCpu)
-        .factor(&sym, &afact, &mut EngineWorkspace::default())
+        .factor(
+            &sym,
+            FactorData::load(&sym, &afact),
+            &mut EngineWorkspace::default(),
+        )
         .unwrap();
     let resid = run.factor.residual(&sym, &afact, 3);
     assert!(resid < 1e-12, "residual {resid}");

@@ -119,7 +119,9 @@ fn injected_faults_surface_as_typed_errors_for_every_gpu_engine() {
         for &retire in retires {
             // Clean run: the reference factor and the ordinal space.
             let mut ws = EngineWorkspace::new(1, gpu_opts(None, retire));
-            let clean = engine.factor(&sym, &ap, &mut ws).unwrap();
+            let clean = engine
+                .factor(&sym, FactorData::load(&sym, &ap), &mut ws)
+                .unwrap();
             let stats = clean.info.gpu.as_ref().unwrap();
             let (kernels, transfers, allocs) = (
                 stats.kernel_launches,
@@ -143,7 +145,7 @@ fn injected_faults_surface_as_typed_errors_for_every_gpu_engine() {
                 for i in sweep_points(count) {
                     let plan = inject(FaultPlan::new(), i);
                     let mut ws = EngineWorkspace::new(1, gpu_opts(Some(plan), retire));
-                    match engine.factor(&sym, &ap, &mut ws) {
+                    match engine.factor(&sym, FactorData::load(&sym, &ap), &mut ws) {
                         Err(err) => assert!(
                             err.is_device(),
                             "{method:?} {retire:?}: {kind:?}@{i} surfaced as a \
@@ -186,9 +188,11 @@ fn injected_faults_surface_as_typed_errors_for_every_gpu_engine() {
             for i in sweep_points(kernels + transfers) {
                 let plan = FaultPlan::new().stall_at(i, 0.05);
                 let mut ws = EngineWorkspace::new(1, gpu_opts(Some(plan), retire));
-                let run = engine.factor(&sym, &ap, &mut ws).unwrap_or_else(|e| {
-                    panic!("{method:?} {retire:?}: stall@{i} must not fail: {e}")
-                });
+                let run = engine
+                    .factor(&sym, FactorData::load(&sym, &ap), &mut ws)
+                    .unwrap_or_else(|e| {
+                        panic!("{method:?} {retire:?}: stall@{i} must not fail: {e}")
+                    });
                 assert_eq!(
                     run.factor, clean.factor,
                     "{method:?} {retire:?}: stall@{i} changed the factor"

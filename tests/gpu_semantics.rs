@@ -3,7 +3,7 @@
 //! dispatch, and the timeline invariants the tables rely on.
 
 use rlchol::core::engine::{GpuOptions, Method};
-use rlchol::core::{engine_for, EngineWorkspace};
+use rlchol::core::{engine_for, EngineWorkspace, FactorData};
 use rlchol::gpu::{Gpu, GpuStats};
 use rlchol::matgen::{grid3d, Stencil};
 use rlchol::ordering::{order, OrderingMethod};
@@ -35,7 +35,11 @@ struct Run {
 
 fn run_gpu(method: Method, sym: &SymbolicFactor, a: &rlchol::SymCsc, opts: &GpuOptions) -> Run {
     let info = engine_for(method)
-        .factor(sym, a, &mut EngineWorkspace::new(0, opts.clone()))
+        .factor(
+            sym,
+            FactorData::load(sym, a),
+            &mut EngineWorkspace::new(0, opts.clone()),
+        )
         .unwrap()
         .info;
     Run {
@@ -175,7 +179,11 @@ fn device_potrf_failure_reports_the_failing_column() {
         };
         for &threshold in thresholds {
             let got = engine_for(method)
-                .factor(&sym, &afact, &mut EngineWorkspace::new(0, opts(threshold)))
+                .factor(
+                    &sym,
+                    FactorData::load(&sym, &afact),
+                    &mut EngineWorkspace::new(0, opts(threshold)),
+                )
                 .unwrap_err();
             assert_eq!(got, want, "{} thr {threshold}", method.label());
         }

@@ -36,7 +36,11 @@ fn factor(
 ) -> Result<FactorData, FactorError> {
     let gpu = GpuOptions::with_threshold(threshold).with_streams(LANES);
     engine_for(method)
-        .factor(sym, ap, &mut EngineWorkspace::new(LANES, gpu))
+        .factor(
+            sym,
+            FactorData::load(sym, ap),
+            &mut EngineWorkspace::new(LANES, gpu),
+        )
         .map(|run| run.factor)
 }
 

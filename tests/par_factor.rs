@@ -54,7 +54,7 @@ fn factor(
 ) -> Result<(FactorData, usize), FactorError> {
     let mut ws = EngineWorkspace::new(threads, GpuOptions::with_threshold(usize::MAX));
     engine_for(method)
-        .factor(sym, ap, &mut ws)
+        .factor(sym, FactorData::load(sym, ap), &mut ws)
         .map(|run| (run.factor, run.info.lanes))
 }
 
@@ -295,4 +295,72 @@ fn one_lane_batch_above_the_cutoff_factors_every_slot() {
     if rlchol::dense::pool::global().threads() > 1 {
         assert!(tree, "a member ran the tree");
     }
+}
+
+/// A batch on a two-lane handle, above the cutoff, while another thread's
+/// `run_for` holds the shared pool for the whole call: the batch runs on
+/// threads of its own, not as pool indices, so both lanes work at once
+/// and every slot has the bits of a lone `factor_with`.
+#[test]
+fn two_lane_batch_fills_both_lanes_while_the_pool_is_held() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let _serial = serial();
+    let sets: Vec<SymCsc> = (0..4)
+        .map(|seed| grid3d(16, 16, 16, Stencil::Star7, 1, 50 + seed))
+        .collect();
+    let refs: Vec<&SymCsc> = sets.iter().collect();
+    let opts = SolverOptions {
+        factor_lanes: 2,
+        ..SolverOptions::default()
+    };
+    let reference = rlchol::SymbolicCholesky::new(&sets[0], &opts);
+    let want: Vec<FactorData> = sets
+        .iter()
+        .map(|a| reference.factor_with(a).expect("SPD input").data().clone())
+        .collect();
+    let pool = rlchol::dense::pool::global();
+    let lanes = 2.min(pool.threads());
+    // Two members overlap unless the scheduler serializes them: up to
+    // three attempts.
+    let mut peaks = Vec::new();
+    for _ in 0..3 {
+        let handle = rlchol::SymbolicCholesky::new(&sets[0], &opts);
+        let held = Barrier::new(2);
+        let release = AtomicBool::new(false);
+        let results = std::thread::scope(|s| {
+            // Two indices: a one-index `run_for` runs inline without
+            // taking the pool.
+            s.spawn(|| {
+                pool.run_for(2, &|i| {
+                    if i == 0 {
+                        held.wait();
+                        while !release.load(Ordering::Acquire) {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                    }
+                })
+            });
+            held.wait();
+            let results = handle.batch_factor(&refs);
+            release.store(true, Ordering::Release);
+            results
+        });
+        for (i, r) in results.iter().enumerate() {
+            let got = r.as_ref().unwrap_or_else(|e| panic!("slot {i}: {e}"));
+            assert_eq!(got.data(), &want[i], "slot {i}");
+        }
+        let stats = handle.lane_stats();
+        assert!(stats.peak_in_use <= 2, "lane cap respected: {stats:?}");
+        peaks.push(stats.peak_in_use);
+        if stats.peak_in_use == lanes {
+            break;
+        }
+    }
+    assert_eq!(
+        peaks.last(),
+        Some(&lanes),
+        "peak lanes per attempt: {peaks:?}"
+    );
 }

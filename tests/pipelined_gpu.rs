@@ -5,7 +5,7 @@
 //! propagate cleanly out of the pipeline.
 
 use rlchol::core::engine::{GpuOptions, Method, RetireMode};
-use rlchol::core::{engine_for, EngineRun, EngineWorkspace, FactorError};
+use rlchol::core::{engine_for, EngineRun, EngineWorkspace, FactorData, FactorError};
 use rlchol::matgen::{grid2d, grid3d, Stencil};
 use rlchol::ordering::{order, OrderingMethod};
 use rlchol::perfmodel::MachineModel;
@@ -31,7 +31,11 @@ fn run(
     ap: &SymCsc,
     opts: &GpuOptions,
 ) -> Result<EngineRun, FactorError> {
-    engine_for(method).factor(sym, ap, &mut EngineWorkspace::new(0, opts.clone()))
+    engine_for(method).factor(
+        sym,
+        FactorData::load(sym, ap),
+        &mut EngineWorkspace::new(0, opts.clone()),
+    )
 }
 
 /// Pipelined RL/RLB against their single-stream engines, bitwise, over

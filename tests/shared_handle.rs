@@ -159,16 +159,14 @@ fn contended_lane_caps_serialize_without_losing_results() {
 
 #[test]
 fn batch_factor_with_pool_reentrant_engine_does_not_deadlock() {
-    // The pipelined GPU engine re-enters rlchol_dense::pool from inside
-    // a factorization (pooled update assembly). A pool thread waiting
-    // there can pop a *sibling batch task* to help out; that nested
-    // factor_with must take an overflow lane instead of blocking on the
-    // exhausted 1-lane pool — blocking can deadlock (the held lane sits
-    // further down the same stack). The timing window is narrow, so the
-    // deterministic guard lives in staged::lanes's nested-checkout unit
-    // test; this test keeps the full engine × batch × lane-cap-1 shape
-    // in CI (including the RLCHOL_THREADS=4 legs) and checks results
-    // still match the serial path bitwise.
+    // The pipelined GPU engine fans its host assembly out on
+    // rlchol_dense::pool from inside a factorization. A batch runs its
+    // members on threads of its own, never as pool indices, so no pool
+    // thread can pick up a sibling member while a lane is held further
+    // down its stack, and a 1-lane batch takes its value sets one after
+    // another. This test keeps the full engine × batch × lane-cap-1
+    // shape in CI (including the RLCHOL_THREADS=4 legs) and checks the
+    // results still match the serial path bitwise.
     let opts = SolverOptions {
         method: Method::RlbGpuPipe,
         gpu: GpuOptions::with_threshold(0),

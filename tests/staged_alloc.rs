@@ -2,9 +2,10 @@
 //! `solve_into`, `solve_many` and `solve_refined` must perform **zero**
 //! heap allocations per call — and so must a `factor_with` + `recycle`
 //! serving loop through a warm workspace lane (lane checkout/return,
-//! recycled factor storage, recycled trace buffer, RLB's in-place
-//! update sweep and RL's scatter). Enforced with a counting global allocator, so a
-//! regression that sneaks a `Vec` into a hot path fails loudly.
+//! factor storage from the recycle bin, recycled trace buffer, RLB's
+//! in-place update sweep and RL's scatter). Enforced with a counting
+//! global allocator, so a regression that sneaks a `Vec` into a hot path
+//! fails loudly.
 //!
 //! The counting allocator is per-binary, so this file holds exactly one
 //! test (the harness runs tests in parallel threads; a second test's
@@ -185,8 +186,8 @@ fn solves_are_allocation_free_after_warm_up() {
     // warm lane must not touch the heap either, for both CPU families.
     // RLB applies updates directly into factor storage; RL forms each
     // update matrix in the workspace's preallocated buffer and scatters it
-    // with relative indices written into lane scratch. The lane's recycle
-    // bins return the factor storage and trace buffer, and lane
+    // with relative indices written into lane scratch. The lane pool's
+    // recycle bins return the factor storage and trace buffer, and lane
     // checkout/return is a free-list pop/push — so after one warm-up
     // round the loop is allocation-free end to end.
     let a_cpu = grid3d(5, 5, 4, Stencil::Star7, 1, 13);
