@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use rlchol_ordering::order;
+use rlchol_ordering::order_graph_par;
 use rlchol_sparse::{Permutation, SymCsc};
 use rlchol_symbolic::{analyze_instrumented, SymbolicFactor};
 
@@ -147,21 +147,25 @@ const ANALYZE_PAR_MIN_NNZ: usize = 16_384;
 /// Wall-clock breakdown of one symbolic analysis, stage by stage — the
 /// instrumentation behind `rlchol analyze` and the service's cache-miss
 /// metrics. All stages sum to (just under) the analyze wall: `ordering`
-/// is the fill-reducing ordering and the permute that applies it;
+/// is the adjacency graph and the fill-reducing ordering of it;
 /// `etree` through `relind` come from
 /// [`rlchol_symbolic::analyze_instrumented`]; `value_map` is the
 /// handle-construction stage added on top of the symbolic factor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalyzeBreakdown {
-    /// Fill-reducing ordering ([`SolverOptions::ordering`]) plus the
-    /// symmetric permute that applies it (serial).
+    /// The input's adjacency graph and the fill-reducing ordering of it
+    /// ([`SolverOptions::ordering`]); nested dissection orders the halves
+    /// of its top split on the pool when the analysis has two or more
+    /// lanes.
     pub ordering: std::time::Duration,
-    /// Elimination tree + postorder + permutation (serial, fused).
+    /// Elimination tree + postorder (serial), read off the graph through
+    /// the ordering.
     pub etree: std::time::Duration,
     /// Column counts via row-subtree traversal.
     pub colcount: std::time::Duration,
     /// Supernode detection, amalgamation, the merged partition's row
-    /// structures and partition refinement.
+    /// structures and partition refinement (whose per-supernode loop
+    /// runs on the pool in chunks).
     pub merge: std::time::Duration,
     /// Per-supernode row-block decomposition, supernodal tree and the
     /// nnz/flop totals.
@@ -283,15 +287,18 @@ impl SymbolicCholesky {
             1
         };
 
+        // The analysis reads the pattern once, as the adjacency graph, and
+        // every later stage reads it through permutations: no permuted
+        // copy of `a` is built.
         let t = Instant::now();
-        let fill = order(a, opts.ordering);
-        let a_fill = a.permute(&fill);
+        let g = a.to_graph();
+        let fill = order_graph_par(&g, opts.ordering, analyze_lanes);
         let ordering = t.elapsed();
-        let (sym, sym_stages) = analyze_instrumented(&a_fill, &opts.symbolic, analyze_lanes);
+        let (sym, sym_stages) = analyze_instrumented(&g, &fill, &opts.symbolic, analyze_lanes);
         let total_perm = sym.perm.compose(&fill);
-        // Only the symbolic analysis reads the fill-ordered copy; free it
-        // before the value slots are built.
-        drop(a_fill);
+        // Only the analysis reads the graph; free it before the value
+        // slots are built.
+        drop(g);
 
         let mut analyze_stages = AnalyzeBreakdown {
             ordering,

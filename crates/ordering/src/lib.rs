@@ -5,12 +5,15 @@
 //!
 //! * [`nested_dissection`] — recursive bisection with BFS level-set
 //!   separators grown from pseudo-peripheral vertices, separator cleanup
-//!   passes, and minimum-degree leaf ordering;
+//!   passes, and minimum-degree leaf ordering; [`nested_dissection_par`]
+//!   orders the halves of the top split on the shared pool, with the
+//!   same result;
 //! * [`min_degree`] — exact external-degree minimum degree, on `u128`
 //!   bitsets up to 128 vertices and on a quotient graph above (element
 //!   absorption keeps lists compact), with identical output;
 //! * [`rcm`] — reverse Cuthill–McKee, a bandwidth-oriented baseline;
-//! * [`order`] — one-call dispatcher over [`OrderingMethod`].
+//! * [`order`] / [`order_graph`] / [`order_graph_par`] — dispatchers
+//!   over [`OrderingMethod`].
 //!
 //! All functions return a [`Permutation`] in the convention
 //! `old_of[new] = old`: position `k` of the returned ordering names the
@@ -22,7 +25,7 @@ pub mod nd;
 pub mod rcm;
 
 pub use mindeg::min_degree;
-pub use nd::nested_dissection;
+pub use nd::{nested_dissection, nested_dissection_par};
 pub use rcm::{pseudo_peripheral, rcm};
 
 use rlchol_sparse::{Graph, Permutation, SymCsc};
@@ -48,10 +51,17 @@ pub fn order(a: &SymCsc, method: OrderingMethod) -> Permutation {
 
 /// Orders an explicit graph with the chosen method.
 pub fn order_graph(g: &Graph, method: OrderingMethod) -> Permutation {
+    order_graph_par(g, method, 1)
+}
+
+/// [`order_graph`] on `threads` lanes of the shared pool: nested
+/// dissection forks its top split ([`nested_dissection_par`]); the other
+/// methods are serial. The ordering is the same at any lane count.
+pub fn order_graph_par(g: &Graph, method: OrderingMethod, threads: usize) -> Permutation {
     match method {
         OrderingMethod::Natural => Permutation::identity(g.n()),
         OrderingMethod::MinDegree => min_degree(g),
         OrderingMethod::Rcm => rcm(g),
-        OrderingMethod::NestedDissection => nested_dissection(g),
+        OrderingMethod::NestedDissection => nested_dissection_par(g, threads),
     }
 }

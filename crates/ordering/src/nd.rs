@@ -28,10 +28,30 @@
 //! within-side ranks — is owned by the top-level call, sized to the whole
 //! graph once and used by each piece as a prefix of its own size.
 //!
+//! A piece the recursion cuts is owned by it and freed as soon as it is
+//! split. The pieces a branch holds at once — the halves and separators
+//! still waiting on its path — then add up to about the piece the branch
+//! started from, where keeping every ancestor alive held about three
+//! times that.
+//!
+//! [`nested_dissection_par`] with more than one lane orders the two
+//! halves of the top-level split (of each component's, when the graph is
+//! not connected) at once, as two indices of one
+//! [`run_for`](rlchol_dense::pool::ThreadPool::run_for) on the shared
+//! pool: A into the output with the top-level scratch, B into a buffer
+//! and scratch of its own, sized to B. B is appended after A and before
+//! the separator, the serial order, and below the split the recursion
+//! is the serial one, so the permutation is the serial one at any lane
+//! count. (A piece depends only on its own graph, never on the scratch
+//! state another piece left behind.)
+//!
 //! On the regular 2-D/3-D meshes that dominate the paper's test set this
 //! produces the familiar `O(n log n)` fill / `O(n^{3/2})`–`O(n²)` flop
 //! profiles that METIS achieves, which is all the downstream experiments
 //! need (the ordering only shapes the supernode size distribution).
+
+use std::borrow::Cow;
+use std::sync::Mutex;
 
 use crate::levels::Levels;
 use crate::mindeg::min_degree_into;
@@ -49,10 +69,23 @@ const SEP: u8 = 2;
 
 /// Computes a nested-dissection ordering of `g`.
 pub fn nested_dissection(g: &Graph) -> Permutation {
+    nested_dissection_par(g, 1)
+}
+
+/// [`nested_dissection`] on `threads` lanes: above one lane, the two
+/// halves of each top-level split are ordered on the pool at once. The
+/// permutation is [`nested_dissection`]'s at any lane count.
+pub fn nested_dissection_par(g: &Graph, threads: usize) -> Permutation {
     let n = g.n();
     let mut order = Vec::with_capacity(n);
     let globals: Vec<usize> = (0..n).collect();
-    dissect(g, &globals, &mut order, &mut Scratch::new(n));
+    dissect(
+        Cow::Borrowed(g),
+        Cow::Owned(globals),
+        &mut order,
+        &mut Scratch::new(n),
+        threads > 1,
+    );
     debug_assert_eq!(order.len(), n);
     Permutation::from_old_of(order).expect("nested dissection visits each vertex once")
 }
@@ -77,45 +110,85 @@ impl Scratch {
 }
 
 /// Orders the piece `g`, whose local vertex `l` is global vertex
-/// `globals[l]`, appending eliminated global vertices to `out`.
-fn dissect(g: &Graph, globals: &[usize], out: &mut Vec<usize>, s: &mut Scratch) {
+/// `globals[l]`, appending eliminated global vertices to `out`; an owned
+/// piece is freed once it is split. With `fork`, the halves of the
+/// piece's splits (of each component's, when it is not connected) are
+/// ordered on the pool.
+fn dissect(
+    g: Cow<Graph>,
+    globals: Cow<[usize]>,
+    out: &mut Vec<usize>,
+    s: &mut Scratch,
+    fork: bool,
+) {
     let n = g.n();
     if n == 0 {
         return;
     }
-    s.levels.bfs(g, 0, |_| true);
+    s.levels.bfs(&g, 0, |_| true);
     if s.levels.reached() == n {
-        return dissect_connected(g, globals, out, s);
+        return dissect_connected(g, globals, out, s, fork);
     }
     for comp in g.connected_components() {
-        let (c, c_globals) = piece(g, globals, &comp);
+        let (c, c_globals) = piece(&g, &globals, &comp);
         s.levels.bfs(&c, 0, |_| true);
-        dissect_connected(&c, &c_globals, out, s);
+        dissect_connected(Cow::Owned(c), Cow::Owned(c_globals), out, s, fork);
     }
 }
 
 /// [`dissect`] for a connected piece, with `s.levels` holding the BFS
 /// from its local vertex 0.
-fn dissect_connected(g: &Graph, globals: &[usize], out: &mut Vec<usize>, s: &mut Scratch) {
+fn dissect_connected(
+    g: Cow<Graph>,
+    globals: Cow<[usize]>,
+    out: &mut Vec<usize>,
+    s: &mut Scratch,
+    fork: bool,
+) {
     let n = g.n();
     if n <= LEAF_SIZE {
-        return emit_min_degree(g, globals, out);
+        return emit_min_degree(&g, &globals, out);
     }
     let side = &mut s.side[..n];
-    match bisect(g, &mut s.levels, side) {
-        Some(counts) => {
-            let [a, b, sep] = split(g, globals, side, &mut s.rank[..n], counts);
-            for (h, h_globals) in [a, b] {
-                dissect(&h, &h_globals, out, s);
-            }
-            // Separator vertices are eliminated last; order them by
-            // minimum degree of their induced subgraph for a better
-            // dense tail.
-            emit_min_degree(&sep.0, &sep.1, out);
-        }
+    let Some(counts) = bisect(&g, &mut s.levels, side) else {
         // Bisection failed (e.g. a clique): fall back to MD.
-        None => emit_min_degree(g, globals, out),
+        return emit_min_degree(&g, &globals, out);
+    };
+    let [a, b, sep] = split(&g, &globals, side, &mut s.rank[..n], counts);
+    drop((g, globals));
+    if fork {
+        // A goes straight to `out` with this piece's scratch; B gets a
+        // buffer and scratch of its own, appended after.
+        let mut b_out = Vec::with_capacity(b.0.n());
+        let mut b_scratch = Scratch::new(b.0.n());
+        let halves = [
+            Mutex::new((Some(a), &mut *out, &mut *s)),
+            Mutex::new((Some(b), &mut b_out, &mut b_scratch)),
+        ];
+        rlchol_dense::pool::global().run_for(2, &|k| {
+            let mut half = halves[k]
+                .lock()
+                .expect("each index locks only its own half");
+            let (h, h_out, h_scratch) = &mut *half;
+            let (h, h_globals) = h.take().expect("each half is ordered once");
+            dissect(
+                Cow::Owned(h),
+                Cow::Owned(h_globals),
+                h_out,
+                h_scratch,
+                false,
+            );
+        });
+        drop(halves);
+        out.extend(b_out);
+    } else {
+        for (h, h_globals) in [a, b] {
+            dissect(Cow::Owned(h), Cow::Owned(h_globals), out, s, false);
+        }
     }
+    // Separator vertices are eliminated last; order them by minimum
+    // degree of their induced subgraph for a better dense tail.
+    emit_min_degree(&sep.0, &sep.1, out);
 }
 
 /// The subgraph of the piece `g` induced by its ascending local vertices
@@ -266,6 +339,87 @@ mod tests {
             }
         }
         Graph::from_edges(k * k, &edges)
+    }
+
+    /// The edges of the 7-point grid graph of an `nx × ny × nz` box
+    /// (`nz = 1`: the 5-point plane), `x` fastest, with every vertex
+    /// number shifted by `off`.
+    fn grid_edges(nx: usize, ny: usize, nz: usize, off: usize) -> Vec<(usize, usize)> {
+        let idx = |x: usize, y: usize, z: usize| off + (z * ny + y) * nx + x;
+        let mut edges = Vec::new();
+        for z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    if x + 1 < nx {
+                        edges.push((idx(x, y, z), idx(x + 1, y, z)));
+                    }
+                    if y + 1 < ny {
+                        edges.push((idx(x, y, z), idx(x, y + 1, z)));
+                    }
+                    if z + 1 < nz {
+                        edges.push((idx(x, y, z), idx(x, y, z + 1)));
+                    }
+                }
+            }
+        }
+        edges
+    }
+
+    /// A plane, a box, and two disconnected planes of unequal size.
+    fn fork_shapes() -> Vec<(&'static str, Graph)> {
+        let mut two = grid_edges(60, 40, 1, 0);
+        two.extend(grid_edges(50, 30, 1, 2400));
+        vec![
+            (
+                "grid2d(120,120)",
+                Graph::from_edges(14_400, &grid_edges(120, 120, 1, 0)),
+            ),
+            (
+                "grid3d(24,24,24)",
+                Graph::from_edges(13_824, &grid_edges(24, 24, 24, 0)),
+            ),
+            ("two grids", Graph::from_edges(3_900, &two)),
+        ]
+    }
+
+    #[test]
+    fn forked_halves_give_the_serial_permutation() {
+        for (name, g) in fork_shapes() {
+            let serial = nested_dissection(&g);
+            assert_eq!(nested_dissection_par(&g, 1), serial, "{name}, 1 lane");
+            assert_eq!(nested_dissection_par(&g, 2), serial, "{name}, 2 lanes");
+        }
+    }
+
+    #[test]
+    fn forked_halves_run_inline_while_another_thread_holds_the_pool() {
+        use std::sync::Barrier;
+        let shapes = fork_shapes();
+        let serial: Vec<Permutation> = shapes.iter().map(|(_, g)| nested_dissection(g)).collect();
+        let (held, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                rlchol_dense::pool::global().run_for(2, &|i| {
+                    if i == 0 {
+                        held.wait();
+                        release.wait();
+                    }
+                });
+            });
+            // Index 0 of the other call is running: this thread's fork
+            // finds the slot taken (or another test's call in it) and
+            // orders both halves itself. The slot is released before any
+            // assertion, so a failure cannot leave the holder waiting.
+            held.wait();
+            let got: Vec<Permutation> = shapes
+                .iter()
+                .map(|(_, g)| nested_dissection_par(g, 2))
+                .collect();
+            release.wait();
+            for (((name, _), want), got) in shapes.iter().zip(&serial).zip(&got) {
+                assert_eq!(got, want, "{name}, pool held");
+            }
+        });
     }
 
     #[test]

@@ -8,23 +8,30 @@
 
 use std::sync::Mutex;
 
-use crate::etree::{strict_lower_rows, EliminationTree};
-use rlchol_sparse::SymCsc;
+use crate::etree::{EliminationTree, LowerRows};
+use rlchol_sparse::{Permutation, SymCsc};
 
 /// Column counts of `L` (including the diagonal) for the matrix `a` with
 /// elimination tree `etree`.
 pub fn col_counts(a: &SymCsc, etree: &EliminationTree) -> Vec<usize> {
-    let n = a.n();
-    let parent = &etree.parent;
-    let mut counts = vec![1usize; n]; // diagonal entries
-    let mut mark = vec![usize::MAX; n];
-    let (rowptr, colind) = strict_lower_rows(a);
-    for i in 0..n {
+    let g = a.to_graph();
+    col_counts_par(LowerRows::new(&g, &Permutation::identity(a.n())), etree, 1)
+}
+
+/// Adds the row subtrees of the rows `which` to `counts`. Walking the
+/// path `k -> parent(k) -> ...` for each entry `(i, k)` until a vertex
+/// already visited for row `i` (or `i` itself) marks every vertex with
+/// `L[i, vertex] != 0` exactly once.
+fn walk_rows(
+    rows: LowerRows,
+    parent: &[usize],
+    which: impl Iterator<Item = usize>,
+    counts: &mut [usize],
+    mark: &mut [usize],
+) {
+    for i in which {
         mark[i] = i;
-        for &k in &colind[rowptr[i]..rowptr[i + 1]] {
-            // Walk the path k -> parent(k) -> ... until a vertex already
-            // visited for row i (or i itself). Every vertex on the way has
-            // L[i, vertex] != 0.
+        for k in rows.row(i) {
             let mut j = k;
             while mark[j] != i {
                 counts[j] += 1;
@@ -34,53 +41,41 @@ pub fn col_counts(a: &SymCsc, etree: &EliminationTree) -> Vec<usize> {
             }
         }
     }
-    counts
 }
 
-/// Thread-parallel [`col_counts`]: rows are split into `threads`
-/// contiguous, nnz-balanced ranges, each walked with a **private**
-/// `counts`/`mark` pair on [`rlchol_dense::pool`], and the per-thread
-/// counts are summed.
+/// Column counts of `L` (including the diagonal) for the matrix whose
+/// strict lower triangle is `rows` and whose elimination tree is `etree`.
 ///
-/// Bit-identical to the serial pass by construction: each row's subtree
-/// walk is independent of every other row's (the serial `mark` state
-/// only ever terminates a walk at vertices marked *by the same row*),
-/// and the merge sums exact `usize` increments, which commute. A
-/// `threads <= 1` call takes the serial path unchanged.
-pub fn col_counts_par(a: &SymCsc, etree: &EliminationTree, threads: usize) -> Vec<usize> {
-    let n = a.n();
-    if threads <= 1 || n < 2 * threads {
-        return col_counts(a, etree);
-    }
+/// With `threads > 1`, lane `t` walks the rows `t, t + threads, …` with
+/// a **private** `counts`/`mark` pair on [`rlchol_dense::pool`], and the
+/// per-lane counts are summed. Interleaving balances the lanes: a row's
+/// walk grows with its row of `L`, which is longest for the last rows
+/// (the top separators of a nested-dissection ordering), so contiguous
+/// ranges would leave one lane most of the work. Bit-identical to the
+/// serial pass by construction: each row's subtree walk is independent
+/// of every other row's (the serial `mark` state only ever terminates a
+/// walk at vertices marked *by the same row*), and the merge sums exact
+/// `usize` increments, which commute. A `threads <= 1` call is the
+/// serial pass.
+pub fn col_counts_par(rows: LowerRows, etree: &EliminationTree, threads: usize) -> Vec<usize> {
+    let n = rows.n();
     let parent = &etree.parent;
-    let (rowptr, colind) = strict_lower_rows(a);
-    // Contiguous row ranges with roughly equal strict-lower nnz.
-    let total = rowptr[n];
-    let mut bounds = Vec::with_capacity(threads + 1);
-    bounds.push(0usize);
-    for t in 1..threads {
-        let target = total * t / threads;
-        let cut = rowptr.partition_point(|&p| p < target).min(n);
-        bounds.push((*bounds.last().unwrap()).max(cut));
+    if threads <= 1 || n < 2 * threads {
+        let mut counts = vec![1usize; n]; // diagonal entries
+        walk_rows(rows, parent, 0..n, &mut counts, &mut vec![usize::MAX; n]);
+        return counts;
     }
-    bounds.push(n);
-
     let partials: Vec<Mutex<Vec<usize>>> = (0..threads).map(|_| Mutex::default()).collect();
     rlchol_dense::pool::global().run_for(threads, &|t| {
         let mut counts = vec![0usize; n];
         let mut mark = vec![usize::MAX; n];
-        for i in bounds[t]..bounds[t + 1] {
-            mark[i] = i;
-            for &k in &colind[rowptr[i]..rowptr[i + 1]] {
-                let mut j = k;
-                while mark[j] != i {
-                    counts[j] += 1;
-                    mark[j] = i;
-                    j = parent[j];
-                    debug_assert!(j != crate::NONE, "path must reach row {i}");
-                }
-            }
-        }
+        walk_rows(
+            rows,
+            parent,
+            (t..n).step_by(threads),
+            &mut counts,
+            &mut mark,
+        );
         *partials[t]
             .lock()
             .expect("each index locks only its own slot") = counts;
@@ -234,9 +229,11 @@ mod tests {
             let a = sym_from_edges(n, &edges);
             let t = EliminationTree::from_matrix(&a);
             let serial = col_counts(&a, &t);
+            let g = a.to_graph();
+            let id = Permutation::identity(n);
             for threads in [1usize, 2, 4, 8] {
                 assert_eq!(
-                    col_counts_par(&a, &t, threads),
+                    col_counts_par(LowerRows::new(&g, &id), &t, threads),
                     serial,
                     "n={n} threads={threads}"
                 );

@@ -3,10 +3,52 @@
 //! The elimination tree (Liu, *The role of elimination trees in sparse
 //! factorization*, 1990) has `parent(j) = min { i > j : L[i,j] != 0 }`.
 //! It is computed directly from `A`'s lower-triangular pattern with the
-//! classic path-compression algorithm, without forming `L`.
+//! classic path-compression algorithm, without forming `L`. The pattern
+//! is read through [`LowerRows`]: the adjacency graph of the input and a
+//! permutation, so the analysis of `P A Pᵀ` never builds that matrix.
 
 use crate::NONE;
-use rlchol_sparse::SymCsc;
+use rlchol_sparse::{Graph, Permutation, SymCsc};
+
+/// The strict lower triangle of `P A Pᵀ`, row by row, read off the
+/// adjacency graph `g` of `A` through the permutation `p` (`p.old_of(i)`
+/// is the vertex of `g` that becomes row and column `i`). Row `i` holds
+/// the `p.new_of(u) < i` over the neighbours `u` of `p.old_of(i)`, in the
+/// graph's order rather than sorted: neither Liu's parent array nor the
+/// row-subtree counts depend on the order of a row's entries.
+#[derive(Debug, Clone, Copy)]
+pub struct LowerRows<'a> {
+    g: &'a Graph,
+    old_of: &'a [usize],
+    new_of: &'a [usize],
+}
+
+impl<'a> LowerRows<'a> {
+    /// The rows of `P A Pᵀ` for the graph `g` of `A` and `P = p`.
+    pub fn new(g: &'a Graph, p: &'a Permutation) -> Self {
+        assert_eq!(g.n(), p.len(), "permutation and graph sizes differ");
+        LowerRows {
+            g,
+            old_of: p.old_of_slice(),
+            new_of: p.new_of_slice(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn n(&self) -> usize {
+        self.old_of.len()
+    }
+
+    /// The columns `k < i` with `(P A Pᵀ)[i,k] != 0`, unordered.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = usize> + 'a {
+        let new_of = self.new_of;
+        self.g
+            .neighbors(self.old_of[i])
+            .iter()
+            .map(move |&u| new_of[u])
+            .filter(move |&k| k < i)
+    }
+}
 
 /// The elimination tree of a symmetric matrix, with derived orderings.
 #[derive(Debug, Clone)]
@@ -18,23 +60,24 @@ pub struct EliminationTree {
 impl EliminationTree {
     /// Computes the elimination tree from the lower-triangular pattern.
     pub fn from_matrix(a: &SymCsc) -> Self {
-        let n = a.n();
+        let g = a.to_graph();
+        Self::from_rows(LowerRows::new(&g, &Permutation::identity(a.n())))
+    }
+
+    /// Computes the elimination tree of the matrix whose strict lower
+    /// triangle is `rows`.
+    ///
+    /// Classic formulation: for each row `i` and each `k < i` with
+    /// `A[i,k] != 0`, walk `k`'s path-compressed ancestor chain up to `i`.
+    /// Every walked vertex then points at `i`, whatever order row `i`'s
+    /// entries come in.
+    pub fn from_rows(rows: LowerRows) -> Self {
+        let n = rows.n();
         let mut parent = vec![NONE; n];
         // ancestor[j]: path-compressed ancestor pointer.
         let mut ancestor = vec![NONE; n];
-        // Iterate rows of the strict upper triangle of A, i.e. for each
-        // column k of the lower triangle, each off-diagonal row i gives an
-        // entry (k, i) in row i's pattern with k < i. Processing columns
-        // in order visits each row's entries in increasing column order,
-        // which is exactly what the algorithm needs when driven per entry.
-        //
-        // Classic formulation: for i in 0..n, for each k < i with
-        // A[i,k] != 0, walk k's ancestor chain up to i. We realize the
-        // traversal row-wise by first building row lists of the strict
-        // lower triangle.
-        let (rowptr, colind) = strict_lower_rows(a);
         for i in 0..n {
-            for &k in &colind[rowptr[i]..rowptr[i + 1]] {
+            for k in rows.row(i) {
                 // Walk from k towards the root, compressing onto i.
                 let mut j = k;
                 while j != NONE && j < i {
@@ -55,17 +98,6 @@ impl EliminationTree {
         self.parent.len()
     }
 
-    /// Children lists, each sorted increasing.
-    pub fn children(&self) -> Vec<Vec<usize>> {
-        let mut ch = vec![Vec::new(); self.n()];
-        for (j, &p) in self.parent.iter().enumerate() {
-            if p != NONE {
-                ch[p].push(j);
-            }
-        }
-        ch
-    }
-
     /// Number of children per vertex.
     pub fn child_counts(&self) -> Vec<usize> {
         let mut c = vec![0usize; self.n()];
@@ -82,24 +114,32 @@ impl EliminationTree {
     /// so an already-postordered tree yields the identity.
     pub fn postorder(&self) -> Vec<usize> {
         let n = self.n();
-        let children = self.children();
-        let mut post = Vec::with_capacity(n);
-        // Iterative DFS; push children in reverse so the smallest is
-        // processed first.
-        let mut stack: Vec<(usize, bool)> = Vec::new();
-        for r in 0..n {
-            if self.parent[r] != NONE {
-                continue;
+        // Children as linked lists, `head[p]` then `next[c]` until
+        // [`NONE`]; linking in decreasing order leaves each list
+        // increasing.
+        let mut head = vec![NONE; n];
+        let mut next = vec![NONE; n];
+        for j in (0..n).rev() {
+            let p = self.parent[j];
+            if p != NONE {
+                next[j] = head[p];
+                head[p] = j;
             }
-            stack.push((r, false));
-            while let Some((v, expanded)) = stack.pop() {
-                if expanded {
+        }
+        let mut post = Vec::with_capacity(n);
+        // Iterative DFS: the top of the stack descends into its next
+        // unvisited child, and is emitted once it has none left.
+        let mut stack: Vec<usize> = Vec::new();
+        for r in (0..n).filter(|&r| self.parent[r] == NONE) {
+            stack.push(r);
+            while let Some(&v) = stack.last() {
+                let c = head[v];
+                if c == NONE {
+                    stack.pop();
                     post.push(v);
                 } else {
-                    stack.push((v, true));
-                    for &c in children[v].iter().rev() {
-                        stack.push((c, false));
-                    }
+                    head[v] = next[c];
+                    stack.push(c);
                 }
             }
         }
@@ -166,8 +206,9 @@ impl EliminationTree {
     pub fn depths(&self) -> Vec<usize> {
         let n = self.n();
         let mut depth = vec![NONE; n];
+        let mut path = Vec::new();
         for mut v in 0..n {
-            let mut path = Vec::new();
+            path.clear();
             while depth[v] == NONE {
                 path.push(v);
                 if self.parent[v] == NONE {
@@ -188,31 +229,6 @@ impl EliminationTree {
         }
         depth
     }
-}
-
-/// Row lists of the strict lower triangle: for each row `i`, the columns
-/// `k < i` with `A[i,k] != 0`, sorted increasing. Returns `(rowptr, colind)`.
-pub fn strict_lower_rows(a: &SymCsc) -> (Vec<usize>, Vec<usize>) {
-    let n = a.n();
-    let mut counts = vec![0usize; n];
-    for j in 0..n {
-        for &i in &a.col_rows(j)[1..] {
-            counts[i] += 1;
-        }
-    }
-    let mut rowptr = vec![0usize; n + 1];
-    for i in 0..n {
-        rowptr[i + 1] = rowptr[i] + counts[i];
-    }
-    let mut colind = vec![0usize; rowptr[n]];
-    let mut next = rowptr.clone();
-    for j in 0..n {
-        for &i in &a.col_rows(j)[1..] {
-            colind[next[i]] = j;
-            next[i] += 1;
-        }
-    }
-    (rowptr, colind)
 }
 
 #[cfg(test)]
@@ -325,6 +341,24 @@ mod tests {
     }
 
     #[test]
+    fn lower_rows_read_the_permuted_pattern() {
+        let a = sym_from_edges(5, &[(1, 0), (3, 0), (3, 2), (4, 1)]);
+        let p = Permutation::from_old_of(vec![3, 0, 4, 2, 1]).unwrap();
+        let (g, ap) = (a.to_graph(), a.permute(&p));
+        let rows = LowerRows::new(&g, &p);
+        for i in 0..5 {
+            let mut got: Vec<usize> = rows.row(i).collect();
+            got.sort_unstable();
+            let want: Vec<usize> = (0..i).filter(|&k| ap.get(i, k) != 0.0).collect();
+            assert_eq!(got, want, "row {i}");
+        }
+        assert_eq!(
+            EliminationTree::from_rows(rows).parent,
+            EliminationTree::from_matrix(&ap).parent
+        );
+    }
+
+    #[test]
     fn depths_consistent_with_parents() {
         let a = sym_from_edges(5, &[(2, 0), (3, 1), (4, 2), (4, 3)]);
         let t = EliminationTree::from_matrix(&a);
@@ -335,14 +369,5 @@ mod tests {
             }
         }
         assert_eq!(d[4], 0);
-    }
-
-    #[test]
-    fn strict_lower_rows_inverts_columns() {
-        let a = sym_from_edges(4, &[(1, 0), (3, 0), (3, 2)]);
-        let (rowptr, colind) = strict_lower_rows(&a);
-        assert_eq!(&colind[rowptr[3]..rowptr[4]], &[0, 2]);
-        assert_eq!(&colind[rowptr[1]..rowptr[2]], &[0]);
-        assert_eq!(rowptr[1], rowptr[0]); // row 0 empty
     }
 }

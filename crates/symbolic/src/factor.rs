@@ -1,22 +1,24 @@
 //! The symbolic-analysis driver: postorder → counts → supernodes → merge
 //! → merged row structures → PR → block lists.
 //!
-//! [`analyze`] consumes a symmetrically permuted SPD matrix (typically the
-//! output of a fill-reducing ordering) and produces a [`SymbolicFactor`]:
-//! everything the numeric engines need, plus the composed permutation the
-//! caller must apply to the matrix before loading numeric values.
+//! [`analyze_instrumented`] reads the pattern of `P A Pᵀ` — `A`'s
+//! adjacency graph and a fill-reducing ordering `P` — without forming
+//! that matrix, and produces a [`SymbolicFactor`]: everything the numeric
+//! engines need, plus the composed permutation the caller must apply to
+//! the fill-ordered matrix before loading numeric values. [`analyze`] is
+//! the same pipeline on a matrix as it stands.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::blocks::{row_blocks, RowBlock};
 use crate::colcount::col_counts_par;
-use crate::etree::EliminationTree;
+use crate::etree::{EliminationTree, LowerRows};
 use crate::merge::merge_supernodes;
 use crate::pr::refine_partition;
 use crate::supernodes::{find_supernodes, supernodal_etree, supernode_rows};
 use crate::NONE;
-use rlchol_sparse::{Permutation, SymCsc};
+use rlchol_sparse::{Graph, Permutation, SymCsc};
 
 /// Options controlling the symbolic pipeline (defaults follow the paper).
 #[derive(Debug, Clone, Copy)]
@@ -47,13 +49,15 @@ impl Default for SymbolicOptions {
 /// (the service's cache-miss path and the CLI `analyze` breakdown).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalyzeStages {
-    /// Elimination tree + postorder + the postorder permute (the fused
-    /// serial front of the pipeline).
+    /// Elimination tree and postorder (the serial front of the
+    /// pipeline).
     pub etree: Duration,
-    /// Exact column counts (parallel when `threads > 1`).
+    /// Exact column counts, relabelled to the postorder (parallel when
+    /// `threads > 1`).
     pub colcount: Duration,
     /// Supernode detection, amalgamation, the row structures of the
-    /// merged partition and partition refinement.
+    /// merged partition and partition refinement (parallel when
+    /// `threads > 1`).
     pub merge: Duration,
     /// Per-supernode row-block decomposition, supernodal etree and the
     /// nnz/flop/block totals (parallel when `threads > 1`).
@@ -85,9 +89,10 @@ pub struct SymbolicStats {
 pub struct SymbolicFactor {
     /// Matrix dimension.
     pub n: usize,
-    /// Composed permutation from the *input* ordering of [`analyze`] to
-    /// the final factor ordering (postorder ∘ merge ∘ PR). Apply to the
-    /// input matrix before numeric factorization.
+    /// Composed permutation from the analyzed ordering (the input of
+    /// [`analyze`], the fill-ordered matrix of [`analyze_instrumented`])
+    /// to the final factor ordering (postorder ∘ merge ∘ PR). Apply to
+    /// that matrix before numeric factorization.
     pub perm: Permutation,
     /// Supernode partition in factor ordering.
     pub sn: crate::supernodes::SupernodePartition,
@@ -227,48 +232,61 @@ pub fn supernode_flops(c: usize, r: usize) -> f64 {
     potrf + trsm + syrk
 }
 
-/// Runs the full symbolic pipeline on a (fill-ordered) matrix.
+/// Runs the full symbolic pipeline on the pattern of `a`, in `a`'s own
+/// ordering (apply a fill-reducing ordering first, or use
+/// [`analyze_instrumented`] with it).
 pub fn analyze(a: &SymCsc, opts: &SymbolicOptions) -> SymbolicFactor {
     analyze_par(a, opts, 1)
 }
 
-/// [`analyze`] with the count/relind stages split into `threads`
-/// chunks on [`rlchol_dense::pool`]. The result is **bit-identical** to
-/// the serial pipeline at every thread count — parallelism only moves
-/// independent per-row walks and per-supernode decompositions between
-/// lanes (see [`col_counts_par`]); `threads <= 1` *is* the serial path.
+/// [`analyze`] with the count, refinement and relind stages split into
+/// `threads` chunks on [`rlchol_dense::pool`]. The result is
+/// **bit-identical** to the serial pipeline at every thread count —
+/// parallelism only moves independent per-row walks and per-supernode
+/// work between lanes (see [`col_counts_par`]); `threads <= 1` *is* the
+/// serial path.
 pub fn analyze_par(a: &SymCsc, opts: &SymbolicOptions, threads: usize) -> SymbolicFactor {
-    analyze_instrumented(a, opts, threads).0
+    let identity = Permutation::identity(a.n());
+    analyze_instrumented(&a.to_graph(), &identity, opts, threads).0
 }
 
-/// [`analyze_par`] that also reports per-stage wall times.
+/// The symbolic pipeline of `P A Pᵀ`, for the adjacency graph `g` of `A`
+/// and `P = fill`, with per-stage wall times. Builds no permuted matrix:
+/// every stage reads `g`'s neighbour lists through the permutations.
+/// The factor equals `analyze_par(&a.permute(fill), opts, threads)`,
+/// its `perm` included (relative to the `fill` ordering).
 pub fn analyze_instrumented(
-    a: &SymCsc,
+    g: &Graph,
+    fill: &Permutation,
     opts: &SymbolicOptions,
     threads: usize,
 ) -> (SymbolicFactor, AnalyzeStages) {
-    let n = a.n();
+    let n = g.n();
     let mut stages = AnalyzeStages::default();
     // Phase 1: postorder so supernodes come out contiguous. The
     // postordered matrix's etree is the *relabelled* original tree
     // (Liu: equivalent — topological — reorderings preserve the
-    // elimination tree), so the second `from_matrix` traversal the
-    // pipeline used to run is fused into a single relabel pass.
+    // elimination tree), so it is relabelled rather than recomputed.
     let t = Instant::now();
-    let t0 = EliminationTree::from_matrix(a);
+    let rows0 = LowerRows::new(g, fill);
+    let t0 = EliminationTree::from_rows(rows0);
     let post = t0.postorder();
     let t1 = EliminationTree {
         parent: t0.relabel(&post),
     };
-    let p1 = Permutation::from_old_of(post).expect("postorder is a bijection");
-    let a1 = a.permute(&p1);
     stages.etree = t.elapsed();
 
-    // Phase 2: counts and supernodes on the postordered matrix.
+    // Phase 2: counts on the tree in the `fill` ordering, relabelled to
+    // the postorder (a column's count does not depend on its label), then
+    // supernodes on the postordered tree.
     let t = Instant::now();
-    let counts = col_counts_par(&a1, &t1, threads);
+    let counts0 = col_counts_par(rows0, &t0, threads);
+    let counts: Vec<usize> = post.iter().map(|&v| counts0[v]).collect();
     stages.colcount = t.elapsed();
     let t = Instant::now();
+    let p1 = Permutation::from_old_of(post).expect("postorder is a bijection");
+    // Graph vertex → postordered column.
+    let to_post = p1.compose(fill);
     let sn0 = find_supernodes(&t1, &counts, opts.fundamental);
     let nsup_before_merge = sn0.nsup();
 
@@ -279,17 +297,16 @@ pub fn analyze_instrumented(
     // topological reordering), so `merge: false` skips the phase entirely
     // and builds the rows of the input partition.
     let (p2, sn1, rows1, merges, merge_extra_fill) = if opts.merge {
-        let m = merge_supernodes(&a1, &t1, &counts, &sn0, opts.merge_growth_cap);
+        let m = merge_supernodes(g, &to_post, &t1, &counts, &sn0, opts.merge_growth_cap);
         (m.perm, m.sn, m.rows, m.merges, m.extra_fill)
     } else {
-        let id = Permutation::identity(n);
-        let rows0 = supernode_rows(&a1, &sn0, &id);
-        (id, sn0, rows0, 0, 0)
+        let rows = supernode_rows(g, &sn0, &to_post);
+        (Permutation::identity(n), sn0, rows, 0, 0)
     };
 
     // Phase 4: partition refinement within supernodes.
     let (p3, sn2, rows2, blocks_before_pr) = if opts.partition_refine {
-        let r = refine_partition(&sn1, &rows1);
+        let r = refine_partition(&sn1, &rows1, threads);
         (r.perm, sn1, r.rows, Some(r.blocks_before))
     } else {
         (Permutation::identity(n), sn1, rows1, None)
@@ -469,7 +486,8 @@ mod tests {
     #[test]
     fn instrumented_stages_cover_the_pipeline() {
         let a = random_sym(120, 9);
-        let (f, stages) = analyze_instrumented(&a, &SymbolicOptions::default(), 2);
+        let id = Permutation::identity(a.n());
+        let (f, stages) = analyze_instrumented(&a.to_graph(), &id, &SymbolicOptions::default(), 2);
         f.validate().unwrap();
         // Every stage ran (durations are measured, possibly tiny).
         let total = stages.etree + stages.colcount + stages.merge + stages.relind;

@@ -3,11 +3,13 @@
 //! Everything the numeric factorization needs to know about the *structure*
 //! of the Cholesky factor `L` of a symmetrically permuted SPD matrix:
 //!
-//! * [`etree`] — the elimination tree (Liu) and postorderings;
+//! * [`etree`] — the elimination tree (Liu) and postorderings, and
+//!   [`etree::LowerRows`], the rows of `P A Pᵀ` read off `A`'s adjacency graph
+//!   through `P`: the analysis never builds a permuted matrix;
 //! * [`colcount`] — exact column counts of `L` via row-subtree traversal;
 //! * [`supernodes`] — fundamental and maximal supernodes (Liu–Ng–Peyton)
 //!   and the one builder of below-diagonal row structures, which reads
-//!   the matrix through a column map;
+//!   the adjacency graph through a vertex map;
 //! * [`merge`] — relaxed supernode amalgamation (Ashcraft–Grimes) with the
 //!   paper's 25 % storage-growth cap and min-fill pair selection, run on
 //!   per-supernode widths, row counts and parents taken from the column

@@ -58,7 +58,7 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use crate::etree::EliminationTree;
 use crate::supernodes::{supernode_rows, SupernodePartition};
 use crate::NONE;
-use rlchol_sparse::{Permutation, SymCsc};
+use rlchol_sparse::{Graph, Permutation};
 
 /// Result of the merge phase.
 #[derive(Debug, Clone)]
@@ -110,16 +110,18 @@ fn find(merged_into: &mut [usize], s: usize) -> usize {
 }
 
 /// Runs relaxed amalgamation on the partition `sn` of the postordered
-/// matrix `a`, whose elimination tree is `etree` and factor column counts
-/// are `counts`, and builds the merged partition's row structures. (An
-/// input that is only topologically ordered still gets a valid merged
-/// partition and reordering, though not the postorder of the merged
-/// tree.)
+/// matrix `M`, whose elimination tree is `etree` and factor column counts
+/// are `counts`, and builds the merged partition's row structures. `M`'s
+/// pattern is the adjacency graph `g` renumbered by `numbering`: column
+/// `j` of `M` is vertex `numbering.old_of(j)` of `g`. (An input that is
+/// only topologically ordered still gets a valid merged partition and
+/// reordering, though not the postorder of the merged tree.)
 ///
 /// `growth_cap` bounds the *cumulative relative increase* in factor
 /// storage (the paper uses `0.25`).
 pub fn merge_supernodes(
-    a: &SymCsc,
+    g: &Graph,
+    numbering: &Permutation,
     etree: &EliminationTree,
     counts: &[usize],
     sn: &SupernodePartition,
@@ -192,7 +194,7 @@ pub fn merge_supernodes(
     }
     let perm = Permutation::from_old_of(old_of).expect("merge reordering is a bijection");
     let merged = SupernodePartition::from_starts(sn_start);
-    let rows = supernode_rows(a, &merged, &perm);
+    let rows = supernode_rows(g, &merged, &perm.compose(numbering));
     MergeResult {
         perm,
         sn: merged,
@@ -228,8 +230,9 @@ mod tests {
         let t = EliminationTree::from_matrix(a);
         let counts = col_counts(a, &t);
         let sn = find_supernodes(&t, &counts, false);
-        let rows = supernode_rows(a, &sn, &Permutation::identity(a.n()));
-        let m = merge_supernodes(a, &t, &counts, &sn, cap);
+        let (g, id) = (a.to_graph(), Permutation::identity(a.n()));
+        let rows = supernode_rows(&g, &sn, &id);
+        let m = merge_supernodes(&g, &id, &t, &counts, &sn, cap);
         (sn, rows, m)
     }
 

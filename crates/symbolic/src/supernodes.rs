@@ -15,7 +15,7 @@
 
 use crate::etree::EliminationTree;
 use crate::NONE;
-use rlchol_sparse::{Permutation, SymCsc};
+use rlchol_sparse::{Graph, Permutation};
 
 /// A partition of the columns `0..n` into contiguous supernodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,15 +101,16 @@ pub fn find_supernodes(
 
 /// Computes each supernode's below-diagonal row structure.
 ///
-/// `sn` partitions the columns of `a` renumbered by `map`: column `j` of
-/// that numbering is column `map.old_of(j)` of `a` (pass the identity to
-/// read `a` as it stands). `map` must be topological — every
-/// strict-lower entry of `a` stays strictly below the diagonal. `rows[s]`
-/// is the sorted list of row indices `> last(s)`, in the new numbering,
-/// present in the columns of supernode `s` of `L`. Computed bottom-up: a
+/// `sn` partitions the columns of the matrix `M` whose pattern is the
+/// adjacency graph `g` renumbered by `map` (column `j` of `M` is vertex
+/// `map.old_of(j)` of `g`) into supernodes of `M`'s factor. `rows[s]` is
+/// the sorted list of row indices `> last(s)`, in `M`'s numbering,
+/// present in the columns of supernode `s` of `L`. Only neighbours
+/// numbered above `last(s)` are kept, so `g`'s neighbour lists, which
+/// hold both triangles, are read as they stand. Computed bottom-up: a
 /// child supernode's rows flow into the supernode containing its first
 /// below-diagonal row (its supernodal parent).
-pub fn supernode_rows(a: &SymCsc, sn: &SupernodePartition, map: &Permutation) -> Vec<Vec<usize>> {
+pub fn supernode_rows(g: &Graph, sn: &SupernodePartition, map: &Permutation) -> Vec<Vec<usize>> {
     let nsup = sn.nsup();
     let (old_of, new_of) = (map.old_of_slice(), map.new_of_slice());
     let mut rows: Vec<Vec<usize>> = Vec::with_capacity(nsup);
@@ -117,13 +118,13 @@ pub fn supernode_rows(a: &SymCsc, sn: &SupernodePartition, map: &Permutation) ->
     // `first_child[p]`, then `next_sibling[c]` until [`NONE`].
     let mut first_child = vec![NONE; nsup];
     let mut next_sibling = vec![NONE; nsup];
-    let mut mark = vec![NONE; a.n()];
+    let mut mark = vec![NONE; g.n()];
     for s in 0..nsup {
         let last = sn.end_col(s) - 1;
         let mut set: Vec<usize> = Vec::new();
         // Original matrix entries below the supernode.
         for j in sn.first_col(s)..sn.end_col(s) {
-            for &i in &a.col_rows(old_of[j])[1..] {
+            for &i in g.neighbors(old_of[j]) {
                 let i = new_of[i];
                 if i > last && mark[i] != s {
                     mark[i] = s;
@@ -250,7 +251,7 @@ pub fn paper_fig1_edges() -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::colcount::col_counts;
-    use rlchol_sparse::TripletMatrix;
+    use rlchol_sparse::{SymCsc, TripletMatrix};
 
     fn sym_from_edges(n: usize, edges: &[(usize, usize)]) -> SymCsc {
         let mut t = TripletMatrix::new(n, n);
@@ -276,7 +277,7 @@ mod tests {
         let counts = col_counts(&a, &t);
         let sn = find_supernodes(&t, &counts, false);
         assert_eq!(sn.sn_start, vec![0, 2, 4, 7, 9, 12, 15]);
-        let rows = supernode_rows(&a, &sn, &Permutation::identity(a.n()));
+        let rows = supernode_rows(&a.to_graph(), &sn, &Permutation::identity(a.n()));
         assert_eq!(rows[0], vec![5, 6, 13]); // J1: rows 6,7,14 one-based
         assert_eq!(rows[1], vec![7, 8, 14]);
         assert_eq!(rows[2], vec![12, 13, 14]);
@@ -309,7 +310,7 @@ mod tests {
             assert!(fine.sn_start.contains(&b));
         }
         // Row structures remain consistent for the finer partition too.
-        let rows = supernode_rows(&a, &fine, &Permutation::identity(a.n()));
+        let rows = supernode_rows(&a.to_graph(), &fine, &Permutation::identity(a.n()));
         assert_eq!(check_against_counts(&fine, &rows, &counts), None);
     }
 
@@ -321,7 +322,7 @@ mod tests {
         let sn = find_supernodes(&t, &counts, false);
         // Counts are [2,2,2,2,2,1]: only the last pair merges.
         assert_eq!(sn.sn_start, vec![0, 1, 2, 3, 4, 6]);
-        let rows = supernode_rows(&a, &sn, &Permutation::identity(a.n()));
+        let rows = supernode_rows(&a.to_graph(), &sn, &Permutation::identity(a.n()));
         assert_eq!(check_against_counts(&sn, &rows, &counts), None);
     }
 
@@ -337,7 +338,7 @@ mod tests {
         let sn = find_supernodes(&t, &counts, false);
         assert_eq!(sn.nsup(), 1);
         assert_eq!(sn.ncols(0), n);
-        let rows = supernode_rows(&a, &sn, &Permutation::identity(a.n()));
+        let rows = supernode_rows(&a.to_graph(), &sn, &Permutation::identity(a.n()));
         assert!(rows[0].is_empty());
     }
 

@@ -7,7 +7,7 @@ use rlchol_symbolic::etree::EliminationTree;
 use rlchol_symbolic::merge::{merge_supernodes, storage};
 use rlchol_symbolic::relind::relative_indices;
 use rlchol_symbolic::supernodes::{check_against_counts, find_supernodes, supernode_rows};
-use rlchol_symbolic::{analyze, SymbolicOptions, NONE};
+use rlchol_symbolic::{analyze, analyze_instrumented, SymbolicOptions, NONE};
 
 fn arb_sym(max_n: usize) -> impl Strategy<Value = SymCsc> {
     (3..=max_n, any::<u64>()).prop_map(|(n, seed)| {
@@ -75,10 +75,75 @@ fn arb_bushy(max_n: usize) -> impl Strategy<Value = SymCsc> {
     })
 }
 
+/// A pattern that need not be connected: `n` columns and about
+/// `n * density / 2` random off-diagonals, none at all (a diagonal
+/// matrix) when `density` is 0, plus a random permutation of `0..n`.
+fn arb_loose(max_n: usize) -> impl Strategy<Value = (SymCsc, Permutation)> {
+    (1..=max_n, 0..4usize, any::<u64>()).prop_map(|(n, density, seed)| {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        let mut t = TripletMatrix::new(n, n);
+        for j in 0..n {
+            t.push(j, j, 8.0);
+        }
+        for _ in 0..n * density / 2 {
+            let (a, b) = (next() % n, next() % n);
+            if a != b {
+                t.push(a.max(b), a.min(b), -0.25);
+            }
+        }
+        let mut old_of: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            old_of.swap(i, next() % (i + 1));
+        }
+        let p = Permutation::from_old_of(old_of).unwrap();
+        (SymCsc::from_lower_triplets(&t).unwrap(), p)
+    })
+}
+
+/// The analysis of `P A Pᵀ` read off `A`'s graph through `P` equals the
+/// analysis of the explicitly permuted matrix, field for field, under
+/// every option set the pipeline branches on and at one and three lanes.
+fn check_graph_analysis(a: &SymCsc, p: &Permutation) {
+    let g = a.to_graph();
+    let ap = a.permute(p);
+    let plain = SymbolicOptions {
+        fundamental: false,
+        merge: false,
+        merge_growth_cap: 0.0,
+        partition_refine: false,
+    };
+    let all = [
+        SymbolicOptions::default(),
+        plain,
+        SymbolicOptions {
+            fundamental: true,
+            ..SymbolicOptions::default()
+        },
+        SymbolicOptions {
+            merge_growth_cap: 1e9,
+            ..SymbolicOptions::default()
+        },
+    ];
+    for opts in all {
+        let want = analyze(&ap, &opts);
+        for threads in [1, 3] {
+            let (got, _) = analyze_instrumented(&g, p, &opts, threads);
+            assert_eq!(got, want, "opts {opts:?} threads {threads}");
+        }
+    }
+}
+
 /// Amalgamates the postordered `a` at several caps, on both partitions,
-/// and checks the merged rows against rows built on the explicitly
-/// permuted matrix with the identity map, and the stored entries against
-/// the input storage plus the accounted extra fill.
+/// reading `a`'s graph through the postorder, and checks the merged rows
+/// against rows built on the explicitly permuted matrix with the identity
+/// map, and the stored entries against the input storage plus the
+/// accounted extra fill.
 fn check_row_map(a: &SymCsc) {
     let t0 = EliminationTree::from_matrix(a);
     let p = Permutation::from_old_of(t0.postorder()).unwrap();
@@ -86,12 +151,13 @@ fn check_row_map(a: &SymCsc) {
     let t = EliminationTree::from_matrix(&ap);
     let counts = col_counts(&ap, &t);
     let id = Permutation::identity(ap.n());
+    let g = a.to_graph();
     for fundamental in [false, true] {
         let sn = find_supernodes(&t, &counts, fundamental);
         for cap in [0.0, 0.25, 1e9] {
-            // `m.rows` is `supernode_rows(&ap, &m.sn, &m.perm)`.
-            let m = merge_supernodes(&ap, &t, &counts, &sn, cap);
-            let explicit = supernode_rows(&ap.permute(&m.perm), &m.sn, &id);
+            // `m.rows` is `supernode_rows(&g, &m.sn, &m.perm ∘ p)`.
+            let m = merge_supernodes(&g, &p, &t, &counts, &sn, cap);
+            let explicit = supernode_rows(&ap.permute(&m.perm).to_graph(), &m.sn, &id);
             assert_eq!(m.rows, explicit, "fundamental {fundamental} cap {cap}");
             let stored: u64 = (0..m.sn.nsup())
                 .map(|s| storage(m.sn.ncols(s), m.rows[s].len()))
@@ -131,8 +197,23 @@ proptest! {
         let counts = col_counts(&ap, &t);
         for fundamental in [false, true] {
             let sn = find_supernodes(&t, &counts, fundamental);
-            let rows = supernode_rows(&ap, &sn, &Permutation::identity(ap.n()));
+            let rows = supernode_rows(&ap.to_graph(), &sn, &Permutation::identity(ap.n()));
             prop_assert_eq!(check_against_counts(&sn, &rows, &counts), None);
+        }
+    }
+
+    #[test]
+    fn graph_analysis_equals_analysis_of_the_permuted_copy(
+        loose in arb_loose(40),
+        b in arb_sym(40),
+        c in arb_bushy(40),
+    ) {
+        check_graph_analysis(&loose.0, &loose.1);
+        // The connected generators under a reversal, a random-looking
+        // permutation the fill ordering would not produce.
+        for m in [&b, &c] {
+            let rev = Permutation::from_old_of((0..m.n()).rev().collect()).unwrap();
+            check_graph_analysis(m, &rev);
         }
     }
 

@@ -31,7 +31,7 @@ fn main() {
     let etree = EliminationTree::from_matrix(&a);
     let counts = col_counts(&a, &etree);
     let sn = find_supernodes(&etree, &counts, false);
-    let rows = supernode_rows(&a, &sn, &Permutation::identity(n));
+    let rows = supernode_rows(&a.to_graph(), &sn, &Permutation::identity(n));
     let parent = supernodal_etree(&sn, &rows);
 
     println!("Figure 1 — supernodes of the 15x15 factor (columns are 1-based):\n");

@@ -12,10 +12,13 @@
 //! engine shows up here with no CLI change. `--json` switches `analyze`,
 //! `factor` and `solve` to a single machine-readable JSON report on
 //! stdout (same schema as the service protocol's response frames).
-//! `analyze` prints the per-stage wall breakdown (etree / colcount /
-//! merge / relind / value-map) and the lane count it ran on, which
-//! follows `RLCHOL_THREADS` above a size cutoff (the result is
-//! bit-identical at any count — only the wall changes).
+//! `analyze` prints the per-stage wall breakdown (ordering / etree /
+//! colcount / merge / relind / value-map) and the lane count it ran on,
+//! which follows `RLCHOL_THREADS` above a size cutoff. On two or more
+//! lanes nested dissection orders the halves of its top split at once,
+//! and the column counts, partition refinement, relind and value map
+//! split into chunks; the result is bit-identical at any count — only
+//! the wall changes.
 //!
 //! Matrices are Matrix Market files (`coordinate real|pattern`,
 //! `symmetric` or `general` holding a symmetric matrix). `serve` takes
