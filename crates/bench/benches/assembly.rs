@@ -34,13 +34,13 @@ fn bench_assembly(c: &mut Criterion) {
     g.bench_function("serial", |b| {
         let mut data = FactorData::load(&sym, &a);
         let mut rel = Vec::new();
-        b.iter(|| assemble_update(&sym, &mut data.sn, s, &upd, r, &mut rel))
+        b.iter(|| assemble_update(&sym, &mut data, s, &upd, r, &mut rel))
     });
     for threads in [2usize, 4] {
         let pool = ThreadPool::new(threads);
         g.bench_function(format!("pool_{threads}"), |b| {
             let mut data = FactorData::load(&sym, &a);
-            b.iter(|| assemble_update_pool(&pool, &sym, &mut data.sn, s, &upd, r))
+            b.iter(|| assemble_update_pool(&pool, &sym, &mut data, s, &upd, r))
         });
     }
     g.finish();

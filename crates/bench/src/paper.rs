@@ -168,10 +168,7 @@ pub fn render(rows: &[Row], columns: &str) -> String {
 pub fn matrix_row(entry: &SuiteEntry, p: &PreparedMatrix, cfg: &SuiteConfig) -> Row {
     let sym = &p.sym;
     let count = |thr: usize| offload_set(sym, thr).iter().filter(|&&b| b).count();
-    let max_panel = (0..sym.nsup())
-        .map(|s| sym.sn_storage(s))
-        .max()
-        .unwrap_or(0);
+    let max_panel = (0..sym.nsup()).map(|s| sym.sn_size(s)).max().unwrap_or(0);
     let max_upd = sym.max_update_matrix_entries();
     let rl_c_s = best_cpu_scaled(&run_cpu(p, Method::RlCpu), cfg);
     let rlb_c_s = best_cpu_scaled(&run_cpu(p, Method::RlbCpu), cfg);

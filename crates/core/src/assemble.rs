@@ -21,6 +21,8 @@ use rlchol_dense::pool::ThreadPool;
 use rlchol_symbolic::relind::relative_indices_into;
 use rlchol_symbolic::SymbolicFactor;
 
+use crate::storage::{FactorData, Targets};
+
 /// One contiguous run of update columns aimed at a single target.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Segment {
@@ -67,7 +69,7 @@ pub(crate) fn segment_to(sym: &SymbolicFactor, s: usize, target: usize) -> Segme
 /// assembled (the trace metric).
 pub fn assemble_update(
     sym: &SymbolicFactor,
-    data: &mut [Vec<f64>],
+    data: &mut FactorData,
     s: usize,
     upd: &[f64],
     r: usize,
@@ -76,7 +78,7 @@ pub fn assemble_update(
     let rows = &sym.rows[s];
     debug_assert_eq!(rows.len(), r);
     segments(sym, s)
-        .map(|seg| scatter_segment(sym, &mut data[seg.target], seg, rows, upd, r, rel))
+        .map(|seg| scatter_segment(sym, data.sn_mut(sym, seg.target), seg, rows, upd, r, rel))
         .sum()
 }
 
@@ -113,38 +115,31 @@ pub(crate) fn scatter_segment(
 }
 
 /// Fans one source supernode's per-target work out over `pool`, one
-/// [`ThreadPool::run_for`] index per target. `units` pairs each target's
-/// index in `data` with its work item in ascending target order, so
-/// progressive `split_at_mut` hands every index a disjoint `&mut` array
-/// (through its own `Mutex` slot); the units are drawn on the calling
-/// thread, in order. A single-lane pool runs the units inline, in
-/// order, without slots; a fan-out started while another `run_for` is
-/// active (e.g. inside one member of a `batch_factor`) also runs its
-/// units inline, in order. Returns the sum of `work`'s counts (the
-/// entries assembled).
+/// [`ThreadPool::run_for`] index per target. `units` pairs each target
+/// supernode with its work item in ascending target order, so `targets`
+/// (the source's [`FactorData::split_source`]) hands every index a
+/// disjoint `&mut` array (through its own `Mutex` slot); the units are
+/// drawn on the calling thread, in order. A single-lane pool runs the
+/// units inline, in order, without slots; a fan-out started while
+/// another `run_for` is active (e.g. inside one member of a
+/// `batch_factor`) also runs its units inline, in order. Returns the sum
+/// of `work`'s counts (the entries assembled).
 ///
 /// Bit-exactness: each unit runs the same arithmetic in the same order
 /// whichever lane takes it, and units write disjoint targets, so the
 /// result equals the serial sweep's.
 pub(crate) fn fan_out<U: Send>(
     pool: &ThreadPool,
-    data: &mut [Vec<f64>],
+    mut targets: Targets<'_>,
     units: impl IntoIterator<Item = (usize, U)>,
     work: impl Fn(U, &mut [f64]) -> usize + Sync,
 ) -> usize {
     let units = units.into_iter();
     if pool.threads() <= 1 {
-        return units.map(|(t, unit)| work(unit, &mut data[t])).sum();
+        return units.map(|(t, unit)| work(unit, targets.take(t))).sum();
     }
-    let mut rest = data;
-    let mut consumed = 0usize;
-    let slots: Vec<Mutex<Option<(U, &mut Vec<f64>)>>> = units
-        .map(|(target, unit)| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(target - consumed + 1);
-            rest = tail;
-            consumed = target + 1;
-            Mutex::new(Some((unit, head.last_mut().expect("nonempty split"))))
-        })
+    let slots: Vec<Mutex<Option<(U, &mut [f64])>>> = units
+        .map(|(t, unit)| Mutex::new(Some((unit, targets.take(t)))))
         .collect();
     let total = AtomicUsize::new(0);
     pool.run_for(slots.len(), &|i| {
@@ -168,7 +163,7 @@ pub(crate) fn fan_out<U: Send>(
 pub fn assemble_update_pool(
     pool: &ThreadPool,
     sym: &SymbolicFactor,
-    data: &mut [Vec<f64>],
+    data: &mut FactorData,
     s: usize,
     upd: &[f64],
     r: usize,
@@ -180,7 +175,8 @@ pub fn assemble_update_pool(
     }
     let rows = &sym.rows[s];
     let units = segments(sym, s).map(|seg| (seg.target, seg));
-    fan_out(pool, data, units, |seg, arr| {
+    let (_, targets) = data.split_source(sym, s);
+    fan_out(pool, targets, units, |seg, arr| {
         REL.with(|rel| scatter_segment(sym, arr, seg, rows, upd, r, &mut rel.borrow_mut()))
     })
 }
@@ -188,7 +184,6 @@ pub fn assemble_update_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::FactorData;
     use rlchol_sparse::{SymCsc, TripletMatrix};
     use rlchol_symbolic::supernodes::paper_fig1_edges;
     use rlchol_symbolic::{analyze, SymbolicOptions};
@@ -240,8 +235,8 @@ mod tests {
             let upd = pattern(r * r);
             let mut d1 = FactorData::load(&sym, &ap);
             let mut d2 = d1.clone();
-            let e1 = assemble_update(&sym, &mut d1.sn, s, &upd, r, &mut Vec::new());
-            let e2 = assemble_update_pool(&pool, &sym, &mut d2.sn, s, &upd, r);
+            let e1 = assemble_update(&sym, &mut d1, s, &upd, r, &mut Vec::new());
+            let e2 = assemble_update_pool(&pool, &sym, &mut d2, s, &upd, r);
             assert_eq!(e1, e2, "RL supernode {s}");
             assert_eq!(d1, d2, "RL supernode {s} must match bitwise");
 
@@ -254,9 +249,10 @@ mod tests {
             let mut e1 = 0;
             for st in &strips {
                 let host = &staged[st.stage_off..st.stage_off + st.m * st.n];
-                e1 += apply_strip(&sym, &mut d1.sn[blocks[st.b1].target], blocks, st, host);
+                let parr = d1.sn_mut(&sym, blocks[st.b1].target);
+                e1 += apply_strip(&sym, parr, blocks, st, host);
             }
-            let e2 = scatter_strips(&pool, &sym, &mut d2.sn, blocks, &strips, &staged);
+            let e2 = scatter_strips(&pool, &sym, &mut d2, s, &strips, &staged);
             assert_eq!(e1, e2, "strips supernode {s}");
             assert_eq!(d1, d2, "strips supernode {s} must match bitwise");
 
@@ -264,12 +260,12 @@ mod tests {
             let mut d1 = FactorData::load(&sym, &ap);
             let mut d2 = d1.clone();
             let (mut ops1, mut ops2) = (Vec::new(), Vec::new());
-            let (head, tail) = d1.sn.split_at_mut(s + 1);
+            let (src, mut targets) = d1.split_source(&sym, s);
             for run in rlb_target_runs(&sym, s) {
-                let parr = &mut tail[run.target - s - 1];
-                rlb_apply_run(&sym, s, &head[s], parr, &run, |op| ops1.push(*op));
+                let parr = targets.take(run.target);
+                rlb_apply_run(&sym, s, src, parr, &run, |op| ops1.push(*op));
             }
-            rlb_update_pool(&pool, &sym, &mut d2.sn, s, |op| ops2.push(*op));
+            rlb_update_pool(&pool, &sym, &mut d2, s, |op| ops2.push(*op));
             assert_eq!(ops1, ops2, "direct supernode {s}");
             assert_eq!(d1, d2, "direct supernode {s} must match bitwise");
         }
@@ -286,7 +282,7 @@ mod tests {
                 continue;
             }
             let upd = vec![0.0; r * r];
-            let e = assemble_update(&sym, &mut d.sn, s, &upd, r, &mut Vec::new());
+            let e = assemble_update(&sym, &mut d, s, &upd, r, &mut Vec::new());
             assert_eq!(e, r * (r + 1) / 2, "supernode {s}");
         }
     }
@@ -299,7 +295,7 @@ mod tests {
         for s in 0..sym.nsup() {
             let r = sym.rows[s].len();
             let upd = vec![0.0; r * r];
-            assemble_update(&sym, &mut d.sn, s, &upd, r, &mut Vec::new());
+            assemble_update(&sym, &mut d, s, &upd, r, &mut Vec::new());
         }
         assert_eq!(d, before);
     }
@@ -321,7 +317,7 @@ mod tests {
         let mut d = FactorData::load(&sym, &ap);
         let g = sym.rows[s][0];
         let before = d.get(&sym, g, g);
-        assemble_update(&sym, &mut d.sn, s, &upd, r, &mut Vec::new());
+        assemble_update(&sym, &mut d, s, &upd, r, &mut Vec::new());
         let after = d.get(&sym, g, g);
         assert!((before - after - 10.0).abs() < 1e-14);
     }

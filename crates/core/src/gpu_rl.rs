@@ -43,6 +43,13 @@ pub fn offload_set(sym: &SymbolicFactor, threshold: usize) -> Vec<bool> {
         .collect()
 }
 
+/// The largest `f(s)` over the offloaded supernodes `s` (0 when none
+/// is): what device working storage is sized by.
+pub(crate) fn max_offloaded(on_gpu: &[bool], f: impl Fn(usize) -> usize) -> usize {
+    let offloaded = (0..on_gpu.len()).filter(|&s| on_gpu[s]);
+    offloaded.map(f).max().unwrap_or(0)
+}
+
 /// Factors `data` (the matrix's values in factor order) in place with
 /// GPU-accelerated RL.
 pub(crate) fn factor_rl_gpu_ws(
@@ -66,16 +73,8 @@ pub(crate) fn factor_rl_gpu_ws(
 
     // Preallocated device working storage (paper §II-A / §III): the
     // largest offloaded panel and the largest update matrix.
-    let max_panel = (0..sym.nsup())
-        .filter(|&s| on_gpu[s])
-        .map(|s| sym.sn_storage(s))
-        .max()
-        .unwrap_or(0);
-    let max_upd = (0..sym.nsup())
-        .filter(|&s| on_gpu[s])
-        .map(|s| sym.update_matrix_entries(s))
-        .max()
-        .unwrap_or(0);
+    let max_panel = max_offloaded(&on_gpu, |s| sym.sn_size(s));
+    let max_upd = max_offloaded(&on_gpu, |s| sym.update_matrix_entries(s));
     let panel_buf = gpu.alloc(max_panel)?;
     let upd_buf = gpu.alloc(max_upd)?;
     let mut host_upd = vec![0.0f64; max_upd];
@@ -94,7 +93,7 @@ pub(crate) fn factor_rl_gpu_ws(
                 &gpu,
                 &cpu,
                 sym,
-                &mut data.sn,
+                &mut data,
                 s,
                 Variant::Rl,
                 &mut l11,
@@ -114,7 +113,7 @@ pub(crate) fn factor_rl_gpu_ws(
             copy,
             panel_buf,
             gate,
-            &mut data.sn[s],
+            data.sn_mut(sym, s),
         )?);
         if r > 0 {
             // The coarse-grain DSYRK forming the whole update matrix.
@@ -123,7 +122,7 @@ pub(crate) fn factor_rl_gpu_ws(
             // The host needs the update matrix now.
             gpu.sync_stream(compute);
             let upd = &host_upd[..r * r];
-            let entries = assemble_update_pool(pool::global(), sym, &mut data.sn, s, upd, r);
+            let entries = assemble_update_pool(pool::global(), sym, &mut data, s, upd, r);
             gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
         }
     }
@@ -216,13 +215,13 @@ pub(crate) fn host_node(
     gpu: &Gpu,
     cpu: &CpuModel,
     sym: &SymbolicFactor,
-    data: &mut [Vec<f64>],
+    data: &mut FactorData,
     s: usize,
     variant: Variant,
     l11: &mut Vec<f64>,
     upd: &mut Vec<f64>,
 ) -> Result<(), FactorError> {
-    host_panel(gpu, cpu, sym, s, &mut data[s], l11)?;
+    host_panel(gpu, cpu, sym, s, data.sn_mut(sym, s), l11)?;
     let r = sym.sn_nrows_below(s);
     if r == 0 {
         return Ok(());
@@ -232,7 +231,7 @@ pub(crate) fn host_node(
             if upd.len() < r * r {
                 upd.resize(r * r, 0.0);
             }
-            let upd = rl_update_matrix(sym, s, &data[s], upd, |op| {
+            let upd = rl_update_matrix(sym, s, data.sn(sym, s), upd, |op| {
                 gpu.host_compute(cpu.op_time(op))
             });
             let entries = assemble_update_pool(pool::global(), sym, data, s, upd, r);

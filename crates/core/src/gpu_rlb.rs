@@ -34,7 +34,7 @@ use rlchol_symbolic::SymbolicFactor;
 use crate::assemble::fan_out;
 use crate::engine::{GpuOptions, GpuRun, Variant};
 use crate::error::FactorError;
-use crate::gpu_rl::{device_panel, host_node, offload_set};
+use crate::gpu_rl::{device_panel, host_node, max_offloaded, offload_set};
 use crate::registry::EngineWorkspace;
 use crate::storage::FactorData;
 
@@ -49,6 +49,7 @@ pub(crate) enum RlbGpuVersion {
 
 /// A block-pair update strip: the `m × n` update `L[B′, B]` (`B′ = B`
 /// gives the diagonal strip, of which only the lower triangle is used).
+#[derive(Clone, Copy)]
 pub(crate) struct Strip {
     pub(crate) b1: usize,
     pub(crate) b2: usize,
@@ -170,19 +171,22 @@ pub(crate) fn apply_strips(
         .sum()
 }
 
-/// Applies a whole supernode's staged strips with one `pool` index per
-/// target ([`fan_out`]). Bit-identical to the serial sweep: only the lane
-/// changes, never the per-strip subtraction order. Returns the entries
-/// touched.
+/// Applies supernode `s`'s staged strips (of its own block list) with
+/// one `pool` index per target ([`fan_out`]). Bit-identical to the serial
+/// sweep: only the lane changes, never the per-strip subtraction order.
+/// Returns the entries touched.
 pub(crate) fn scatter_strips(
     pool: &ThreadPool,
     sym: &SymbolicFactor,
-    data: &mut [Vec<f64>],
-    blocks: &[RowBlock],
+    data: &mut FactorData,
+    s: usize,
     strips: &[Strip],
     staged: &[f64],
 ) -> usize {
-    fan_out(pool, data, strip_groups(blocks, strips), |group, parr| {
+    let blocks = &sym.blocks[s];
+    let (_, targets) = data.split_source(sym, s);
+    let groups = strip_groups(blocks, strips);
+    fan_out(pool, targets, groups, |group, parr| {
         apply_strips(sym, parr, blocks, group, staged)
     })
 }
@@ -209,22 +213,14 @@ pub(crate) fn factor_rlb_gpu_ws(
     let on_gpu = offload_set(sym, opts.threshold);
     let sn_on_gpu = on_gpu.iter().filter(|&&b| b).count();
 
-    let max_panel = (0..sym.nsup())
-        .filter(|&s| on_gpu[s])
-        .map(|s| sym.sn_storage(s))
-        .max()
-        .unwrap_or(0);
+    let max_panel = max_offloaded(&on_gpu, |s| sym.sn_size(s));
     let panel_buf = gpu.alloc(max_panel)?;
 
     // Version-specific device working storage.
     // (v1 staging buffer, v2 block buffer + row-chunk bound)
     let (stage_buf, block_bufs, v2_chunk) = match version {
         RlbGpuVersion::V1 => {
-            let max_stage = (0..sym.nsup())
-                .filter(|&s| on_gpu[s])
-                .map(|s| strips_of(&sym.blocks[s]).1)
-                .max()
-                .unwrap_or(0);
+            let max_stage = max_offloaded(&on_gpu, |s| strips_of(&sym.blocks[s]).1);
             (Some(gpu.alloc(max_stage)?), None, 0)
         }
         RlbGpuVersion::V2 => {
@@ -237,15 +233,10 @@ pub(crate) fn factor_rlb_gpu_ws(
             let used = gpu.stats().used_bytes;
             let budget = (capacity.saturating_sub(used) / 8) as usize;
             let chunk = ((budget as f64).sqrt().floor() as usize).max(1);
-            let max_block = (0..sym.nsup())
-                .filter(|&s| on_gpu[s])
-                .flat_map(|s| {
-                    let blocks = split_blocks(&sym.blocks[s], chunk);
-                    let (strips, _) = strips_of(&blocks);
-                    strips.into_iter().map(|st| st.m * st.n)
-                })
-                .max()
-                .unwrap_or(0);
+            let max_block = max_offloaded(&on_gpu, |s| {
+                let (strips, _) = strips_of(&split_blocks(&sym.blocks[s], chunk));
+                strips.iter().map(|st| st.m * st.n).max().unwrap_or(0)
+            });
             (None, Some(gpu.alloc(max_block)?), chunk)
         }
     };
@@ -265,7 +256,7 @@ pub(crate) fn factor_rlb_gpu_ws(
                 &gpu,
                 &cpu,
                 sym,
-                &mut data.sn,
+                &mut data,
                 s,
                 Variant::Rlb,
                 &mut l11,
@@ -285,7 +276,7 @@ pub(crate) fn factor_rlb_gpu_ws(
             copy,
             panel_buf,
             gate,
-            &mut data.sn[s],
+            data.sn_mut(sym, s),
         )?);
         if r == 0 {
             continue;
@@ -306,18 +297,18 @@ pub(crate) fn factor_rlb_gpu_ws(
                 gpu.memcpy_d2h(compute, stage, 0, &mut host_ws[..stage_len])?;
                 gpu.sync_stream(compute);
                 let staged = &host_ws[..stage_len];
-                let entries =
-                    scatter_strips(pool::global(), sym, &mut data.sn, blocks, &strips, staged);
+                let entries = scatter_strips(pool::global(), sym, &mut data, s, &strips, staged);
                 gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
             }
             RlbGpuVersion::V2 => {
                 let split = split_blocks(&sym.blocks[s], v2_chunk);
                 let blocks = &split[..];
-                let (strips, _) = strips_of(blocks);
+                let (strips, stage_len) = strips_of(blocks);
                 let buf = block_bufs.expect("v2 allocates a block buffer");
-                // Per-strip host landing areas (kept alive so the eager
-                // copies and the simulated pipeline stay consistent).
-                let mut landed: Vec<Vec<f64>> = Vec::with_capacity(strips.len());
+                // Host landing area, each strip at its offset in the
+                // compacted layout (kept whole so the eager copies and
+                // the simulated pipeline stay consistent).
+                let mut landed = vec![0.0f64; stage_len];
                 let mut copy_done: Vec<Event> = Vec::with_capacity(strips.len());
                 let mut reuse_gate: Option<Event> = None;
                 for st in strips.iter() {
@@ -327,28 +318,25 @@ pub(crate) fn factor_rlb_gpu_ws(
                         gpu.stream_wait_event(compute, ev);
                     }
                     let st0 = Strip {
-                        b1: st.b1,
-                        b2: st.b2,
-                        m: st.m,
-                        n: st.n,
                         stage_off: 0,
+                        ..*st
                     };
                     launch_strip_kernel(&gpu, compute, panel_buf, buf, &st0, blocks, c, len)?;
                     let done = gpu.record_event(compute);
                     gpu.stream_wait_event(copy, done);
-                    let mut host = vec![0.0f64; st.m * st.n];
-                    gpu.memcpy_d2h(copy, buf, 0, &mut host)?;
+                    let host = &mut landed[st.stage_off..st.stage_off + st.m * st.n];
+                    gpu.memcpy_d2h(copy, buf, 0, host)?;
                     let ev = gpu.record_event(copy);
                     reuse_gate = Some(ev);
                     copy_done.push(ev);
-                    landed.push(host);
                 }
                 // Host assembles each strip as its transfer completes,
                 // overlapping the device's remaining kernels.
                 for (i, st) in strips.iter().enumerate() {
                     gpu.host_wait_event(copy_done[i]);
-                    let p = blocks[st.b1].target;
-                    let entries = apply_strip(sym, &mut data.sn[p], blocks, st, &landed[i]);
+                    let parr = data.sn_mut(sym, blocks[st.b1].target);
+                    let host = &landed[st.stage_off..st.stage_off + st.m * st.n];
+                    let entries = apply_strip(sym, parr, blocks, st, host);
                     gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
                 }
             }
@@ -544,7 +532,7 @@ mod tests {
         // to the remaining budget and still produces the right factor.
         let a = laplace3d(6, 36);
         let (sym, ap) = setup(&a);
-        let max_panel = (0..sym.nsup()).map(|s| sym.sn_storage(s)).max().unwrap();
+        let max_panel = (0..sym.nsup()).map(|s| sym.sn_size(s)).max().unwrap();
         let max_upd = sym.max_update_matrix_entries();
         assert!(max_upd > 16, "test needs a nontrivial update matrix");
         let cap = ((max_panel + max_upd / 4) * 8) as u64;

@@ -213,7 +213,7 @@ pub trait NumericEngine: Sync {
 
     /// Factors in place the matrix whose values (in factor order) `data`
     /// holds, for the structure `sym`, drawing scratch and resources from
-    /// `ws`. `data` must have `sym`'s shape
+    /// `ws`. `data` must have `sym`'s length
     /// ([`FactorData::shape_matches`]); [`FactorData::load`] builds it
     /// from a permuted matrix. The factor comes back in
     /// [`EngineRun::factor`].

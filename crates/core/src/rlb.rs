@@ -26,13 +26,14 @@ use rlchol_symbolic::relind::relative_index_of;
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::assemble::fan_out;
+use crate::storage::FactorData;
 
 /// A maximal run of consecutive row blocks of one source supernode aimed
 /// at a single target supernode, with the target geometry resolved once.
 ///
 /// Blocks are listed in ascending row order and targets are ancestors in
 /// ascending order too, so each target owns exactly one run — callers may
-/// treat runs as disjoint (`split_at_mut`, one lock, one pool index).
+/// treat runs as disjoint (one target array, one lock, one pool index).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RlbTargetRun {
     /// Target supernode.
@@ -235,19 +236,16 @@ pub(crate) fn rlb_apply_run(
 pub(crate) fn rlb_update_pool(
     pool: &ThreadPool,
     sym: &SymbolicFactor,
-    data: &mut [Vec<f64>],
+    data: &mut FactorData,
     s: usize,
     mut account: impl FnMut(&TraceOp),
 ) {
-    // Targets are strict ancestors (> s), so a split borrow separates
-    // the source panel from the targets.
-    let (head, tail) = data.split_at_mut(s + 1);
-    let src: &[f64] = &head[s];
+    let (src, targets) = data.split_source(sym, s);
     let units = rlb_target_runs(sym, s).map(|run| {
         rlb_run_ops(sym, s, &run, &mut account);
-        (run.target - s - 1, run)
+        (run.target, run)
     });
-    fan_out(pool, tail, units, |run, parr| {
+    fan_out(pool, targets, units, |run, parr| {
         rlb_apply_run(sym, s, src, parr, &run, |_| {});
         0
     });

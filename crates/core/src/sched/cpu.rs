@@ -254,7 +254,7 @@ fn sweep(
     }
     for s in 0..sym.nsup() {
         ctl.check()?;
-        factor_unit(sym, variant, s, &mut data.sn[s], l11, upd)?;
+        factor_unit(sym, variant, s, data.sn_mut(sym, s), l11, upd)?;
         #[cfg(test)]
         if let Some(token) = &hook {
             token.cancel();
@@ -263,15 +263,12 @@ fn sweep(
         let r = sym.sn_nrows_below(s);
         match variant {
             Variant::Rl => {
-                assemble_update(sym, &mut data.sn, s, upd, r, rel);
+                assemble_update(sym, data, s, upd, r, rel);
             }
             Variant::Rlb => {
-                // Targets are strict ancestors (> s): a split borrow
-                // separates the source panel from them.
-                let (head, tail) = data.sn.split_at_mut(s + 1);
+                let (src, mut targets) = data.split_source(sym, s);
                 for run in rlb_target_runs(sym, s) {
-                    let tarr = &mut tail[run.target - s - 1];
-                    rlb_apply_run(sym, s, &head[s], tarr, &run, |_| {});
+                    rlb_apply_run(sym, s, src, targets.take(run.target), &run, |_| {});
                 }
             }
         }
@@ -279,7 +276,9 @@ fn sweep(
     Ok(peak)
 }
 
-/// Raw supernode arrays and update-matrix slab shared by the lanes.
+/// A buffer the lanes share, handed out as `(start, len)` ranges checked
+/// against its length: the factor storage (supernode `s` at
+/// `sn_ptr[s]`) or the update-matrix slab.
 ///
 /// Safety rests on the schedule: apply s → t is the only unit writing
 /// `t`, and only one apply into `t` is ever ready at a time (its cursor);
@@ -288,44 +287,39 @@ fn sweep(
 /// read by `s`'s applies, which start after it and end before the range
 /// is handed out again. Every hand-over goes through the state
 /// lock, which orders the writes before the reads.
-struct Arrays {
-    sn: Vec<(*mut f64, usize)>,
-    slab: *mut f64,
+struct Shared<'a> {
+    ptr: *mut f64,
+    len: usize,
+    buf: std::marker::PhantomData<&'a mut [f64]>,
 }
 
-// SAFETY: see the type docs — the schedule hands each array and slab
-// range to at most one writer at a time, never to a writer and a reader
-// at once.
-unsafe impl Sync for Arrays {}
+// SAFETY: `ptr` and `len` describe a buffer borrowed for `'a` (`buf`),
+// reached only through `write` and `read`, whose contracts the schedule
+// keeps (type docs): each range has one writer or only readers at a time.
+unsafe impl Sync for Shared<'_> {}
 
-impl Arrays {
+impl<'a> Shared<'a> {
+    fn new(buf: &'a mut [f64]) -> Self {
+        Shared {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+            buf: std::marker::PhantomData,
+        }
+    }
+
     /// # Safety
-    /// The caller runs the one unit that may write supernode `s` now.
+    /// The caller runs the one unit that may write the range now.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn write(&self, s: usize) -> &mut [f64] {
-        let (ptr, len) = self.sn[s];
-        std::slice::from_raw_parts_mut(ptr, len)
+    unsafe fn write(&self, (start, len): (usize, usize)) -> &mut [f64] {
+        assert!(start + len <= self.len, "range past the buffer");
+        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
     }
 
     /// # Safety
-    /// Supernode `s` has been factored (nothing writes it any more).
-    unsafe fn read(&self, s: usize) -> &[f64] {
-        let (ptr, len) = self.sn[s];
-        std::slice::from_raw_parts(ptr, len)
-    }
-
-    /// # Safety
-    /// The slab range was handed to the caller's unit alone.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slab_write(&self, (start, len): (usize, usize)) -> &mut [f64] {
-        std::slice::from_raw_parts_mut(self.slab.add(start), len)
-    }
-
-    /// # Safety
-    /// The slab range holds a factored source's update matrix (nothing
-    /// writes it any more) and stays handed out while the caller reads.
-    unsafe fn slab_read(&self, (start, len): (usize, usize)) -> &[f64] {
-        std::slice::from_raw_parts(self.slab.add(start), len)
+    /// Nothing writes the range while the caller reads it.
+    unsafe fn read(&self, (start, len): (usize, usize)) -> &[f64] {
+        assert!(start + len <= self.len, "range past the buffer");
+        std::slice::from_raw_parts(self.ptr.add(start), len)
     }
 }
 
@@ -442,7 +436,8 @@ const POISON: &str = "no lane panics holding the state lock";
 struct Tree<'a> {
     sym: &'a SymbolicFactor,
     variant: Variant,
-    arrays: Arrays,
+    factor: Shared<'a>,
+    slab: Shared<'a>,
     ctl: &'a RunCtl,
     shrink: bool,
     #[cfg(test)]
@@ -479,17 +474,14 @@ impl<'a> Tree<'a> {
         for sc in &mut scratch {
             sc.units = 0;
         }
+        // Ascending offsets keep the supernodes' ranges disjoint.
+        let ascending = sym.sn_ptr.windows(2).all(|w| w[0] <= w[1]);
+        assert!(ascending, "supernode offsets must ascend");
         let tree = Tree {
             sym,
             variant,
-            arrays: Arrays {
-                sn: data
-                    .sn
-                    .iter_mut()
-                    .map(|v| (v.as_mut_ptr(), v.len()))
-                    .collect(),
-                slab: ws.cpu.upd.as_mut_ptr(),
-            },
+            factor: Shared::new(data.values_mut()),
+            slab: Shared::new(&mut ws.cpu.upd),
             ctl: &ws.ctl,
             shrink,
             #[cfg(test)]
@@ -632,13 +624,15 @@ impl<'a> Tree<'a> {
     /// Runs one unit outside the lock; returns it for [`complete`].
     fn work(&self, unit: Unit, scratch: &mut LaneScratch) -> Result<Unit, FactorError> {
         let (sym, variant) = (self.sym, self.variant);
+        let sn_range = |s: usize| (sym.sn_ptr[s], sym.sn_ptr[s + 1] - sym.sn_ptr[s]);
         match unit {
             Unit::Factor { s, upd } => {
                 self.ctl.check()?;
                 // SAFETY: factor s is popped once, after every apply into
-                // `s` completed; its slab range was handed to it alone.
-                let arr = unsafe { self.arrays.write(s) };
-                let upd_m = unsafe { self.arrays.slab_write(upd) };
+                // `s` completed.
+                let arr = unsafe { self.factor.write(sn_range(s)) };
+                // SAFETY: its slab range was handed to it alone.
+                let upd_m = unsafe { self.slab.write(upd) };
                 factor_unit(sym, variant, s, arr, &mut scratch.l11, upd_m)?;
                 #[cfg(test)]
                 if let Some(token) = &self.hook {
@@ -649,13 +643,13 @@ impl<'a> Tree<'a> {
             Unit::Apply { s, upd } => {
                 // SAFETY: `s` is factored, so only read, and its slab range
                 // stays handed out until its last apply completes.
-                let (src, upd_m) = unsafe { (self.arrays.read(s), self.arrays.slab_read(upd)) };
+                let (src, upd_m) = unsafe { (self.factor.read(sn_range(s)), self.slab.read(upd)) };
                 let (rows, r) = (&sym.rows[s], sym.sn_nrows_below(s));
                 let LaneScratch { rel, batch, .. } = scratch;
                 for &t in batch.iter() {
                     // SAFETY: `t`'s cursor is at `s`, so this apply is the
                     // one unit that may write `t` now.
-                    let tarr = unsafe { self.arrays.write(t) };
+                    let tarr = unsafe { self.factor.write(sn_range(t)) };
                     match variant {
                         Variant::Rl => {
                             let seg = segment_to(sym, s, t);
@@ -858,20 +852,20 @@ mod tests {
         let (mut ops, mut l11, mut rel) = (Vec::new(), Vec::new(), Vec::new());
         let mut upd = vec![0.0; sym.max_update_matrix_entries()];
         for s in 0..sym.nsup() {
-            panel_step(sym, s, &mut data.sn[s], &mut l11, |op| ops.push(*op)).unwrap();
+            panel_step(sym, s, data.sn_mut(sym, s), &mut l11, |op| ops.push(*op)).unwrap();
             let r = sym.sn_nrows_below(s);
             match variant {
                 Variant::Rl if r > 0 => {
-                    rl_update_matrix(sym, s, &data.sn[s], &mut upd, |op| ops.push(*op));
-                    let entries = assemble_update(sym, &mut data.sn, s, &upd, r, &mut rel);
+                    rl_update_matrix(sym, s, data.sn(sym, s), &mut upd, |op| ops.push(*op));
+                    let entries = assemble_update(sym, &mut data, s, &upd, r, &mut rel);
                     ops.push(TraceOp::Assemble { entries });
                 }
                 Variant::Rl => {}
                 Variant::Rlb => {
-                    let (head, tail) = data.sn.split_at_mut(s + 1);
+                    let (src, mut targets) = data.split_source(sym, s);
                     for run in rlb_target_runs(sym, s) {
-                        let tarr = &mut tail[run.target - s - 1];
-                        rlb_apply_run(sym, s, &head[s], tarr, &run, |op| ops.push(*op));
+                        let tarr = targets.take(run.target);
+                        rlb_apply_run(sym, s, src, tarr, &run, |op| ops.push(*op));
                     }
                 }
             }

@@ -92,7 +92,7 @@ use rlchol_symbolic::SymbolicFactor;
 use crate::assemble::{assemble_update_pool, scatter_segment, segment_to};
 use crate::engine::{GpuOptions, GpuRun, RetireMode, Variant};
 use crate::error::FactorError;
-use crate::gpu_rl::{device_panel, host_node, host_panel, offload_set};
+use crate::gpu_rl::{device_panel, host_node, host_panel, max_offloaded, offload_set};
 use crate::gpu_rlb::{
     apply_strips, launch_strip_kernel, scatter_strips, strip_groups, strips_of, Strip,
 };
@@ -202,19 +202,11 @@ fn run_pipeline(
     // Per-pair device working storage, sized like the single-stream
     // engines': the largest offloaded panel plus the largest update
     // matrix (RL) or compacted staging area (RLB).
-    let max_panel = (0..nsup)
-        .filter(|&s| on_gpu[s])
-        .map(|s| sym.sn_storage(s))
-        .max()
-        .unwrap_or(0);
-    let max_upd = (0..nsup)
-        .filter(|&s| on_gpu[s])
-        .map(|s| match variant {
-            Variant::Rl => sym.update_matrix_entries(s),
-            Variant::Rlb => strips_of(&sym.blocks[s]).1,
-        })
-        .max()
-        .unwrap_or(0);
+    let max_panel = max_offloaded(&on_gpu, |s| sym.sn_size(s));
+    let max_upd = max_offloaded(&on_gpu, |s| match variant {
+        Variant::Rl => sym.update_matrix_entries(s),
+        Variant::Rlb => strips_of(&sym.blocks[s]).1,
+    });
     let requested = opts.resolved_streams();
     let retire = opts.resolved_retire();
 
@@ -392,28 +384,16 @@ fn run_inorder(
             let r = sym.sn_nrows_below(s);
             if r > 0 {
                 gpu.host_wait_event(inf.ready);
-                let (sn, staged) = (&mut data.sn, &inf.staged);
+                let (pool, staged) = (pool::global(), &inf.staged);
                 let entries = match variant {
-                    Variant::Rl => assemble_update_pool(pool::global(), sym, sn, s, staged, r),
-                    Variant::Rlb => {
-                        let blocks = &sym.blocks[s];
-                        scatter_strips(pool::global(), sym, sn, blocks, &inf.strips, staged)
-                    }
+                    Variant::Rl => assemble_update_pool(pool, sym, data, s, staged, r),
+                    Variant::Rlb => scatter_strips(pool, sym, data, s, &inf.strips, staged),
                 };
                 gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
             }
         } else {
             // CPU path: the single-stream engines' below-threshold body.
-            host_node(
-                gpu,
-                cpu,
-                sym,
-                &mut data.sn,
-                s,
-                *variant,
-                &mut l11,
-                &mut host_upd,
-            )?;
+            host_node(gpu, cpu, sym, data, s, *variant, &mut l11, &mut host_upd)?;
         }
 
         distinct_targets(sym, s, &mut targets);
@@ -579,7 +559,7 @@ fn land_cpu_node(
     l11: &mut Vec<f64>,
     stash: &mut [Option<LandedSource>],
 ) -> Result<(), FactorError> {
-    host_panel(gpu, cpu, sym, s, &mut data.sn[s], l11)?;
+    host_panel(gpu, cpu, sym, s, data.sn_mut(sym, s), l11)?;
     let r = sym.sn_nrows_below(s);
     if r == 0 {
         return Ok(());
@@ -587,7 +567,7 @@ fn land_cpu_node(
     stash[s] = Some(match variant {
         Variant::Rl => {
             let mut staged = vec![0.0; r * r];
-            rl_update_matrix(sym, s, &data.sn[s], &mut staged, |op| {
+            rl_update_matrix(sym, s, data.sn(sym, s), &mut staged, |op| {
                 gpu.host_compute(cpu.op_time(op))
             });
             LandedSource {
@@ -668,7 +648,7 @@ fn apply_unit(
             Variant::Rl => {
                 let entries = scatter_segment(
                     sym,
-                    &mut data.sn[p],
+                    data.sn_mut(sym, p),
                     segment_to(sym, q, p),
                     &sym.rows[q],
                     &st.staged,
@@ -681,9 +661,9 @@ fn apply_unit(
                 // The direct update of q's run into p alone, reading q's
                 // final panel: the same kernels as the full sweep.
                 let run = rlb_run_to(sym, q, p);
-                let (head, tail) = data.sn.split_at_mut(p);
+                let (src, mut targets) = data.split_source(sym, q);
                 let mut seconds = 0.0;
-                rlb_apply_run(sym, q, &head[q], &mut tail[0], &run, |op| {
+                rlb_apply_run(sym, q, src, targets.take(p), &run, |op| {
                     seconds += cpu.op_time(op)
                 });
                 gpu.host_compute(seconds);
@@ -693,7 +673,8 @@ fn apply_unit(
                 let (_, group) = strip_groups(blocks, &st.strips)
                     .find(|&(target, _)| target == p)
                     .expect("p is a distinct target of q");
-                let entries = apply_strips(sym, &mut data.sn[p], blocks, group, &st.staged);
+                let parr = data.sn_mut(sym, p);
+                let entries = apply_strips(sym, parr, blocks, group, &st.staged);
                 gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
             }
         }
@@ -869,7 +850,7 @@ fn issue(
         ctx.copy,
         ctx.panel_buf,
         gate,
-        &mut data.sn[s],
+        data.sn_mut(sym, s),
     )?;
 
     let mut staged = Vec::new();
@@ -954,7 +935,7 @@ mod tests {
                     assert_eq!(run.streams_used, streams);
                     assert_eq!(run.retire, retire);
                     assert_eq!(
-                        base.factor.sn, run.factor.sn,
+                        base.factor, run.factor,
                         "thr {threshold} streams {streams} {retire:?}: must be bit-identical"
                     );
                 }
@@ -970,7 +951,7 @@ mod tests {
         let v1 = factor_rlb_gpu(&sym, &ap, &opts1, RlbGpuVersion::V1).unwrap();
         let v2 = factor_rlb_gpu(&sym, &ap, &opts1, RlbGpuVersion::V2).unwrap();
         // At full capacity v2 never splits blocks, so all three agree.
-        assert_eq!(v1.factor.sn, v2.factor.sn);
+        assert_eq!(v1.factor, v2.factor);
         for streams in [1usize, 3] {
             for retire in [RetireMode::InOrder, RetireMode::Ooo] {
                 let run = factor_rlb_gpu_pipe(
@@ -979,7 +960,7 @@ mod tests {
                     &opts1.clone().with_streams(streams).with_retire(retire),
                 )
                 .unwrap();
-                assert_eq!(v1.factor.sn, run.factor.sn, "streams {streams} {retire:?}");
+                assert_eq!(v1.factor, run.factor, "streams {streams} {retire:?}");
             }
         }
     }
@@ -995,7 +976,7 @@ mod tests {
             .with_streams(4)
             .with_retire(RetireMode::Ooo);
         let run = factor_rl_gpu_pipe(&sym, &ap, &opts).unwrap();
-        assert_eq!(base.factor.sn, run.factor.sn, "must be bit-identical");
+        assert_eq!(base.factor, run.factor, "must be bit-identical");
         assert!(run.lookahead >= 1, "adaptive window must be reported");
     }
 

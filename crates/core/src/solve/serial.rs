@@ -44,7 +44,7 @@ pub fn solve_forward(
         let c = sym.sn_ncols(s);
         let len = sym.sn_len(s);
         let r = len - c;
-        let arr = &f.sn[s];
+        let arr = f.sn(sym, s);
         rlchol_dense::trsm_lln(c, k, arr, len, &mut b[first..], n);
         if r == 0 {
             continue;
@@ -89,7 +89,7 @@ pub fn solve_backward(
         let c = sym.sn_ncols(s);
         let len = sym.sn_len(s);
         let r = len - c;
-        let arr = &f.sn[s];
+        let arr = f.sn(sym, s);
         if r > 0 {
             let rows = &sym.rows[s];
             let g = scratch_of(scratch, r * k);

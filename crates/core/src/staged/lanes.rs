@@ -261,7 +261,7 @@ impl WorkspaceLanes {
     /// (bounded by the lane cap; surplus is dropped).
     pub(crate) fn recycle_parts(&self, data: FactorData, trace_ops: Option<Vec<TraceOp>>) {
         let mut st = self.state.lock().unwrap();
-        if !data.sn.is_empty() && st.factors.len() < self.cap {
+        if !data.values().is_empty() && st.factors.len() < self.cap {
             st.factors.push(data);
         }
         if let Some(ops) = trace_ops {
@@ -329,6 +329,7 @@ impl Drop for LaneGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlchol_matgen::laplace2d;
 
     fn pool(cap: usize) -> WorkspaceLanes {
         WorkspaceLanes::new(
@@ -443,9 +444,8 @@ mod tests {
     #[test]
     fn recycle_bins_are_bounded_by_cap() {
         let lanes = pool(1);
-        let data = FactorData {
-            sn: vec![vec![0.0; 4]],
-        };
+        let sym = rlchol_symbolic::analyze(&laplace2d(2, 1), &Default::default());
+        let data = FactorData::zeros(&sym);
         lanes.recycle_parts(data.clone(), Some(vec![TraceOp::Potrf { n: 2 }]));
         // Cap 1: a second recycle is dropped, not hoarded.
         lanes.recycle_parts(data.clone(), Some(vec![TraceOp::Potrf { n: 3 }]));

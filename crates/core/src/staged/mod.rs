@@ -188,10 +188,11 @@ impl AnalyzeBreakdown {
     }
 }
 
-/// Where each input value lands in supernodal storage: entry `k` of
-/// `a.values()`, `(i, j)` of the input lower triangle, goes to
-/// [`FactorData::slot`] of `(pi, pj)` sorted so the larger index is the
-/// row, `p = total_perm`.
+/// Where each input value lands in factor storage: entry `k` of
+/// `a.values()`, `(i, j)` of the input lower triangle, goes to offset
+/// [`FactorData::slot`] of `(pi, pj)` (sorted so the larger index is the
+/// row, `p = total_perm`) of [`FactorData::values`]: one offset per
+/// entry.
 ///
 /// With `threads > 1` the map is filled in equal chunks of entries on
 /// the pool; each entry's slot depends on that entry alone, so the map is
@@ -201,11 +202,11 @@ fn build_slots(
     a: &SymCsc,
     total_perm: &Permutation,
     threads: usize,
-) -> Vec<(usize, usize)> {
+) -> Vec<usize> {
     let colptr = a.colptr();
     let rowind = a.rowind();
     // Entries `k0..k0 + out.len()`, walking their columns.
-    let fill = |k0: usize, out: &mut [(usize, usize)]| {
+    let fill = |k0: usize, out: &mut [usize]| {
         let mut j = colptr.partition_point(|&p| p <= k0) - 1;
         for (k, slot) in (k0..).zip(out) {
             while colptr[j + 1] <= k {
@@ -216,14 +217,13 @@ fn build_slots(
                 .expect("permuted entry exists in the factor pattern");
         }
     };
-    let mut slots = vec![(0, 0); rowind.len()];
+    let mut slots = vec![0; rowind.len()];
     let chunk = slots.len().div_ceil(threads.max(1)).max(1);
     if slots.len() <= chunk {
         fill(0, &mut slots);
         return slots;
     }
-    let parts: Vec<Mutex<&mut [(usize, usize)]>> =
-        slots.chunks_mut(chunk).map(Mutex::new).collect();
+    let parts: Vec<Mutex<&mut [usize]>> = slots.chunks_mut(chunk).map(Mutex::new).collect();
     rlchol_dense::pool::global().run_for(parts.len(), &|t| {
         let mut part = parts[t]
             .lock()
@@ -248,9 +248,9 @@ pub struct SymbolicCholesky {
     /// to reject same-handle calls with a different pattern.
     pattern_colptr: Vec<usize>,
     pattern_rowind: Vec<usize>,
-    /// `slots[k] = (s, off)`: entry `k` of an input's values lands at
-    /// `sn[s][off]` of the factor storage (see [`build_slots`]).
-    slots: Vec<(usize, usize)>,
+    /// `slots[k]`: the offset in [`FactorData::values`] where entry `k`
+    /// of an input's values lands (see [`build_slots`]).
+    slots: Vec<usize>,
     /// The pool of independent engine workspaces that lets
     /// `factor_with(&self, ..)` run concurrently from shared borrows —
     /// see [`lanes`].
@@ -403,8 +403,7 @@ impl SymbolicCholesky {
         let usz = std::mem::size_of::<usize>() as u64;
         self.sym.memory_bytes()
             + 2 * self.sym.n as u64 * usz // total_perm: old_of + new_of
-            + (self.pattern_colptr.len() + self.pattern_rowind.len() + 2 * self.slots.len())
-                as u64
+            + (self.pattern_colptr.len() + self.pattern_rowind.len() + self.slots.len()) as u64
                 * usz
             + self.factor_lanes() as u64 * self.lane_memory_bytes()
     }
@@ -640,23 +639,19 @@ impl SymbolicCholesky {
 
     /// `a`'s values in factor storage: `storage` (a refactored
     /// factorization's) or else storage from the pool-wide bin, when it
-    /// has this handle's shape, zero-filled; fresh zeros otherwise. Then
+    /// has this handle's length, zero-filled; fresh zeros otherwise. Then
     /// every input entry is written to its slot.
     fn load(&self, storage: Option<FactorData>, a: &SymCsc) -> FactorData {
-        let reused = storage
-            .or_else(|| self.lanes.take_storage())
-            .filter(|data| data.shape_matches(&self.sym));
-        let mut data = match reused {
-            Some(mut data) => {
-                for arr in &mut data.sn {
-                    arr.fill(0.0);
-                }
+        let mut data = match storage.or_else(|| self.lanes.take_storage()) {
+            Some(mut data) if data.shape_matches(&self.sym) => {
+                data.values_mut().fill(0.0);
                 data
             }
-            None => FactorData::zeros(&self.sym),
+            _ => FactorData::zeros(&self.sym),
         };
-        for (&(s, off), &v) in self.slots.iter().zip(a.values()) {
-            data.sn[s][off] = v;
+        let values = data.values_mut();
+        for (&off, &v) in self.slots.iter().zip(a.values()) {
+            values[off] = v;
         }
         data
     }
@@ -944,10 +939,10 @@ mod tests {
         let a1 = laplace2d(9, 21);
         let a2 = laplace2d(9, 22); // same pattern, different values
         let (sc, mut fact) = staged_default(&a1);
-        let ptr = fact.data().sn[0].as_ptr();
+        let ptr = fact.data().values().as_ptr();
         sc.refactor(&mut fact, &a2).unwrap();
         assert_eq!(
-            fact.data().sn[0].as_ptr(),
+            fact.data().values().as_ptr(),
             ptr,
             "refactor must reuse the factor storage"
         );
@@ -1155,11 +1150,11 @@ mod tests {
             "one serial call creates exactly one lane and returns it"
         );
         // Recycled storage is reused by the next factorization.
-        let ptr = f.data().sn[0].as_ptr();
+        let ptr = f.data().values().as_ptr();
         sc.recycle(f);
         let f2 = sc.factor_with(&a).unwrap();
         assert_eq!(
-            f2.data().sn[0].as_ptr(),
+            f2.data().values().as_ptr(),
             ptr,
             "factor_with must pick up recycled storage"
         );
@@ -1247,13 +1242,11 @@ mod tests {
         assert!(one.lane_memory_bytes() >= storage + update);
         // The estimate is linear in the lane cap beyond the shared part.
         assert_eq!(four.memory_bytes(), base + 3 * one.lane_memory_bytes());
-        // It covers the real factor storage a lane ends up holding.
+        // The storage it counts is exactly what a lane ends up holding.
         let fact = one.factor_with(&a).unwrap();
-        let stored: u64 = fact.data().sn.iter().map(|v| v.len() as u64 * 8).sum();
-        assert!(
-            one.lane_memory_bytes() >= stored,
-            "estimate {} under-counts factor storage {stored}",
-            one.lane_memory_bytes()
+        assert_eq!(
+            fact.data().values().len() as u64,
+            sym.total_storage_entries()
         );
     }
 

@@ -95,6 +95,8 @@ mod sys {
                 .min(c_int::MAX as u128) as c_int,
             None => -1,
         };
+        // SAFETY: `fds` is a live, exclusively borrowed array of
+        // `fds.len()` `pollfd`-layout entries, which poll(2) may write.
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
         if rc < 0 {
             let err = io::Error::last_os_error();

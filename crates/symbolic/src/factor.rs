@@ -96,6 +96,10 @@ pub struct SymbolicFactor {
     pub perm: Permutation,
     /// Supernode partition in factor ordering.
     pub sn: crate::supernodes::SupernodePartition,
+    /// Offsets of the supernodes' dense arrays in one factor array:
+    /// supernode `s` holds `sn_ptr[s]..sn_ptr[s + 1]` (`nsup + 1`
+    /// entries, CHOLMOD's supernodal `px`).
+    pub sn_ptr: Vec<usize>,
     /// Below-diagonal row structure per supernode (sorted, factor order).
     pub rows: Vec<Vec<usize>>,
     /// Supernodal elimination tree (parent supernode or [`NONE`]).
@@ -140,11 +144,6 @@ impl SymbolicFactor {
         self.sn_ncols(s) * self.sn_len(s)
     }
 
-    /// Dense storage (in `f64` entries) of supernode `s`'s array.
-    pub fn sn_storage(&self, s: usize) -> usize {
-        self.sn_size(s)
-    }
-
     /// Size (entries) of the dense update matrix RL computes for `s`:
     /// a `r x r` lower triangle stored as a full square array.
     pub fn update_matrix_entries(&self, s: usize) -> usize {
@@ -163,20 +162,21 @@ impl SymbolicFactor {
 
     /// Total dense storage of all supernode arrays.
     pub fn total_storage_entries(&self) -> u64 {
-        (0..self.nsup()).map(|s| self.sn_storage(s) as u64).sum()
+        self.sn_ptr[self.nsup()] as u64
     }
 
     /// Heap bytes held by the symbolic structure itself: the composed
-    /// permutation, the supernode partition and tree, the per-supernode
-    /// row lists and row-block decompositions. Counts element storage
-    /// (plus the per-`Vec` headers of the jagged lists), not allocator
-    /// slack — the estimate a cache accounting resident handles needs.
+    /// permutation, the supernode partition, storage offsets and tree,
+    /// the per-supernode row lists and row-block decompositions. Counts
+    /// element storage (plus the per-`Vec` headers of the jagged lists),
+    /// not allocator slack — the estimate a cache accounting resident
+    /// handles needs.
     pub fn memory_bytes(&self) -> u64 {
         let usz = std::mem::size_of::<usize>() as u64;
         let vec_hdr = 3 * usz;
         let mut bytes = 2 * self.n as u64 * usz; // perm: old_of + new_of
         bytes += (self.sn.sn_start.len() + self.sn.col_to_sn.len()) as u64 * usz;
-        bytes += self.sn_parent.len() as u64 * usz;
+        bytes += (self.sn_ptr.len() + self.sn_parent.len()) as u64 * usz;
         for rows in &self.rows {
             bytes += vec_hdr + rows.len() as u64 * usz;
         }
@@ -188,12 +188,21 @@ impl SymbolicFactor {
     }
 
     /// Internal consistency check (debug/test helper). Verifies partition
-    /// validity, row ordering, topological rows, and block coverage.
+    /// validity, storage offsets, row ordering, topological rows, and
+    /// block coverage.
     pub fn validate(&self) -> Result<(), String> {
         if self.sn.n() != self.n {
             return Err("partition does not cover n columns".into());
         }
+        if self.sn_ptr.len() != self.nsup() + 1 || self.sn_ptr[0] != 0 {
+            return Err("storage offsets do not match the partition".into());
+        }
         for s in 0..self.nsup() {
+            if self.sn_ptr[s] + self.sn_size(s) != self.sn_ptr[s + 1] {
+                return Err(format!(
+                    "storage offsets of supernode {s} do not match its size"
+                ));
+            }
             let last = self.sn.end_col(s) - 1;
             let rows = &self.rows[s];
             for w in rows.windows(2) {
@@ -347,11 +356,14 @@ pub fn analyze_instrumented(
         blocks.extend(rows2.iter().map(|r| row_blocks(r, &sn2)));
     }
     let blocks_after_pr: usize = blocks.iter().map(Vec::len).sum();
+    let mut sn_ptr = Vec::with_capacity(nsup + 1);
+    sn_ptr.push(0);
     let mut nnz = 0u64;
     let mut flops = 0.0f64;
     for s in 0..nsup {
         let c = sn2.ncols(s);
         let r = rows2[s].len();
+        sn_ptr.push(sn_ptr[s] + c * (c + r));
         nnz += (c * (c + 1) / 2 + c * r) as u64;
         flops += supernode_flops(c, r);
     }
@@ -361,6 +373,7 @@ pub fn analyze_instrumented(
         n,
         perm,
         sn: sn2,
+        sn_ptr,
         rows: rows2,
         sn_parent,
         blocks,

@@ -20,7 +20,7 @@ fn main() {
     let sym = analyze(&a_fill, &SymbolicOptions::default());
     let a_fact = a_fill.permute(&sym.perm);
 
-    let max_panel = (0..sym.nsup()).map(|s| sym.sn_storage(s)).max().unwrap();
+    let max_panel = (0..sym.nsup()).map(|s| sym.sn_size(s)).max().unwrap();
     let max_upd = sym.max_update_matrix_entries();
     println!(
         "n = {}: largest supernode panel {} doubles, largest update matrix {} doubles",

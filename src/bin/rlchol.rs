@@ -249,10 +249,7 @@ fn main() {
             );
             println!(
                 "largest supernode: {} entries; largest update matrix: {} entries",
-                (0..sym.nsup())
-                    .map(|s| sym.sn_storage(s))
-                    .max()
-                    .unwrap_or(0),
+                (0..sym.nsup()).map(|s| sym.sn_size(s)).max().unwrap_or(0),
                 sym.max_update_matrix_entries()
             );
             println!(

@@ -66,8 +66,8 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// FNV-1a over the `f64::to_bits` of every factor entry, supernode by
 /// supernode.
-fn digest(sn: &[Vec<f64>]) -> u64 {
-    fnv(sn.iter().flatten().map(|x| x.to_bits()))
+fn digest(values: &[f64]) -> u64 {
+    fnv(values.iter().map(|x| x.to_bits()))
 }
 
 /// FNV-1a over a device run's simulated seconds and device counters.
@@ -141,7 +141,7 @@ fn cpu_digest(a: &SymCsc, method: Method, threads: usize) -> (u64, usize) {
     let fact = CholeskySolver::analyze(a, &opts)
         .factor_with(a)
         .expect("SPD input");
-    (digest(&fact.data().sn), fact.info().lanes)
+    (digest(fact.data().values()), fact.info().lanes)
 }
 
 /// Lists every run whose digest differs from its pin.
@@ -188,7 +188,7 @@ fn check(name: &str, a: &SymCsc, tree: bool, want: &[u64], want_sim: &[u64]) -> 
                     .expect("SPD input");
                 got_sim.push((format!("{run} {}", mode.name()), sim_digest(fact.info())));
             }
-            got.push((run, digest(&fact.data().sn)));
+            got.push((run, digest(fact.data().values())));
         }
     }
     // Every CPU method at every lane count against its family's pin

@@ -119,7 +119,7 @@ fn llt_on_pattern(sym: &SymbolicFactor, l: &FactorData) -> FactorData {
     for t in 0..sym.nsup() {
         let (first, end) = (sym.sn.first_col(t), sym.sn.end_col(t));
         let rows: Vec<usize> = (first..end).chain(sym.rows[t].iter().copied()).collect();
-        let (len, arr) = (rows.len(), &l.sn[t]);
+        let (len, arr) = (rows.len(), l.sn(sym, t));
         let mut q = 0;
         while q < len {
             // Rows q..q_end of `t` are columns of one target supernode `s`.
@@ -130,7 +130,7 @@ fn llt_on_pattern(sym: &SymbolicFactor, l: &FactorData) -> FactorData {
             }
             let q_end = q + rows[q..].iter().take_while(|&&g| g < se).count();
             for qq in q..q_end {
-                let col = &mut out.sn[s][(rows[qq] - sf) * slen..][..slen];
+                let col = &mut out.sn_mut(sym, s)[(rows[qq] - sf) * slen..][..slen];
                 for k in 0..(end - first).min(qq + 1) {
                     let ljk = arr[k * len + qq];
                     for p in qq..len {
@@ -155,7 +155,7 @@ fn backward_error(sym: &SymbolicFactor, ap: &SymCsc, l: &FactorData) -> f64 {
         let len = sym.sn_len(s);
         for lc in 0..sym.sn_ncols(s) {
             for li in lc..len {
-                let d = (want.sn[s][lc * len + li] - got.sn[s][lc * len + li]).abs();
+                let d = (want.sn(sym, s)[lc * len + li] - got.sn(sym, s)[lc * len + li]).abs();
                 worst = if d.is_nan() { d } else { worst.max(d) };
             }
         }

@@ -59,13 +59,15 @@ fn check_bit_identical(a: &SymCsc, label: &str) {
                 );
                 assert_eq!(rl_pipe.info.retire, Some(retire));
                 assert_eq!(
-                    rl.factor.sn, rl_pipe.factor.sn,
+                    rl.factor.values(),
+                    rl_pipe.factor.values(),
                     "{label}: RL thr {threshold} streams {streams} {retire:?} \
                      not bit-identical"
                 );
                 let rlb_pipe = run(Method::RlbGpuPipe, &sym, &ap, &o).unwrap();
                 assert_eq!(
-                    rlb.factor.sn, rlb_pipe.factor.sn,
+                    rlb.factor.values(),
+                    rlb_pipe.factor.values(),
                     "{label}: RLB thr {threshold} streams {streams} {retire:?} \
                      not bit-identical"
                 );
@@ -139,7 +141,11 @@ fn out_of_order_retirement_beats_in_order_at_wide_stream_counts() {
         &opts.with_retire(RetireMode::Ooo),
     )
     .unwrap();
-    assert_eq!(inorder.factor.sn, ooo.factor.sn, "modes must agree bitwise");
+    assert_eq!(
+        inorder.factor.values(),
+        ooo.factor.values(),
+        "modes must agree bitwise"
+    );
     let (t_ooo, t_inorder) = (
         ooo.info.sim_seconds.unwrap(),
         inorder.info.sim_seconds.unwrap(),
@@ -188,15 +194,15 @@ fn staged_refactor_keeps_device_residency_and_skips_metadata_uploads() {
             .with_retire(RetireMode::Ooo),
     )
     .unwrap();
-    assert_eq!(cold.data().sn, warm.data().sn);
-    assert_eq!(cold.data().sn, one_shot.factor.sn);
+    assert_eq!(cold.data().values(), warm.data().values());
+    assert_eq!(cold.data().values(), one_shot.factor.values());
 }
 
 #[test]
 fn oom_sheds_stream_pairs_before_failing() {
     let a = grid3d(6, 6, 5, Stencil::Star7, 1, 64);
     let (sym, ap) = prepared(&a);
-    let max_panel = (0..sym.nsup()).map(|s| sym.sn_storage(s)).max().unwrap();
+    let max_panel = (0..sym.nsup()).map(|s| sym.sn_size(s)).max().unwrap();
     let pair = ((max_panel + sym.max_update_matrix_entries()) * 8) as u64;
     // Room for two pairs and change, but not the four requested: the
     // engine must fall back to two streams and still produce the exact
@@ -210,14 +216,14 @@ fn oom_sheds_stream_pairs_before_failing() {
     );
     assert!(shed.info.gpu.as_ref().unwrap().peak_bytes <= pair * 2 + pair / 2);
     let base = run(Method::RlGpu, &sym, &ap, &GpuOptions::with_threshold(0)).unwrap();
-    assert_eq!(base.factor.sn, shed.factor.sn);
+    assert_eq!(base.factor.values(), shed.factor.values());
 }
 
 #[test]
 fn oom_propagates_when_no_pair_fits() {
     let a = grid3d(6, 6, 5, Stencil::Star7, 1, 65);
     let (sym, ap) = prepared(&a);
-    let max_panel = (0..sym.nsup()).map(|s| sym.sn_storage(s)).max().unwrap();
+    let max_panel = (0..sym.nsup()).map(|s| sym.sn_size(s)).max().unwrap();
     let pair = ((max_panel + sym.max_update_matrix_entries()) * 8) as u64;
     for streams in STREAM_SWEEP {
         let mut opts = GpuOptions::with_threshold(0).with_streams(streams);

@@ -15,7 +15,9 @@ use std::sync::{Mutex, MutexGuard};
 
 use rlchol::core::FactorError;
 use rlchol::matgen::{grid3d, Stencil};
-use rlchol::{CholeskySolver, GpuOptions, Method, SolverOptions, SymCsc};
+use rlchol::{
+    CholeskySolver, GpuOptions, Method, OrderingMethod, SolverOptions, SymCsc, TripletMatrix,
+};
 
 /// Same pattern for every seed; values re-roll per seed.
 fn matrix(seed: u64) -> SymCsc {
@@ -46,12 +48,12 @@ fn refactor_is_bit_identical_to_one_shot_for_every_engine() {
         let opts = opts_for(method);
         let handle = CholeskySolver::analyze(&a0, &opts);
         let mut fact = handle.factor_with(&a0).expect("SPD input");
-        let storage_ptr = fact.data().sn[0].as_ptr();
+        let storage_ptr = fact.data().values().as_ptr();
         for seed in [101u64, 102, 103] {
             let a = matrix(seed);
             handle.refactor(&mut fact, &a).expect("SPD values");
             assert_eq!(
-                fact.data().sn[0].as_ptr(),
+                fact.data().values().as_ptr(),
                 storage_ptr,
                 "{method:?}: refactor must reuse factor storage, not reallocate"
             );
@@ -82,10 +84,10 @@ fn multi_lane_refactor_matches_serial_bitwise() {
         };
         let handle = CholeskySolver::analyze(&a0, &opts);
         let mut fact = handle.factor_with(&a0).expect("SPD input");
-        let storage_ptr = fact.data().sn[0].as_ptr();
+        let storage_ptr = fact.data().values().as_ptr();
         handle.refactor(&mut fact, &a1).expect("SPD values");
         assert_eq!(
-            fact.data().sn[0].as_ptr(),
+            fact.data().values().as_ptr(),
             storage_ptr,
             "{method:?}: multi-lane refactor must reuse factor storage"
         );
@@ -101,6 +103,59 @@ fn multi_lane_refactor_matches_serial_bitwise() {
         let serial = CholeskySolver::factor(&a1, &one_lane).expect("SPD input");
         assert_eq!(serial.info().lanes, 1);
         assert_eq!(fact.data(), serial.factor_data(), "{method:?}");
+    }
+}
+
+/// `a` (a `grid3d(5, 4, 4)` matrix) without its `(v + 1, v)` entries in
+/// grid rows `y >= 1`. In natural order each dropped entry is fill anyway
+/// (`v - 5` and `v - 4` join `v` to `v + 1` below both), so the input
+/// pattern differs while the factor's pattern does not.
+fn without_fill_entries(a: &SymCsc) -> SymCsc {
+    let mut t = TripletMatrix::new(a.n(), a.n());
+    for j in 0..a.n() {
+        for (&i, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
+            let (x, y) = (j % 5, j / 5 % 4);
+            if !(i == j + 1 && x < 4 && y >= 1) {
+                t.push(i, j, v);
+            }
+        }
+    }
+    SymCsc::from_lower_triplets(&t).unwrap()
+}
+
+#[test]
+fn refactor_reuses_storage_from_another_handle_only_when_it_fits() {
+    let _serial = serial();
+    let natural = SolverOptions {
+        ordering: OrderingMethod::Natural,
+        ..SolverOptions::default()
+    };
+    let a = matrix(500);
+    let handle = CholeskySolver::analyze(&a, &natural);
+    let want = CholeskySolver::factor(&a, &natural).expect("SPD input");
+    let len = handle.symbolic().total_storage_entries();
+
+    // Another pattern with a factor of the same length: its storage is
+    // reused, so it must be zeroed in full before `a` is scattered in.
+    let same_len = without_fill_entries(&matrix(501));
+    let other = CholeskySolver::analyze(&same_len, &natural);
+    assert_ne!(same_len.nnz_lower(), a.nnz_lower());
+    assert_eq!(other.symbolic().total_storage_entries(), len);
+    let mut fact = other.factor_with(&same_len).expect("SPD input");
+    let storage_ptr = fact.data().values().as_ptr();
+    handle.refactor(&mut fact, &a).expect("SPD values");
+    assert_eq!(fact.data().values().as_ptr(), storage_ptr);
+    assert_eq!(fact.data(), want.factor_data());
+
+    // Patterns with shorter and longer factors: never reused.
+    for nz in [3, 5] {
+        let b = grid3d(5, 4, nz, Stencil::Star7, 1, 502);
+        let other = CholeskySolver::analyze(&b, &natural);
+        assert_ne!(other.symbolic().total_storage_entries(), len);
+        let mut fact = other.factor_with(&b).expect("SPD input");
+        handle.refactor(&mut fact, &a).expect("SPD values");
+        assert_eq!(fact.data().values().len() as u64, len, "nz {nz}");
+        assert_eq!(fact.data(), want.factor_data(), "nz {nz}");
     }
 }
 

@@ -23,6 +23,9 @@ struct CountingAlloc;
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s allocator contract holds; the counting touches no memory the
+// allocator hands out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
