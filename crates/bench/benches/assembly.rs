@@ -1,11 +1,10 @@
-//! Criterion benches of the update-matrix assembly (the scatter loops
-//! the paper parallelizes with OpenMP), serial vs one job per target on
-//! a persistent pool.
+//! Criterion bench of the update-matrix assembly (the scatter loops the
+//! paper parallelizes with OpenMP; here one target's segment is one unit
+//! of the CPU tree executor).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rlchol_core::assemble::{assemble_update, assemble_update_pool};
+use rlchol_core::assemble::assemble_update;
 use rlchol_core::storage::FactorData;
-use rlchol_dense::pool::ThreadPool;
 use rlchol_matgen::{grid3d, Stencil};
 use rlchol_ordering::{order, OrderingMethod};
 use rlchol_symbolic::{analyze, SymbolicOptions};
@@ -36,13 +35,6 @@ fn bench_assembly(c: &mut Criterion) {
         let mut rel = Vec::new();
         b.iter(|| assemble_update(&sym, &mut data, s, &upd, r, &mut rel))
     });
-    for threads in [2usize, 4] {
-        let pool = ThreadPool::new(threads);
-        g.bench_function(format!("pool_{threads}"), |b| {
-            let mut data = FactorData::load(&sym, &a);
-            b.iter(|| assemble_update_pool(&pool, &sym, &mut data, s, &upd, r))
-        });
-    }
     g.finish();
 }
 

@@ -6,22 +6,15 @@
 //! `q` is the supernode containing that index, and every row below lands
 //! at its relative index in the target's array (§II-A of the paper).
 //!
-//! The paper parallelizes these loops with OpenMP;
-//! [`assemble_update_pool`] is the equivalent here, an OpenMP-style
-//! parallel-for ([`ThreadPool::run_for`]) with one index per target
-//! supernode (targets are disjoint arrays, so no synchronization is
-//! needed beyond handing each index its array). Its fan-out (`fan_out`)
-//! is the one per-target fan-out of the crate: the RLB engines' staged
-//! strips and direct updates go through it too.
+//! The paper parallelizes these loops with OpenMP; here one segment
+//! (the columns aimed at one target) is the CPU tree executor's *apply*
+//! unit, and targets are disjoint arrays, so segments of different
+//! targets run on different lanes with no synchronization.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use rlchol_dense::pool::ThreadPool;
 use rlchol_symbolic::relind::relative_indices_into;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::storage::{FactorData, Targets};
+use crate::storage::FactorData;
 
 /// One contiguous run of update columns aimed at a single target.
 #[derive(Debug, Clone, Copy)]
@@ -32,6 +25,14 @@ pub(crate) struct Segment {
     pub(crate) hi: usize,
     /// Target supernode.
     pub(crate) target: usize,
+}
+
+impl Segment {
+    /// Entries a scatter of this segment of an `r × r` update matrix
+    /// subtracts: update column `jj` from its row `jj` down.
+    pub(crate) fn entries(&self, r: usize) -> usize {
+        (self.lo..self.hi).map(|jj| r - jj).sum()
+    }
 }
 
 /// Supernode `s`'s segments in ascending target order. Allocation-free:
@@ -114,73 +115,6 @@ pub(crate) fn scatter_segment(
     entries
 }
 
-/// Fans one source supernode's per-target work out over `pool`, one
-/// [`ThreadPool::run_for`] index per target. `units` pairs each target
-/// supernode with its work item in ascending target order, so `targets`
-/// (the source's [`FactorData::split_source`]) hands every index a
-/// disjoint `&mut` array (through its own `Mutex` slot); the units are
-/// drawn on the calling thread, in order. A single-lane pool runs the
-/// units inline, in order, without slots; a fan-out started while
-/// another `run_for` is active (e.g. inside one member of a
-/// `batch_factor`) also runs its units inline, in order. Returns the sum
-/// of `work`'s counts (the entries assembled).
-///
-/// Bit-exactness: each unit runs the same arithmetic in the same order
-/// whichever lane takes it, and units write disjoint targets, so the
-/// result equals the serial sweep's.
-pub(crate) fn fan_out<U: Send>(
-    pool: &ThreadPool,
-    mut targets: Targets<'_>,
-    units: impl IntoIterator<Item = (usize, U)>,
-    work: impl Fn(U, &mut [f64]) -> usize + Sync,
-) -> usize {
-    let units = units.into_iter();
-    if pool.threads() <= 1 {
-        return units.map(|(t, unit)| work(unit, targets.take(t))).sum();
-    }
-    let slots: Vec<Mutex<Option<(U, &mut [f64])>>> = units
-        .map(|(t, unit)| Mutex::new(Some((unit, targets.take(t)))))
-        .collect();
-    let total = AtomicUsize::new(0);
-    pool.run_for(slots.len(), &|i| {
-        let (unit, arr) = slots[i]
-            .lock()
-            .expect("each index locks only its own slot")
-            .take()
-            .expect("each unit runs once");
-        total.fetch_add(work(unit, arr), Ordering::Relaxed);
-    });
-    total.into_inner()
-}
-
-/// Pool-parallel assembly: [`assemble_update`] with each target's
-/// segment scattered by its own `run_for` index on `pool` (`fan_out`),
-/// so host assembly overlaps across cores without per-call thread
-/// spawns. Each thread keeps one relative-index scratch for every
-/// segment it scatters, so a warm thread allocates nothing.
-/// Bit-identical to the serial scatter — segments only move between
-/// lanes.
-pub fn assemble_update_pool(
-    pool: &ThreadPool,
-    sym: &SymbolicFactor,
-    data: &mut FactorData,
-    s: usize,
-    upd: &[f64],
-    r: usize,
-) -> usize {
-    std::thread_local! {
-        /// `scatter_segment` never re-enters itself, so the borrow is
-        /// never contended.
-        static REL: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
-    }
-    let rows = &sym.rows[s];
-    let units = segments(sym, s).map(|seg| (seg.target, seg));
-    let (_, targets) = data.split_source(sym, s);
-    fan_out(pool, targets, units, |seg, arr| {
-        REL.with(|rel| scatter_segment(sym, arr, seg, rows, upd, r, &mut rel.borrow_mut()))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,71 +141,6 @@ mod tests {
         (sym, ap)
     }
 
-    /// Source-independent test values for an `n`-entry buffer.
-    fn pattern(n: usize) -> Vec<f64> {
-        (0..n).map(|i| ((i * 13) % 11) as f64 * 0.3 - 1.0).collect()
-    }
-
-    /// The one fan-out on a real four-lane pool — whatever lane count the
-    /// global pool has — against the serial sweep, bitwise and with equal
-    /// counts, for each kind of per-target work: RL segments, RLB staged
-    /// strips and RLB direct runs.
-    #[test]
-    fn pool_assembly_is_bit_identical_to_serial() {
-        use crate::gpu_rlb::{apply_strip, scatter_strips, strips_of};
-        use crate::rlb::{rlb_apply_run, rlb_target_runs, rlb_update_pool};
-
-        let pool = ThreadPool::new(4);
-        let (sym, ap) = fig1_sym();
-        let mut multi_target = 0;
-        for s in 0..sym.nsup() {
-            let r = sym.rows[s].len();
-            if r == 0 {
-                continue;
-            }
-            multi_target += usize::from(segments(&sym, s).count() > 1);
-
-            // RL: the update matrix scattered segment by segment.
-            let upd = pattern(r * r);
-            let mut d1 = FactorData::load(&sym, &ap);
-            let mut d2 = d1.clone();
-            let e1 = assemble_update(&sym, &mut d1, s, &upd, r, &mut Vec::new());
-            let e2 = assemble_update_pool(&pool, &sym, &mut d2, s, &upd, r);
-            assert_eq!(e1, e2, "RL supernode {s}");
-            assert_eq!(d1, d2, "RL supernode {s} must match bitwise");
-
-            // RLB staged strips, as the device engines land them.
-            let blocks = &sym.blocks[s];
-            let (strips, stage_len) = strips_of(blocks);
-            let staged = pattern(stage_len);
-            let mut d1 = FactorData::load(&sym, &ap);
-            let mut d2 = d1.clone();
-            let mut e1 = 0;
-            for st in &strips {
-                let host = &staged[st.stage_off..st.stage_off + st.m * st.n];
-                let parr = d1.sn_mut(&sym, blocks[st.b1].target);
-                e1 += apply_strip(&sym, parr, blocks, st, host);
-            }
-            let e2 = scatter_strips(&pool, &sym, &mut d2, s, &strips, &staged);
-            assert_eq!(e1, e2, "strips supernode {s}");
-            assert_eq!(d1, d2, "strips supernode {s} must match bitwise");
-
-            // RLB direct runs, as the serial RLB sweep applies them.
-            let mut d1 = FactorData::load(&sym, &ap);
-            let mut d2 = d1.clone();
-            let (mut ops1, mut ops2) = (Vec::new(), Vec::new());
-            let (src, mut targets) = d1.split_source(&sym, s);
-            for run in rlb_target_runs(&sym, s) {
-                let parr = targets.take(run.target);
-                rlb_apply_run(&sym, s, src, parr, &run, |op| ops1.push(*op));
-            }
-            rlb_update_pool(&pool, &sym, &mut d2, s, |op| ops2.push(*op));
-            assert_eq!(ops1, ops2, "direct supernode {s}");
-            assert_eq!(d1, d2, "direct supernode {s} must match bitwise");
-        }
-        assert!(multi_target > 0, "fig1 has multi-target supernodes");
-    }
-
     #[test]
     fn entries_count_is_lower_triangle() {
         let (sym, ap) = fig1_sym();
@@ -284,6 +153,8 @@ mod tests {
             let upd = vec![0.0; r * r];
             let e = assemble_update(&sym, &mut d, s, &upd, r, &mut Vec::new());
             assert_eq!(e, r * (r + 1) / 2, "supernode {s}");
+            let by_segment: usize = segments(&sym, s).map(|seg| seg.entries(r)).sum();
+            assert_eq!(by_segment, e, "supernode {s}");
         }
     }
 

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use rlchol_dense::{potrf, trsm_rlt};
 use rlchol_gpu::GpuStats;
-use rlchol_perfmodel::{MachineModel, Trace, TraceOp};
+use rlchol_perfmodel::{MachineModel, TraceOp};
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::error::FactorError;
@@ -125,14 +125,12 @@ pub(crate) enum Variant {
     Rlb,
 }
 
-/// Result of a CPU-only factorization.
+/// Result of the CPU tree executor, which computes every method's factor.
 #[derive(Debug)]
 pub(crate) struct CpuRun {
     /// The numeric factor.
     pub factor: FactorData,
-    /// Operation trace (replayable under any thread count).
-    pub trace: Trace,
-    /// Real wall-clock duration of this process's execution.
+    /// Real wall-clock duration of the executor's run.
     pub wall: Duration,
     /// Peak bytes of RL update matrices alive at once (0 for RLB).
     pub peak_held_bytes: usize,
@@ -293,17 +291,20 @@ impl GpuOptions {
     }
 }
 
-/// Result of a GPU-accelerated factorization.
+/// Result of a device method's simulation: its clock and counters, and
+/// what the host numerics need to take the same update forms.
 #[derive(Debug)]
 pub(crate) struct GpuRun {
-    /// The numeric factor (identical structure to the CPU engines').
-    pub factor: FactorData,
+    /// The supernodes whose BLAS ran on the device (threshold rule).
+    pub offloaded: Vec<bool>,
+    /// The most rows a block of an offloaded RLB supernode's strips has:
+    /// the streaming version cuts blocks to fit its buffer, the others
+    /// leave them whole (`usize::MAX`).
+    pub strip_rows: usize,
     /// Simulated end-to-end seconds (host + device timelines).
     pub sim_seconds: f64,
     /// Device counters (kernels, transfers, memory high-water mark).
     pub stats: GpuStats,
-    /// Supernodes whose BLAS ran on the device.
-    pub sn_on_gpu: usize,
     /// Compute/copy stream pairs actually used (1 for the single-stream
     /// engines; the pipelined engines may have shed pairs to fit device
     /// memory).
@@ -318,8 +319,6 @@ pub(crate) struct GpuRun {
     /// previous factorization on the same workspace was still valid
     /// (staged-handle refactorization with GPU residency).
     pub transfers_saved: u64,
-    /// Real wall-clock duration of this process's execution.
-    pub wall: Duration,
 }
 
 /// Factors a supernode panel in place: POTRF on the `c × c` diagonal

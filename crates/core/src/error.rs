@@ -331,8 +331,14 @@ mod tests {
                 capacity_bytes: 5
             }
         );
-        let numerical: FactorError = GpuError::Numerical { pivot: 12 }.into();
-        assert!(format!("{numerical}").contains("pivot at column 12"));
+        let bounds: FactorError = GpuError::OutOfBounds {
+            id: 2,
+            offset: 12,
+            len: 3,
+            buffer_len: 14,
+        }
+        .into();
+        assert!(format!("{bounds}").contains("offset 12, len 3"));
         let fault: FactorError = GpuError::Fault(rlchol_gpu::DeviceError {
             kind: rlchol_gpu::FaultKind::TransferFail,
             index: 3,

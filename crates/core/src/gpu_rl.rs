@@ -1,4 +1,4 @@
-//! GPU-accelerated RL (§III).
+//! GPU-accelerated RL (§III), as a clock over shapes.
 //!
 //! Per supernode above the size threshold:
 //!
@@ -9,31 +9,30 @@
 //!    a second stream — the host does not need it yet;
 //! 4. one coarse DSYRK on the device forms the full update matrix;
 //! 5. transfer the update matrix back and assemble it on the host
-//!    (OpenMP-parallel in the paper; here the scatter fans out across
-//!    `rlchol_dense::pool`, one `run_for` index per target, with the
-//!    simulated cost still taken from the CPU model).
+//!    (OpenMP-parallel in the paper), its simulated cost taken from the
+//!    CPU model.
 //!
 //! Supernodes below the threshold run entirely on the CPU — the transfer
 //! cost would exceed their compute time.
 //!
+//! [`simulate`] only prices these steps: device calls and host charges
+//! follow from shapes, so the clock does not depend on the values. The
+//! factor is RL's on the CPU tree executor (`sched::cpu`), the same bits
+//! as `RlCpu`'s.
+//!
 //! Device memory: one panel buffer sized for the largest offloaded
 //! supernode plus one update buffer sized for the largest update matrix.
-//! When that allocation exceeds device capacity the engine fails with
+//! When that allocation exceeds device capacity the method fails with
 //! [`FactorError::GpuOutOfMemory`] — the nlpkkt120 row of Table I.
 
-use std::time::Instant;
-
-use rlchol_dense::pool;
-use rlchol_gpu::{Buffer, Event, Gpu, GpuError, StreamId};
+use rlchol_gpu::{Buffer, Event, Gpu, StreamId, StreamRole};
 use rlchol_perfmodel::{CpuModel, TraceOp};
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::assemble::assemble_update_pool;
-use crate::engine::{panel_step, GpuOptions, GpuRun, Variant};
+use crate::engine::{GpuOptions, GpuRun, RetireMode, Variant};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
-use crate::rl::rl_update_matrix;
-use crate::rlb::rlb_update_pool;
+use crate::sched::cpu::update_ops;
 use crate::storage::FactorData;
 
 /// Decides which supernodes are offloaded under the threshold rule.
@@ -50,26 +49,30 @@ pub(crate) fn max_offloaded(on_gpu: &[bool], f: impl Fn(usize) -> usize) -> usiz
     offloaded.map(f).max().unwrap_or(0)
 }
 
-/// Factors `data` (the matrix's values in factor order) in place with
-/// GPU-accelerated RL.
-pub(crate) fn factor_rl_gpu_ws(
-    sym: &SymbolicFactor,
-    mut data: FactorData,
-    opts: &GpuOptions,
-    ws: &mut EngineWorkspace,
-) -> Result<GpuRun, FactorError> {
-    let t0 = Instant::now();
-    let ctl = ws.ctl.clone();
+/// A fresh device under `opts` with one compute and one copy stream: what
+/// the single-stream methods run on.
+pub(crate) fn single_stream_device(opts: &GpuOptions) -> (Gpu, StreamId, StreamId) {
     let gpu = opts.device();
     gpu.set_blocking(!opts.overlap);
     let compute = gpu.default_stream();
     let copy = gpu.create_stream();
-    gpu.set_stream_role(compute, rlchol_gpu::StreamRole::Compute);
-    gpu.set_stream_role(copy, rlchol_gpu::StreamRole::Copy);
-    let cpu = opts.machine.cpu;
+    gpu.set_stream_role(compute, StreamRole::Compute);
+    gpu.set_stream_role(copy, StreamRole::Copy);
+    (gpu, compute, copy)
+}
 
+/// Simulates GPU-accelerated RL over `data`'s supernodes under `opts`:
+/// the device's clock and counters, with no numerics. Fails typed on a
+/// device fault, an out-of-memory or a simulated deadline.
+pub(crate) fn simulate(
+    sym: &SymbolicFactor,
+    data: &FactorData,
+    opts: &GpuOptions,
+    ws: &EngineWorkspace,
+) -> Result<GpuRun, FactorError> {
+    let (gpu, compute, copy) = single_stream_device(opts);
+    let cpu = opts.machine.cpu;
     let on_gpu = offload_set(sym, opts.threshold);
-    let sn_on_gpu = on_gpu.iter().filter(|&&b| b).count();
 
     // Preallocated device working storage (paper §II-A / §III): the
     // largest offloaded panel and the largest update matrix.
@@ -77,8 +80,6 @@ pub(crate) fn factor_rl_gpu_ws(
     let max_upd = max_offloaded(&on_gpu, |s| sym.update_matrix_entries(s));
     let panel_buf = gpu.alloc(max_panel)?;
     let upd_buf = gpu.alloc(max_upd)?;
-    let mut host_upd = vec![0.0f64; max_upd];
-    let mut l11 = Vec::new();
     // The previous panel copy-back must finish before the panel buffer is
     // reused by the next supernode's H2D.
     let mut prev_copyback = None;
@@ -87,67 +88,47 @@ pub(crate) fn factor_rl_gpu_ws(
         // Deadline/cancel checkpoint: a stalled stream inflates the
         // simulated clock, so a sim budget aborts here instead of
         // grinding through the remaining supernodes.
-        ctl.check_sim(gpu.elapsed())?;
+        ws.ctl.check_sim(gpu.elapsed())?;
         if !on_gpu[s] {
-            host_node(
-                &gpu,
-                &cpu,
-                sym,
-                &mut data,
-                s,
-                Variant::Rl,
-                &mut l11,
-                &mut host_upd,
-            )?;
+            host_node(&gpu, &cpu, sym, s, Variant::Rl);
             continue;
         }
 
         // --- GPU path ---
         let (c, r, len) = (sym.sn_ncols(s), sym.sn_nrows_below(s), sym.sn_len(s));
         let gate = prev_copyback.take();
+        let arr = data.sn(sym, s);
         prev_copyback = Some(device_panel(
-            &gpu,
-            sym,
-            s,
-            compute,
-            copy,
-            panel_buf,
-            gate,
-            data.sn_mut(sym, s),
+            &gpu, sym, s, compute, copy, panel_buf, gate, arr,
         )?);
         if r > 0 {
             // The coarse-grain DSYRK forming the whole update matrix.
-            gpu.syrk(compute, panel_buf, c, len, r, c, 1.0, 0.0, upd_buf, 0, r)?;
-            gpu.memcpy_d2h(compute, upd_buf, 0, &mut host_upd[..r * r])?;
+            gpu.syrk(compute, panel_buf, c, len, r, c, upd_buf, 0, r)?;
+            gpu.memcpy_d2h(compute, upd_buf, 0, r * r)?;
             // The host needs the update matrix now.
             gpu.sync_stream(compute);
-            let upd = &host_upd[..r * r];
-            let entries = assemble_update_pool(pool::global(), sym, &mut data, s, upd, r);
-            gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
+            host_assembly(&gpu, &cpu, r * (r + 1) / 2);
         }
     }
     gpu.synchronize();
     Ok(GpuRun {
-        factor: data,
+        offloaded: on_gpu,
+        strip_rows: usize::MAX,
         sim_seconds: gpu.elapsed(),
         stats: gpu.stats(),
-        sn_on_gpu,
         streams_used: 1,
-        retire: crate::engine::RetireMode::InOrder,
+        retire: RetireMode::InOrder,
         lookahead: 0,
         transfers_saved: 0,
-        wall: t0.elapsed(),
     })
 }
 
-/// The device panel phase of supernode `s`, shared by every GPU engine:
+/// The device panel phase of supernode `s`, shared by every GPU method:
 /// the compute stream waits on `gate` (the panel buffer's previous
 /// occupant), then H2D of the panel `arr`, device POTRF + TRSM, and the
 /// copy-back on the `copy` stream — asynchronous, since the host does not
 /// need the factored panel yet (§III). Returns the copy-back's
-/// completion event. A nonpositive pivot becomes
-/// [`FactorError::NotPositiveDefinite`] at its global column, as on the
-/// host.
+/// completion event.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn device_panel(
     gpu: &Gpu,
@@ -157,95 +138,56 @@ pub(crate) fn device_panel(
     copy: StreamId,
     panel_buf: Buffer,
     gate: Option<Event>,
-    arr: &mut [f64],
+    arr: &[f64],
 ) -> Result<Event, FactorError> {
     let (c, r, len) = (sym.sn_ncols(s), sym.sn_nrows_below(s), sym.sn_len(s));
     if let Some(ev) = gate {
         gpu.stream_wait_event(compute, ev);
     }
     gpu.memcpy_h2d(compute, panel_buf, 0, arr)?;
-    gpu.potrf(compute, panel_buf, 0, c, len)
-        .map_err(|e| match e {
-            GpuError::Numerical { pivot } => FactorError::NotPositiveDefinite {
-                column: sym.sn.first_col(s) + pivot,
-            },
-            other => other.into(),
-        })?;
+    gpu.potrf(compute, panel_buf, 0, c, len)?;
     gpu.trsm_panel(compute, panel_buf, 0, len, c, r)?;
     let factored = gpu.record_event(compute);
     gpu.stream_wait_event(copy, factored);
-    gpu.memcpy_d2h(copy, panel_buf, 0, arr)?;
+    gpu.memcpy_d2h(copy, panel_buf, 0, arr.len())?;
     Ok(gpu.record_event(copy))
 }
 
-/// The panel step of a below-threshold supernode on the simulated host:
-/// real numerics, with the POTRF and TRSM model times charged to the
-/// host clock as one interval. The TRSM's call overhead is charged even
-/// when no rows lie below (and [`panel_step`] reports no TRSM).
-pub(crate) fn host_panel(
-    gpu: &Gpu,
-    cpu: &CpuModel,
-    sym: &SymbolicFactor,
-    s: usize,
-    arr: &mut [f64],
-    l11: &mut Vec<f64>,
-) -> Result<(), FactorError> {
-    let mut seconds = 0.0;
-    panel_step(sym, s, arr, l11, |op| seconds += cpu.op_time(op))?;
-    if sym.sn_nrows_below(s) == 0 {
-        seconds += cpu.op_time(&TraceOp::Trsm {
-            m: 0,
-            n: sym.sn_ncols(s),
-        });
-    }
-    gpu.host_compute(seconds);
-    Ok(())
+/// Charges the host's scatter of `entries` landed update entries.
+pub(crate) fn host_assembly(gpu: &Gpu, cpu: &CpuModel, entries: usize) {
+    gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
 }
 
-/// Runs below-threshold supernode `s` entirely on the simulated host —
-/// the transfers would cost more than its kernels — with real numerics
-/// and model time charged to the host clock: the panel step
-/// ([`host_panel`]), then RL's update matrix (`upd` is its workspace) and
+/// Charges the panel step of a below-threshold supernode to the host
+/// clock: its POTRF and TRSM as one interval. The TRSM's call overhead is
+/// charged even when no rows lie below.
+pub(crate) fn host_panel(gpu: &Gpu, cpu: &CpuModel, sym: &SymbolicFactor, s: usize) {
+    let (c, r) = (sym.sn_ncols(s), sym.sn_nrows_below(s));
+    let potrf = cpu.op_time(&TraceOp::Potrf { n: c });
+    gpu.host_compute(potrf + cpu.op_time(&TraceOp::Trsm { m: r, n: c }));
+}
+
+/// Charges below-threshold supernode `s`, which runs entirely on the
+/// host — the transfers would cost more than its kernels — to the host
+/// clock: the panel step ([`host_panel`]), then RL's update matrix and
 /// its scatter, charged separately, or RLB's direct update, charged once
-/// as the sum over its kernels in sweep order. The scatter and the direct
-/// update fan out over the global pool (`fan_out`), one `run_for` index
-/// per target; nested in another `run_for` they run inline.
-#[allow(clippy::too_many_arguments)]
+/// as the sum over its kernels in sweep order ([`update_ops`]).
 pub(crate) fn host_node(
     gpu: &Gpu,
     cpu: &CpuModel,
     sym: &SymbolicFactor,
-    data: &mut FactorData,
     s: usize,
     variant: Variant,
-    l11: &mut Vec<f64>,
-    upd: &mut Vec<f64>,
-) -> Result<(), FactorError> {
-    host_panel(gpu, cpu, sym, s, data.sn_mut(sym, s), l11)?;
-    let r = sym.sn_nrows_below(s);
-    if r == 0 {
-        return Ok(());
-    }
+) {
+    host_panel(gpu, cpu, sym, s);
     match variant {
-        Variant::Rl => {
-            if upd.len() < r * r {
-                upd.resize(r * r, 0.0);
-            }
-            let upd = rl_update_matrix(sym, s, data.sn(sym, s), upd, |op| {
-                gpu.host_compute(cpu.op_time(op))
-            });
-            let entries = assemble_update_pool(pool::global(), sym, data, s, upd, r);
-            gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
-        }
+        Variant::Rl => update_ops(sym, s, variant, |op| gpu.host_compute(cpu.op_time(op))),
         Variant::Rlb => {
             let mut seconds = 0.0;
-            rlb_update_pool(pool::global(), sym, data, s, |op| {
-                seconds += cpu.op_time(op)
-            });
+            update_ops(sym, s, variant, |op| seconds += cpu.op_time(op));
             gpu.host_compute(seconds);
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -280,16 +222,16 @@ mod tests {
         let a = laplace3d(6, 22);
         let (sym, ap) = setup(&a);
         let all = factor_rl_gpu(&sym, &ap, &GpuOptions::with_threshold(0)).unwrap();
-        assert_eq!(all.sn_on_gpu, sym.nsup());
+        assert_eq!(all.info.sn_on_gpu, sym.nsup());
         let none = factor_rl_gpu(&sym, &ap, &GpuOptions::with_threshold(usize::MAX)).unwrap();
-        assert_eq!(none.sn_on_gpu, 0);
+        assert_eq!(none.info.sn_on_gpu, 0);
         // A threshold strictly between the smallest and largest supernode
         // size must split the set.
         let sizes: Vec<usize> = (0..sym.nsup()).map(|s| sym.sn_size(s)).collect();
         let (lo, hi) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
         assert!(lo < hi, "test matrix must have varied supernode sizes");
         let some = factor_rl_gpu(&sym, &ap, &GpuOptions::with_threshold(hi)).unwrap();
-        assert!(some.sn_on_gpu > 0 && some.sn_on_gpu < sym.nsup());
+        assert!(some.info.sn_on_gpu > 0 && some.info.sn_on_gpu < sym.nsup());
     }
 
     #[test]
@@ -302,10 +244,10 @@ mod tests {
         let gpu_only = factor_rl_gpu(&sym, &ap, &GpuOptions::with_threshold(0)).unwrap();
         let hybrid = factor_rl_gpu(&sym, &ap, &GpuOptions::with_threshold(2_000)).unwrap();
         assert!(
-            hybrid.sim_seconds < gpu_only.sim_seconds,
+            hybrid.info.sim_seconds.unwrap() < gpu_only.info.sim_seconds.unwrap(),
             "hybrid {} vs gpu-only {}",
-            hybrid.sim_seconds,
-            gpu_only.sim_seconds
+            hybrid.info.sim_seconds.unwrap(),
+            gpu_only.info.sim_seconds.unwrap()
         );
     }
 
@@ -331,8 +273,14 @@ mod tests {
         with.overlap = true;
         let mut without = with.clone();
         without.overlap = false;
-        let t_with = factor_rl_gpu(&sym, &ap, &with).unwrap().sim_seconds;
-        let t_without = factor_rl_gpu(&sym, &ap, &without).unwrap().sim_seconds;
+        let sim = |opts| {
+            factor_rl_gpu(&sym, &ap, opts)
+                .unwrap()
+                .info
+                .sim_seconds
+                .unwrap()
+        };
+        let (t_with, t_without) = (sim(&with), sim(&without));
         assert!(t_with <= t_without + 1e-12);
     }
 }

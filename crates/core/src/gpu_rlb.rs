@@ -1,4 +1,4 @@
-//! GPU-accelerated RLB, both versions of §III.
+//! GPU-accelerated RLB, both versions of §III, as a clock over shapes.
 //!
 //! The panel phase (H2D, DPOTRF, DTRSM, asynchronous copy-back) is shared
 //! with GPU-RL. The update phase differs:
@@ -21,21 +21,24 @@
 //! (§III), so both GPU versions assemble on the host like RL does. Only
 //! below-threshold supernodes, which run wholly on the host
 //! (`gpu_rl::host_node`), update their ancestors directly.
+//!
+//! [`simulate`] only prices these steps, from shapes. The factor is
+//! computed on the CPU tree executor in the same forms: each offloaded
+//! supernode's strips are formed, then subtracted (`rlb_apply_strips`,
+//! with v2's blocks cut as its buffer cuts them), and the other
+//! supernodes update directly.
 
-use std::time::Instant;
-
-use rlchol_dense::pool::{self, ThreadPool};
 use rlchol_gpu::{Buffer, Event, Gpu, StreamId};
-use rlchol_perfmodel::TraceOp;
 use rlchol_symbolic::blocks::RowBlock;
-use rlchol_symbolic::relind::relative_indices;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::assemble::fan_out;
-use crate::engine::{GpuOptions, GpuRun, Variant};
+use crate::engine::{GpuOptions, GpuRun, RetireMode, Variant};
 use crate::error::FactorError;
-use crate::gpu_rl::{device_panel, host_node, max_offloaded, offload_set};
+use crate::gpu_rl::{
+    device_panel, host_assembly, host_node, max_offloaded, offload_set, single_stream_device,
+};
 use crate::registry::EngineWorkspace;
+use crate::rlb::split_blocks_into;
 use crate::storage::FactorData;
 
 /// Which RLB GPU variant to run.
@@ -59,6 +62,18 @@ pub(crate) struct Strip {
     pub(crate) stage_off: usize,
 }
 
+impl Strip {
+    /// Entries the host subtracts landing this strip: the diagonal
+    /// strip's lower triangle, or the whole strip.
+    pub(crate) fn entries(&self) -> usize {
+        if self.b1 == self.b2 {
+            self.m * (self.m + 1) / 2
+        } else {
+            self.m * self.n
+        }
+    }
+}
+
 /// Enumerates the update strips of a supernode and the compacted staging
 /// size (the v1 device/host footprint for that supernode).
 pub(crate) fn strips_of(blocks: &[RowBlock]) -> (Vec<Strip>, usize) {
@@ -80,66 +95,6 @@ pub(crate) fn strips_of(blocks: &[RowBlock]) -> (Vec<Strip>, usize) {
     (strips, off)
 }
 
-/// Splits blocks longer than `chunk` rows into consecutive sub-blocks.
-///
-/// Sub-blocks keep the target supernode and contiguity, so the strip
-/// machinery works on them unchanged; this is how the streaming v2 engine
-/// bounds its device buffer to the post-panel memory budget (and what
-/// lets it factor matrices whose full update matrices exceed capacity).
-fn split_blocks(blocks: &[RowBlock], chunk: usize) -> Vec<RowBlock> {
-    let mut out = Vec::with_capacity(blocks.len());
-    for b in blocks {
-        let mut done = 0usize;
-        while done < b.len {
-            let piece = chunk.min(b.len - done);
-            out.push(RowBlock {
-                offset: b.offset + done,
-                len: piece,
-                first: b.first + done,
-                target: b.target,
-            });
-            done += piece;
-        }
-    }
-    out
-}
-
-/// Applies one host-side strip into `parr`, the storage of the ancestor
-/// holding block `b1`. Returns the entries touched (assembly cost
-/// metric).
-pub(crate) fn apply_strip(
-    sym: &SymbolicFactor,
-    parr: &mut [f64],
-    blocks: &[RowBlock],
-    strip: &Strip,
-    host: &[f64],
-) -> usize {
-    let blk = blocks[strip.b1];
-    let blk2 = blocks[strip.b2];
-    let p = blk.target;
-    let p_first = sym.sn.first_col(p);
-    let p_len = sym.sn_len(p);
-    let tcol = blk.first - p_first;
-    let roff = relative_indices(
-        std::slice::from_ref(&blk2.first),
-        p_first,
-        sym.sn_ncols(p),
-        &sym.rows[p],
-    )[0];
-    let mut entries = 0usize;
-    let diagonal = strip.b1 == strip.b2;
-    for j in 0..strip.n {
-        let dst = &mut parr[(tcol + j) * p_len + roff..];
-        let src = &host[j * strip.m..(j + 1) * strip.m];
-        let i0 = if diagonal { j } else { 0 };
-        for i in i0..strip.m {
-            dst[i] -= src[i];
-        }
-        entries += strip.m - i0;
-    }
-    entries
-}
-
 /// Groups a supernode's strips by target, in ascending target order:
 /// strips are ordered by `b1`, whose targets ascend, so each target owns
 /// one contiguous strip range.
@@ -152,163 +107,86 @@ pub(crate) fn strip_groups<'a>(
         .map(|group| (blocks[group[0].b1].target, group))
 }
 
-/// Applies one target's group of staged strips ([`strip_groups`]) into
-/// its storage `parr`, reading each strip at its offset in `staged`.
-/// Returns the entries touched.
-pub(crate) fn apply_strips(
+/// Simulates GPU-accelerated RLB (version `version`) over `data`'s
+/// supernodes under `opts`: the device's clock and counters, with no
+/// numerics. Fails typed on a device fault, an out-of-memory or a
+/// simulated deadline.
+pub(crate) fn simulate(
     sym: &SymbolicFactor,
-    parr: &mut [f64],
-    blocks: &[RowBlock],
-    group: &[Strip],
-    staged: &[f64],
-) -> usize {
-    group
-        .iter()
-        .map(|st| {
-            let host = &staged[st.stage_off..st.stage_off + st.m * st.n];
-            apply_strip(sym, parr, blocks, st, host)
-        })
-        .sum()
-}
-
-/// Applies supernode `s`'s staged strips (of its own block list) with
-/// one `pool` index per target ([`fan_out`]). Bit-identical to the serial
-/// sweep: only the lane changes, never the per-strip subtraction order.
-/// Returns the entries touched.
-pub(crate) fn scatter_strips(
-    pool: &ThreadPool,
-    sym: &SymbolicFactor,
-    data: &mut FactorData,
-    s: usize,
-    strips: &[Strip],
-    staged: &[f64],
-) -> usize {
-    let blocks = &sym.blocks[s];
-    let (_, targets) = data.split_source(sym, s);
-    let groups = strip_groups(blocks, strips);
-    fan_out(pool, targets, groups, |group, parr| {
-        apply_strips(sym, parr, blocks, group, staged)
-    })
-}
-
-/// Factors `data` (the matrix's values in factor order) in place with
-/// GPU-accelerated RLB (version selected by `version`).
-pub(crate) fn factor_rlb_gpu_ws(
-    sym: &SymbolicFactor,
-    mut data: FactorData,
+    data: &FactorData,
     opts: &GpuOptions,
     version: RlbGpuVersion,
-    ws: &mut EngineWorkspace,
+    ws: &EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
-    let t0 = Instant::now();
-    let ctl = ws.ctl.clone();
-    let gpu = opts.device();
-    gpu.set_blocking(!opts.overlap);
-    let compute = gpu.default_stream();
-    let copy = gpu.create_stream();
-    gpu.set_stream_role(compute, rlchol_gpu::StreamRole::Compute);
-    gpu.set_stream_role(copy, rlchol_gpu::StreamRole::Copy);
+    let (gpu, compute, copy) = single_stream_device(opts);
     let cpu = opts.machine.cpu;
-
     let on_gpu = offload_set(sym, opts.threshold);
-    let sn_on_gpu = on_gpu.iter().filter(|&&b| b).count();
 
     let max_panel = max_offloaded(&on_gpu, |s| sym.sn_size(s));
     let panel_buf = gpu.alloc(max_panel)?;
 
-    // Version-specific device working storage.
-    // (v1 staging buffer, v2 block buffer + row-chunk bound)
-    let (stage_buf, block_bufs, v2_chunk) = match version {
+    // Version-specific device working storage: v1's staging buffer, or
+    // v2's block buffer and the rows it cuts blocks to.
+    let (stage_buf, chunk) = match version {
         RlbGpuVersion::V1 => {
             let max_stage = max_offloaded(&on_gpu, |s| strips_of(&sym.blocks[s]).1);
-            (Some(gpu.alloc(max_stage)?), None, 0)
+            (gpu.alloc(max_stage)?, usize::MAX)
         }
         RlbGpuVersion::V2 => {
             // Streaming memory budget: whatever remains after the panel.
             // Blocks whose pairwise strips would exceed it are split into
             // row chunks — the natural degradation of a streaming engine,
             // and what lets v2 factor matrices whose full update matrices
-            // cannot fit on the device (Table II's nlpkkt120 row).
+            // cannot fit on the device (Table II's nlpkkt120 row). The
+            // largest strip is a diagonal one, a cut block squared.
             let capacity = opts.machine.gpu.memory_capacity;
             let used = gpu.stats().used_bytes;
             let budget = (capacity.saturating_sub(used) / 8) as usize;
             let chunk = ((budget as f64).sqrt().floor() as usize).max(1);
             let max_block = max_offloaded(&on_gpu, |s| {
-                let (strips, _) = strips_of(&split_blocks(&sym.blocks[s], chunk));
-                strips.iter().map(|st| st.m * st.n).max().unwrap_or(0)
+                let rows = sym.blocks[s].iter().map(|b| b.len.min(chunk)).max();
+                rows.map_or(0, |rows| rows * rows)
             });
-            (None, Some(gpu.alloc(max_block)?), chunk)
+            (gpu.alloc(max_block)?, chunk)
         }
     };
 
     let mut prev_copyback: Option<Event> = None;
-    // Host-side staging of the v1 update transfers.
-    let mut host_ws: Vec<f64> = Vec::new();
-    let mut l11 = Vec::new();
-
+    let mut split = Vec::new();
     for s in 0..sym.nsup() {
         // Deadline/cancel checkpoint, against the simulated device clock
         // (what an injected stream stall inflates).
-        ctl.check_sim(gpu.elapsed())?;
+        ws.ctl.check_sim(gpu.elapsed())?;
         if !on_gpu[s] {
             // CPU path: the direct in-place RLB update (no staging).
-            host_node(
-                &gpu,
-                &cpu,
-                sym,
-                &mut data,
-                s,
-                Variant::Rlb,
-                &mut l11,
-                &mut host_ws,
-            )?;
+            host_node(&gpu, &cpu, sym, s, Variant::Rlb);
             continue;
         }
 
         // --- GPU path ---
         let (c, r, len) = (sym.sn_ncols(s), sym.sn_nrows_below(s), sym.sn_len(s));
         let gate = prev_copyback.take();
+        let arr = data.sn(sym, s);
         prev_copyback = Some(device_panel(
-            &gpu,
-            sym,
-            s,
-            compute,
-            copy,
-            panel_buf,
-            gate,
-            data.sn_mut(sym, s),
+            &gpu, sym, s, compute, copy, panel_buf, gate, arr,
         )?);
         if r == 0 {
             continue;
         }
+        split_blocks_into(&sym.blocks[s], chunk, &mut split);
+        let (strips, stage_len) = strips_of(&split);
         match version {
             RlbGpuVersion::V1 => {
-                let blocks = &sym.blocks[s];
-                let (strips, stage_len) = strips_of(blocks);
-                let stage = stage_buf.expect("v1 allocates a staging buffer");
-                // All block kernels write into compacted staging.
+                // All block kernels write into compacted staging; one
+                // transfer returns the whole supernode.
                 for st in &strips {
-                    launch_strip_kernel(&gpu, compute, panel_buf, stage, st, blocks, c, len)?;
+                    launch_strip_kernel(&gpu, compute, panel_buf, stage_buf, st, &split, c, len)?;
                 }
-                // One transfer for the whole supernode; the host-side
-                // scatter fans out across the pool (one `run_for` index
-                // per target).
-                host_ws.resize(stage_len.max(host_ws.len()), 0.0);
-                gpu.memcpy_d2h(compute, stage, 0, &mut host_ws[..stage_len])?;
+                gpu.memcpy_d2h(compute, stage_buf, 0, stage_len)?;
                 gpu.sync_stream(compute);
-                let staged = &host_ws[..stage_len];
-                let entries = scatter_strips(pool::global(), sym, &mut data, s, &strips, staged);
-                gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
+                host_assembly(&gpu, &cpu, strips.iter().map(Strip::entries).sum());
             }
             RlbGpuVersion::V2 => {
-                let split = split_blocks(&sym.blocks[s], v2_chunk);
-                let blocks = &split[..];
-                let (strips, stage_len) = strips_of(blocks);
-                let buf = block_bufs.expect("v2 allocates a block buffer");
-                // Host landing area, each strip at its offset in the
-                // compacted layout (kept whole so the eager copies and
-                // the simulated pipeline stay consistent).
-                let mut landed = vec![0.0f64; stage_len];
                 let mut copy_done: Vec<Event> = Vec::with_capacity(strips.len());
                 let mut reuse_gate: Option<Event> = None;
                 for st in strips.iter() {
@@ -321,38 +199,33 @@ pub(crate) fn factor_rlb_gpu_ws(
                         stage_off: 0,
                         ..*st
                     };
-                    launch_strip_kernel(&gpu, compute, panel_buf, buf, &st0, blocks, c, len)?;
+                    launch_strip_kernel(&gpu, compute, panel_buf, stage_buf, &st0, &split, c, len)?;
                     let done = gpu.record_event(compute);
                     gpu.stream_wait_event(copy, done);
-                    let host = &mut landed[st.stage_off..st.stage_off + st.m * st.n];
-                    gpu.memcpy_d2h(copy, buf, 0, host)?;
+                    gpu.memcpy_d2h(copy, stage_buf, 0, st.m * st.n)?;
                     let ev = gpu.record_event(copy);
                     reuse_gate = Some(ev);
                     copy_done.push(ev);
                 }
                 // Host assembles each strip as its transfer completes,
                 // overlapping the device's remaining kernels.
-                for (i, st) in strips.iter().enumerate() {
-                    gpu.host_wait_event(copy_done[i]);
-                    let parr = data.sn_mut(sym, blocks[st.b1].target);
-                    let host = &landed[st.stage_off..st.stage_off + st.m * st.n];
-                    let entries = apply_strip(sym, parr, blocks, st, host);
-                    gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
+                for (st, &ev) in strips.iter().zip(&copy_done) {
+                    gpu.host_wait_event(ev);
+                    host_assembly(&gpu, &cpu, st.entries());
                 }
             }
         }
     }
     gpu.synchronize();
     Ok(GpuRun {
-        factor: data,
+        offloaded: on_gpu,
+        strip_rows: chunk,
         sim_seconds: gpu.elapsed(),
         stats: gpu.stats(),
-        sn_on_gpu,
         streams_used: 1,
-        retire: crate::engine::RetireMode::InOrder,
+        retire: RetireMode::InOrder,
         lookahead: 0,
         transfers_saved: 0,
-        wall: t0.elapsed(),
     })
 }
 
@@ -369,39 +242,13 @@ pub(crate) fn launch_strip_kernel(
     c: usize,
     len: usize,
 ) -> Result<(), FactorError> {
-    let blk = blocks[st.b1];
-    let blk2 = blocks[st.b2];
+    let (a_off, b_off) = (c + blocks[st.b2].offset, c + blocks[st.b1].offset);
+    let (out, ldc) = (st.stage_off, st.m);
     if st.b1 == st.b2 {
-        gpu.syrk(
-            compute,
-            panel_buf,
-            c + blk.offset,
-            len,
-            st.n,
-            c,
-            1.0,
-            0.0,
-            dst,
-            st.stage_off,
-            st.m,
-        )?;
+        gpu.syrk(compute, panel_buf, b_off, len, st.n, c, dst, out, ldc)?;
     } else {
         gpu.gemm_nt(
-            compute,
-            panel_buf,
-            c + blk2.offset,
-            len,
-            panel_buf,
-            c + blk.offset,
-            len,
-            st.m,
-            st.n,
-            c,
-            1.0,
-            0.0,
-            dst,
-            st.stage_off,
-            st.m,
+            compute, panel_buf, a_off, len, panel_buf, b_off, len, st.m, st.n, c, dst, out, ldc,
         )?;
     }
     Ok(())
@@ -410,7 +257,7 @@ pub(crate) fn launch_strip_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fresh::{factor_rl_cpu, factor_rl_gpu, factor_rlb_cpu, factor_rlb_gpu};
+    use crate::fresh::{factor_rl_cpu, factor_rl_gpu, factor_rlb_cpu, factor_rlb_gpu, stats};
     use rlchol_matgen::{laplace2d, laplace3d};
     use rlchol_perfmodel::MachineModel;
     use rlchol_symbolic::{analyze, SymbolicOptions};
@@ -499,10 +346,10 @@ mod tests {
         let v1 = factor_rlb_gpu(&sym, &ap, &opts, RlbGpuVersion::V1).unwrap();
         let v2 = factor_rlb_gpu(&sym, &ap, &opts, RlbGpuVersion::V2).unwrap();
         assert!(
-            v2.stats.peak_bytes < v1.stats.peak_bytes,
+            stats(&v2).peak_bytes < stats(&v1).peak_bytes,
             "v2 {} vs v1 {}",
-            v2.stats.peak_bytes,
-            v1.stats.peak_bytes
+            stats(&v2).peak_bytes,
+            stats(&v1).peak_bytes
         );
     }
 
@@ -514,7 +361,7 @@ mod tests {
         let v1_full = factor_rlb_gpu(&sym, &ap, &opts0, RlbGpuVersion::V1).unwrap();
         let v2_full = factor_rlb_gpu(&sym, &ap, &opts0, RlbGpuVersion::V2).unwrap();
         // Pick a capacity between the two footprints.
-        let cap = (v2_full.stats.peak_bytes + v1_full.stats.peak_bytes) / 2;
+        let cap = (stats(&v2_full).peak_bytes + stats(&v1_full).peak_bytes) / 2;
         let mut opts = GpuOptions::with_threshold(0);
         opts.machine = MachineModel::perlmutter(16).with_gpu_capacity(cap);
         assert!(matches!(
@@ -545,7 +392,7 @@ mod tests {
         let run = factor_rlb_gpu(&sym, &ap, &opts, RlbGpuVersion::V2).unwrap();
         let cpu = factor_rlb_cpu(&sym, &ap).unwrap();
         assert!(cpu.factor.max_rel_diff(&run.factor) < 1e-11);
-        assert!(run.stats.peak_bytes <= cap);
+        assert!(stats(&run).peak_bytes <= cap);
     }
 
     #[test]
@@ -556,8 +403,8 @@ mod tests {
         let opts = GpuOptions::with_threshold(0);
         let v1 = factor_rlb_gpu(&sym, &ap, &opts, RlbGpuVersion::V1).unwrap();
         let v2 = factor_rlb_gpu(&sym, &ap, &opts, RlbGpuVersion::V2).unwrap();
-        assert_eq!(v1.stats.d2h_bytes, v2.stats.d2h_bytes);
-        assert!(v1.stats.d2h_count < v2.stats.d2h_count);
+        assert_eq!(stats(&v1).d2h_bytes, stats(&v2).d2h_bytes);
+        assert!(stats(&v1).d2h_count < stats(&v2).d2h_count);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! The numeric-engine registry: one trait, eight engines, and the only
 //! public way to run one.
 //!
-//! Inside the crate each engine family reports through its own shape
-//! (`CpuRun` with a trace, `GpuRun` with simulated seconds and device
-//! counters); neither those nor the per-engine `factor_*_ws` functions
-//! are visible outside it. Every caller — the staged handle, the CLI,
+//! Every method computes its factor on the CPU tree executor
+//! (`sched::cpu::factor_cpu_ws`, reporting a `CpuRun`). A device method
+//! first runs its simulation, a clock over shapes that reports a
+//! `GpuRun` with simulated seconds and device counters and fails typed
+//! (device fault, out of memory, simulated deadline) before any
+//! numerics; the factor then takes the update forms the simulation
+//! priced. Neither report nor entry point is visible outside the crate.
+//! Every caller — the staged handle, the CLI,
 //! the `paper` bin, benches, examples and tests — goes through one
 //! interface:
 //!
@@ -31,14 +35,16 @@ use rlchol_gpu::GpuStats;
 use rlchol_perfmodel::{Trace, TraceOp};
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::engine::{CpuRun, GpuOptions, GpuRun, Method, RetireMode, Variant};
+use crate::engine::{CpuRun, GpuOptions, Method, RetireMode, Variant};
 use crate::error::FactorError;
 use crate::storage::FactorData;
 
 /// Uniform per-factorization report, shared by every engine.
 #[derive(Debug, Clone, Default)]
 pub struct FactorInfo {
-    /// Real wall-clock duration of the factorization.
+    /// Real wall-clock duration of the numeric factorization on the CPU
+    /// tree executor (a device method's simulation runs before it and is
+    /// not counted).
     pub wall: Duration,
     /// Simulated end-to-end seconds on the paper platform (GPU engines
     /// only).
@@ -65,13 +71,13 @@ pub struct FactorInfo {
     /// Operation trace, replayable under the performance model (CPU
     /// engines only).
     pub trace: Option<Trace>,
-    /// Peak bytes of RL update matrices alive at once (CPU engines; 0
-    /// for RLB, which updates in place). At most `lanes ×` the largest
-    /// update matrix.
+    /// Peak bytes of RL update matrices alive at once on the CPU tree
+    /// executor (0 for RLB, which updates in place and forms its strips
+    /// one at a time). At most `lanes ×` the largest update matrix.
     pub peak_held_bytes: usize,
-    /// Lanes the CPU tree executor started (1: the one-lane sweep, which
-    /// it runs below its flop cutoff or beside another CPU
-    /// factorization; 0 for the GPU engines).
+    /// Lanes the CPU tree executor started, for every method (1: the
+    /// one-lane sweep, which it runs below its flop cutoff or beside
+    /// another CPU factorization).
     pub lanes: usize,
     /// Recovery steps the staged handle took to produce this factor
     /// (retries, fallbacks, lane quarantines); empty on a clean run.
@@ -88,32 +94,16 @@ pub struct EngineRun {
 }
 
 impl EngineRun {
-    fn from_cpu(run: CpuRun) -> Self {
+    /// The executor's run, with what a simulation (device methods) or a
+    /// trace (CPU methods) adds to its report.
+    fn new(run: CpuRun, info: FactorInfo) -> Self {
         EngineRun {
             factor: run.factor,
             info: FactorInfo {
                 wall: run.wall,
-                trace: Some(run.trace),
                 peak_held_bytes: run.peak_held_bytes,
                 lanes: run.lanes,
-                ..FactorInfo::default()
-            },
-        }
-    }
-
-    fn from_gpu(run: GpuRun) -> Self {
-        EngineRun {
-            factor: run.factor,
-            info: FactorInfo {
-                wall: run.wall,
-                sim_seconds: Some(run.sim_seconds),
-                sn_on_gpu: run.sn_on_gpu,
-                streams_used: run.streams_used,
-                gpu: Some(run.stats),
-                retire: Some(run.retire),
-                lookahead: run.lookahead,
-                transfers_saved: run.transfers_saved,
-                ..FactorInfo::default()
+                ..info
             },
         }
     }
@@ -240,69 +230,91 @@ impl NumericEngine for CpuEngine {
         ws: &mut EngineWorkspace,
     ) -> Result<EngineRun, FactorError> {
         assert!(data.shape_matches(sym), "factor storage shape mismatch");
-        crate::sched::cpu::factor_cpu_ws(sym, data, self.1, ws).map(EngineRun::from_cpu)
+        let run = crate::sched::cpu::factor_cpu_ws(sym, data, self.1.into(), ws)?;
+        let trace = Some(crate::sched::cpu::trace(sym, self.1, ws));
+        Ok(EngineRun::new(
+            run,
+            FactorInfo {
+                trace,
+                ..FactorInfo::default()
+            },
+        ))
     }
 }
 
-macro_rules! gpu_engine {
-    ($name:ident, $method:expr, $call:expr) => {
-        struct $name;
-        impl NumericEngine for $name {
-            fn method(&self) -> Method {
-                $method
+/// A device method: its simulation, then the factor on the CPU tree
+/// executor, in the update forms the simulation priced — RL everywhere,
+/// or for RLB the strips on the offloaded supernodes and the direct
+/// update on the rest.
+struct GpuEngine(Method, Variant);
+
+impl NumericEngine for GpuEngine {
+    fn method(&self) -> Method {
+        self.0
+    }
+
+    fn factor(
+        &self,
+        sym: &SymbolicFactor,
+        data: FactorData,
+        ws: &mut EngineWorkspace,
+    ) -> Result<EngineRun, FactorError> {
+        use crate::gpu_rlb::RlbGpuVersion::{V1, V2};
+        use crate::sched::cpu::Plan;
+        assert!(data.shape_matches(sym), "factor storage shape mismatch");
+        let opts = ws.resolved_gpu();
+        let sim = match self.0 {
+            Method::RlGpu => crate::gpu_rl::simulate(sym, &data, &opts, ws),
+            Method::RlbGpuV1 => crate::gpu_rlb::simulate(sym, &data, &opts, V1, ws),
+            Method::RlbGpuV2 => crate::gpu_rlb::simulate(sym, &data, &opts, V2, ws),
+            Method::RlGpuPipe | Method::RlbGpuPipe => {
+                crate::sched::gpu::simulate(sym, &data, &opts, self.1, ws)
             }
-            fn factor(
-                &self,
-                sym: &SymbolicFactor,
-                data: FactorData,
-                ws: &mut EngineWorkspace,
-            ) -> Result<EngineRun, FactorError> {
-                assert!(data.shape_matches(sym), "factor storage shape mismatch");
-                let opts = ws.resolved_gpu();
-                #[allow(clippy::redundant_closure_call)]
-                ($call)(sym, data, &opts, ws).map(EngineRun::from_gpu)
-            }
+            cpu => unreachable!("{cpu:?} is not a device method"),
+        }?;
+        let plan = match self.1 {
+            Variant::Rl => Plan::Rl,
+            Variant::Rlb => Plan::Strips {
+                offloaded: &sim.offloaded,
+                chunk: sim.strip_rows,
+            },
+        };
+        let run = crate::sched::cpu::factor_cpu_ws(sym, data, plan, ws);
+        // The executor's buffers (up to lanes × the largest update
+        // matrix) go with the run: a device handle keeps its device
+        // session between runs, not host scratch, so a process holding
+        // many handles does not hold one slab each. A resident device
+        // survives only clean runs.
+        ws.cpu = Default::default();
+        if run.is_err() {
+            ws.residency = None;
         }
-    };
+        let run = run?;
+        let info = FactorInfo {
+            sim_seconds: Some(sim.sim_seconds),
+            sn_on_gpu: sim.offloaded.iter().filter(|&&b| b).count(),
+            streams_used: sim.streams_used,
+            gpu: Some(sim.stats),
+            retire: Some(sim.retire),
+            lookahead: sim.lookahead,
+            transfers_saved: sim.transfers_saved,
+            ..FactorInfo::default()
+        };
+        Ok(EngineRun::new(run, info))
+    }
 }
-
-gpu_engine!(RlGpuEngine, Method::RlGpu, crate::gpu_rl::factor_rl_gpu_ws);
-gpu_engine!(
-    RlbGpuV1Engine,
-    Method::RlbGpuV1,
-    |sym: &SymbolicFactor, data: FactorData, opts: &GpuOptions, ws: &mut EngineWorkspace| {
-        crate::gpu_rlb::factor_rlb_gpu_ws(sym, data, opts, crate::gpu_rlb::RlbGpuVersion::V1, ws)
-    }
-);
-gpu_engine!(
-    RlbGpuV2Engine,
-    Method::RlbGpuV2,
-    |sym: &SymbolicFactor, data: FactorData, opts: &GpuOptions, ws: &mut EngineWorkspace| {
-        crate::gpu_rlb::factor_rlb_gpu_ws(sym, data, opts, crate::gpu_rlb::RlbGpuVersion::V2, ws)
-    }
-);
-gpu_engine!(
-    RlGpuPipeEngine,
-    Method::RlGpuPipe,
-    crate::sched::gpu::factor_rl_gpu_pipe_ws
-);
-gpu_engine!(
-    RlbGpuPipeEngine,
-    Method::RlbGpuPipe,
-    crate::sched::gpu::factor_rlb_gpu_pipe_ws
-);
 
 /// The registry, in [`Method::ALL`] order. `RlCpuPar` is a synonym of
-/// `RlCpu`: every CPU method runs the one tree executor.
+/// `RlCpu`: every method runs the one tree executor.
 static ENGINES: [&dyn NumericEngine; 8] = [
     &CpuEngine(Method::RlCpu, Variant::Rl),
     &CpuEngine(Method::RlbCpu, Variant::Rlb),
     &CpuEngine(Method::RlCpuPar, Variant::Rl),
-    &RlGpuEngine,
-    &RlbGpuV1Engine,
-    &RlbGpuV2Engine,
-    &RlGpuPipeEngine,
-    &RlbGpuPipeEngine,
+    &GpuEngine(Method::RlGpu, Variant::Rl),
+    &GpuEngine(Method::RlbGpuV1, Variant::Rlb),
+    &GpuEngine(Method::RlbGpuV2, Variant::Rlb),
+    &GpuEngine(Method::RlGpuPipe, Variant::Rl),
+    &GpuEngine(Method::RlbGpuPipe, Variant::Rlb),
 ];
 
 /// Looks up the engine registered for `method`.

@@ -33,7 +33,7 @@ pub(crate) fn rl_update_matrix<'u>(
 mod tests {
     use super::*;
     use crate::error::FactorError;
-    use crate::fresh::factor_rl_cpu;
+    use crate::fresh::{factor_rl_cpu, trace};
     use rlchol_matgen::laplace2d;
     use rlchol_sparse::TripletMatrix;
     use rlchol_symbolic::{analyze, SymbolicOptions};
@@ -46,7 +46,7 @@ mod tests {
         let run = factor_rl_cpu(&sym, &ap).unwrap();
         let res = run.factor.residual(&sym, &ap, 3);
         assert!(res < 1e-12, "residual {res}");
-        assert!(run.trace.blas_calls() > 0);
+        assert!(trace(&run).blas_calls() > 0);
     }
 
     #[test]
@@ -72,7 +72,9 @@ mod tests {
         let ap = a.permute(&sym.perm);
         let run = factor_rl_cpu(&sym, &ap).unwrap();
         let syrks = run
+            .info
             .trace
+            .unwrap()
             .ops
             .iter()
             .filter(|o| matches!(o, TraceOp::Syrk { .. }))

@@ -13,20 +13,18 @@
 //! generalized relative index (its offset in the ancestor's index list),
 //! since consecutive global indices stay consecutive there.
 //!
-//! The sweep itself ([`rlb_target_runs`] + [`rlb_run_updates`]) and the
-//! direct update of one target run (`rlb_apply_run`) are shared by the
-//! CPU tree executor and the GPU engines' CPU path, which differ only in
-//! scheduling, accounting and lanes — the relative index arithmetic and
-//! the update kernels live here and nowhere else.
+//! The RLB device methods give their offloaded supernodes a second
+//! form, the **strips** of [`rlb_apply_strips`]: each block pair's
+//! update is formed on its own, then subtracted, as the device would
+//! stage it (§III). Both forms run on the CPU tree executor; the
+//! relative index arithmetic and the update kernels live here and
+//! nowhere else.
 
-use rlchol_dense::pool::ThreadPool;
 use rlchol_dense::{gemm_nt, syrk_ln};
 use rlchol_perfmodel::TraceOp;
+use rlchol_symbolic::blocks::RowBlock;
 use rlchol_symbolic::relind::relative_index_of;
 use rlchol_symbolic::SymbolicFactor;
-
-use crate::assemble::fan_out;
-use crate::storage::FactorData;
 
 /// A maximal run of consecutive row blocks of one source supernode aimed
 /// at a single target supernode, with the target geometry resolved once.
@@ -228,33 +226,83 @@ pub(crate) fn rlb_apply_run(
     });
 }
 
-/// Supernode `s`'s whole direct update with one `pool` index per target
-/// run ([`fan_out`]): runs target disjoint ancestor arrays, so the
-/// fan-out is lock-free and bit-identical to the serial sweep. The
-/// kernels are reported to `account` on the calling thread, in sweep
-/// order, as the runs are handed out.
-pub(crate) fn rlb_update_pool(
-    pool: &ThreadPool,
+/// Splits `blocks` longer than `chunk` rows into consecutive
+/// sub-blocks, into `out` (cleared first). Sub-blocks keep their target
+/// supernode and contiguity, so strips work on them unchanged: this is
+/// how the streaming RLB device method bounds its block buffer to the
+/// memory left after the panel.
+pub(crate) fn split_blocks_into(blocks: &[RowBlock], chunk: usize, out: &mut Vec<RowBlock>) {
+    out.clear();
+    for b in blocks {
+        let mut done = 0usize;
+        while done < b.len {
+            let piece = chunk.min(b.len - done);
+            out.push(RowBlock {
+                offset: b.offset + done,
+                len: piece,
+                first: b.first + done,
+                target: b.target,
+            });
+            done += piece;
+        }
+    }
+}
+
+/// The strips form of supernode `s`'s update into `target`: for every
+/// block `B` of `blocks` (`s`'s row blocks, possibly split by
+/// [`split_blocks_into`]) lying in `target`, and every block `B′` at or
+/// below it, the strip `L[B′] L[B]ᵀ` is formed with `beta = 0` in
+/// `strip` (a DSYRK for `B′ = B`, a DGEMM below), then subtracted from
+/// the target's storage `parr` — the diagonal strip's lower triangle
+/// only. It reads the factored source panel `src`. Forming a strip
+/// before subtracting it rounds differently from the direct update
+/// ([`rlb_apply_run`]), so the RLB device methods have factors of their
+/// own.
+pub(crate) fn rlb_apply_strips(
     sym: &SymbolicFactor,
-    data: &mut FactorData,
     s: usize,
-    mut account: impl FnMut(&TraceOp),
+    src: &[f64],
+    parr: &mut [f64],
+    target: usize,
+    blocks: &[RowBlock],
+    strip: &mut Vec<f64>,
 ) {
-    let (src, targets) = data.split_source(sym, s);
-    let units = rlb_target_runs(sym, s).map(|run| {
-        rlb_run_ops(sym, s, &run, &mut account);
-        (run.target, run)
-    });
-    fan_out(pool, targets, units, |run, parr| {
-        rlb_apply_run(sym, s, src, parr, &run, |_| {});
-        0
-    });
+    let (c, len) = (sym.sn_ncols(s), sym.sn_len(s));
+    let p_first = sym.sn.first_col(target);
+    let (p_ncols, p_len) = (sym.sn_ncols(target), sym.sn_len(target));
+    let b_start = blocks.partition_point(|b| b.target < target);
+    let outer = blocks.iter().enumerate().skip(b_start);
+    for (b1, blk) in outer.take_while(|(_, b)| b.target == target) {
+        let tcol = blk.first - p_first;
+        for (b2, blk2) in blocks.iter().enumerate().skip(b1) {
+            let (m, n) = (blk2.len, blk.len);
+            if strip.len() < m * n {
+                strip.resize(m * n, 0.0);
+            }
+            let out = &mut strip[..m * n];
+            let diagonal = b1 == b2;
+            if diagonal {
+                syrk_ln(n, c, 1.0, &src[c + blk.offset..], len, 0.0, out, m);
+            } else {
+                let (a, b) = (&src[c + blk2.offset..], &src[c + blk.offset..]);
+                gemm_nt(m, n, c, 1.0, a, len, b, len, 0.0, out, m);
+            }
+            let roff = relative_index_of(blk2.first, p_first, p_ncols, &sym.rows[target]);
+            for j in 0..n {
+                let dst = &mut parr[(tcol + j) * p_len + roff..];
+                let i0 = if diagonal { j } else { 0 };
+                for i in i0..m {
+                    dst[i] -= out[j * m + i];
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fresh::{factor_rl_cpu, factor_rlb_cpu};
+    use crate::fresh::{factor_rl_cpu, factor_rlb_cpu, trace};
     use rlchol_matgen::{grid3d, laplace2d, Stencil};
     use rlchol_symbolic::{analyze, SymbolicOptions};
 
@@ -290,7 +338,7 @@ mod tests {
         let ap = a.permute(&sym.perm);
         let rl = factor_rl_cpu(&sym, &ap).unwrap();
         let rlb = factor_rlb_cpu(&sym, &ap).unwrap();
-        assert!(rlb.trace.blas_calls() >= rl.trace.blas_calls());
+        assert!(trace(&rlb).blas_calls() >= trace(&rl).blas_calls());
     }
 
     #[test]
@@ -301,7 +349,9 @@ mod tests {
         let ap = a.permute(&sym.perm);
         let run = factor_rlb_cpu(&sym, &ap).unwrap();
         assert!(run
+            .info
             .trace
+            .unwrap()
             .ops
             .iter()
             .all(|o| !matches!(o, TraceOp::Assemble { .. })));
@@ -322,10 +372,10 @@ mod tests {
         let r1 = factor_rlb_cpu(&sym1, &a.permute(&sym1.perm)).unwrap();
         let r2 = factor_rlb_cpu(&sym2, &a.permute(&sym2.perm)).unwrap();
         assert!(
-            r1.trace.blas_calls() <= r2.trace.blas_calls(),
+            trace(&r1).blas_calls() <= trace(&r2).blas_calls(),
             "PR should not increase call count: {} vs {}",
-            r1.trace.blas_calls(),
-            r2.trace.blas_calls()
+            trace(&r1).blas_calls(),
+            trace(&r2).blas_calls()
         );
     }
 }

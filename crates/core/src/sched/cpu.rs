@@ -1,14 +1,17 @@
-//! The CPU tree executor: `RlCpu`, `RlbCpu` and `RlCpu`'s synonym
-//! `RlCpuPar` all run here, at `SolverOptions::threads`
-//! lanes, and the factor is the one-lane sweep's bit for bit at every
-//! lane count. The units are those of the fan-both task graph of
-//! Jacquelin et al.:
+//! The CPU tree executor: every method's factor is computed here, at
+//! `SolverOptions::threads` lanes, and it is the one-lane sweep's bit for
+//! bit at every lane count. The CPU methods run it alone; the device
+//! methods run it after their simulation has priced the run
+//! ([`crate::registry`]). The units are those of the fan-both task graph
+//! of Jacquelin et al.:
 //!
 //! * **factor s**: the panel step; under RL also `s`'s update matrix,
 //!   formed once (`rl_update_matrix`);
-//! * **apply s → t**: one `scatter_segment` of that matrix (RL), or one
-//!   target run's direct kernels (`rlb_apply_run`, RLB), which read only
-//!   `s`'s factored panel.
+//! * **apply s → t**: one `scatter_segment` of that matrix (RL), one
+//!   target run's direct kernels (`rlb_apply_run`, RLB), or the strips
+//!   into `t` (`rlb_apply_strips`, an RLB device method's offloaded
+//!   supernodes); the last two read only `s`'s factored panel. The
+//!   [`Plan`] names the form of each supernode.
 //!
 //! **Order.** Apply s → t is released when `t`'s [`Sequencer`] cursor
 //! reaches `s`, so every target takes its updates in the sweep's order,
@@ -43,9 +46,10 @@
 //! and an idle lane helps the running split before it sleeps, so the
 //! one wide supernode near the root still uses every lane.
 //!
-//! **Trace.** It depends on shapes only, so both paths emit it after the
-//! run, in supernode order (`trace_supernode`), and the kernels run with
-//! no accounting.
+//! **Trace.** It depends on shapes only, so a CPU method emits it apart
+//! from the run, in supernode order ([`trace`]), and the kernels run with
+//! no accounting. The device methods emit none: their simulation charges
+//! the same shapes ([`update_ops`]) to its clock.
 //!
 //! **Errors.** [`RunCtl::check`](crate::resilience::RunCtl::check) runs
 //! once per supernode at every lane count. A deadline, a cancellation, a
@@ -61,15 +65,18 @@ use std::time::Instant;
 
 use rlchol_dense::pool;
 use rlchol_perfmodel::{Trace, TraceOp};
+use rlchol_symbolic::blocks::RowBlock;
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::assemble::{assemble_update, scatter_segment, segment_to, segments};
+use crate::assemble::{scatter_segment, segment_to, segments};
 use crate::engine::{panel_step, CpuRun, Variant};
 use crate::error::FactorError;
 use crate::registry::EngineWorkspace;
 use crate::resilience::RunCtl;
 use crate::rl::rl_update_matrix;
-use crate::rlb::{rlb_apply_run, rlb_run_ops, rlb_run_to, rlb_target_runs};
+use crate::rlb::{
+    rlb_apply_run, rlb_apply_strips, rlb_run_ops, rlb_run_to, rlb_target_runs, split_blocks_into,
+};
 use crate::storage::FactorData;
 
 use super::driver::Sequencer;
@@ -121,13 +128,73 @@ pub(crate) struct CpuScratch {
 struct LaneScratch {
     /// The diagonal-block copy of the panel TRSM.
     l11: Vec<f64>,
-    /// Relative indices of an RL scatter.
-    rel: Vec<usize>,
+    apply: ApplyScratch,
     /// Targets of the apply batch the lane runs.
     batch: Vec<usize>,
     /// Units the lane ran in the last tree.
     #[cfg(test)]
     units: usize,
+}
+
+/// What an apply unit works in.
+#[derive(Debug, Default)]
+struct ApplyScratch {
+    /// Relative indices of an RL scatter.
+    rel: Vec<usize>,
+    /// The source's row blocks, cut for the strips form.
+    blocks: Vec<RowBlock>,
+    /// One strip of the strips form.
+    strip: Vec<f64>,
+}
+
+/// How each supernode's update reaches its targets.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Plan<'a> {
+    /// RL everywhere: the RL methods, CPU and device.
+    Rl,
+    /// RLB's direct update everywhere: the CPU RLB method.
+    Rlb,
+    /// An RLB device method: the strips form on the supernodes marked in
+    /// `offloaded`, their blocks cut to at most `chunk` rows, and the
+    /// direct update on the rest.
+    Strips { offloaded: &'a [bool], chunk: usize },
+}
+
+impl From<Variant> for Plan<'_> {
+    fn from(variant: Variant) -> Self {
+        match variant {
+            Variant::Rl => Plan::Rl,
+            Variant::Rlb => Plan::Rlb,
+        }
+    }
+}
+
+/// Apply s → t: `s`'s update into `t`'s storage `tarr`, reading `s`'s
+/// update matrix `upd` (RL) or its factored panel `src` (RLB).
+#[allow(clippy::too_many_arguments)]
+fn apply(
+    sym: &SymbolicFactor,
+    plan: Plan<'_>,
+    s: usize,
+    src: &[f64],
+    upd: &[f64],
+    t: usize,
+    tarr: &mut [f64],
+    scratch: &mut ApplyScratch,
+) {
+    match plan {
+        Plan::Rl => {
+            let (seg, r) = (segment_to(sym, s, t), sym.sn_nrows_below(s));
+            scatter_segment(sym, tarr, seg, &sym.rows[s], upd, r, &mut scratch.rel);
+        }
+        Plan::Strips { offloaded, chunk } if offloaded[s] => {
+            split_blocks_into(&sym.blocks[s], chunk, &mut scratch.blocks);
+            rlb_apply_strips(sym, s, src, tarr, t, &scratch.blocks, &mut scratch.strip);
+        }
+        Plan::Rlb | Plan::Strips { .. } => {
+            rlb_apply_run(sym, s, src, tarr, &rlb_run_to(sym, s, t), |_| {})
+        }
+    }
 }
 
 /// Grows `buf` to at least `len` entries. A fresh allocation is zeroed by
@@ -138,13 +205,13 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
     }
 }
 
-/// Factors `data` (the matrix's values in factor order) in place with
-/// `variant`, drawing scratch from `ws`, on `ws.resolved_lanes()` lanes
+/// Factors `data` (the matrix's values in factor order) in place under
+/// `plan`, drawing scratch from `ws`, on `ws.resolved_lanes()` lanes
 /// unless the tree does not pay (see the module docs).
 pub(crate) fn factor_cpu_ws(
     sym: &SymbolicFactor,
     data: FactorData,
-    variant: Variant,
+    plan: Plan<'_>,
     ws: &mut EngineWorkspace,
 ) -> Result<CpuRun, FactorError> {
     let in_flight = InFlight::enter();
@@ -153,7 +220,7 @@ pub(crate) fn factor_cpu_ws(
     } else {
         1
     };
-    execute(sym, data, variant, ws, lanes, true)
+    execute(sym, data, plan, ws, lanes, true)
 }
 
 /// Runs the executor at `lanes` lanes (one: the sweep). With `shrink`,
@@ -162,7 +229,7 @@ pub(crate) fn factor_cpu_ws(
 fn execute(
     sym: &SymbolicFactor,
     mut data: FactorData,
-    variant: Variant,
+    plan: Plan<'_>,
     ws: &mut EngineWorkspace,
     lanes: usize,
     shrink: bool,
@@ -170,17 +237,12 @@ fn execute(
     let t0 = Instant::now();
     let lanes = lanes.clamp(1, sym.nsup().max(1));
     let peak = if lanes == 1 {
-        sweep(sym, variant, &mut data, ws)?
+        sweep(sym, plan, &mut data, ws)?
     } else {
-        Tree::run(sym, variant, &mut data, ws, lanes, shrink)?
+        Tree::run(sym, plan, &mut data, ws, lanes, shrink)?
     };
-    let mut trace = ws.take_trace();
-    for s in 0..sym.nsup() {
-        trace_supernode(sym, s, variant, &mut trace);
-    }
     Ok(CpuRun {
         factor: data,
-        trace,
         wall: t0.elapsed(),
         peak_held_bytes: peak * std::mem::size_of::<f64>(),
         lanes,
@@ -190,38 +252,57 @@ fn execute(
 /// Factor s: the panel step, then (RL) `s`'s update matrix into `upd`.
 fn factor_unit(
     sym: &SymbolicFactor,
-    variant: Variant,
+    plan: Plan<'_>,
     s: usize,
     arr: &mut [f64],
     l11: &mut Vec<f64>,
     upd: &mut [f64],
 ) -> Result<(), FactorError> {
     panel_step(sym, s, arr, l11, |_| {})?;
-    if variant == Variant::Rl && sym.sn_nrows_below(s) > 0 {
+    if matches!(plan, Plan::Rl) && sym.sn_nrows_below(s) > 0 {
         rl_update_matrix(sym, s, arr, upd, |_| {});
     }
     Ok(())
 }
 
-/// Supernode `s`'s kernels as trace records, in the sweep's order.
-fn trace_supernode(sym: &SymbolicFactor, s: usize, variant: Variant, trace: &mut Trace) {
-    let c = sym.sn_ncols(s);
-    let r = sym.sn_nrows_below(s);
-    trace.push(TraceOp::Potrf { n: c });
+/// A CPU method's trace: every supernode's kernels, in the sweep's
+/// order, from shapes, in `ws`'s recycled buffer.
+pub(crate) fn trace(sym: &SymbolicFactor, variant: Variant, ws: &mut EngineWorkspace) -> Trace {
+    let mut trace = ws.take_trace();
+    for s in 0..sym.nsup() {
+        let (c, r) = (sym.sn_ncols(s), sym.sn_nrows_below(s));
+        trace.push(TraceOp::Potrf { n: c });
+        if r > 0 {
+            trace.push(TraceOp::Trsm { m: r, n: c });
+        }
+        update_ops(sym, s, variant, |op| trace.push(*op));
+    }
+    trace
+}
+
+/// Supernode `s`'s update kernels under `variant`, from shapes, in the
+/// sweep's order: RL's SYRK and its assembly, or RLB's kernels target
+/// run by target run. None when no rows lie below.
+pub(crate) fn update_ops(
+    sym: &SymbolicFactor,
+    s: usize,
+    variant: Variant,
+    mut account: impl FnMut(&TraceOp),
+) {
+    let (c, r) = (sym.sn_ncols(s), sym.sn_nrows_below(s));
     if r == 0 {
         return;
     }
-    trace.push(TraceOp::Trsm { m: r, n: c });
     match variant {
         Variant::Rl => {
-            trace.push(TraceOp::Syrk { n: r, k: c });
-            trace.push(TraceOp::Assemble {
+            account(&TraceOp::Syrk { n: r, k: c });
+            account(&TraceOp::Assemble {
                 entries: r * (r + 1) / 2,
             });
         }
         Variant::Rlb => {
             for run in rlb_target_runs(sym, s) {
-                rlb_run_ops(sym, s, &run, |op| trace.push(*op));
+                rlb_run_ops(sym, s, &run, &mut account);
             }
         }
     }
@@ -232,7 +313,7 @@ fn trace_supernode(sym: &SymbolicFactor, s: usize, variant: Variant, trace: &mut
 /// held (entries).
 fn sweep(
     sym: &SymbolicFactor,
-    variant: Variant,
+    plan: Plan<'_>,
     data: &mut FactorData,
     ws: &mut EngineWorkspace,
 ) -> Result<usize, FactorError> {
@@ -243,9 +324,13 @@ fn sweep(
     if lanes.is_empty() {
         lanes.push(LaneScratch::default());
     }
-    let LaneScratch { l11, rel, .. } = &mut lanes[0];
+    let LaneScratch {
+        l11,
+        apply: scratch,
+        ..
+    } = &mut lanes[0];
     let mut peak = 0;
-    if variant == Variant::Rl {
+    if matches!(plan, Plan::Rl) {
         // "The temporary working storage is preallocated so that it can
         // store the largest update matrix during the factorization."
         // (§II-A)
@@ -254,23 +339,16 @@ fn sweep(
     }
     for s in 0..sym.nsup() {
         ctl.check()?;
-        factor_unit(sym, variant, s, data.sn_mut(sym, s), l11, upd)?;
+        factor_unit(sym, plan, s, data.sn_mut(sym, s), l11, upd)?;
         #[cfg(test)]
         if let Some(token) = &hook {
             token.cancel();
         }
         // Every cursor is ready: apply s → t for all targets, ascending.
-        let r = sym.sn_nrows_below(s);
-        match variant {
-            Variant::Rl => {
-                assemble_update(sym, data, s, upd, r, rel);
-            }
-            Variant::Rlb => {
-                let (src, mut targets) = data.split_source(sym, s);
-                for run in rlb_target_runs(sym, s) {
-                    rlb_apply_run(sym, s, src, targets.take(run.target), &run, |_| {});
-                }
-            }
+        let (src, mut targets) = data.split_source(sym, s);
+        for seg in segments(sym, s) {
+            let t = seg.target;
+            apply(sym, plan, s, src, upd, t, targets.take(t), scratch);
         }
     }
     Ok(peak)
@@ -435,7 +513,7 @@ const POISON: &str = "no lane panics holding the state lock";
 /// What the lanes share.
 struct Tree<'a> {
     sym: &'a SymbolicFactor,
-    variant: Variant,
+    plan: Plan<'a>,
     factor: Shared<'a>,
     slab: Shared<'a>,
     ctl: &'a RunCtl,
@@ -451,7 +529,7 @@ impl<'a> Tree<'a> {
     /// threads. Returns the peak of held update-matrix entries.
     fn run(
         sym: &'a SymbolicFactor,
-        variant: Variant,
+        plan: Plan<'a>,
         data: &mut FactorData,
         ws: &'a mut EngineWorkspace,
         lanes: usize,
@@ -462,7 +540,7 @@ impl<'a> Tree<'a> {
         let ready = seq.leaves().map(|t| Reverse((t, t))).collect();
         let left = (0..nsup).map(|s| segments(sym, s).count()).collect();
         let max_upd = sym.max_update_matrix_entries();
-        let slab_len = if variant == Variant::Rl {
+        let slab_len = if matches!(plan, Plan::Rl) {
             lanes * max_upd
         } else {
             0
@@ -479,7 +557,7 @@ impl<'a> Tree<'a> {
         assert!(ascending, "supernode offsets must ascend");
         let tree = Tree {
             sym,
-            variant,
+            plan,
             factor: Shared::new(data.values_mut()),
             slab: Shared::new(&mut ws.cpu.upd),
             ctl: &ws.ctl,
@@ -608,7 +686,7 @@ impl<'a> Tree<'a> {
                 return Some(Unit::Apply { s, upd: st.held[s] });
             }
             let r = self.sym.sn_nrows_below(s);
-            let upd = if self.variant == Variant::Rlb || r == 0 {
+            let upd = if !matches!(self.plan, Plan::Rl) || r == 0 {
                 (0, 0)
             } else if let Some(upd) = st.slab.take(r * r, s == st.low) {
                 upd
@@ -623,7 +701,7 @@ impl<'a> Tree<'a> {
 
     /// Runs one unit outside the lock; returns it for [`complete`].
     fn work(&self, unit: Unit, scratch: &mut LaneScratch) -> Result<Unit, FactorError> {
-        let (sym, variant) = (self.sym, self.variant);
+        let (sym, plan) = (self.sym, self.plan);
         let sn_range = |s: usize| (sym.sn_ptr[s], sym.sn_ptr[s + 1] - sym.sn_ptr[s]);
         match unit {
             Unit::Factor { s, upd } => {
@@ -633,7 +711,7 @@ impl<'a> Tree<'a> {
                 let arr = unsafe { self.factor.write(sn_range(s)) };
                 // SAFETY: its slab range was handed to it alone.
                 let upd_m = unsafe { self.slab.write(upd) };
-                factor_unit(sym, variant, s, arr, &mut scratch.l11, upd_m)?;
+                factor_unit(sym, plan, s, arr, &mut scratch.l11, upd_m)?;
                 #[cfg(test)]
                 if let Some(token) = &self.hook {
                     token.cancel();
@@ -644,21 +722,11 @@ impl<'a> Tree<'a> {
                 // SAFETY: `s` is factored, so only read, and its slab range
                 // stays handed out until its last apply completes.
                 let (src, upd_m) = unsafe { (self.factor.read(sn_range(s)), self.slab.read(upd)) };
-                let (rows, r) = (&sym.rows[s], sym.sn_nrows_below(s));
-                let LaneScratch { rel, batch, .. } = scratch;
-                for &t in batch.iter() {
+                for &t in scratch.batch.iter() {
                     // SAFETY: `t`'s cursor is at `s`, so this apply is the
                     // one unit that may write `t` now.
                     let tarr = unsafe { self.factor.write(sn_range(t)) };
-                    match variant {
-                        Variant::Rl => {
-                            let seg = segment_to(sym, s, t);
-                            scatter_segment(sym, tarr, seg, rows, upd_m, r, rel);
-                        }
-                        Variant::Rlb => {
-                            rlb_apply_run(sym, s, src, tarr, &rlb_run_to(sym, s, t), |_| {})
-                        }
-                    }
+                    apply(sym, plan, s, src, upd_m, t, tarr, &mut scratch.apply);
                 }
                 Ok(unit)
             }
@@ -731,6 +799,7 @@ impl<'a> Tree<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assemble::assemble_update;
     use crate::resilience::{CancelToken, Deadline};
     use rlchol_dense::{flops_potrf, flops_trsm};
     use rlchol_matgen::{grid2d, grid3d, kkt3d, laplace2d, perturbed_grid3d, Stencil};
@@ -749,30 +818,33 @@ mod tests {
 
     /// The executor at exactly `lanes` lanes, bypassing the flop cutoff
     /// and the one-active-tree rule.
-    fn at(sym: &SymbolicFactor, ap: &SymCsc, variant: Variant, lanes: usize) -> CpuRun {
+    fn at<'a>(
+        sym: &SymbolicFactor,
+        ap: &SymCsc,
+        plan: impl Into<Plan<'a>>,
+        lanes: usize,
+    ) -> CpuRun {
         let mut ws = EngineWorkspace::default();
-        execute(
-            sym,
-            FactorData::load(sym, ap),
-            variant,
-            &mut ws,
-            lanes,
-            false,
-        )
-        .unwrap()
+        let data = FactorData::load(sym, ap);
+        execute(sym, data, plan.into(), &mut ws, lanes, false).unwrap()
     }
 
-    /// Factor and trace at 2, 4 and 8 lanes equal the sweep's, bit for
-    /// bit and op for op.
+    /// The factor at 2, 4 and 8 lanes equals the sweep's, bit for bit,
+    /// under every plan: RL, RLB, and strips on every other supernode
+    /// with blocks cut to three rows.
     fn check_lanes(a: &SymCsc) {
         let (sym, ap) = prepared(a);
-        for variant in [Variant::Rl, Variant::Rlb] {
-            let sweep = at(&sym, &ap, variant, 1);
+        let offloaded: Vec<bool> = (0..sym.nsup()).map(|s| s % 2 == 0).collect();
+        let strips = Plan::Strips {
+            offloaded: &offloaded,
+            chunk: 3,
+        };
+        for plan in [Plan::Rl, Plan::Rlb, strips] {
+            let sweep = at(&sym, &ap, plan, 1);
             for lanes in [2, 4, 8] {
-                let tree = at(&sym, &ap, variant, lanes);
+                let tree = at(&sym, &ap, plan, lanes);
                 assert_eq!(tree.lanes, lanes);
-                assert_eq!(sweep.factor, tree.factor, "{variant:?} lanes={lanes}");
-                assert_eq!(sweep.trace.ops, tree.trace.ops, "{variant:?} lanes={lanes}");
+                assert_eq!(sweep.factor, tree.factor, "{plan:?} lanes={lanes}");
             }
         }
     }
@@ -876,13 +948,13 @@ mod tests {
     #[test]
     fn trace_flops_match_serial() {
         // The trace is emitted from shapes; it must be the kernels' own
-        // accounting op for op, at one lane and at three.
+        // accounting op for op.
         let a = grid3d(6, 5, 7, Stencil::Star7, 1, 3);
         let (sym, ap) = prepared(&a);
         for variant in [Variant::Rl, Variant::Rlb] {
             let kernels = accounted(&sym, &ap, variant);
-            assert_eq!(at(&sym, &ap, variant, 1).trace.ops, kernels, "{variant:?}");
-            assert_eq!(at(&sym, &ap, variant, 3).trace.ops, kernels, "{variant:?}");
+            let shapes = trace(&sym, variant, &mut EngineWorkspace::default());
+            assert_eq!(shapes.ops, kernels, "{variant:?}");
         }
     }
 
@@ -917,7 +989,7 @@ mod tests {
                 let err = execute(
                     &sym,
                     FactorData::load(&sym, &ap),
-                    variant,
+                    variant.into(),
                     &mut ws,
                     lanes,
                     false,
@@ -930,7 +1002,7 @@ mod tests {
                 assert!(execute(
                     &sym,
                     FactorData::load(&sym, &ap),
-                    variant,
+                    variant.into(),
                     &mut ws,
                     lanes,
                     false
@@ -948,8 +1020,15 @@ mod tests {
         let busy = (InFlight::enter(), InFlight::enter());
         for variant in [Variant::Rl, Variant::Rlb] {
             let mut ws = EngineWorkspace::default();
-            let tree =
-                execute(&sym, FactorData::load(&sym, &ap), variant, &mut ws, 4, true).unwrap();
+            let tree = execute(
+                &sym,
+                FactorData::load(&sym, &ap),
+                variant.into(),
+                &mut ws,
+                4,
+                true,
+            )
+            .unwrap();
             let units: Vec<usize> = ws.cpu.lanes.iter().map(|l| l.units).collect();
             assert_eq!(tree.lanes, 4);
             assert!(
@@ -968,8 +1047,7 @@ mod tests {
         let (sym, ap) = prepared(&grid3d(16, 16, 16, Stencil::Star7, 1, 9));
         assert!(sym.flops >= TREE_FLOPS, "{} flops", sym.flops);
         let other = InFlight::enter();
-        let run =
-            factor_cpu_ws(&sym, FactorData::load(&sym, &ap), Variant::Rl, &mut four()).unwrap();
+        let run = factor_cpu_ws(&sym, FactorData::load(&sym, &ap), Plan::Rl, &mut four()).unwrap();
         drop(other);
         assert_eq!(run.lanes, 1, "a second factorization runs the sweep");
         // Below the cutoff: the sweep, whatever else runs.
@@ -978,7 +1056,7 @@ mod tests {
         let run = factor_cpu_ws(
             &small,
             FactorData::load(&small, &sap),
-            Variant::Rl,
+            Plan::Rl,
             &mut four(),
         )
         .unwrap();

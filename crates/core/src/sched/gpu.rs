@@ -1,4 +1,5 @@
-//! Pipelined multi-stream GPU executor over the update sequencer.
+//! Pipelined multi-stream GPU simulation over the update sequencer, as a
+//! clock over shapes.
 //!
 //! The single-stream GPU engines ([`crate::gpu_rl`], [`crate::gpu_rlb`])
 //! walk supernodes left to right on one compute/copy stream pair, so a
@@ -26,8 +27,7 @@
 //!   * [`RetireMode::InOrder`] (default): ascending supernode order,
 //!     with a fixed `2 × pairs` lookahead window. The host waits on
 //!     supernode `s`'s staging D2H before touching `s + 1` even when a
-//!     later supernode's transfer completed long ago — simple, and
-//!     bit-identical to the single-stream engines by construction.
+//!     later supernode's transfer completed long ago.
 //!   * [`RetireMode::Ooo`] (the asynchronous fan-both formulation of
 //!     Jacquelin et al.): the host lands whichever in-flight supernode's
 //!     staging D2H completes **earliest** on the simulated clock, then
@@ -36,16 +36,18 @@
 //!     (ascending source order, exactly the serial application order)
 //!     and a landed source's update into a target is applied only when
 //!     that target's cursor reaches it, deferring otherwise and
-//!     cascading when the gap fills. Same subtractions on the same
-//!     operands in the same per-target order as the serial engines, so
-//!     the factor is **bit-identical** at any stream count for both
-//!     variants; only the host-wait interleaving (and thus the simulated
-//!     clock) changes. Targets are released per applied update unit,
-//!     so a target becomes ready the moment its last incoming update
-//!     lands rather than when the global retire front passes. The
-//!     lookahead window is **adaptive**: it grows when issue is
-//!     window-blocked while some stream pair idles, and shrinks toward
+//!     cascading when the gap fills. Targets are released per applied
+//!     update unit, so a target becomes ready the moment its last
+//!     incoming update lands rather than when the global retire front
+//!     passes. The lookahead window is **adaptive**: it grows when issue
+//!     is window-blocked while some stream pair idles, and shrinks toward
 //!     the pair count while the device runs ahead of the host.
+//!
+//! Both modes only price the schedule: every device call and host charge
+//! follows from shapes. The factor is computed afterwards on the CPU tree
+//! executor, whose units are the same per-target updates in the same
+//! per-target order, so it is the single-stream methods' at any stream
+//! count and in either mode; only the simulated clock differs.
 //!
 //! Deadline/cancel checkpoints ([`RunCtl`]) run inside the retire loop —
 //! once per landed supernode in either mode — so a stalled stream or a
@@ -60,11 +62,8 @@
 //! stages the *batched* (v1) footprint per pair, so matrices that only
 //! v2's per-block streaming squeezes under capacity still need
 //! [`crate::engine::Method::RlbGpuV2`] (streaming inside the pipeline is
-//! an open ROADMAP item). A non-positive-definite pivot surfaces from the
-//! eager device POTRF at issue time; when several supernodes are
-//! indefinite, the reported column may differ from the serial engines'
-//! (issue order is frontier order, not index order), but an error is
-//! always raised before any factor is returned.
+//! an open ROADMAP item). A non-positive-definite matrix is reported by
+//! the host numerics, as for the CPU methods.
 //!
 //! ## Refactor-aware GPU residency
 //!
@@ -82,49 +81,24 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
-use rlchol_dense::pool;
 use rlchol_gpu::{Buffer, Event, Gpu, StreamId, StreamRole};
 use rlchol_perfmodel::{CpuModel, TraceOp};
 use rlchol_symbolic::SymbolicFactor;
 
-use crate::assemble::{assemble_update_pool, scatter_segment, segment_to};
+use crate::assemble::segment_to;
 use crate::engine::{GpuOptions, GpuRun, RetireMode, Variant};
 use crate::error::FactorError;
-use crate::gpu_rl::{device_panel, host_node, host_panel, max_offloaded, offload_set};
-use crate::gpu_rlb::{
-    apply_strips, launch_strip_kernel, scatter_strips, strip_groups, strips_of, Strip,
+use crate::gpu_rl::{
+    device_panel, host_assembly, host_node, host_panel, max_offloaded, offload_set,
 };
+use crate::gpu_rlb::{launch_strip_kernel, strip_groups, strips_of, Strip};
 use crate::registry::EngineWorkspace;
 use crate::resilience::RunCtl;
-use crate::rl::rl_update_matrix;
-use crate::rlb::{rlb_apply_run, rlb_run_to};
+use crate::rlb::{rlb_run_ops, rlb_run_to};
 use crate::storage::FactorData;
 
 use super::driver::{distinct_targets, Sequencer};
-
-/// Pipelined multi-stream GPU-RL ([`crate::engine::Method::RlGpuPipe`]),
-/// factoring `data` in place.
-pub(crate) fn factor_rl_gpu_pipe_ws(
-    sym: &SymbolicFactor,
-    data: FactorData,
-    opts: &GpuOptions,
-    ws: &mut EngineWorkspace,
-) -> Result<GpuRun, FactorError> {
-    run_pipeline(sym, data, opts, Variant::Rl, ws)
-}
-
-/// Pipelined multi-stream GPU-RLB
-/// ([`crate::engine::Method::RlbGpuPipe`]), factoring `data` in place.
-pub(crate) fn factor_rlb_gpu_pipe_ws(
-    sym: &SymbolicFactor,
-    data: FactorData,
-    opts: &GpuOptions,
-    ws: &mut EngineWorkspace,
-) -> Result<GpuRun, FactorError> {
-    run_pipeline(sym, data, opts, Variant::Rlb, ws)
-}
 
 /// One compute/copy stream pair with its device working storage.
 struct StreamCtx {
@@ -140,41 +114,34 @@ struct StreamCtx {
 
 /// An issued-but-not-retired supernode.
 struct InFlight {
-    /// Host staging the update D2H landed in (empty when `r == 0`).
-    staged: Vec<f64>,
     /// RLB: the strip set enumerated at issue time, reused verbatim for
-    /// the retire-side scatter (empty for RL).
+    /// the retire-side assembly (empty for RL).
     strips: Vec<Strip>,
     /// Completion of the staging transfer; the host waits on it before
     /// assembling.
     ready: Event,
 }
 
-/// The staged update data of a landed source supernode, kept until every
-/// one of its per-target units has been applied (out-of-order retirement
-/// defers units whose target still awaits an earlier source).
+/// A landed source supernode, kept until every one of its per-target
+/// units has been applied (out-of-order retirement defers units whose
+/// target still awaits an earlier source).
 struct LandedSource {
-    /// RL: the `r × r` update matrix (device D2H or host SYRK); RLB GPU
-    /// path: the compacted staging area. Empty on the RLB CPU path,
-    /// whose units read the persistent final source panel instead.
-    staged: Vec<f64>,
     /// RLB GPU path: the strip set (grouped contiguously by target).
     strips: Vec<Strip>,
     /// True when the source ran the below-threshold CPU path under the
-    /// RLB variant — its units re-run the direct per-target kernels.
+    /// RLB variant — its units are the direct per-target kernels.
     rlb_cpu: bool,
     /// Update-matrix order (RL scatter geometry).
     r: usize,
-    /// Units not yet applied; the staging is dropped at zero.
+    /// Units not yet applied; the source is dropped at zero.
     units_left: usize,
 }
 
 /// Everything the per-run symbolic setup produced, shared by both
 /// retirement loops. RL stages one coarse SYRK's update matrix per
-/// supernode (bit-identical to [`crate::engine::Method::RlGpu`]); RLB
-/// stages per-block SYRK/GEMM strips in compacted staging, one transfer
-/// per supernode (the batched formulation — bit-identical to both RLB
-/// GPU versions whenever v2 leaves blocks unsplit).
+/// supernode (as [`crate::engine::Method::RlGpu`]); RLB stages per-block
+/// SYRK/GEMM strips in compacted staging, one transfer per supernode (the
+/// batched formulation of [`crate::engine::Method::RlbGpuV1`]).
 struct PipeCtx<'a> {
     gpu: &'a Gpu,
     sym: &'a SymbolicFactor,
@@ -184,20 +151,24 @@ struct PipeCtx<'a> {
     variant: Variant,
 }
 
-fn run_pipeline(
+/// Simulates a pipelined multi-stream GPU method
+/// ([`crate::engine::Method::RlGpuPipe`] or
+/// [`crate::engine::Method::RlbGpuPipe`], by `variant`) over `data`'s
+/// supernodes under `opts`: the device's clock and counters, with no
+/// numerics. Fails typed on a device fault, an out-of-memory or a
+/// simulated deadline.
+pub(crate) fn simulate(
     sym: &SymbolicFactor,
-    mut data: FactorData,
+    data: &FactorData,
     opts: &GpuOptions,
     variant: Variant,
     ws: &mut EngineWorkspace,
 ) -> Result<GpuRun, FactorError> {
-    let t0 = Instant::now();
     let ctl = ws.ctl.clone();
     let cpu = opts.machine.cpu;
     let nsup = sym.nsup();
 
     let on_gpu = offload_set(sym, opts.threshold);
-    let sn_on_gpu = on_gpu.iter().filter(|&&b| b).count();
 
     // Per-pair device working storage, sized like the single-stream
     // engines': the largest offloaded panel plus the largest update
@@ -279,10 +250,10 @@ fn run_pipeline(
     };
     let final_lookahead = match retire {
         RetireMode::InOrder => {
-            run_inorder(&ctx, &mut data, &mut ctxs)?;
+            run_inorder(&ctx, data, &mut ctxs)?;
             0
         }
-        RetireMode::Ooo => run_ooo(&ctx, &mut data, &mut ctxs)?,
+        RetireMode::Ooo => run_ooo(&ctx, data, &mut ctxs)?,
     };
 
     gpu.synchronize();
@@ -298,24 +269,22 @@ fn run_pipeline(
         });
     }
     Ok(GpuRun {
-        factor: data,
+        offloaded: on_gpu,
+        strip_rows: usize::MAX,
         sim_seconds,
         stats,
-        sn_on_gpu,
         streams_used: nstreams,
         retire,
         lookahead: final_lookahead,
         transfers_saved,
-        wall: t0.elapsed(),
     })
 }
 
 /// In-order retirement: host effects in ascending supernode order behind
-/// a fixed `2 × pairs` issue window (the pre-async behavior, and the
-/// bit-identity reference the out-of-order mode is tested against).
+/// a fixed `2 × pairs` issue window (the pre-async behavior).
 fn run_inorder(
     ctx: &PipeCtx<'_>,
-    data: &mut FactorData,
+    data: &FactorData,
     ctxs: &mut [StreamCtx],
 ) -> Result<(), FactorError> {
     let PipeCtx {
@@ -345,9 +314,6 @@ fn run_inorder(
     // Which pair each in-flight supernode was issued on.
     let mut pair_of = vec![usize::MAX; nsup];
     let mut targets = Vec::new();
-    // CPU-path scratch, reused across supernodes.
-    let mut l11: Vec<f64> = Vec::new();
-    let mut host_upd: Vec<f64> = Vec::new();
 
     for s in 0..nsup {
         // Deadline/cancel checkpoint, once per retirement step. The
@@ -384,16 +350,15 @@ fn run_inorder(
             let r = sym.sn_nrows_below(s);
             if r > 0 {
                 gpu.host_wait_event(inf.ready);
-                let (pool, staged) = (pool::global(), &inf.staged);
                 let entries = match variant {
-                    Variant::Rl => assemble_update_pool(pool, sym, data, s, staged, r),
-                    Variant::Rlb => scatter_strips(pool, sym, data, s, &inf.strips, staged),
+                    Variant::Rl => r * (r + 1) / 2,
+                    Variant::Rlb => inf.strips.iter().map(Strip::entries).sum(),
                 };
-                gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
+                host_assembly(gpu, cpu, entries);
             }
         } else {
             // CPU path: the single-stream engines' below-threshold body.
-            host_node(gpu, cpu, sym, data, s, *variant, &mut l11, &mut host_upd)?;
+            host_node(gpu, cpu, sym, s, *variant);
         }
 
         distinct_targets(sym, s, &mut targets);
@@ -413,7 +378,7 @@ fn run_inorder(
 /// window's final value.
 fn run_ooo(
     ctx: &PipeCtx<'_>,
-    data: &mut FactorData,
+    data: &FactorData,
     ctxs: &mut [StreamCtx],
 ) -> Result<usize, FactorError> {
     let PipeCtx {
@@ -442,7 +407,6 @@ fn run_ooo(
     let mut window = 2 * nstreams;
     let mut pair_load = vec![0usize; nstreams];
     let mut pair_of = vec![usize::MAX; nsup];
-    let mut l11: Vec<f64> = Vec::new();
 
     while landed_count < nsup {
         // Deadline/cancel checkpoint, once per landed supernode.
@@ -466,13 +430,12 @@ fn run_ooo(
                 pair_of[t] = pick;
                 inflight_ids.push(t);
             } else {
-                land_cpu_node(gpu, sym, data, cpu, *variant, t, &mut l11, &mut stash)?;
+                land_cpu_node(gpu, sym, cpu, *variant, t, &mut stash);
                 landed[t] = true;
                 landed_count += 1;
                 cascade(
                     gpu,
                     sym,
-                    data,
                     cpu,
                     *variant,
                     t,
@@ -507,7 +470,6 @@ fn run_ooo(
         gpu.host_wait_event(inf.ready);
         let r = sym.sn_nrows_below(s);
         stash[s] = (r > 0).then_some(LandedSource {
-            staged: inf.staged,
             strips: inf.strips,
             rlb_cpu: false,
             r,
@@ -518,7 +480,6 @@ fn run_ooo(
         cascade(
             gpu,
             sym,
-            data,
             cpu,
             *variant,
             s,
@@ -543,50 +504,32 @@ fn run_ooo(
     Ok(window)
 }
 
-/// Executes a below-threshold supernode on the host at its pop from the
-/// ready heap: panel factorization now, update staging for the
-/// per-target applications later. RL stages the host SYRK's `r × r`
-/// update matrix; RLB defers entirely to the direct per-target kernels
-/// reading the (now final) source panel.
-#[allow(clippy::too_many_arguments)]
+/// Lands a below-threshold supernode on the host at its pop from the
+/// ready heap: its panel step is charged now, its updates at their
+/// per-target applications. RL charges the host SYRK of its update
+/// matrix now; RLB's direct per-target kernels are charged as they run.
 fn land_cpu_node(
     gpu: &Gpu,
     sym: &SymbolicFactor,
-    data: &mut FactorData,
     cpu: &CpuModel,
     variant: Variant,
     s: usize,
-    l11: &mut Vec<f64>,
     stash: &mut [Option<LandedSource>],
-) -> Result<(), FactorError> {
-    host_panel(gpu, cpu, sym, s, data.sn_mut(sym, s), l11)?;
-    let r = sym.sn_nrows_below(s);
+) {
+    host_panel(gpu, cpu, sym, s);
+    let (c, r) = (sym.sn_ncols(s), sym.sn_nrows_below(s));
     if r == 0 {
-        return Ok(());
+        return;
     }
-    stash[s] = Some(match variant {
-        Variant::Rl => {
-            let mut staged = vec![0.0; r * r];
-            rl_update_matrix(sym, s, data.sn(sym, s), &mut staged, |op| {
-                gpu.host_compute(cpu.op_time(op))
-            });
-            LandedSource {
-                staged,
-                strips: Vec::new(),
-                rlb_cpu: false,
-                r,
-                units_left: 0,
-            }
-        }
-        Variant::Rlb => LandedSource {
-            staged: Vec::new(),
-            strips: Vec::new(),
-            rlb_cpu: true,
-            r,
-            units_left: 0,
-        },
+    if variant == Variant::Rl {
+        gpu.host_compute(cpu.op_time(&TraceOp::Syrk { n: r, k: c }));
+    }
+    stash[s] = Some(LandedSource {
+        strips: Vec::new(),
+        rlb_cpu: variant == Variant::Rlb,
+        r,
+        units_left: 0,
     });
-    Ok(())
 }
 
 /// After source `s` lands, advance every one of its targets' sequence
@@ -594,12 +537,11 @@ fn land_cpu_node(
 /// landed (possibly from sources that landed long ago), releasing each
 /// target when its last unit lands. Per-target application order is
 /// always ascending source — the serial order — regardless of landing
-/// order, which is what keeps the factor bit-identical.
+/// order.
 #[allow(clippy::too_many_arguments)]
 fn cascade(
     gpu: &Gpu,
     sym: &SymbolicFactor,
-    data: &mut FactorData,
     cpu: &CpuModel,
     variant: Variant,
     s: usize,
@@ -618,7 +560,7 @@ fn cascade(
             if !landed[q] {
                 break;
             }
-            apply_unit(gpu, sym, data, cpu, variant, q, p, stash);
+            apply_unit(gpu, sym, cpu, variant, q, p, stash);
             if seq.advance(p) {
                 heap.push(Reverse(p));
             }
@@ -626,63 +568,41 @@ fn cascade(
     }
 }
 
-/// Applies source `q`'s update unit into target `p` — the out-of-order
-/// analogue of one segment of the in-order retire phase, with identical
-/// kernels and operands.
-#[allow(clippy::too_many_arguments)]
+/// Charges source `q`'s update unit into target `p` — the out-of-order
+/// analogue of one segment of the in-order retire phase.
 fn apply_unit(
     gpu: &Gpu,
     sym: &SymbolicFactor,
-    data: &mut FactorData,
     cpu: &CpuModel,
     variant: Variant,
     q: usize,
     p: usize,
     stash: &mut [Option<LandedSource>],
 ) {
-    let exhausted = {
-        let st = stash[q]
-            .as_mut()
-            .expect("landed sources with targets stash");
-        match variant {
-            Variant::Rl => {
-                let entries = scatter_segment(
-                    sym,
-                    data.sn_mut(sym, p),
-                    segment_to(sym, q, p),
-                    &sym.rows[q],
-                    &st.staged,
-                    st.r,
-                    &mut Vec::new(),
-                );
-                gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
-            }
-            Variant::Rlb if st.rlb_cpu => {
-                // The direct update of q's run into p alone, reading q's
-                // final panel: the same kernels as the full sweep.
-                let run = rlb_run_to(sym, q, p);
-                let (src, mut targets) = data.split_source(sym, q);
-                let mut seconds = 0.0;
-                rlb_apply_run(sym, q, src, targets.take(p), &run, |op| {
-                    seconds += cpu.op_time(op)
-                });
-                gpu.host_compute(seconds);
-            }
-            Variant::Rlb => {
-                let blocks = &sym.blocks[q];
-                let (_, group) = strip_groups(blocks, &st.strips)
-                    .find(|&(target, _)| target == p)
-                    .expect("p is a distinct target of q");
-                let parr = data.sn_mut(sym, p);
-                let entries = apply_strips(sym, parr, blocks, group, &st.staged);
-                gpu.host_compute(cpu.op_time(&TraceOp::Assemble { entries }));
-            }
+    let st = stash[q]
+        .as_mut()
+        .expect("landed sources with targets stash");
+    match variant {
+        Variant::Rl => host_assembly(gpu, cpu, segment_to(sym, q, p).entries(st.r)),
+        Variant::Rlb if st.rlb_cpu => {
+            // The direct update of q's run into p alone: the same kernels
+            // as the full sweep.
+            let mut seconds = 0.0;
+            rlb_run_ops(sym, q, &rlb_run_to(sym, q, p), |op| {
+                seconds += cpu.op_time(op)
+            });
+            gpu.host_compute(seconds);
         }
-        st.units_left -= 1;
-        st.units_left == 0
-    };
-    if exhausted {
-        stash[q] = None; // free the staging as soon as its last unit lands
+        Variant::Rlb => {
+            let (_, group) = strip_groups(&sym.blocks[q], &st.strips)
+                .find(|&(target, _)| target == p)
+                .expect("p is a distinct target of q");
+            host_assembly(gpu, cpu, group.iter().map(Strip::entries).sum());
+        }
+    }
+    st.units_left -= 1;
+    if st.units_left == 0 {
+        stash[q] = None; // free the strips as soon as the last unit lands
     }
 }
 
@@ -825,12 +745,11 @@ fn alloc_stream_pairs(
 }
 
 /// Enqueues supernode `s`'s whole device phase on `ctx` and records it in
-/// flight. The simulated runtime executes kernels eagerly, so a
-/// non-positive-definite pivot surfaces here.
+/// flight.
 fn issue(
     gpu: &Gpu,
     sym: &SymbolicFactor,
-    data: &mut FactorData,
+    data: &FactorData,
     ctx: &mut StreamCtx,
     s: usize,
     variant: Variant,
@@ -842,67 +761,34 @@ fn issue(
     // transfers; its gate event marks both drained. The panel copies
     // back on the pair's copy stream, ahead of the staging D2H.
     let gate = ctx.gate.take();
-    device_panel(
-        gpu,
-        sym,
-        s,
-        ctx.compute,
-        ctx.copy,
-        ctx.panel_buf,
-        gate,
-        data.sn_mut(sym, s),
-    )?;
+    let arr = data.sn(sym, s);
+    device_panel(gpu, sym, s, ctx.compute, ctx.copy, ctx.panel_buf, gate, arr)?;
 
-    let mut staged = Vec::new();
     let mut strips = Vec::new();
     if r > 0 {
-        match variant {
+        let staged = match variant {
             Variant::Rl => {
-                gpu.syrk(
-                    ctx.compute,
-                    ctx.panel_buf,
-                    c,
-                    len,
-                    r,
-                    c,
-                    1.0,
-                    0.0,
-                    ctx.upd_buf,
-                    0,
-                    r,
-                )?;
-                staged = vec![0.0f64; r * r];
+                gpu.syrk(ctx.compute, ctx.panel_buf, c, len, r, c, ctx.upd_buf, 0, r)?;
+                r * r
             }
             Variant::Rlb => {
                 let blocks = &sym.blocks[s];
                 let stage_len;
                 (strips, stage_len) = strips_of(blocks);
                 for st in &strips {
-                    launch_strip_kernel(
-                        gpu,
-                        ctx.compute,
-                        ctx.panel_buf,
-                        ctx.upd_buf,
-                        st,
-                        blocks,
-                        c,
-                        len,
-                    )?;
+                    let (panel, upd) = (ctx.panel_buf, ctx.upd_buf);
+                    launch_strip_kernel(gpu, ctx.compute, panel, upd, st, blocks, c, len)?;
                 }
-                staged = vec![0.0f64; stage_len];
+                stage_len
             }
-        }
+        };
         let computed = gpu.record_event(ctx.compute);
         gpu.stream_wait_event(ctx.copy, computed);
-        gpu.memcpy_d2h(ctx.copy, ctx.upd_buf, 0, &mut staged)?;
+        gpu.memcpy_d2h(ctx.copy, ctx.upd_buf, 0, staged)?;
     }
     let ready = gpu.record_event(ctx.copy);
     ctx.gate = Some(ready);
-    inflight[s] = Some(InFlight {
-        staged,
-        strips,
-        ready,
-    });
+    inflight[s] = Some(InFlight { strips, ready });
     Ok(())
 }
 
@@ -932,8 +818,8 @@ mod tests {
                         .with_streams(streams)
                         .with_retire(retire);
                     let run = factor_rl_gpu_pipe(&sym, &ap, &opts).unwrap();
-                    assert_eq!(run.streams_used, streams);
-                    assert_eq!(run.retire, retire);
+                    assert_eq!(run.info.streams_used, streams);
+                    assert_eq!(run.info.retire, Some(retire));
                     assert_eq!(
                         base.factor, run.factor,
                         "thr {threshold} streams {streams} {retire:?}: must be bit-identical"
@@ -977,7 +863,7 @@ mod tests {
             .with_retire(RetireMode::Ooo);
         let run = factor_rl_gpu_pipe(&sym, &ap, &opts).unwrap();
         assert_eq!(base.factor, run.factor, "must be bit-identical");
-        assert!(run.lookahead >= 1, "adaptive window must be reported");
+        assert!(run.info.lookahead >= 1, "adaptive window must be reported");
     }
 
     #[test]

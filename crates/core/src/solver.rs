@@ -33,15 +33,15 @@ pub struct SolverOptions {
     pub method: Method,
     /// GPU engine options (ignored by the CPU methods).
     pub gpu: GpuOptions,
-    /// Lanes of the CPU tree executor, which runs every CPU method, and
-    /// of the symbolic analysis (column counts, relative indices, value
-    /// map); `0` means `RLCHOL_THREADS` / available parallelism, and `1`
-    /// pins the one-lane sweep and the serial analysis. The factor and
-    /// the analysis are bit-identical at every lane count. Below a flop
+    /// Lanes of the CPU tree executor, which computes every method's
+    /// factor (the GPU methods' after their simulation), and of the
+    /// symbolic analysis (column counts, relative indices, value map);
+    /// `0` means `RLCHOL_THREADS` / available parallelism, and `1` pins
+    /// the one-lane sweep and the serial analysis. The factor and the
+    /// analysis are bit-identical at every lane count. Below a flop
     /// cutoff, or while another factorization's tree is running, the
     /// executor takes one lane whatever this says; below a size cutoff
-    /// (1 024 columns and 16 384 entries) so does the analysis. The GPU
-    /// methods use it for the analysis only.
+    /// (1 024 columns and 16 384 entries) so does the analysis.
     pub threads: usize,
     /// Workspace lanes of the staged handle: how many `factor_with` /
     /// `refactor` calls may run **concurrently** on one shared

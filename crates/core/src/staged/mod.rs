@@ -1196,10 +1196,10 @@ mod tests {
         // An empty batch is a valid empty request.
         assert!(sc.batch_factor(&[]).is_empty());
 
-        // A pipelined GPU engine offloading everything: each member's
-        // host assembly fans out (`fan_out`) on the shared pool from the
-        // member's own thread. Factor and simulated clock match a
-        // `factor_with` outside any batch.
+        // A pipelined GPU engine offloading everything: each member
+        // simulates, then factors on the tree executor, from its own
+        // thread. Factor and simulated clock match a `factor_with`
+        // outside any batch.
         let gpu = SymbolicCholesky::new(
             &a0,
             &SolverOptions {

@@ -2,8 +2,7 @@
 //! parallel-for.
 //!
 //! The dense kernels' lane splits, and in the other crates the symbolic
-//! analysis, `batch_factor` and the GPU engines' host assembly, hand
-//! their loops to [`ThreadPool::run_for`] instead of spawning OS threads
+//! analysis and `batch_factor`, hand their loops to [`ThreadPool::run_for`] instead of spawning OS threads
 //! per call. Workers are started once (lazily, on first use of [`global`])
 //! and live for the process; an idle worker sleeps until a parallel-for
 //! is published, then claims its indices one at a time until none are

@@ -1,4 +1,6 @@
-//! The simulated device: memory, streams, events, transfers and kernels.
+//! The simulated device: memory, streams, events, transfers and kernels,
+//! as a clock over shapes. Buffers are lengths and kernels are prices:
+//! no operation moves a value or does arithmetic.
 
 use parking_lot::Mutex;
 use rlchol_perfmodel::{GpuModel, TraceOp};
@@ -15,7 +17,8 @@ pub fn default_streams() -> usize {
     rlchol_dense::pool::env_positive("RLCHOL_STREAMS").unwrap_or(2)
 }
 
-/// Handle to a device memory buffer (`f64` elements).
+/// Handle to a device memory buffer of `f64` elements (a length: the
+/// simulated device holds no values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Buffer {
     id: usize,
@@ -53,14 +56,12 @@ impl Event {
 }
 
 struct State {
-    buffers: Vec<Option<Vec<f64>>>,
+    /// Each live buffer's length; `None` once freed.
+    buffers: Vec<Option<usize>>,
     streams: Vec<f64>,
     host_clock: f64,
     blocking: bool,
     stats: GpuStats,
-    /// Reused triangle copy for [`Gpu::trsm_panel`]; grows to the largest
-    /// diagonal block so repeated panel TRSMs allocate nothing.
-    l11_scratch: Vec<f64>,
     faults: FaultState,
 }
 
@@ -137,7 +138,6 @@ impl Gpu {
                     per_stream: vec![StreamStats::default()],
                     ..GpuStats::default()
                 },
-                l11_scratch: Vec::new(),
                 faults: FaultState::default(),
             }),
         }
@@ -194,8 +194,8 @@ impl Gpu {
     }
 
     /// Rewinds the device to the start of a new factorization session
-    /// while keeping its memory contents: clocks return to zero and the
-    /// activity counters reset, but buffers (and their data), allocation
+    /// while keeping its memory: clocks return to zero and the
+    /// activity counters reset, but buffers, allocation
     /// bookkeeping (`used_bytes`, with `peak_bytes` restarting from it)
     /// and stream roles survive. This is what makes warm refactorization
     /// on a resident device meaningful — the next run's stats describe
@@ -224,7 +224,8 @@ impl Gpu {
         };
     }
 
-    /// Allocates `len` doubles of device memory.
+    /// Allocates `len` doubles of device memory: capacity and fault plan
+    /// are checked, no host memory is taken.
     pub fn alloc(&self, len: usize) -> Result<Buffer, GpuError> {
         let bytes = (len * 8) as u64;
         let mut st = self.state.lock();
@@ -245,11 +246,11 @@ impl Gpu {
         // Reuse a free slot if possible.
         let id = match st.buffers.iter().position(|b| b.is_none()) {
             Some(i) => {
-                st.buffers[i] = Some(vec![0.0; len]);
+                st.buffers[i] = Some(len);
                 i
             }
             None => {
-                st.buffers.push(Some(vec![0.0; len]));
+                st.buffers.push(Some(len));
                 st.buffers.len() - 1
             }
         };
@@ -333,13 +334,13 @@ impl Gpu {
 
     fn check_range(st: &State, buf: Buffer, offset: usize, len: usize) -> Result<(), GpuError> {
         match st.buffers.get(buf.id) {
-            Some(Some(v)) => {
-                if offset + len > v.len() {
+            Some(&Some(buffer_len)) => {
+                if offset + len > buffer_len {
                     Err(GpuError::OutOfBounds {
                         id: buf.id,
                         offset,
                         len,
-                        buffer_len: v.len(),
+                        buffer_len,
                     })
                 } else {
                     Ok(())
@@ -359,7 +360,8 @@ impl Gpu {
         }
     }
 
-    /// Asynchronous host→device copy.
+    /// Asynchronous host→device copy of `src`, priced by its length
+    /// (no value moves).
     pub fn memcpy_h2d(
         &self,
         stream: StreamId,
@@ -373,7 +375,6 @@ impl Gpu {
             return Err(err);
         }
         let bytes = src.len() * 8;
-        st.buffers[buf.id].as_mut().unwrap()[offset..offset + src.len()].copy_from_slice(src);
         let dur = self.model.transfer_time(bytes) + st.faults.next_stall();
         st.stats.h2d_count += 1;
         st.stats.h2d_bytes += bytes as u64;
@@ -384,26 +385,24 @@ impl Gpu {
         Ok(())
     }
 
-    /// Asynchronous device→host copy.
-    ///
-    /// Data lands in `dst` immediately (host execution is eager); the
-    /// *simulated* completion is the stream cursor — callers must
-    /// [`sync_stream`](Self::sync_stream) (or wait on an event) before the
-    /// simulated host may observe it, exactly as with a real `cudaMemcpyAsync`.
+    /// Asynchronous device→host copy of `len` doubles, priced by its
+    /// length (no value lands anywhere). Its simulated completion is the
+    /// stream cursor: callers [`sync_stream`](Self::sync_stream) (or wait
+    /// on an event) before the simulated host may use it, exactly as with
+    /// a real `cudaMemcpyAsync`.
     pub fn memcpy_d2h(
         &self,
         stream: StreamId,
         buf: Buffer,
         offset: usize,
-        dst: &mut [f64],
+        len: usize,
     ) -> Result<(), GpuError> {
         let mut st = self.state.lock();
-        Self::check_range(&st, buf, offset, dst.len())?;
+        Self::check_range(&st, buf, offset, len)?;
         if let Some(err) = st.faults.next_transfer() {
             return Err(err);
         }
-        let bytes = dst.len() * 8;
-        dst.copy_from_slice(&st.buffers[buf.id].as_ref().unwrap()[offset..offset + dst.len()]);
+        let bytes = len * 8;
         let dur = self.model.transfer_time(bytes) + st.faults.next_stall();
         st.stats.d2h_count += 1;
         st.stats.d2h_bytes += bytes as u64;
@@ -439,9 +438,6 @@ impl Gpu {
         if let Some(err) = st.faults.next_kernel() {
             return Err(err);
         }
-        let data = st.buffers[buf.id].as_mut().unwrap();
-        rlchol_dense::potrf(n, &mut data[offset..], ld)
-            .map_err(|e| GpuError::Numerical { pivot: e.pivot })?;
         self.launch(&mut st, stream, TraceOp::Potrf { n });
         Ok(())
     }
@@ -449,7 +445,8 @@ impl Gpu {
     /// `DTRSM` for a supernode panel stored in one buffer: the `c x c`
     /// lower triangle at `offset` is the (already factored) diagonal
     /// block; the `m` rows directly below it are solved in place
-    /// (`B := B · L^{-T}`).
+    /// (`B := B · L^{-T}`). Like every kernel here it checks its ranges,
+    /// takes its fault ordinal and charges the model's time.
     pub fn trsm_panel(
         &self,
         stream: StreamId,
@@ -466,29 +463,13 @@ impl Gpu {
         if let Some(err) = st.faults.next_kernel() {
             return Err(err);
         }
-        // The diagonal block and the panel interleave by columns; copy the
-        // triangle out (exactly what the blocked host POTRF does) into the
-        // device-wide reusable scratch.
-        let mut l11 = std::mem::take(&mut st.l11_scratch);
-        if l11.len() < c * c {
-            l11.resize(c * c, 0.0);
-        }
-        let data = st.buffers[buf.id].as_mut().unwrap();
-        for j in 0..c {
-            for i in j..c {
-                l11[j * c + i] = data[offset + j * ld + i];
-            }
-        }
-        rlchol_dense::trsm_rlt(m, c, &l11[..c * c], c, &mut data[offset + c..], ld);
-        st.l11_scratch = l11;
         self.launch(&mut st, stream, TraceOp::Trsm { m, n: c });
         Ok(())
     }
 
-    /// `DSYRK`: `C := alpha · A Aᵀ + beta · C` (lower), where `A` is the
-    /// `n x k` block of `a_buf` at `a_off` and `C` the `n x n` block of
-    /// `c_buf` at `c_off`. The two buffers must be distinct.
-    #[allow(clippy::too_many_arguments)]
+    /// `DSYRK`: `C := A Aᵀ` (lower), where `A` is the `n x k` block of
+    /// `a_buf` at `a_off` and `C` the `n x n` block of `c_buf` at `c_off`.
+    /// The two buffers must be distinct.
     pub fn syrk(
         &self,
         stream: StreamId,
@@ -497,8 +478,6 @@ impl Gpu {
         lda: usize,
         n: usize,
         k: usize,
-        alpha: f64,
-        beta: f64,
         c_buf: Buffer,
         c_off: usize,
         ldc: usize,
@@ -514,32 +493,14 @@ impl Gpu {
         if let Some(err) = st.faults.next_kernel() {
             return Err(err);
         }
-        let mut c_data = st.buffers[c_buf.id]
-            .take()
-            .ok_or(GpuError::InvalidBuffer { id: c_buf.id })?;
-        {
-            let a_data = st.buffers[a_buf.id].as_ref().unwrap();
-            rlchol_dense::syrk_ln(
-                n,
-                k,
-                alpha,
-                &a_data[a_off..],
-                lda,
-                beta,
-                &mut c_data[c_off..],
-                ldc,
-            );
-        }
-        st.buffers[c_buf.id] = Some(c_data);
         self.launch(&mut st, stream, TraceOp::Syrk { n, k });
         Ok(())
     }
 
-    /// `DGEMM` (`C := alpha · A Bᵀ + beta · C`): `A` is `m x k` at
-    /// `a_off` of `a_buf`, `B` is `n x k` at `b_off` of `b_buf` (the two
-    /// may alias — RLB multiplies two row blocks of the same supernode),
-    /// `C` is `m x n` in a distinct buffer.
-    #[allow(clippy::too_many_arguments)]
+    /// `DGEMM` (`C := A Bᵀ`): `A` is `m x k` at `a_off` of `a_buf`, `B`
+    /// is `n x k` at `b_off` of `b_buf` (the two may alias — RLB
+    /// multiplies two row blocks of the same supernode), `C` is `m x n`
+    /// in a distinct buffer.
     pub fn gemm_nt(
         &self,
         stream: StreamId,
@@ -552,8 +513,6 @@ impl Gpu {
         m: usize,
         n: usize,
         k: usize,
-        alpha: f64,
-        beta: f64,
         c_buf: Buffer,
         c_off: usize,
         ldc: usize,
@@ -569,27 +528,6 @@ impl Gpu {
         if let Some(err) = st.faults.next_kernel() {
             return Err(err);
         }
-        let mut c_data = st.buffers[c_buf.id]
-            .take()
-            .ok_or(GpuError::InvalidBuffer { id: c_buf.id })?;
-        {
-            let a_data = st.buffers[a_buf.id].as_ref().unwrap();
-            let b_data = st.buffers[b_buf.id].as_ref().unwrap();
-            rlchol_dense::gemm_nt(
-                m,
-                n,
-                k,
-                alpha,
-                &a_data[a_off..],
-                lda,
-                &b_data[b_off..],
-                ldb,
-                beta,
-                &mut c_data[c_off..],
-                ldc,
-            );
-        }
-        st.buffers[c_buf.id] = Some(c_data);
         self.launch(&mut st, stream, TraceOp::Gemm { m, n, k });
         Ok(())
     }
@@ -598,7 +536,6 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlchol_dense::DMat;
     use rlchol_perfmodel::perlmutter_gpu;
 
     fn small_gpu(capacity_bytes: u64) -> Gpu {
@@ -620,73 +557,51 @@ mod tests {
     }
 
     #[test]
-    fn device_factorization_matches_host() {
-        // Factor a 12x3 supernode panel (3 cols, 9 rows below) on device
-        // and compare against the host kernels.
-        let (c, len) = (3usize, 12usize);
-        let mut host = DMat::from_fn(len, c, |i, j| {
-            if i == j {
-                10.0 + i as f64
-            } else {
-                ((i * 7 + j * 3) % 5) as f64 * 0.1
-            }
-        });
-        let gpu = small_gpu(1 << 20);
+    fn kernels_and_transfers_charge_shapes_without_host_memory() {
+        // 2^33 doubles (64 GiB) under a 1 TiB device: a device that held
+        // values could not allocate this, nor factor it in a test's time.
+        let gpu = small_gpu(1 << 40);
+        let model = *gpu.model();
         let s = gpu.default_stream();
-        let buf = gpu.alloc(len * c).unwrap();
-        gpu.memcpy_h2d(s, buf, 0, host.as_slice()).unwrap();
-        gpu.potrf(s, buf, 0, c, len).unwrap();
-        gpu.trsm_panel(s, buf, 0, len, c, len - c).unwrap();
-        let mut back = vec![0.0; len * c];
-        gpu.memcpy_d2h(s, buf, 0, &mut back).unwrap();
-        gpu.sync_stream(s);
-        // Host reference.
-        rlchol_dense::potrf(c, host.as_mut_slice(), len).unwrap();
-        let mut l11 = vec![0.0; c * c];
-        for j in 0..c {
-            for i in j..c {
-                l11[j * c + i] = host[(i, j)];
-            }
+        let (len, n, k) = (1usize << 33, 1usize << 16, 1usize << 15);
+        let rss = resident_bytes();
+        let a = gpu.alloc(len).unwrap();
+        let c = gpu.alloc(n * n).unwrap();
+        gpu.memcpy_h2d(s, a, 0, &[0.0; 4]).unwrap();
+        gpu.potrf(s, a, 0, n, n).unwrap();
+        gpu.syrk(s, a, 0, n, n, k, c, 0, n).unwrap();
+        gpu.memcpy_d2h(s, c, 0, n * n).unwrap();
+        gpu.synchronize();
+        if let (Some(before), Some(after)) = (rss, resident_bytes()) {
+            assert!(
+                after < before + (256 << 20),
+                "{before} -> {after} resident bytes"
+            );
         }
-        {
-            let hs = host.as_mut_slice();
-            rlchol_dense::trsm_rlt(len - c, c, &l11, c, &mut hs[c..], len);
-        }
-        for (x, y) in back.iter().zip(host.as_slice()) {
-            assert!((x - y).abs() < 1e-13);
-        }
-        assert_eq!(gpu.stats().kernel_launches, 2);
+        let (h2d, d2h) = (model.transfer_time(32), model.transfer_time(8 * n * n));
+        let (potrf, syrk) = (
+            model.kernel_time(&TraceOp::Potrf { n }),
+            model.kernel_time(&TraceOp::Syrk { n, k }),
+        );
+        let st = gpu.stats();
+        assert_eq!(st.kernel_launches, 2);
+        assert_eq!(st.kernel_seconds.to_bits(), (potrf + syrk).to_bits());
+        assert_eq!((st.h2d_count, st.h2d_bytes), (1, 32));
+        assert_eq!((st.d2h_count, st.d2h_bytes), (1, 8 * (n * n) as u64));
+        assert_eq!(st.transfer_seconds.to_bits(), (h2d + d2h).to_bits());
+        assert_eq!(st.peak_bytes, 8 * (len + n * n) as u64);
+        // One stream: the four operations back to back, in issue order.
+        assert_eq!(
+            gpu.elapsed().to_bits(),
+            (h2d + potrf + syrk + d2h).to_bits()
+        );
     }
 
-    #[test]
-    fn syrk_and_gemm_numerics() {
-        let gpu = small_gpu(1 << 20);
-        let s = gpu.default_stream();
-        let (n, k) = (5usize, 3usize);
-        let a: Vec<f64> = (0..n * k).map(|i| (i as f64) * 0.25 - 1.0).collect();
-        let abuf = gpu.alloc(n * k).unwrap();
-        let cbuf = gpu.alloc(n * n).unwrap();
-        gpu.memcpy_h2d(s, abuf, 0, &a).unwrap();
-        gpu.syrk(s, abuf, 0, n, n, k, -1.0, 0.0, cbuf, 0, n)
-            .unwrap();
-        let mut c_dev = vec![0.0; n * n];
-        gpu.memcpy_d2h(s, cbuf, 0, &mut c_dev).unwrap();
-        let mut c_ref = vec![0.0; n * n];
-        rlchol_dense::syrk_ln(n, k, -1.0, &a, n, 0.0, &mut c_ref, n);
-        for j in 0..n {
-            for i in j..n {
-                assert!((c_dev[j * n + i] - c_ref[j * n + i]).abs() < 1e-14);
-            }
-        }
-        // GEMM with aliased A/B (two views of the same buffer).
-        let gbuf = gpu.alloc(4).unwrap();
-        gpu.gemm_nt(s, abuf, 0, n, abuf, 2, n, 2, 2, k, 1.0, 0.0, gbuf, 0, 2)
-            .unwrap();
-        let mut g_dev = vec![0.0; 4];
-        gpu.memcpy_d2h(s, gbuf, 0, &mut g_dev).unwrap();
-        let mut g_ref = vec![0.0; 4];
-        rlchol_dense::gemm_nt(2, 2, k, 1.0, &a, n, &a[2..], n, 0.0, &mut g_ref, 2);
-        assert_eq!(g_dev, g_ref);
+    /// This process's resident set in bytes, where `/proc` reports it.
+    fn resident_bytes() -> Option<u64> {
+        let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
+        let pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
+        Some(pages * 4096)
     }
 
     #[test]
@@ -698,8 +613,7 @@ mod tests {
         gpu.memcpy_h2d(s, buf, 0, &src).unwrap();
         gpu.sync_stream(s);
         let t0 = gpu.elapsed();
-        let mut dst = vec![0.0; 1 << 18];
-        gpu.memcpy_d2h(s, buf, 0, &mut dst).unwrap();
+        gpu.memcpy_d2h(s, buf, 0, 1 << 18).unwrap();
         let transfer = gpu.model().transfer_time(8 << 18);
         // Overlapped host work shorter than the transfer.
         gpu.host_compute(transfer * 0.5);
@@ -710,7 +624,7 @@ mod tests {
         // Blocking mode serializes instead.
         gpu.reset_clocks();
         gpu.set_blocking(true);
-        gpu.memcpy_d2h(s, buf, 0, &mut dst).unwrap();
+        gpu.memcpy_d2h(s, buf, 0, 1 << 18).unwrap();
         gpu.host_compute(transfer * 0.5);
         gpu.sync_stream(s);
         assert!(gpu.elapsed() >= transfer * 1.5 - 1e-12);
@@ -768,32 +682,28 @@ mod tests {
         ));
         assert_eq!(gpu.stats().alloc_count, 2);
 
-        // transfer@1: H2D and D2H share the ordinal space; no data moves.
+        // transfer@1: H2D and D2H share the ordinal space; a failed
+        // transfer charges nothing.
         let gpu = Gpu::with_faults(model, FaultPlan::new().transfer_at(1));
         let s = gpu.default_stream();
         let buf = gpu.alloc(4).unwrap();
         gpu.memcpy_h2d(s, buf, 0, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let mut back = [0.0; 4];
         assert!(matches!(
-            gpu.memcpy_d2h(s, buf, 0, &mut back),
+            gpu.memcpy_d2h(s, buf, 0, 4),
             Err(GpuError::Fault(DeviceError {
                 kind: FaultKind::TransferFail,
                 index: 1,
                 ..
             }))
         ));
-        assert_eq!(back, [0.0; 4], "failed transfer must not move data");
+        assert_eq!(gpu.stats().d2h_count, 0, "a failed transfer is not charged");
 
-        // kernel@1: potrf succeeds, the following trsm faults before
-        // touching the panel.
+        // kernel@1: potrf succeeds, the following trsm faults before it
+        // is charged.
         let gpu = Gpu::with_faults(model, FaultPlan::new().kernel_at(1));
         let s = gpu.default_stream();
         let buf = gpu.alloc(6).unwrap();
-        gpu.memcpy_h2d(s, buf, 0, &[4.0, 1.0, 1.0, 0.0, 9.0, 2.0])
-            .unwrap();
         gpu.potrf(s, buf, 0, 2, 3).unwrap();
-        let mut snap = [0.0; 6];
-        gpu.memcpy_d2h(s, buf, 0, &mut snap).unwrap();
         assert!(matches!(
             gpu.trsm_panel(s, buf, 0, 3, 2, 1),
             Err(GpuError::Fault(DeviceError {
@@ -802,9 +712,11 @@ mod tests {
                 ..
             }))
         ));
-        let mut after = [0.0; 6];
-        gpu.memcpy_d2h(s, buf, 0, &mut after).unwrap();
-        assert_eq!(snap, after, "faulted kernel must not run numerics");
+        assert_eq!(
+            gpu.stats().kernel_launches,
+            1,
+            "a faulted kernel is not charged"
+        );
 
         // stall@N adds simulated time without failing the op.
         let gpu = Gpu::new(model);
@@ -840,17 +752,5 @@ mod tests {
         let buf = gpu.alloc(4).unwrap();
         gpu.memcpy_h2d(s, buf, 0, &[4.0, 1.0, 1.0, 3.0]).unwrap();
         gpu.potrf(s, buf, 0, 2, 2).unwrap();
-    }
-
-    #[test]
-    fn potrf_surfaces_numerical_failures() {
-        let gpu = small_gpu(1 << 20);
-        let s = gpu.default_stream();
-        let buf = gpu.alloc(4).unwrap();
-        gpu.memcpy_h2d(s, buf, 0, &[0.0, 0.0, 0.0, 0.0]).unwrap();
-        assert_eq!(
-            gpu.potrf(s, buf, 0, 2, 2),
-            Err(GpuError::Numerical { pivot: 0 })
-        );
     }
 }

@@ -24,9 +24,6 @@ pub enum GpuError {
         len: usize,
         buffer_len: usize,
     },
-    /// A device POTRF met a nonpositive pivot at local column `pivot` of
-    /// the factored block.
-    Numerical { pivot: usize },
     /// An injected fault from the device's [`FaultPlan`](crate::FaultPlan)
     /// struck this operation (fault-injection testing).
     Fault(DeviceError),
@@ -53,9 +50,6 @@ impl fmt::Display for GpuError {
                 f,
                 "device access out of bounds: buffer {id} ({buffer_len} elems), offset {offset}, len {len}"
             ),
-            GpuError::Numerical { pivot } => {
-                write!(f, "device kernel failure: nonpositive pivot at column {pivot}")
-            }
             GpuError::Fault(e) => write!(f, "{e}"),
         }
     }

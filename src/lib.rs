@@ -228,17 +228,18 @@
 //!
 //! Numeric factorization dispatches through the
 //! [`NumericEngine`](core::registry::NumericEngine) registry, keyed by
-//! [`Method`] — CPU (RL, RLB, on one tree executor whose factor does not
-//! depend on its lane count) and (simulated) GPU engines including the pipelined multi-stream
-//! variants; `engine_for(method).factor(sym, FactorData::load(sym, a),
+//! [`Method`] — CPU (RL, RLB) and (simulated) GPU engines including the
+//! pipelined multi-stream variants. Every engine's factor comes from one
+//! tree executor whose factor does not depend on its lane count; a GPU
+//! engine first runs its simulation, a clock over shapes; `engine_for(method).factor(sym, FactorData::load(sym, a),
 //! &mut ws)` (with `a` in factor order) is the only public way to run
 //! one; the staged handle loads its storage through its own value map. [`Method::ALL`] enumerates every
 //! registered engine; `Method` round-trips through `FromStr` via its
 //! CLI name (`"rlb-gpu".parse()`) or paper label (`"RLB_G".parse()`).
 //! Every engine reports a uniform
-//! [`FactorInfo`](core::registry::FactorInfo): wall time, simulated
-//! seconds, supernodes offloaded, stream pairs used, per-stream device
-//! counters, and the CPU trace.
+//! [`FactorInfo`](core::registry::FactorInfo): wall time and lanes,
+//! simulated seconds, supernodes offloaded, stream pairs used, per-stream
+//! device counters, and the CPU trace.
 //!
 //! ## Crate map
 //!
@@ -256,7 +257,7 @@
 //!
 //! ## Threads, streams and solve lanes
 //!
-//! The CPU tree executor (every CPU method, sized by
+//! The CPU tree executor (every method's factor, sized by
 //! [`SolverOptions::threads`]) runs its lanes next to one persistent
 //! parallel-for pool, which the dense kernels split any large call
 //! across;

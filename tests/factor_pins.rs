@@ -19,12 +19,15 @@
 //! kernel. The preceding change, which split large kernel calls across
 //! the pool, left every digest as it was.
 //!
-//! The CPU methods run one tree executor whose factor does not depend on
-//! its lane count, so every CPU method (`RlCpuPar` is a synonym of
-//! `RlCpu`) at 1, 2, 4 and 8 lanes must give its family's digest. The executor runs one lane below a flop cutoff and
-//! beside another CPU factorization, so every test holds [`serial`] and
-//! asserts the lanes its CPU runs started: the 16³ grid and the two
-//! benchmark matrices run the tree, the others the one-lane sweep.
+//! Every method computes its factor on one tree executor whose factor
+//! does not depend on its lane count, so every method at 1, 2, 4 and 8
+//! lanes must give its pin: every RL method (`RlCpuPar` is a synonym of
+//! `RlCpu`; the RL device methods factor as it does) `RlCpu`'s digest,
+//! and `RlbCpu` and each RLB device method at each threshold its own.
+//! The executor runs one lane below a flop cutoff and beside another
+//! CPU factorization, so every test holds [`serial`] and asserts the
+//! lanes its runs started: the 16³ grid and the two benchmark matrices
+//! run the tree, the others the one-lane sweep.
 //!
 //! Each device run also pins its simulated clock: the bits of
 //! `sim_seconds` and of the host, kernel and transfer seconds, and the
@@ -131,12 +134,12 @@ fn retire_modes(method: Method) -> &'static [RetireMode] {
     }
 }
 
-/// The factor digest of a CPU method at `threads` lanes, and the lanes
-/// the run started.
-fn cpu_digest(a: &SymCsc, method: Method, threads: usize) -> (u64, usize) {
+/// The factor digest of a method at `threshold` and `threads` lanes, and
+/// the lanes the run started.
+fn lane_digest(a: &SymCsc, method: Method, threshold: usize, threads: usize) -> (u64, usize) {
     let opts = SolverOptions {
         threads,
-        ..options(method, usize::MAX)
+        ..options(method, threshold)
     };
     let fact = CholeskySolver::analyze(a, &opts)
         .factor_with(a)
@@ -191,20 +194,29 @@ fn check(name: &str, a: &SymCsc, tree: bool, want: &[u64], want_sim: &[u64]) -> 
             got.push((run, digest(fact.data().values())));
         }
     }
-    // Every CPU method at every lane count against its family's pin
-    // (`RlCpu` and `RlbCpu` come first in `DETERMINISTIC`).
+    // Every method at every lane count against its pin: `RlCpu`'s for
+    // the RL family (`RlCpu` and `RlbCpu` come first in `DETERMINISTIC`),
+    // the method's own at the threshold for the RLB family.
+    let runs = DETERMINISTIC
+        .iter()
+        .flat_map(|&m| thresholds(m).iter().map(move |&thr| (m, thr)));
+    let runs = runs.zip(want.iter().copied());
+    let synonym = (Method::RlCpuPar, usize::MAX, want[0]);
     let (mut lanes, mut lane_pins) = (Vec::new(), Vec::new());
-    for (method, pin) in [
-        (Method::RlCpu, want[0]),
-        (Method::RlbCpu, want[1]),
-        (Method::RlCpuPar, want[0]),
-    ] {
+    for (method, threshold, pin) in runs.map(|((m, t), w)| (m, t, w)).chain([synonym]) {
+        let rl = matches!(
+            method,
+            Method::RlCpu | Method::RlCpuPar | Method::RlGpu | Method::RlGpuPipe
+        );
         for threads in LANES {
-            let run = format!("{name} {} threads {threads}", method.label());
-            let (digest, started) = cpu_digest(a, method, threads);
+            let mut run = format!("{name} {} threads {threads}", method.label());
+            if method.is_gpu() {
+                run += &format!(" thr {threshold}");
+            }
+            let (digest, started) = lane_digest(a, method, threshold, threads);
             assert_eq!(started, if tree { threads } else { 1 }, "{run}: lanes");
             lanes.push((run, digest));
-            lane_pins.push(pin);
+            lane_pins.push(if rl { want[0] } else { pin });
         }
     }
     assert_eq!(got.len(), want.len(), "{name}: one pin per engine run");
@@ -350,7 +362,7 @@ fn grid3d_star27_factor_is_pinned() {
 fn check_benchmark_size(name: &str, a: &SymCsc, pin: u64) {
     let _serial = serial();
     for threads in [1, 2] {
-        let (got, lanes) = cpu_digest(a, Method::RlCpu, threads);
+        let (got, lanes) = lane_digest(a, Method::RlCpu, usize::MAX, threads);
         assert_eq!(lanes, threads, "{name} threads {threads}: lanes");
         assert_eq!(
             got, pin,

@@ -374,6 +374,56 @@ fn device_oom_falls_back_to_cpu() {
 }
 
 #[test]
+fn indefinite_input_is_a_data_error_on_every_device_method() {
+    // One strongly negative pivot in the middle of a 9³ grid. A device
+    // method simulates first, and the clock does not read values, so the
+    // pivot fails in the host numerics: at the column its CPU family
+    // reports. Without a chain that is what the method itself returns (a
+    // device error would surface as one), so with the recommended chain
+    // nothing retries or falls back, and no lane is quarantined.
+    let mut a = grid3d(9, 9, 9, Stencil::Star7, 1, 13);
+    let mid = a.n() / 2;
+    let diag = (a.colptr()[mid]..a.colptr()[mid + 1])
+        .find(|&k| a.rowind()[k] == mid)
+        .expect("diagonal stored");
+    a.values_mut()[diag] = -50.0;
+    let fails = |method: Method, threshold: usize, fallback: FallbackChain| {
+        let opts = SolverOptions {
+            method,
+            gpu: GpuOptions::with_threshold(threshold),
+            fallback,
+            ..SolverOptions::default()
+        };
+        let handle = CholeskySolver::analyze(&a, &opts);
+        let err = handle.factor_with(&a).expect_err("indefinite input");
+        assert_eq!(
+            handle.lane_stats().quarantined,
+            0,
+            "{method:?} thr {threshold}"
+        );
+        err
+    };
+    let rl = fails(Method::RlCpu, usize::MAX, FallbackChain::none());
+    let rlb = fails(Method::RlbCpu, usize::MAX, FallbackChain::none());
+    assert!(
+        matches!(rl, FactorError::NotPositiveDefinite { .. }),
+        "{rl:?}"
+    );
+    for method in gpu_methods() {
+        let want = match method {
+            Method::RlGpu | Method::RlGpuPipe => &rl,
+            _ => &rlb,
+        };
+        for threshold in [0, 300] {
+            for chain in [FallbackChain::none(), FallbackChain::recommended(method)] {
+                let got = fails(method, threshold, chain.clone());
+                assert_eq!(&got, want, "{method:?} thr {threshold} chain {chain:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn stream_stalls_trip_the_simulated_deadline() {
     let a = sweep_matrix();
     // Sanity: the clean run fits comfortably inside the budget.

@@ -241,8 +241,8 @@ fn oom_propagates_when_no_pair_fits() {
 #[test]
 fn indefinite_matrix_errors_cleanly_under_pipelining() {
     // A strongly negative diagonal entry partway through the chain; the
-    // pipeline must surface NotPositiveDefinite from the eager device
-    // POTRF at any stream count — no wrong factor, no hang.
+    // pipelined methods must surface NotPositiveDefinite from the host
+    // numerics at any stream count — no wrong factor, no hang.
     let n = 150;
     let mut t = TripletMatrix::new(n, n);
     for j in 0..n {

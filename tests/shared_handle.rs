@@ -159,7 +159,7 @@ fn contended_lane_caps_serialize_without_losing_results() {
 
 #[test]
 fn batch_factor_with_pool_reentrant_engine_does_not_deadlock() {
-    // The pipelined GPU engine fans its host assembly out on
+    // The pipelined GPU engine's factor splits its kernels on
     // rlchol_dense::pool from inside a factorization. A batch runs its
     // members on threads of its own, never as pool indices, so no pool
     // thread can pick up a sibling member while a lane is held further
